@@ -79,6 +79,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import os
+import sys
 import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
@@ -478,7 +479,11 @@ def analyze(
     try:
         q_sym = repetition_vector(csdf)
         report.consistent = True
-        report.repetition_symbolic = {name: str(poly) for name, poly in q_sym.items()}
+        # Interned: the few distinct counts of a graph family are then
+        # shared by every report that keeps them.
+        report.repetition_symbolic = {
+            name: sys.intern(str(poly)) for name, poly in q_sym.items()
+        }
     except _STAGE_ERRORS as exc:
         report.errors["consistency"] = str(exc)
         report.elapsed = time.perf_counter() - start

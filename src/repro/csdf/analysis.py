@@ -16,6 +16,7 @@ from typing import Mapping
 from ..cache import bindings_key, cached, register_binding_insensitive
 from ..errors import AnalysisError
 from ..symbolic import InconsistentRatesError, Poly, solve_balance
+from .channel import Channel
 from .graph import CSDFGraph
 
 # The rate algebra ignores execution times entirely, so its memoized
@@ -38,15 +39,32 @@ def topology_matrix(graph: CSDFGraph) -> tuple[list[str], list[str], list[list[P
     index = {name: j for j, name in enumerate(actor_names)}
     channel_names: list[str] = []
     rows: list[list[Poly]] = []
-    for channel in graph.channels.values():
+    for channel, produced, consumed in cycle_totals(graph):
         row = [Poly() for _ in actor_names]
-        tau_src = graph.tau(channel.src)
-        tau_dst = graph.tau(channel.dst)
-        row[index[channel.src]] = row[index[channel.src]] + channel.production.cumulative(tau_src)
-        row[index[channel.dst]] = row[index[channel.dst]] - channel.consumption.cumulative(tau_dst)
+        row[index[channel.src]] = row[index[channel.src]] + produced
+        row[index[channel.dst]] = row[index[channel.dst]] - consumed
         channel_names.append(channel.name)
         rows.append(row)
     return channel_names, actor_names, rows
+
+
+def cycle_totals(graph: CSDFGraph) -> list[tuple[Channel, Poly, Poly]]:
+    """``(channel, X(tau_src), Y(tau_dst))`` per channel, in channel
+    order: the tokens a channel moves over one cycle of its producer
+    and over one cycle of its consumer — its entries of ``Gamma``.
+
+    Every actor's ``tau`` comes from one pass over the channels
+    (:meth:`CSDFGraph.taus`), so the whole table costs O(channels).
+    """
+    taus = graph.taus()
+    return [
+        (
+            channel,
+            channel.production.cumulative(taus[channel.src]),
+            channel.consumption.cumulative(taus[channel.dst]),
+        )
+        for channel in graph.channels.values()
+    ]
 
 
 def base_solution(graph: CSDFGraph) -> dict[str, Poly]:
@@ -63,30 +81,18 @@ def _base_solution(graph: CSDFGraph) -> dict[str, Poly]:
     if not graph.actors:
         return {}
     edges = []
-    for channel in graph.channels.values():
+    for channel, produced, consumed in cycle_totals(graph):
         if channel.is_selfloop():
             # A self-loop constrains nothing across actors but must be
             # internally balanced over one cycle, otherwise tokens
             # accumulate or drain without bound.
-            tau = graph.tau(channel.src)
-            produced = channel.production.cumulative(tau)
-            consumed = channel.consumption.cumulative(tau)
             if produced != consumed:
                 raise InconsistentRatesError(
                     f"self-loop {channel.name!r} on {channel.src!r} is "
                     f"unbalanced: produces {produced}, consumes {consumed} per cycle"
                 )
             continue
-        tau_src = graph.tau(channel.src)
-        tau_dst = graph.tau(channel.dst)
-        edges.append(
-            (
-                channel.src,
-                channel.dst,
-                channel.production.cumulative(tau_src),
-                channel.consumption.cumulative(tau_dst),
-            )
-        )
+        edges.append((channel.src, channel.dst, produced, consumed))
     return solve_balance(graph.actor_names(), edges)
 
 
@@ -95,13 +101,13 @@ def repetition_vector(graph: CSDFGraph) -> dict[str, Poly]:
 
     ``q_j = tau_j * r_j`` counts actor firings per graph iteration.
     """
-    return cached(
-        graph, ("repetition_vector",),
-        lambda: {
-            name: Poly.const(graph.tau(name)) * poly
-            for name, poly in base_solution(graph).items()
-        },
-    )
+    return cached(graph, ("repetition_vector",), lambda: _repetition_vector(graph))
+
+
+def _repetition_vector(graph: CSDFGraph) -> dict[str, Poly]:
+    base = base_solution(graph)
+    taus = graph.taus()
+    return {name: Poly.const(taus[name]) * poly for name, poly in base.items()}
 
 
 def is_consistent(graph: CSDFGraph) -> bool:

@@ -161,7 +161,13 @@ class CSDFGraph:
         return length
 
     def taus(self) -> dict[str, int]:
-        return {name: self.tau(name) for name in self._actors}
+        """Every actor's cycle length (see :meth:`tau`) from one pass
+        over the channels."""
+        lengths = {name: len(actor.exec_times) for name, actor in self._actors.items()}
+        for channel in self._channels.values():
+            lengths[channel.src] = lcm_int(lengths[channel.src], len(channel.production))
+            lengths[channel.dst] = lcm_int(lengths[channel.dst], len(channel.consumption))
+        return lengths
 
     def parameters(self) -> set[str]:
         """All parameter names occurring in any rate."""

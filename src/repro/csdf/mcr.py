@@ -7,9 +7,15 @@ processors equals the *maximum cycle ratio*
     MCR = max over cycles C of ( sum of execution times on C )
                                / ( sum of initial tokens on C )
 
-CSDF graphs are analyzed through their exact HSDF expansion
-(:mod:`repro.csdf.sdf`), whose serialization rings contribute the
-per-actor "one firing at a time" cycles.
+CSDF graphs are analyzed on the event graph of their exact HSDF
+expansion (:mod:`repro.csdf.sdf`), whose serialization rings
+contribute the per-actor "one firing at a time" cycles.  The event
+graph is emitted straight from the repetition vector and the rate
+tables (:func:`~repro.csdf.sdf.serialization_ring`,
+:func:`~repro.csdf.sdf.flow_edges`) — no HSDF ``CSDFGraph`` is built;
+:func:`~repro.csdf.sdf.expand_to_hsdf` stays the public expansion and
+the oracle the direct build is tested against
+(``tests/csdf/test_event_graph_oracle.py``).
 
 Two solvers are provided:
 
@@ -76,8 +82,9 @@ from typing import Mapping
 
 from ..cache import bindings_key, cached, content_store, register_binding_insensitive
 from ..errors import AnalysisError
+from .analysis import concrete_repetition_vector
 from .graph import CSDFGraph
-from .sdf import expand_to_hsdf
+from .sdf import check_firing_names, firing_name, flow_edges, serialization_ring
 
 #: Strict-improvement threshold of the policy iteration; values closer
 #: than this are considered equal, which keeps ties from cycling.
@@ -115,17 +122,28 @@ def _hsdf_structure(graph: CSDFGraph, bindings: Mapping | None):
 
 
 def _build_structure(graph: CSDFGraph, bindings: Mapping | None):
-    hsdf = expand_to_hsdf(graph, bindings)
-    nodes = tuple(hsdf.actors)
-    edges = []
-    for channel in hsdf.channels.values():
-        rate = int(channel.consumption.as_ints(None)[0])
-        distance = channel.initial_tokens / rate if rate else 0.0
-        edges.append((channel.src, channel.dst, distance))
-    ringed = {c.src for c in hsdf.channels.values() if c.name.startswith("ring_")}
-    for name in nodes:
-        if name not in ringed:
-            edges.append((name, name, 1.0))
+    """The event graph of :func:`~repro.csdf.sdf.expand_to_hsdf`,
+    emitted straight from the repetition vector and the rate tables:
+    the nodes in ``q`` order, then the serialization rings of the
+    actors firing more than once (in ``q`` order), the channel flows
+    (in channel order), and the one-token self-loops of the actors
+    firing once — the nodes and edges the expansion's actors and
+    channels read back to, in the same order."""
+    check_firing_names(graph)
+    q = concrete_repetition_vector(graph, bindings)
+    nodes = tuple(
+        firing_name(name, k) for name, count in q.items() for k in range(1, count + 1)
+    )
+    edges = [
+        edge for name, count in q.items() if count > 1
+        for edge in serialization_ring(name, count)
+    ]
+    for channel in graph.channels.values():
+        edges.extend(flow_edges(channel, q[channel.src], q[channel.dst], bindings))
+    edges.extend(
+        edge for name, count in q.items() if count == 1
+        for edge in serialization_ring(name, 1)
+    )
     return nodes, tuple(edges)
 
 

@@ -83,7 +83,7 @@ from ..symbolic import Poly, Rat, normalize_bindings
 from .analysis import repetition_vector
 from .graph import CSDFGraph
 from .mcr import howard_critical_cycle, max_cycle_ratio
-from .sdf import channel_firing_flows
+from .sdf import firing_name, flow_edges, serialization_ring
 
 #: A box: tuple of (parameter name, inclusive lo, inclusive hi),
 #: sorted by name.
@@ -614,37 +614,26 @@ def _core_candidate(
 
 def _core_edges(csdf: CSDFGraph, actors: list[str], channels, q: Mapping[str, int]):
     """The core's weighted event graph, mirroring the full expansion
-    (:func:`repro.csdf.sdf._expand_to_hsdf` + the MCR edge encoding)
+    (:func:`repro.csdf.sdf.expand_to_hsdf` + the MCR edge encoding)
     restricted to the core's actors and channels, with the **global**
     repetition counts — the core is analyzed in the whole graph's
-    iteration, so its ratio composes with the ring candidates."""
+    iteration, so its ratio composes with the ring candidates.  Each
+    actor's ring (a self-loop for a single firing) follows its firings,
+    then the channel flows; every edge weighs its source firing's
+    execution time."""
     nodes: list[str] = []
-    edges: list[tuple[str, str, float, float]] = []
+    weights: dict[str, float] = {}
+    struct: list[tuple[str, str, float]] = []
     for name in actors:
         actor = csdf.actor(name)
-        count = q[name]
-        firings = [f"{name}#{k}" for k in range(1, count + 1)]
-        nodes.extend(firings)
-        if count > 1:
-            for k in range(1, count + 1):
-                nxt = k % count + 1
-                edges.append((
-                    firings[k - 1], firings[nxt - 1],
-                    actor.exec_time(k - 1), 1.0 if nxt == 1 else 0.0,
-                ))
-        else:
-            edges.append((firings[0], firings[0], actor.exec_time(0), 1.0))
+        for k in range(1, q[name] + 1):
+            node = firing_name(name, k)
+            nodes.append(node)
+            weights[node] = actor.exec_time(k - 1)
+        struct.extend(serialization_ring(name, q[name]))
     for channel in channels:
-        src_actor = csdf.actor(channel.src)
-        flows = channel_firing_flows(
-            channel, q[channel.src], q[channel.dst]
-        )
-        for k, m, delta, _count in flows:
-            edges.append((
-                f"{channel.src}#{k}", f"{channel.dst}#{m}",
-                src_actor.exec_time(k - 1), float(delta),
-            ))
-    return nodes, edges
+        struct.extend(flow_edges(channel, q[channel.src], q[channel.dst]))
+    return nodes, [(src, dst, weights[src], t) for src, dst, t in struct]
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ The class knows how to compute the quantities the analyses need:
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Sequence, Union
 
 from ..errors import SymbolicRateError
@@ -95,6 +96,13 @@ class RateSequence:
             raise ValueError(f"firing count must be non-negative, got {n}")
         tau = len(self._entries)
         full_cycles, remainder = divmod(n, tau)
+        if self.is_constant():
+            # Integer phases are summed as ints: Fraction arithmetic
+            # would cost as much as building the resulting Poly.
+            values = [entry.const_value() for entry in self._entries]
+            if all(value.denominator == 1 for value in values):
+                values = [value.numerator for value in values]
+            return Poly.const(sum(values) * full_cycles + sum(values[:remainder]))
         total = self.cycle_total().scale(full_cycles) if full_cycles else Poly()
         for i in range(remainder):
             total = total + self._entries[i]
@@ -166,6 +174,4 @@ class RateSequence:
 
 def lcm_int(a: int, b: int) -> int:
     """Least common multiple of two positive integers."""
-    from math import gcd
-
-    return a * b // gcd(a, b)
+    return math.lcm(a, b)

@@ -12,6 +12,12 @@ generalizes SDF while staying decidable.  This module provides:
   initial tokens.  Every counting/ordering analysis (consistency,
   liveness, self-timed schedules) is preserved, which makes the
   expansion a powerful independent oracle for the rest of the library.
+* :func:`serialization_ring` and :func:`flow_edges` — the weight-free
+  edges ``(src, dst, distance)`` of the expansion's event graph,
+  emitted straight from the repetition vector and the rate tables.
+  The MCR (:mod:`repro.csdf.mcr`) and the parametric engine's core
+  builder use them instead of building the HSDF graph;
+  :func:`expand_to_hsdf` stays the public expansion and their oracle.
 
 Construction (Sriram & Bhattacharyya's standard formulation): for a
 channel ``a -> b`` with cumulative production ``X``, cumulative
@@ -25,6 +31,7 @@ non-empty intersection of size ``c`` becomes an HSDF edge
 
 from __future__ import annotations
 
+from itertools import accumulate, cycle, islice
 from typing import Mapping
 
 from ..cache import bindings_key, cached
@@ -46,6 +53,16 @@ def firing_name(actor: str, firing: int) -> str:
     return f"{actor}#{firing}"
 
 
+def check_firing_names(graph: CSDFGraph) -> None:
+    """Reject actor names containing ``#``, the separator of
+    :func:`firing_name`."""
+    for name in graph.actors:
+        if "#" in name:
+            raise GraphConstructionError(
+                f"actor {name!r} contains the reserved separator '#'"
+            )
+
+
 def channel_firing_flows(channel, q_src: int, q_dst: int,
                          bindings: Mapping | None = None):
     """Exact token flows of one channel between individual firings.
@@ -56,15 +73,13 @@ def channel_firing_flows(channel, q_src: int, q_dst: int,
     the module header, parameterized by the repetition counts so both
     the full HSDF expansion and the parametric engine's cyclic-core
     builder (:mod:`repro.csdf.parametric`, which passes the *global*
-    counts restricted to the core) share one implementation.
+    counts restricted to the core) share one implementation.  The
+    cumulative counts are prefix sums of the channel's integer phases
+    under ``bindings``.
     """
-    production = channel.production.bind(bindings or {})
-    consumption = channel.consumption.bind(bindings or {})
     d = channel.initial_tokens
-    produced_cum = [int(production.cumulative(k).const_value())
-                    for k in range(q_src + 1)]
-    consumed_cum = [int(consumption.cumulative(m).const_value())
-                    for m in range(q_dst + 1)]
+    produced_cum = _prefix_sums(channel.production.as_ints(bindings), q_src)
+    consumed_cum = _prefix_sums(channel.consumption.as_ints(bindings), q_dst)
     total = produced_cum[-1]
     if total != consumed_cum[-1]:
         raise GraphConstructionError(
@@ -87,6 +102,38 @@ def channel_firing_flows(channel, q_src: int, q_dst: int,
                     yield k, m, delta, count
 
 
+def _prefix_sums(phases: tuple[int, ...], firings: int) -> list[int]:
+    """``[X(0), X(1), ..., X(firings)]`` of a cyclic integer phase
+    sequence."""
+    return list(accumulate(islice(cycle(phases), firings), initial=0))
+
+
+def serialization_ring(actor: str, count: int) -> list[tuple[str, str, float]]:
+    """Event-graph edges ``(src, dst, distance)`` serializing the
+    ``count`` firings of one actor (no auto-concurrency): the ring
+    ``a#1 -> a#2 -> ... -> a#count -> a#1`` whose closing edge is one
+    iteration long.  A single firing's ring is its self-loop with
+    distance 1: the next iteration's firing waits for this one.
+    """
+    return [
+        (firing_name(actor, k), firing_name(actor, k % count + 1),
+         1.0 if k == count else 0.0)
+        for k in range(1, count + 1)
+    ]
+
+
+def flow_edges(channel, q_src: int, q_dst: int,
+               bindings: Mapping | None = None) -> list[tuple[str, str, float]]:
+    """Event-graph edges ``(src, dst, distance)`` of one channel: one
+    per flow of :func:`channel_firing_flows`, its distance the flow's
+    iteration offset ``delta`` (the HSDF edge's initial tokens over
+    its rate)."""
+    return [
+        (firing_name(channel.src, k), firing_name(channel.dst, m), float(delta))
+        for k, m, delta, _count in channel_firing_flows(channel, q_src, q_dst, bindings)
+    ]
+
+
 def expand_to_hsdf(graph: CSDFGraph, bindings: Mapping | None = None) -> CSDFGraph:
     """Expand a concrete CSDF graph into homogeneous SDF.
 
@@ -107,11 +154,7 @@ def expand_to_hsdf(graph: CSDFGraph, bindings: Mapping | None = None) -> CSDFGra
 
 
 def _expand_to_hsdf(graph: CSDFGraph, bindings: Mapping | None) -> CSDFGraph:
-    for name in graph.actors:
-        if "#" in name:
-            raise GraphConstructionError(
-                f"actor {name!r} contains the reserved separator '#'"
-            )
+    check_firing_names(graph)
     q = concrete_repetition_vector(graph, bindings)
     expanded = CSDFGraph(f"{graph.name}/hsdf")
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -129,12 +130,30 @@ def parse_poly(text: str) -> Poly:
     return value
 
 
+def _name(value):
+    """An actor or channel name read from a document, interned: graphs
+    decoded from many documents, and the reports analyzing them, share
+    one copy of each identifier."""
+    return sys.intern(value) if type(value) is str else value
+
+
 def _rates_to_json(rates: RateSequence) -> list[str]:
     return [str(entry) for entry in rates.entries]
 
 
 def _rates_from_json(data) -> RateSequence:
-    return RateSequence([parse_poly(str(entry)) for entry in data])
+    return RateSequence([_rate_from_json(entry) for entry in data])
+
+
+def _rate_from_json(entry) -> Poly:
+    """One rate phase: JSON integers and plain digit strings are
+    constants and skip the tokenizer; everything else (booleans
+    included) goes through :func:`parse_poly` on its ``str``."""
+    if type(entry) is int:
+        return Poly.const(entry)
+    if isinstance(entry, str) and entry.isascii() and entry.isdigit():
+        return Poly.const(int(entry))
+    return parse_poly(str(entry))
 
 
 # -- TPDF ----------------------------------------------------------------
@@ -204,15 +223,16 @@ def tpdf_from_dict(data: Mapping) -> TPDFGraph:
     graph = TPDFGraph(data.get("name", "tpdf"), parameters=params)
     for entry in data["nodes"]:
         exec_times = tuple(entry.get("exec_times", (1.0,)))
+        name = _name(entry["name"])
         if entry["kind"] == "control":
             if "clock_period" in entry:
-                node: ControlActor = ClockActor(entry["name"], entry["clock_period"])
+                node: ControlActor = ClockActor(name, entry["clock_period"])
                 graph.register(node)
             else:
-                node = graph.add_control_actor(entry["name"], exec_time=exec_times)
+                node = graph.add_control_actor(name, exec_time=exec_times)
         else:
             modes = tuple(Mode(m) for m in entry.get("modes", (Mode.WAIT_ALL.value,)))
-            node = graph.add_kernel(entry["name"], exec_time=exec_times, modes=modes)
+            node = graph.add_kernel(name, exec_time=exec_times, modes=modes)
         node.meta.update(entry.get("meta", {}))
         for port in entry["ports"]:
             kind = PortKind(port["kind"])
@@ -247,9 +267,9 @@ def tpdf_from_dict(data: Mapping) -> TPDFGraph:
                 )
     for channel in data["channels"]:
         graph.connect(
-            (channel["src"], channel["src_port"]),
-            (channel["dst"], channel["dst_port"]),
-            name=channel["name"],
+            (_name(channel["src"]), channel["src_port"]),
+            (_name(channel["dst"]), channel["dst_port"]),
+            name=_name(channel["name"]),
             initial_tokens=channel.get("initial_tokens", 0),
         )
     return graph
@@ -293,12 +313,12 @@ def csdf_from_dict(data: Mapping) -> CSDFGraph:
         raise GraphConstructionError(f"not a CSDF document: {data.get('model')!r}")
     graph = CSDFGraph(data.get("name", "csdf"))
     for actor in data["actors"]:
-        graph.add_actor(actor["name"], exec_time=tuple(actor.get("exec_times", (1.0,))))
+        graph.add_actor(_name(actor["name"]), exec_time=tuple(actor.get("exec_times", (1.0,))))
     for channel in data["channels"]:
         graph.add_channel(
-            channel["name"],
-            channel["src"],
-            channel["dst"],
+            _name(channel["name"]),
+            _name(channel["src"]),
+            _name(channel["dst"]),
             production=_rates_from_json(channel["production"]),
             consumption=_rates_from_json(channel["consumption"]),
             initial_tokens=channel.get("initial_tokens", 0),

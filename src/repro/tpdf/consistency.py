@@ -65,9 +65,7 @@ def _check_consistency(graph: TPDFGraph) -> ConsistencyReport:
         base = csdf_analysis.base_solution(csdf)
     except InconsistentRatesError as exc:
         return ConsistencyReport(consistent=False, reason=str(exc))
-    repetition = {
-        name: Poly.const(csdf.tau(name)) * base[name] for name in base
-    }
+    repetition = dict(csdf_analysis.repetition_vector(csdf))
     return ConsistencyReport(consistent=True, base=base, repetition=repetition)
 
 
@@ -83,20 +81,11 @@ def consistency_conditions(graph: TPDFGraph) -> list[Poly]:
     from ..symbolic import consistency_conditions as solve_conditions
 
     csdf = graph.as_csdf()
-    edges = []
-    for channel in csdf.channels.values():
-        if channel.is_selfloop():
-            continue
-        tau_src = csdf.tau(channel.src)
-        tau_dst = csdf.tau(channel.dst)
-        edges.append(
-            (
-                channel.src,
-                channel.dst,
-                channel.production.cumulative(tau_src),
-                channel.consumption.cumulative(tau_dst),
-            )
-        )
+    edges = [
+        (channel.src, channel.dst, produced, consumed)
+        for channel, produced, consumed in csdf_analysis.cycle_totals(csdf)
+        if not channel.is_selfloop()
+    ]
     return solve_conditions(csdf.actor_names(), edges)
 
 

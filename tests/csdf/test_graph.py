@@ -80,6 +80,17 @@ class TestDerivedStructure:
         g.add_channel("e", "a", "b", [1, 1], [1])
         assert g.tau("a") == 6
 
+    def test_taus_match_tau(self, fig1):
+        g = CSDFGraph()
+        g.add_actor("a", exec_time=[1.0, 2.0])
+        g.add_actor("b")
+        g.add_actor("lonely", exec_time=[1.0, 1.0, 1.0])
+        g.add_channel("e", "a", "b", [1, 1, 1], [1, 2])
+        g.add_channel("loop", "b", "b", [1, 0, 0, 0], [1])
+        for graph in (fig1, g):
+            assert graph.taus() == {name: graph.tau(name) for name in graph.actors}
+        assert g.taus() == {"a": 6, "b": 4, "lonely": 3}
+
     def test_in_out_channels(self, fig1):
         assert [c.name for c in fig1.out_channels("a1")] == ["e1"]
         assert [c.name for c in fig1.in_channels("a1")] == ["e3"]

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.symbolic import InconsistentRatesError, Poly, solve_balance
+from repro.symbolic import (
+    InconsistentRatesError,
+    Poly,
+    consistency_conditions,
+    solve_balance,
+)
 
 P = Poly.var("p")
 ONE = Poly.const(1)
@@ -101,6 +106,14 @@ class TestDegenerateEdges:
     def test_unknown_endpoint(self):
         with pytest.raises(KeyError):
             solve_balance(["a"], [("a", "zzz", ONE, ONE)])
+
+    @pytest.mark.parametrize("edge", [("a", "b", ONE, ONE), ("b", "a", P, ONE)])
+    def test_unknown_endpoint_same_error_in_conditions(self, edge):
+        expected = "edge endpoint 'b' is not in the node set"
+        for solve in (solve_balance, consistency_conditions):
+            with pytest.raises(KeyError) as info:
+                solve(["a"], [edge])
+            assert info.value.args == (expected,)
 
 
 class TestComponents:

@@ -122,3 +122,27 @@ class TestCSDFRoundTrip:
     def test_wrong_model_rejected(self):
         with pytest.raises(GraphConstructionError):
             csdf_from_dict({"model": "tpdf", "actors": [], "channels": []})
+
+    @pytest.mark.parametrize("entry", [0, 3, 12, -2, "0", "7", "007", " 7", "7 ",
+                                       "2*p", "1/2", True, False, "٣"])
+    def test_rate_decode_matches_the_parser(self, entry):
+        """Integers and digit strings skip the tokenizer; the decoded
+        phase is the one parsing its ``str`` gives."""
+        from repro.io import _rate_from_json
+
+        try:
+            expected = parse_poly(str(entry))
+        except ValueError as exc:
+            with pytest.raises(type(exc)):
+                _rate_from_json(entry)
+            return
+        decoded = _rate_from_json(entry)
+        assert decoded == expected
+        assert repr(decoded) == repr(expected)
+        assert hash(decoded) == hash(expected)
+
+    def test_decoded_names_are_shared(self, fig1):
+        text = csdf_to_json(fig1)
+        first, second = csdf_from_json(text), csdf_from_json(text)
+        assert first.actor_names() == second.actor_names()
+        assert all(a is b for a, b in zip(first.actor_names(), second.actor_names()))
