@@ -1,34 +1,28 @@
-"""EXT6 — cost of the discrete-event ready check, old vs new loop.
+"""EXT6 — cost of the discrete-event ready check, fast core vs rescan.
 
 PR 1 flattened the firing tables; the remaining per-event cost was the
 O(actors) ready rescan after every completion.  This bench measures
-what the dependency-driven event core (``repro.csdf.eventloop``) buys
-on the scalability sweep's generated graphs: ready-check actor visits,
+what the dependency-driven ready check of the ``arrays`` cores buys on
+the scalability sweep's generated graphs: ready-check actor visits,
 wall-clock, and per-event cost for the timed CSDF executor
 (``self_timed_execution`` vs the retained ``*_reference`` oracle) and
-the TPDF simulator (``ready_core="wakeup"`` vs ``"reference"``).
+the TPDF simulator (``ready_core="arrays"`` vs ``"reference"``).
 
 Results parity is asserted on every row (the differential contract),
-and the wakeup core must visit at least 2x fewer actors than the
+and the arrays core must visit at least 2x fewer actors than the
 rescan on every size — the committed
 ``benchmarks/results/ext6_eventloop.{txt,csv}`` record the measured
-ratios (~45x fewer visits and several-fold wall-clock on the 80-actor
-sweep).  Wall-clock itself is recorded, not asserted (shared CI
+ratios.  Wall-clock itself is recorded, not asserted (shared CI
 runners make small-ratio timing assertions flaky).
 """
 
 import time
-from functools import partial
 from pathlib import Path
 
 from repro.csdf import self_timed_execution, self_timed_execution_reference
 from repro.sim import Simulator
 from repro.tpdf import random_consistent_graph
 from repro.util import ascii_table, write_csv
-
-#: EXT6 compares the *wakeup* core against the full rescan; the
-#: arrays-vs-wakeup comparison is EXT7 (test_ext_arraystate.py).
-_wakeup_execution = partial(self_timed_execution, backend="wakeup")
 
 SIZES = (10, 20, 40, 80)
 ITERATIONS = 6
@@ -44,20 +38,20 @@ def _timed_rows():
             n_actors, extra_edges=n_actors // 2, n_cycles=2, seed=7,
             with_control=False,
         ).as_csdf()
-        _wakeup_execution(graph, iterations=1)  # warm analysis caches
+        self_timed_execution(graph, iterations=1)  # warm analysis caches
         cells = {}
-        for label, executor in (("wakeup", _wakeup_execution),
+        for label, executor in (("arrays", self_timed_execution),
                                 ("rescan", self_timed_execution_reference)):
             stats = {}
             start = time.perf_counter()
             result = executor(graph, iterations=ITERATIONS, stats=stats)
             elapsed = time.perf_counter() - start
             cells[label] = (result, stats, elapsed)
-        new, ref = cells["wakeup"], cells["rescan"]
+        new, ref = cells["arrays"], cells["rescan"]
         assert new[0] == ref[0], f"executor divergence at {n_actors} actors"
         assert new[1]["events"] == ref[1]["events"]
         assert new[1]["ready_visits"] * 2 <= ref[1]["ready_visits"], (
-            f"{n_actors} actors: wakeup visits {new[1]['ready_visits']} "
+            f"{n_actors} actors: arrays visits {new[1]['ready_visits']} "
             f"not 2x below rescan {ref[1]['ready_visits']}"
         )
         rows.append({
@@ -74,9 +68,13 @@ def _timed_rows():
 
 def _simulator_rows():
     rows = []
+    # One untimed run first: the arrays core imports its schedule plane
+    # lazily, which would otherwise land in the first timed row.
+    warm = random_consistent_graph(SIZES[0], seed=7, with_control=False)
+    Simulator(warm).run(limits={next(iter(warm.kernels)): 1})
     for n_actors in SIZES:
         cells = {}
-        for core in ("wakeup", "reference"):
+        for core in Simulator.READY_CORES:
             graph = random_consistent_graph(
                 n_actors, extra_edges=n_actors // 2, n_cycles=2, seed=7,
                 with_control=False,
@@ -88,7 +86,7 @@ def _simulator_rows():
                             max_firings=1_000_000)
             elapsed = time.perf_counter() - start
             cells[core] = (trace.fingerprint(), sim.ready_stats, elapsed)
-        new, ref = cells["wakeup"], cells["reference"]
+        new, ref = cells["arrays"], cells["reference"]
         assert new[0] == ref[0], f"simulator divergence at {n_actors} actors"
         assert new[1]["visits"] * 2 <= ref[1]["visits"]
         rows.append({
@@ -109,7 +107,7 @@ def test_ext6_eventloop_cost(benchmark, report, record_bench):
         args=(random_consistent_graph(
             40, extra_edges=20, n_cycles=2, seed=7, with_control=False,
         ).as_csdf(),),
-        kwargs=dict(iterations=ITERATIONS, backend="wakeup"),
+        kwargs=dict(iterations=ITERATIONS, backend="arrays"),
         rounds=1, iterations=1,
     )
     rows = _timed_rows() + _simulator_rows()
@@ -117,8 +115,8 @@ def test_ext6_eventloop_cost(benchmark, report, record_bench):
         loop = ("executor" if row["loop"] == "self_timed_execution"
                 else "simulator")
         record_bench(
-            f"ext6_{loop}_n{row['actors']}_wakeup",
-            actors=row["actors"], backend="wakeup",
+            f"ext6_{loop}_n{row['actors']}_arrays",
+            actors=row["actors"], backend="arrays",
             wall_ms=row["wall_new_ms"], ready_visits=row["visits_new"],
         )
         record_bench(
@@ -151,18 +149,18 @@ def test_ext6_eventloop_cost(benchmark, report, record_bench):
         ])
 
     table = ascii_table(
-        ["loop", "actors", "events", "ready visits (wakeup/rescan)",
-         "visit ratio", "per-event us (wakeup/rescan)",
-         "wall ms (wakeup/rescan)", "speedup"],
+        ["loop", "actors", "events", "ready visits (arrays/rescan)",
+         "visit ratio", "per-event us (arrays/rescan)",
+         "wall ms (arrays/rescan)", "speedup"],
         table_rows,
-        title="EXT6 — dependency-driven event core vs full rescan "
+        title="EXT6 — arrays ready check vs full rescan "
               "(identical results asserted on every row)",
     )
     report("ext6_eventloop", table)
     write_csv(
         RESULTS_DIR / "ext6_eventloop.csv",
-        ["loop", "actors", "events", "visits_wakeup", "visits_rescan",
-         "visit_ratio", "per_event_us_wakeup", "per_event_us_rescan",
-         "wall_ms_wakeup", "wall_ms_rescan", "speedup"],
+        ["loop", "actors", "events", "visits_arrays", "visits_rescan",
+         "visit_ratio", "per_event_us_arrays", "per_event_us_rescan",
+         "wall_ms_arrays", "wall_ms_rescan", "speedup"],
         csv_rows,
     )

@@ -10,20 +10,19 @@ endpoint.  A graph with no value consumer at all degenerates to the
 counters-only fast path — the CSDF arrays kernel with TPDF bookkeeping
 compiled away.
 
-This bench measures the three ready cores (``reference`` full-rescan
-oracle, ``wakeup`` Python worklist, ``arrays`` plane split) on two
-workloads:
+This bench measures both ready cores (``reference`` full-rescan
+oracle, ``arrays`` plane split) on two workloads:
 
 * the **OFDM demodulator** (the paper's Fig. 7 graph): a control
   actor steers mode-gated kernels, so the value plane engages on the
   control paths while the data channels stay counters-only;
 * an **80-actor timing-only sweep** (no control, no functions): the
-  whole-graph fast path, where the >= 3x wall-clock bar against the
-  wakeup core is asserted (measured margin ~5x; the reference loop
-  trails by ~75x and is recorded, not asserted).
+  whole-graph fast path (the reference loop trails by ~80x there;
+  recorded, not asserted — a floor against the oracle would say
+  nothing about the fast core).
 
-Trace-fingerprint parity is asserted across all three cores on every
-row; rows are recorded to ``ext10_simulator.{txt,csv}`` and folded
+Trace-fingerprint parity is asserted across both cores on every row;
+rows are recorded to ``ext10_simulator.{txt,csv}`` and folded
 into the machine-readable ``BENCH_eventloop.json``.
 """
 
@@ -36,12 +35,7 @@ from repro.tpdf import random_consistent_graph
 from repro.tpdf.modes import ControlToken, Mode
 from repro.util import ascii_table, write_csv
 
-CORES = ("reference", "wakeup", "arrays")
-#: Wall-clock floor asserted on the 80-actor timing-only sweep,
-#: arrays plane vs wakeup core.  Asserted (not merely recorded)
-#: because it is the acceptance bar of the plane split; the measured
-#: margin is wide (~5x) and best-of-N timing damps runner noise.
-ASSERTED_SPEEDUP = 3.0
+CORES = ("reference", "arrays")
 SWEEP_ACTORS = 80
 SWEEP_FIRINGS = 40
 TIMING_ROUNDS = 5
@@ -87,7 +81,7 @@ def _ofdm_rows(record_bench):
             ready_visits=cells[core][2]["visits"],
         )
     prints = {core: cells[core][1] for core in CORES}
-    assert prints["arrays"] == prints["wakeup"] == prints["reference"], (
+    assert prints["arrays"] == prints["reference"], (
         "OFDM trace divergence across ready cores"
     )
     # The control channels carry real ControlTokens, the data channels
@@ -119,19 +113,12 @@ def _sweep_rows(record_bench):
             ready_visits=cells[core][2]["visits"],
         )
     prints = {core: cells[core][1] for core in CORES}
-    assert prints["arrays"] == prints["wakeup"] == prints["reference"], (
+    assert prints["arrays"] == prints["reference"], (
         f"{SWEEP_ACTORS}-actor sweep trace divergence across ready cores"
     )
     stats = cells["arrays"][2]
     assert stats["fast_path"] is True  # no value consumer anywhere
     assert stats["value_channels"] == 0
-    wall_w, wall_a = cells["wakeup"][0], cells["arrays"][0]
-    speedup = wall_w / wall_a
-    assert speedup >= ASSERTED_SPEEDUP, (
-        f"{SWEEP_ACTORS}-actor timing-only sweep: arrays {wall_a:.2f}ms "
-        f"vs wakeup {wall_w:.2f}ms = {speedup:.2f}x, below the "
-        f"{ASSERTED_SPEEDUP}x bar"
-    )
     return {core: cells[core][0] for core in CORES}, stats
 
 
@@ -152,35 +139,28 @@ def test_ext10_simulator_planes(report, record_bench):
             "yes" if stats["fast_path"] else "no",
             split,
             f"{walls['reference']:.2f}",
-            f"{walls['wakeup']:.2f}",
             f"{walls['arrays']:.2f}",
-            f"{walls['wakeup'] / walls['arrays']:.2f}x",
             f"{walls['reference'] / walls['arrays']:.2f}x",
         ])
         csv_rows.append([
             label, int(stats["fast_path"]),
             stats["value_channels"], stats["schedule_only_channels"],
-            f"{walls['reference']:.3f}", f"{walls['wakeup']:.3f}",
-            f"{walls['arrays']:.3f}",
-            f"{walls['wakeup'] / walls['arrays']:.3f}",
+            f"{walls['reference']:.3f}", f"{walls['arrays']:.3f}",
             f"{walls['reference'] / walls['arrays']:.3f}",
         ])
 
     table = ascii_table(
         ["workload", "fast path", "channels (value/schedule-only)",
-         "reference ms", "wakeup ms", "arrays ms",
-         "vs wakeup", "vs reference"],
+         "reference ms", "arrays ms", "vs reference"],
         table_rows,
         title="EXT10 — simulator schedule/value planes "
-              "(trace fingerprints asserted identical on every row; "
-              f">= {ASSERTED_SPEEDUP}x vs wakeup asserted at "
-              f"{SWEEP_ACTORS} actors)",
+              "(trace fingerprints asserted identical on every row)",
     )
     report("ext10_simulator", table)
     write_csv(
         RESULTS_DIR / "ext10_simulator.csv",
         ["workload", "fast_path", "value_channels",
-         "schedule_only_channels", "wall_ms_reference", "wall_ms_wakeup",
-         "wall_ms_arrays", "speedup_vs_wakeup", "speedup_vs_reference"],
+         "schedule_only_channels", "wall_ms_reference", "wall_ms_arrays",
+         "speedup_vs_reference"],
         csv_rows,
     )

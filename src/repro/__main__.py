@@ -308,16 +308,14 @@ def cmd_buffers(args) -> int:
 
         stats: dict = {}
         capacities = min_buffers_for_full_throughput(
-            csdf, bindings or None, iterations=args.iterations,
-            batched=args.batched, stats=stats,
+            csdf, bindings or None, iterations=args.iterations, stats=stats,
         )
         for name in sorted(capacities):
             print(f"  {name}: {capacities[name]}")
         print(f"total: {sum(capacities.values())}")
         print(f"probes executed: {stats['probes']} "
               f"(floored: {stats['probes_floored']}, "
-              f"memoized: {stats['probes_memoized']}, "
-              f"batch rounds: {stats['batch_rounds']})")
+              f"memoized: {stats['probes_memoized']})")
         return 0
     if bindings:
         _, peaks = minimal_buffer_schedule(csdf, bindings)
@@ -391,11 +389,11 @@ def cmd_throughput(args) -> int:
 
 def _run_probe_caps(args, csdf, bindings) -> int:
     """``throughput --probe-caps FILE``: evaluate many capacity vectors
-    as one lock-step batch (the K-run kernel of
-    :mod:`repro.csdf.batchexec`).  The file is a JSON array of
-    ``{channel: tokens}`` objects; one verdict line is printed per
-    vector (steady period, or the deadlock's blocked set)."""
-    from .csdf.batchexec import self_timed_execution_batch
+    through :func:`repro.analysis.probe_capacities`.  The file is a
+    JSON array of ``{channel: tokens}`` objects; one verdict line is
+    printed per vector (steady period, or the deadlock's blocked
+    set)."""
+    from .analysis import probe_capacities
     from .errors import DeadlockError
 
     vectors = json.loads(Path(args.probe_caps).read_text())
@@ -407,9 +405,8 @@ def _run_probe_caps(args, csdf, bindings) -> int:
             f"{{channel: tokens}} objects"
         )
     try:
-        outcomes = self_timed_execution_batch(
-            csdf, bindings, iterations=args.iterations,
-            capacities_list=vectors,
+        outcomes = probe_capacities(
+            csdf, vectors, bindings, iterations=args.iterations,
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -552,6 +549,8 @@ def cmd_serve(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .csdf.throughput import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="TPDF reproduction toolchain (DATE 2016)",
@@ -597,11 +596,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 "against a cold analysis of a round-trip "
                                 "clone (bit-for-bit fingerprints; exit 1 on "
                                 "divergence)")
-    p_analyze.add_argument("--backend", choices=("arrays", "wakeup", "reference"),
+    p_analyze.add_argument("--backend", choices=BACKENDS,
                            default="arrays",
                            help="execution core for the self-timed throughput "
                                 "stage (bit-identical results; arrays is the "
-                                "fast struct-of-arrays backend)")
+                                "fast struct-of-arrays backend, reference the "
+                                "differential oracle)")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_lint = sub.add_parser(
@@ -645,10 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="search the minimal per-channel capacities "
                             "preserving full throughput (executes probe "
                             "runs instead of the analytic bounds)")
-    p_buf.add_argument("--batched", action="store_true",
-                       help="with --search: pre-execute probe candidates "
-                            "through the lock-step K-run kernel (identical "
-                            "capacities, fewer sequential probe calls)")
     p_buf.add_argument("--iterations", type=int, default=6,
                        help="self-timed iterations per probe (with --search)")
     p_buf.set_defaults(func=cmd_buffers)
@@ -656,10 +652,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr = sub.add_parser("throughput", help="MCR + self-timed period")
     p_thr.add_argument("graph")
     p_thr.add_argument("--iterations", type=int, default=5)
-    p_thr.add_argument("--backend", choices=("arrays", "wakeup", "reference"),
+    p_thr.add_argument("--backend", choices=BACKENDS,
                        default="arrays",
                        help="execution core (bit-identical results; arrays "
-                            "is the fast struct-of-arrays backend)")
+                            "is the fast struct-of-arrays backend, reference "
+                            "the differential oracle)")
     p_thr.add_argument("--reference-loop", action="store_true",
                        help="cross-check the selected backend against the "
                             "legacy full-scan loop and report "
@@ -673,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "bounds exit 1 with the blocked actors")
     p_thr.add_argument("--probe-caps", metavar="FILE",
                        help="JSON array of {channel: tokens} capacity "
-                            "vectors, evaluated as one lock-step batch "
+                            "vectors, each executed on the default core "
                             "(one verdict line per vector)")
     p_thr.set_defaults(func=cmd_throughput)
 
@@ -696,7 +693,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time horizon")
     p_sim.add_argument("--max-firings", type=int, default=None,
                        help="global firing budget")
-    p_sim.add_argument("--ready-core", choices=("arrays", "wakeup", "reference"),
+    p_sim.add_argument("--ready-core", choices=BACKENDS,
                        default="arrays",
                        help="simulation engine (bit-identical traces; arrays "
                             "is the schedule-plane/value-plane split)")

@@ -10,10 +10,9 @@ with every intermediate shared through the per-graph caches of
 * **MCR** — the throughput bound, by Howard's policy iteration;
 * **buffer sizing** — peaks of a buffer-minimizing iteration;
 * **self-timed throughput** — steady-state period of the timed
-  event-driven execution, on the dependency-driven event core of
-  :mod:`repro.csdf.eventloop` (only actors adjacent to changed
-  channels are re-examined per event; differentially pinned against
-  the retained full-scan reference loop).
+  event-driven execution, on the array-state core of
+  :mod:`repro.csdf.statearrays` (differentially pinned against the
+  retained full-scan reference loop).
 
 The point of the batch shape: a sweep that used to re-derive the
 repetition vector and HSDF expansion for every query (one per beta
@@ -90,8 +89,9 @@ from .cache import ContentStore, cached, register_binding_insensitive, version_o
 from .csdf.buffers import minimal_buffer_schedule
 from .csdf.graph import CSDFGraph
 from .csdf.mcr import max_cycle_ratio
-from .csdf.throughput import TimedResult, self_timed_execution
-from .errors import DiagnosticsError, GraphConstructionError, ReproError
+from .csdf.throughput import TimedResult, check_backend, self_timed_execution
+from .errors import (DeadlockError, DiagnosticsError, GraphConstructionError,
+                     ReproError)
 from .symbolic import InconsistentRatesError
 from .tpdf.graph import TPDFGraph
 
@@ -412,10 +412,11 @@ def analyze(
     nothing extra.
 
     ``backend`` selects the execution core of the self-timed
-    throughput stage (``"arrays"``, ``"wakeup"`` or ``"reference"``,
-    see :func:`repro.csdf.throughput.self_timed_execution`); all three
-    produce bit-identical reports, so this is a cost knob, not a
-    semantics knob.
+    throughput stage (``"arrays"`` or the ``"reference"`` oracle, see
+    :func:`repro.csdf.throughput.self_timed_execution`); both produce
+    bit-identical reports, so this is a cost knob, not a semantics
+    knob.  It is validated up front, whether or not the throughput
+    stage runs.
 
     With ``parametric_domain`` (a parameter box, see
     :func:`analyze_parametric`) the report additionally carries the
@@ -446,6 +447,7 @@ def analyze(
         raise ValueError(
             f"lint must be 'off', 'warn' or 'error', got {lint!r}"
         )
+    check_backend(backend)
     options_key = (
         iterations, with_liveness, with_mcr, with_buffers, with_throughput,
         backend, None if parametric_domain is None else repr(parametric_domain),
@@ -607,28 +609,29 @@ def probe_capacities(
     *,
     iterations: int = 4,
 ) -> list:
-    """Evaluate many capacity vectors for one graph as a single
-    lock-step batch — the analysis-level front door of
-    :func:`repro.csdf.batchexec.self_timed_execution_batch`.
+    """Evaluate many capacity vectors for one graph.
 
-    All vectors share one memoized SoA template (cloned into ``(K, n)``
-    planes) and advance wavefront by wavefront together; runs that
-    deadlock drop out without stalling the rest.  The returned list is
+    Every vector runs through
+    :func:`~repro.csdf.throughput.self_timed_execution` on the default
+    core, cloned from one memoized SoA template.  The returned list is
     aligned with ``capacities_list``: a
     :class:`~repro.csdf.throughput.TimedResult` per feasible vector and
-    the :class:`~repro.errors.DeadlockError` per deadlocking one —
-    bit for bit what K sequential
-    ``self_timed_execution(backend="arrays", capacities=...)`` calls
-    produce, blocked sets included.  TPDF graphs are probed through
-    their CSDF abstraction (the same view the throughput stage of
-    :func:`analyze` executes).
+    the :class:`~repro.errors.DeadlockError` per deadlocking one
+    (returned in place, not raised, so one deadlock does not hide the
+    other verdicts), blocked sets included.  TPDF graphs are probed
+    through their CSDF abstraction (the same view the throughput stage
+    of :func:`analyze` executes).
     """
-    from .csdf.batchexec import self_timed_execution_batch
-
-    return self_timed_execution_batch(
-        _csdf_view(graph), bindings, iterations=iterations,
-        capacities_list=list(capacities_list),
-    )
+    csdf = _csdf_view(graph)
+    outcomes: list = []
+    for capacities in capacities_list:
+        try:
+            outcomes.append(self_timed_execution(
+                csdf, bindings, iterations=iterations, capacities=capacities,
+            ))
+        except DeadlockError as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def simulate(
@@ -658,7 +661,7 @@ def simulate(
     value-plane split: scheduling runs on flat counters over the
     memoized SoA template and token payloads are materialized only on
     channels with a value-touching endpoint, so timing-only graphs
-    degenerate to the counters-only fast path.  All cores produce
+    degenerate to the counters-only fast path.  Both cores produce
     bit-identical traces (``Trace.fingerprint()``).
 
     At least one stop condition (``until``, ``limits`` or

@@ -36,7 +36,6 @@ from .buffers import (
 from .eventloop import EventQueue, ReadyWorklist
 from .calqueue import CalendarQueue
 from .statearrays import ArrayState, array_state, self_timed_execution_arrays
-from .batchexec import batch_tables, self_timed_execution_batch
 from .throughput import (
     BACKENDS,
     TimedResult,
@@ -93,8 +92,6 @@ __all__ = [
     "self_timed_execution",
     "self_timed_execution_reference",
     "self_timed_execution_arrays",
-    "self_timed_execution_batch",
-    "batch_tables",
     "capacity_floors",
     "validate_capacities",
     "BACKENDS",

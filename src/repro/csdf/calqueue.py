@@ -15,24 +15,20 @@ Contract
 :class:`CalendarQueue` is a drop-in for
 :class:`repro.csdf.eventloop.EventQueue`: ``push(time, payload)``
 returns a monotonically increasing sequence number, ``pop`` returns
-the earliest live ``(time, seq, payload)`` with the exact ``(time,
-seq)`` FIFO tie-break (equal times pop in push order), ``cancel(seq)``
-deletes a still-queued event and raises ``ValueError`` on a dead or
-unknown sequence number, and ``len``/truthiness count live events.
-The executors can therefore pick either queue without changing a
-single scheduling decision; the property suite
+the earliest ``(time, seq, payload)`` with the exact ``(time, seq)``
+FIFO tie-break (equal times pop in push order), and ``len``/truthiness
+count queued events.  The executors can therefore pick either queue
+without changing a single scheduling decision; the property suite
 (``tests/csdf/test_scheduler_primitives.py``) drives both against one
 sorted-list oracle.
 
 Bucket policy
 -------------
 * The queue **starts in heap mode** and converts to a calendar only
-  once the live count exceeds ``calendar_threshold`` (default 128) —
+  once the queued count exceeds ``calendar_threshold`` (default 128) —
   below that, bucket bookkeeping costs more than ``heapq`` saves.  In
   heap mode the hot path is bare ``heappush``/``heappop`` plus an
-  integer counter; cancellation is lazy (a dead set consulted only
-  when non-empty), validated by an O(n) heap scan since cancel is the
-  rare operation.
+  integer counter.
 * On conversion (and on each doubling resize) the width is
   re-estimated as three times the mean gap between the distinct event
   times currently queued — the classic rule of thumb that keeps the
@@ -43,9 +39,9 @@ Bucket policy
   degenerate width falls back to the heap and retries once the queue
   has doubled again, so pathological workloads simply keep heap
   behaviour instead of an unbounded bucket scan.
-* The calendar resizes to twice the bucket count when the live count
+* The calendar resizes to twice the bucket count when the queued count
   outgrows it (amortized O(1)), and reverts to heap mode when the
-  live count falls back below half the threshold.
+  queued count falls back below half the threshold.
 """
 
 from __future__ import annotations
@@ -66,7 +62,7 @@ class CalendarQueue:
     Parameters
     ----------
     calendar_threshold:
-        Live-event count above which the queue converts from heap mode
+        Queued-event count above which the queue converts from heap mode
         to calendar buckets.  The default keeps small executions on
         the C heap; tests force conversion with a small threshold.
     bucket_width:
@@ -75,8 +71,8 @@ class CalendarQueue:
         at conversion/resize.
     """
 
-    __slots__ = ("_seq", "_count", "_heap", "_dead", "_buckets", "_mask",
-                 "_width", "_bucket_index", "_bucket_top", "_times",
+    __slots__ = ("_seq", "_count", "_heap", "_buckets", "_mask",
+                 "_width", "_bucket_index", "_bucket_top",
                  "_threshold", "_convert_at", "_forced_width")
 
     def __init__(self, calendar_threshold: int = 128,
@@ -86,13 +82,11 @@ class CalendarQueue:
         self._seq = 0
         self._count = 0
         self._heap: list[tuple[float, int, Any]] = []
-        self._dead: set[int] = set()
         self._buckets: list[list[tuple[float, int, Any]]] | None = None
         self._mask = 0
         self._width = 0.0
         self._bucket_index = 0
         self._bucket_top = 0.0
-        self._times: dict[int, float] = {}
         self._threshold = max(0, calendar_threshold)
         self._convert_at = max(1, calendar_threshold)
         self._forced_width = bucket_width
@@ -113,7 +107,6 @@ class CalendarQueue:
             if count >= self._convert_at:
                 self._enter_calendar()
         else:
-            self._times[seq] = time
             day = int(time // self._width)
             self._buckets[day & self._mask].append((time, seq, payload))
             if time < self._bucket_top - self._width:
@@ -125,59 +118,19 @@ class CalendarQueue:
                 self._rebuild(calendar=True)
         return seq
 
-    def cancel(self, seq: int) -> None:
-        """Delete the still-queued event ``seq``.
-
-        Raises ``ValueError`` when ``seq`` is not live (already popped,
-        already cancelled, or never issued) — same validated contract
-        as :meth:`EventQueue.cancel`.
-        """
-        if self._buckets is None:
-            # Heap mode keeps no per-event index (cancel is the rare
-            # operation); validate by scanning the live entries.
-            if seq in self._dead or not any(
-                entry[1] == seq for entry in self._heap
-            ):
-                raise ValueError(
-                    f"cannot cancel event {seq}: not queued (already "
-                    f"popped, already cancelled, or never issued)"
-                )
-            self._dead.add(seq)
-            self._count -= 1
-            return
-        time = self._times.pop(seq, None)
-        if time is None:
-            raise ValueError(
-                f"cannot cancel event {seq}: not queued (already "
-                f"popped, already cancelled, or never issued)"
-            )
-        self._count -= 1
-        bucket = self._buckets[int(time // self._width) & self._mask]
-        for index, entry in enumerate(bucket):
-            if entry[1] == seq:
-                del bucket[index]
-                return
-        raise AssertionError(f"live event {seq} missing from its bucket")
-
     def pop(self) -> tuple[float, int, Any]:
-        """Remove and return the earliest live ``(time, seq, payload)``.
+        """Remove and return the earliest ``(time, seq, payload)``.
 
-        Raises ``IndexError`` when no live event is queued.
+        Raises ``IndexError`` when no event is queued.
         """
         if self._buckets is None:
             entry = heappop(self._heap)  # IndexError on empty
-            dead = self._dead
-            if dead:
-                while entry[1] in dead:
-                    dead.remove(entry[1])
-                    entry = heappop(self._heap)
             self._count -= 1
             return entry
         if not self._count:
             raise IndexError("pop from an empty CalendarQueue")
         entry = self._pop_calendar()
         self._count -= 1
-        del self._times[entry[1]]
         if self._count < self._threshold // 2:
             self._rebuild(calendar=False)
         return entry
@@ -190,11 +143,8 @@ class CalendarQueue:
 
     # -- calendar internals ---------------------------------------------
     def _entries(self) -> list[tuple[float, int, Any]]:
-        """Live entries, regardless of mode."""
+        """Queued entries, regardless of mode."""
         if self._buckets is None:
-            dead = self._dead
-            if dead:
-                return [e for e in self._heap if e[1] not in dead]
             return list(self._heap)
         return [entry for bucket in self._buckets for entry in bucket]
 
@@ -222,7 +172,6 @@ class CalendarQueue:
             return
         self._install(entries, width)
         self._heap = []
-        self._dead = set()
 
     def _rebuild(self, calendar: bool) -> None:
         """Resize the calendar (grow) or revert to the heap (shrink)."""
@@ -234,9 +183,7 @@ class CalendarQueue:
             self._install(entries, width)
         else:
             self._buckets = None
-            self._times = {}
             self._heap = entries
-            self._dead = set()
             heapify(self._heap)
             self._convert_at = max(1, self._threshold)
 
@@ -249,7 +196,6 @@ class CalendarQueue:
         self._buckets = buckets
         self._mask = mask
         self._width = width
-        self._times = {entry[1]: entry[0] for entry in entries}
         start = min((entry[0] for entry in entries), default=0.0)
         day = int(start // width)
         self._bucket_index = day & mask

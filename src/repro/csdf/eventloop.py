@@ -1,31 +1,21 @@
-"""Shared dependency-driven event-loop core for the self-timed executors.
+"""Event-queue and worklist primitives of the discrete-event loops.
 
-Both discrete-event loops of the reproduction — the timed CSDF executor
+The loops of the reproduction — the timed CSDF executor
 (:mod:`repro.csdf.throughput`) and the value-carrying TPDF simulator
-(:mod:`repro.sim.engine`) — used to rescan *every* actor after *every*
-completion event to find the next ready firings.  That O(actors) ready
-check per event dominates the throughput sweeps (EXT2), the
-buffer/throughput probes (EXT3) and every
-``min_buffers_for_full_throughput`` search.  This module provides the
-two data structures that replace it:
+(:mod:`repro.sim.engine`) — need two small data structures:
 
 :class:`EventQueue`
-    An indexed binary heap of timed events with stable FIFO tie-break
-    (events at equal times pop in push order — exactly the
-    ``(time, seq)`` tuple ordering the legacy loops got from
-    ``heapq``) and O(1) lazy cancellation.  The executors only push
-    and pop (no firing is ever revoked); ``cancel`` is the indexing
-    capability schedulers that preempt or re-time queued events build
-    on — the calendar queue (:mod:`repro.csdf.calqueue`) shares the
-    same contract.  Cancellation is *validated*: cancelling an
-    already-popped (or already-cancelled, or never-issued) event
-    raises ``ValueError`` deterministically instead of silently
-    corrupting the length accounting.
+    A binary heap of timed events with stable FIFO tie-break (events
+    at equal times pop in push order — exactly the ``(time, seq)``
+    tuple ordering the legacy loops got from ``heapq``).  The loops
+    only push and pop: no firing is ever revoked.  The calendar queue
+    (:mod:`repro.csdf.calqueue`) shares the same contract.
 
 :class:`ReadyWorklist`
-    A pending-ready worklist over integer actor positions.  The loops
-    seed it with exactly the actors whose readiness *may* have changed
-    — the **wakeup invariant**: an actor is re-examined iff an
+    A pending-ready worklist over integer actor positions, used by the
+    simulator's schedule plane (:mod:`repro.sim.schedplane`).  The
+    plane seeds it with exactly the actors whose readiness *may* have
+    changed — the **wakeup invariant**: an actor is re-examined iff an
     adjacent channel's token count (or reserved capacity) changed, the
     actor itself completed a firing, or a core it was waiting for was
     released.  Draining the worklist visits only those candidates, yet
@@ -43,9 +33,7 @@ depend on that exact start order.  :class:`ReadyWorklist` preserves it:
 * candidates are examined in increasing position order;
 * a candidate seeded at a position *behind* the scan cursor joins the
   **next** pass (the legacy restart), one seeded *ahead* of the cursor
-  joins the current pass (the legacy cursor reaches it);
-* a drain suspended mid-scan (core budget exhausted) keeps its
-  unexamined candidates queued for the next drain.
+  joins the current pass (the legacy cursor reaches it).
 
 Because every candidate the legacy scan would have *started* is, by the
 wakeup invariant, present in the worklist at the same point of the same
@@ -63,77 +51,35 @@ __all__ = ["EventQueue", "ReadyWorklist"]
 
 
 class EventQueue:
-    """Indexed min-heap of ``(time, payload)`` events.
+    """Min-heap of ``(time, payload)`` events.
 
     Events with equal times pop in push order (each push gets a
     monotonically increasing sequence number, and entries compare by
-    ``(time, seq)`` — payloads are never compared).  ``push`` returns
-    the event's sequence number, which :meth:`cancel` lazily deletes in
-    O(1) (dead entries are skipped on pop).
-
-    The queue keeps an exact live count, so ``len`` and truthiness
-    never drift, and :meth:`cancel` *validates* its argument:
-    cancelling a sequence number that is not currently queued —
-    already popped, already cancelled, or never issued — raises
-    ``ValueError`` instead of leaving a phantom entry that would
-    silently under-count the queue.  Validation is paid by the rare
-    operation (cancel scans the heap for its target), not the hot
-    path: push and pop stay bare ``heappush``/``heappop`` plus an
-    integer counter, with the dead set consulted only when non-empty —
-    the same discipline as the calendar queue's heap mode.
+    ``(time, seq)`` — payloads are never compared).  ``push`` and
+    ``pop`` are bare ``heappush``/``heappop``.
     """
 
-    __slots__ = ("_heap", "_seq", "_count", "_dead")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Any]] = []
         self._seq = 0
-        self._count = 0
-        self._dead: set[int] = set()
 
     def push(self, time: float, payload: Any) -> int:
         seq = self._seq
         self._seq = seq + 1
-        self._count += 1
         heappush(self._heap, (time, seq, payload))
         return seq
 
-    def cancel(self, seq: int) -> None:
-        """Lazily delete the still-queued event with sequence ``seq``.
-
-        Raises ``ValueError`` if ``seq`` is not live (already popped,
-        already cancelled, or never issued) — a deterministic error
-        instead of the phantom dead-set entry that used to corrupt
-        :meth:`__len__`/:meth:`__bool__`.  Cancellation is the rare
-        operation, so it carries the validation cost: one scan of the
-        queued entries.
-        """
-        if seq in self._dead or not any(
-            entry[1] == seq for entry in self._heap
-        ):
-            raise ValueError(
-                f"cannot cancel event {seq}: not queued (already "
-                f"popped, already cancelled, or never issued)"
-            )
-        self._dead.add(seq)
-        self._count -= 1
-
     def pop(self) -> tuple[float, int, Any]:
-        """Remove and return the earliest live ``(time, seq, payload)``."""
-        entry = heappop(self._heap)  # IndexError on empty, per contract
-        dead = self._dead
-        if dead:
-            while entry[1] in dead:
-                dead.remove(entry[1])
-                entry = heappop(self._heap)
-        self._count -= 1
-        return entry
+        """Remove and return the earliest ``(time, seq, payload)``."""
+        return heappop(self._heap)  # IndexError on empty, per contract
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return self._count > 0
+        return bool(self._heap)
 
 
 class ReadyWorklist:
@@ -147,7 +93,6 @@ class ReadyWorklist:
             progress = False
             while (pos := worklist.pop()) >= 0:
                 ...examine pos; on a start set progress = True...
-                # on core exhaustion: worklist.suspend(pos); return
             worklist.end_scan()
             if not progress:
                 break
@@ -218,15 +163,6 @@ class ReadyWorklist:
         return -1
 
     def end_scan(self) -> None:
-        self._scanning = False
-
-    def suspend(self, pos: int) -> None:
-        """Stop a drain mid-pass, keeping ``pos`` and every unexamined
-        candidate queued for the next drain (core budget exhausted —
-        the legacy loop returns without looking further)."""
-        if not self._in_cur[pos]:
-            self._in_cur[pos] = 1
-            heappush(self._cur, pos)
         self._scanning = False
 
     def pending(self) -> Iterator[int]:

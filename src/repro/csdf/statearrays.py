@@ -1,11 +1,11 @@
 """Array-state (struct-of-arrays) backend for the timed CSDF executor.
 
-The wakeup core of :mod:`repro.csdf.eventloop` already visits only the
-actors adjacent to changed channels, but every visit still walks the
-actor's firing tables in Python — and every execution rebuilds those
-tables from the graph, which a ``min_buffers_for_full_throughput``
-search pays hundreds of times over (one ``period_with`` probe per
-binary-search step).  This module removes both costs:
+The legacy full-scan loop rescans every actor after every completion
+event, walks each actor's firing tables in Python, and rebuilds those
+tables from the graph on every execution — which a
+``min_buffers_for_full_throughput`` search pays dozens of times over
+(one ``period_with`` probe per binary-search step).  This module
+removes all three costs:
 
 :class:`ArrayState`
     A struct-of-arrays **template**: channel tokens / capacities /
@@ -40,19 +40,19 @@ binary-search step).  This module removes both costs:
 
 Bit-for-bit contract
 --------------------
-The backend reproduces the wakeup and reference loops exactly —
-identical ``TimedResult`` (every float), identical deadlock blocked
-sets — because it starts the same firings in the same order: a
-candidate is seeded at the very moment the wakeup invariant would
-re-examine it and find it ready, with the same scan-order pass
-discipline (ahead-of-cursor seeds join the current pass, behind-cursor
-seeds the next one, core-budget exhaustion suspends the drain with all
-unexamined candidates kept).  Candidates the wakeup loop would examine
-and *skip* (unready, busy, or done) are simply never queued, which is
-why the recorded ``ready_visits`` drop to roughly the number of
-firings.  ``tests/sim/test_eventloop_differential.py`` pins all three
-backends against each other on the 200-graph corpus × core budgets ×
-capacity constraints.
+The backend reproduces the reference loop exactly — identical
+``TimedResult`` (every float), identical deadlock blocked sets —
+because it starts the same firings in the same order: a candidate is
+queued at the very moment the full rescan would find it ready, with
+the same scan-order pass discipline (ahead-of-cursor seeds join the
+current pass, behind-cursor seeds the next one, core-budget exhaustion
+suspends the drain with all unexamined candidates kept).  Candidates
+the rescan would examine and *skip* (unready, busy, or done) are
+simply never queued, which is why the recorded ``ready_visits`` drop
+to roughly the number of firings.
+``tests/sim/test_eventloop_differential.py`` pins both cores against
+each other on the 200-graph corpus × core budgets × capacity
+constraints.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class ArrayState:
                  "cons_base", "cons_len", "cons_flat",
                  "prod_base", "prod_len", "prod_flat",
                  "in_edges", "out_edges", "exec_const", "exec_phases",
-                 "self_loop", "batch")
+                 "self_loop")
 
     def __init__(self, graph: CSDFGraph, bindings: Mapping | None,
                  order: list[str] | None = None):
@@ -167,10 +167,6 @@ class ArrayState:
         self.exec_phases = [tuple(t) for t in times]
         self.exec_const = [t[0] if len(t) == 1 else None
                            for t in self.exec_phases]
-        # Lazily built CSR companion for the lock-step batched kernel
-        # (see repro.csdf.batchexec.batch_tables) — cached on the
-        # memoized template so K-run batches build it once.
-        self.batch = None
 
     # -- delta patching ---------------------------------------------------
     def apply_binding_delta(self, graph: CSDFGraph, actors=None) -> "ArrayState":
@@ -203,7 +199,6 @@ class ArrayState:
             exec_const[pos] = times[0] if len(times) == 1 else None
         clone.exec_phases = exec_phases
         clone.exec_const = exec_const
-        clone.batch = None  # execution times changed: CSR tables stale
         return clone
 
     # -- vectorized firing rule -----------------------------------------
@@ -351,11 +346,12 @@ def self_timed_execution_arrays(
     with identical results; normally reached through its
     ``backend="arrays"`` selector.
     """
-    from .throughput import TimedResult
+    from .throughput import TimedResult, _check_capacity_contract
 
     if iterations < 1:
         raise ValueError("need at least one iteration")
     state = array_state(graph, bindings)
+    _check_capacity_contract(graph, capacities, state.order)
     n = state.n
     nchan = state.nchan
     order = state.order
@@ -391,9 +387,8 @@ def self_timed_execution_arrays(
     cap_sat = bytearray(b"\x01" * nchan)
     capped_out: list[tuple] = [()] * n
     if capacities:
-        from .throughput import _initial_fit_error, validate_capacities
-
-        validate_capacities(graph, capacities)
+        # Admitted above: every bound is >= its channel's initial
+        # tokens >= 0, so none can read as the _UNCAPPED sentinel.
         caps_np = np.full(nchan, _UNCAPPED, dtype=np.int64)
         caps_map = dict(capacities)
         for slot, name in enumerate(state.channel_names):
@@ -401,11 +396,6 @@ def self_timed_execution_arrays(
             if value is not None:
                 caps_np[slot] = value
         capped_mask = caps_np != _UNCAPPED
-        too_small = capped_mask & (caps_np < state.tokens0)
-        if too_small.any():
-            raise _initial_fit_error(
-                [state.channel_names[s] for s in np.flatnonzero(too_small)],
-                list(order))
         has_caps = bool(capped_mask.any())
         if has_caps:
             caps = [None if c == _UNCAPPED else c for c in caps_np.tolist()]

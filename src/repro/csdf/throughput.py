@@ -15,17 +15,13 @@ completion) and auto-concurrency is disabled — one in-flight firing per
 actor, the standard self-timed semantics.  No data values are moved, so
 this scales to large repetition vectors.
 
-The hot loop is the **dependency-driven event core** of
-:mod:`repro.csdf.eventloop`: instead of rescanning every actor after
-every completion event, a :class:`~repro.csdf.eventloop.ReadyWorklist`
-is seeded with exactly the actors adjacent to channels whose token
-count (or reserved capacity) changed at the last event, and per-actor
-firing tables are flattened to integer indices so the ready check is
-list indexing with no name-keyed dict lookups.  The legacy full-scan
-loop is retained as :func:`self_timed_execution_reference` — the
-differential oracle (mirroring ``mcr_reference``) that
-``tests/sim/test_eventloop_differential.py`` pins the new core against
-bit for bit.
+Two execution cores implement it (:data:`BACKENDS`): the array-state
+core of :mod:`repro.csdf.statearrays` (the default, and the only one
+tuned for speed) and the legacy full-scan loop
+:func:`self_timed_execution_reference` — the differential oracle
+(mirroring ``mcr_reference``) that
+``tests/sim/test_eventloop_differential.py`` pins the fast core
+against bit for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from typing import Mapping
 
 from ..errors import DeadlockError
 from .analysis import concrete_repetition_vector
-from .eventloop import EventQueue, ReadyWorklist
 from .graph import CSDFGraph
 
 
@@ -158,83 +153,9 @@ class _TimedState:
         return dict(zip(self.channel_names, self._peaks))
 
 
-class _IndexedState(_TimedState):
-    """Actor-indexed extension of the firing tables.
-
-    Adds position-keyed views of the per-actor tables (the scan order
-    is the repetition-vector order, as in the legacy loop) plus the
-    channel adjacency the dependency-driven wakeup needs:
-
-    * ``capped_src_pos[pos]`` — producers to re-examine when ``pos``
-      consumes from a capacity-bounded input (their reserved headroom
-      grew);
-    * ``out_dst_pos[pos]`` — consumers to re-examine when ``pos``
-      completes a firing (their input token counts grew).
-    """
-
-    __slots__ = ("in_by_pos", "out_by_pos", "capped_by_pos",
-                 "capped_src_pos", "out_dst_pos")
-
-    def __init__(self, graph: CSDFGraph, bindings: Mapping | None,
-                 capacities: Mapping[str, int] | None, order: list[str]):
-        super().__init__(graph, bindings, capacities)
-        apos = {name: i for i, name in enumerate(order)}
-        self.in_by_pos = [self.inputs[name] for name in order]
-        self.out_by_pos = [self.outputs[name] for name in order]
-        self.capped_by_pos = [self.capped_out[name] for name in order]
-        channels = list(graph.channels.values())
-        src_pos = [apos[c.src] for c in channels]
-        dst_pos = [apos[c.dst] for c in channels]
-        caps = self.caps
-        self.capped_src_pos = [
-            tuple(src_pos[s] for s, _ph in self.inputs[name]
-                  if caps[s] is not None)
-            for name in order
-        ]
-        self.out_dst_pos = [
-            tuple(dst_pos[s] for s, _ph in self.outputs[name])
-            for name in order
-        ]
-
-    def can_start_at(self, pos: int, firing: int) -> bool:
-        tokens = self.tokens
-        for s, phases in self.in_by_pos[pos]:
-            if tokens[s] < phases[firing % len(phases)]:
-                return False
-        caps, reserved = self.caps, self.reserved
-        for s, phases, cons_phases in self.capped_by_pos[pos]:
-            produced = phases[firing % len(phases)]
-            occupancy = tokens[s] + reserved[s]
-            if cons_phases is not None:
-                occupancy -= cons_phases[firing % len(cons_phases)]
-            if occupancy + produced > caps[s]:
-                return False
-        return True
-
-    def consume_at(self, pos: int, firing: int) -> None:
-        tokens = self.tokens
-        for s, phases in self.in_by_pos[pos]:
-            tokens[s] -= phases[firing % len(phases)]
-        reserved = self.reserved
-        for s, phases, _ in self.capped_by_pos[pos]:
-            reserved[s] += phases[firing % len(phases)]
-
-    def produce_at(self, pos: int, firing: int) -> None:
-        tokens = self.tokens
-        peaks = self._peaks
-        caps, reserved = self.caps, self.reserved
-        for s, phases in self.out_by_pos[pos]:
-            produced = phases[firing % len(phases)]
-            level = tokens[s] + produced
-            tokens[s] = level
-            if caps[s] is not None:
-                reserved[s] -= produced
-            if level > peaks[s]:
-                peaks[s] = level
-
-
-#: Execution backends of :func:`self_timed_execution`, fastest first.
-BACKENDS = ("arrays", "wakeup", "reference")
+#: Execution cores of :func:`self_timed_execution` (and of the TPDF
+#: ``Simulator``): the fast path first, then the differential oracle.
+BACKENDS = ("arrays", "reference")
 
 
 def validate_capacities(
@@ -259,8 +180,19 @@ def validate_capacities(
         )
 
 
+def check_backend(backend: str, option: str = "backend") -> None:
+    """Reject an execution-core name outside :data:`BACKENDS` — the one
+    check (and message) behind every ``backend=``/``ready_core=``
+    front door."""
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"{option} must be one of {', '.join(map(repr, BACKENDS))}, "
+            f"got {backend!r}"
+        )
+
+
 def _initial_fit_error(channels, actors) -> DeadlockError:
-    """The up-front deadlock all backends raise for a capacity below a
+    """The up-front deadlock every core raises for a capacity below a
     channel's initial tokens.
 
     The initial marking does not fit the buffer, so the run could never
@@ -268,8 +200,7 @@ def _initial_fit_error(channels, actors) -> DeadlockError:
     whenever the consumer drained the over-full channel — an
     over-capacity run that reported peaks above the declared bound.
     The error is deterministic (sorted channel list, scan-order blocked
-    set) so the three backends and the batched kernel agree bit for
-    bit.
+    set) so every core agrees bit for bit.
     """
     names = ", ".join(sorted(channels))
     return DeadlockError(
@@ -279,9 +210,14 @@ def _initial_fit_error(channels, actors) -> DeadlockError:
 
 
 def _check_capacity_contract(graph, capacities, order) -> None:
-    """Name validation plus the initial-tokens admission check, shared
-    by the wakeup and reference executors (the arrays and batched
-    kernels run the same checks on their slot arrays)."""
+    """The capacity admission check of every capacity-accepting entry
+    point (both executor cores, the simulator, the buffer-search pins):
+    unknown channel names raise ``ValueError``, and a capacity below a
+    channel's initial tokens raises the up-front
+    :class:`~repro.errors.DeadlockError` with ``order`` as the blocked
+    set.  It runs on the caller's name-keyed mapping, before any slot
+    mapping — so no capacity value can collide with a slot array's
+    "unbounded" sentinel."""
     if not capacities:
         return
     validate_capacities(graph, capacities)
@@ -310,12 +246,16 @@ def capacity_floors(
     uses it to discard below-floor probes without executing them —
     measured on the EXT7 search, over half of all probes.
     """
-    from .batchexec import batch_tables
+    import numpy as np
+
     from .statearrays import array_state
 
     state = array_state(graph, bindings)
-    return dict(zip(state.channel_names,
-                    batch_tables(state).floor.tolist()))
+    floor = np.maximum(state.tokens0, np.maximum(
+        np.maximum.reduceat(state.cons_flat, state.cons_base),
+        np.maximum.reduceat(state.prod_flat, state.prod_base),
+    ))
+    return dict(zip(state.channel_names, floor.tolist()))
 
 
 def self_timed_execution(
@@ -335,7 +275,7 @@ def self_timed_execution(
     buffers serialize producers and consumers, stretching the
     steady-state period.
 
-    ``backend`` selects one of three bit-identical execution cores
+    ``backend`` selects one of two bit-identical execution cores
     (every float of the result, every deadlock blocked-set, and every
     scheduling decision under a core budget agree — pinned by
     ``tests/sim/test_eventloop_differential.py``):
@@ -346,10 +286,6 @@ def self_timed_execution(
         incremental constraint counters instead of per-visit firing
         tables, and the calendar-queue event scheduler of
         :mod:`repro.csdf.calqueue`.
-    ``"wakeup"``
-        The dependency-driven worklist core of
-        :mod:`repro.csdf.eventloop`: after each completion event only
-        the actors adjacent to changed channels are re-examined.
     ``"reference"``
         The legacy full-rescan loop
         (:func:`self_timed_execution_reference`) — the differential
@@ -361,136 +297,17 @@ def self_timed_execution(
     Raises :class:`~repro.errors.DeadlockError` if the execution stalls
     before completing (e.g. a tokenless cycle or undersized buffers).
     """
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {', '.join(map(repr, BACKENDS))}, "
-            f"got {backend!r}"
-        )
-    if backend == "arrays":
-        from .statearrays import self_timed_execution_arrays
-
-        return self_timed_execution_arrays(
-            graph, bindings, iterations=iterations, cores=cores,
-            capacities=capacities, stats=stats,
-        )
+    check_backend(backend)
     if backend == "reference":
         return self_timed_execution_reference(
             graph, bindings, iterations=iterations, cores=cores,
             capacities=capacities, stats=stats,
         )
-    if iterations < 1:
-        raise ValueError("need at least one iteration")
-    q = concrete_repetition_vector(graph, bindings)
-    order = list(q)
-    _check_capacity_contract(graph, capacities, order)
-    n_actors = len(order)
-    targets = [q[name] * iterations for name in order]
-    qv = [q[name] for name in order]
-    state = _IndexedState(graph, bindings, capacities, order)
-    exec_times = [graph.actor(name).exec_times for name in order]
-    started = [0] * n_actors
-    completed = [0] * n_actors
-    busy = bytearray(n_actors)
-    capped_src_pos = state.capped_src_pos
-    out_dst_pos = state.out_dst_pos
-    can_start = state.can_start_at
-    consume = state.consume_at
-    produce = state.produce_at
+    from .statearrays import self_timed_execution_arrays
 
-    events = EventQueue()
-    worklist = ReadyWorklist(n_actors)
-    now = 0.0
-    running = 0
-    visits = 0
-    iteration_ends: list[float] = []
-    firings = 0
-    # Incremental iteration tracking: instead of min(completed/q) over
-    # all actors per event, count the actors still short of the next
-    # iteration boundary and advance the boundary when the count hits 0.
-    iteration_target = 1
-    short_of_target = sum(1 for i in range(n_actors) if completed[i] < qv[i])
-
-    def drain() -> None:
-        """Start every ready firing (the try_start of the legacy loop,
-        restricted to the worklist candidates)."""
-        nonlocal running, visits
-        seed = worklist.seed
-        while worklist.begin_scan():
-            progress = False
-            pos = worklist.pop()
-            while pos >= 0:
-                visits += 1
-                if started[pos] >= targets[pos] or busy[pos]:
-                    pos = worklist.pop()
-                    continue
-                if cores is not None and running >= cores:
-                    worklist.suspend(pos)
-                    return
-                firing = started[pos]
-                if can_start(pos, firing):
-                    consume(pos, firing)
-                    # Consuming from a capacity-bounded input freed
-                    # headroom for its producer: wake it.
-                    for producer in capped_src_pos[pos]:
-                        seed(producer)
-                    times = exec_times[pos]
-                    duration = times[firing % len(times)]
-                    events.push(now + duration, pos + n_actors * firing)
-                    started[pos] = firing + 1
-                    busy[pos] = 1
-                    running += 1
-                    progress = True
-                pos = worklist.pop()
-            worklist.end_scan()
-            if not progress:
-                return
-
-    worklist.seed_all(n_actors)
-    drain()
-    while events:
-        now, _, payload = events.pop()
-        pos, firing = payload % n_actors, payload // n_actors
-        produce(pos, firing)
-        done = completed[pos] + 1
-        completed[pos] = done
-        busy[pos] = 0
-        running -= 1
-        firings += 1
-        # Wakeup invariant: re-examine the completed actor (free again,
-        # and a core was released) and the consumers whose input token
-        # counts just grew.
-        worklist.seed(pos)
-        for consumer in out_dst_pos[pos]:
-            worklist.seed(consumer)
-        if done == qv[pos] * iteration_target:
-            short_of_target -= 1
-            while short_of_target == 0:
-                iteration_ends.append(now)
-                iteration_target += 1
-                short_of_target = sum(
-                    1 for i in range(n_actors)
-                    if completed[i] < qv[i] * iteration_target
-                )
-                if iteration_target > iterations:
-                    break
-        drain()
-
-    if stats is not None:
-        stats["ready_visits"] = visits
-        stats["events"] = firings
-    if any(completed[i] < targets[i] for i in range(n_actors)):
-        blocked = [order[i] for i in range(n_actors)
-                   if completed[i] < targets[i]]
-        raise DeadlockError(
-            f"self-timed execution stalled after {firings} firings",
-            blocked=blocked,
-        )
-    return TimedResult(
-        makespan=now,
-        iterations=iterations,
-        firings=firings,
-        iteration_ends=iteration_ends,
-        peaks=dict(state.peaks),
+    return self_timed_execution_arrays(
+        graph, bindings, iterations=iterations, cores=cores,
+        capacities=capacities, stats=stats,
     )
 
 
@@ -507,7 +324,7 @@ def self_timed_execution_reference(
     pattern): after every completion event it rescans every actor still
     short of its firing target.  Semantics — including the scan-order
     tie-break that decides core-budget scheduling — are the contract
-    the dependency-driven core must reproduce bit for bit.
+    the array-state core must reproduce bit for bit.
     """
     import heapq
 
@@ -644,9 +461,6 @@ def min_buffers_for_full_throughput(
     warm_start: bool = True,
     stats: dict | None = None,
     backend: str = "arrays",
-    probe_floor: bool = True,
-    memoize_probes: bool = True,
-    batched: bool = False,
     capacities: Mapping[str, int] | None = None,
 ) -> dict[str, int]:
     """Smallest per-channel capacities preserving unconstrained
@@ -708,37 +522,25 @@ def min_buffers_for_full_throughput(
     ``target_is_analytic`` and the effective ``iterations``.
 
     ``backend`` selects the execution core for the unconstrained run
-    and every probe (all cores are bit-identical; the default
+    and every probe (both cores are bit-identical; the default
     ``"arrays"`` keeps the whole search on the struct-of-arrays state,
     cloning each probe from one memoized template).
 
-    Three probe-economy switches, all preserving the returned
-    capacities exactly (asserted over the differential corpus by
-    ``tests/csdf/test_throughput.py`` / ``tests/csdf/test_batchexec.py``):
+    Two probe economies preserve the returned capacities exactly
+    (``tests/csdf/test_throughput.py`` pins the search against the
+    plain greedy search, and the floors' soundness over the
+    differential corpus):
 
-    ``probe_floor`` (default on)
-        discard candidate vectors below the analytic
-        :func:`capacity_floors` without executing them (provably
-        infeasible — on the EXT7 search over half of all probes);
-    ``memoize_probes`` (default on)
-        cache each probe's verdict under its full capacity-vector key
-        for the duration of the search, so a vector is never executed
-        twice; ``stats["probes"]`` counts *executed* probes only, with
-        ``probes_floored`` / ``probes_memoized`` recording the
-        shortcuts taken;
-    ``batched``
-        pre-execute the probe ladder in lock-step K-run batches
-        (:func:`repro.csdf.batchexec.self_timed_execution_batch`):
-        every unresolved channel contributes its next candidate vector
-        (earlier channels speculated at their capacity floor until
-        actually resolved — on the bench corpus most channels do
-        resolve there) and the whole round runs as one batch; the
-        sequential search then replays against the memoized verdicts.
-        A misprediction (a channel resolving away from its speculated
-        floor, or a warm probe failing under speculation) aborts the
-        pre-pass — never changing the answer, because the replay is
-        the authority — so hard graphs pay at most one cheap
-        deadlock-dominated round.  Implies ``memoize_probes``.
+    * candidate vectors below the analytic :func:`capacity_floors` are
+      discarded without executing them (provably infeasible — on the
+      EXT7 search over half of all probes);
+    * each probe's verdict is memoized under its full capacity-vector
+      key for the duration of the search, so a vector is never
+      executed twice.
+
+    ``stats["probes"]`` counts *executed* probes only, with
+    ``probes_floored`` / ``probes_memoized`` recording the shortcuts
+    taken.
 
     ``capacities``, when given, **pins** those channels: the pinned
     values are kept verbatim (validated against the graph's channel
@@ -789,14 +591,8 @@ def min_buffers_for_full_throughput(
     capacities.update(pins)
     names = sorted(set(capacities) - set(pins))
     counters = {"probes": 0, "probes_saved": 0, "warm_failed": 0,
-                "probes_floored": 0, "probes_memoized": 0,
-                "batch_rounds": 0}
-    if batched:
-        memoize_probes = True
-    floors = (
-        capacity_floors(graph, bindings)
-        if (probe_floor or batched or pins) else {}
-    )
+                "probes_floored": 0, "probes_memoized": 0}
+    floors = capacity_floors(graph, bindings)
     if pins:
         below = sorted(
             name for name, value in pins.items() if value < floors[name]
@@ -814,9 +610,6 @@ def min_buffers_for_full_throughput(
             )
     memo: dict[tuple, float] = {}
 
-    def probe_key(caps: Mapping[str, int]) -> tuple:
-        return tuple(caps[name] for name in names)
-
     def execute_probe(caps: Mapping[str, int]) -> float:
         counters["probes"] += 1
         try:
@@ -829,16 +622,12 @@ def min_buffers_for_full_throughput(
         return _steady_period(result)
 
     def period_with(caps: Mapping[str, int]) -> float:
-        if probe_floor and any(
-            caps[name] < floor for name, floor in floors.items()
-        ):
+        if any(caps[name] < floor for name, floor in floors.items()):
             # Provably infeasible — the verdict an execution would
             # reach, without the execution.
             counters["probes_floored"] += 1
             return float("inf")
-        if not memoize_probes:
-            return execute_probe(caps)
-        key = probe_key(caps)
+        key = tuple(caps[name] for name in names)
         verdict = memo.get(key)
         if verdict is None:
             memo[key] = verdict = execute_probe(caps)
@@ -847,13 +636,6 @@ def min_buffers_for_full_throughput(
         return verdict
 
     warm_bounds = _symbolic_warm_bounds(graph, bindings) if warm_start else {}
-
-    if batched:
-        _batched_probe_rounds(
-            graph, bindings, iterations, backend, names, capacities,
-            floors if probe_floor else {}, floors, warm_bounds,
-            target, slack, memo, probe_key, counters,
-        )
 
     for name in names:
         lo, hi = 0, capacities[name]
@@ -893,159 +675,6 @@ def min_buffers_for_full_throughput(
         counters["iterations"] = iterations
         stats.update(counters)
     return capacities
-
-
-class _ChannelSearch:
-    """The greedy per-channel probe ladder of
-    :func:`min_buffers_for_full_throughput`, reified so the batched
-    prober can run many ladders concurrently: ``next_value()`` yields
-    the capacity the sequential loop would probe next, ``observe()``
-    feeds the verdict back.  Built against a snapshot of the earlier
-    channels' (possibly speculated) finals — a prefix change discards
-    the ladder."""
-
-    __slots__ = ("prefix_key", "lo", "hi", "warm", "warm_pending")
-
-    def __init__(self, prefix_key, hi, warm):
-        self.prefix_key = prefix_key
-        self.lo = 0
-        self.hi = hi
-        self.warm = warm
-        self.warm_pending = warm is not None and warm < hi
-
-    def next_value(self):
-        if self.warm_pending:
-            return self.warm
-        if self.lo < self.hi:
-            return (self.lo + self.hi) // 2
-        return None  # resolved: final == self.hi
-
-    def observe(self, value, feasible):
-        if self.warm_pending:
-            self.warm_pending = False
-            if feasible:
-                self.hi = value
-            else:
-                self.lo = value + 1
-            return
-        if feasible:
-            self.hi = value
-        else:
-            self.lo = value + 1
-
-
-def _batched_probe_rounds(
-    graph, bindings, iterations, backend, names, peaks,
-    kill_floors, spec_floors, warm_bounds, target, slack,
-    memo, probe_key, counters,
-) -> None:
-    """Pre-execute the greedy search's probes in lock-step batches.
-
-    Each round, every unresolved channel contributes the next probe of
-    its :class:`_ChannelSearch` ladder, built against a prefix that
-    uses the *actual* final for already-resolved earlier channels and
-    the capacity floor as a speculation for unresolved ones.  The whole
-    round executes as **one** invocation of the lock-step batched
-    kernel and the verdicts land in ``memo`` under their full-vector
-    keys.  On graphs where every channel resolves at its floor — the
-    common case on the random corpus — the speculation is exact, every
-    round is fully useful, and the sequential replay in the caller hits
-    the memo on every probe.
-
-    Two guards keep the hard case cheap.  First, the moment a channel
-    resolves away from its speculated floor, every ladder built after
-    it sits on a wrong prefix — re-speculating cascades (each later
-    resolution re-invalidates everything downstream, measured ~8x the
-    useful probe count on the EXT7 bench graph), so the pre-pass aborts
-    instead.  Second, the pre-pass aborts after any round in which a
-    *warm* probe came back infeasible: under an exact prefix warm
-    probes almost always succeed, so a failing one means the floors
-    speculation is off and the ladders are about to climb into
-    feasible (long-running) probes, which the lock-step kernel
-    executes slower than the scalar loop — the opposite of the
-    deadlock-dominated screens it is built for.  Either way probes
-    already executed stay memoized and the unresolved channels fall
-    through to the caller's sequential loop, which probes them with
-    exact prefixes.  Mispredictions therefore cost at most one cheap
-    deadlock-heavy round — never a different answer, because the
-    replay is the authority either way.
-    """
-    from .batchexec import self_timed_execution_batch
-
-    ladders: dict[str, _ChannelSearch] = {}
-    resolved: dict[str, int] = {}
-
-    def prefix_of(name):
-        vec, key = dict(peaks), []
-        for m in names:
-            if m == name:
-                break
-            value = resolved.get(m)
-            if value is None:
-                value = min(spec_floors.get(m, 1), peaks[m])
-            vec[m] = value
-            key.append(value)
-        return vec, tuple(key)
-
-    while True:
-        pending: dict[tuple, list[tuple[str, int]]] = {}
-        for name in names:
-            spec = min(spec_floors.get(name, 1), peaks[name])
-            if resolved.get(name, spec) != spec:
-                # Misprediction: this channel's final is not its floor,
-                # so every ladder after it speculated a wrong prefix.
-                # Abort — the sequential replay finishes from the memo.
-                return
-            if name in resolved:
-                continue
-            prefix, pkey = prefix_of(name)
-            ladder = ladders.get(name)
-            if ladder is None:
-                ladder = _ChannelSearch(pkey, peaks[name],
-                                        warm_bounds.get(name))
-                ladders[name] = ladder
-            # Advance through verdicts already known (floored or
-            # memoized) until the ladder needs a fresh execution.
-            while True:
-                value = ladder.next_value()
-                if value is None:
-                    resolved[name] = ladder.hi
-                    break
-                probe = dict(prefix)
-                probe[name] = value
-                if any(probe[m] < floor
-                       for m, floor in kill_floors.items()):
-                    ladder.observe(value, False)
-                    continue
-                key = probe_key(probe)
-                verdict = memo.get(key)
-                if verdict is None:
-                    pending.setdefault(key, []).append((name, value))
-                    break
-                ladder.observe(value, verdict <= target + slack)
-        if not pending:
-            return  # every channel resolved (all at its speculation)
-        keys = list(pending)
-        vectors = [dict(zip(names, key)) for key in keys]
-        counters["batch_rounds"] += 1
-        counters["probes"] += len(vectors)
-        outcomes = self_timed_execution_batch(
-            graph, bindings, iterations=iterations,
-            capacities_list=vectors,
-        )
-        warm_missed = False
-        for key, outcome in zip(keys, outcomes):
-            verdict = (float("inf") if isinstance(outcome, DeadlockError)
-                       else _steady_period(outcome))
-            memo[key] = verdict
-            feasible = verdict <= target + slack
-            for name, value in pending[key]:
-                ladder = ladders[name]
-                if ladder.warm_pending and not feasible:
-                    warm_missed = True
-                ladder.observe(value, feasible)
-        if warm_missed:
-            return  # speculation is off; finish sequentially
 
 
 def _steady_period(result: TimedResult) -> float:

@@ -25,12 +25,13 @@ Semantics implemented (with the paper reference):
   have a processing unit available before the others");
 * clock actors tick autonomously every ``period`` (watchdog timers).
 
-The ready check is **dependency-driven** (the event core of
-:mod:`repro.csdf.eventloop`): after each event only the nodes whose
-readiness may have changed — consumers of channels that received
-tokens, the completed node itself, and core-budget waiters when a
-worker core frees — are re-examined, in the exact scan order of the
-legacy full rescan.  The legacy loop is retained under
+Two cores execute these rules (``ready_core``, the names of
+:data:`repro.csdf.throughput.BACKENDS`).  The default ``"arrays"``
+core is the schedule-plane / value-plane split of
+:mod:`repro.sim.schedplane`: a dependency-driven ready check over flat
+counters, re-examining after each event only the nodes whose
+readiness may have changed.  The legacy loop in this module — a full
+rescan of every node after every event — is retained under
 ``ready_core="reference"`` as the differential oracle
 (``tests/sim/test_eventloop_differential.py`` pins trace equality bit
 for bit).
@@ -47,7 +48,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Mapping
 
-from ..csdf.eventloop import EventQueue, ReadyWorklist
+from ..csdf.eventloop import EventQueue
+from ..csdf.throughput import BACKENDS, _check_capacity_contract, check_backend
 from ..errors import SimulationError
 from ..tpdf.builtins import ClockActor
 from ..tpdf.graph import TPDFChannel, TPDFGraph
@@ -57,8 +59,7 @@ from .trace import INITIAL_TOKEN, DiscardRecord, FiringRecord, Trace
 
 
 class _ChannelState:
-    __slots__ = ("channel", "queue", "discard_debt", "dst_pos", "src_pos",
-                 "capacity", "reserved")
+    __slots__ = ("channel", "queue", "discard_debt", "capacity", "reserved")
 
     def __init__(self, channel: TPDFChannel):
         self.channel = channel
@@ -69,12 +70,6 @@ class _ChannelState:
             INITIAL_TOKEN for _ in range(channel.initial_tokens)
         )
         self.discard_debt = 0
-        #: scan position of the consumer (set by the Simulator; the
-        #: wakeup seed target when tokens arrive on this channel)
-        self.dst_pos = -1
-        #: scan position of the producer (the wakeup seed target when
-        #: tokens leave a capacity-bounded channel)
-        self.src_pos = -1
         #: buffer bound (``None`` = unbounded)
         self.capacity: int | None = None
         #: tokens promised by in-flight firings (reserved at start,
@@ -122,16 +117,14 @@ class Simulator:
         flat slot-indexed counters over the memoized
         :func:`repro.csdf.statearrays.sim_array_state` template, and
         token payloads are materialized only on channels with a
-        value-touching endpoint; ``"wakeup"`` is the Python engine with
-        the dependency-driven worklist; ``"reference"`` keeps the
-        legacy full rescan of every node after every event — the
-        differential oracle.  All three produce bit-identical traces
-        (``stats()`` reports which plane actually ran).
+        value-touching endpoint; ``"reference"`` keeps the legacy full
+        rescan of every node after every event — the differential
+        oracle.  Both produce bit-identical traces (``stats()`` reports
+        which plane actually ran).
     """
 
-    #: Accepted ``ready_core`` selections (mirrors
-    #: ``repro.csdf.throughput.BACKENDS``).
-    READY_CORES = ("arrays", "wakeup", "reference")
+    #: Accepted ``ready_core`` selections: the executor's core names.
+    READY_CORES = BACKENDS
 
     def __init__(
         self,
@@ -143,11 +136,7 @@ class Simulator:
         ready_core: str = "arrays",
         capacities: Mapping[str, int] | None = None,
     ):
-        if ready_core not in self.READY_CORES:
-            raise ValueError(
-                f"ready_core must be one of "
-                f"{', '.join(map(repr, self.READY_CORES))}, got {ready_core!r}"
-            )
+        check_backend(ready_core, "ready_core")
         self.graph = graph
         self.bindings = dict(bindings or {})
         self.cores = cores
@@ -197,36 +186,18 @@ class Simulator:
         else:
             self._order = list(graph.kernels) + list(graph.controls)
 
-        # Dependency-driven wakeup state: scan positions, node objects
-        # by position (the hot path indexes instead of graph.node()),
-        # the pending-ready worklist, and the core-budget wait set.
+        # Scan positions and node objects by position, shared with the
+        # schedule plane (which indexes instead of calling graph.node()).
         self._pos = {name: i for i, name in enumerate(self._order)}
         self._nodes = [graph.node(name) for name in self._order]
-        self._wakeup = ready_core != "reference"
-        self._worklist = ReadyWorklist(len(self._order))
-        self._workers = 0
-        self._core_blocked: list[int] = []
-        self._core_blocked_flag = bytearray(len(self._order))
-        for state in self._channels.values():
-            state.dst_pos = self._pos[state.channel.dst]
-            state.src_pos = self._pos[state.channel.src]
 
         self._capacities = dict(capacities or {})
         self._any_capacity = bool(self._capacities)
-        if self._capacities:
-            # Shared capacity contract (repro.csdf.throughput): unknown
-            # names raise, and the initial marking must fit the buffer.
-            from ..csdf.throughput import _initial_fit_error, validate_capacities
-
-            validate_capacities(graph, self._capacities)
-            too_small = sorted(
-                name for name, cap in self._capacities.items()
-                if cap < graph.channels[name].initial_tokens
-            )
-            if too_small:
-                raise _initial_fit_error(too_small, list(self._order))
-            for name, cap in self._capacities.items():
-                self._channels[name].capacity = int(cap)
+        # Shared capacity contract (repro.csdf.throughput): unknown
+        # names raise, and the initial marking must fit the buffer.
+        _check_capacity_contract(graph, self._capacities, self._order)
+        for name, cap in self._capacities.items():
+            self._channels[name].capacity = int(cap)
 
     # -- small helpers ------------------------------------------------------
     def _rate(self, node: str, port: str, firing: int) -> int:
@@ -274,7 +245,7 @@ class Simulator:
         """Which engine actually runs, plus the ready-check counters.
 
         ``plane`` is ``"arrays"`` for the schedule/value-plane split
-        and ``"python"`` for the dict-walking wakeup/reference loops;
+        and ``"python"`` for the dict-walking reference loop;
         after an arrays run the value-plane split is reported too
         (``value_channels`` materialized payload deques,
         ``schedule_only_channels`` counters-only, ``fast_path`` the
@@ -306,16 +277,6 @@ class Simulator:
         occupancy = len(state.queue)
         if occupancy > self.trace.peaks[state.channel.name]:
             self.trace.peaks[state.channel.name] = occupancy
-        if self._wakeup:
-            # Wakeup invariant: tokens arrived, so the consumer's
-            # readiness may have changed.
-            self._worklist.seed(state.dst_pos)
-
-    def _notify_drain(self, state: _ChannelState, count: int) -> None:
-        """Tokens left a channel: a producer blocked on its capacity
-        may have room now (the write-side wakeup invariant)."""
-        if count and self._wakeup and state.capacity is not None:
-            self._worklist.seed(state.src_pos)
 
     def _flush(self, state: _ChannelState, count: int, node: str, port: str,
                late_debt: bool = True) -> None:
@@ -335,7 +296,6 @@ class Simulator:
         available = min(count, len(state.queue))
         for _ in range(available):
             state.queue.popleft()
-        self._notify_drain(state, available)
         flushed = available
         if late_debt:
             state.discard_debt += count - available
@@ -507,15 +467,9 @@ class Simulator:
         limit = self._limits.get(name)
         return limit is not None and self._fired[name] >= limit
 
-    def _start_ready(self) -> None:
-        if self._wakeup:
-            self._start_ready_wakeup()
-        else:
-            self._start_ready_reference()
-
     def _start_ready_reference(self) -> None:
         """Legacy ready check: full rescan of every node after every
-        event.  Kept as the differential oracle for the wakeup core —
+        event.  Kept as the differential oracle for the arrays core —
         its scan order is the tie-break contract both must honour."""
         visits = 0
         progress = True
@@ -545,46 +499,6 @@ class Simulator:
                         progress = True
         self.ready_stats["visits"] += visits
 
-    def _start_ready_wakeup(self) -> None:
-        """Dependency-driven ready check: examine only the worklist
-        candidates (nodes adjacent to changed channels, completed
-        nodes, and core waiters), in legacy scan order."""
-        worklist = self._worklist
-        nodes = self._nodes
-        order = self._order
-        busy = self._busy
-        visits = 0
-        while worklist.begin_scan():
-            progress = False
-            pos = worklist.pop()
-            while pos >= 0:
-                visits += 1
-                name = order[pos]
-                if name in busy or self._limit_reached(name):
-                    pos = worklist.pop()
-                    continue
-                node = nodes[pos]
-                if isinstance(node, ControlActor):
-                    if self._control_ready(node):
-                        self._begin_control(node)
-                        progress = True
-                elif self.cores is not None and self._workers >= self.cores:
-                    # Waiting for a worker core, not for tokens: park
-                    # until a kernel completion frees one.
-                    if not self._core_blocked_flag[pos]:
-                        self._core_blocked_flag[pos] = 1
-                        self._core_blocked.append(pos)
-                else:
-                    plan = self._kernel_plan(node)
-                    if plan is not None:
-                        self._begin_kernel(node, *plan)
-                        progress = True
-                pos = worklist.pop()
-            worklist.end_scan()
-            if not progress:
-                break
-        self.ready_stats["visits"] += visits
-
     def _begin_control(self, actor: ControlActor) -> None:
         name = actor.name
         n = self._fired[name]
@@ -592,7 +506,6 @@ class Simulator:
         for port, state in self._in[name].items():
             rate = self._rate(name, port, n)
             consumed[port] = [state.queue.popleft() for _ in range(rate)]
-            self._notify_drain(state, rate)
         reserve: dict[str, int] = {}
         if self._any_capacity:
             for port, state in self._out[name].items():
@@ -615,12 +528,10 @@ class Simulator:
             control_state = self._control_state(kernel)
             assert control_state is not None
             control_state.queue.popleft()
-            self._notify_drain(control_state, 1)
         for port in consume:
             state = self._in[name][port]
             rate = self._kernel_rate(kernel, port, n, mode)
             consumed[port] = [state.queue.popleft() for _ in range(rate)]
-            self._notify_drain(state, rate)
         # Rejected ports: flush this firing's worth of tokens.
         control_port = kernel.control_port()
         late_debt = bool(kernel.meta.get("discard_late", True))
@@ -643,7 +554,6 @@ class Simulator:
             float(time_fn(n, consumed)) if callable(time_fn) else kernel.exec_time(n)
         )
         self._busy.add(name)
-        self._workers += 1
         self._push_event(
             self.now + duration, "kernel_done",
             (kernel, n, self.now, token, consumed, reserve),
@@ -665,8 +575,6 @@ class Simulator:
             self._deposit(state, values)
         self._busy.discard(name)
         self._fired[name] = n + 1
-        if self._wakeup:
-            self._worklist.seed(self._pos[name])
         self.trace.firings.append(
             FiringRecord(
                 node=name, index=n, start=start, end=self.now, mode=token,
@@ -686,17 +594,6 @@ class Simulator:
             self._deposit(self._out[name][port], values)
         self._busy.discard(name)
         self._fired[name] = n + 1
-        self._workers -= 1
-        if self._wakeup:
-            worklist = self._worklist
-            worklist.seed(self._pos[name])
-            if self._core_blocked:
-                # A worker core was released: every kernel parked on
-                # the budget becomes a candidate again.
-                for pos in self._core_blocked:
-                    self._core_blocked_flag[pos] = 0
-                    worklist.seed(pos)
-                self._core_blocked.clear()
         self.trace.firings.append(
             FiringRecord(
                 node=name, index=n, start=start, end=self.now, mode=token,
@@ -834,10 +731,7 @@ class Simulator:
             if isinstance(node, ClockActor):
                 self._schedule_clock(node, horizon)
 
-        if self._wakeup:
-            # Fresh horizon/limits: every node is a candidate again.
-            self._worklist.seed_all(len(self._order))
-        self._start_ready()
+        self._start_ready_reference()
         fired_total = 0
         while self._events:
             time, _, (kind, payload) = self._events.pop()
@@ -858,7 +752,7 @@ class Simulator:
                     f"exceeded {max_firings} firings; add limits= or until= "
                     f"to bound the run"
                 )
-            self._start_ready()
+            self._start_ready_reference()
         return self.trace
 
 

@@ -1,7 +1,7 @@
 """Schedule-plane / value-plane split of the TPDF simulator.
 
-The :class:`~repro.sim.engine.Simulator`'s reference and wakeup loops
-carry *everything* per firing through Python dicts and deques: channel
+The :class:`~repro.sim.engine.Simulator`'s reference loop carries
+*everything* per firing through Python dicts and deques: channel
 states, per-port rate lookups, consumed-value lists, record objects.
 For timing-dominated workloads almost none of that is needed — the
 schedule only depends on token *counts*, rates, and execution times,
@@ -13,10 +13,10 @@ This module runs the simulator on that template, split in two planes:
 **Schedule plane** — slot-indexed integer state (token counts, discard
 debts, capacities, reservations) over the memoized
 :func:`~repro.csdf.statearrays.sim_array_state` template, driven by
-the same :class:`~repro.csdf.eventloop.ReadyWorklist` wakeup
-discipline as the Python engine and the calendar-queue/heap event core
-of the CSDF arrays backend.  The TPDF-only mechanics the CSDF executor
-lacks live here: control-token mode selection gating per-firing port
+a :class:`~repro.csdf.eventloop.ReadyWorklist` (only nodes whose
+readiness may have changed are re-examined, in the reference loop's
+scan order) and the calendar-queue/heap event core of the CSDF arrays
+backend.  The TPDF-only mechanics the CSDF executor lacks live here: control-token mode selection gating per-firing port
 sets, highest-priority candidate choice over pre-sorted
 ``(priority, port)`` tables, discard-debt flushing, clock-actor
 autonomous ticks, and control actors outside the worker-core budget.
@@ -34,15 +34,16 @@ limits/horizon semantics on top).
 
 Bit-for-bit contract
 --------------------
-Identical traces to ``ready_core="reference"``/``"wakeup"``: firing
-records (times, modes), discard records, channel peaks, deadlock
-blocked sets, and even ``ready_stats["visits"]`` — candidates are
-seeded at exactly the moments the wakeup invariant re-examines them,
-in the same scan order, with the same park-on-core-exhaustion
-behaviour.  Firing records are handed to the trace in *columnar* form
+Identical traces to ``ready_core="reference"``: firing records
+(times, modes), discard records, channel peaks, deadlock blocked sets
+and ``ready_stats["events"]`` — candidates are seeded whenever their
+readiness may have changed (tokens arrived or left, the node
+completed, a worker core freed) and examined in the reference loop's
+scan order, so the plane starts the same firings in the same order
+while visiting far fewer nodes.  Firing records are handed to the trace in *columnar* form
 (:meth:`repro.sim.trace.Trace._extend_from_columns`) and materialized
 lazily; ``Trace.fingerprint()`` digests the columns directly.
-``tests/sim/test_eventloop_differential.py`` pins all three cores
+``tests/sim/test_eventloop_differential.py`` pins both cores
 against each other over the differential corpus × core budgets ×
 capacity constraints.
 """

@@ -80,8 +80,8 @@ class DiscardRecord:
 class Trace:
     """Aggregated observations of one simulation run.
 
-    ``firings`` is a list of :class:`FiringRecord`; the reference and
-    wakeup engines append records directly.  The arrays schedule plane
+    ``firings`` is a list of :class:`FiringRecord`; the reference
+    engine appends records directly.  The arrays schedule plane
     instead hands over *columns* (parallel lists of node/index/start/
     end/mode) via :meth:`_extend_from_columns` — record objects are
     only constructed when ``firings`` is first read, and

@@ -56,7 +56,6 @@ from .boundedness import (
 )
 from .transform import copy_graph, restrict_to_selection, virtualize_select_duplicate
 from .randgraph import random_consistent_graph
-from .lint import LintWarning, assert_clean, lint
 from .modecheck import ModeCase, ModeEnumeration, enumerate_modes
 
 __all__ = [
@@ -111,9 +110,6 @@ __all__ = [
     "virtualize_select_duplicate",
     "restrict_to_selection",
     "random_consistent_graph",
-    "lint",
-    "assert_clean",
-    "LintWarning",
     "enumerate_modes",
     "ModeCase",
     "ModeEnumeration",

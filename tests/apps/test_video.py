@@ -23,7 +23,8 @@ from repro.apps.video import (
     split_blocks,
     synthetic_video,
 )
-from repro.tpdf import check_boundedness, check_liveness, lint, repetition_vector
+from repro.diagnostics import run_diagnostics
+from repro.tpdf import check_boundedness, check_liveness, repetition_vector
 
 
 class TestBlockPrimitives:
@@ -102,7 +103,7 @@ class TestDecoderGraph:
         assert all(str(v) == "1" for v in q.values())
         assert check_liveness(graph).live  # feedback cycle seeded
         assert check_boundedness(graph).bounded
-        assert lint(graph) == []
+        assert run_diagnostics(graph) == []
 
     def test_feedback_cycle_needs_initial_frame(self):
         graph = build_decoder_graph()

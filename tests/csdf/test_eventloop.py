@@ -22,66 +22,9 @@ class TestEventQueue:
             q.push(5.0, index)
         assert [q.pop()[2] for _ in range(10)] == list(range(10))
 
-    def test_cancel_is_lazy_and_skipped_on_pop(self):
-        q = EventQueue()
-        keep = q.push(1.0, "keep")
-        drop = q.push(0.5, "drop")
-        assert len(q) == 2
-        q.cancel(drop)
-        assert len(q) == 1
-        time, seq, payload = q.pop()
-        assert (time, payload) == (1.0, "keep")
-        assert seq == keep
-        assert not q
-
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             EventQueue().pop()
-
-    def test_cancel_after_pop_raises_and_keeps_len_exact(self):
-        """Bugfix regression: cancelling an already-popped seq used to
-        leave a phantom in the dead set, making ``__len__`` under-count
-        and ``__bool__`` misreport.  It now raises, and the accounting
-        stays exact."""
-        q = EventQueue()
-        first = q.push(1.0, "a")
-        q.push(2.0, "b")
-        assert q.pop()[2] == "a"
-        with pytest.raises(ValueError):
-            q.cancel(first)
-        assert len(q) == 1
-        assert bool(q)
-        assert q.pop()[2] == "b"
-        assert len(q) == 0
-        assert not q
-
-    def test_double_cancel_raises(self):
-        q = EventQueue()
-        seq = q.push(1.0, "a")
-        q.push(2.0, "b")
-        q.cancel(seq)
-        with pytest.raises(ValueError):
-            q.cancel(seq)
-        assert len(q) == 1
-        assert q.pop()[2] == "b"
-
-    def test_cancel_never_issued_raises(self):
-        q = EventQueue()
-        q.push(1.0, "a")
-        with pytest.raises(ValueError):
-            q.cancel(99)
-        assert len(q) == 1
-
-    def test_cancelled_queue_is_falsy_and_pop_raises(self):
-        """A queue whose only entries were cancelled must report empty
-        (the phantom bug could flip this either way)."""
-        q = EventQueue()
-        seq = q.push(1.0, "a")
-        q.cancel(seq)
-        assert len(q) == 0
-        assert not q
-        with pytest.raises(IndexError):
-            q.pop()
 
 
 def drain_positions(wl, decide):
@@ -157,22 +100,6 @@ class TestReadyWorklist:
         visited = drain_positions(wl, lambda pos: False)
         assert visited == [0, 1]
         assert not wl
-
-    def test_suspend_preserves_unexamined_candidates(self):
-        """Core-budget exhaustion: the drain stops mid-pass and the
-        next drain resumes with the suspended candidate plus everything
-        not yet examined, in position order."""
-        wl = ReadyWorklist(6)
-        for pos in (1, 3, 5):
-            wl.seed(pos)
-        assert wl.begin_scan()
-        assert wl.pop() == 1
-        stopped_at = wl.pop()
-        assert stopped_at == 3
-        wl.suspend(stopped_at)  # budget hit while examining 3
-        # External seeding between drains (a completion event).
-        wl.seed(0)
-        assert drain_positions(wl, lambda pos: False) == [0, 3, 5]
 
     def test_bool_reflects_pending_work(self):
         wl = ReadyWorklist(2)

@@ -3,8 +3,8 @@
 The array-state backend stands on three small data structures whose
 contracts every executor decision rides on:
 
-* :class:`repro.csdf.eventloop.EventQueue` — indexed heap with the
-  ``(time, seq)`` FIFO tie-break and validated cancellation;
+* :class:`repro.csdf.eventloop.EventQueue` — binary heap with the
+  ``(time, seq)`` FIFO tie-break;
 * :class:`repro.csdf.calqueue.CalendarQueue` — same contract, calendar
   buckets past its threshold, heap fallback below it and on degenerate
   bucket widths;
@@ -12,11 +12,11 @@ contracts every executor decision rides on:
   pending-ready worklist whose scan-order tie-break decides start
   order.
 
-Random interleavings of ``push``/``pop``/``cancel`` are driven against
-one **sorted-list oracle** (a plain list of ``(time, seq, payload)``
+Random interleavings of ``push``/``pop`` are driven against one
+**sorted-list oracle** (a plain list of ``(time, seq, payload)``
 entries popped by ``min``), across queue configurations that force
 both calendar and heap modes.  The worklist checks pin the
-``pending()``/``suspend`` invariants under mid-pass suspension.
+``pending()`` invariants and the cursor routing of mid-pass seeds.
 """
 
 from __future__ import annotations
@@ -42,14 +42,12 @@ _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("push"), _TIMES),
         st.tuples(st.just("pop"), st.just(0.0)),
-        st.tuples(st.just("cancel"), st.just(0.0)),
-        st.tuples(st.just("cancel_dead"), st.just(0.0)),
     ),
     min_size=1,
     max_size=120,
 )
 
-#: Queue factories: the indexed heap, plus calendar queues forced into
+#: Queue factories: the binary heap, plus calendar queues forced into
 #: calendar mode (tiny threshold, fixed width), left on the automatic
 #: width estimate, and kept on the heap fallback (huge threshold).
 _QUEUES = (
@@ -62,11 +60,10 @@ _QUEUES = (
 )
 
 
-def _drive(make_queue, ops, cancel_choices):
+def _drive(make_queue, ops):
     """Run one interleaving against the sorted-list oracle."""
     queue = make_queue()
     oracle: list[tuple[float, int, int]] = []
-    popped: list[int] = []
     payload = 0
     for op, time in ops:
         if op == "push":
@@ -79,22 +76,9 @@ def _drive(make_queue, ops, cancel_choices):
                 expected = min(oracle)  # (time, seq) order == FIFO ties
                 assert queue.pop() == expected
                 oracle.remove(expected)
-                popped.append(expected[1])
             else:
                 with pytest.raises(IndexError):
                     queue.pop()
-        elif op == "cancel" and oracle:
-            index = cancel_choices % len(oracle)
-            cancel_choices = cancel_choices * 7 + 1
-            _, seq, _ = oracle.pop(index)
-            queue.cancel(seq)
-            popped.append(seq)  # dead either way
-        elif op == "cancel_dead":
-            live = {seq for _, seq, _ in oracle}
-            dead = next((seq for seq in popped if seq not in live), None)
-            target = dead if dead is not None else 10**9
-            with pytest.raises(ValueError):
-                queue.cancel(target)
         assert len(queue) == len(oracle)
         assert bool(queue) == bool(oracle)
     # Drain what is left: full FIFO-ordered agreement.
@@ -106,11 +90,11 @@ def _drive(make_queue, ops, cancel_choices):
 
 
 class TestQueuesAgainstSortedOracle:
-    @given(ops=_OPS, cancel_choices=st.integers(0, 2**20))
+    @given(ops=_OPS)
     @settings(max_examples=60)
-    def test_random_interleavings(self, ops, cancel_choices):
+    def test_random_interleavings(self, ops):
         for make_queue in _QUEUES:
-            _drive(make_queue, ops, cancel_choices)
+            _drive(make_queue, ops)
 
     def test_calendar_mode_is_actually_exercised(self):
         """Guard against the suite silently testing only heap mode."""
@@ -138,18 +122,6 @@ class TestQueuesAgainstSortedOracle:
             queue.push(2.5, index)
         assert queue.mode == "heap"
         assert [queue.pop()[2] for _ in range(100)] == list(range(100))
-
-    def test_cancel_validation_in_both_modes(self):
-        for kwargs in ({"calendar_threshold": 1, "bucket_width": 1.0}, {}):
-            queue = CalendarQueue(**kwargs)
-            first = queue.push(1.0, "a")
-            queue.push(2.0, "b")
-            queue.cancel(first)
-            with pytest.raises(ValueError):
-                queue.cancel(first)      # double cancel
-            assert queue.pop()[2] == "b"
-            with pytest.raises(ValueError):
-                queue.cancel(99)         # never issued
 
 
 # -- ReadyWorklist invariants ------------------------------------------------
@@ -185,35 +157,6 @@ class TestReadyWorklistInvariants:
         assert examined == sorted(set(seeds))
         assert list(worklist.pending()) == []
         assert not worklist
-
-    @given(
-        seeds=st.lists(st.integers(0, 15), min_size=2, max_size=30,
-                       unique=True),
-        stop_after=st.integers(0, 5),
-        extra=st.lists(st.integers(0, 15), max_size=5),
-    )
-    @settings(max_examples=60)
-    def test_suspend_keeps_every_unexamined_candidate(self, seeds,
-                                                      stop_after, extra):
-        """Mid-pass suspension (core budget exhausted): the suspended
-        position and everything not yet examined stay pending; the next
-        drain sees them merged with later seeds, in position order."""
-        worklist = ReadyWorklist(16)
-        for pos in seeds:
-            worklist.seed(pos)
-        ordered = sorted(set(seeds))
-        stop_index = min(stop_after, len(ordered) - 1)
-        assert worklist.begin_scan()
-        for expected in ordered[: stop_index + 1]:
-            assert worklist.pop() == expected
-        worklist.suspend(ordered[stop_index])
-        kept = ordered[stop_index:]
-        assert list(worklist.pending()) == kept
-        for pos in extra:
-            worklist.seed(pos)
-        expected_next = sorted(set(kept) | set(extra))
-        assert list(worklist.pending()) == expected_next
-        assert _drain_all(worklist) == expected_next
 
     def test_seed_during_pass_routes_by_cursor(self):
         """Ahead-of-cursor seeds join the current pass, behind-or-equal

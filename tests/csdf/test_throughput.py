@@ -1,14 +1,35 @@
-"""Tests for self-timed execution (latency & throughput)."""
+"""Tests for self-timed execution (latency & throughput), the capacity
+contract every execution entry point shares, and the buffer search."""
 
 import pytest
 
+from repro.analysis import probe_capacities
 from repro.csdf import (
+    BACKENDS,
     CSDFGraph,
+    capacity_floors,
     iteration_latency,
+    max_cycle_ratio,
+    min_buffers_for_full_throughput,
     self_timed_execution,
     throughput_vs_cores,
 )
 from repro.errors import DeadlockError
+from repro.sim import Simulator
+from repro.tpdf import random_consistent_graph
+
+#: The corpus grid of tests/sim/test_eventloop_differential.py.
+SHAPES = (
+    (3, 1, 0),
+    (4, 2, 1),
+    (5, 2, 0),
+    (5, 3, 2),
+    (6, 3, 1),
+    (6, 3, 2),
+    (7, 3, 0),
+    (8, 4, 2),
+)
+SEEDS_PER_SHAPE = 25  # 8 shapes x 25 seeds = 200 random graphs
 
 
 def pipeline(times=(1.0, 2.0, 1.0)) -> CSDFGraph:
@@ -354,3 +375,328 @@ class TestWarmStartedBufferSearch:
         long_free = self_timed_execution(graph, bindings, iterations=16)
         assert _steady_period(long_constrained) == pytest.approx(
             _steady_period(long_free), abs=1e-9)
+
+
+def _random_csdf(n: int, extra: int, cycles: int, seed: int) -> CSDFGraph:
+    return random_consistent_graph(
+        n, extra_edges=extra, n_cycles=cycles, seed=seed, with_control=False
+    ).as_csdf()
+
+
+def _two_actor_graph(initial=3, production=1):
+    g = CSDFGraph("pc")
+    g.add_actor("prod", exec_time=1.0)
+    g.add_actor("cons", exec_time=1.0)
+    g.add_channel("e", "prod", "cons", production, 1, initial_tokens=initial)
+    return g
+
+
+def _deadlock_key(exc):
+    return (str(exc), tuple(exc.blocked))
+
+
+class TestCapacityNameValidation:
+    """Satellite bugfix: a typo'd channel name in ``capacities`` used to
+    be silently dropped — the run then executed *unconstrained* on the
+    channel the caller thought was bounded.  Every entry point now
+    rejects unknown names with a ValueError naming the offenders."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_execution_cores(self, backend):
+        with pytest.raises(ValueError, match="typo"):
+            self_timed_execution(
+                _two_actor_graph(), iterations=2,
+                capacities={"typo": 4, "e": 4}, backend=backend,
+            )
+
+    def test_probe_capacities(self):
+        with pytest.raises(ValueError, match="typo"):
+            probe_capacities(_two_actor_graph(), [{"e": 4}, {"typo": 4}],
+                             iterations=2)
+
+    def test_buffer_search_pins(self):
+        with pytest.raises(ValueError, match="typo"):
+            min_buffers_for_full_throughput(
+                _two_actor_graph(), capacities={"typo": 4})
+
+    @pytest.mark.parametrize("ready_core", Simulator.READY_CORES)
+    def test_simulator(self, ready_core):
+        tpdf = random_consistent_graph(
+            4, extra_edges=1, n_cycles=0, seed=2, with_control=False
+        )
+        with pytest.raises(ValueError, match="typo"):
+            Simulator(tpdf, capacities={"typo": 4}, ready_core=ready_core)
+
+    def test_error_names_every_offender(self):
+        with pytest.raises(ValueError) as info:
+            self_timed_execution(
+                _two_actor_graph(), iterations=1,
+                capacities={"bad1": 1, "bad2": 1},
+            )
+        assert "bad1" in str(info.value) and "bad2" in str(info.value)
+
+
+class TestInitialTokensContract:
+    """Satellite bugfix: a capacity below a channel's initial tokens is
+    a documented up-front deadlock — never a silent over-capacity run —
+    and every entry point agrees bit for bit."""
+
+    def test_differential_across_backends(self):
+        g = _two_actor_graph(initial=3)
+        keys = set()
+        for backend in BACKENDS:
+            with pytest.raises(DeadlockError) as info:
+                self_timed_execution(
+                    g, iterations=2, capacities={"e": 2}, backend=backend
+                )
+            keys.add(_deadlock_key(info.value))
+        (outcome,) = probe_capacities(g, [{"e": 2}], iterations=2)
+        assert isinstance(outcome, DeadlockError)
+        keys.add(_deadlock_key(outcome))
+        assert len(keys) == 1, keys
+        ((message, blocked),) = keys
+        assert "initial tokens" in message and "e" in message
+        assert blocked  # deterministic scan-order blocked set
+
+    @pytest.mark.parametrize("ready_core", Simulator.READY_CORES)
+    def test_simulator_agrees(self, ready_core):
+        tpdf = random_consistent_graph(
+            4, extra_edges=1, n_cycles=1, seed=6, with_control=False
+        )
+        carrier = next(
+            (c for c in tpdf.channels.values() if c.initial_tokens > 0), None
+        )
+        assert carrier is not None
+        with pytest.raises(DeadlockError, match="initial tokens"):
+            Simulator(
+                tpdf, capacities={carrier.name: carrier.initial_tokens - 1},
+                ready_core=ready_core,
+            )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_capacity_at_initial_tokens_is_admitted(self, backend):
+        g = _two_actor_graph(initial=3)
+        result = self_timed_execution(g, iterations=2, capacities={"e": 3},
+                                      backend=backend)
+        assert result.peaks["e"] <= 3
+
+
+class TestProbeCapacities:
+    def test_equals_one_run_per_vector(self):
+        """Each outcome is what one ``self_timed_execution`` returns or
+        raises for its vector; TPDF graphs run as their CSDF view."""
+        tpdf = random_consistent_graph(
+            5, extra_edges=2, n_cycles=1, seed=3, with_control=False
+        )
+        graph = tpdf.as_csdf()
+        peaks = self_timed_execution(graph, iterations=3).peaks
+        vectors = [
+            None,
+            dict(peaks),
+            {name: max(1, peak - 1) for name, peak in peaks.items()},
+            {name: max(floor, 1)
+             for name, floor in capacity_floors(graph).items()},
+        ]
+        outcomes = probe_capacities(tpdf, vectors, iterations=3)
+        assert len(outcomes) == len(vectors)
+        for caps, outcome in zip(vectors, outcomes):
+            try:
+                expected = self_timed_execution(graph, iterations=3,
+                                                capacities=caps)
+            except DeadlockError as exc:
+                assert isinstance(outcome, DeadlockError)
+                assert _deadlock_key(outcome) == _deadlock_key(exc)
+            else:
+                assert outcome == expected
+
+
+class TestNegativeCapacity:
+    """Bugfix regression: the arrays core copied the caller's capacities
+    into a slot array pre-filled with its ``-1`` "unbounded" sentinel,
+    so a capacity of exactly -1 read as *no bound* and the run
+    succeeded, while the reference core rejected it.  The admission
+    check now runs once, on the name-keyed mapping, before any slot
+    mapping: -1 is below every channel's initial tokens everywhere."""
+
+    def test_executor_cores_agree(self):
+        g = _two_actor_graph(initial=0, production=2)
+        keys = set()
+        for backend in BACKENDS:
+            with pytest.raises(DeadlockError) as info:
+                self_timed_execution(g, iterations=2, capacities={"e": -1},
+                                     backend=backend)
+            keys.add(_deadlock_key(info.value))
+        assert keys == {("channel capacity below initial tokens: e",
+                         ("prod", "cons"))}
+
+    def test_probe_capacities_returns_the_deadlock(self):
+        g = _two_actor_graph(initial=0, production=2)
+        free, negative = probe_capacities(g, [None, {"e": -1}], iterations=2)
+        assert free.firings > 0
+        assert isinstance(negative, DeadlockError)
+        assert "initial tokens" in str(negative)
+
+    @pytest.mark.parametrize("ready_core", Simulator.READY_CORES)
+    def test_simulator_cores(self, ready_core):
+        tpdf = random_consistent_graph(
+            4, extra_edges=1, n_cycles=0, seed=2, with_control=False
+        )
+        name = next(iter(tpdf.channels))
+        with pytest.raises(DeadlockError, match="initial tokens"):
+            Simulator(tpdf, capacities={name: -1}, ready_core=ready_core)
+
+
+def _plain_greedy_search(graph, iterations):
+    """The greedy search with no capacity floors and no probe memo:
+    every probe executes.  The oracle the shipped search (which skips
+    provably-infeasible and repeated probes) must match exactly.
+    Returns ``(capacities, executed probes)``."""
+    from repro.csdf.throughput import (
+        _MIN_PROBE_ITERATIONS,
+        _steady_period,
+        _symbolic_warm_bounds,
+    )
+
+    iterations = max(iterations, _MIN_PROBE_ITERATIONS)
+    unconstrained = self_timed_execution(graph, iterations=iterations)
+    target = _steady_period(unconstrained)
+    mcr = max_cycle_ratio(graph, None)
+    if abs(target - mcr) <= 1e-6 * max(1.0, abs(mcr)):
+        target = mcr
+    slack = 1e-6 * max(1.0, abs(target))
+    capacities = dict(unconstrained.peaks)
+    probes = 0
+
+    def feasible(name, value):
+        nonlocal probes
+        probes += 1
+        try:
+            result = self_timed_execution(
+                graph, iterations=iterations,
+                capacities={**capacities, name: value})
+        except DeadlockError:
+            return False
+        return _steady_period(result) <= target + slack
+
+    warm_bounds = _symbolic_warm_bounds(graph, None)
+    for name in sorted(capacities):
+        lo, hi = 0, capacities[name]
+        warm = warm_bounds.get(name)
+        if warm is not None and warm < hi:
+            if feasible(name, warm):
+                hi = warm
+            else:
+                lo = warm + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if feasible(name, mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        capacities[name] = hi
+    return capacities, probes
+
+
+class TestBufferSearch:
+    """The shipped search discards below-floor probes and memoizes
+    verdicts; neither may change a single returned capacity."""
+
+    def _assert_matches_plain_search(self, graph):
+        stats: dict = {}
+        caps = min_buffers_for_full_throughput(graph, iterations=4,
+                                               stats=stats)
+        plain, plain_probes = _plain_greedy_search(graph, iterations=4)
+        assert caps == plain
+        # Every probe the plain search executes is either executed,
+        # floored or answered from the memo by the shipped one.
+        assert (stats["probes"] + stats["probes_floored"]
+                + stats["probes_memoized"]) == plain_probes
+        assert stats["probes"] <= plain_probes
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_plain_greedy_search(self, seed):
+        self._assert_matches_plain_search(_random_csdf(6, 3, 1, seed=seed))
+
+    def test_matches_plain_greedy_search_on_ext7_graph(self):
+        """The 40-actor graph of the EXT7 buffer-search bench."""
+        graph = random_consistent_graph(
+            40, extra_edges=20, n_cycles=2, seed=7, with_control=False,
+        ).as_csdf()
+        self._assert_matches_plain_search(graph)
+
+    def test_pinned_channels_kept_and_others_minimized(self):
+        graph = _random_csdf(6, 3, 1, seed=2)
+        base = min_buffers_for_full_throughput(graph, iterations=4)
+        name = sorted(base)[0]
+        # Pinning at the search's own minimum must reproduce the
+        # unpinned sizing exactly (same prefix on every probe).
+        pinned = min_buffers_for_full_throughput(
+            graph, iterations=4, capacities={name: base[name]}
+        )
+        assert pinned == base
+        # The returned sizing is verified feasible under the pins.
+        result = self_timed_execution(graph, iterations=4, capacities=pinned)
+        assert result.peaks[name] <= base[name]
+
+    def test_below_floor_pins_rejected(self):
+        g = _two_actor_graph(initial=0)
+        # Capacity 0 on the only channel: the producer can never write.
+        with pytest.raises(ValueError, match="floor"):
+            min_buffers_for_full_throughput(g, capacities={"e": 0})
+
+    def test_pin_below_initial_tokens_is_deadlock(self):
+        g = _two_actor_graph(initial=3)
+        with pytest.raises(DeadlockError, match="initial tokens"):
+            min_buffers_for_full_throughput(g, capacities={"e": 2})
+
+
+class TestCapacityFloorSoundness:
+    """The search may skip below-floor probes only because they are
+    provably infeasible: over the 200-graph corpus, every channel
+    bounded at ``floor - 1`` (all others unbounded) deadlocks on both
+    cores."""
+
+    @pytest.mark.parametrize(
+        "shape", SHAPES, ids=lambda s: f"n{s[0]}e{s[1]}c{s[2]}"
+    )
+    def test_floor_minus_one_deadlocks(self, shape):
+        n, extra, cycles = shape
+        channels = 0
+        for seed in range(SEEDS_PER_SHAPE):
+            graph = _random_csdf(n, extra, cycles, seed)
+            for name, floor in capacity_floors(graph).items():
+                channels += 1
+                for backend in BACKENDS:
+                    with pytest.raises(DeadlockError):
+                        self_timed_execution(
+                            graph, iterations=2,
+                            capacities={name: floor - 1}, backend=backend,
+                        )
+        assert channels >= SEEDS_PER_SHAPE * (n - 1)
+
+
+class TestAnalyzeBackendOption:
+    """Bugfix regression: ``analyze`` used to check ``backend`` only
+    when its throughput stage ran, so an unknown core name returned a
+    clean report whenever the stage was disabled or skipped."""
+
+    @pytest.mark.parametrize("backend", ("bogus", "wakeup"))
+    def test_rejected_when_throughput_disabled(self, fig1, backend):
+        from repro.analysis import analyze
+
+        with pytest.raises(ValueError, match="backend must be one of"):
+            analyze(fig1, backend=backend, with_throughput=False)
+
+    def test_rejected_when_throughput_skipped(self):
+        from repro.analysis import analyze
+        from repro.tpdf import fig2_graph
+
+        # ``p`` unbound: the throughput stage is skipped as parametric.
+        with pytest.raises(ValueError, match="backend must be one of"):
+            analyze(fig2_graph(), backend="bogus")
+
+    def test_oracle_core_gives_the_same_report(self, fig1):
+        from repro.analysis import analyze
+
+        assert (analyze(fig1, backend="reference").fingerprint()
+                == analyze(fig1).fingerprint())

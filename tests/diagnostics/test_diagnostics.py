@@ -237,18 +237,3 @@ class TestTPDFPasses:
         view = GraphView(g)
         assert not view.is_tpdf
         assert view.channels[0].src_label == "a"
-
-
-class TestLegacyFacade:
-    def test_lint_still_returns_legacy_codes(self):
-        from repro.tpdf.lint import lint
-
-        g = TPDFGraph()
-        a = g.add_kernel("a")
-        a.add_output("o", 1)
-        a.add_output("dangling", 1)
-        b = g.add_kernel("b")
-        b.add_input("i", 1)
-        g.connect("a.o", "b.i")
-        codes = {w.code for w in lint(g)}
-        assert codes == {"dangling-port"}

@@ -67,7 +67,7 @@ class TestAnalyzeParity:
         for options in (
             {"with_throughput": False},
             {"with_buffers": False, "with_mcr": False},
-            {"iterations": 6, "backend": "wakeup"},
+            {"iterations": 6, "backend": "reference"},
         ):
             got = client.analyze(graph, **options)
             want = analyze(graph, **options)
@@ -110,6 +110,41 @@ class TestErrorSurfaces:
             client.analyze(graph, {"p": [1, 2]})
         assert "p" in str(served.value)
         assert type(served.value) is type(direct.value)
+
+    @pytest.mark.parametrize("options", (
+        {"backend": "wakeup"},
+        {"backend": "wakeup", "with_throughput": False},
+    ))
+    def test_unknown_backend_is_valueerror_both_ways(self, client, options):
+        """``backend`` is validated before any stage runs, so a retired
+        core name is rejected even when the throughput stage would be
+        skipped."""
+        graph = small_csdf(seed=9)
+        with pytest.raises(ValueError, match="backend must be one of") \
+                as direct:
+            analyze(graph, **options)
+        with pytest.raises(ValueError) as served:
+            client.analyze(graph, **options)
+        assert str(served.value) == str(direct.value)
+
+    def test_unknown_backend_is_http_400(self, client):
+        import http.client
+        import json
+
+        from repro.io import graph_to_payload
+
+        body = {"graph": graph_to_payload(small_csdf(seed=9)),
+                "options": {"backend": "wakeup"}}
+        conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
+        try:
+            conn.request("POST", "/analyze", body=json.dumps(body),
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            data = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert data["error"]["type"] == "ValueError"
 
     def test_malformed_payload_is_graph_construction_error(self, client):
         with pytest.raises(GraphConstructionError):

@@ -105,7 +105,7 @@ class TestBackPressure:
             )
             for core in Simulator.READY_CORES
         }
-        assert keys["arrays"] == keys["wakeup"] == keys["reference"]
+        assert keys["arrays"] == keys["reference"]
 
     @pytest.mark.parametrize("seed", (3, 7))
     def test_control_graphs_respect_bounds(self, seed):

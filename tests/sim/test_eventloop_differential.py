@@ -1,15 +1,14 @@
 """Differential harness for the event-loop cores.
 
-The timed CSDF executor ships **three** backends —
-``self_timed_execution(backend="arrays"|"wakeup"|"reference")``: the
-struct-of-arrays core of :mod:`repro.csdf.statearrays`, the wakeup
-worklist core of :mod:`repro.csdf.eventloop`, and the legacy
+The timed CSDF executor ships **two** backends —
+``self_timed_execution(backend="arrays"|"reference")``: the
+struct-of-arrays core of :mod:`repro.csdf.statearrays` and the legacy
 full-rescan loop retained as the oracle (the ``mcr_reference``
 pattern).  The value-carrying TPDF simulator mirrors the selection as
-``Simulator(..., ready_core=...)`` (its ``"arrays"`` core swaps in the
-calendar-queue scheduler).
+``Simulator(..., ready_core=...)`` (its ``"arrays"`` core is the
+schedule-plane / value-plane split of :mod:`repro.sim.schedplane`).
 
-Equality is **bit for bit** across all three: every float time, every
+Equality is **bit for bit** across both: every float time, every
 firing order decision (the scan-order tie-break governs sequence
 numbers and therefore simultaneous-event ordering), every peak, every
 discard, every deadlock blocked-set.  The corpus covers 200 seeded
@@ -23,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.csdf import (
+    BACKENDS,
     CSDFGraph,
     self_timed_execution,
     self_timed_execution_reference,
@@ -60,10 +60,6 @@ def _random_csdf(n: int, extra: int, cycles: int, seed: int) -> CSDFGraph:
     ).as_csdf()
 
 
-#: The three-way backend surface under test.
-EXECUTOR_BACKENDS = ("arrays", "wakeup", "reference")
-
-
 def _result_key(graph, **kwargs):
     """Exact observable outcome of one executor run: either the full
     TimedResult contents or the deadlock blocked-set."""
@@ -82,7 +78,7 @@ def _result_key(graph, **kwargs):
 
 
 def _assert_parity(graph, **kwargs):
-    """All three backends produce the identical result key."""
+    """Both backends produce the identical result key."""
     keys = {
         backend: _result_key(
             graph,
@@ -91,9 +87,9 @@ def _assert_parity(graph, **kwargs):
             ),
             **kwargs,
         )
-        for backend in EXECUTOR_BACKENDS
+        for backend in BACKENDS
     }
-    assert keys["arrays"] == keys["wakeup"] == keys["reference"]
+    assert keys["arrays"] == keys["reference"]
 
 
 def _tight_capacities(graph, iterations):
@@ -146,7 +142,7 @@ class TestTimedExecutorParity:
         undersized.add_actor("a")
         undersized.add_actor("b")
         undersized.add_channel("e", "a", "b", 3, 3)
-        for backend in EXECUTOR_BACKENDS:
+        for backend in BACKENDS:
             with pytest.raises(DeadlockError) as exc:
                 self_timed_execution(
                     undersized, capacities={"e": 2}, backend=backend)
@@ -191,24 +187,22 @@ class TestTimedExecutorParity:
         _assert_parity(graph, iterations=3, cores=cores, capacities=capacities)
 
     def test_ready_visit_hierarchy(self):
-        """The point of the refactors: the wakeup core examines far
-        fewer actors than the full rescan (>= 2x on the corpus
-        shapes), and the array-state core — which only ever queues
-        actors that *became* startable — examines no more than the
-        wakeup core, all while producing identical results."""
-        totals = {backend: 0 for backend in EXECUTOR_BACKENDS}
-        events = {backend: 0 for backend in EXECUTOR_BACKENDS}
+        """The point of the array-state core: it only ever queues actors
+        that *became* startable, so it examines far fewer actors than
+        the full rescan (>= 2x on the corpus shapes), all while
+        producing identical results."""
+        totals = {backend: 0 for backend in BACKENDS}
+        events = {backend: 0 for backend in BACKENDS}
         for seed in range(10):
             graph = _random_csdf(8, 4, 2, seed)
-            for backend in EXECUTOR_BACKENDS:
+            for backend in BACKENDS:
                 stats = {}
                 self_timed_execution(
                     graph, iterations=4, stats=stats, backend=backend)
                 totals[backend] += stats["ready_visits"]
                 events[backend] += stats["events"]
-        assert events["arrays"] == events["wakeup"] == events["reference"]
-        assert totals["wakeup"] * 2 <= totals["reference"]
-        assert totals["arrays"] <= totals["wakeup"]
+        assert events["arrays"] == events["reference"]
+        assert totals["arrays"] * 2 <= totals["reference"]
 
 
 def _sim_fingerprint(graph, ready_core, cores=None, limits=None, until=None,
@@ -221,14 +215,13 @@ def _sim_fingerprint(graph, ready_core, cores=None, limits=None, until=None,
 
 def _assert_sim_parity(graph, **kwargs):
     arrays = _sim_fingerprint(graph, "arrays", **kwargs)
-    new = _sim_fingerprint(graph, "wakeup", **kwargs)
     ref = _sim_fingerprint(graph, "reference", **kwargs)
-    assert arrays == new == ref
+    assert arrays == ref
 
 
 class TestSimulatorParity:
     """Trace fingerprints (firing order, times, modes, discards, peaks)
-    match bit for bit between the wakeup and reference ready checks."""
+    match bit for bit between the arrays and reference ready checks."""
 
     @pytest.mark.parametrize("with_control", (False, True),
                              ids=("plain", "controlled"))
@@ -250,16 +243,15 @@ class TestSimulatorParity:
 
     def test_mode_machinery(self):
         """Selections, rejections (discard debts) and priorities flow
-        through the wakeup and arrays cores unchanged."""
+        through the arrays core unchanged."""
         for decision in (
             lambda n, inputs: select_one("from_left"),
             lambda n, inputs: ControlToken(Mode.WAIT_ALL),
             lambda n, inputs: ControlToken(Mode.HIGHEST_PRIORITY),
         ):
             arrays = _controlled_fingerprint(decision, "arrays")
-            new = _controlled_fingerprint(decision, "wakeup")
             ref = _controlled_fingerprint(decision, "reference")
-            assert arrays == new == ref
+            assert arrays == ref
 
     def test_clock_driven_graph(self):
         from repro.tpdf import TPDFGraph, clock
@@ -279,10 +271,9 @@ class TestSimulatorParity:
         fingerprints = {
             core: _sim_fingerprint(build(), core, limits={"src": 5},
                                    until=20.0)
-            for core in ("arrays", "wakeup", "reference")
+            for core in Simulator.READY_CORES
         }
-        assert (fingerprints["arrays"] == fingerprints["wakeup"]
-                == fingerprints["reference"])
+        assert fingerprints["arrays"] == fingerprints["reference"]
 
     def test_visit_reduction_on_wide_graph(self):
         graph = random_consistent_graph(
@@ -290,21 +281,19 @@ class TestSimulatorParity:
         )
         source = next(iter(graph.kernels))
         sims = {}
-        for core in ("arrays", "wakeup", "reference"):
+        for core in Simulator.READY_CORES:
             sim = Simulator(graph, ready_core=core)
             sim.run(limits={source: 6}, max_firings=50_000)
             sims[core] = sim
         assert (sims["arrays"].ready_stats["events"]
-                == sims["wakeup"].ready_stats["events"]
                 == sims["reference"].ready_stats["events"])
-        assert (sims["wakeup"].ready_stats["visits"] * 2
+        assert (sims["arrays"].ready_stats["visits"] * 2
                 <= sims["reference"].ready_stats["visits"])
-        assert (sims["arrays"].ready_stats["visits"]
-                == sims["wakeup"].ready_stats["visits"])
 
-    def test_invalid_ready_core_rejected(self, fig2):
-        with pytest.raises(ValueError):
-            Simulator(fig2, ready_core="bogus")
+    @pytest.mark.parametrize("core", ("bogus", "wakeup"))
+    def test_invalid_ready_core_rejected(self, fig2, core):
+        with pytest.raises(ValueError, match="ready_core must be one of"):
+            Simulator(fig2, ready_core=core)
 
 
 def _sim_result_key(graph, ready_core, cores, limits, capacities=None,
@@ -334,8 +323,8 @@ def _sim_tight_capacities(graph, limits):
 
 class TestSimulatorCorpusParity:
     """The schedule/value-plane split (``ready_core="arrays"``, the
-    default) is pinned bit for bit against the wakeup core and the
-    legacy reference oracle over the 200-graph corpus x core budgets
+    default) is pinned bit for bit against the legacy reference oracle
+    over the 200-graph corpus x core budgets
     {None, 1, 2, 8} x capacity constraints on/off — the acceptance bar
     of the plane refactor.  Control machinery rides along on odd
     seeds (control actor + controlled sink per graph)."""
@@ -359,9 +348,9 @@ class TestSimulatorCorpusParity:
                 keys = {
                     core: _sim_result_key(graph, core, cores, limits,
                                           capacities)
-                    for core in ("arrays", "wakeup", "reference")
+                    for core in Simulator.READY_CORES
                 }
-                assert keys["arrays"] == keys["wakeup"] == keys["reference"], (
+                assert keys["arrays"] == keys["reference"], (
                     f"shape={shape} seed={seed} cores={cores} "
                     f"constrained={constrained}"
                 )

@@ -21,7 +21,7 @@ from repro.sim import INITIAL_TOKEN, InitialToken, Simulator
 from repro.sim import schedplane
 from repro.tpdf import TPDFGraph
 
-READY_CORES = ("arrays", "wakeup", "reference")
+READY_CORES = Simulator.READY_CORES
 
 
 def _forwarding_graph(collected):
@@ -81,8 +81,7 @@ class TestInitialTokenSentinel:
 class TestStatsReportsPlane:
 
     #: Each READY_CORES entry and the engine that actually executes it.
-    EXPECTED_PLANE = {"arrays": "arrays", "wakeup": "python",
-                      "reference": "python"}
+    EXPECTED_PLANE = {"arrays": "arrays", "reference": "python"}
 
     def test_ready_cores_table_is_exhaustive(self):
         assert set(Simulator.READY_CORES) == set(self.EXPECTED_PLANE)
@@ -159,7 +158,7 @@ class TestTimeFnUnderConstraints:
             if capacities:
                 for name, cap in capacities.items():
                     assert sim.trace.peaks[name] <= cap
-        assert prints["arrays"] == prints["wakeup"] == prints["reference"]
+        assert prints["arrays"] == prints["reference"]
 
     @pytest.mark.parametrize("ready_core", READY_CORES)
     def test_time_fn_reservation_released_when_blocker(self, ready_core):

@@ -287,6 +287,24 @@ class TestThroughput:
         else:  # fig1 happens to run under unit capacities
             assert "steady period" in out
 
+    @pytest.mark.parametrize("backend", ("arrays", "reference"))
+    def test_negative_capacity_is_deadlock(self, tmp_path, capsys, backend):
+        """Bugfix regression: ``--cap e=-1`` read as "unbounded" on the
+        arrays core (it printed a period and exited 0)."""
+        from repro.csdf import CSDFGraph
+
+        g = CSDFGraph("pair")
+        g.add_actor("a", exec_time=1)
+        g.add_actor("b", exec_time=1)
+        g.add_channel("e", "a", "b", 2, 1)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(csdf_to_dict(g)))
+        code = main(["throughput", str(path), "--cap", "e=-1",
+                     "--backend", backend])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "channel capacity below initial tokens: e" in out
+
     def test_probe_caps_batch(self, fig1_json, fig1, tmp_path, capsys):
         loose = {name: 64 for name in fig1.channels}
         tight = {name: 1 for name in fig1.channels}
@@ -361,20 +379,31 @@ class TestSimulate:
 
 
 class TestBufferSearch:
-    def test_search_and_batched_agree(self, fig1_json, capsys):
+    def test_search_matches_library(self, fig1_json, fig1, capsys):
+        from repro.csdf import min_buffers_for_full_throughput
+
         assert main(["buffers", fig1_json, "--search"]) == 0
-        sequential = capsys.readouterr().out
-        assert main(["buffers", fig1_json, "--search", "--batched"]) == 0
-        batched = capsys.readouterr().out
-        # Identical capacities and totals; only the probe accounting
-        # line may differ.
-        strip = lambda text: [line for line in text.splitlines()
-                              if not line.startswith("probes executed")]
-        assert strip(sequential) == strip(batched)
-        assert "batch rounds:" in batched
+        out = capsys.readouterr().out
+        caps = min_buffers_for_full_throughput(fig1, iterations=6)
+        for name, value in caps.items():
+            assert f"  {name}: {value}" in out
+        assert f"total: {sum(caps.values())}" in out
+        assert "probes executed:" in out
 
 
 class TestErrors:
+    @pytest.mark.parametrize("command, flag", (
+        ("analyze", "--backend"),
+        ("throughput", "--backend"),
+        ("simulate", "--ready-core"),
+    ))
+    def test_retired_core_name_rejected(self, fig2_json, command, flag,
+                                        capsys):
+        """The core choices are ``BACKENDS``: ``wakeup`` is gone."""
+        with pytest.raises(SystemExit):
+            main([command, fig2_json, flag, "wakeup"])
+        assert "invalid choice: 'wakeup'" in capsys.readouterr().err
+
     def test_unknown_model(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"model": "???"}')

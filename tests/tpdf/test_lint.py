@@ -1,23 +1,22 @@
-"""Tests for the structural lint pass."""
+"""Tests for the structural checks of the diagnostics engine on TPDF
+graphs (catalog codes of :mod:`repro.diagnostics`)."""
 
-import pytest
-
-from repro.tpdf import TPDFGraph, assert_clean, clock, fig2_graph, lint
+from repro.diagnostics import run_diagnostics
+from repro.tpdf import TPDFGraph, clock, fig2_graph
 
 
 def codes(graph) -> set[str]:
-    return {warning.code for warning in lint(graph)}
+    return {finding.code for finding in run_diagnostics(graph)}
 
 
 class TestCleanGraphs:
     def test_fig2_clean(self):
-        assert lint(fig2_graph()) == []
-        assert_clean(fig2_graph())
+        assert run_diagnostics(fig2_graph()) == []
 
     def test_apps_clean(self):
         from repro.apps.ofdm import build_ofdm_tpdf
 
-        assert lint(build_ofdm_tpdf()) == []
+        assert run_diagnostics(build_ofdm_tpdf()) == []
 
 
 class TestWarnings:
@@ -25,7 +24,8 @@ class TestWarnings:
         g = TPDFGraph()
         k = g.add_kernel("k")
         k.add_output("never_used", 1)
-        assert "dangling-port" in codes(g)
+        findings = {(f.code, f.subject) for f in run_diagnostics(g)}
+        assert ("STRUCT001", "k.never_used") in findings
 
     def test_unfed_control_port(self):
         g = TPDFGraph()
@@ -35,7 +35,7 @@ class TestWarnings:
         k.add_input("in", 1)
         k.add_control_port("ctrl", 1)
         g.connect("src.out", "k.in")
-        assert "unfed-control-port" in codes(g)
+        assert "CTRL001" in codes(g)
 
     def test_ineffective_control(self):
         g = TPDFGraph()
@@ -44,7 +44,7 @@ class TestWarnings:
         c = g.add_control_actor("c")
         c.add_input("in", 1)
         g.connect("src.sig", "c.in")
-        assert "ineffective-control" in codes(g)
+        assert "CTRL003" in codes(g)
 
     def test_unreachable_actor(self):
         g = TPDFGraph()
@@ -62,7 +62,7 @@ class TestWarnings:
         y.add_input("i", 1)
         g.connect("x.o", "y.i", initial_tokens=1)
         g.connect("y.o", "x.i", initial_tokens=1)
-        assert "unreachable" in codes(g)
+        assert "STRUCT002" in codes(g)
 
     def test_zero_rate_port(self):
         g = TPDFGraph()
@@ -71,7 +71,7 @@ class TestWarnings:
         b = g.add_kernel("b")
         b.add_input("i", 1)
         g.connect("a.o", "b.i")
-        assert "zero-rate-port" in codes(g)
+        assert "STRUCT004" in codes(g)
 
     def test_undeclared_parameter(self):
         from repro.symbolic import Param
@@ -82,7 +82,7 @@ class TestWarnings:
         b = g.add_kernel("b")
         b.add_input("i", 1)
         g.connect("a.o", "b.i")
-        assert "undeclared-parameter" in codes(g)
+        assert "BIND001" in codes(g)
 
     def test_clock_in_cycle(self):
         g = TPDFGraph()
@@ -93,12 +93,5 @@ class TestWarnings:
         k.add_output("out", 1)
         g.connect("ck.tick", "k.ctrl")
         g.connect("k.out", "ck.feedback", initial_tokens=1)
-        assert "clock-in-cycle" in codes(g)
+        assert "STRUCT003" in codes(g)
 
-    def test_assert_clean_raises(self):
-        g = TPDFGraph()
-        k = g.add_kernel("k")
-        k.add_output("never", 1)
-        with pytest.raises(ValueError) as excinfo:
-            assert_clean(g)
-        assert "dangling-port" in str(excinfo.value)
