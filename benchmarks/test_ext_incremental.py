@@ -26,6 +26,10 @@ bit-for-bit identical.  Edit classes:
 * ``rate``      — balanced rate scaling (structural: the repetition
   vector and expansion change, closest to a cold run).
 
+Cold-only rows at 160 and 320 actors time a plain ``analyze()`` of a
+fresh clone (best of 3, every clone's fingerprint equal): the scale
+bar of cold analysis, with no warm leg to compare.
+
 Rows are recorded to ``ext8_incremental.{txt,csv}`` and, through the
 conftest, the machine-readable ``BENCH_eventloop.json``.
 """
@@ -41,6 +45,9 @@ from repro.tpdf import random_consistent_graph
 from repro.util import ascii_table, write_csv
 
 SIZES = (20, 40, 80)
+#: Sizes of the cold-only rows, timed best of COLD_ROUNDS.
+COLD_SIZES = (160, 320)
+COLD_ROUNDS = 3
 ITERATIONS = 3
 TIMING_ROUNDS = 5
 #: Warm floor asserted for out-of-core binding edits at 80 actors.
@@ -168,6 +175,23 @@ def test_ext8_incremental_reanalysis(report, record_bench):
                 edit_class, n_actors,
                 f"{warm_ms:.3f}", f"{cold_ms:.3f}", f"{speedup:.3f}",
             ])
+
+    for n_actors in COLD_SIZES:
+        graph = _edit_graph(n_actors)
+        cold_best = float("inf")
+        fingerprints = set()
+        for _ in range(COLD_ROUNDS):
+            clone = csdf_from_dict(csdf_to_dict(graph))
+            start = time.perf_counter()
+            cold = analyze(clone, None, iterations=ITERATIONS)
+            cold_best = min(cold_best, time.perf_counter() - start)
+            fingerprints.add(cold.fingerprint())
+        assert len(fingerprints) == 1, f"cold runs diverge at {n_actors} actors"
+        cold_ms = cold_best * 1000.0
+        record_bench(f"ext8_cold_n{n_actors}", actors=n_actors,
+                     backend="cold", wall_ms=cold_ms, ready_visits=0)
+        table_rows.append(["cold only", n_actors, f"- / {cold_ms:.2f}", "-"])
+        csv_rows.append(["cold_only", n_actors, "", f"{cold_ms:.3f}", ""])
 
     table = ascii_table(
         ["edit class", "actors", "wall ms (warm/cold)", "speedup"],

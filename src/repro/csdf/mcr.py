@@ -272,17 +272,18 @@ def _scc_components(nodes, struct_edges):
     members: dict[int, list[int]] = {}
     for u in range(n):
         members.setdefault(comp[u], []).append(u)
+    # One pass buckets the intra-component edges, in global edge order.
+    inner: dict[int, list] = {}
+    for e in struct_edges:
+        c = comp[idx[e[0]]]
+        if c == comp[idx[e[1]]]:
+            inner.setdefault(c, []).append(e)
     cyclic: list[tuple] = []
-    for group in members.values():
+    for c, group in members.items():
         if len(group) == 1 and not has_self[group[0]]:
             continue
-        in_comp = set(group)
         comp_nodes = tuple(nodes[u] for u in sorted(group))
-        comp_edges = tuple(
-            e for e in struct_edges
-            if idx[e[0]] in in_comp and idx[e[1]] in in_comp
-        )
-        cyclic.append((comp_nodes, comp_edges))
+        cyclic.append((comp_nodes, tuple(inner.get(c, ()))))
     cyclic.sort(key=lambda item: item[0])
     return cyclic
 

@@ -6,21 +6,80 @@ construction (:mod:`repro.csdf.schedule`), buffer sizing
 (:mod:`repro.csdf.buffers`) and the liveness analysis of TPDF
 (:mod:`repro.tpdf.liveness`).  Timed, data-carrying execution lives in
 :mod:`repro.sim`.
+
+The integer rates come from :func:`rate_table`: every channel's phase
+tuples evaluated once per (graph version, bindings) and memoized, so a
+:class:`TokenState` build only copies the initial tokens.  The array
+templates of :mod:`repro.csdf.statearrays` read the same table.  It
+needs no repetition vector (``validate_schedule`` replays schedules on
+graphs of any consistency), and it is carried across execution-time
+edits, which cannot move a rate.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from ..cache import bindings_key, cached, register_binding_insensitive
 from ..errors import SimulationError
 from .graph import CSDFGraph
+
+# Rates, topology and the valuation fix the table; execution times
+# never enter it.
+register_binding_insensitive("rate_table")
+
+
+class RateTable:
+    """Integer phase tables and adjacency of one (graph, bindings) pair.
+
+    Shared, read-only: every :class:`TokenState` and array template of
+    the graph version reads the same instance.
+
+    Attributes
+    ----------
+    production, consumption:
+        Channel name -> integer phase tuple (``as_ints`` under the
+        bindings).
+    inputs, outputs:
+        Actor name -> the channel names it consumes from / produces on,
+        in channel order.
+    consumers:
+        Actor name -> the distinct other actors its output channels
+        feed, in channel order: the actors one of its firings can make
+        fireable.
+    """
+
+    __slots__ = ("production", "consumption", "inputs", "outputs", "consumers")
+
+    def __init__(self, graph: CSDFGraph, bindings: Mapping | None):
+        self.production: dict[str, tuple[int, ...]] = {}
+        self.consumption: dict[str, tuple[int, ...]] = {}
+        inputs: dict[str, list[str]] = {name: [] for name in graph.actors}
+        outputs: dict[str, list[str]] = {name: [] for name in graph.actors}
+        consumers: dict[str, dict[str, None]] = {name: {} for name in graph.actors}
+        for channel in graph.channels.values():
+            self.production[channel.name] = channel.production.as_ints(bindings)
+            self.consumption[channel.name] = channel.consumption.as_ints(bindings)
+            outputs[channel.src].append(channel.name)
+            inputs[channel.dst].append(channel.name)
+            if channel.dst != channel.src:
+                consumers[channel.src][channel.dst] = None
+        self.inputs = {name: tuple(names) for name, names in inputs.items()}
+        self.outputs = {name: tuple(names) for name, names in outputs.items()}
+        self.consumers = {name: tuple(names) for name, names in consumers.items()}
+
+
+def rate_table(graph: CSDFGraph, bindings: Mapping | None = None) -> RateTable:
+    """The memoized :class:`RateTable` of ``graph`` under ``bindings``."""
+    return cached(graph, ("rate_table", bindings_key(bindings)),
+                  lambda: RateTable(graph, bindings))
 
 
 class TokenState:
     """Mutable token-count state of a (bound) CSDF graph.
 
-    Parameters are evaluated once at construction, so stepping is pure
-    integer arithmetic.
+    The rates come from the graph's memoized :func:`rate_table`, so
+    stepping is pure integer arithmetic.
 
     Attributes
     ----------
@@ -36,20 +95,16 @@ class TokenState:
     __slots__ = ("graph", "tokens", "fired", "peak", "_prod", "_cons", "_in", "_out")
 
     def __init__(self, graph: CSDFGraph, bindings: Mapping | None = None):
+        table = rate_table(graph, bindings)
         self.graph = graph
-        self.tokens: dict[str, int] = {}
-        self.peak: dict[str, int] = {}
-        self._prod: dict[str, tuple[int, ...]] = {}
-        self._cons: dict[str, tuple[int, ...]] = {}
-        self._in: dict[str, list[str]] = {name: [] for name in graph.actors}
-        self._out: dict[str, list[str]] = {name: [] for name in graph.actors}
-        for channel in graph.channels.values():
-            self.tokens[channel.name] = channel.initial_tokens
-            self.peak[channel.name] = channel.initial_tokens
-            self._prod[channel.name] = channel.production.as_ints(bindings)
-            self._cons[channel.name] = channel.consumption.as_ints(bindings)
-            self._out[channel.src].append(channel.name)
-            self._in[channel.dst].append(channel.name)
+        self.tokens: dict[str, int] = {
+            name: channel.initial_tokens for name, channel in graph.channels.items()
+        }
+        self.peak: dict[str, int] = dict(self.tokens)
+        self._prod = table.production
+        self._cons = table.consumption
+        self._in = table.inputs
+        self._out = table.outputs
         self.fired: dict[str, int] = {name: 0 for name in graph.actors}
 
     # -- firing rules -----------------------------------------------------
@@ -62,6 +117,19 @@ class TokenState:
         """Tokens the next firing of ``actor`` produces on ``channel``."""
         phases = self._prod[channel]
         return phases[self.fired[actor] % len(phases)]
+
+    def net_change(self, actor: str) -> int:
+        """Tokens the next firing of ``actor`` adds to the total fill:
+        its production minus its consumption, self-loops netted."""
+        fired = self.fired[actor]
+        change = 0
+        for channel in self._out[actor]:
+            phases = self._prod[channel]
+            change += phases[fired % len(phases)]
+        for channel in self._in[actor]:
+            phases = self._cons[channel]
+            change -= phases[fired % len(phases)]
+        return change
 
     def can_fire(self, actor: str) -> bool:
         """CSDF firing rule: every input channel holds enough tokens."""

@@ -14,7 +14,9 @@ removes all three costs:
     per (graph version, bindings)** and memoized through
     :mod:`repro.cache`.  A probe run clones a few flat arrays instead
     of re-deriving rates — the setup cost that used to be ~20% of a
-    run drops to array copies.
+    run drops to array copies.  The integer phases themselves come
+    from :func:`repro.csdf.simulation.rate_table`, the memoized table
+    the untimed token loops read too.
 
 :func:`ArrayState.ready_mask`
     The vectorized ready check: the firing rule for **all** actors is
@@ -68,6 +70,7 @@ from ..errors import DeadlockError
 from .analysis import concrete_repetition_vector
 from .calqueue import CalendarQueue
 from .graph import CSDFGraph
+from .simulation import rate_table
 
 __all__ = ["ArrayState", "array_state", "sim_array_state",
            "self_timed_execution_arrays"]
@@ -148,8 +151,9 @@ class ArrayState:
                                    dtype=np.int64)
         self.self_loop = self.chan_src == self.chan_dst
 
-        cons = [c.consumption.as_ints(bindings) for c in channels]
-        prod = [c.production.as_ints(bindings) for c in channels]
+        table = rate_table(graph, bindings)
+        cons = [table.consumption[c.name] for c in channels]
+        prod = [table.production[c.name] for c in channels]
         self.cons_base, self.cons_len, self.cons_flat = _csr_phases(cons)
         self.prod_base, self.prod_len, self.prod_flat = _csr_phases(prod)
         self.cons0 = np.asarray([p[0] for p in cons] or [], dtype=np.int64)

@@ -15,6 +15,8 @@ Public API
     Reduced quotients of polynomials.
 :func:`poly_gcd`, :func:`poly_lcm`, :func:`poly_gcd_many`, :func:`poly_lcm_many`
     (Limited, sound) gcd/lcm used to normalize repetition vectors.
+:func:`monomial_gcd`
+    The exact gcd of monomials given as coefficient/exponent pairs.
 :func:`solve_balance`
     Symbolic balance-equation solver (Theorem 1 of the paper).
 """
@@ -24,6 +26,7 @@ from .poly import (
     ONE,
     ZERO,
     Poly,
+    monomial_gcd,
     poly_gcd,
     poly_gcd_many,
     poly_lcm,
@@ -49,6 +52,7 @@ __all__ = [
     "poly_lcm",
     "poly_gcd_many",
     "poly_lcm_many",
+    "monomial_gcd",
     "solve_balance",
     "consistency_conditions",
     "BalanceEdge",

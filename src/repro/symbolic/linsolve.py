@@ -15,21 +15,26 @@ exactly the procedure sketched in Sec. III-A ("arbitrarily set one of
 the solutions to 1 and recursively find other solutions ... finally, we
 normalize the solutions to integers").
 
-Integer and symbolic paths
---------------------------
+Monomial and symbolic paths
+---------------------------
 :func:`solve_balance` picks its arithmetic from the input.  When every
-per-cycle rate is a constant — every parameter-free graph — the
-propagation runs on :class:`fractions.Fraction` values and each
-component is normalized with :func:`math.lcm` / :func:`math.gcd`: the
-classic integer method of Lee & Messerschmitt (1987).  Otherwise it
-runs on :class:`~repro.symbolic.rational.Rat` rational functions and
+per-cycle rate is a monomial ``c * prod(p_i ** e_i)`` — every
+parameter-free graph, and parametric graphs whose rates are products
+of parameters such as Fig. 2 — each solution component is one monomial
+too.  The propagation then carries ``(Fraction, exponent vector)``
+pairs, checks every edge by multiplying pairs, and normalizes each
+component in two steps: subtract each parameter's minimum exponent,
+then apply the integer lcm/gcd, the classic method of Lee &
+Messerschmitt (1987).  A constant system is the zero-exponent case and
+never touches an exponent.  Any other system (a sum such as the OFDM
+source's ``L*beta + N*beta``) runs on
+:class:`~repro.symbolic.rational.Rat` rational functions and
 normalizes with the polynomial gcd/lcm.  Both paths visit components
 and nodes in the same order, apply the same vacuous-edge rule and
-raise the same errors, so the choice never shows in a result; the
-symbolic path, which also accepts constant systems, is the oracle the
-integer path is tested against.  A constant system has no parameters
-whose valuations the rational-function machinery would need to cover,
-so running it there only costs time.
+raise the same errors with the same messages — a monomial solution
+prints the way its ``Rat`` prints — so the choice never shows in a
+result; the symbolic path, which accepts every system, is the oracle
+the monomial path is tested against.
 """
 
 from __future__ import annotations
@@ -37,9 +42,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
-from typing import Callable, Hashable, Iterable, Sequence
+from operator import add
+from typing import Hashable, Iterable, Sequence
 
-from .poly import Poly, poly_gcd_many, poly_lcm_many
+from .param import Param
+from .poly import MonomialKey, Poly, monomial_gcd, poly_gcd_many, poly_lcm_many
 from .rational import Rat
 
 
@@ -49,6 +56,11 @@ class InconsistentRatesError(Exception):
 
 #: An edge contributes the constraint  produced * r[src] == consumed * r[dst].
 BalanceEdge = tuple[Hashable, Hashable, Poly, Poly]
+
+#: A monomial ``c * prod(p_i ** e_i)`` of the monomial path: its
+#: coefficient and its exponent vector over the system's sorted
+#: parameter names (``()`` for a system without parameters).
+Monomial = tuple[Fraction, tuple[int, ...]]
 
 
 def solve_balance(
@@ -70,8 +82,8 @@ def solve_balance(
     dict
         Node -> minimal positive integer-polynomial solution component,
         in component order (breadth-first within a component).  A
-        system of constant rates is solved on integers (see the module
-        docstring); its components are constant polynomials.
+        system of monomial rates is solved on monomials (see the module
+        docstring); its components are monomials.
 
     Raises
     ------
@@ -81,9 +93,9 @@ def solve_balance(
         values) or when a non-zero production feeds a zero consumption.
     """
     edge_list = list(edges)
-    constant = _constant_edges(edge_list)
-    if constant is not None:
-        return _solve_integer(nodes, constant)
+    monomial = _monomial_edges(edge_list)
+    if monomial is not None:
+        return _solve_monomial(nodes, *monomial)
     return _solve_symbolic(nodes, edge_list)
 
 
@@ -127,44 +139,79 @@ def consistency_conditions(
     return conditions
 
 
-def _constant_edges(edge_list: list) -> list | None:
-    """The edges with every rate as a :class:`Fraction`, or ``None``
-    when some rate is not a constant (the symbolic path handles it,
-    including the coercion errors of unsupported rate types)."""
-    constant = []
+def _monomial_edges(edge_list: list) -> tuple[tuple[str, ...], list] | None:
+    """``(params, edges)``: the sorted parameter names of the system
+    and its edges with every rate as a :data:`Monomial` over them — or
+    ``None`` when some rate is not a monomial (the symbolic path
+    handles it, including the coercion errors of unsupported rate
+    types)."""
+    keyed = []
+    names: set[str] = set()
     for src, dst, produced, consumed in edge_list:
-        out_rate = _constant_rate(produced)
-        in_rate = _constant_rate(consumed)
+        out_rate = _monomial_rate(produced)
+        in_rate = _monomial_rate(consumed)
         if out_rate is None or in_rate is None:
             return None
-        constant.append((src, dst, out_rate, in_rate))
-    return constant
+        if out_rate[1] or in_rate[1]:
+            names.update(name for _, key in (out_rate, in_rate) for name, _ in key)
+        keyed.append((src, dst, out_rate, in_rate))
+    params = tuple(sorted(names))
+    if not params:
+        # Every key is the empty monomial, which is already the
+        # zero-length exponent vector.
+        return params, keyed
+    index = {name: i for i, name in enumerate(params)}
+
+    def vector(rate: tuple[Fraction, MonomialKey]) -> Monomial:
+        exps = [0] * len(params)
+        for name, exp in rate[1]:
+            exps[index[name]] = exp
+        return rate[0], tuple(exps)
+
+    return params, [
+        (src, dst, vector(out_rate), vector(in_rate))
+        for src, dst, out_rate, in_rate in keyed
+    ]
 
 
-def _constant_rate(rate) -> Fraction | None:
+def _monomial_rate(rate) -> tuple[Fraction, MonomialKey] | None:
     if isinstance(rate, Poly):
-        return rate.const_value() if rate.is_const() else None
+        return rate.monomial()
     if isinstance(rate, (int, Fraction)):
-        return Fraction(rate)
+        return Fraction(rate), ()
+    if isinstance(rate, Param):
+        return Fraction(1), ((rate.name, 1),)
     return None
 
 
-def _balance_system(nodes: Sequence[Hashable], edge_list: list) -> dict:
-    """Validate the rates and endpoints of a balance system and build
-    its undirected adjacency ``node -> [(neighbour, out_rate,
-    in_rate)]``.  Rates are all :class:`Poly` or all :class:`Fraction`
-    (the integer path); the checks and their messages are the same."""
+def _monomial_text(monomial: Monomial, params: Sequence[str]) -> str:
+    """A monomial printed the way its :class:`Poly` (a rate) or its
+    :class:`Rat` (a solution) prints: positive powers over negative
+    ones, e.g. ``2*r**2/p``."""
+    coeff, exps = monomial
+    if not coeff:
+        return "0"
+    num = Poly({tuple((n, e) for n, e in zip(params, exps) if e > 0): coeff})
+    den = tuple((n, -e) for n, e in zip(params, exps) if e < 0)
+    return f"{num}/{Poly({den: Fraction(1)})}" if den else str(num)
+
+
+def _check_nonnegative(edge_list: list, nonnegative, text=str) -> None:
+    """Reject a rate that may be negative, in edge order; ``text``
+    prints a rate of the calling path."""
     for src, dst, produced, consumed in edge_list:
         for rate, role, node in ((produced, "production", src), (consumed, "consumption", dst)):
-            nonnegative = (
-                rate >= 0 if isinstance(rate, Fraction)
-                else rate.has_nonnegative_coefficients()
-            )
-            if not nonnegative:
+            if not nonnegative(rate):
                 raise InconsistentRatesError(
-                    f"{role} rate {rate} of {node!r} may be negative for some "
+                    f"{role} rate {text(rate)} of {node!r} may be negative for some "
                     f"parameter values"
                 )
+
+
+def _adjacency(nodes: Sequence[Hashable], edge_list: list) -> dict:
+    """The undirected adjacency ``node -> [(neighbour, out_rate,
+    in_rate)]`` of a balance system, rates as the calling path keeps
+    them."""
     adjacency: dict[Hashable, list] = {n: [] for n in nodes}
     for src, dst, produced, consumed in edge_list:
         if src not in adjacency or dst not in adjacency:
@@ -178,31 +225,84 @@ def _balance_system(nodes: Sequence[Hashable], edge_list: list) -> dict:
     return adjacency
 
 
-def _solve_integer(nodes: Sequence[Hashable], edge_list: list) -> dict[Hashable, Poly]:
-    """The integer path: propagation on Fractions, per-component
-    normalization with ``math.lcm``/``math.gcd``."""
-    adjacency = _balance_system(nodes, edge_list)
+def _solve_monomial(
+    nodes: Sequence[Hashable], params: tuple[str, ...], edge_list: list,
+) -> dict[Hashable, Poly]:
+    """The monomial path: propagation on ``(Fraction, exponent
+    vector)`` pairs, per-component normalization by the minimum
+    exponents and ``math.lcm``/``math.gcd``.  Without parameters every
+    exponent vector is ``()`` and only the coefficients move."""
+
+    def text(monomial: Monomial) -> str:
+        return _monomial_text(monomial, params)
+
+    if any(out_rate[0] < 0 or in_rate[0] < 0 for _, _, out_rate, in_rate in edge_list):
+        _check_nonnegative(edge_list, lambda rate: rate[0] >= 0, text)
+    adjacency = _adjacency(nodes, edge_list)
     components = _components(list(nodes), adjacency)
-    solution: dict[Hashable, Fraction] = {}
+    one = Fraction(1)
+    unit = (0,) * len(params)
+    coeffs: dict[Hashable, Fraction] = {}
+    exps: dict[Hashable, tuple[int, ...]] = {}
     for component in components:
-        _solve_component(component, adjacency, solution, Fraction(1), Fraction)
+        root = component[0]
+        coeffs[root] = one
+        exps[root] = unit
+        queue = deque([root])
+        while queue:
+            node = queue.popleft()
+            c_node, e_node = coeffs[node], exps[node]
+            for neighbour, (out_c, out_e), (in_c, in_e) in adjacency[node]:
+                # out_c * p^out_e * r[node] == in_c * p^in_e * r[neighbour]
+                if neighbour in coeffs:
+                    continue
+                if not in_c:
+                    if not out_c:
+                        continue  # vacuous edge; neighbour reached some other way
+                    _raise_unconsumed(node, neighbour, text((out_c, out_e)))
+                coeffs[neighbour] = c_node * out_c / in_c
+                exps[neighbour] = (
+                    tuple(e + o - i for e, o, i in zip(e_node, out_e, in_e))
+                    if params else unit
+                )
+                queue.append(neighbour)
+        for node in component:
+            if node not in coeffs:
+                # Reachable only through vacuous (0,0) edges: unconstrained.
+                coeffs[node] = one
+                exps[node] = unit
     for src, dst, produced, consumed in edge_list:
-        if produced * solution[src] != consumed * solution[dst]:
-            _raise_violated(src, dst, produced, consumed, solution)
+        lhs = produced[0] * coeffs[src]
+        rhs = consumed[0] * coeffs[dst]
+        if lhs != rhs or (params and lhs and (
+            tuple(map(add, produced[1], exps[src]))
+            != tuple(map(add, consumed[1], exps[dst]))
+        )):
+            _raise_violated(
+                src, dst, text(produced), text((coeffs[src], exps[src])),
+                text(consumed), text((coeffs[dst], exps[dst])),
+            )
     normalized: dict[Hashable, Poly] = {}
     for component in components:
-        values = [solution[node] for node in component]
-        scale = math.lcm(*(value.denominator for value in values))
-        ints = [value.numerator * (scale // value.denominator) for value in values]
-        common = math.gcd(*ints)
-        for node, value in zip(component, ints):
-            value //= common
+        common, low = monomial_gcd([(coeffs[node], exps[node]) for node in component])
+        scale, divisor = common.denominator, common.numerator
+        for node in component:
+            coeff = coeffs[node]
+            value = coeff.numerator * (scale // coeff.denominator) // divisor
             if value <= 0:
                 raise InconsistentRatesError(
                     f"normalized solution for {node!r} is {value}, which is "
                     f"not strictly positive for all parameter values"
                 )
-            normalized[node] = Poly.const(value)
+            if params:
+                key = tuple(
+                    (name, exp - least)
+                    for name, exp, least in zip(params, exps[node], low)
+                    if exp != least
+                )
+                normalized[node] = Poly.term(Fraction(value), key)
+            else:
+                normalized[node] = Poly.const(value)
     return normalized
 
 
@@ -221,10 +321,11 @@ def _symbolic_solution(nodes: Sequence[Hashable], edges: Iterable[BalanceEdge]):
         (src, dst, Poly.coerce(produced), Poly.coerce(consumed))
         for src, dst, produced, consumed in edges
     ]
-    adjacency = _balance_system(nodes, edge_list)
+    _check_nonnegative(edge_list, Poly.has_nonnegative_coefficients)
+    adjacency = _adjacency(nodes, edge_list)
     solution: dict[Hashable, Rat] = {}
     for component in _components(list(nodes), adjacency):
-        _solve_component(component, adjacency, solution, Rat(1), Rat)
+        _solve_component(component, adjacency, solution)
     return edge_list, adjacency, solution
 
 
@@ -254,16 +355,12 @@ def _components(
 def _solve_component(
     component: list[Hashable],
     adjacency: dict[Hashable, list],
-    solution: dict,
-    one,
-    ratio: Callable,
+    solution: dict[Hashable, Rat],
 ) -> None:
-    """Spanning-tree propagation from the component's first node,
-    with ``ratio(out_rate, in_rate)`` building the factor crossing one
-    edge (``Rat`` on the symbolic path, ``Fraction`` on the integer
-    one) and ``one`` the root's value."""
+    """Spanning-tree propagation on :class:`Rat` values from the
+    component's first node."""
     root = component[0]
-    solution[root] = one
+    solution[root] = Rat(1)
     queue = deque([root])
     while queue:
         node = queue.popleft()
@@ -275,17 +372,13 @@ def _solve_component(
             if not in_rate:
                 if not out_rate:
                     continue  # vacuous edge; neighbour reached some other way
-                raise InconsistentRatesError(
-                    f"channel {node!r} -> {neighbour!r} produces {out_rate} "
-                    f"per cycle but consumes nothing: only the trivial "
-                    f"solution exists"
-                )
-            solution[neighbour] = r_node * ratio(out_rate, in_rate)
+                _raise_unconsumed(node, neighbour, out_rate)
+            solution[neighbour] = r_node * Rat(out_rate, in_rate)
             queue.append(neighbour)
     for node in component:
         if node not in solution:
             # Reachable only through vacuous (0,0) edges: unconstrained.
-            solution[node] = one
+            solution[node] = Rat(1)
 
 
 def _verify_all_edges(edge_list: list[BalanceEdge], solution: dict[Hashable, Rat]) -> None:
@@ -296,13 +389,21 @@ def _verify_all_edges(edge_list: list[BalanceEdge], solution: dict[Hashable, Rat
     for src, dst, produced, consumed in edge_list:
         r_src, r_dst = solution[src], solution[dst]
         if produced * r_src.num * r_dst.den != consumed * r_dst.num * r_src.den:
-            _raise_violated(src, dst, produced, consumed, solution)
+            _raise_violated(src, dst, produced, r_src, consumed, r_dst)
 
 
-def _raise_violated(src, dst, produced, consumed, solution) -> None:
+def _raise_unconsumed(node, neighbour, out_rate) -> None:
+    raise InconsistentRatesError(
+        f"channel {node!r} -> {neighbour!r} produces {out_rate} "
+        f"per cycle but consumes nothing: only the trivial "
+        f"solution exists"
+    )
+
+
+def _raise_violated(src, dst, produced, r_src, consumed, r_dst) -> None:
     raise InconsistentRatesError(
         f"balance violated on channel {src!r} -> {dst!r}: "
-        f"{produced} * {solution[src]} != {consumed} * {solution[dst]}"
+        f"{produced} * {r_src} != {consumed} * {r_dst}"
     )
 
 

@@ -159,7 +159,17 @@ class Poly:
         value = Fraction(value)
         if value == 0:
             return Poly()
-        return Poly({_EMPTY: value})
+        return Poly.term(value)
+
+    @staticmethod
+    def term(coeff: Fraction, key: MonomialKey = _EMPTY) -> "Poly":
+        """The monomial ``coeff * key`` for a non-zero :class:`Fraction`
+        coefficient, built without the normalizing pass of the general
+        constructor (one term needs no merging)."""
+        poly = object.__new__(Poly)
+        poly._terms = {key: coeff}
+        poly._hash = hash(((key, coeff),))
+        return poly
 
     @staticmethod
     def var(name: str) -> "Poly":
@@ -192,6 +202,17 @@ class Poly:
     def is_monomial(self) -> bool:
         """True when the polynomial has at most one term."""
         return len(self._terms) <= 1
+
+    def monomial(self) -> tuple[Fraction, MonomialKey] | None:
+        """``(coefficient, monomial key)`` of a monomial — ``(0, ())``
+        for the zero polynomial — or ``None`` when there is more than
+        one term."""
+        if not self._terms:
+            return Fraction(0), _EMPTY
+        if len(self._terms) > 1:
+            return None
+        ((key, coeff),) = self._terms.items()
+        return coeff, key
 
     def is_integer_const(self) -> bool:
         return self.is_const() and self.const_value().denominator == 1
@@ -491,3 +512,28 @@ def poly_lcm_many(values: Iterable[PolyLike]) -> Poly:
     for value in values:
         result = poly_lcm(result, value)
     return result
+
+
+def monomial_gcd(
+    monomials: Iterable[tuple[Fraction, tuple[int, ...]]],
+) -> tuple[Fraction, tuple[int, ...]]:
+    """gcd of monomials ``c * prod(p_i ** e_i)`` with non-negative
+    coefficients, each given as ``(c, e)`` with ``e`` an exponent
+    vector over one fixed parameter order (exponents may be negative).
+
+    Returns ``(g, low)``: ``g`` is the gcd of the coefficients — gcd of
+    the numerators over lcm of the denominators, the rational gcd of
+    :meth:`Poly.content` — and ``low`` holds each parameter's minimum
+    exponent.  Zero monomials are skipped, as :func:`poly_gcd_many`
+    skips zero polynomials; ``(0, ())`` when every monomial is zero.
+    Dividing each monomial by ``c = g, e = low`` leaves the primitive
+    integer solution that :func:`poly_gcd_many` normalization reaches
+    on monomials.
+    """
+    nonzero = [(coeff, exps) for coeff, exps in monomials if coeff]
+    if not nonzero:
+        return Fraction(0), ()
+    numerator = math.gcd(*(coeff.numerator for coeff, _ in nonzero))
+    denominator = math.lcm(*(coeff.denominator for coeff, _ in nonzero))
+    low = tuple(map(min, zip(*(exps for _, exps in nonzero))))
+    return Fraction(numerator, denominator), low

@@ -33,7 +33,7 @@ from typing import Iterable
 import networkx as nx
 
 from ..errors import AnalysisError
-from ..symbolic import Poly, poly_gcd_many
+from ..symbolic import Poly, monomial_gcd, poly_gcd_many
 from .consistency import repetition_vector
 from .graph import TPDFGraph
 
@@ -107,7 +107,11 @@ def local_solution(graph: TPDFGraph, subset: Iterable[str]) -> LocalSolution:
     """Compute ``q^L`` for a subset of actors (Definition 4).
 
     Uses ``q_ai / tau_i = r_ai``, so ``qG(Z) = gcd(r_ai)`` and
-    ``q^L_ai = tau_i * r_ai / qG(Z)``.
+    ``q^L_ai = tau_i * r_ai / qG(Z)``.  When every ``r_ai`` is a
+    monomial — every parameter-free graph, and Fig. 2 — the gcd is read
+    off the coefficients and the exponents (:func:`monomial_gcd`, the
+    normalization of the monomial balance solve); other systems take
+    :func:`poly_gcd_many`.
     """
     subset = tuple(subset)
     if not subset:
@@ -116,9 +120,11 @@ def local_solution(graph: TPDFGraph, subset: Iterable[str]) -> LocalSolution:
     missing = [name for name in subset if name not in q]
     if missing:
         raise AnalysisError(f"unknown actors in subset: {missing}")
-    csdf = graph.as_csdf()
-    r = {name: q[name].try_div(Poly.const(csdf.tau(name))) for name in subset}
-    factor = poly_gcd_many(r.values())
+    taus = graph.as_csdf().taus()
+    r = [q[name].try_div(Poly.const(taus[name])) for name in subset]
+    factor = _monomial_gcd(r)
+    if factor is None:
+        factor = poly_gcd_many(r)
     if factor.is_zero():
         raise AnalysisError(f"degenerate local solution for {subset}")
     counts: dict[str, Poly] = {}
@@ -130,6 +136,24 @@ def local_solution(graph: TPDFGraph, subset: Iterable[str]) -> LocalSolution:
             )
         counts[name] = quotient
     return LocalSolution(subset=subset, factor=factor, counts=counts)
+
+
+def _monomial_gcd(values: list[Poly]) -> Poly | None:
+    """:func:`poly_gcd_many` of monomials — the coefficient gcd times
+    each parameter's minimum power — or ``None`` when some value has
+    more than one term."""
+    monomials = [value.monomial() for value in values]
+    if None in monomials:
+        return None
+    params = sorted({name for _, key in monomials for name, _ in key})
+    vectors = []
+    for coeff, key in monomials:
+        powers = dict(key)
+        vectors.append((coeff, tuple(powers.get(name, 0) for name in params)))
+    coeff, low = monomial_gcd(vectors)
+    if not coeff:
+        return Poly()
+    return Poly.term(coeff, tuple((name, exp) for name, exp in zip(params, low) if exp))
 
 
 def area_local_solution(graph: TPDFGraph, control: str) -> LocalSolution:

@@ -85,6 +85,15 @@ class TestBoundedFeasible:
     def test_missing_capacity_means_unbounded(self, multirate):
         assert bounded_feasible(multirate, {})
 
+    def test_unknown_capacity_name_rejected(self):
+        g = CSDFGraph()
+        g.add_actor("a")
+        g.add_actor("b")
+        g.add_channel("e", "a", "b", 1, 1)
+        # A typo must not read as "unbounded" on the real channel.
+        with pytest.raises(ValueError, match="unknown channel name.*ee; graph channels are: e"):
+            bounded_feasible(g, {"ee": 1})
+
     def test_selfloop_headroom(self):
         g = CSDFGraph()
         g.add_actor("a")

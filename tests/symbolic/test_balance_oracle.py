@@ -1,13 +1,16 @@
-"""Differential oracle for the integer balance solve.
+"""Differential oracle for the monomial balance solve.
 
-:func:`repro.symbolic.solve_balance` runs constant-rate systems on
-integers and everything else on rational functions.  The symbolic path
-accepts constant systems too, so it is the oracle: every constant
-system here goes through both paths, called directly, and must yield
-the same ``list(items())`` — same components, same breadth-first node
-order, same values — or the same exception type and message.
+:func:`repro.symbolic.solve_balance` runs systems whose rates are all
+monomials on ``(Fraction, exponent vector)`` pairs — constant systems
+are the zero-exponent case — and everything else on rational
+functions.  The symbolic path accepts every system, so it is the
+oracle: every system here goes through both paths, called directly,
+and must yield the same ``list(items())`` — same components, same
+breadth-first node order, same values and reprs — or the same
+exception type and message.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +19,7 @@ from repro import gallery
 from repro.csdf import CSDFGraph
 from repro.csdf.analysis import cycle_totals, repetition_vector
 from repro.symbolic import Poly, Rat, linsolve, solve_balance
+from repro.gallery import fig7_graph
 from repro.tpdf import TPDFGraph, fig2_graph, random_consistent_graph
 
 #: The parameter-free shapes of the 200-graph corpus
@@ -71,10 +75,10 @@ HAND_CASES = {
 }
 
 
-def _integer(nodes, edges):
-    constant = linsolve._constant_edges(list(edges))
-    assert constant is not None, "not a constant-rate system"
-    return linsolve._solve_integer(nodes, constant)
+def _monomial(nodes, edges):
+    system = linsolve._monomial_edges(list(edges))
+    assert system is not None, "not a monomial system"
+    return linsolve._solve_monomial(nodes, *system)
 
 
 def _symbolic(nodes, edges):
@@ -90,11 +94,11 @@ def _outcome(solve, nodes, edges):
 
 
 def assert_paths_agree(nodes, edges):
-    integer = _outcome(_integer, nodes, edges)
-    assert integer == _outcome(_symbolic, nodes, edges)
-    # ... and solve_balance dispatches constant systems to the integer path
-    assert _outcome(solve_balance, nodes, edges) == integer
-    return integer
+    monomial = _outcome(_monomial, nodes, edges)
+    assert monomial == _outcome(_symbolic, nodes, edges)
+    # ... and solve_balance dispatches monomial systems to the monomial path
+    assert _outcome(solve_balance, nodes, edges) == monomial
+    return monomial
 
 
 def _balance_system(csdf: CSDFGraph):
@@ -170,19 +174,103 @@ class TestIntegerPathMatchesSymbolic:
                      "zero_production_forces_zero", "negative_rate",
                      "negative_consumption", "unknown_endpoint"):
             nodes, edges = HAND_CASES[case]
-            outcome = _outcome(_integer, nodes, edges)
+            outcome = _outcome(_monomial, nodes, edges)
             assert not isinstance(outcome, list), case
 
     def test_parametric_systems_take_the_symbolic_path(self):
         p = Poly.var("p")
-        assert linsolve._constant_edges([("a", "b", p, ONE)]) is None
-        assert linsolve._constant_edges([("a", "b", ONE, "junk")]) is None
+        assert linsolve._monomial_edges([("a", "b", p + 1, ONE)]) is None
+        assert linsolve._monomial_edges([("a", "b", ONE, "junk")]) is None
         with pytest.raises(TypeError):
             solve_balance(["a", "b"], [("a", "b", ONE, "junk")])
 
 
+#: Parameters, coefficients and exponents of the random monomial
+#: systems: zero and fractional coefficients included.
+PARAMS = ("p", "q", "r")
+COEFFS = (0, 1, 1, 1, 2, 3, 4, 6, Fraction(1, 2), Fraction(2, 3), Fraction(3, 4))
+EXPONENTS = (0, 0, 0, 1, 2)
+RANDOM_SYSTEMS = 1500
+
+
+def _random_monomial(rng, zero=True):
+    coeff = rng.choice(COEFFS if zero else COEFFS[1:])
+    key = tuple(
+        (name, exp) for name in PARAMS if (exp := rng.choice(EXPONENTS))
+    )
+    return Poly({key: Fraction(coeff)})
+
+
+def _random_monomial_system(rng):
+    """1-7 nodes in shuffled order and up to twice as many edges.  Most
+    edges balance a hidden monomial solution; the rest are random,
+    vacuous ``(0, 0)``, or off by a monomial factor, which reaches the
+    inconsistent-cycle, production-into-zero and zero-solution
+    errors."""
+    nodes = [f"v{i}" for i in range(rng.randint(1, 7))]
+    rng.shuffle(nodes)
+    hidden = {node: _random_monomial(rng, zero=False) for node in nodes}
+    edges = []
+    for _ in range(rng.randint(0, 2 * len(nodes))):
+        src, dst = rng.choice(nodes), rng.choice(nodes)
+        scale = _random_monomial(rng, zero=False)
+        roll = rng.random()
+        if roll < 0.75:
+            edges.append((src, dst, scale * hidden[dst], scale * hidden[src]))
+        elif roll < 0.85:
+            edges.append((src, dst, _random_monomial(rng), _random_monomial(rng)))
+        elif roll < 0.9:
+            edges.append((src, dst, Poly(), Poly()))
+        else:
+            skew = _random_monomial(rng, zero=False)
+            edges.append((src, dst, scale * hidden[dst] * skew, scale * hidden[src]))
+    return nodes, edges
+
+
+def _parametric_gallery():
+    """Figs. 2 and 4 with their parameters unbound."""
+    yield "fig2", fig2_graph().as_csdf()
+    for case in ("a", "b"):
+        yield f"fig4{case}", gallery.fig4_graph(case).as_csdf()
+
+
+class TestMonomialPathMatchesSymbolic:
+    def test_random_monomial_systems(self):
+        errors = solved = parametric = 0
+        for seed in range(RANDOM_SYSTEMS):
+            nodes, edges = _random_monomial_system(random.Random(seed))
+            outcome = assert_paths_agree(nodes, edges)
+            if isinstance(outcome, list):
+                solved += 1
+                parametric += any(value.variables() for _, value, _ in outcome)
+            else:
+                errors += 1
+        # Both outcomes are well represented, and so are solutions in
+        # the parameters.
+        assert errors > RANDOM_SYSTEMS // 5 and solved > RANDOM_SYSTEMS // 3
+        assert parametric > RANDOM_SYSTEMS // 5
+
+    def test_negative_exponents_print_like_rat(self):
+        """An inconsistent edge prints its intermediate solutions the
+        way :class:`Rat` does: positive powers over negative ones."""
+        p, r = Poly.var("p"), Poly.var("r")
+        nodes = ["a", "b", "c"]
+        edges = [("a", "b", ONE, p), ("b", "c", 2 * r * r, ONE), ("c", "c", ONE, TWO)]
+        outcome = assert_paths_agree(nodes, edges)
+        assert outcome == (
+            linsolve.InconsistentRatesError,
+            "balance violated on channel 'c' -> 'c': 1 * 2*r**2/p != 2 * 2*r**2/p",
+        )
+
+    @pytest.mark.parametrize("name", [label for label, _ in _parametric_gallery()])
+    def test_parametric_gallery(self, name):
+        csdf = dict(_parametric_gallery())[name]
+        outcome = assert_paths_agree(*_balance_system(csdf))
+        assert isinstance(outcome, list)
+
+
 class TestNoRationalFunctions:
-    """The integer path never builds a :class:`Rat`."""
+    """The monomial path never builds a :class:`Rat`."""
 
     @pytest.fixture
     def rat_calls(self, monkeypatch):
@@ -204,8 +292,13 @@ class TestNoRationalFunctions:
         assert rat_calls == []
 
     def test_parametric_graph_still_uses_them(self, rat_calls):
-        repetition_vector(fig2_graph().as_csdf())
+        # Fig. 7's source produces L*beta + N*beta: not a monomial.
+        repetition_vector(fig7_graph().as_csdf())
         assert rat_calls
+
+    def test_fig2_builds_none(self, rat_calls):
+        assert repetition_vector(fig2_graph().as_csdf())["B"] == 2 * Poly.var("p")
+        assert rat_calls == []
 
     def test_tpdf_view_of_a_constant_graph(self, rat_calls):
         graph = TPDFGraph("constant")

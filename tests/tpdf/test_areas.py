@@ -3,16 +3,20 @@
 import pytest
 
 from repro.errors import AnalysisError
-from repro.symbolic import Param, Poly
+from repro.symbolic import Param, Poly, poly_gcd_many
 from repro.tpdf import (
     TPDFGraph,
     area_local_solution,
     control_area,
+    fig2_graph,
     influenced,
     local_solution,
     predecessors,
+    random_consistent_graph,
+    repetition_vector,
     successors,
 )
+from repro.tpdf.liveness import cyclic_components
 
 P = Poly.var("p")
 
@@ -100,3 +104,78 @@ class TestDeepPipelineArea:
         g.connect("ctrl.out", "snk.ctrl")
         area = control_area(g, "ctrl")
         assert area == {"src", "m1", "m2", "snk"}
+
+
+def _plain_local_solution(graph, subset):
+    """The polynomial-gcd local solution, the oracle of the monomial
+    fast path: ``tau`` per actor and :func:`poly_gcd_many`."""
+    q = repetition_vector(graph)
+    csdf = graph.as_csdf()
+    r = [q[name].try_div(Poly.const(csdf.tau(name))) for name in subset]
+    factor = poly_gcd_many(r)
+    return factor, {name: q[name].try_div(factor) for name in subset}
+
+
+def _subsets(graph):
+    """The cycles, control areas and whole node set of a graph."""
+    yield from cyclic_components(graph)
+    for name in graph.node_names():
+        if graph.is_control_actor(name):
+            yield tuple(sorted(control_area(graph, name)))
+    yield tuple(graph.node_names())
+
+
+def _oracle_graphs():
+    from repro.gallery import fig3_graph, fig4_graph, fig7_graph
+
+    yield "fig2", fig2_graph()
+    yield "fig3", fig3_graph()
+    yield "fig4a", fig4_graph("a")
+    yield "fig4b", fig4_graph("b")
+    yield "fig7", fig7_graph()
+    shapes = ((3, 1, 0, False, False), (5, 2, 0, False, True), (5, 3, 2, False, False),
+              (6, 3, 1, False, True), (6, 2, 0, True, False), (7, 3, 0, True, True),
+              (8, 4, 2, False, False))
+    for n, extra, cycles, parametric, control in shapes:
+        for seed in range(6):
+            yield f"n{n}s{seed}", random_consistent_graph(
+                n, extra_edges=extra, n_cycles=cycles, seed=seed,
+                parametric=parametric, with_control=control,
+            )
+    for n in (20, 40, 80):
+        yield f"tpdf{n}", random_consistent_graph(n, extra_edges=n // 3, n_cycles=2, seed=n)
+        yield f"param{n}", random_consistent_graph(
+            n, extra_edges=n // 3, n_cycles=2, seed=n, parametric=True,
+        )
+
+
+class TestLocalSolutionOracle:
+    def test_matches_polynomial_gcd(self):
+        subsets = parametric = 0
+        for label, graph in _oracle_graphs():
+            for subset in _subsets(graph):
+                factor, counts = _plain_local_solution(graph, subset)
+                local = local_solution(graph, subset)
+                assert (local.factor, str(local.factor)) == (factor, str(factor)), (label, subset)
+                assert {n: str(c) for n, c in local.counts.items()} == {
+                    n: str(c) for n, c in counts.items()}, (label, subset)
+                assert local.counts == counts
+                subsets += 1
+                parametric += any(count.variables() for count in counts.values())
+        assert subsets > 100 and parametric > 10
+
+    def test_non_monomial_counts_take_the_polynomial_gcd(self):
+        p = Param("p")
+        graph = TPDFGraph("sum", parameters=[p])
+        graph.add_kernel("A").add_output("out", P + 1)
+        graph.add_kernel("B").add_input("in", 1)
+        graph.add_kernel("C").add_input("in", 1)
+        graph.node("B").add_output("out", 1)
+        graph.connect("A.out", "B.in")
+        graph.connect("B.out", "C.in")
+        assert repetition_vector(graph)["B"] == P + 1
+        for subset in (("B", "C"), ("A", "B", "C")):
+            factor, counts = _plain_local_solution(graph, subset)
+            local = local_solution(graph, subset)
+            assert (local.factor, local.counts) == (factor, counts)
+        assert local_solution(graph, ("B", "C")).factor == P + 1
