@@ -5,32 +5,17 @@ bench measures how the full analysis chain (consistency + rate safety +
 liveness) scales with graph size on generated consistent graphs
 (concrete and parametric), giving the reproduction a cost profile the
 paper does not report but a downstream adopter will ask for.
-
-The parallel sweep (``test_parallel_batch_summary``) times the sharded
-process-pool backend of :func:`repro.analysis.analyze_batch` on a batch
-of 80-actor graphs across worker counts, asserting sequential parity
-always and the speedup target only when the machine actually has the
-cores (wall-clock scaling cannot materialize on fewer cores than
-workers; the table records the honest numbers either way).
 """
 
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.analysis import analyze, analyze_batch
 from repro.tpdf import check_boundedness, random_consistent_graph
-from repro.util import ascii_table, available_cores, write_csv
+from repro.util import ascii_table
 
 SIZES = (10, 20, 40, 80)
-
-#: Parallel sweep shape: the acceptance workload (80 actors x batch).
-PARALLEL_ACTORS = 80
-PARALLEL_BATCH = 12
-PARALLEL_JOBS = (1, 2, 4, 8)
-
-RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.mark.parametrize("n_actors", SIZES)
@@ -61,86 +46,6 @@ def test_batch_analysis_scaling(benchmark):
     options = dict(with_mcr=False, with_buffers=False, with_throughput=False)
     reports = benchmark(analyze_batch, graphs, **options)
     assert all(r.bounded for r in reports)
-
-
-def test_parallel_batch_summary(benchmark, report):
-    """Wall-clock of the parallel batch-analysis service across worker
-    counts on the 80-actor batch workload.
-
-    Every configuration analyzes freshly generated (identically seeded)
-    graphs so no run inherits another's warm caches; results must be
-    bit-identical to the sequential baseline for the timing to count.
-    Timings, speedups and the core budget go to
-    ``benchmarks/results/ablation_parallel_batch.{txt,csv}``.
-    """
-
-    def fresh_batch():
-        return [
-            random_consistent_graph(
-                PARALLEL_ACTORS, extra_edges=PARALLEL_ACTORS // 2,
-                n_cycles=2, seed=seed,
-            )
-            for seed in range(PARALLEL_BATCH)
-        ]
-
-    options = dict(with_mcr=False, with_buffers=False, with_throughput=False)
-    benchmark.pedantic(
-        analyze_batch, args=(fresh_batch(),),
-        kwargs=dict(jobs=2, **options),
-        rounds=1, iterations=1,
-    )
-
-    cores = available_cores()
-    timings: dict[int, float] = {}
-    baseline_prints = None
-    rows = []
-    csv_rows = []
-    for jobs in PARALLEL_JOBS:
-        graphs = fresh_batch()
-        start = time.perf_counter()
-        reports = analyze_batch(graphs, jobs=None if jobs == 1 else jobs, **options)
-        timings[jobs] = time.perf_counter() - start
-        prints = [r.fingerprint() for r in reports]
-        if baseline_prints is None:
-            baseline_prints = prints
-        else:
-            assert prints == baseline_prints, (
-                f"jobs={jobs} diverged from the sequential results"
-            )
-        assert all(r.bounded for r in reports)
-        speedup = timings[1] / timings[jobs]
-        rows.append([
-            jobs if jobs > 1 else "1 (sequential)",
-            f"{timings[jobs] * 1000:.0f}",
-            f"{speedup:.2f}x",
-        ])
-        csv_rows.append([jobs, PARALLEL_ACTORS, PARALLEL_BATCH, cores,
-                         f"{timings[jobs]:.6f}", f"{speedup:.4f}"])
-
-    table = ascii_table(
-        ["jobs", "batch wall-clock (ms)", "speedup vs sequential"],
-        rows,
-        title=(
-            f"ABL3b — parallel batch analysis, {PARALLEL_BATCH} graphs x "
-            f"{PARALLEL_ACTORS} actors (machine: {cores} core(s))"
-        ),
-    )
-    report("ablation_parallel_batch", table)
-    write_csv(
-        RESULTS_DIR / "ablation_parallel_batch.csv",
-        ["jobs", "actors", "batch", "cores", "seconds", "speedup"],
-        csv_rows,
-    )
-
-    # Only machines with the cores to host the full pool gate on the
-    # speedup target; below that the numbers are recorded but not
-    # asserted (shared CI runners make small-ratio wall-clock
-    # assertions flaky, and on 1 core a pool can only add overhead).
-    if cores >= 8:
-        assert timings[1] / timings[8] >= 3.0, (
-            f"--jobs 8 speedup {timings[1] / timings[8]:.2f}x < 3x "
-            f"on a {cores}-core machine"
-        )
 
 
 def test_scalability_summary(benchmark, report):

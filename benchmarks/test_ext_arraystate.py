@@ -6,8 +6,8 @@ every ``period_with`` probe of the buffer search pays again (a
 memoized struct-of-arrays template is cloned per run instead), the
 per-event O(actors) ready rescan (incremental constraint counters make
 the per-candidate ready check one integer compare, so ready visits
-drop to roughly the firing count), and the Python heap (calendar
-queue / C-heap event scheduler).
+drop to roughly the firing count), and the ``EventQueue`` method calls
+(completion events go straight onto a C ``heapq``).
 
 This bench measures the end-to-end cost of the EXT2-shaped
 **throughput sweep** (one execution per core budget {1, 2, 4, 8, 16,
@@ -18,8 +18,15 @@ row is asserted bit-identical to the reference loop at every core
 budget, and the search's capacities equal the reference core's.  The
 search must come in at least 3x faster than the frozen row of record
 of the sequential-probe search (timed before capacity floors and probe
-memoization existed).  Rows are recorded to ``ext7_arraystate.{txt,csv}`` and (through
-the conftest) the machine-readable ``BENCH_eventloop.json``.
+memoization existed).
+
+Two wide fan-out rows (one source feeding 500 or 2,000 two-actor
+chains: 1,001 and 4,001 actors, most of them in flight at once) time
+the event heap at the sizes where it holds the most completions.  The
+1,001-actor run is asserted equal to the reference loop; their times
+are recorded, not gated.  Rows are recorded to
+``ext7_arraystate.{txt,csv}`` and (through the conftest) the
+machine-readable ``BENCH_eventloop.json``.
 """
 
 import json
@@ -27,6 +34,7 @@ import time
 from pathlib import Path
 
 from repro.csdf import (
+    CSDFGraph,
     min_buffers_for_full_throughput,
     self_timed_execution,
 )
@@ -42,6 +50,11 @@ TIMING_ROUNDS = 7
 #: timing of a tens-of-ms region damps runner noise.
 SEARCH_SPEEDUP = 3.0
 SEARCH_ACTORS = 40
+#: Wide fan-out rows: two-actor chains per row, and the one row whose
+#: result is checked against the reference loop (~3 s there).
+FANOUT_CHAINS = (500, 2000)
+FANOUT_CHECKED_CHAINS = 500
+FANOUT_ITERATIONS = 8
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -116,6 +129,44 @@ def _sweep_rows(record_bench):
     return rows
 
 
+def _fanout_graph(chains):
+    """One source feeding ``chains`` two-actor chains, exec times 1-9."""
+    g = CSDFGraph(f"fanout{chains}")
+    g.add_actor("src", exec_time=1)
+    for i in range(chains):
+        g.add_actor(f"h{i}", exec_time=1 + i % 9)
+        g.add_actor(f"t{i}", exec_time=1 + (4 * i + 3) % 9)
+        g.add_channel(f"s{i}", "src", f"h{i}")
+        g.add_channel(f"c{i}", f"h{i}", f"t{i}")
+    return g
+
+
+def _fanout_rows(record_bench):
+    rows = []
+    for chains in FANOUT_CHAINS:
+        graph = _fanout_graph(chains)
+        n_actors = len(graph.actors)
+        best = float("inf")
+        for _ in range(TIMING_ROUNDS):
+            stats = {}
+            start = time.perf_counter()
+            result = self_timed_execution(
+                graph, iterations=FANOUT_ITERATIONS, stats=stats)
+            best = min(best, time.perf_counter() - start)
+        if chains == FANOUT_CHECKED_CHAINS:
+            assert result == self_timed_execution(
+                graph, iterations=FANOUT_ITERATIONS, backend="reference"
+            ), f"backend divergence on the {n_actors}-actor fan-out"
+        record_bench(
+            f"ext7_fanout_n{n_actors}_arrays",
+            actors=n_actors, backend="arrays", wall_ms=best * 1000.0,
+            ready_visits=stats["ready_visits"],
+        )
+        rows.append({"actors": n_actors, "visits": stats["ready_visits"],
+                     "wall_ms": best * 1000.0})
+    return rows
+
+
 def _buffer_search_row(record_bench, n_actors=SEARCH_ACTORS):
     """The compounding case: every probe of the buffer search clones
     the memoized template instead of rebuilding firing tables."""
@@ -161,19 +212,22 @@ def test_ext7_arraystate_cost(benchmark, report, record_bench):
         rounds=1, iterations=1,
     )
     sweep = _sweep_rows(record_bench)
+    fanout = _fanout_rows(record_bench)
     search = _buffer_search_row(record_bench)
 
     table_rows = []
     csv_rows = []
-    for row in sweep:
-        table_rows.append([
-            "throughput sweep", row["actors"], f"{row['visits']} visits",
-            f"{row['wall_ms']:.2f}", "-", "-",
-        ])
-        csv_rows.append([
-            "throughput sweep", row["actors"], row["visits"],
-            f"{row['wall_ms']:.3f}", "", "",
-        ])
+    for workload, rows in (("throughput sweep", sweep),
+                           ("wide fan-out", fanout)):
+        for row in rows:
+            table_rows.append([
+                workload, row["actors"], f"{row['visits']} visits",
+                f"{row['wall_ms']:.2f}", "-", "-",
+            ])
+            csv_rows.append([
+                workload, row["actors"], row["visits"],
+                f"{row['wall_ms']:.3f}", "", "",
+            ])
     frozen_ms = search["frozen_ms"]
     ratio = frozen_ms / search["wall_ms"] if frozen_ms is not None else None
     table_rows.append([

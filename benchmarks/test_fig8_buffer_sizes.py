@@ -134,39 +134,3 @@ def test_fig8_parametric_mcr_replaces_sweep(benchmark, report):
          for name, pw, sweep_s, parametric_s in rows],
     )
     report("fig8_parametric_mcr", table)
-
-
-def test_fig8_parallel_sweep_parity(benchmark, report):
-    """The sweep through the parallel batch-analysis service: the two
-    implementations (TPDF restricted / CSDF baseline) shard to
-    different workers, and every point must match the sequential sweep
-    exactly.  Timings for both paths go to the results directory."""
-    import time
-
-    from repro.util import available_cores
-
-    start = time.perf_counter()
-    sequential = fig8_series(betas=BETAS, ns=(512, 1024))
-    sequential_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = benchmark.pedantic(
-        fig8_series, kwargs={"betas": BETAS, "ns": (512, 1024), "jobs": 2},
-        rounds=1, iterations=1,
-    )
-    parallel_s = time.perf_counter() - start
-
-    assert parallel == sequential, "parallel Fig. 8 sweep diverged"
-    cores = available_cores()
-    table = ascii_table(
-        ["path", "wall-clock (ms)"],
-        [
-            ["sequential", f"{sequential_s * 1000:.0f}"],
-            ["--jobs 2", f"{parallel_s * 1000:.0f}"],
-        ],
-        title=(
-            f"Fig. 8 sweep through the parallel service — identical series, "
-            f"{len(parallel)} points (machine: {cores} core(s))"
-        ),
-    )
-    report("fig8_parallel_sweep", table)

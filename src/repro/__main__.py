@@ -192,10 +192,8 @@ def cmd_analyze(args) -> int:
     from .analysis import analyze_batch
 
     bindings = _parse_bindings(args.bind) or None
-    if args.jobs is not None and args.jobs < 0:
-        raise SystemExit(f"--jobs must be >= 0, got {args.jobs}")
-    if args.chunk_size is not None and args.chunk_size < 1:
-        raise SystemExit(f"--chunk-size must be >= 1, got {args.chunk_size}")
+    if args.iterations < 1:
+        raise SystemExit(f"--iterations must be >= 1, got {args.iterations}")
     domain = None
     if args.symbolic or args.param:
         from .csdf.parametric import ParamDomain
@@ -210,15 +208,11 @@ def cmd_analyze(args) -> int:
     if args.preflight and not args.edits:
         raise SystemExit("--preflight only applies to an --edits replay")
     if args.edits:
-        if args.jobs is not None:
-            raise SystemExit("--edits is a sequential warm replay; drop --jobs")
         return _run_edit_replay(args, bindings, domain)
     graphs = [_as_tpdf(_load(path)) for path in args.graphs]
     exit_code = 0
     reports = analyze_batch(
         ((g, bindings) for g in graphs),
-        jobs=args.jobs,
-        chunk_size=args.chunk_size,
         iterations=args.iterations,
         parametric_domain=domain,
         backend=args.backend,
@@ -566,12 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
                            metavar="NAME=VALUE")
     p_analyze.add_argument("--iterations", type=int, default=4,
                            help="self-timed iterations for the throughput stage")
-    p_analyze.add_argument("--jobs", type=int, default=None, metavar="N",
-                           help="analysis worker processes: omit for sequential, "
-                                "0 for one per CPU, N for exactly N "
-                                "(results are identical either way)")
-    p_analyze.add_argument("--chunk-size", type=int, default=None, metavar="K",
-                           help="graphs per worker task (default: ~4 tasks per worker)")
     p_analyze.add_argument("--symbolic", action="store_true",
                            help="compute the parametric (symbolic) MCR: the "
                                 "throughput bound as a piecewise function over "

@@ -18,19 +18,9 @@ The point of the batch shape: a sweep that used to re-derive the
 repetition vector and HSDF expansion for every query (one per beta
 point, one per analysis kind) now derives each once per graph.  Used
 by the ``analyze`` CLI subcommand and the scalability/Fig. 8 benches.
-
-Graphs in a batch are independent, so the batch is also the unit of
-**parallelism**: with ``jobs`` the batch is sharded by graph identity
-(items of the same graph stay together so worker-side caches are
-shared), packed into chunks, and fanned out over a
-``ProcessPoolExecutor``.  Graphs cross the process boundary through
-the pickle-safe codec of :mod:`repro.io` (live graphs carry caches,
-callables and port back-references that must not be pickled); each
-worker decodes a graph once per batch, warms its caches, and reuses it
-for every chunk that references it.  Results come back index-tagged
-and are reassembled in input order with the caller's original graph
-objects re-attached — the parallel path is bit-identical to the
-sequential one (see ``tests/test_analysis_parallel.py``).
+A batch runs in-process; to spread independent graphs over worker
+processes, send them to the resident service (``repro serve``,
+:meth:`repro.service.ServiceClient.batch`).
 
 With a ``parametric_domain`` the chain additionally runs the
 **parametric (symbolic) MCR** stage (:mod:`repro.csdf.parametric`):
@@ -38,11 +28,6 @@ instead of the throughput bound at one ``bindings`` point, the report
 carries a :class:`ParametricReport` holding the bound as a
 piecewise-symbolic function over a whole parameter box — one
 computation replacing a per-binding sweep.
-
-Typical use::
-
-    # same results, 8 worker processes, ~25 items per task
-    reports = analyze_batch(sweep_items, jobs=8, chunk_size=25)
 
 Examples
 --------
@@ -76,16 +61,12 @@ Symbolic throughput over a parameter box instead of one binding:
 from __future__ import annotations
 
 import dataclasses
-import itertools
-import os
 import sys
 import time
-import uuid
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
-from .cache import ContentStore, cached, register_binding_insensitive, version_of
+from .cache import cached, register_binding_insensitive, version_of
 from .csdf.buffers import minimal_buffer_schedule
 from .csdf.graph import CSDFGraph
 from .csdf.mcr import max_cycle_ratio
@@ -182,11 +163,11 @@ class GraphReport:
         """Deterministic value identity of the analysis outcome.
 
         Covers every analysis-result field and excludes the
-        process-dependent ones: the graph *object* (workers analyze a
-        decoded copy), ``elapsed`` (wall clock), and the
+        process-dependent ones: the graph *object* (service workers
+        analyze a decoded copy), ``elapsed`` (wall clock), and the
         ``graph_version``/``analysis_options`` provenance pair (object
-        history, not analysis values).  The parallel and incremental
-        differential suites assert parallel == sequential and
+        history, not analysis values).  The service and incremental
+        differential suites assert service == direct and
         warm == cold on exactly this value — float fields included
         bit-for-bit, no tolerance.
         """
@@ -263,7 +244,7 @@ class ParametricReport:
     Produced by :func:`analyze_parametric` (or by :func:`analyze` when
     a ``parametric_domain`` is passed) and carried on
     :attr:`GraphReport.parametric`.  Holds no graph reference — the
-    payload is plain symbolic data, so it crosses the parallel batch
+    payload is plain symbolic data, so it crosses the analysis
     service's process boundary untouched (the underlying
     :class:`~repro.csdf.parametric.PiecewiseMCR` is pickle-safe and is
     memoized per graph version like every other analysis product).
@@ -307,7 +288,7 @@ class ParametricReport:
         return self.piecewise.evaluate_float(bindings)
 
     def fingerprint(self) -> tuple:
-        """Deterministic value identity (parallel == sequential)."""
+        """Deterministic value identity (service == direct)."""
         return (
             self.name,
             tuple(sorted((n, lo, hi) for n, (lo, hi) in self.domain.items())),
@@ -448,6 +429,8 @@ def analyze(
             f"lint must be 'off', 'warn' or 'error', got {lint!r}"
         )
     check_backend(backend)
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
     options_key = (
         iterations, with_liveness, with_mcr, with_buffers, with_throughput,
         backend, None if parametric_domain is None else repr(parametric_domain),
@@ -576,10 +559,10 @@ def warm_graph(graph: AnyGraph) -> AnyGraph:
 
     Runs the CSDF abstraction and the symbolic balance solve (the two
     intermediates every later stage keys off), caching negative
-    verdicts too.  Workers call this once per decoded graph so all
-    items that share the graph — across chunks of the same batch —
-    start from warm caches, mirroring what the sequential path gets
-    from analyzing the same live object repeatedly.
+    verdicts too.  Service workers call this once per decoded graph so
+    every request that shares the graph starts from warm caches,
+    mirroring what a batch gets from analyzing the same live object
+    repeatedly.
 
     Idempotent per (graph, version): a completed warm-up leaves a
     marker in the graph's cache, and later calls return without
@@ -863,63 +846,7 @@ class EditSession:
         return self
 
 
-#: Per-worker decoded-graph cache: (batch token, shard rank) -> graph.
-#: Each batch gets a fresh uuid token because forked workers inherit
-#: this store's current contents: entries created by in-process calls
-#: (tests, diagnostics) — or by the resident service's persistent
-#: pool — must never collide with a new batch's ranks.  The LRU bound
-#: keeps such inherited/accumulated entries from growing without limit.
-_WORKER_GRAPHS = ContentStore(limit=32)
-
-
-def _worker_graph(key: tuple, payload: Mapping) -> AnyGraph:
-    """Decode (or fetch the already-decoded, warm) graph for ``key``."""
-    from .io import graph_from_payload
-
-    graph = _WORKER_GRAPHS.get(key)
-    if graph is None:
-        graph = warm_graph(graph_from_payload(payload))
-        _WORKER_GRAPHS.put(key, graph)
-    return graph
-
-
-def _analyze_chunk(chunk: tuple, options: dict) -> list[tuple[int, GraphReport]]:
-    """Worker entry point: analyze one chunk of (index, key, bindings)
-    items against the chunk's payload table; returns index-tagged
-    reports with the graph detached (re-attached parent-side)."""
-    payloads, work = chunk
-    out = []
-    prev_key = None
-    prev_report = None
-    for index, key, bindings in work:
-        reuse = prev_report if key == prev_key else None
-        report = analyze(_worker_graph(key, payloads[key]), bindings,
-                         reuse_from=reuse, **options)
-        out.append((index, report))
-        prev_key, prev_report = key, report
-    for _, report in out:  # detach after the loop: reuse_from needs the graph
-        report.graph = None
-    return out
-
-
-def _effective_jobs(jobs: int | None) -> int:
-    """``None``/1 -> sequential; 0 -> one worker per CPU; n -> n."""
-    if jobs is None:
-        return 1
-    if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
-    if jobs == 0:
-        return os.cpu_count() or 1
-    return jobs
-
-
-def analyze_batch(
-    items: Iterable[BatchItem],
-    *,
-    jobs: int | None = None,
-    chunk_size: int | None = None,
-    **options,
-) -> list[GraphReport]:
+def analyze_batch(items: Iterable[BatchItem], **options) -> list[GraphReport]:
     """Analyze many graphs (or (graph, bindings) pairs) in one call.
 
     Options are forwarded to :func:`analyze`.  Analyses of the same
@@ -928,90 +855,21 @@ def analyze_batch(
     all binding-keyed caches (HSDF expansion, MCR, the SoA execution
     template the throughput stage and :func:`probe_capacities` clone
     their runs from) via the per-graph cache, which is what makes
-    parameter sweeps cheap; the parallel path shards by graph identity
-    so same-structure job groups land on one worker and share the
-    same warmed template there.
-
-    Parameters
-    ----------
-    jobs:
-        Worker processes.  ``None`` or ``1`` analyzes in-process
-        (sequentially, sharing live caches); ``0`` uses one worker per
-        CPU; ``n >= 2`` fans the batch out over a process pool.  The
-        result list is identical (same values, same order) either way;
-        parallel reports re-attach the caller's graph objects but are
-        computed on decoded copies, so worker-side cache warm-up never
-        mutates caller state.
-    chunk_size:
-        Items per worker task.  Defaults to ~4 tasks per worker, after
-        sharding by graph identity (items of the same graph are kept
-        contiguous so each worker decodes and warms a graph at most
-        once per batch).  Smaller chunks balance better; larger chunks
-        amortize decode/dispatch overhead.
+    parameter sweeps cheap.  Consecutive items of the same graph object
+    also pass the previous report as ``reuse_from``.  Reports come back
+    in input order; a stage failure lands in that item's
+    ``report.errors`` like it does for a direct :func:`analyze`.
     """
-    pairs: list[tuple[AnyGraph, Mapping | None]] = []
+    reports = []
+    prev_graph = None
+    prev_report = None
     for item in items:
         if isinstance(item, tuple):
             graph, bindings = item
         else:
             graph, bindings = item, None
-        pairs.append((graph, bindings))
-
-    workers = _effective_jobs(jobs)
-    if workers <= 1 or len(pairs) <= 1:
-        reports = []
-        prev_graph = None
-        prev_report = None
-        for graph, bindings in pairs:
-            reuse = prev_report if graph is prev_graph else None
-            report = analyze(graph, bindings, reuse_from=reuse, **options)
-            reports.append(report)
-            prev_graph, prev_report = graph, report
-        return reports
-    return _analyze_batch_parallel(pairs, workers, chunk_size, options)
-
-
-def _analyze_batch_parallel(
-    pairs: list[tuple[AnyGraph, Mapping | None]],
-    jobs: int,
-    chunk_size: int | None,
-    options: dict,
-) -> list[GraphReport]:
-    from .io import graph_to_payload
-
-    # -- shard: one stable key per distinct graph object ----------------
-    token = uuid.uuid4().hex
-    key_of: dict[int, tuple] = {}
-    payloads: dict[tuple, dict] = {}
-    item_keys: list[tuple] = []
-    for graph, _ in pairs:
-        key = key_of.get(id(graph))
-        if key is None:
-            key = (token, len(key_of))
-            key_of[id(graph)] = key
-            payloads[key] = graph_to_payload(graph)
-        item_keys.append(key)
-
-    # Items of the same shard (graph) stay contiguous; ties keep input
-    # order, and index tags make reassembly order-exact regardless.
-    order = sorted(range(len(pairs)), key=lambda i: (item_keys[i][1], i))
-
-    if chunk_size is None:
-        chunk_size = max(1, -(-len(pairs) // (jobs * 4)))
-    elif chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-
-    chunks = []
-    for start in range(0, len(order), chunk_size):
-        indices = order[start:start + chunk_size]
-        work = [(i, item_keys[i], pairs[i][1]) for i in indices]
-        table = {key: payloads[key] for key in {item_keys[i] for i in indices}}
-        chunks.append((table, work))
-
-    results: list[GraphReport | None] = [None] * len(pairs)
-    with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
-        for piece in pool.map(_analyze_chunk, chunks, itertools.repeat(options)):
-            for index, report in piece:
-                report.graph = pairs[index][0]
-                results[index] = report
-    return results  # type: ignore[return-value]  # every slot is filled
+        reuse = prev_report if graph is prev_graph else None
+        report = analyze(graph, bindings, reuse_from=reuse, **options)
+        reports.append(report)
+        prev_graph, prev_report = graph, report
+    return reports

@@ -96,8 +96,6 @@ def fig8_series(
     ns=(512, 1024),
     l: int = 1,
     m: int = 4,
-    jobs: int | None = None,
-    chunk_size: int | None = None,
 ) -> list[Fig8Point]:
     """The full Fig. 8 sweep: beta in 10..100, N in {512, 1024}.
 
@@ -106,11 +104,6 @@ def fig8_series(
     the symbolic balance solve, repetition vectors and consistency
     verdicts are computed once per graph and reused across all
     ``(beta, N)`` valuations instead of once per point.
-
-    ``jobs``/``chunk_size`` fan the valuations out over the parallel
-    batch-analysis service (identical results, see ``analyze_batch``);
-    the two graphs shard to different workers and each worker warms a
-    graph's caches once for all its points.
     """
     from ...analysis import analyze_batch
 
@@ -128,8 +121,6 @@ def fig8_series(
             ((tpdf_csdf, bindings_for(beta, n, l, m)) for beta, n in grid),
             ((csdf, bindings_for(beta, n, l, 4)) for beta, n in grid),
         ),
-        jobs=jobs,
-        chunk_size=chunk_size,
         **options,
     )
     tpdf_reports, csdf_reports = reports[: len(grid)], reports[len(grid):]

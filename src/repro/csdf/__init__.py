@@ -34,7 +34,6 @@ from .buffers import (
     total_buffer_size,
 )
 from .eventloop import EventQueue, ReadyWorklist
-from .calqueue import CalendarQueue
 from .statearrays import ArrayState, array_state, self_timed_execution_arrays
 from .throughput import (
     BACKENDS,
@@ -97,7 +96,6 @@ __all__ = [
     "BACKENDS",
     "EventQueue",
     "ReadyWorklist",
-    "CalendarQueue",
     "ArrayState",
     "array_state",
     "iteration_latency",

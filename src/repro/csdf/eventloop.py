@@ -8,8 +8,8 @@ The loops of the reproduction — the timed CSDF executor
     A binary heap of timed events with stable FIFO tie-break (events
     at equal times pop in push order — exactly the ``(time, seq)``
     tuple ordering the legacy loops got from ``heapq``).  The loops
-    only push and pop: no firing is ever revoked.  The calendar queue
-    (:mod:`repro.csdf.calqueue`) shares the same contract.
+    only push and pop: no firing is ever revoked.  The arrays cores
+    inline the same contract as bare ``heapq`` tuples.
 
 :class:`ReadyWorklist`
     A pending-ready worklist over integer actor positions, used by the

@@ -345,8 +345,8 @@ class PiecewiseMCR:
     by comparing the candidates as polynomials — no sampling.
 
     The object is plain data (pickle-safe) and is what
-    :class:`repro.analysis.ParametricReport` and the parallel batch
-    service ship between processes.
+    :class:`repro.analysis.ParametricReport` and the analysis service's
+    workers ship between processes.
     """
 
     __slots__ = ("graph_name", "domain", "candidates", "regions", "_q")
@@ -424,7 +424,7 @@ class PiecewiseMCR:
 
     # -- reporting ------------------------------------------------------
     def fingerprint(self) -> tuple:
-        """Deterministic value identity (for the parallel parity suite)."""
+        """Deterministic value identity (for the parity suites)."""
         return (
             self.graph_name,
             self.domain.key(),

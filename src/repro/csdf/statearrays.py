@@ -35,10 +35,9 @@ removes all three costs:
     unsatisfied constraints.  A token mutation updates exactly the
     bits of the touched channel, and an actor enters the worklist
     precisely when its count hits zero — the per-candidate ready check
-    collapses to one integer comparison.  Events are scheduled through
-    the calendar queue of :mod:`repro.csdf.calqueue` (same
-    ``(time, seq)`` FIFO contract as ``EventQueue``, heap fallback at
-    small queue sizes).
+    collapses to one integer comparison.  Completion events are
+    scheduled on a bare ``heapq`` of ``(time, seq, pos)`` tuples — the
+    same ``(time, seq)`` FIFO contract as ``EventQueue``.
 
 Bit-for-bit contract
 --------------------
@@ -68,7 +67,6 @@ import numpy as np
 from ..cache import bindings_key, cached, content_store, delta_since, version_of
 from ..errors import DeadlockError
 from .analysis import concrete_repetition_vector
-from .calqueue import CalendarQueue
 from .graph import CSDFGraph
 from .simulation import rate_table
 
@@ -77,13 +75,6 @@ __all__ = ["ArrayState", "array_state", "sim_array_state",
 
 #: Capacity sentinel in the caps array: "unbounded".
 _UNCAPPED = -1
-
-#: Actor count from which an unbounded-cores run schedules its events
-#: through :class:`~repro.csdf.calqueue.CalendarQueue` — below this
-#: the in-flight population (at most one firing per actor, capped by
-#: the core budget) cannot cross the queue's own calendar threshold,
-#: so the run uses the C heap directly with the same FIFO contract.
-_CALENDAR_ACTORS = 128
 
 
 class ArrayState:
@@ -415,22 +406,9 @@ def self_timed_execution_arrays(
             ]
     missing = missing_np.tolist()
 
-    # Event scheduling: the CalendarQueue's own policy runs buckets
-    # only past its calendar threshold, so its heap mode would add one
-    # method call per event for nothing on small runs.  Hoist that
-    # decision to run level: only an execution whose in-flight
-    # population can cross the threshold (unbounded cores, enough
-    # actors) instantiates the calendar queue; every other run
-    # schedules straight on the C heap with the same ``(time, seq)``
-    # FIFO contract — bit-identical pop order either way.
-    use_cal = cores is None and n >= _CALENDAR_ACTORS
-    if use_cal:
-        events = CalendarQueue()
-        push_event = events.push
-        pop_event = events.pop
-    else:
-        heap: list[tuple[float, int, int]] = []
-        seq = 0
+    # Completion events on the C heap; seq breaks time ties in push order.
+    heap: list[tuple[float, int, int]] = []
+    seq = 0
     now = 0.0
     running = 0
     visits = 0
@@ -546,21 +524,15 @@ def self_timed_execution_arrays(
                 if duration is None:
                     phases = exec_phases[pos]
                     duration = phases[nfir % len(phases)]
-                if use_cal:
-                    push_event(now + duration, pos)
-                else:
-                    heappush(heap, (now + duration, seq, pos))
-                    seq += 1
+                heappush(heap, (now + duration, seq, pos))
+                seq += 1
                 progress = True
             if suspended or not progress:
                 break
 
         # ---- next completion event ----
         try:
-            if use_cal:
-                now, _, pos = pop_event()
-            else:
-                now, _, pos = heappop(heap)
+            now, _, pos = heappop(heap)
         except IndexError:
             break  # quiescent: no live events left
         nfir = completed[pos]

@@ -284,8 +284,7 @@ def self_timed_execution(
         The array-state backend of :mod:`repro.csdf.statearrays`:
         struct-of-arrays state cloned from a memoized numpy template,
         incremental constraint counters instead of per-visit firing
-        tables, and the calendar-queue event scheduler of
-        :mod:`repro.csdf.calqueue`.
+        tables, and completion events on a bare ``heapq``.
     ``"reference"``
         The legacy full-rescan loop
         (:func:`self_timed_execution_reference`) — the differential

@@ -11,7 +11,7 @@ deserialized graphs carry the structure and rates, ready for analysis
 or for re-attaching behaviour.
 
 The same dictionaries double as the **pickle-safe codec** of the
-parallel batch-analysis service (:func:`graph_to_payload` /
+analysis service's worker hand-off (:func:`graph_to_payload` /
 :func:`graph_from_payload`): live graph objects carry analysis caches,
 port->node->graph back-references and arbitrary callables, none of
 which belong on a process-pool wire.  The payload strips all of that
@@ -668,7 +668,7 @@ def report_from_dict(data: Mapping):
 
     The decoded report carries no graph object (``report.graph is
     None``) and no provenance, exactly like a report that crossed the
-    parallel batch service's process boundary; its ``fingerprint()``
+    service's worker process boundary; its ``fingerprint()``
     equals the original's bit-for-bit.
     """
     if data.get("kind") != "graph_report":

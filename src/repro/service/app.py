@@ -236,7 +236,15 @@ class AnalysisService:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                length = int(headers.get("content-length", 0) or 0)
+                raw_length = headers.get("content-length") or "0"
+                if not (raw_length.isascii() and raw_length.isdigit()):
+                    await self._respond(writer, 400, {
+                        "error": {"type": "BadRequest",
+                                  "message": "malformed Content-Length "
+                                             f"{raw_length!r}"}},
+                        keep_alive=False)
+                    break
+                length = int(raw_length)
                 body = await reader.readexactly(length) if length else b""
                 status, payload = await self._dispatch(method, path, body)
                 keep_alive = headers.get("connection", "").lower() != "close"

@@ -1,10 +1,9 @@
 """The persistent analysis worker pool.
 
-The one-shot ``analyze_batch(jobs=)`` path pays a full
-``ProcessPoolExecutor`` spin-up and a per-batch graph decode on every
-call — the wrong shape for sustained service traffic.  This pool
-starts its workers **once** and keeps them resident: each worker holds
-a bounded decode cache of warm graphs keyed by payload content
+The repo's one process pool.  It starts its workers **once** and
+keeps them resident, so sustained service traffic pays no per-call
+process spin-up or graph decode: each worker holds a bounded decode
+cache of warm graphs keyed by payload content
 fingerprint (:class:`repro.cache.ContentStore`), so a graph that was
 ever analyzed stays decoded, its :mod:`repro.cache` state — balance
 solutions, HSDF structure, per-SCC MCR memos, SoA execution
@@ -30,8 +29,7 @@ app's periodic health task).
 
 The wire between app and worker is a ``multiprocessing.Pipe``
 carrying plain dict requests and pickled replies (``GraphReport`` with
-the graph detached — the codec-shaped payload the parallel batch
-service already ships).  Blocking pipe I/O is pushed onto a small
+the graph detached).  Blocking pipe I/O is pushed onto a small
 thread executor so the asyncio front door never blocks.
 """
 

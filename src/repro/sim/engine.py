@@ -175,7 +175,7 @@ class Simulator:
         self._busy: set[str] = set()
         self._limits: dict[str, int] = {}
         #: ``"arrays"`` never touches this queue (the plane owns its
-        #: own calendar/heap event core).
+        #: own heap event core).
         self._events = None if ready_core == "arrays" else EventQueue()
         #: the schedule/value plane, built lazily on the first run so
         #: ``function``/``meta`` hooks attached after construction are

@@ -15,7 +15,7 @@ debts, capacities, reservations) over the memoized
 :func:`~repro.csdf.statearrays.sim_array_state` template, driven by
 a :class:`~repro.csdf.eventloop.ReadyWorklist` (only nodes whose
 readiness may have changed are re-examined, in the reference loop's
-scan order) and the calendar-queue/heap event core of the CSDF arrays
+scan order) and the same ``heapq`` event core as the CSDF arrays
 backend.  The TPDF-only mechanics the CSDF executor lacks live here: control-token mode selection gating per-firing port
 sets, highest-priority candidate choice over pre-sorted
 ``(priority, port)`` tables, discard-debt flushing, clock-actor
@@ -54,9 +54,8 @@ from collections import deque
 from heapq import heappop, heappush
 from math import inf
 
-from ..csdf.calqueue import CalendarQueue
 from ..csdf.eventloop import ReadyWorklist
-from ..csdf.statearrays import _CALENDAR_ACTORS, sim_array_state
+from ..csdf.statearrays import sim_array_state
 from ..errors import SimulationError
 from ..tpdf.builtins import ClockActor
 from ..tpdf.kernel import ControlActor
@@ -258,8 +257,7 @@ class SimPlane:
         self.core_blocked_flag = bytearray(n)
         self.limit = [inf] * n
         self.now = 0.0
-        self.use_cal = n >= _CALENDAR_ACTORS
-        self.events = CalendarQueue() if self.use_cal else []
+        self.events: list[tuple[float, int, int, int]] = []
         self.seq = 0
         self.pending = 0
 
@@ -280,11 +278,8 @@ class SimPlane:
 
     # -- event queue -------------------------------------------------------
     def _push(self, time: float, kind: int, pos: int) -> None:
-        if self.use_cal:
-            self.events.push(time, (kind, pos))
-        else:
-            self.seq += 1
-            heappush(self.events, (time, self.seq, kind, pos))
+        self.seq += 1
+        heappush(self.events, (time, self.seq, kind, pos))
         self.pending += 1
 
     # -- rate lookups (the engine's _rate / _kernel_rate) -------------------
@@ -891,15 +886,11 @@ class SimPlane:
 
     def _drain(self, horizon: float, max_firings: int) -> None:
         events = self.events
-        use_cal = self.use_cal
         ready_stats = self.sim.ready_stats
         self._start_ready()
         fired_total = 0
         while self.pending:
-            if use_cal:
-                time, _, (kind, pos) = events.pop()
-            else:
-                time, _, kind, pos = heappop(events)
+            time, _, kind, pos = heappop(events)
             self.pending -= 1
             if time > horizon:
                 self.now = horizon
@@ -930,7 +921,6 @@ class SimPlane:
         """
         sim = self.sim
         events = self.events
-        use_cal = self.use_cal
         worklist = self.worklist
         tokens = self.tokens
         reserved = self.reserved
@@ -1040,10 +1030,7 @@ class SimPlane:
         start_ready()
         fired_total = 0
         while self.pending:
-            if use_cal:
-                time, _, (_, pos) = events.pop()
-            else:
-                time, _, _, pos = heappop(events)
+            time, _, _, pos = heappop(events)
             self.pending -= 1
             if time > horizon:
                 self.now = horizon

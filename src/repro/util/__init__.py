@@ -1,7 +1,7 @@
 """Utilities: ASCII tables, series plots, CSV export, DOT rendering,
 related-work validation matrix."""
 
-from .tables import ascii_series_plot, ascii_table, available_cores, write_csv
+from .tables import ascii_series_plot, ascii_table, write_csv
 from .dot import csdf_to_dot, tpdf_to_dot
 from .validation import (
     FEATURE_HEADERS,
@@ -14,7 +14,6 @@ from .validation import (
 __all__ = [
     "ascii_table",
     "ascii_series_plot",
-    "available_cores",
     "write_csv",
     "csdf_to_dot",
     "tpdf_to_dot",

@@ -9,22 +9,8 @@ plotting.
 from __future__ import annotations
 
 import csv
-import os
 from pathlib import Path
 from typing import Iterable, Sequence
-
-
-def available_cores() -> int:
-    """CPUs this process may actually run on (affinity-aware).
-
-    The parallel benches key their speedup assertions off this: a pool
-    cannot scale past the cores the scheduler grants, whatever
-    ``os.cpu_count()`` says the machine has.
-    """
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def ascii_table(

@@ -19,7 +19,7 @@ from repro.errors import GraphConstructionError
 from repro.tpdf import fig2_graph, random_consistent_graph
 
 #: (actors, extra_edges, back_edges, parametric, with_control) — the
-#: 200-graph corpus of tests/test_analysis_parallel.py.
+#: 200-graph corpus of tests/service/conftest.py.
 SHAPES = (
     (3, 1, 0, False, False),
     (4, 2, 1, False, False),

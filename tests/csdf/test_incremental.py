@@ -176,6 +176,48 @@ class TestWarmColdDifferential:
             analyze(b, None, reuse_from=report, **ANALYZE_OPTIONS)
 
 
+class TestAnalyzeBatch:
+    """``analyze_batch`` is a sequential loop over :func:`analyze`."""
+
+    def test_mixed_items_match_direct_analyze(self, monkeypatch):
+        import repro.analysis as analysis
+
+        a = random_consistent_graph(4, seed=1, parametric=True)
+        b = random_consistent_graph(5, seed=2)
+        bad = CSDFGraph("bad")
+        bad.add_actor("x")
+        bad.add_actor("y")
+        bad.add_channel("xy", "x", "y", production=2, consumption=3)
+        bad.add_channel("xy2", "x", "y", production=1, consumption=1)
+        items = [(a, {"p": 1}), b, (a, {"p": 2}), (a, {"p": 2}),
+                 bad, (b.as_csdf(), None), (a, {"p": 4})]
+        pairs = [item if isinstance(item, tuple) else (item, None)
+                 for item in items]
+        expected = [analyze(graph, bindings, iterations=3).fingerprint()
+                    for graph, bindings in pairs]
+
+        reuse_args = []
+        direct = analysis.analyze
+
+        def spy(graph, bindings=None, *, reuse_from=None, **options):
+            reuse_args.append(reuse_from)
+            return direct(graph, bindings, reuse_from=reuse_from, **options)
+
+        monkeypatch.setattr(analysis, "analyze", spy)
+        reports = analysis.analyze_batch(items, iterations=3)
+
+        assert [r.fingerprint() for r in reports] == expected
+        assert all(r.graph is graph and r.bindings == dict(bindings or {})
+                   for r, (graph, bindings) in zip(reports, pairs))
+        # Only the repeated (a, p=2) item follows its own graph.
+        assert reuse_args[3] is reports[2]
+        assert [i for i, reuse in enumerate(reuse_args)
+                if reuse is not None] == [3]
+        # The inconsistent item's failure stays on its own report.
+        assert not reports[4].consistent and "consistency" in reports[4].errors
+        assert all(r.consistent for i, r in enumerate(reports) if i != 4)
+
+
 class TestSCCGranularity:
     """Reuse happens (out-of-core edits skip the core) and never goes
     stale (in-core and structural edits recompute)."""

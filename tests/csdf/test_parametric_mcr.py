@@ -15,7 +15,7 @@ exact and the claim is well-posed).  The suite checks that on well over
 Degenerate shapes are covered explicitly: single-region domains, empty
 domains, boundary bindings (domain corners), concrete graphs under the
 empty domain, unsupported-class graphs (parametric cyclic cores),
-deadlocking cores, and the pickle / parallel-batch paths.
+deadlocking cores, and the pickle path of the service workers.
 """
 
 import pickle
@@ -367,16 +367,14 @@ class TestIntegration:
         assert "parametric_mcr" in report.parametric.errors
         assert "FAILED" in report.parametric.summary()
 
-    def test_parallel_batch_parity(self):
-        """The parametric stage rides the PR 2 process pool unchanged:
-        fingerprints (which fold in the piecewise result) must be
-        bit-identical to the sequential path."""
+    def test_report_pickle_roundtrip(self):
+        """Service workers pickle their replies: the parametric stage
+        must survive the round trip with a bit-identical fingerprint
+        (which folds in the piecewise result)."""
         graph = fig2_graph()
         items = [(graph, {"p": v}) for v in (1, 2, 3, 4)]
-        sequential = analyze_batch(items, parametric_domain={"p": (1, 8)})
-        parallel = analyze_batch(items, jobs=2, chunk_size=2,
-                                 parametric_domain={"p": (1, 8)})
-        assert [r.fingerprint() for r in parallel] == \
-            [r.fingerprint() for r in sequential]
-        for report in parallel:
+        for report in analyze_batch(items, parametric_domain={"p": (1, 8)}):
             assert report.parametric.piecewise is not None
+            clone = pickle.loads(pickle.dumps(report.parametric))
+            assert clone.fingerprint() == report.parametric.fingerprint()
+            assert clone.mcr_at({"p": 4}) == report.parametric.mcr_at({"p": 4})

@@ -1,21 +1,17 @@
 """Property-based suite for the scheduler primitives.
 
-The array-state backend stands on three small data structures whose
+The discrete-event loops stand on two small data structures whose
 contracts every executor decision rides on:
 
 * :class:`repro.csdf.eventloop.EventQueue` — binary heap with the
   ``(time, seq)`` FIFO tie-break;
-* :class:`repro.csdf.calqueue.CalendarQueue` — same contract, calendar
-  buckets past its threshold, heap fallback below it and on degenerate
-  bucket widths;
 * :class:`repro.csdf.eventloop.ReadyWorklist` — the pass-structured
   pending-ready worklist whose scan-order tie-break decides start
   order.
 
 Random interleavings of ``push``/``pop`` are driven against one
 **sorted-list oracle** (a plain list of ``(time, seq, payload)``
-entries popped by ``min``), across queue configurations that force
-both calendar and heap modes.  The worklist checks pin the
+entries popped by ``min``).  The worklist checks pin the
 ``pending()`` invariants and the cursor routing of mid-pass seeds.
 """
 
@@ -25,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.csdf.calqueue import CalendarQueue
 from repro.csdf.eventloop import EventQueue, ReadyWorklist
 
 # -- operation strategies ----------------------------------------------------
@@ -47,22 +42,10 @@ _OPS = st.lists(
     max_size=120,
 )
 
-#: Queue factories: the binary heap, plus calendar queues forced into
-#: calendar mode (tiny threshold, fixed width), left on the automatic
-#: width estimate, and kept on the heap fallback (huge threshold).
-_QUEUES = (
-    lambda: EventQueue(),
-    lambda: CalendarQueue(),
-    lambda: CalendarQueue(calendar_threshold=1, bucket_width=2.0),
-    lambda: CalendarQueue(calendar_threshold=4),
-    lambda: CalendarQueue(calendar_threshold=2, bucket_width=0.37),
-    lambda: CalendarQueue(calendar_threshold=10**9),
-)
 
-
-def _drive(make_queue, ops):
+def _drive(ops):
     """Run one interleaving against the sorted-list oracle."""
-    queue = make_queue()
+    queue = EventQueue()
     oracle: list[tuple[float, int, int]] = []
     payload = 0
     for op, time in ops:
@@ -93,35 +76,7 @@ class TestQueuesAgainstSortedOracle:
     @given(ops=_OPS)
     @settings(max_examples=60)
     def test_random_interleavings(self, ops):
-        for make_queue in _QUEUES:
-            _drive(make_queue, ops)
-
-    def test_calendar_mode_is_actually_exercised(self):
-        """Guard against the suite silently testing only heap mode."""
-        queue = CalendarQueue(calendar_threshold=4)
-        for index in range(64):
-            queue.push(index * 1.25, index)
-        assert queue.mode == "calendar"
-        assert [queue.pop()[2] for _ in range(64)] == list(range(64))
-        assert queue.mode == "heap"  # shrank back below the threshold
-
-    def test_fifo_ties_across_calendar_resize(self):
-        queue = CalendarQueue(calendar_threshold=2, bucket_width=1.0)
-        for index in range(40):
-            queue.push(5.0, index)       # one burst bucket
-        for index in range(40, 60):
-            queue.push(float(index), index)
-        order = [queue.pop()[2] for _ in range(60)]
-        assert order == list(range(60))
-
-    def test_degenerate_width_falls_back_to_heap(self):
-        """A same-timestamp burst has no usable inter-event gap: the
-        width estimate degenerates and the queue stays on the heap."""
-        queue = CalendarQueue(calendar_threshold=4)
-        for index in range(100):
-            queue.push(2.5, index)
-        assert queue.mode == "heap"
-        assert [queue.pop()[2] for _ in range(100)] == list(range(100))
+        _drive(ops)
 
 
 # -- ReadyWorklist invariants ------------------------------------------------

@@ -700,3 +700,30 @@ class TestAnalyzeBackendOption:
 
         assert (analyze(fig1, backend="reference").fingerprint()
                 == analyze(fig1).fingerprint())
+
+
+class TestAnalyzeIterationsOption:
+    """Bugfix regression: ``analyze`` used to accept ``iterations < 1``
+    and run every static stage before the executor rejected it, or
+    return a clean report when the throughput stage did not run."""
+
+    @pytest.mark.parametrize("options", (
+        {}, {"with_throughput": False}, {"backend": "reference"}),
+        ids=("default", "no_throughput", "reference"))
+    @pytest.mark.parametrize("iterations", (0, -3))
+    def test_rejected_before_any_stage(self, iterations, options):
+        from repro.analysis import analyze
+        from repro.cache import analysis_cache
+        from repro.gallery import fig1_graph
+
+        graph = fig1_graph()
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            analyze(graph, iterations=iterations, **options)
+        assert not analysis_cache(graph), "no stage may have run"
+
+    def test_rejected_when_throughput_skipped(self):
+        from repro.analysis import analyze
+        from repro.tpdf import fig2_graph
+
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            analyze(fig2_graph(), iterations=0)

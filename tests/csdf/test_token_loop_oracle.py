@@ -32,7 +32,7 @@ from repro.gallery import fig1_graph, fig4_graph
 from repro.io import csdf_from_dict, csdf_to_dict
 from repro.tpdf import random_consistent_graph
 
-#: The 200-graph corpus of tests/test_analysis_parallel.py:
+#: The 200-graph corpus of tests/service/conftest.py:
 #: (actors, extra_edges, back_edges, parametric, with_control).
 CORPUS_SHAPES = (
     (3, 1, 0, False, False),

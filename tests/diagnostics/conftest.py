@@ -1,7 +1,7 @@
 """Shared corpus fixtures for the diagnostics suites.
 
-The same 8-shape x 25-seed random corpus the parallel/incremental
-differential suites standardize on (see tests/test_analysis_parallel.py):
+The same 8-shape x 25-seed random corpus the service/incremental
+differential suites standardize on (see tests/service/conftest.py):
 the generator emits only consistent, live graphs, so any ERROR
 diagnostic on an unmodified corpus graph is a false alarm by
 construction.

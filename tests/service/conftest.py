@@ -3,8 +3,7 @@
 The differential tests talk to one module-scoped service over real
 HTTP; the fault and concurrency tests start their own (small, hooked)
 instances.  ``REPRO_SERVICE_SEEDS`` trims the seeded corpus for fast
-CI profiles (default: the full 25 seeds per shape = 200 graphs, the
-same corpus the parallel-batch differential suite uses).
+CI profiles (default: the full 25 seeds per shape = 200 graphs).
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ import pytest
 
 from repro.tpdf import random_consistent_graph
 
-#: (actors, extra_edges, back_edges, parametric, with_control) — the
-#: corpus shapes of tests/test_analysis_parallel.py.
+#: (actors, extra_edges, back_edges, parametric, with_control) shapes;
+#: parametric graphs get a concrete valuation so every stage runs.
 SHAPES = (
     (3, 1, 0, False, False),
     (4, 2, 1, False, False),

@@ -9,6 +9,8 @@ The contract under crashes (SIGKILL — no chance to clean up):
   (:class:`WorkerCrashError` carrying the attempt count), never a hang;
 * a session whose worker died is gone for good: 410
   (:class:`SessionLost`) on the in-flight call, 404 afterwards;
+* a request head with a malformed ``Content-Length`` is a clean 400
+  (:class:`BadRequest`) on a closed connection;
 * the service keeps serving correct results after any of the above.
 
 Crashes are induced two ways: the ``crash`` test hook (the worker
@@ -19,16 +21,20 @@ exhaustion) and an external ``os.kill`` mid-request (the
 
 from __future__ import annotations
 
+import json
 import os
 import signal
+import socket
 import threading
 import time
+from urllib.parse import urlsplit
 
 import pytest
 
 from repro.analysis import analyze
-from repro.service import (ServiceClient, SessionLost, SessionNotFound,
-                           WorkerCrashError, serve_in_thread)
+from repro.service import (BadRequest, ServiceClient, SessionLost,
+                           SessionNotFound, WorkerCrashError, error_from_dict,
+                           serve_in_thread)
 
 from .conftest import small_csdf
 
@@ -167,3 +173,36 @@ class TestSessionLoss:
         report = session_b.edits([edit_b])
         assert report.bounded is not None
         session_b.close()
+
+
+class TestMalformedContentLength:
+
+    @staticmethod
+    def _exchange(url: str, head: bytes) -> bytes:
+        """Send one raw request head; read the reply until the server
+        closes the connection."""
+        parts = urlsplit(url)
+        with socket.create_connection((parts.hostname, parts.port),
+                                      timeout=10) as sock:
+            sock.sendall(head)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        return reply
+
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_bad_request_envelope_then_close(self, value):
+        with serve_in_thread(workers=1, health_interval=0) as handle:
+            reply = self._exchange(
+                handle.url,
+                f"POST /analyze HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {value}\r\n\r\n".encode("latin-1"))
+            head, _, body = reply.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0] == "HTTP/1.1 400 Bad Request"
+            assert "Connection: close" in lines
+            error = error_from_dict(json.loads(body)["error"], 400)
+            assert isinstance(error, BadRequest)
+            assert "Content-Length" in str(error)
+            # the listener is unharmed
+            assert ServiceClient(handle.url).health()["status"] == "ok"

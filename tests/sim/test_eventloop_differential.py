@@ -296,6 +296,42 @@ class TestSimulatorParity:
             Simulator(fig2, ready_core=core)
 
 
+def _fanout(chains: int):
+    """One source feeding ``chains`` two-actor chains with exec times
+    1-9: ``1 + 2 * chains`` actors, most of them in flight at once."""
+    from repro.tpdf import TPDFGraph
+
+    g = TPDFGraph(f"fanout{chains}")
+    src = g.add_kernel("src", exec_time=1)
+    for i in range(chains):
+        src.add_output(f"o{i}", 1)
+        head = g.add_kernel(f"h{i}", exec_time=1 + i % 9)
+        head.add_input("in", 1)
+        head.add_output("out", 1)
+        tail = g.add_kernel(f"t{i}", exec_time=1 + (4 * i + 3) % 9)
+        tail.add_input("in", 1)
+        g.connect(f"src.o{i}", f"h{i}.in")
+        g.connect(f"h{i}.out", f"t{i}.in")
+    return g
+
+
+class TestWideFanoutParity:
+    """201 actors with over 128 completions queued at once: the arrays
+    cores' event heap at a size the corpus never reaches still matches
+    the reference cores bit for bit."""
+
+    @pytest.mark.parametrize("cores", (None, 2))
+    def test_executor(self, cores):
+        _assert_parity(_fanout(100).as_csdf(), iterations=8, cores=cores)
+
+    @pytest.mark.parametrize("record_values", (False, True),
+                             ids=("counters", "values"))
+    @pytest.mark.parametrize("cores", (None, 2))
+    def test_simulator(self, cores, record_values):
+        _assert_sim_parity(_fanout(100), cores=cores, limits={"src": 8},
+                           record_values=record_values)
+
+
 def _sim_result_key(graph, ready_core, cores, limits, capacities=None,
                     bindings=None):
     """Exact observable outcome of one simulator run: the trace

@@ -23,7 +23,7 @@ from repro.gallery import fig7_graph
 from repro.tpdf import TPDFGraph, fig2_graph, random_consistent_graph
 
 #: The parameter-free shapes of the 200-graph corpus
-#: (tests/test_analysis_parallel.py): (actors, extra, back, control).
+#: (tests/service/conftest.py): (actors, extra, back, control).
 CONSTANT_SHAPES = (
     (3, 1, 0, False),
     (4, 2, 1, False),

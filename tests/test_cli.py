@@ -58,6 +58,19 @@ class TestAnalyze:
         with pytest.raises(SystemExit):
             main(["analyze", fig2_json, "--param", "p=low..high"])
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_iterations_below_one_exits_cleanly(self, fig1_json, value):
+        with pytest.raises(SystemExit, match="--iterations must be >= 1"):
+            main(["analyze", fig1_json, "--iterations", value])
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--chunk-size"])
+    def test_removed_pool_options_are_usage_errors(self, fig1_json, flag,
+                                                   capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", fig1_json, flag, "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_unbounded_graph_exits_one(self, tmp_path, capsys):
         g = TPDFGraph("bad")
         a = g.add_kernel("a")
@@ -127,11 +140,6 @@ class TestAnalyzeEdits:
         script = self._script(tmp_path, [])
         with pytest.raises(SystemExit, match="exactly one graph"):
             main(["analyze", fig1_json, fig1_json, "--edits", script])
-
-    def test_edits_reject_jobs(self, fig1_json, tmp_path):
-        script = self._script(tmp_path, [])
-        with pytest.raises(SystemExit, match="drop --jobs"):
-            main(["analyze", fig1_json, "--edits", script, "--jobs", "2"])
 
     def test_verify_cold_requires_edits(self, fig1_json):
         with pytest.raises(SystemExit, match="--edits"):

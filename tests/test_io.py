@@ -1,13 +1,19 @@
-"""Tests for graph serialization and the rate-expression parser."""
+"""Tests for graph serialization, the rate-expression parser and the
+worker hand-off codec."""
 
 import pytest
 
+from repro.analysis import analyze, warm_graph
+from repro.cache import analysis_cache
+from repro.csdf import CSDFGraph
 from repro.errors import GraphConstructionError
 from repro.io import (
     csdf_from_dict,
     csdf_from_json,
     csdf_to_dict,
     csdf_to_json,
+    graph_from_payload,
+    graph_to_payload,
     parse_poly,
     tpdf_from_dict,
     tpdf_from_json,
@@ -15,7 +21,13 @@ from repro.io import (
     tpdf_to_json,
 )
 from repro.symbolic import Poly
-from repro.tpdf import check_rate_safety, clock, fig2_graph, repetition_vector
+from repro.tpdf import (
+    check_rate_safety,
+    clock,
+    fig2_graph,
+    random_consistent_graph,
+    repetition_vector,
+)
 
 
 class TestPolyParser:
@@ -146,3 +158,82 @@ class TestCSDFRoundTrip:
         first, second = csdf_from_json(text), csdf_from_json(text)
         assert first.actor_names() == second.actor_names()
         assert all(a is b for a, b in zip(first.actor_names(), second.actor_names()))
+
+
+class TestCodec:
+    """The pickle-safe payload codec underpinning the service's worker
+    hand-off."""
+
+    def test_payload_is_plain_data(self):
+        graph = random_consistent_graph(5, extra_edges=2, seed=7,
+                                        parametric=True, with_control=True)
+        payload = graph_to_payload(graph)
+
+        def plain(value):
+            if isinstance(value, dict):
+                return all(isinstance(k, str) and plain(v) for k, v in value.items())
+            if isinstance(value, (list, tuple)):
+                return all(plain(v) for v in value)
+            return value is None or isinstance(value, (str, int, float, bool))
+
+        assert plain(payload)
+
+    def test_roundtrip_preserves_analysis_results(self):
+        graph = random_consistent_graph(6, extra_edges=3, n_cycles=1, seed=11,
+                                        with_control=True)
+        clone = graph_from_payload(graph_to_payload(graph))
+        assert analyze(clone).fingerprint() == analyze(graph).fingerprint()
+
+    def test_roundtrip_strips_caches_and_callables(self):
+        graph = random_consistent_graph(4, seed=2)
+        for kernel in graph.kernels.values():
+            kernel.function = lambda *tokens: tokens  # unpicklable closure
+        analyze(graph)  # populate caches
+        assert analysis_cache(graph)
+        clone = graph_from_payload(graph_to_payload(graph))
+        assert not analysis_cache(clone)
+        assert all(k.function is None for k in clone.kernels.values())
+
+    def test_kernel_modes_roundtrip(self, fig2):
+        clone = graph_from_payload(graph_to_payload(fig2))
+        assert clone.kernels["F"].modes == fig2.kernels["F"].modes
+
+    def test_csdf_payload_roundtrip(self, fig1):
+        clone = graph_from_payload(graph_to_payload(fig1))
+        assert isinstance(clone, CSDFGraph)
+        assert analyze(clone).fingerprint() == analyze(fig1).fingerprint()
+
+    def test_frozen_memoized_view_is_encodable(self):
+        graph = random_consistent_graph(4, seed=6)
+        view = graph.as_csdf()
+        assert view.frozen
+        clone = graph_from_payload(graph_to_payload(view))
+        assert not clone.frozen, "decoded copies are fresh and mutable"
+        assert analyze(clone).fingerprint() == analyze(view).fingerprint()
+
+    def test_unknown_payload_rejected(self):
+        with pytest.raises(GraphConstructionError):
+            graph_from_payload({"model": "hsdf?"})
+        with pytest.raises(GraphConstructionError):
+            graph_to_payload(object())  # type: ignore[arg-type]
+
+
+class TestWarmGraph:
+    """``warm_graph`` primes a decoded graph's caches in a service
+    worker."""
+
+    def test_warm_graph_populates_shared_caches(self):
+        graph = random_consistent_graph(4, seed=8)
+        assert not analysis_cache(graph.as_csdf())
+        warm_graph(graph)
+        cache = analysis_cache(graph.as_csdf())
+        assert ("repetition_vector",) in cache
+
+    def test_warm_graph_caches_negative_verdicts(self):
+        bad = CSDFGraph("bad")
+        bad.add_actor("a")
+        bad.add_actor("b")
+        bad.add_channel("ab", "a", "b", production=2, consumption=3)
+        bad.add_channel("ab2", "a", "b", production=1, consumption=1)
+        warm_graph(bad)  # must not raise
+        assert ("base_solution",) in analysis_cache(bad)

@@ -47,7 +47,7 @@ class TestGeneratedGraphs:
 
 
 class TestGeneratorFoundation:
-    """The differential suites (MCR, parallel parity) draw their random
+    """The differential suites (MCR, service parity) draw their random
     corpora from this generator; pin its determinism and rate algebra
     so those suites rest on a tested foundation."""
 
