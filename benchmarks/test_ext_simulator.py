@@ -1,25 +1,29 @@
 """EXT10 — the simulator's schedule-plane / value-plane split.
 
-PR 9 rebuilt the TPDF ``Simulator`` around two planes: a **schedule
+The TPDF ``Simulator``'s arrays core runs on two planes: a **schedule
 plane** that runs all scheduling mechanics (mode-gated port sets,
 priority choice, discard debts, clocks, core budgets, capacities) on
 flat slot-indexed counters over the memoized struct-of-arrays template
 of ``repro.csdf.statearrays``, and a lazy **value plane** that
 materializes token payloads only on channels with a value-touching
-endpoint.  A graph with no value consumer at all degenerates to the
-counters-only fast path — the CSDF arrays kernel with TPDF bookkeeping
-compiled away.
+endpoint.  One drain loop picks the path per node: *counter kernels*
+(no control port, function, time function or mode-rate table) start
+and complete inline on the counters, and only the other nodes go
+through the TPDF firing-rule methods.
 
 This bench measures both ready cores (``reference`` full-rescan
-oracle, ``arrays`` plane split) on two workloads:
+oracle, ``arrays`` plane split) on three workloads:
 
 * the **OFDM demodulator** (the paper's Fig. 7 graph): a control
-  actor steers mode-gated kernels, so the value plane engages on the
-  control paths while the data channels stay counters-only;
-* an **80-actor timing-only sweep** (no control, no functions): the
-  whole-graph fast path (the reference loop trails by ~80x there;
-  recorded, not asserted — a floor against the oracle would say
-  nothing about the fast core).
+  actor steers the select-duplicate and the transaction, so the value
+  plane carries the data channels around them (9 of 11 channels) and
+  the counter kernels drain and fill those payloads in slices;
+* an **80-actor random graph with one control actor** steering one
+  sink: every other kernel is a counter kernel;
+* an **80-actor timing-only sweep** (no control, no functions): every
+  node is a counter kernel (the reference loop trails by about two
+  orders of magnitude there; recorded, not asserted — a floor against
+  the oracle would say nothing about the fast core).
 
 Trace-fingerprint parity is asserted across both cores on every row;
 rows are recorded to ``ext10_simulator.{txt,csv}`` and folded
@@ -84,22 +88,24 @@ def _ofdm_rows(record_bench):
     assert prints["arrays"] == prints["reference"], (
         "OFDM trace divergence across ready cores"
     )
-    # The control channels carry real ControlTokens, the data channels
-    # stay counters-only.
+    # The channels around the select-duplicate and the transaction carry
+    # payloads; the source and cyclic-prefix channels stay counters-only.
     stats = cells["arrays"][2]
     assert stats["plane"] == "arrays"
     assert stats["fast_path"] is False
-    assert stats["value_channels"] > 0
-    assert stats["schedule_only_channels"] > 0
+    assert stats["value_channels"] == 9
+    assert stats["schedule_only_channels"] == 2
+    assert stats["counter_nodes"] == 6  # SRC RCP FFT QPSK QAM SNK
     return {core: cells[core][0] for core in CORES}, stats
 
 
-def _sweep_rows(record_bench):
+def _sweep_rows(record_bench, with_control):
     graph = random_consistent_graph(
         SWEEP_ACTORS, extra_edges=SWEEP_ACTORS // 2, n_cycles=2, seed=7,
-        with_control=False,
+        with_control=with_control,
     )
     limits = {name: SWEEP_FIRINGS for name in graph.kernels}
+    tag = "control" if with_control else "sweep"
     cells = {}
     for core in CORES:
         rounds = 2 if core == "reference" else TIMING_ROUNDS
@@ -108,49 +114,56 @@ def _sweep_rows(record_bench):
             limits, rounds=rounds,
         )
         record_bench(
-            f"ext10_sweep_n{SWEEP_ACTORS}_{core}",
+            f"ext10_{tag}_n{SWEEP_ACTORS}_{core}",
             actors=SWEEP_ACTORS, backend=core, wall_ms=cells[core][0],
             ready_visits=cells[core][2]["visits"],
         )
     prints = {core: cells[core][1] for core in CORES}
     assert prints["arrays"] == prints["reference"], (
-        f"{SWEEP_ACTORS}-actor sweep trace divergence across ready cores"
+        f"{SWEEP_ACTORS}-actor {tag} trace divergence across ready cores"
     )
     stats = cells["arrays"][2]
-    assert stats["fast_path"] is True  # no value consumer anywhere
-    assert stats["value_channels"] == 0
+    # every random kernel is a counter kernel; the control actor and
+    # the sink it steers are not
+    assert stats["counter_nodes"] == SWEEP_ACTORS
+    assert stats["fast_path"] is not with_control
+    assert stats["value_channels"] == (1 if with_control else 0)
     return {core: cells[core][0] for core in CORES}, stats
 
 
 def test_ext10_simulator_planes(report, record_bench):
     ofdm, ofdm_stats = _ofdm_rows(record_bench)
-    sweep, sweep_stats = _sweep_rows(record_bench)
+    control, control_stats = _sweep_rows(record_bench, with_control=True)
+    sweep, sweep_stats = _sweep_rows(record_bench, with_control=False)
 
     table_rows = []
     csv_rows = []
-    for label, walls, stats in (
-        ("OFDM fig7 (control + modes)", ofdm, ofdm_stats),
-        (f"{SWEEP_ACTORS}-actor timing-only", sweep, sweep_stats),
+    for label, walls, stats, nodes in (
+        ("OFDM fig7 (control + modes)", ofdm, ofdm_stats, 9),
+        (f"{SWEEP_ACTORS}-actor + 1 control actor", control, control_stats,
+         SWEEP_ACTORS + 2),
+        (f"{SWEEP_ACTORS}-actor timing-only", sweep, sweep_stats,
+         SWEEP_ACTORS),
     ):
         split = (f"{stats['value_channels']}v/"
                  f"{stats['schedule_only_channels']}s")
         table_rows.append([
             label,
-            "yes" if stats["fast_path"] else "no",
+            f"{stats['counter_nodes']}/{nodes}",
             split,
             f"{walls['reference']:.2f}",
             f"{walls['arrays']:.2f}",
             f"{walls['reference'] / walls['arrays']:.2f}x",
         ])
         csv_rows.append([
-            label, int(stats["fast_path"]),
+            label, stats["counter_nodes"], nodes,
             stats["value_channels"], stats["schedule_only_channels"],
             f"{walls['reference']:.3f}", f"{walls['arrays']:.3f}",
             f"{walls['reference'] / walls['arrays']:.3f}",
         ])
 
     table = ascii_table(
-        ["workload", "fast path", "channels (value/schedule-only)",
+        ["workload", "counter nodes", "channels (value/schedule-only)",
          "reference ms", "arrays ms", "vs reference"],
         table_rows,
         title="EXT10 — simulator schedule/value planes "
@@ -159,7 +172,7 @@ def test_ext10_simulator_planes(report, record_bench):
     report("ext10_simulator", table)
     write_csv(
         RESULTS_DIR / "ext10_simulator.csv",
-        ["workload", "fast_path", "value_channels",
+        ["workload", "counter_nodes", "nodes", "value_channels",
          "schedule_only_channels", "wall_ms_reference", "wall_ms_arrays",
          "speedup_vs_reference"],
         csv_rows,

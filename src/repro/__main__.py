@@ -441,12 +441,6 @@ def cmd_simulate(args) -> int:
                 limits[name.strip()] = int(value)
             except ValueError:
                 raise SystemExit(f"--limit expects node=firings, got {pair!r}")
-        unknown = sorted(set(limits) - set(graph.node_names()))
-        if unknown:
-            raise SystemExit(
-                f"--limit names unknown nodes: {', '.join(unknown)} "
-                f"(graph has: {', '.join(graph.node_names())})"
-            )
     if args.until is None and limits is None and args.max_firings is None:
         raise SystemExit(
             "simulate needs a stop condition: --until, --limit or "

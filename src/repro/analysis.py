@@ -642,14 +642,17 @@ def simulate(
 
     ``ready_core`` defaults to ``"arrays"``, the schedule-plane /
     value-plane split: scheduling runs on flat counters over the
-    memoized SoA template and token payloads are materialized only on
-    channels with a value-touching endpoint, so timing-only graphs
-    degenerate to the counters-only fast path.  Both cores produce
-    bit-identical traces (``Trace.fingerprint()``).
+    memoized SoA template, token payloads are materialized only on
+    channels with a value-touching endpoint, and kernels without a
+    control port, function, time function or mode-rate table start and
+    complete inline on the counters whatever else the graph holds.
+    Both cores produce bit-identical traces (``Trace.fingerprint()``).
 
     At least one stop condition (``until``, ``limits`` or
     ``max_firings``) is required — a live unbounded graph would
-    otherwise simulate forever.
+    otherwise simulate forever.  A ``limits`` name that is no node of
+    the graph, or ``cores`` below 1, raises ``ValueError`` before any
+    firing; a missing binding raises ``KeyError``.
     """
     if not isinstance(graph, TPDFGraph):
         raise ValueError(

@@ -49,6 +49,7 @@ from collections import deque
 from typing import Any, Mapping
 
 from ..csdf.eventloop import EventQueue
+from ..csdf.simulation import rate_table
 from ..csdf.throughput import BACKENDS, _check_capacity_contract, check_backend
 from ..errors import SimulationError
 from ..tpdf.builtins import ClockActor
@@ -87,8 +88,9 @@ class Simulator:
     bindings:
         Parameter valuation for rate evaluation.
     cores:
-        Worker-core budget for kernels (``None`` = unlimited).  Control
-        actors never compete for these cores.
+        Worker-core budget for kernels (``None`` = unlimited, else at
+        least 1; below 1 raises ``ValueError``).  Control actors never
+        compete for these cores.
     capacities:
         Optional per-channel buffer bounds (channel name → max tokens),
         the same blocking-write discipline as
@@ -137,6 +139,10 @@ class Simulator:
         capacities: Mapping[str, int] | None = None,
     ):
         check_backend(ready_core, "ready_core")
+        if cores is not None and cores < 1:
+            raise ValueError(
+                f"cores must be >= 1 (or None for unlimited), got {cores}"
+            )
         self.graph = graph
         self.bindings = dict(bindings or {})
         self.cores = cores
@@ -153,7 +159,6 @@ class Simulator:
         self._channels: dict[str, _ChannelState] = {}
         self._in: dict[str, dict[str, _ChannelState]] = {}
         self._out: dict[str, dict[str, _ChannelState]] = {}
-        self._rates: dict[tuple[str, str], tuple[int, ...]] = {}
         for name in graph.node_names():
             self._in[name] = {}
             self._out[name] = {}
@@ -163,12 +168,20 @@ class Simulator:
             self.trace.peaks[channel.name] = channel.initial_tokens
             self._in[channel.dst][channel.dst_port] = state
             self._out[channel.src][channel.src_port] = state
-            self._rates[(channel.src, channel.src_port)] = (
-                graph.node(channel.src).port(channel.src_port).rates.as_ints(self.bindings)
-            )
-            self._rates[(channel.dst, channel.dst_port)] = (
-                graph.node(channel.dst).port(channel.dst_port).rates.as_ints(self.bindings)
-            )
+        # Integer port rates: the reference loop evaluates its own (an
+        # independent oracle); the arrays core reads the memoized rate
+        # table its template is built from.  Both raise KeyError on a
+        # missing binding here, before any run.
+        self._rates: dict[tuple[str, str], tuple[int, ...]] = {}
+        if ready_core == "reference":
+            for channel in graph.channels.values():
+                for node, port in ((channel.src, channel.src_port),
+                                   (channel.dst, channel.dst_port)):
+                    self._rates[(node, port)] = (
+                        graph.node(node).port(port).rates.as_ints(self.bindings)
+                    )
+        else:
+            rate_table(graph.as_csdf(), self.bindings or None)
 
         self._fired: dict[str, int] = {name: 0 for name in graph.node_names()}
         self._mode_rate_cache: dict[tuple, tuple[int, ...]] = {}
@@ -246,10 +259,12 @@ class Simulator:
 
         ``plane`` is ``"arrays"`` for the schedule/value-plane split
         and ``"python"`` for the dict-walking reference loop;
-        after an arrays run the value-plane split is reported too
-        (``value_channels`` materialized payload deques,
-        ``schedule_only_channels`` counters-only, ``fast_path`` the
-        whole-graph no-value degeneration).
+        after an arrays run the plane split is reported too
+        (``value_channels`` materialized payload FIFOs,
+        ``schedule_only_channels`` counters-only, ``counter_nodes`` the
+        kernels that start and complete inline on the counters, and
+        ``fast_path`` whether every node is a counter node and no
+        channel carries payloads).
         """
         info = {
             "ready_core": self.ready_core,
@@ -264,7 +279,10 @@ class Simulator:
             info["schedule_only_channels"] = (
                 self._plane.nchan - value_channels
             )
-            info["fast_path"] = self._plane.fast_ok
+            counter_nodes = sum(self._plane.counter)
+            info["counter_nodes"] = counter_nodes
+            info["fast_path"] = (counter_nodes == self._plane.n
+                                 and not value_channels)
         return info
 
     # -- deposit with discard-debt settlement --------------------------------
@@ -710,7 +728,15 @@ class Simulator:
         ``limits`` caps firings per node (source kernels and clocks
         would otherwise run forever); ``until`` bounds model time —
         required when the graph contains clock actors and no limits.
+        A ``limits`` name that is no node of the graph raises
+        ``ValueError`` before any firing.
         """
+        unknown = sorted(set(limits or ()) - set(self._pos))
+        if unknown:
+            raise ValueError(
+                f"limits name unknown nodes: {', '.join(unknown)} "
+                f"(graph has: {', '.join(self.graph.node_names())})"
+            )
         if self.ready_core == "arrays":
             from .schedplane import SimPlane
 

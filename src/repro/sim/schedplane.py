@@ -21,16 +21,25 @@ sets, highest-priority candidate choice over pre-sorted
 ``(priority, port)`` tables, discard-debt flushing, clock-actor
 autonomous ticks, and control actors outside the worker-core budget.
 
-**Value plane** — per-channel payload deques, allocated **only** for
-channels where some endpoint actually touches token values: the
-consumer declares a ``function``/``time_fn``/builtin or is a control
-actor with a decision function, the producer computes values, the
-channel carries control tokens, or the run records values.  Channels
-between pure-timing kernels never materialize payload storage — their
-tokens exist only as schedule-plane counters — and a whole graph with
-no value-touching endpoint degenerates to a counters-only loop on the
-flat template (the CSDF arrays kernel with the simulator's
-limits/horizon semantics on top).
+**Value plane** — per-channel payload FIFOs (a list plus a head
+index, :class:`_Payloads`), allocated **only** for channels where some
+endpoint actually touches token values: the consumer declares a
+``function``/``time_fn``/builtin or is a control actor with a decision
+function, the producer computes values, the channel carries control
+tokens, or the run records values.  Channels between pure-timing
+kernels never materialize payload storage — their tokens exist only as
+schedule-plane counters.
+
+**One drain loop** picks the path per node.  A *counter kernel* (no
+connected control port, no ``function`` or builtin, no
+``meta["time_fn"]``, no mode-rate table, values not recorded) starts
+and completes inline on the integer counters — the CSDF arrays
+kernel's discipline with the simulator's limits/horizon semantics —
+and on a payload channel it touches it only drops or appends ``None``
+payloads, one slice per firing.  Control actors, clock ticks and every
+other kernel go through the firing-rule methods (``_control_ready``,
+``_kernel_plan``, ``_begin_*``, ``_complete_*``).  A firing therefore
+costs the same whether or not the graph has a control actor.
 
 Bit-for-bit contract
 --------------------
@@ -50,11 +59,11 @@ capacity constraints.
 
 from __future__ import annotations
 
-from collections import deque
 from heapq import heappop, heappush
 from math import inf
 
 from ..csdf.eventloop import ReadyWorklist
+from ..csdf.simulation import rate_table
 from ..csdf.statearrays import sim_array_state
 from ..errors import SimulationError
 from ..tpdf.builtins import ClockActor
@@ -63,36 +72,55 @@ from ..tpdf.modes import ControlToken, Mode, highest_priority
 from .trace import INITIAL_TOKEN, DiscardRecord
 
 #: Event kinds (payload is ``(kind, pos)``; clock ticks re-read state).
-_KERNEL_DONE, _CONTROL_DONE, _TICK = 0, 1, 2
+_KERNEL_DONE, _CONTROL_DONE, _TICK, _COUNTER_DONE = 0, 1, 2, 3
 
 _WAIT_ALL_TOKEN = ControlToken(Mode.WAIT_ALL)
 
 
-def _make_queue(values) -> deque:
-    """Value-plane payload deque factory.
+class _Payloads:
+    """One value-plane channel's FIFO: a list plus a head index.
+
+    A firing takes or drops its ``rate`` payloads in one slice or one
+    index bump.  The consumed prefix is cut off once it exceeds half
+    the list, so the list stays within twice the live payloads.
+    """
+
+    __slots__ = ("items", "head")
+
+    def __init__(self, values) -> None:
+        self.items = list(values)
+        self.head = 0
+
+    def __iter__(self):
+        return iter(self.items[self.head:])
+
+    def peek(self):
+        return self.items[self.head]
+
+    def extend(self, values) -> None:
+        self.items += values
+
+    def take(self, count: int) -> list:
+        head = self.head
+        values = self.items[head:head + count]
+        self.drop(count)
+        return values
+
+    def drop(self, count: int) -> None:
+        head = self.head + count
+        if head + head > len(self.items):
+            del self.items[:head]
+            head = 0
+        self.head = head
+
+
+def _make_queue(values) -> _Payloads:
+    """Value-plane payload FIFO factory.
 
     A module-level hook so tests can spy on exactly how many channels
     materialize payload storage (the lazy-value-plane contract).
     """
-    return deque(values)
-
-
-def _touches_values(node) -> bool:
-    """Does this node *consume or produce* real token payloads?
-
-    Pure-timing endpoints (no function, no builtin behaviour, no
-    data-dependent ``time_fn``, control actors without a decision
-    function) schedule on counters alone.
-    """
-    from .engine import _builtin_function
-
-    if isinstance(node, ControlActor):
-        return node.decision is not None
-    return (
-        node.function is not None
-        or _builtin_function(node) is not None
-        or callable(node.meta.get("time_fn"))
-    )
+    return _Payloads(values)
 
 
 class SimPlane:
@@ -109,8 +137,9 @@ class SimPlane:
         self.record_values = sim.record_values
         bindings = sim.bindings or None
 
-        state = sim_array_state(graph.as_csdf(), bindings, sim._order)
-        self.template = state
+        csdf = graph.as_csdf()
+        state = sim_array_state(csdf, bindings, sim._order)
+        rates = rate_table(csdf, bindings)  # the template's own rates
         order = state.order
         n = state.n
         nchan = state.nchan
@@ -120,7 +149,7 @@ class SimPlane:
         # -- schedule plane: slot-indexed channel state -------------------
         self.chan_names = list(state.channel_names)
         self.slot_of = {name: s for s, name in enumerate(self.chan_names)}
-        self.tokens = [int(t) for t in state.tokens0]
+        self.tokens = state.tokens0.tolist()
         self.init_left = list(self.tokens)
         self.debts = [0] * nchan
         self.reserved = [0] * nchan
@@ -129,23 +158,13 @@ class SimPlane:
         for name, cap in sim._capacities.items():
             self.caps[self.slot_of[name]] = int(cap)
         self.any_capacity = sim._any_capacity
-        self.chan_src_pos = [int(p) for p in state.chan_src]
-        self.chan_dst_pos = [int(p) for p in state.chan_dst]
+        self.chan_src_pos = state.chan_src.tolist()
+        self.chan_dst_pos = state.chan_dst.tolist()
 
         channels = list(graph.channels.values())
         self.chan_dst_port = [c.dst_port for c in channels]
-        self.cons_ph = [
-            tuple(int(r) for r in
-                  state.cons_flat[state.cons_base[s]:
-                                  state.cons_base[s] + state.cons_len[s]])
-            for s in range(nchan)
-        ]
-        self.prod_ph = [
-            tuple(int(r) for r in
-                  state.prod_flat[state.prod_base[s]:
-                                  state.prod_base[s] + state.prod_len[s]])
-            for s in range(nchan)
-        ]
+        self.cons_ph = [rates.consumption[name] for name in self.chan_names]
+        self.prod_ph = [rates.production[name] for name in self.chan_names]
 
         # -- per-node tables (mirrors of the engine's _in/_out dicts,
         #    including their port-keyed overwrite semantics) --------------
@@ -170,6 +189,7 @@ class SimPlane:
         self.functions = [None] * n
         self.time_fns = [None] * n
         self.decisions = [None] * n
+        #: the node reads or computes payloads, or the run records them
         self.collects = bytearray(n)
         self.exec_const = list(state.exec_const)
         self.exec_phases = list(state.exec_phases)
@@ -219,13 +239,12 @@ class SimPlane:
                 or self.record_values
             )
 
-        # -- value plane: payload deques only where values matter ---------
-        self.queues: list[deque | None] = [None] * nchan
+        # -- value plane: payload FIFOs only where values matter ----------
+        collects = self.collects
+        self.queues: list[_Payloads | None] = [None] * nchan
         for s, channel in enumerate(channels):
-            src = nodes[self.chan_src_pos[s]]
-            dst = nodes[self.chan_dst_pos[s]]
-            if (self.record_values or channel.is_control
-                    or _touches_values(dst) or _touches_values(src)):
+            if (channel.is_control or collects[self.chan_src_pos[s]]
+                    or collects[self.chan_dst_pos[s]]):
                 self.queues[s] = _make_queue(
                     INITIAL_TOKEN for _ in range(self.tokens[s])
                 )
@@ -235,15 +254,11 @@ class SimPlane:
             if isinstance(graph.node(name), ClockActor)
         ]
 
-        # -- whole-graph fast path: counters only, plain WAIT_ALL ---------
-        self.fast_ok = (
-            not any(self.is_ctrl)
-            and all(q is None for q in self.queues)
-            and all(fn is None for fn in self.functions)
-            and all(fn is None for fn in self.time_fns)
-            and not any(self.mode_over)
-            and all(self.ctrl_slot[pos] == -1 for pos in range(n))
-            and not self.record_values
+        # -- counter kernels: start and complete inline on the counters ---
+        self.counter = bytearray(
+            not self.is_ctrl[pos] and self.ctrl_slot[pos] < 0
+            and not collects[pos] and self.mode_over[pos] is None
+            for pos in range(n)
         )
 
         # -- event core + wakeup state ------------------------------------
@@ -259,7 +274,6 @@ class SimPlane:
         self.now = 0.0
         self.events: list[tuple[float, int, int, int]] = []
         self.seq = 0
-        self.pending = 0
 
         # in-flight firing context, one per position
         self.ev_start = [0.0] * n
@@ -280,7 +294,6 @@ class SimPlane:
     def _push(self, time: float, kind: int, pos: int) -> None:
         self.seq += 1
         heappush(self.events, (time, self.seq, kind, pos))
-        self.pending += 1
 
     # -- rate lookups (the engine's _rate / _kernel_rate) -------------------
     def _rate_in(self, pos: int, port: str, slot: int, n: int,
@@ -310,19 +323,6 @@ class SimPlane:
         return phases[n % len(phases)]
 
     # -- deposit / flush (discard-debt settlement on counters) -------------
-    def _deposit_counts(self, slot: int, count: int) -> None:
-        debt = self.debts[slot]
-        if debt:
-            settle = count if debt >= count else debt
-            self.debts[slot] = debt - settle
-            count -= settle
-        if count:
-            occupancy = self.tokens[slot] + count
-            self.tokens[slot] = occupancy
-            if occupancy > self.peaks[slot]:
-                self.peaks[slot] = occupancy
-        self.worklist.seed(self.chan_dst_pos[slot])
-
     def _deposit_values(self, slot: int, values: list) -> None:
         debt = self.debts[slot]
         if debt:
@@ -339,8 +339,16 @@ class SimPlane:
                 self.peaks[slot] = occupancy
         self.worklist.seed(self.chan_dst_pos[slot])
 
-    def _consume(self, slot: int, count: int) -> None:
-        """Remove ``count`` tokens from a slot (readiness guaranteed)."""
+    def _take(self, slot: int, count: int, consumed: dict | None,
+              port: str | None) -> None:
+        """Remove ``count`` tokens from a slot (readiness guaranteed),
+        their payloads into ``consumed[port]`` when collecting (every
+        input of a collecting node carries payloads)."""
+        queue = self.queues[slot]
+        if consumed is not None:
+            consumed[port] = queue.take(count)
+        elif queue is not None:
+            queue.drop(count)
         self.tokens[slot] -= count
         left = self.init_left[slot]
         if left:
@@ -355,18 +363,7 @@ class SimPlane:
         tokens = self.tokens[slot]
         available = count if tokens >= count else tokens
         if available:
-            self.tokens[slot] = tokens - available
-            left = self.init_left[slot]
-            if left:
-                self.init_left[slot] = (
-                    left - available if left > available else 0
-                )
-            queue = self.queues[slot]
-            if queue is not None:
-                for _ in range(available):
-                    queue.popleft()
-            if self.caps[slot] is not None:
-                self.worklist.seed(self.chan_src_pos[slot])
+            self._take(slot, available, None, None)
         flushed = available
         if late_debt:
             self.debts[slot] += count - available
@@ -432,7 +429,7 @@ class SimPlane:
             if needs_control:
                 if not tokens[cslot]:
                     return None
-                head = self.queues[cslot][0]
+                head = self.queues[cslot].peek()
                 token = (head if isinstance(head, ControlToken)
                          else _WAIT_ALL_TOKEN)
         mode = token.mode if token is not None else Mode.WAIT_ALL
@@ -496,41 +493,6 @@ class SimPlane:
         return True
 
     # -- starting firings ---------------------------------------------------
-    def _start_ready(self) -> None:
-        worklist = self.worklist
-        busy = self.busy
-        fired = self.fired
-        limit = self.limit
-        is_ctrl = self.is_ctrl
-        cores = self.sim.cores
-        visits = 0
-        while worklist.begin_scan():
-            progress = False
-            pos = worklist.pop()
-            while pos >= 0:
-                visits += 1
-                if busy[pos] or fired[pos] >= limit[pos]:
-                    pos = worklist.pop()
-                    continue
-                if is_ctrl[pos]:
-                    if self._control_ready(pos):
-                        self._begin_control(pos)
-                        progress = True
-                elif cores is not None and self.running >= cores:
-                    if not self.core_blocked_flag[pos]:
-                        self.core_blocked_flag[pos] = 1
-                        self.core_blocked.append(pos)
-                else:
-                    plan = self._kernel_plan(pos)
-                    if plan is not None:
-                        self._begin_kernel(pos, plan[0], plan[1])
-                        progress = True
-                pos = worklist.pop()
-            worklist.end_scan()
-            if not progress:
-                break
-        self.sim.ready_stats["visits"] += visits
-
     def _begin_control(self, pos: int) -> None:
         n = self.fired[pos]
         collect = self.collects[pos]
@@ -538,14 +500,7 @@ class SimPlane:
         for port, slot in self.in_ports[pos]:
             phases = self.cons_ph[slot]
             rate = phases[n % len(phases)]
-            queue = self.queues[slot]
-            if queue is not None:
-                values = [queue.popleft() for _ in range(rate)]
-                if collect:
-                    consumed[port] = values
-            elif collect:
-                consumed[port] = [None] * rate
-            self._consume(slot, rate)
+            self._take(slot, rate, consumed, port)
         reserve: tuple | None = None
         if self.any_capacity:
             reserve = tuple(
@@ -572,21 +527,11 @@ class SimPlane:
         collect = self.collects[pos]
         consumed: dict | None = {} if collect else None
         if token is not None:
-            cslot = self.ctrl_slot[pos]
-            self.queues[cslot].popleft()
-            self._consume(cslot, 1)
+            self._take(self.ctrl_slot[pos], 1, None, None)
         for port, slot in consume:
-            rate = self._rate_in(pos, port, slot, n, mode)
-            queue = self.queues[slot]
-            if queue is not None:
-                values = [queue.popleft() for _ in range(rate)]
-                if collect:
-                    consumed[port] = values
-            elif collect:
-                consumed[port] = [None] * rate
-            self._consume(slot, rate)
+            self._take(slot, self._rate_in(pos, port, slot, n, mode),
+                       consumed, port)
         # Rejected ports: flush this firing's worth of tokens.
-        cslot = self.ctrl_slot[pos]
         late_debt = bool(self.discard_late[pos])
         if len(consume) != len(self.data_in[pos]):
             taken = {port for port, _ in consume}
@@ -668,32 +613,12 @@ class SimPlane:
         self.ev_token[pos] = None
         self.ev_consumed[pos] = None
         self.ev_reserve[pos] = None
-        function = self.functions[pos]
-        mode = token.mode if token is not None else None
-        if function is None and not self.record_values:
-            # Pure-timing fast path: deposits are counter bumps (value
-            # channels still receive ``None`` payloads, matching the
-            # reference); the enabled-port rule gates selected outputs.
-            if reserve is not None:
-                for _, slot, rate in reserve:
-                    self.reserved[slot] -= rate
-            enabled = self._enabled_plan(pos, n, mode, token)
-            queues = self.queues
-            for port, slot, rate, on in enabled:
-                give = rate if on else 0
-                if queues[slot] is None:
-                    self._deposit_counts(slot, give)
-                else:
-                    self._deposit_values(slot, [None] * give)
-            produced = None
-        else:
-            outputs = self._apply_function(pos, n, token, consumed)
-            if reserve is not None:
-                for _, slot, rate in reserve:
-                    self.reserved[slot] -= rate
-            for port, slot in self.out_ports[pos]:
-                self._deposit_values(slot, outputs[port])
-            produced = outputs
+        outputs = self._apply_function(pos, n, token, consumed)
+        if reserve is not None:
+            for _, slot, rate in reserve:
+                self.reserved[slot] -= rate
+        for port, slot in self.out_ports[pos]:
+            self._deposit_values(slot, outputs[port])
         self.busy[pos] = 0
         self.fired[pos] = n + 1
         self.running -= 1
@@ -704,25 +629,7 @@ class SimPlane:
                 self.core_blocked_flag[blocked] = 0
                 worklist.seed(blocked)
             self.core_blocked.clear()
-        self._record(pos, n, start, token, consumed, produced)
-
-    def _enabled_plan(self, pos: int, n: int, mode: Mode | None,
-                      token: ControlToken | None) -> list:
-        """Per-output ``(port, slot, rate, enabled)`` — the enabled-port
-        rule of the engine's ``_apply_function`` without values."""
-        out_ports = self.out_ports[pos]
-        plan = [
-            (port, slot, self._rate_out(pos, port, slot, n, mode), True)
-            for port, slot in out_ports
-        ]
-        if token is None or not token.selection:
-            return plan
-        if not set(token.selection) & {port for port, _ in out_ports}:
-            return plan
-        return [
-            (port, slot, rate, token.selects(port))
-            for port, slot, rate, _ in plan
-        ]
+        self._record(pos, n, start, token, consumed, outputs)
 
     def _apply_function(self, pos: int, n: int, token: ControlToken | None,
                         consumed) -> dict:
@@ -860,12 +767,8 @@ class SimPlane:
         limit = self.limit
         for pos in range(self.n):
             limit[pos] = inf
-        if limits:
-            pos_of = sim._pos
-            for name, cap in limits.items():
-                pos = pos_of.get(name)
-                if pos is not None:
-                    limit[pos] = cap
+        for name, cap in limits.items():
+            limit[sim._pos[name]] = cap
         if self.clocks and until is None:
             raise SimulationError(
                 "graphs with clock actors need a time horizon: run(until=...)"
@@ -876,71 +779,42 @@ class SimPlane:
 
         self.worklist.seed_all(self.n)
         try:
-            if self.fast_ok:
-                self._drain_fast(horizon, max_firings)
-            else:
-                self._drain(horizon, max_firings)
+            self._drain(horizon, max_firings)
         finally:
             self._sync()
         return sim.trace
 
     def _drain(self, horizon: float, max_firings: int) -> None:
-        events = self.events
-        ready_stats = self.sim.ready_stats
-        self._start_ready()
-        fired_total = 0
-        while self.pending:
-            time, _, kind, pos = heappop(events)
-            self.pending -= 1
-            if time > horizon:
-                self.now = horizon
-                break
-            self.now = time
-            ready_stats["events"] += 1
-            if kind == _KERNEL_DONE:
-                self._complete_kernel(pos)
-            elif kind == _CONTROL_DONE:
-                self._complete_control(pos)
-            else:
-                self._complete_tick(pos, horizon)
-            fired_total += 1
-            if fired_total > max_firings:
-                raise SimulationError(
-                    f"exceeded {max_firings} firings; add limits= or until= "
-                    f"to bound the run"
-                )
-            self._start_ready()
-
-    # -- counters-only fast path --------------------------------------------
-    def _drain_fast(self, horizon: float, max_firings: int) -> None:
-        """The no-value degenerate case: every firing is WAIT_ALL over
-        plain counters — the CSDF arrays kernel's discipline with the
-        simulator's limits/horizon semantics.  Bit-identical schedule
-        to :meth:`_drain` (same worklist seeds, same event order); only
-        the per-firing Python surface shrinks.
-        """
+        """Start ready firings and complete events until quiescence, the
+        horizon or the firing budget.  Counter kernels start and
+        complete inline on the counters; every other node goes through
+        the firing-rule methods, under the same worklist seeds and
+        event order."""
         sim = self.sim
         events = self.events
         worklist = self.worklist
         tokens = self.tokens
+        debts = self.debts
         reserved = self.reserved
         caps = self.caps
         peaks = self.peaks
+        queues = self.queues
         busy = self.busy
         fired = self.fired
         limit = self.limit
         init_left = self.init_left
         chan_src = self.chan_src_pos
         chan_dst = self.chan_dst_pos
-        chan_dst_port = self.chan_dst_port
         cons_ph = self.cons_ph
         prod_ph = self.prod_ph
         in_ports = self.in_ports
         out_ports = self.out_ports
         exec_const = self.exec_const
         exec_phases = self.exec_phases
+        is_ctrl = self.is_ctrl
+        counter = self.counter
         any_capacity = self.any_capacity
-        cores = self.sim.cores
+        cores = sim.cores
         core_blocked = self.core_blocked
         core_blocked_flag = self.core_blocked_flag
         ready_stats = sim.ready_stats
@@ -963,64 +837,74 @@ class SimPlane:
                 while pos >= 0:
                     visits += 1
                     if busy[pos] or fired[pos] >= limit[pos]:
-                        pos = worklist.pop()
-                        continue
-                    if cores is not None and self.running >= cores:
+                        pass
+                    elif is_ctrl[pos]:
+                        if self._control_ready(pos):
+                            self._begin_control(pos)
+                            progress = True
+                    elif cores is not None and self.running >= cores:
                         if not core_blocked_flag[pos]:
                             core_blocked_flag[pos] = 1
                             core_blocked.append(pos)
-                        pos = worklist.pop()
-                        continue
-                    n = fired[pos]
-                    ready = True
-                    for port, slot in in_ports[pos]:
-                        phases = cons_ph[slot]
-                        if tokens[slot] < phases[n % len(phases)]:
-                            ready = False
-                            break
-                    if ready and any_capacity:
-                        reserve = []
-                        for port, slot in out_ports[pos]:
-                            phases = prod_ph[slot]
-                            rate = phases[n % len(phases)]
-                            reserve.append((slot, rate))
-                            cap = caps[slot]
-                            if cap is None:
-                                continue
-                            credit = 0
-                            if chan_dst[slot] == pos:
-                                cphases = cons_ph[slot]
-                                credit = cphases[n % len(cphases)]
-                            if (tokens[slot] - credit + reserved[slot]
-                                    + rate > cap):
+                    elif not counter[pos]:
+                        plan = self._kernel_plan(pos)
+                        if plan is not None:
+                            self._begin_kernel(pos, plan[0], plan[1])
+                            progress = True
+                    else:
+                        # counter kernel: WAIT_ALL over plain counters
+                        n = fired[pos]
+                        ready = True
+                        for _, slot in in_ports[pos]:
+                            phases = cons_ph[slot]
+                            if tokens[slot] < phases[n % len(phases)]:
                                 ready = False
                                 break
-                    if ready:
-                        # begin: consume, reserve, schedule completion
-                        for port, slot in in_ports[pos]:
-                            phases = cons_ph[slot]
-                            rate = phases[n % len(phases)]
-                            tokens[slot] -= rate
-                            left = init_left[slot]
-                            if left:
-                                init_left[slot] = (
-                                    left - rate if left > rate else 0
-                                )
-                            if rate and caps[slot] is not None:
-                                seed(chan_src[slot])
-                        if any_capacity:
-                            for slot, rate in reserve:
-                                reserved[slot] += rate
-                            ev_reserve[pos] = reserve
-                        duration = exec_const[pos]
-                        if duration is None:
-                            phases = exec_phases[pos]
-                            duration = phases[n % len(phases)]
-                        busy[pos] = 1
-                        self.running += 1
-                        ev_start[pos] = self.now
-                        push(self.now + duration, _KERNEL_DONE, pos)
-                        progress = True
+                        if ready and any_capacity:
+                            reserve = []
+                            for _, slot in out_ports[pos]:
+                                phases = prod_ph[slot]
+                                rate = phases[n % len(phases)]
+                                reserve.append((slot, rate))
+                                cap = caps[slot]
+                                if cap is None:
+                                    continue
+                                credit = 0
+                                if chan_dst[slot] == pos:
+                                    cphases = cons_ph[slot]
+                                    credit = cphases[n % len(cphases)]
+                                if (tokens[slot] - credit + reserved[slot]
+                                        + rate > cap):
+                                    ready = False
+                                    break
+                        if ready:
+                            for _, slot in in_ports[pos]:
+                                phases = cons_ph[slot]
+                                rate = phases[n % len(phases)]
+                                tokens[slot] -= rate
+                                left = init_left[slot]
+                                if left:
+                                    init_left[slot] = (
+                                        left - rate if left > rate else 0
+                                    )
+                                queue = queues[slot]
+                                if queue is not None:
+                                    queue.drop(rate)
+                                if rate and caps[slot] is not None:
+                                    seed(chan_src[slot])
+                            if any_capacity:
+                                for slot, rate in reserve:
+                                    reserved[slot] += rate
+                                ev_reserve[pos] = reserve
+                            duration = exec_const[pos]
+                            if duration is None:
+                                phases = exec_phases[pos]
+                                duration = phases[n % len(phases)]
+                            busy[pos] = 1
+                            self.running += 1
+                            ev_start[pos] = self.now
+                            push(self.now + duration, _COUNTER_DONE, pos)
+                            progress = True
                     pos = worklist.pop()
                 worklist.end_scan()
                 if not progress:
@@ -1029,49 +913,56 @@ class SimPlane:
 
         start_ready()
         fired_total = 0
-        while self.pending:
-            time, _, _, pos = heappop(events)
-            self.pending -= 1
+        while events:
+            time, _, kind, pos = heappop(events)
             if time > horizon:
                 self.now = horizon
                 break
             now = self.now = time
             ready_stats["events"] += 1
-            n = fired[pos]
-            if any_capacity:
-                reserve = ev_reserve[pos]
-                if reserve is not None:
-                    for slot, rate in reserve:
+            if kind == _COUNTER_DONE:
+                n = fired[pos]
+                if any_capacity:
+                    for slot, rate in ev_reserve[pos]:
                         reserved[slot] -= rate
                     ev_reserve[pos] = None
-            for port, slot in out_ports[pos]:
-                phases = prod_ph[slot]
-                rate = phases[n % len(phases)]
-                debt = self.debts[slot]
-                if debt and rate:
-                    settle = rate if debt >= rate else debt
-                    self.debts[slot] = debt - settle
-                    rate -= settle
-                if rate:
-                    occupancy = tokens[slot] + rate
-                    tokens[slot] = occupancy
-                    if occupancy > peaks[slot]:
-                        peaks[slot] = occupancy
-                seed(chan_dst[slot])
-            busy[pos] = 0
-            fired[pos] = n + 1
-            self.running -= 1
-            seed(pos)
-            if core_blocked:
-                for blocked in core_blocked:
-                    core_blocked_flag[blocked] = 0
-                    seed(blocked)
-                del core_blocked[:]
-            col_node.append(names[pos])
-            col_index.append(n)
-            col_start.append(ev_start[pos])
-            col_end.append(now)
-            col_mode.append(None)
+                for _, slot in out_ports[pos]:
+                    phases = prod_ph[slot]
+                    rate = phases[n % len(phases)]
+                    debt = debts[slot]
+                    if debt and rate:
+                        settle = rate if debt >= rate else debt
+                        debts[slot] = debt - settle
+                        rate -= settle
+                    if rate:
+                        occupancy = tokens[slot] + rate
+                        tokens[slot] = occupancy
+                        if occupancy > peaks[slot]:
+                            peaks[slot] = occupancy
+                        queue = queues[slot]
+                        if queue is not None:
+                            queue.extend([None] * rate)
+                    seed(chan_dst[slot])
+                busy[pos] = 0
+                fired[pos] = n + 1
+                self.running -= 1
+                seed(pos)
+                if core_blocked:
+                    for blocked in core_blocked:
+                        core_blocked_flag[blocked] = 0
+                        seed(blocked)
+                    del core_blocked[:]
+                col_node.append(names[pos])
+                col_index.append(n)
+                col_start.append(ev_start[pos])
+                col_end.append(now)
+                col_mode.append(None)
+            elif kind == _KERNEL_DONE:
+                self._complete_kernel(pos)
+            elif kind == _CONTROL_DONE:
+                self._complete_control(pos)
+            else:
+                self._complete_tick(pos, horizon)
             fired_total += 1
             if fired_total > max_firings:
                 raise SimulationError(

@@ -175,6 +175,35 @@ class TestServiceSimulate:
         assert "record_values" in data["error"]["message"]
 
 
+    @pytest.mark.parametrize("options", (
+        {"limits": {"typo": 4}, "max_firings": 1000},
+        {"limits": {"k0": 4}, "cores": 0},
+    ), ids=("unknown-limit", "zero-cores"))
+    def test_bad_arguments_are_400_value_errors(self, client, options):
+        import http.client
+        import json as _json
+
+        from repro.io import graph_to_payload
+        from repro.tpdf import random_consistent_graph
+
+        graph = random_consistent_graph(4, seed=1)
+        body = _json.dumps({"graph": graph_to_payload(graph),
+                            "options": options}).encode()
+        conn = http.client.HTTPConnection(client.host, client.port,
+                                          timeout=30)
+        try:
+            conn.request("POST", "/simulate", body=body,
+                         headers={"Content-Type": "application/json"})
+            response = conn.getresponse()
+            data = _json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 400
+        assert data["error"]["type"] == "ValueError"
+        with pytest.raises(ValueError, match="unknown nodes|cores must be"):
+            client.simulate(graph, **options)
+
+
 class TestStatsEndpoint:
     """``GET /stats``: the result-cache eviction counter and the
     per-worker decode-cache occupancy rows."""

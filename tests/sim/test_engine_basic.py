@@ -177,3 +177,27 @@ class TestBufferPeaks:
         g.connect("a.out", "b.in", initial_tokens=5)
         sim = Simulator(g)
         assert sim.trace.peaks["e1"] == 5
+
+
+class TestArgumentChecks:
+    """Bad arguments fail up front with a typed error, on both cores."""
+
+    @pytest.mark.parametrize("ready_core", Simulator.READY_CORES)
+    def test_unknown_limit_names_raise_before_any_firing(self, fig2,
+                                                         ready_core):
+        sim = Simulator(fig2, bindings={"p": 2}, ready_core=ready_core)
+        with pytest.raises(ValueError, match="unknown nodes: AX"):
+            sim.run(limits={"AX": 4}, max_firings=1000)
+        assert len(sim.trace.firings) == 0
+
+    @pytest.mark.parametrize("ready_core", Simulator.READY_CORES)
+    @pytest.mark.parametrize("cores", (0, -1))
+    def test_cores_below_one_rejected(self, fig2, ready_core, cores):
+        with pytest.raises(ValueError, match="cores must be >= 1"):
+            Simulator(fig2, bindings={"p": 2}, cores=cores,
+                      ready_core=ready_core)
+
+    @pytest.mark.parametrize("ready_core", Simulator.READY_CORES)
+    def test_missing_binding_raises_key_error(self, fig2, ready_core):
+        with pytest.raises(KeyError):
+            Simulator(fig2, ready_core=ready_core)

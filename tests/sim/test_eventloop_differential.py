@@ -290,6 +290,44 @@ class TestSimulatorParity:
         assert (sims["arrays"].ready_stats["visits"] * 2
                 <= sims["reference"].ready_stats["visits"])
 
+    @pytest.mark.parametrize("capped", (False, True), ids=("open", "capped"))
+    @pytest.mark.parametrize("cores", (None, 2))
+    @pytest.mark.parametrize("steer", (("qam", 4), ("qpsk", 2)),
+                             ids=("qam", "qpsk"))
+    def test_ofdm_steered(self, steer, cores, capped):
+        """The Fig. 7 demodulator steered to one demapper: counter
+        kernels (FFT and the selected demapper) drain and fill payload
+        channels while TRAN leaves discard debts on the idle input.
+        Capped runs bound every channel by one iteration's production."""
+        from repro.apps.ofdm import bindings_for, build_ofdm_tpdf
+        from repro.csdf.simulation import rate_table
+        from repro.tpdf.consistency import concrete_repetition_vector
+
+        branch, m = steer
+        graph = build_ofdm_tpdf()
+        graph.node("CON").decision = (
+            lambda n, inputs: ControlToken(Mode.SELECT_ONE, (branch,)))
+        bindings = bindings_for(4, 64, 4, m)
+        capacities = None
+        if capped:
+            q = concrete_repetition_vector(graph, bindings)
+            production = rate_table(graph.as_csdf(), bindings).production
+            capacities = {
+                name: channel.initial_tokens + sum(
+                    production[name][k % len(production[name])]
+                    for k in range(q[channel.src]))
+                for name, channel in graph.channels.items()
+            }
+        sims = {}
+        for core in Simulator.READY_CORES:
+            sims[core] = Simulator(graph, bindings=bindings, cores=cores,
+                                   ready_core=core, capacities=capacities)
+            sims[core].run(limits={"SRC": 6})
+        arrays, reference = sims["arrays"].trace, sims["reference"].trace
+        assert arrays.fingerprint() == reference.fingerprint()
+        assert arrays.count("SNK") == 6 and arrays.discards
+        assert sims["arrays"].stats()["counter_nodes"] == 6
+
     @pytest.mark.parametrize("core", ("bogus", "wakeup"))
     def test_invalid_ready_core_rejected(self, fig2, core):
         with pytest.raises(ValueError, match="ready_core must be one of"):

@@ -1,6 +1,6 @@
 """The schedule-plane / value-plane split of the arrays simulator core.
 
-Covers the satellites of the plane refactor:
+Covers:
 
 * the :data:`~repro.sim.INITIAL_TOKEN` sentinel — initial tokens are
   distinguishable from a genuine produced ``None`` by forwarding
@@ -10,12 +10,21 @@ Covers the satellites of the plane refactor:
 * data-dependent ``time_fn`` kernels under capacities and core
   budgets, including reservation/release when the ``time_fn`` firing
   is the capacity blocker;
-* the lazy value plane: payload deques are allocated **only** for
-  channels with a value-touching endpoint (spy-counted), and a
-  whole graph without one degenerates to the counters-only fast path.
+* the lazy value plane: payload FIFOs are allocated **only** for
+  channels with a value-touching endpoint (spy-counted), and a whole
+  graph without one runs every node as a counter kernel
+  (``fast_path``);
+* the one drain loop: counter kernels never reach the firing-rule
+  methods (spy-asserted on a 40-actor graph with one control actor);
+* the payload FIFO (a list plus a head index) against
+  ``collections.deque`` over random extend/take/drop sequences.
 """
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import INITIAL_TOKEN, InitialToken, Simulator
 from repro.sim import schedplane
@@ -215,9 +224,10 @@ class TestLazyValuePlane:
         graph = random_consistent_graph(12, extra_edges=5, n_cycles=2,
                                         seed=11, with_control=False)
         sim, allocations = self._run(graph, monkeypatch)
-        assert allocations == []  # spy-counted: zero deques materialized
+        assert allocations == []  # spy-counted: zero FIFOs materialized
         stats = sim.stats()
         assert stats["fast_path"] is True
+        assert stats["counter_nodes"] == len(graph.kernels)
         assert stats["value_channels"] == 0
         assert stats["schedule_only_channels"] == len(graph.channels)
         assert sim.trace.count(next(iter(graph.kernels))) == 4
@@ -246,6 +256,7 @@ class TestLazyValuePlane:
         assert plane.queues[plane.slot_of["e_timefn"]] is not None
         assert sim.stats()["fast_path"] is False
         assert sim.stats()["schedule_only_channels"] == 1
+        assert sim.stats()["counter_nodes"] == 2  # a and b
 
     def test_record_values_materializes_everything(self, monkeypatch):
         g = TPDFGraph("recorded")
@@ -257,6 +268,82 @@ class TestLazyValuePlane:
         sim, allocations = self._run(g, monkeypatch, record_values=True)
         assert len(allocations) == 1
         assert sim.trace.firings_of("snk")[0].consumed == {"in": [None]}
+
+
+class TestCounterKernels:
+
+    def test_only_control_paths_reach_the_firing_rule_methods(
+            self, monkeypatch):
+        """One control actor steers one sink; the other 40 kernels
+        start and complete inline on the counters."""
+        from repro.tpdf import random_consistent_graph
+        from repro.tpdf.consistency import concrete_repetition_vector
+
+        graph = random_consistent_graph(40, extra_edges=20, n_cycles=2,
+                                        seed=5, with_control=True)
+        q = concrete_repetition_vector(graph, {})
+        limits = {name: 2 * q[name] for name in graph.kernels}
+        reached = set()
+        for method in ("_control_ready", "_kernel_plan"):
+            real = getattr(schedplane.SimPlane, method)
+
+            def spy(plane, pos, _real=real):
+                reached.add(plane.names[pos])
+                return _real(plane, pos)
+
+            monkeypatch.setattr(schedplane.SimPlane, method, spy)
+        sim = Simulator(graph)
+        trace = sim.run(limits=limits, max_firings=50_000)
+        assert reached == {"ctrl0", "sink0"}
+        assert trace.count("ctrl0") == trace.count("sink0") == 2
+        assert sim.stats()["counter_nodes"] == 40
+        assert sim.stats()["fast_path"] is False
+        reference = Simulator(graph, ready_core="reference")
+        reference.run(limits=limits, max_firings=50_000)
+        assert trace.fingerprint() == reference.trace.fingerprint()
+
+
+class TestPayloadFifo:
+    """The value plane's FIFO behaves as a deque of payloads."""
+
+    def test_compaction_cuts_the_consumed_prefix(self):
+        fifo = schedplane._make_queue(range(10))
+        assert fifo.take(5) == [0, 1, 2, 3, 4]
+        assert (fifo.head, len(fifo.items)) == (5, 10)
+        fifo.drop(1)  # consumed prefix 6 > half of 10: cut off
+        assert (fifo.head, fifo.items) == (0, [6, 7, 8, 9])
+        assert list(fifo) == [6, 7, 8, 9] and fifo.peek() == 6
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        initial=st.integers(0, 6),
+        ops=st.lists(st.tuples(st.sampled_from(("extend", "take", "drop")),
+                               st.integers(0, 9)), max_size=60),
+    )
+    def test_matches_deque(self, initial, ops):
+        fifo = schedplane._make_queue(INITIAL_TOKEN for _ in range(initial))
+        model = deque(INITIAL_TOKEN for _ in range(initial))
+        for op, count in ops:
+            if op == "extend":
+                values = [object() for _ in range(count)]
+                fifo.extend(values)
+                model.extend(values)
+            else:
+                count = min(count, len(model))
+                want = [model.popleft() for _ in range(count)]
+                if op == "take":
+                    got = fifo.take(count)
+                    assert len(got) == count
+                    assert all(g is w for g, w in zip(got, want))
+                else:
+                    fifo.drop(count)
+            live = list(fifo)
+            assert len(live) == len(model)
+            assert all(g is w for g, w in zip(live, model))
+            if model:
+                assert fifo.peek() is model[0]
+            # memory stays within twice the live payloads
+            assert len(fifo.items) <= 2 * len(model)
 
 
 class TestPlaneTraceEquivalence:

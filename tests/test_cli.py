@@ -366,6 +366,12 @@ class TestSimulate:
             main(["simulate", fig2_json, "--bind", "p=2",
                   "--limit", "typo=4"])
 
+    @pytest.mark.parametrize("cores", ("0", "-1"))
+    def test_cores_below_one_exits(self, fig2_json, cores):
+        with pytest.raises(SystemExit, match="cores must be >= 1"):
+            main(["simulate", fig2_json, "--bind", "p=2",
+                  "--limit", "A=4", "--cores", cores])
+
     def test_unknown_capacity_exits(self, fig2_json):
         with pytest.raises(SystemExit, match="typo"):
             main(["simulate", fig2_json, "--bind", "p=2",
