@@ -10,13 +10,15 @@ Subpackages
 :mod:`repro.tpdf`
     The TPDF model and its static analyses (the paper's contribution).
 :mod:`repro.scheduling`
-    Canonical periods, many-core list scheduling, ADF pruning.
+    Canonical periods, many-core list scheduling, ADF pruning (import
+    it explicitly: it needs networkx).
 :mod:`repro.platform`
     MPPA-256-style clustered machine models.
 :mod:`repro.sim`
     Discrete-event execution with control tokens, clocks, deadlines.
 :mod:`repro.apps`
-    The evaluation case studies (edge detection, OFDM, FM radio).
+    The evaluation case studies (edge detection, OFDM, FM radio);
+    import each explicitly (they need numpy, some scipy).
 :mod:`repro.analysis`
     The unified batch front door: consistency, liveness, MCR, buffer
     sizing and self-timed throughput over many graphs in one call,
@@ -31,8 +33,7 @@ Quick start::
     q = repetition_vector(fig2_graph())      # {'A': 2, 'B': 2p, ...}
 """
 
-from . import (analysis, apps, csdf, diagnostics, platform, scheduling, sim,
-               symbolic, tpdf, util)
+from . import analysis, csdf, diagnostics, platform, sim, symbolic, tpdf, util
 from .analysis import (
     EditSession,
     GraphReport,
@@ -73,10 +74,8 @@ __all__ = [
     "symbolic",
     "csdf",
     "tpdf",
-    "scheduling",
     "platform",
     "sim",
-    "apps",
     "util",
     "ReproError",
     "GraphConstructionError",

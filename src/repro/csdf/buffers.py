@@ -35,6 +35,7 @@ from typing import Iterable, Mapping
 from ..cache import bindings_key, cached, register_binding_insensitive
 from ..errors import DeadlockError
 from .analysis import concrete_repetition_vector
+from .digraph import adjacency, tarjan_components
 from .graph import CSDFGraph
 from .schedule import SequentialSchedule
 from .simulation import TokenState, rate_table
@@ -135,20 +136,18 @@ def _sink_distance(graph: CSDFGraph) -> dict[str, int]:
     a sink and drains tokens towards consumers instead of piling them
     up at producers.
     """
-    nxg = graph.to_networkx()
-    import networkx as nx
-
-    condensed = nx.condensation(nxg)
-    order = list(nx.topological_sort(condensed))
-    scc_depth: dict[int, int] = {}
-    for scc in reversed(order):
-        successors = list(condensed.successors(scc))
-        scc_depth[scc] = 0 if not successors else 1 + max(scc_depth[s] for s in successors)
-    return {
-        actor: scc_depth[scc]
-        for scc in condensed.nodes
-        for actor in condensed.nodes[scc]["members"]
-    }
+    actors = list(graph.actors)
+    adj = adjacency(actors, ((c.src, c.dst) for c in graph.channels.values()))
+    comp = tarjan_components(len(actors), adj)
+    # Component ids count up in reverse topological order, so visiting
+    # actors by id settles every successor component first.
+    scc_depth = [0] * len(actors)
+    for u in sorted(range(len(actors)), key=comp.__getitem__):
+        for v in adj[u]:
+            if comp[v] != comp[u]:
+                scc_depth[comp[u]] = max(scc_depth[comp[u]],
+                                         scc_depth[comp[v]] + 1)
+    return {actor: scc_depth[comp[u]] for u, actor in enumerate(actors)}
 
 
 def total_buffer_size(peaks: Mapping[str, int]) -> int:

@@ -2,16 +2,14 @@
 
 Builds the directed multigraph of actors and channels, validates its
 structure, and exposes the derived quantities the analyses need (cycle
-lengths ``tau_j``, per-cycle totals, networkx views for cycle
-detection).  The parametric analyses live in
+lengths ``tau_j``, per-cycle totals) plus a networkx export.  The
+parametric analyses live in
 :mod:`repro.csdf.analysis`; this module is purely structural.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
-
-import networkx as nx
 
 from ..cache import bump_version, ensure_mutable, freeze, is_frozen
 from ..errors import GraphConstructionError
@@ -179,8 +177,11 @@ class CSDFGraph:
     def is_parametric(self) -> bool:
         return bool(self.parameters())
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Directed multigraph view (channel objects on edge data)."""
+    def to_networkx(self):
+        """Directed ``networkx.MultiDiGraph`` view (channel objects on
+        edge data)."""
+        import networkx as nx
+
         g = nx.MultiDiGraph(name=self.name)
         g.add_nodes_from(self._actors)
         for channel in self._channels.values():
@@ -191,10 +192,14 @@ class CSDFGraph:
         """Weak connectivity (required for a unique repetition vector)."""
         if not self._actors:
             return True
+        import networkx as nx
+
         return nx.is_weakly_connected(self.to_networkx())
 
     def directed_cycles(self) -> list[list[str]]:
         """Simple directed cycles (actor name lists); deadlock suspects."""
+        import networkx as nx
+
         return [cycle for cycle in nx.simple_cycles(self.to_networkx())]
 
     def bind(self, bindings: Mapping) -> "CSDFGraph":

@@ -43,11 +43,13 @@ graph, so ``MCR = max over SCCs of the per-SCC MCR``.
 :func:`max_cycle_ratio` exploits this for edit traffic: the weight-free
 *structure* of the expansion is memoized separately from the per-node
 execution times (and carried across binding-only version bumps, see
-:mod:`repro.cache`), the structure is partitioned into SCCs, and each
-component's ratio is keyed in a cross-version content store by its
-fingerprint (nodes, edges, weights).  Re-analysis after an edit
-recomputes only the components whose fingerprint changed — an edit
-outside the cyclic core re-solves a serialization ring, not the core.
+:mod:`repro.cache`), the structure is partitioned into SCCs (by the
+Tarjan routine of :mod:`repro.csdf.digraph`, which every analysis
+shares), and each component's ratio is keyed in a cross-version
+content store by its fingerprint (nodes, edges, weights).
+Re-analysis after an edit recomputes only the components whose
+fingerprint changed — an edit outside the cyclic core re-solves a
+serialization ring, not the core.
 Re-solved components warm-start Howard's iteration from the previous
 converged policy for the same component shape
 (:func:`howard` ``initial_policy=``), falling back to the cold initial
@@ -83,6 +85,7 @@ from typing import Mapping
 from ..cache import bindings_key, cached, content_store, register_binding_insensitive
 from ..errors import AnalysisError
 from .analysis import concrete_repetition_vector
+from .digraph import nontrivial_components, tarjan_components
 from .graph import CSDFGraph
 from .sdf import check_firing_names, firing_name, flow_edges, serialization_ring
 
@@ -177,8 +180,9 @@ def _check_deadlock_free(n_nodes: int, out_edges) -> None:
     All edge weights are non-negative, so a strongly connected
     component of the zero-token subgraph containing an edge of positive
     weight necessarily contains a positive-weight token-free cycle —
-    the graph deadlocks and the MCR is undefined.  Uses Tarjan's SCC
-    (iterative) on the token-free edges only.
+    the graph deadlocks and the MCR is undefined.  Runs the shared
+    :func:`~repro.csdf.digraph.tarjan_components` on the token-free
+    edges only.
     """
     zero_adj: list[list[int]] = [[] for _ in range(n_nodes)]
     zero_weight: dict[tuple[int, int], float] = {}
@@ -188,63 +192,13 @@ def _check_deadlock_free(n_nodes: int, out_edges) -> None:
                 zero_adj[u].append(v)
                 key = (u, v)
                 zero_weight[key] = max(zero_weight.get(key, 0.0), w)
-    comp = _tarjan_components(n_nodes, zero_adj)
+    comp = tarjan_components(n_nodes, zero_adj)
     for (u, v), w in zero_weight.items():
-        in_cycle = comp[u] == comp[v] and (u != v or v in zero_adj[u])
-        if in_cycle and w > _EPS:
+        if comp[u] == comp[v] and w > _EPS:
             raise AnalysisError(
                 "cycle with zero tokens and positive execution time: the "
                 "graph deadlocks, MCR undefined"
             )
-
-
-def _tarjan_components(n_nodes: int, adj) -> list[int]:
-    """Iterative Tarjan: component id per node (ids are arbitrary but
-    deterministic for a given adjacency)."""
-    index = [0] * n_nodes
-    low = [0] * n_nodes
-    on_stack = [False] * n_nodes
-    comp = [-1] * n_nodes
-    counter = 1
-    stack: list[int] = []
-    comp_count = 0
-    for root in range(n_nodes):
-        if index[root]:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, edge_pos = work[-1]
-            if edge_pos == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for pos in range(edge_pos, len(adj[node])):
-                succ = adj[node][pos]
-                if not index[succ]:
-                    work[-1] = (node, pos + 1)
-                    work.append((succ, 0))
-                    advanced = True
-                    break
-                if on_stack[succ] and low[node] > index[succ]:
-                    low[node] = index[succ]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[parent] > low[node]:
-                    low[parent] = low[node]
-            if low[node] == index[node]:
-                while True:
-                    member = stack.pop()
-                    on_stack[member] = False
-                    comp[member] = comp_count
-                    if member == node:
-                        break
-                comp_count += 1
-    return comp
 
 
 def _scc_components(nodes, struct_edges):
@@ -256,34 +210,24 @@ def _scc_components(nodes, struct_edges):
     function of the inputs, so identical structures always yield
     identical component fingerprints.  Singleton components without a
     self-edge lie on no cycle and are dropped (they contribute ratio 0).
-    Components are ordered by their smallest member's node index.
+    Components are ordered by their member names.
     """
     n = len(nodes)
     idx = {name: i for i, name in enumerate(nodes)}
     adj: list[list[int]] = [[] for _ in range(n)]
-    has_self = [False] * n
     for src, dst, _t in struct_edges:
-        u, v = idx[src], idx[dst]
-        if u == v:
-            has_self[u] = True
-        else:
-            adj[u].append(v)
-    comp = _tarjan_components(n, adj)
-    members: dict[int, list[int]] = {}
-    for u in range(n):
-        members.setdefault(comp[u], []).append(u)
+        adj[idx[src]].append(idx[dst])
+    comp = tarjan_components(n, adj)
     # One pass buckets the intra-component edges, in global edge order.
     inner: dict[int, list] = {}
     for e in struct_edges:
         c = comp[idx[e[0]]]
         if c == comp[idx[e[1]]]:
             inner.setdefault(c, []).append(e)
-    cyclic: list[tuple] = []
-    for c, group in members.items():
-        if len(group) == 1 and not has_self[group[0]]:
-            continue
-        comp_nodes = tuple(nodes[u] for u in sorted(group))
-        cyclic.append((comp_nodes, tuple(inner.get(c, ()))))
+    cyclic = [
+        (tuple(nodes[u] for u in group), tuple(inner.get(comp[group[0]], ())))
+        for group in nontrivial_components(adj, comp)
+    ]
     cyclic.sort(key=lambda item: item[0])
     return cyclic
 

@@ -81,6 +81,7 @@ from ..cache import cached, domain_key
 from ..errors import AnalysisError, ParametricMCRError
 from ..symbolic import Poly, Rat, normalize_bindings
 from .analysis import repetition_vector
+from .digraph import adjacency, nontrivial_components
 from .graph import CSDFGraph
 from .mcr import howard_critical_cycle, max_cycle_ratio
 from .sdf import firing_name, flow_edges, serialization_ring
@@ -534,20 +535,10 @@ def _ring_candidate(csdf: CSDFGraph, name: str, q_sym: Mapping[str, Poly]) -> MC
 def _cyclic_cores(csdf: CSDFGraph) -> list[frozenset[str]]:
     """Nontrivial SCCs of the CSDF digraph: actor sets lying on directed
     cycles (including single actors with a self-loop channel)."""
-    import networkx as nx
-
-    digraph = nx.DiGraph()
-    digraph.add_nodes_from(csdf.actors)
-    selfloop = set()
-    for channel in csdf.channels.values():
-        if channel.src == channel.dst:
-            selfloop.add(channel.src)
-        else:
-            digraph.add_edge(channel.src, channel.dst)
-    cores = []
-    for scc in nx.strongly_connected_components(digraph):
-        if len(scc) > 1 or next(iter(scc)) in selfloop:
-            cores.append(frozenset(scc))
+    actors = list(csdf.actors)
+    adj = adjacency(actors, ((c.src, c.dst) for c in csdf.channels.values()))
+    cores = [frozenset(actors[u] for u in group)
+             for group in nontrivial_components(adj)]
     return sorted(cores, key=lambda s: sorted(s))
 
 

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from ..symbolic import Poly
 from .analysis import base_solution
+from .digraph import adjacency, nontrivial_components
 from .graph import CSDFGraph
 
 
@@ -72,9 +73,7 @@ def bound_is_tight_for_single_appearance(graph: CSDFGraph) -> bool:
     for acyclic graphs (topological-order grouped schedules exist).
     Cyclic graphs may not admit such schedules, so the bound, while
     still sound, can be conservative there."""
-    import networkx as nx
-
-    return nx.is_directed_acyclic_graph(
-        nx.DiGraph([(c.src, c.dst) for c in graph.channels.values()
-                    if not c.is_selfloop()])
-    )
+    actors = list(graph.actors)
+    adj = adjacency(actors, ((c.src, c.dst) for c in graph.channels.values()
+                             if not c.is_selfloop()))
+    return not nontrivial_components(adj)

@@ -32,6 +32,7 @@ from typing import Mapping
 from ..errors import DeadlockError
 from .analysis import concrete_repetition_vector
 from .graph import CSDFGraph
+from .simulation import rate_table
 
 
 @dataclass
@@ -246,16 +247,12 @@ def capacity_floors(
     uses it to discard below-floor probes without executing them —
     measured on the EXT7 search, over half of all probes.
     """
-    import numpy as np
-
-    from .statearrays import array_state
-
-    state = array_state(graph, bindings)
-    floor = np.maximum(state.tokens0, np.maximum(
-        np.maximum.reduceat(state.cons_flat, state.cons_base),
-        np.maximum.reduceat(state.prod_flat, state.prod_base),
-    ))
-    return dict(zip(state.channel_names, floor.tolist()))
+    table = rate_table(graph, bindings)
+    return {
+        name: max(channel.initial_tokens, max(table.consumption[name]),
+                  max(table.production[name]))
+        for name, channel in graph.channels.items()
+    }
 
 
 def self_timed_execution(
@@ -282,7 +279,7 @@ def self_timed_execution(
 
     ``"arrays"`` (default)
         The array-state backend of :mod:`repro.csdf.statearrays`:
-        struct-of-arrays state cloned from a memoized numpy template,
+        struct-of-arrays state copied from a memoized tuple template,
         incremental constraint counters instead of per-visit firing
         tables, and completion events on a bare ``heapq``.
     ``"reference"``

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Iterator, Mapping
 
-import networkx as nx
-
+from ..csdf.digraph import adjacency, nontrivial_components, reachable
 from ..symbolic import InconsistentRatesError, solve_balance
 from ..symbolic.linsolve import consistency_conditions
 from .core import CATALOG, Diagnostic, Severity, sort_diagnostics
@@ -241,19 +240,15 @@ def _token_free_cycles(view: GraphView) -> Iterator[Diagnostic]:
     hops of a cycle block, no member can ever fire first: the circular
     wait is permanent and ``analyze`` reports ``live=False``.
     """
-    blocked = nx.DiGraph()
-    blocked.add_nodes_from(view.actors)
+    blocked: list[tuple[str, str]] = []
     for channel in view.channels:
         need = _first_firing_need(channel)
         if need is None or need <= 0 or channel.initial_tokens >= need:
             continue
         if channel.is_control or view.blocks_on_all_inputs(channel.dst):
-            blocked.add_edge(channel.src, channel.dst, channel=channel.name)
-    for scc in nx.strongly_connected_components(blocked):
-        members = sorted(scc)
-        if len(members) == 1 and not blocked.has_edge(members[0], members[0]):
-            continue
-        cycle = " -> ".join(members)
+            blocked.append((channel.src, channel.dst))
+    for group in nontrivial_components(adjacency(view.actors, blocked)):
+        cycle = " -> ".join(sorted(view.actors[u] for u in group))
         yield _diag(
             "DEAD002", cycle,
             f"directed cycle through {cycle} has no hop with enough "
@@ -295,18 +290,17 @@ def _tpdf_port_warnings(view: GraphView) -> Iterator[Diagnostic]:
                 )
 
 
+def _actor_adjacency(view: GraphView) -> list[list[int]]:
+    return adjacency(view.actors, ((c.src, c.dst) for c in view.channels))
+
+
 def _unreachable(view: GraphView) -> Iterator[Diagnostic]:
-    nxg = nx.DiGraph()
-    nxg.add_nodes_from(view.actors)
-    for channel in view.channels:
-        nxg.add_edge(channel.src, channel.dst)
-    sources = {n for n in view.actors
-               if nxg.in_degree(n) == 0 or view.is_clock(n)}
-    reachable = set(sources)
-    for source in sources:
-        reachable |= nx.descendants(nxg, source)
-    for name in view.actors:
-        if name not in reachable:
+    fed = {channel.dst for channel in view.channels}
+    sources = [u for u, name in enumerate(view.actors)
+               if name not in fed or view.is_clock(name)]
+    seen = reachable(_actor_adjacency(view), sources)
+    for u, name in enumerate(view.actors):
+        if u not in seen:
             yield _diag(
                 "STRUCT002", name,
                 "no path from any source or clock reaches this actor",
@@ -314,13 +308,10 @@ def _unreachable(view: GraphView) -> Iterator[Diagnostic]:
 
 
 def _clock_cycles(view: GraphView) -> Iterator[Diagnostic]:
-    nxg = nx.DiGraph()
-    nxg.add_nodes_from(view.actors)
-    for channel in view.channels:
-        nxg.add_edge(channel.src, channel.dst)
-    for scc in nx.strongly_connected_components(nxg):
-        clocks = sorted(n for n in scc if view.is_clock(n))
-        if clocks and (len(scc) > 1 or nxg.has_edge(clocks[0], clocks[0])):
+    for group in nontrivial_components(_actor_adjacency(view)):
+        clocks = sorted(view.actors[u] for u in group
+                        if view.is_clock(view.actors[u]))
+        if clocks:
             yield _diag(
                 "STRUCT003", clocks[0],
                 "clock actor participates in a feedback cycle; its "

@@ -14,8 +14,6 @@ One-stop construction of the figures for experiments, docs and tests:
 
 from __future__ import annotations
 
-import numpy as np
-
 from .csdf.graph import CSDFGraph
 from .symbolic import Param
 from .tpdf.graph import TPDFGraph, fig2_graph
@@ -132,6 +130,8 @@ def fig4_graph(case: str = "a") -> TPDFGraph:
 
 def fig6_graph(image_size: int = 1024, period: float = 500.0):
     """Fig. 6: the edge-detection application (graph, results sink)."""
+    import numpy as np
+
     from .apps.edge.pipeline import build_edge_graph
 
     return build_edge_graph([np.zeros((image_size, image_size))], period=period)

@@ -458,8 +458,8 @@ def piecewise_to_dict(piecewise) -> dict:
 # direct analyze() calls with no tolerance).  Python's json module
 # already guarantees exact float round-trips (shortest-repr encoding);
 # what needs care is everything JSON has no native type for: Fractions
-# (tagged objects), numpy scalars that leak out of the arrays backend
-# (normalized to native int/float — np.int64 is *not* JSON-encodable),
+# (tagged objects), numpy scalars a caller passed in (normalized to
+# native int/float — np.int64 is *not* JSON-encodable),
 # and tuples (re-tupled on decode where the dataclasses expect them).
 
 def _scalar_to_wire(value):

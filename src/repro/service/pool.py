@@ -239,8 +239,8 @@ class WorkerPool:
         self.max_attempts = max_attempts
         self.test_hooks = test_hooks
         if start_method is None:
-            # fork keeps worker start cheap (no re-import of numpy and
-            # the analysis stack); fall back where it does not exist.
+            # fork keeps worker start cheap (no re-import of the
+            # analysis stack); fall back where it does not exist.
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(start_method)

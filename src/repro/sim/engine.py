@@ -116,8 +116,8 @@ class Simulator:
     ready_core:
         ``"arrays"`` (default) runs the schedule-plane / value-plane
         split of :mod:`repro.sim.schedplane`: scheduling state lives in
-        flat slot-indexed counters over the memoized
-        :func:`repro.csdf.statearrays.sim_array_state` template, and
+        flat slot-indexed counters read from the graph's CSDF view and
+        its memoized :func:`repro.csdf.simulation.rate_table`, and
         token payloads are materialized only on channels with a
         value-touching endpoint; ``"reference"`` keeps the legacy full
         rescan of every node after every event — the differential

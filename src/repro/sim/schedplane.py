@@ -5,21 +5,23 @@ The :class:`~repro.sim.engine.Simulator`'s reference loop carries
 states, per-port rate lookups, consumed-value lists, record objects.
 For timing-dominated workloads almost none of that is needed — the
 schedule only depends on token *counts*, rates, and execution times,
-exactly the flat data :class:`repro.csdf.statearrays.ArrayState`
-already memoizes for the CSDF executor.
+exactly the flat data the CSDF executor runs on.
 
-This module runs the simulator on that template, split in two planes:
+This module runs the simulator on that data, split in two planes:
 
 **Schedule plane** — slot-indexed integer state (token counts, discard
-debts, capacities, reservations) over the memoized
-:func:`~repro.csdf.statearrays.sim_array_state` template, driven by
-a :class:`~repro.csdf.eventloop.ReadyWorklist` (only nodes whose
+debts, capacities, reservations) read from the graph's CSDF view:
+initial tokens, endpoint positions and execution times straight from
+the graph, integer phases from the memoized
+:func:`~repro.csdf.simulation.rate_table`.  It is driven by a
+:class:`~repro.csdf.eventloop.ReadyWorklist` (only nodes whose
 readiness may have changed are re-examined, in the reference loop's
 scan order) and the same ``heapq`` event core as the CSDF arrays
-backend.  The TPDF-only mechanics the CSDF executor lacks live here: control-token mode selection gating per-firing port
-sets, highest-priority candidate choice over pre-sorted
-``(priority, port)`` tables, discard-debt flushing, clock-actor
-autonomous ticks, and control actors outside the worker-core budget.
+backend.  The TPDF-only mechanics the CSDF executor lacks live here:
+control-token mode selection gating per-firing port sets,
+highest-priority candidate choice over pre-sorted ``(priority, port)``
+tables, discard-debt flushing, clock-actor autonomous ticks, and
+control actors outside the worker-core budget.
 
 **Value plane** — per-channel payload FIFOs (a list plus a head
 index, :class:`_Payloads`), allocated **only** for channels where some
@@ -64,7 +66,6 @@ from math import inf
 
 from ..csdf.eventloop import ReadyWorklist
 from ..csdf.simulation import rate_table
-from ..csdf.statearrays import sim_array_state
 from ..errors import SimulationError
 from ..tpdf.builtins import ClockActor
 from ..tpdf.kernel import ControlActor
@@ -138,18 +139,17 @@ class SimPlane:
         bindings = sim.bindings or None
 
         csdf = graph.as_csdf()
-        state = sim_array_state(csdf, bindings, sim._order)
-        rates = rate_table(csdf, bindings)  # the template's own rates
-        order = state.order
-        n = state.n
-        nchan = state.nchan
+        rates = rate_table(csdf, bindings)
+        order = sim._order
+        n = len(order)
         pos_of = {name: i for i, name in enumerate(order)}
-        assert order == sim._order
+        flows = list(csdf.channels.values())
+        nchan = len(flows)
 
         # -- schedule plane: slot-indexed channel state -------------------
-        self.chan_names = list(state.channel_names)
+        self.chan_names = [c.name for c in flows]
         self.slot_of = {name: s for s, name in enumerate(self.chan_names)}
-        self.tokens = state.tokens0.tolist()
+        self.tokens = [c.initial_tokens for c in flows]
         self.init_left = list(self.tokens)
         self.debts = [0] * nchan
         self.reserved = [0] * nchan
@@ -158,8 +158,8 @@ class SimPlane:
         for name, cap in sim._capacities.items():
             self.caps[self.slot_of[name]] = int(cap)
         self.any_capacity = sim._any_capacity
-        self.chan_src_pos = state.chan_src.tolist()
-        self.chan_dst_pos = state.chan_dst.tolist()
+        self.chan_src_pos = [pos_of[c.src] for c in flows]
+        self.chan_dst_pos = [pos_of[c.dst] for c in flows]
 
         channels = list(graph.channels.values())
         self.chan_dst_port = [c.dst_port for c in channels]
@@ -191,8 +191,10 @@ class SimPlane:
         self.decisions = [None] * n
         #: the node reads or computes payloads, or the run records them
         self.collects = bytearray(n)
-        self.exec_const = list(state.exec_const)
-        self.exec_phases = list(state.exec_phases)
+        self.exec_phases = [tuple(csdf.actor(name).exec_times)
+                            for name in order]
+        self.exec_const = [t[0] if len(t) == 1 else None
+                           for t in self.exec_phases]
         self.clock_period = [0.0] * n
 
         from .engine import _builtin_function

@@ -30,8 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
-
+from ..csdf.digraph import adjacency, reachable
 from ..errors import AnalysisError
 from ..symbolic import Poly, monomial_gcd, poly_gcd_many
 from .consistency import repetition_vector
@@ -55,16 +54,15 @@ def influenced(graph: TPDFGraph, control: str) -> set[str]:
     ``succ(g)``, minus ``g`` itself and the prec/succ endpoints (which
     Definition 3 already includes in the area separately).
     """
-    nxg = graph.to_networkx()
     prec = predecessors(graph, control)
     succ = successors(graph, control)
-    reachable: set[str] = set()
-    for src in prec:
-        reachable |= nx.descendants(nxg, src) | {src}
-    coreachable: set[str] = set()
-    for dst in succ:
-        coreachable |= nx.ancestors(nxg, dst) | {dst}
-    return (reachable & coreachable) - {control} - prec - succ
+    nodes = graph.node_names()
+    pos = {name: i for i, name in enumerate(nodes)}
+    edges = [(c.src, c.dst) for c in graph.channels.values()]
+    forward = reachable(adjacency(nodes, edges), [pos[n] for n in prec])
+    backward = reachable(adjacency(nodes, [(d, s) for s, d in edges]),
+                         [pos[n] for n in succ])
+    return {nodes[u] for u in forward & backward} - {control} - prec - succ
 
 
 def control_area(graph: TPDFGraph, control: str) -> set[str]:

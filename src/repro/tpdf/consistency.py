@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import networkx as nx
-
 from ..cache import cached
 from ..csdf import analysis as csdf_analysis
+from ..csdf.digraph import adjacency, condensation_order
 from ..errors import AnalysisError
 from ..symbolic import InconsistentRatesError, Poly
 from .graph import TPDFGraph
@@ -113,11 +112,10 @@ def symbolic_schedule_string(graph: TPDFGraph, order: list[str] | None = None) -
     """
     q = repetition_vector(graph)
     if order is None:
-        nxg = graph.to_networkx()
-        condensed = nx.condensation(nxg)
-        order = []
-        for scc in nx.topological_sort(condensed):
-            order.extend(sorted(condensed.nodes[scc]["members"]))
+        nodes = graph.node_names()
+        adj = adjacency(nodes, ((c.src, c.dst) for c in graph.channels.values()))
+        order = [name for group in condensation_order(adj)
+                 for name in sorted(nodes[u] for u in group)]
     parts = []
     for name in order:
         count = q[name]

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Union
 
-import networkx as nx
-
 from ..cache import bump_version, cached
 from ..csdf.actor import ExecTime
 from ..csdf.graph import CSDFGraph
@@ -289,7 +287,11 @@ class TPDFGraph:
                 used |= port.rates.variables()
         return used - set(self._params)
 
-    def to_networkx(self) -> nx.MultiDiGraph:
+    def to_networkx(self):
+        """Directed ``networkx.MultiDiGraph`` view (channel objects on
+        edge data, a ``control`` flag on every node)."""
+        import networkx as nx
+
         g = nx.MultiDiGraph(name=self.name)
         for name in self.node_names():
             g.add_node(name, control=self.is_control_actor(name))

@@ -31,8 +31,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-import networkx as nx
-
+from ..csdf.digraph import adjacency, nontrivial_components
 from ..csdf.graph import CSDFGraph
 from ..csdf.schedule import SequentialSchedule, find_sequential_schedule
 from ..errors import AnalysisError, DeadlockError
@@ -76,14 +75,12 @@ class LivenessReport:
 
 
 def cyclic_components(graph: TPDFGraph) -> list[tuple[str, ...]]:
-    """Non-trivial SCCs (size > 1, or a single node with a self-loop)."""
-    nxg = graph.to_networkx()
-    out: list[tuple[str, ...]] = []
-    for component in nx.strongly_connected_components(nxg):
-        members = tuple(sorted(component))
-        if len(members) > 1 or nxg.has_edge(members[0], members[0]):
-            out.append(members)
-    return out
+    """Non-trivial SCCs (size > 1, or a single node with a self-loop),
+    members sorted by name."""
+    nodes = graph.node_names()
+    adj = adjacency(nodes, ((c.src, c.dst) for c in graph.channels.values()))
+    return [tuple(sorted(nodes[u] for u in group))
+            for group in nontrivial_components(adj)]
 
 
 def cycle_subgraph(graph: TPDFGraph, subset: Iterable[str]) -> CSDFGraph:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.analysis import EditSession, analyze, warm_graph
@@ -30,7 +29,8 @@ from repro.cache import (
     delta_since,
     version_of,
 )
-from repro.csdf import CSDFGraph, array_state, max_cycle_ratio
+from repro.csdf import (ArrayState, CSDFGraph, array_state, max_cycle_ratio,
+                        self_timed_execution)
 from repro.errors import GraphConstructionError
 from repro.io import csdf_from_dict, csdf_to_dict
 from repro.tpdf import random_consistent_graph
@@ -372,25 +372,45 @@ class TestMutationRecords:
         assert not analysis_cache(graph)
 
 
-class TestFrozenTemplate:
-    """S1: the memoized SoA template's arrays are write-protected."""
+def _assert_read_only(state):
+    """Item assignment into every field of ``state`` raises, one level
+    down too (edge mirrors and execution-time phases)."""
+    for name in ArrayState.__slots__:
+        value = getattr(state, name)
+        with pytest.raises(TypeError):
+            value[0] = 99
+        if isinstance(value, tuple) and value and isinstance(value[0], tuple):
+            with pytest.raises(TypeError):
+                value[0][0] = 99
 
-    def test_template_arrays_reject_writes(self):
-        graph = _mutable_csdf(4, 2, 1, 0)
-        state = array_state(graph, None)
-        with pytest.raises(ValueError):
-            state.tokens0[0] = 99
-        with pytest.raises(ValueError):
-            state.qv_np[0] = 7
+
+class TestFrozenTemplate:
+    """S1: the memoized SoA template cannot be written into."""
+
+    def test_template_fields_reject_writes(self):
+        _assert_read_only(array_state(_mutable_csdf(4, 2, 1, 0), None))
 
     def test_binding_patched_template_is_also_frozen(self):
         graph = _mutable_csdf(4, 2, 1, 1)
-        array_state(graph, None)
+        first = array_state(graph, None)
         name = next(iter(graph.actors))
         graph.actor(name).set_exec_time(5.0)  # binding edit -> patch path
         patched = array_state(graph, None)
-        with pytest.raises(ValueError):
-            patched.tokens0[0] = 99
+        assert patched is not first and patched.in_edges is first.in_edges
+        _assert_read_only(patched)
+
+    def test_writing_execution_times_cannot_change_a_later_run(self):
+        from repro.gallery import fig1_graph
+
+        graph = fig1_graph()
+        graph.actor("a1").set_exec_time([1.0, 2.0, 3.0])
+        assert self_timed_execution(graph).makespan == 8.0
+        state = array_state(graph, None)
+        try:
+            state.exec_phases[state.order.index("a1")] = (99.0,)
+        except TypeError:
+            pass
+        assert self_timed_execution(graph).makespan == 8.0
 
 
 class TestWarmGraphIdempotent:

@@ -3,49 +3,16 @@
 The executor-level behaviour is pinned by the differential suite
 (``tests/sim/test_eventloop_differential.py``); these tests cover the
 template itself: memoization per graph version, run isolation (a run
-must never mutate the shared template), and the vectorized
-``ready_mask`` against an independently-written scalar firing rule.
+must never mutate the shared template), and a lone actor without
+channels.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cache import analysis_cache
 from repro.csdf import CSDFGraph, array_state, self_timed_execution
-from repro.csdf.statearrays import _UNCAPPED
-from repro.tpdf import random_consistent_graph
-
-
-def _scalar_can_start(state, tokens, started, caps):
-    """Independent scalar rendering of the firing rule, built from the
-    template's edge mirrors (the oracle for the vectorized mask)."""
-    ready = []
-    for pos in range(state.n):
-        ok = True
-        for slot, phases, const in state.in_edges[pos]:
-            need = const if phases is None else phases[started[pos] % len(phases)]
-            if tokens[slot] < need:
-                ok = False
-        for slot, phases, const in state.out_edges[pos]:
-            if caps is None or caps[slot] == _UNCAPPED:
-                continue
-            give = const if phases is None else phases[started[pos] % len(phases)]
-            occupancy = tokens[slot]
-            if state.self_loop[slot]:
-                cons = next(
-                    (p, c) for s, p, c in state.in_edges[pos] if s == slot
-                )
-                phases_c, const_c = cons
-                occupancy -= (const_c if phases_c is None
-                              else phases_c[started[pos] % len(phases_c)])
-            if occupancy + give > caps[slot]:
-                ok = False
-        ready.append(ok)
-    return ready
 
 
 class TestTemplateCaching:
@@ -56,7 +23,7 @@ class TestTemplateCaching:
         fig1.add_actor("late", exec_time=1.0)  # version bump
         rebuilt = array_state(fig1, None)
         assert rebuilt is not first
-        assert rebuilt.n == first.n + 1
+        assert len(rebuilt.order) == len(first.order) + 1
 
     def test_distinct_bindings_get_distinct_templates(self):
         from repro.tpdf import fig2_graph
@@ -69,9 +36,10 @@ class TestTemplateCaching:
 
     def test_runs_do_not_mutate_the_template(self, fig1):
         template = array_state(fig1, None)
-        tokens_before = template.tokens0.copy()
+        assert template.tokens0 == (0, 2, 0)
         first = self_timed_execution(fig1, iterations=3, backend="arrays")
-        assert np.array_equal(template.tokens0, tokens_before)
+        assert array_state(fig1, None) is template
+        assert template.tokens0 == (0, 2, 0)
         again = self_timed_execution(fig1, iterations=3, backend="arrays")
         assert first == again  # identical reruns from the shared template
 
@@ -84,54 +52,12 @@ class TestTemplateCaching:
         assert array_state(fig1, None) is template
 
 
-class TestReadyMask:
-    @given(seed=st.integers(0, 500), data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_mask_matches_scalar_firing_rule(self, seed, data):
-        graph = random_consistent_graph(
-            5, extra_edges=2, n_cycles=1, seed=seed, with_control=False
-        ).as_csdf()
-        state = array_state(graph, None)
-        tokens = np.asarray(
-            data.draw(st.lists(st.integers(0, 6), min_size=state.nchan,
-                               max_size=state.nchan)),
-            dtype=np.int64,
-        )
-        started = np.asarray(
-            data.draw(st.lists(st.integers(0, 9), min_size=state.n,
-                               max_size=state.n)),
-            dtype=np.int64,
-        )
-        if data.draw(st.booleans()):
-            caps = np.asarray(
-                data.draw(st.lists(
-                    st.one_of(st.just(_UNCAPPED), st.integers(0, 8)),
-                    min_size=state.nchan, max_size=state.nchan)),
-                dtype=np.int64,
-            )
-        else:
-            caps = None
-        mask = state.ready_mask(tokens, started, caps=caps)
-        assert mask.tolist() == _scalar_can_start(state, tokens, started, caps)
-
-    def test_initial_mask_matches_executed_first_starts(self, fig1):
-        """The positions the mask enables at t=0 are exactly the
-        actors the reference loop starts before the first event."""
-        state = array_state(fig1, None)
-        mask = state.ready_mask(state.tokens0, np.zeros(state.n, np.int64))
-        result = self_timed_execution(fig1, iterations=1,
-                                      backend="reference")
-        assert result.firings > 0
-        # fig1: every actor with sufficient initial tokens fires at 0.
-        startable = {state.order[i] for i in np.flatnonzero(mask)}
-        assert startable  # non-empty by construction of fig1
-
-    def test_empty_graph_edge_case(self):
+class TestLoneActor:
+    def test_actor_without_channels_runs(self):
         lone = CSDFGraph("lone")
         lone.add_actor("only", exec_time=2.0)
         state = array_state(lone, None)
-        mask = state.ready_mask(state.tokens0, np.zeros(1, np.int64))
-        assert mask.tolist() == [True]
+        assert (state.order, state.channel_names) == (("only",), ())
         result = self_timed_execution(lone, iterations=3, backend="arrays")
         assert result.firings == 3
         assert result.makespan == pytest.approx(6.0)

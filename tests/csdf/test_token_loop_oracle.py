@@ -341,6 +341,16 @@ class TestSequentialSchedule:
         _assert_sequential_agrees(cycle, {"p": 2}, policy, None, order)
 
 
+def _mirror_phases(template, slot, side):
+    """The phase tuple of channel ``slot`` in the template's per-actor
+    edge mirrors (``side`` is ``in_edges`` or ``out_edges``)."""
+    matches = [(p, c) for edges in getattr(template, side)
+               for s, p, c in edges if s == slot]
+    assert len(matches) == 1
+    phases, const = matches[0]
+    return (const,) if phases is None else phases
+
+
 class TestRateTable:
     def test_phases_match_as_ints_and_the_template(self):
         for label, graph, bindings in LARGE[::3] + HAND:
@@ -354,10 +364,8 @@ class TestRateTable:
                 assert table.consumption[channel.name] == cons, label
                 assert state.supply(channel.src, channel.name) == prod[0]
                 assert state.demand(channel.dst, channel.name) == cons[0]
-                base, length = template.prod_base[slot], template.prod_len[slot]
-                assert tuple(template.prod_flat[base:base + length]) == prod
-                base, length = template.cons_base[slot], template.cons_len[slot]
-                assert tuple(template.cons_flat[base:base + length]) == cons
+                assert _mirror_phases(template, slot, "out_edges") == prod
+                assert _mirror_phases(template, slot, "in_edges") == cons
 
     def test_one_table_per_version_and_bindings(self):
         graph = fig4_graph("a").as_csdf()
@@ -373,8 +381,11 @@ class TestRateTable:
         template = array_state(graph, None)
         session.set_exec_time("a3", 7.0)
         assert rate_table(graph) is table
-        # The executor template is patched, its rate arrays shared.
-        assert array_state(graph, None).prod_flat is template.prod_flat
+        # The executor template is patched, its edge mirrors shared.
+        patched = array_state(graph, None)
+        assert patched is not template
+        assert patched.in_edges is template.in_edges
+        assert patched.out_edges is template.out_edges
 
     def test_rebuilt_after_a_rate_edit(self):
         graph = csdf_from_dict(csdf_to_dict(_cyclo_static_graph(20, 1)))
@@ -392,5 +403,4 @@ class TestRateTable:
         assert fresh.consumption["c0"] == consumption
         template = array_state(graph, None)
         slot = list(graph.channels).index("c0")
-        base, length = template.prod_base[slot], template.prod_len[slot]
-        assert tuple(template.prod_flat[base:base + length]) == production
+        assert _mirror_phases(template, slot, "out_edges") == production

@@ -107,8 +107,9 @@ class TestM2FrozenWrites:
         assert _rules("arr.flags.writeable = True\n") == ["M2"]
 
     def test_statearrays_is_the_sanctioned_site(self):
+        """No file is exempt any more, the executor template included."""
         assert _rules("arr.setflags(write=True)\n",
-                      "src/repro/csdf/statearrays.py") == []
+                      "src/repro/csdf/statearrays.py") == ["M2"]
 
 
 class TestM3Nondeterminism:

@@ -21,8 +21,9 @@ call site looks fine; the invariant is global):
 
 ``M2 frozen-writes``
     Flipping numpy array writability (``.setflags(...)``,
-    ``.flags.writeable = ...``) is the frozen-template patching
-    protocol of ``csdf/statearrays.py`` and is banned everywhere else.
+    ``.flags.writeable = ...``) is banned everywhere: shared products
+    are immutable by construction (tuples, frozen graphs), never by a
+    flag someone can flip back.
 
 ``M3 nondeterminism``
     ``repro.*`` results must be bit-for-bit reproducible (the
@@ -206,8 +207,6 @@ def _check_m1(tree: ast.Module, path: str) -> list[Violation]:
 
 
 def _check_m2(tree: ast.Module, path: str) -> list[Violation]:
-    if path.replace("\\", "/").endswith("csdf/statearrays.py"):
-        return []
     violations: list[Violation] = []
     for node in ast.walk(tree):
         if (isinstance(node, ast.Call)
@@ -215,7 +214,8 @@ def _check_m2(tree: ast.Module, path: str) -> list[Violation]:
                 and node.func.attr == "setflags"):
             violations.append(Violation(
                 "M2", path, node.lineno,
-                "array .setflags() outside the statearrays patch protocol",
+                "array .setflags() — shared products must be immutable by "
+                "construction, not by a writability flag",
             ))
         if isinstance(node, ast.Assign):
             for target in node.targets:
@@ -223,8 +223,8 @@ def _check_m2(tree: ast.Module, path: str) -> list[Violation]:
                         and target.attr == "writeable"):
                     violations.append(Violation(
                         "M2", path, node.lineno,
-                        "writeability flip outside the statearrays patch "
-                        "protocol — frozen templates must stay frozen",
+                        "writeability flip — shared products must be "
+                        "immutable by construction, not by a flag",
                     ))
     return violations
 
