@@ -1,13 +1,15 @@
-"""EXT7 — the array-state backend on the probe-heavy workloads.
+"""EXT7 — the array-state executor on the probe-heavy workloads.
 
-The array-state backend (``repro.csdf.statearrays``) removes three
-costs of the legacy full-rescan loop: the per-run state rebuild that
-every ``period_with`` probe of the buffer search pays again (a
-memoized struct-of-arrays template is cloned per run instead), the
-per-event O(actors) ready rescan (incremental constraint counters make
-the per-candidate ready check one integer compare, so ready visits
-drop to roughly the firing count), and the ``EventQueue`` method calls
-(completion events go straight onto a C ``heapq``).
+``self_timed_execution``, an event loop over the array-state template
+of ``repro.csdf.statearrays``, removes three costs of the legacy
+full-rescan loop ``self_timed_execution_reference``: the per-run state
+rebuild that every ``period_with`` probe of the buffer search pays
+again (a memoized struct-of-arrays template is cloned per run
+instead), the per-event O(actors) ready rescan (incremental constraint
+counters make the per-candidate ready check one integer compare, so
+ready visits drop to roughly the firing count), and the method calls
+of an event-queue wrapper (completion events go straight onto a C
+``heapq``).
 
 This bench measures the end-to-end cost of the EXT2-shaped
 **throughput sweep** (one execution per core budget {1, 2, 4, 8, 16,
@@ -15,7 +17,8 @@ unlimited}) on the scalability generator's graphs at 20/40/80/160
 actors, plus one ``min_buffers_for_full_throughput`` search — the
 probe-heavy workload where the template clone compounds.  Every sweep
 row is asserted bit-identical to the reference loop at every core
-budget, and the search's capacities equal the reference core's.  The
+budget, and the search's capacities equal those of the same search
+with every probe on the reference loop.  The
 search must come in at least 3x faster than the frozen row of record
 of the sequential-probe search (timed before capacity floors and probe
 memoization existed).
@@ -33,10 +36,14 @@ import json
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.csdf import (
     CSDFGraph,
     min_buffers_for_full_throughput,
     self_timed_execution,
+    self_timed_execution_reference,
+    throughput,
 )
 from repro.tpdf import random_consistent_graph
 from repro.util import ascii_table, write_csv
@@ -87,15 +94,14 @@ def _sweep_graph(n_actors):
     ).as_csdf()
 
 
-def _run_sweep(graph, backend):
+def _run_sweep(graph, execute):
     """One throughput sweep; returns (results per budget, visit total)."""
     results = {}
     visits = 0
     for cores in CORE_BUDGETS:
         stats = {}
-        results[cores] = self_timed_execution(
+        results[cores] = execute(
             graph, iterations=ITERATIONS, cores=cores, stats=stats,
-            backend=backend,
         )
         visits += stats["ready_visits"]
     return results, visits
@@ -107,17 +113,17 @@ def _sweep_rows(record_bench):
         graph = _sweep_graph(n_actors)
         # Warm the shared analysis caches (repetition vector etc.) with
         # an untimed oracle run; the arrays template is part of what
-        # the backend is *for*, so its first build is inside the
+        # the executor is *for*, so its first build is inside the
         # measured region.
-        reference, _ = _run_sweep(graph, "reference")
+        reference, _ = _run_sweep(graph, self_timed_execution_reference)
         best = float("inf")
         for _ in range(TIMING_ROUNDS):
             start = time.perf_counter()
-            results, visits = _run_sweep(graph, "arrays")
+            results, visits = _run_sweep(graph, self_timed_execution)
             best = min(best, time.perf_counter() - start)
         for cores in CORE_BUDGETS:
             assert results[cores] == reference[cores], (
-                f"backend divergence at {n_actors} actors, cores={cores}"
+                f"core divergence at {n_actors} actors, cores={cores}"
             )
         record_bench(
             f"ext7_sweep_n{n_actors}_arrays",
@@ -154,9 +160,9 @@ def _fanout_rows(record_bench):
                 graph, iterations=FANOUT_ITERATIONS, stats=stats)
             best = min(best, time.perf_counter() - start)
         if chains == FANOUT_CHECKED_CHAINS:
-            assert result == self_timed_execution(
-                graph, iterations=FANOUT_ITERATIONS, backend="reference"
-            ), f"backend divergence on the {n_actors}-actor fan-out"
+            assert result == self_timed_execution_reference(
+                graph, iterations=FANOUT_ITERATIONS
+            ), f"core divergence on the {n_actors}-actor fan-out"
         record_bench(
             f"ext7_fanout_n{n_actors}_arrays",
             actors=n_actors, backend="arrays", wall_ms=best * 1000.0,
@@ -171,8 +177,12 @@ def _buffer_search_row(record_bench, n_actors=SEARCH_ACTORS):
     """The compounding case: every probe of the buffer search clones
     the memoized template instead of rebuilding firing tables."""
     graph = _sweep_graph(n_actors)
-    oracle = min_buffers_for_full_throughput(
-        graph, iterations=ITERATIONS, backend="reference")
+    # The same search with every probe on the oracle: the search looks
+    # its executor up by name at call time.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(throughput, "self_timed_execution",
+                      self_timed_execution_reference)
+        oracle = min_buffers_for_full_throughput(graph, iterations=ITERATIONS)
     best = float("inf")
     for _ in range(TIMING_ROUNDS):
         stats = {}
@@ -208,7 +218,7 @@ def test_ext7_arraystate_cost(benchmark, report, record_bench):
     benchmark.pedantic(
         self_timed_execution,
         args=(_sweep_graph(40),),
-        kwargs=dict(iterations=ITERATIONS, backend="arrays"),
+        kwargs=dict(iterations=ITERATIONS),
         rounds=1, iterations=1,
     )
     sweep = _sweep_rows(record_bench)
@@ -248,7 +258,7 @@ def test_ext7_arraystate_cost(benchmark, report, record_bench):
         ["workload", "actors", "ready visits / probes", "wall ms (arrays)",
          "frozen search ms", "vs frozen"],
         table_rows,
-        title="EXT7 — array-state backend (results asserted identical to "
+        title="EXT7 — array-state executor (results asserted identical to "
               "the reference loop on every row; buffer search "
               f">= {SEARCH_SPEEDUP}x the frozen search row asserted)",
     )

@@ -107,7 +107,7 @@ def test_ext6_eventloop_cost(benchmark, report, record_bench):
         args=(random_consistent_graph(
             40, extra_edges=20, n_cycles=2, seed=7, with_control=False,
         ).as_csdf(),),
-        kwargs=dict(iterations=ITERATIONS, backend="arrays"),
+        kwargs=dict(iterations=ITERATIONS),
         rounds=1, iterations=1,
     )
     rows = _timed_rows() + _simulator_rows()

@@ -44,16 +44,9 @@ from pathlib import Path
 
 
 def _load(path: str):
-    from .csdf.graph import CSDFGraph
-    from .io import csdf_from_dict, tpdf_from_dict
+    from .io import graph_from_payload
 
-    data = json.loads(Path(path).read_text())
-    model = data.get("model")
-    if model == "tpdf":
-        return tpdf_from_dict(data)
-    if model == "csdf":
-        return csdf_from_dict(data)
-    raise SystemExit(f"unknown model {model!r} in {path}")
+    return graph_from_payload(json.loads(Path(path).read_text()))
 
 
 def _parse_bindings(pairs: list[str]) -> dict[str, int]:
@@ -78,7 +71,7 @@ def _parse_capacities(pairs: list[str]) -> dict[str, int]:
 
 
 def _as_tpdf(graph):
-    """Wrap a bare CSDF graph so the TPDF analyses run uniformly."""
+    """Wrap a bare CSDF graph for ``simulate``, which runs TPDF only."""
     from .csdf.graph import CSDFGraph
     from .tpdf.graph import TPDFGraph
 
@@ -127,8 +120,7 @@ def _run_edit_replay(args, bindings, domain) -> int:
         raise SystemExit(
             f"edit script {args.edits} must be a JSON array of edit objects"
         )
-    options = dict(iterations=args.iterations, parametric_domain=domain,
-                   backend=args.backend)
+    options = dict(iterations=args.iterations, parametric_domain=domain)
     session = EditSession(graph, bindings, **options)
     if args.preflight:
         # Fatal scripts fail fast on a scratch copy, before the replay
@@ -197,25 +189,20 @@ def cmd_analyze(args) -> int:
     domain = None
     if args.symbolic or args.param:
         from .csdf.parametric import ParamDomain
-        from .errors import ReproError
 
-        try:
-            domain = ParamDomain.parse(args.param)
-        except ReproError as exc:
-            raise SystemExit(str(exc))
+        domain = ParamDomain.parse(args.param)
     if args.verify_cold and not args.edits:
         raise SystemExit("--verify-cold only applies to an --edits replay")
     if args.preflight and not args.edits:
         raise SystemExit("--preflight only applies to an --edits replay")
     if args.edits:
         return _run_edit_replay(args, bindings, domain)
-    graphs = [_as_tpdf(_load(path)) for path in args.graphs]
+    graphs = [_load(path) for path in args.graphs]
     exit_code = 0
     reports = analyze_batch(
         ((g, bindings) for g in graphs),
         iterations=args.iterations,
         parametric_domain=domain,
-        backend=args.backend,
     )
     for index, report in enumerate(reports):
         if index:
@@ -344,16 +331,13 @@ def cmd_throughput(args) -> int:
     try:
         result = self_timed_execution(
             csdf, bindings or None, iterations=args.iterations, stats=stats,
-            backend=args.backend, capacities=capacities,
+            capacities=capacities,
         )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
     except DeadlockError as exc:
         print(f"deadlock under --cap bounds: {exc}")
         if exc.blocked:
             print(f"blocked actors: {', '.join(exc.blocked)}")
         return 1
-    print(f"backend:                        {args.backend}")
     print(f"max cycle ratio (period bound): {mcr:.4f}")
     print(f"self-timed steady period:       {result.iteration_period:.4f}")
     print(f"throughput:                     {result.throughput:.4f} iterations/time")
@@ -364,7 +348,7 @@ def cmd_throughput(args) -> int:
         ref_stats: dict = {}
         reference = self_timed_execution_reference(
             csdf, bindings or None, iterations=args.iterations,
-            stats=ref_stats,
+            stats=ref_stats, capacities=capacities,
         )
         same = (
             reference.makespan == result.makespan
@@ -398,12 +382,9 @@ def _run_probe_caps(args, csdf, bindings) -> int:
             f"--probe-caps file {args.probe_caps} must be a JSON array of "
             f"{{channel: tokens}} objects"
         )
-    try:
-        outcomes = probe_capacities(
-            csdf, vectors, bindings, iterations=args.iterations,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+    outcomes = probe_capacities(
+        csdf, vectors, bindings, iterations=args.iterations,
+    )
     exit_code = 0
     for index, outcome in enumerate(outcomes):
         if isinstance(outcome, DeadlockError):
@@ -421,13 +402,12 @@ def cmd_simulate(args) -> int:
     trace summary.
 
     Executes :func:`repro.analysis.simulate` on the schedule-plane /
-    value-plane core (``--ready-core`` selects another engine); with
-    ``--check-reference`` the run is repeated on the legacy reference
-    loop and the trace fingerprints compared bit-for-bit (exit 1 on
-    divergence).
+    value-plane core; with ``--check-reference`` the run is repeated on
+    the legacy reference loop and the trace fingerprints compared
+    bit-for-bit (exit 1 on divergence).
     """
-    from .analysis import simulate
-    from .errors import DeadlockError, SimulationError
+    from .analysis import simulate, simulate_reference
+    from .errors import DeadlockError
 
     graph = _as_tpdf(_load(args.graph))
     bindings = _parse_bindings(args.bind) or None
@@ -450,17 +430,12 @@ def cmd_simulate(args) -> int:
                    max_firings=args.max_firings, cores=args.cores,
                    capacities=capacities)
     try:
-        trace = simulate(graph, ready_core=args.ready_core, **options)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
+        trace = simulate(graph, **options)
     except DeadlockError as exc:
         print(f"deadlock: {exc}")
         if exc.blocked:
             print(f"blocked actors: {', '.join(exc.blocked)}")
         return 1
-    except SimulationError as exc:
-        raise SystemExit(str(exc))
-    print(f"ready core:   {args.ready_core}")
     print(f"firings:      {len(trace.firings)}")
     print(f"end time:     {trace.end_time():.4f}")
     print(f"discards:     {trace.discarded_tokens()} tokens "
@@ -470,7 +445,7 @@ def cmd_simulate(args) -> int:
         print(f"  {name}: {trace.peaks[name]}")
     exit_code = 0
     if args.check_reference:
-        reference = simulate(graph, ready_core="reference", **options)
+        reference = simulate_reference(graph, **options)
         same = trace.fingerprint() == reference.fingerprint()
         print(f"reference parity: {'identical' if same else 'DIVERGED'}")
         if not same:
@@ -537,8 +512,6 @@ def cmd_serve(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .csdf.throughput import BACKENDS
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="TPDF reproduction toolchain (DATE 2016)",
@@ -578,12 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "against a cold analysis of a round-trip "
                                 "clone (bit-for-bit fingerprints; exit 1 on "
                                 "divergence)")
-    p_analyze.add_argument("--backend", choices=BACKENDS,
-                           default="arrays",
-                           help="execution core for the self-timed throughput "
-                                "stage (bit-identical results; arrays is the "
-                                "fast struct-of-arrays backend, reference the "
-                                "differential oracle)")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_lint = sub.add_parser(
@@ -634,15 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_thr = sub.add_parser("throughput", help="MCR + self-timed period")
     p_thr.add_argument("graph")
     p_thr.add_argument("--iterations", type=int, default=5)
-    p_thr.add_argument("--backend", choices=BACKENDS,
-                       default="arrays",
-                       help="execution core (bit-identical results; arrays "
-                            "is the fast struct-of-arrays backend, reference "
-                            "the differential oracle)")
     p_thr.add_argument("--reference-loop", action="store_true",
-                       help="cross-check the selected backend against the "
-                            "legacy full-scan loop and report "
-                            "ready-check visit counts")
+                       help="cross-check the run against the legacy "
+                            "full-scan loop (the differential oracle) and "
+                            "report ready-check visit counts")
     p_thr.add_argument("--bind", action="append", default=[],
                        metavar="NAME=VALUE")
     p_thr.add_argument("--cap", action="append", default=[],
@@ -675,10 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="time horizon")
     p_sim.add_argument("--max-firings", type=int, default=None,
                        help="global firing budget")
-    p_sim.add_argument("--ready-core", choices=BACKENDS,
-                       default="arrays",
-                       help="simulation engine (bit-identical traces; arrays "
-                            "is the schedule-plane/value-plane split)")
     p_sim.add_argument("--check-reference", action="store_true",
                        help="re-run on the legacy reference loop and compare "
                             "trace fingerprints bit-for-bit (exit 1 on "
@@ -708,8 +666,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the CLI's one error boundary.
+
+    What the library raises for a bad input — a typed analysis error,
+    inconsistent rates, a rejected value, or the ``KeyError`` of a
+    parameter left unbound — exits 1 with one stderr line instead of a
+    traceback.  Deadlocks a command can explain (blocked actors) are
+    handled by the command itself.
+    """
+    from .errors import ReproError
+    from .symbolic import InconsistentRatesError
+
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except KeyError as exc:
+        name = exc.args[0]
+        raise SystemExit(
+            f"unbound parameter {name!r}: pass --bind {name}=VALUE"
+        )
+    except (ReproError, InconsistentRatesError, ValueError) as exc:
+        raise SystemExit(str(exc))
 
 
 if __name__ == "__main__":

@@ -10,9 +10,9 @@ with every intermediate shared through the per-graph caches of
 * **MCR** — the throughput bound, by Howard's policy iteration;
 * **buffer sizing** — peaks of a buffer-minimizing iteration;
 * **self-timed throughput** — steady-state period of the timed
-  event-driven execution, on the array-state core of
-  :mod:`repro.csdf.statearrays` (differentially pinned against the
-  retained full-scan reference loop).
+  event-driven execution, :func:`repro.csdf.throughput.self_timed_execution`
+  (differentially pinned against the retained full-scan reference
+  loop, ``self_timed_execution_reference``).
 
 The point of the batch shape: a sweep that used to re-derive the
 repetition vector and HSDF expansion for every query (one per beta
@@ -70,7 +70,7 @@ from .cache import cached, register_binding_insensitive, version_of
 from .csdf.buffers import minimal_buffer_schedule
 from .csdf.graph import CSDFGraph
 from .csdf.mcr import max_cycle_ratio
-from .csdf.throughput import TimedResult, check_backend, self_timed_execution
+from .csdf.throughput import TimedResult, self_timed_execution
 from .errors import (DeadlockError, DiagnosticsError, GraphConstructionError,
                      ReproError)
 from .symbolic import InconsistentRatesError
@@ -379,7 +379,6 @@ def analyze(
     with_buffers: bool = True,
     with_throughput: bool = True,
     parametric_domain=None,
-    backend: str = "arrays",
     lint: str = "off",
     reuse_from: "GraphReport | None" = None,
 ) -> GraphReport:
@@ -391,13 +390,6 @@ def analyze(
     as skipped instead of raising.  All intermediates are memoized on
     the graph, so re-analyzing (or analyzing per-stage elsewhere) costs
     nothing extra.
-
-    ``backend`` selects the execution core of the self-timed
-    throughput stage (``"arrays"`` or the ``"reference"`` oracle, see
-    :func:`repro.csdf.throughput.self_timed_execution`); both produce
-    bit-identical reports, so this is a cost knob, not a semantics
-    knob.  It is validated up front, whether or not the throughput
-    stage runs.
 
     With ``parametric_domain`` (a parameter box, see
     :func:`analyze_parametric`) the report additionally carries the
@@ -428,13 +420,11 @@ def analyze(
         raise ValueError(
             f"lint must be 'off', 'warn' or 'error', got {lint!r}"
         )
-    check_backend(backend)
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     options_key = (
         iterations, with_liveness, with_mcr, with_buffers, with_throughput,
-        backend, None if parametric_domain is None else repr(parametric_domain),
-        lint,
+        None if parametric_domain is None else repr(parametric_domain), lint,
     )
     if reuse_from is not None:
         if reuse_from.graph is not graph:
@@ -533,7 +523,7 @@ def analyze(
         if with_throughput:
             try:
                 report.timed = self_timed_execution(
-                    csdf, bindings, iterations=iterations, backend=backend
+                    csdf, bindings, iterations=iterations
                 )
             except _STAGE_ERRORS as exc:
                 report.errors["throughput"] = str(exc)
@@ -595,8 +585,8 @@ def probe_capacities(
     """Evaluate many capacity vectors for one graph.
 
     Every vector runs through
-    :func:`~repro.csdf.throughput.self_timed_execution` on the default
-    core, cloned from one memoized SoA template.  The returned list is
+    :func:`~repro.csdf.throughput.self_timed_execution`, cloned from one
+    memoized SoA template.  The returned list is
     aligned with ``capacities_list``: a
     :class:`~repro.csdf.throughput.TimedResult` per feasible vector and
     the :class:`~repro.errors.DeadlockError` per deadlocking one
@@ -646,7 +636,9 @@ def simulate(
     channels with a value-touching endpoint, and kernels without a
     control port, function, time function or mode-rate table start and
     complete inline on the counters whatever else the graph holds.
-    Both cores produce bit-identical traces (``Trace.fingerprint()``).
+    ``ready_core="reference"`` runs the legacy full-rescan loop, the
+    differential oracle (:func:`simulate_reference` names it); both
+    produce bit-identical traces (``Trace.fingerprint()``).
 
     At least one stop condition (``until``, ``limits`` or
     ``max_firings``) is required — a live unbounded graph would
@@ -673,6 +665,16 @@ def simulate(
     sim.run(until=until, limits=limits,
             max_firings=max_firings if max_firings is not None else 1_000_000)
     return sim.trace
+
+
+def simulate_reference(graph: TPDFGraph, bindings: Mapping | None = None,
+                       **options):
+    """:func:`simulate` on the legacy full-rescan loop, the differential
+    oracle of its default core, called by name like
+    :func:`~repro.csdf.throughput.self_timed_execution_reference`.
+    The trace is bit-identical; run it only to cross-check (CLI
+    ``simulate --check-reference``)."""
+    return simulate(graph, bindings, ready_core="reference", **options)
 
 
 class EditSession:

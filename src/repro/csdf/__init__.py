@@ -33,10 +33,9 @@ from .buffers import (
     schedule_buffer_sizes,
     total_buffer_size,
 )
-from .eventloop import EventQueue, ReadyWorklist
-from .statearrays import ArrayState, array_state, self_timed_execution_arrays
+from .eventloop import ReadyWorklist
+from .statearrays import ArrayState, array_state
 from .throughput import (
-    BACKENDS,
     TimedResult,
     buffer_throughput_tradeoff,
     capacity_floors,
@@ -90,11 +89,8 @@ __all__ = [
     "min_buffers_for_full_throughput",
     "self_timed_execution",
     "self_timed_execution_reference",
-    "self_timed_execution_arrays",
     "capacity_floors",
     "validate_capacities",
-    "BACKENDS",
-    "EventQueue",
     "ReadyWorklist",
     "ArrayState",
     "array_state",

@@ -1,15 +1,11 @@
-"""Event-queue and worklist primitives of the discrete-event loops.
+"""Ready worklist of the discrete-event loops.
 
 The loops of the reproduction — the timed CSDF executor
 (:mod:`repro.csdf.throughput`) and the value-carrying TPDF simulator
-(:mod:`repro.sim.engine`) — need two small data structures:
-
-:class:`EventQueue`
-    A binary heap of timed events with stable FIFO tie-break (events
-    at equal times pop in push order — exactly the ``(time, seq)``
-    tuple ordering the legacy loops got from ``heapq``).  The loops
-    only push and pop: no firing is ever revoked.  The arrays cores
-    inline the same contract as bare ``heapq`` tuples.
+(:mod:`repro.sim.engine`) — schedule completion events on bare
+``heapq`` lists of ``(time, seq, ...)`` tuples: events at equal times
+pop in push order, and no firing is ever revoked.  The one structure
+kept out of line is:
 
 :class:`ReadyWorklist`
     A pending-ready worklist over integer actor positions, used by the
@@ -45,41 +41,9 @@ pins this equivalence against the retained ``*_reference`` loops.
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Iterator
+from typing import Iterator
 
-__all__ = ["EventQueue", "ReadyWorklist"]
-
-
-class EventQueue:
-    """Min-heap of ``(time, payload)`` events.
-
-    Events with equal times pop in push order (each push gets a
-    monotonically increasing sequence number, and entries compare by
-    ``(time, seq)`` — payloads are never compared).  ``push`` and
-    ``pop`` are bare ``heappush``/``heappop``.
-    """
-
-    __slots__ = ("_heap", "_seq")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, Any]] = []
-        self._seq = 0
-
-    def push(self, time: float, payload: Any) -> int:
-        seq = self._seq
-        self._seq = seq + 1
-        heappush(self._heap, (time, seq, payload))
-        return seq
-
-    def pop(self) -> tuple[float, int, Any]:
-        """Remove and return the earliest ``(time, seq, payload)``."""
-        return heappop(self._heap)  # IndexError on empty, per contract
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
+__all__ = ["ReadyWorklist"]
 
 
 class ReadyWorklist:

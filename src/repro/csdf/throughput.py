@@ -15,24 +15,54 @@ completion) and auto-concurrency is disabled — one in-flight firing per
 actor, the standard self-timed semantics.  No data values are moved, so
 this scales to large repetition vectors.
 
-Two execution cores implement it (:data:`BACKENDS`): the array-state
-core of :mod:`repro.csdf.statearrays` (the default, and the only one
-tuned for speed) and the legacy full-scan loop
-:func:`self_timed_execution_reference` — the differential oracle
-(mirroring ``mcr_reference``) that
-``tests/sim/test_eventloop_differential.py`` pins the fast core
-against bit for bit.
+One core implements it, :func:`self_timed_execution`, an event loop
+over the struct-of-arrays template of :mod:`repro.csdf.statearrays`.
+The legacy full-scan loop :func:`self_timed_execution_reference` is its
+differential oracle (mirroring ``mcr_reference``), called by name:
+``tests/sim/test_eventloop_differential.py`` pins the two against each
+other bit for bit, and CLI ``throughput --reference-loop`` runs the
+same cross-check on one graph.
+
+Incremental readiness
+---------------------
+Between events :func:`self_timed_execution` keeps readiness
+*incrementally*: every channel keeps the satisfaction bit of its two
+firing-rule constraints (tokens ≥ next consumption; occupancy + next
+production ≤ capacity), and each actor counts its unsatisfied
+constraints.  A token mutation updates exactly the bits of the touched
+channel, and an actor enters the worklist precisely when its count
+hits zero — the per-candidate ready check collapses to one integer
+comparison.  The first pass is seeded with every actor whose count
+starts at zero.  Completion events are scheduled on a bare ``heapq`` of
+``(time, seq, pos)`` tuples, ``seq`` breaking time ties in push order.
+
+Bit-for-bit contract
+--------------------
+The core reproduces the reference loop exactly — identical
+``TimedResult`` (every float), identical deadlock blocked sets —
+because it starts the same firings in the same order: a candidate is
+queued at the very moment the full rescan would find it ready, with
+the same scan-order pass discipline (ahead-of-cursor seeds join the
+current pass, behind-cursor seeds the next one, core-budget exhaustion
+suspends the drain with all unexamined candidates kept).  Candidates
+the rescan would examine and *skip* (unready, busy, or done) are
+simply never queued, which is why the recorded ``ready_visits`` drop
+to roughly the number of firings.  The differential suite runs both
+loops on the 200-graph corpus × core budgets × capacity constraints.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Mapping
 
 from ..errors import DeadlockError
 from .analysis import concrete_repetition_vector
 from .graph import CSDFGraph
 from .simulation import rate_table
+from .statearrays import array_state
 
 
 @dataclass
@@ -154,18 +184,13 @@ class _TimedState:
         return dict(zip(self.channel_names, self._peaks))
 
 
-#: Execution cores of :func:`self_timed_execution` (and of the TPDF
-#: ``Simulator``): the fast path first, then the differential oracle.
-BACKENDS = ("arrays", "reference")
-
-
 def validate_capacities(
     graph: CSDFGraph, capacities: Mapping[str, int] | None
 ) -> None:
     """Reject capacity vectors naming channels the graph doesn't have.
 
-    Every capacity-accepting entry point calls this (all execution
-    backends, the simulator, the buffer search, the CLI): a typo'd
+    Every capacity-accepting entry point calls this (both executor
+    cores, the simulator, the buffer search, the CLI): a typo'd
     channel name used to be silently dropped by the slot-mapping
     loops — the execution then ran *unconstrained* on the channel the
     caller thought was bounded.
@@ -178,17 +203,6 @@ def validate_capacities(
         raise ValueError(
             "unknown channel name(s) in capacities: "
             f"{', '.join(unknown)}; graph channels are: {known}"
-        )
-
-
-def check_backend(backend: str, option: str = "backend") -> None:
-    """Reject an execution-core name outside :data:`BACKENDS` — the one
-    check (and message) behind every ``backend=``/``ready_core=``
-    front door."""
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"{option} must be one of {', '.join(map(repr, BACKENDS))}, "
-            f"got {backend!r}"
         )
 
 
@@ -262,7 +276,6 @@ def self_timed_execution(
     cores: int | None = None,
     capacities: Mapping[str, int] | None = None,
     stats: dict | None = None,
-    backend: str = "arrays",
 ) -> TimedResult:
     """Fire actors as soon as tokens and cores allow, for ``iterations``
     full iterations of the repetition vector.
@@ -272,20 +285,12 @@ def self_timed_execution(
     buffers serialize producers and consumers, stretching the
     steady-state period.
 
-    ``backend`` selects one of two bit-identical execution cores
-    (every float of the result, every deadlock blocked-set, and every
-    scheduling decision under a core budget agree — pinned by
-    ``tests/sim/test_eventloop_differential.py``):
-
-    ``"arrays"`` (default)
-        The array-state backend of :mod:`repro.csdf.statearrays`:
-        struct-of-arrays state copied from a memoized tuple template,
-        incremental constraint counters instead of per-visit firing
-        tables, and completion events on a bare ``heapq``.
-    ``"reference"``
-        The legacy full-rescan loop
-        (:func:`self_timed_execution_reference`) — the differential
-        oracle.
+    Per-run state is copied from the memoized
+    :func:`~repro.csdf.statearrays.array_state` template, readiness is
+    kept incrementally and completion events ride a bare ``heapq``
+    (see the module docstring).  Every float of the result, every
+    deadlock blocked set and every scheduling decision under a core
+    budget equal those of :func:`self_timed_execution_reference`.
 
     ``stats``, when given a dict, receives ``ready_visits`` (actors
     examined by the ready check) and ``events`` counters.
@@ -293,17 +298,242 @@ def self_timed_execution(
     Raises :class:`~repro.errors.DeadlockError` if the execution stalls
     before completing (e.g. a tokenless cycle or undersized buffers).
     """
-    check_backend(backend)
-    if backend == "reference":
-        return self_timed_execution_reference(
-            graph, bindings, iterations=iterations, cores=cores,
-            capacities=capacities, stats=stats,
-        )
-    from .statearrays import self_timed_execution_arrays
+    if iterations < 1:
+        raise ValueError("need at least one iteration")
+    state = array_state(graph, bindings)
+    _check_capacity_contract(graph, capacities, state.order)
+    order = state.order
+    n = len(order)
+    nchan = len(state.channel_names)
+    qv = state.qv
+    in_edges = state.in_edges
+    out_edges = state.out_edges
+    exec_const = state.exec_const
+    exec_phases = state.exec_phases
+    chan_src = state.chan_src
+    chan_dst = state.chan_dst
+    self_loop = state.self_loop
+    targets = [count * iterations for count in qv]
 
-    return self_timed_execution_arrays(
-        graph, bindings, iterations=iterations, cores=cores,
-        capacities=capacities, stats=stats,
+    # -- per-run state copied from the template --------------------------
+    tokens = list(state.tokens0)
+    peaks = list(state.tokens0)
+    need_in = list(state.cons0)          # consumption of dst's next firing
+    started = [0] * n
+    completed = [0] * n
+    busy = bytearray(n)
+    reserved = [0] * nchan
+    cap_need = [0] * nchan               # production of src's next firing
+    caps = [None] * nchan
+    capped_out: list[tuple] = [()] * n
+    if capacities:
+        caps = [capacities.get(name) for name in state.channel_names]
+    has_caps = any(cap is not None for cap in caps)
+    if has_caps:
+        cap_need = list(state.prod0)
+        capped_out = [
+            tuple(e for e in out_edges[pos] if caps[e[0]] is not None)
+            for pos in range(n)
+        ]
+
+    # Channel constraint bits and per-actor unsatisfied counts.
+    in_sat = bytearray(nchan)
+    cap_sat = bytearray(b"\x01" * nchan)
+    missing = [0] * n
+    for s in range(nchan):
+        level = tokens[s]
+        if level >= need_in[s]:
+            in_sat[s] = 1
+        else:
+            missing[chan_dst[s]] += 1
+        cap = caps[s]
+        if cap is not None:
+            if self_loop[s]:
+                level -= need_in[s]
+            if level + cap_need[s] > cap:
+                cap_sat[s] = 0
+                missing[chan_src[s]] += 1
+
+    # Completion events on the C heap; seq breaks time ties in push order.
+    heap: list[tuple[float, int, int]] = []
+    seq = 0
+    now = 0.0
+    running = 0
+    visits = 0
+    firings = 0
+    iteration_ends: list[float] = []
+    iteration_target = 1
+    short_of_target = sum(1 for i in range(n) if completed[i] < qv[i])
+
+    # Worklist: `queue` holds the candidates of the next pass, `pending`
+    # marks queued positions (either list).  The first pass holds every
+    # actor with no unsatisfied constraint and a firing to do.
+    pending = bytearray(n)
+    queue = [pos for pos in range(n) if not missing[pos] and targets[pos] > 0]
+    for pos in queue:
+        pending[pos] = 1
+
+    while True:
+        # ---- drain: start every ready candidate, in scan order ----
+        while queue:
+            if len(queue) > 1:
+                queue.sort()
+            cur = queue
+            queue = []
+            progress = False
+            suspended = False
+            i = 0
+            ncur = len(cur)
+            while i < ncur:
+                pos = cur[i]
+                i += 1
+                visits += 1
+                if started[pos] >= targets[pos] or busy[pos]:
+                    pending[pos] = 0
+                    continue
+                if cores is not None and running >= cores:
+                    # Core budget exhausted: suspend the drain, keeping
+                    # this candidate and every unexamined one queued.
+                    queue = cur[i - 1:] + queue
+                    suspended = True
+                    break
+                pending[pos] = 0
+                if missing[pos]:
+                    continue  # went stale since it was seeded
+                # ---- start firing `nfir` of `pos` ----
+                nfir = started[pos]
+                started[pos] = nfir + 1
+                busy[pos] = 1
+                running += 1
+                left = 0
+                for s, phases, cval in in_edges[pos]:
+                    if phases is None:
+                        take = cval
+                        need = cval
+                    else:
+                        ln = len(phases)
+                        take = phases[nfir % ln]
+                        need = phases[(nfir + 1) % ln]
+                        need_in[s] = need
+                    level = tokens[s] - take
+                    tokens[s] = level
+                    # Each input slot is touched exactly once here, so
+                    # this actor's next-firing satisfaction bit can be
+                    # settled in the same pass over its inputs.
+                    sat = level >= need
+                    in_sat[s] = sat
+                    if not sat:
+                        left += 1
+                    if has_caps and caps[s] is not None and not cap_sat[s]:
+                        # Headroom freed on a capped input: its producer
+                        # may have become startable (mid-pass wake).
+                        producer = chan_src[s]
+                        if producer != pos and (
+                            level + reserved[s] + cap_need[s] <= caps[s]
+                        ):
+                            cap_sat[s] = 1
+                            remaining = missing[producer] - 1
+                            missing[producer] = remaining
+                            if (remaining == 0 and not busy[producer]
+                                    and started[producer] < targets[producer]
+                                    and not pending[producer]):
+                                pending[producer] = 1
+                                if producer > pos:
+                                    insort(cur, producer, i)
+                                    ncur += 1
+                                else:
+                                    queue.append(producer)
+                if capped_out[pos]:
+                    # Reserve this firing's production, then re-judge
+                    # the capacity bits against the *next* firing
+                    # (phases advanced, tokens/reserved moved).
+                    for s, phases, pval in capped_out[pos]:
+                        if phases is None:
+                            give = pval
+                        else:
+                            ln = len(phases)
+                            give = phases[nfir % ln]
+                            cap_need[s] = phases[(nfir + 1) % ln]
+                        reserved[s] += give
+                    for s, _phases, _pval in capped_out[pos]:
+                        occ = tokens[s] + reserved[s] + cap_need[s]
+                        if self_loop[s]:
+                            occ -= need_in[s]
+                        sat = occ <= caps[s]
+                        cap_sat[s] = sat
+                        if not sat:
+                            left += 1
+                missing[pos] = left
+                duration = exec_const[pos]
+                if duration is None:
+                    phases = exec_phases[pos]
+                    duration = phases[nfir % len(phases)]
+                heappush(heap, (now + duration, seq, pos))
+                seq += 1
+                progress = True
+            if suspended or not progress:
+                break
+
+        # ---- next completion event ----
+        try:
+            now, _, pos = heappop(heap)
+        except IndexError:
+            break  # quiescent: no live events left
+        nfir = completed[pos]
+        for s, phases, pval in out_edges[pos]:
+            give = pval if phases is None else phases[nfir % len(phases)]
+            level = tokens[s] + give
+            tokens[s] = level
+            if has_caps and caps[s] is not None:
+                reserved[s] -= give  # occupancy unchanged: cap bit holds
+            if level > peaks[s]:
+                peaks[s] = level
+            if not in_sat[s] and level >= need_in[s]:
+                in_sat[s] = 1
+                consumer = chan_dst[s]
+                left = missing[consumer] - 1
+                missing[consumer] = left
+                if (left == 0 and not busy[consumer]
+                        and started[consumer] < targets[consumer]
+                        and not pending[consumer]):
+                    pending[consumer] = 1
+                    queue.append(consumer)
+        done = nfir + 1
+        completed[pos] = done
+        busy[pos] = 0
+        running -= 1
+        firings += 1
+        if (missing[pos] == 0 and started[pos] < targets[pos]
+                and not pending[pos]):
+            pending[pos] = 1
+            queue.append(pos)
+        if done == qv[pos] * iteration_target:
+            short_of_target -= 1
+            while short_of_target == 0:
+                iteration_ends.append(now)
+                iteration_target += 1
+                short_of_target = sum(
+                    1 for i in range(n)
+                    if completed[i] < qv[i] * iteration_target
+                )
+                if iteration_target > iterations:
+                    break
+
+    if stats is not None:
+        stats["ready_visits"] = visits
+        stats["events"] = firings
+    if any(completed[i] < targets[i] for i in range(n)):
+        blocked = [order[i] for i in range(n) if completed[i] < targets[i]]
+        raise DeadlockError(
+            f"self-timed execution stalled after {firings} firings",
+            blocked=blocked,
+        )
+    return TimedResult(
+        makespan=now,
+        iterations=iterations,
+        firings=firings,
+        iteration_ends=iteration_ends,
+        peaks=dict(zip(state.channel_names, peaks)),
     )
 
 
@@ -320,10 +550,10 @@ def self_timed_execution_reference(
     pattern): after every completion event it rescans every actor still
     short of its firing target.  Semantics — including the scan-order
     tie-break that decides core-budget scheduling — are the contract
-    the array-state core must reproduce bit for bit.
+    :func:`self_timed_execution` must reproduce bit for bit.  Called by
+    name only: the differential suites and CLI
+    ``throughput --reference-loop``.
     """
-    import heapq
-
     if iterations < 1:
         raise ValueError("need at least one iteration")
     q = concrete_repetition_vector(graph, bindings)
@@ -373,7 +603,7 @@ def self_timed_execution_reference(
                 state.consume(name, n)
                 times = exec_times[name]
                 duration = times[n % len(times)]
-                heapq.heappush(heap, (now + duration, seq, name, n))
+                heappush(heap, (now + duration, seq, name, n))
                 seq += 1
                 started[name] = n + 1
                 busy.add(name)
@@ -383,7 +613,7 @@ def self_timed_execution_reference(
 
     try_start()
     while heap:
-        now, _, name, n = heapq.heappop(heap)
+        now, _, name, n = heappop(heap)
         state.produce(name, n)
         done = completed[name] + 1
         completed[name] = done
@@ -456,7 +686,6 @@ def min_buffers_for_full_throughput(
     tolerance: float = 1e-6,
     warm_start: bool = True,
     stats: dict | None = None,
-    backend: str = "arrays",
     capacities: Mapping[str, int] | None = None,
 ) -> dict[str, int]:
     """Smallest per-channel capacities preserving unconstrained
@@ -517,11 +746,6 @@ def min_buffers_for_full_throughput(
     bench reports side by side) — plus ``target``,
     ``target_is_analytic`` and the effective ``iterations``.
 
-    ``backend`` selects the execution core for the unconstrained run
-    and every probe (both cores are bit-identical; the default
-    ``"arrays"`` keeps the whole search on the struct-of-arrays state,
-    cloning each probe from one memoized template).
-
     Two probe economies preserve the returned capacities exactly
     (``tests/csdf/test_throughput.py`` pins the search against the
     plain greedy search, and the floors' soundness over the
@@ -563,9 +787,7 @@ def min_buffers_for_full_throughput(
     if pins:
         _check_capacity_contract(graph, pins, list(graph.actors))
 
-    unconstrained = self_timed_execution(
-        graph, bindings, iterations=iterations, backend=backend
-    )
+    unconstrained = self_timed_execution(graph, bindings, iterations=iterations)
     target = _steady_period(unconstrained)
     mcr = max_cycle_ratio(graph, bindings)
     # Convergence is judged *relative* to the period scale: an absolute
@@ -611,7 +833,6 @@ def min_buffers_for_full_throughput(
         try:
             result = self_timed_execution(
                 graph, bindings, iterations=iterations, capacities=caps,
-                backend=backend,
             )
         except DeadlockError:
             return float("inf")

@@ -61,7 +61,7 @@ from .wire import (BadRequest, SessionNotFound, error_from_dict, error_status,
 #: equivalent is a session), as is anything that is not a plain value.
 _ANALYZE_OPTIONS = frozenset({
     "iterations", "with_liveness", "with_mcr", "with_buffers",
-    "with_throughput", "backend", "parametric_domain",
+    "with_throughput", "parametric_domain",
 })
 
 #: ``simulate`` options accepted over the wire.  ``record_values`` is
@@ -69,7 +69,7 @@ _ANALYZE_OPTIONS = frozenset({
 #: with no JSON form (the timing view ships; see
 #: :func:`repro.io.trace_to_dict`).
 _SIMULATE_OPTIONS = frozenset({
-    "until", "limits", "max_firings", "cores", "capacities", "ready_core",
+    "until", "limits", "max_firings", "cores", "capacities",
 })
 
 
@@ -430,9 +430,8 @@ class AnalysisService:
 
     async def _handle_simulate(self, data) -> dict:
         """``POST /simulate``: timed TPDF simulation on a resident
-        worker (the schedule-plane/value-plane core by default; the
-        ``ready_core`` option selects another engine — traces are
-        bit-identical, so the cache key may include it safely)."""
+        worker, on the schedule-plane/value-plane core of
+        :func:`repro.analysis.simulate`."""
         payload, graph_key = self._graph_payload(data)
         bindings = data.get("bindings")
         options = _parse_simulate_options(data.get("options"))

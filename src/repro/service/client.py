@@ -141,9 +141,10 @@ class ServiceClient:
                  max_firings: int | None = None,
                  cores: int | None = None,
                  capacities: Mapping | None = None,
-                 ready_core: str = "arrays",
                  no_cache: bool = False):
-        """Remote :func:`repro.analysis.simulate`; returns the timing
+        """Remote :func:`repro.analysis.simulate` on its default core
+        (the reference loop stays a local cross-check,
+        :func:`repro.analysis.simulate_reference`); returns the timing
         view of the :class:`~repro.sim.Trace` (firings, modes,
         discards, peaks — no token payloads).  A deadlock raises
         :class:`~repro.errors.DeadlockError` with its blocked set,
@@ -159,8 +160,6 @@ class ServiceClient:
             options["cores"] = cores
         if capacities is not None:
             options["capacities"] = dict(capacities)
-        if ready_core != "arrays":
-            options["ready_core"] = ready_core
         body: dict = {"graph": _graph_arg(graph), "options": options}
         if bindings:
             body["bindings"] = dict(bindings)

@@ -25,16 +25,20 @@ Semantics implemented (with the paper reference):
   have a processing unit available before the others");
 * clock actors tick autonomously every ``period`` (watchdog timers).
 
-Two cores execute these rules (``ready_core``, the names of
-:data:`repro.csdf.throughput.BACKENDS`).  The default ``"arrays"``
-core is the schedule-plane / value-plane split of
+Two cores execute these rules (``ready_core``, one of
+:attr:`Simulator.READY_CORES`).  The default ``"arrays"`` core is the
+schedule-plane / value-plane split of
 :mod:`repro.sim.schedplane`: a dependency-driven ready check over flat
 counters, re-examining after each event only the nodes whose
-readiness may have changed.  The legacy loop in this module — a full
-rescan of every node after every event — is retained under
-``ready_core="reference"`` as the differential oracle
-(``tests/sim/test_eventloop_differential.py`` pins trace equality bit
-for bit).
+readiness may have changed.  The legacy loop in this module, a full
+rescan of every node after every event, is the differential oracle:
+``ready_core="reference"`` selects it, and
+:func:`repro.analysis.simulate_reference` calls it by name.
+``tests/sim/test_eventloop_differential.py`` pins trace equality bit
+for bit, and CLI ``simulate --check-reference`` runs the same
+comparison on one graph.  Both cores schedule completion events on a
+bare ``heapq`` of ``(time, seq, ...)`` tuples, so simultaneous events
+pop in push order.
 
 Data values are real Python objects; attach a ``function`` to a kernel
 to compute outputs from inputs (the OFDM and edge-detection case
@@ -46,11 +50,11 @@ from ``kernel.meta["time_fn"]``.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Mapping
 
-from ..csdf.eventloop import EventQueue
 from ..csdf.simulation import rate_table
-from ..csdf.throughput import BACKENDS, _check_capacity_contract, check_backend
+from ..csdf.throughput import _check_capacity_contract
 from ..errors import SimulationError
 from ..tpdf.builtins import ClockActor
 from ..tpdf.graph import TPDFChannel, TPDFGraph
@@ -125,8 +129,8 @@ class Simulator:
         which plane actually ran).
     """
 
-    #: Accepted ``ready_core`` selections: the executor's core names.
-    READY_CORES = BACKENDS
+    #: Accepted ``ready_core`` selections: the fast core, then the oracle.
+    READY_CORES = ("arrays", "reference")
 
     def __init__(
         self,
@@ -138,7 +142,11 @@ class Simulator:
         ready_core: str = "arrays",
         capacities: Mapping[str, int] | None = None,
     ):
-        check_backend(ready_core, "ready_core")
+        if ready_core not in self.READY_CORES:
+            raise ValueError(
+                "ready_core must be one of "
+                f"{', '.join(map(repr, self.READY_CORES))}, got {ready_core!r}"
+            )
         if cores is not None and cores < 1:
             raise ValueError(
                 f"cores must be >= 1 (or None for unlimited), got {cores}"
@@ -187,9 +195,11 @@ class Simulator:
         self._mode_rate_cache: dict[tuple, tuple[int, ...]] = {}
         self._busy: set[str] = set()
         self._limits: dict[str, int] = {}
-        #: ``"arrays"`` never touches this queue (the plane owns its
-        #: own heap event core).
-        self._events = None if ready_core == "arrays" else EventQueue()
+        #: the reference loop's event heap of ``(time, seq, kind,
+        #: payload)`` tuples (``"arrays"`` never touches it: the plane
+        #: owns its own heap)
+        self._events: list = []
+        self._seq = 0
         #: the schedule/value plane, built lazily on the first run so
         #: ``function``/``meta`` hooks attached after construction are
         #: still honoured
@@ -234,7 +244,8 @@ class Simulator:
         return self._rate(kernel.name, port, firing)
 
     def _push_event(self, time: float, kind: str, payload) -> None:
-        self._events.push(time, (kind, payload))
+        heappush(self._events, (time, self._seq, kind, payload))
+        self._seq += 1
 
     def tokens_in(self, channel: str) -> int:
         if self._plane is not None:
@@ -760,7 +771,7 @@ class Simulator:
         self._start_ready_reference()
         fired_total = 0
         while self._events:
-            time, _, (kind, payload) = self._events.pop()
+            time, _, kind, payload = heappop(self._events)
             if time > horizon:
                 self.now = horizon
                 break

@@ -16,8 +16,9 @@ the graph, integer phases from the memoized
 :func:`~repro.csdf.simulation.rate_table`.  It is driven by a
 :class:`~repro.csdf.eventloop.ReadyWorklist` (only nodes whose
 readiness may have changed are re-examined, in the reference loop's
-scan order) and the same ``heapq`` event core as the CSDF arrays
-backend.  The TPDF-only mechanics the CSDF executor lacks live here:
+scan order) and the same ``heapq`` event core as the CSDF executor,
+:func:`~repro.csdf.throughput.self_timed_execution`.  The TPDF-only
+mechanics the CSDF executor lacks live here:
 control-token mode selection gating per-firing port sets,
 highest-priority candidate choice over pre-sorted ``(priority, port)``
 tables, discard-debt flushing, clock-actor autonomous ticks, and
@@ -35,8 +36,8 @@ schedule-plane counters.
 **One drain loop** picks the path per node.  A *counter kernel* (no
 connected control port, no ``function`` or builtin, no
 ``meta["time_fn"]``, no mode-rate table, values not recorded) starts
-and completes inline on the integer counters — the CSDF arrays
-kernel's discipline with the simulator's limits/horizon semantics —
+and completes inline on the integer counters — the CSDF executor's
+discipline with the simulator's limits/horizon semantics —
 and on a payload channel it touches it only drops or appends ``None``
 payloads, one slice per firing.  Control actors, clock ticks and every
 other kernel go through the firing-rule methods (``_control_ready``,
@@ -45,7 +46,8 @@ costs the same whether or not the graph has a control actor.
 
 Bit-for-bit contract
 --------------------
-Identical traces to ``ready_core="reference"``: firing records
+Identical traces to the reference loop (``ready_core="reference"``,
+the differential oracle): firing records
 (times, modes), discard records, channel peaks, deadlock blocked sets
 and ``ready_stats["events"]`` — candidates are seeded whenever their
 readiness may have changed (tokens arrived or left, the node

@@ -1,30 +1,7 @@
-"""Unit tests for the shared event-loop core (EventQueue +
-ReadyWorklist) — the tie-break contract both executors build on."""
+"""Unit tests for the ReadyWorklist — the scan-order tie-break
+contract the simulator's schedule plane builds on."""
 
-import pytest
-
-from repro.csdf.eventloop import EventQueue, ReadyWorklist
-
-
-class TestEventQueue:
-    def test_orders_by_time(self):
-        q = EventQueue()
-        q.push(3.0, "c")
-        q.push(1.0, "a")
-        q.push(2.0, "b")
-        assert [q.pop()[2] for _ in range(3)] == ["a", "b", "c"]
-
-    def test_equal_times_pop_in_push_order(self):
-        """The FIFO tie-break the legacy (time, seq) heap tuples had —
-        simultaneous completions must resolve identically."""
-        q = EventQueue()
-        for index in range(10):
-            q.push(5.0, index)
-        assert [q.pop()[2] for _ in range(10)] == list(range(10))
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
+from repro.csdf.eventloop import ReadyWorklist
 
 
 def drain_positions(wl, decide):

@@ -37,18 +37,16 @@ class TestTemplateCaching:
     def test_runs_do_not_mutate_the_template(self, fig1):
         template = array_state(fig1, None)
         assert template.tokens0 == (0, 2, 0)
-        first = self_timed_execution(fig1, iterations=3, backend="arrays")
+        first = self_timed_execution(fig1, iterations=3)
         assert array_state(fig1, None) is template
         assert template.tokens0 == (0, 2, 0)
-        again = self_timed_execution(fig1, iterations=3, backend="arrays")
+        again = self_timed_execution(fig1, iterations=3)
         assert first == again  # identical reruns from the shared template
 
     def test_capacity_runs_share_the_capacity_free_template(self, fig1):
         template = array_state(fig1, None)
-        peaks = self_timed_execution(fig1, iterations=2,
-                                     backend="arrays").peaks
-        self_timed_execution(fig1, iterations=2, backend="arrays",
-                             capacities=peaks)
+        peaks = self_timed_execution(fig1, iterations=2).peaks
+        self_timed_execution(fig1, iterations=2, capacities=peaks)
         assert array_state(fig1, None) is template
 
 
@@ -58,6 +56,6 @@ class TestLoneActor:
         lone.add_actor("only", exec_time=2.0)
         state = array_state(lone, None)
         assert (state.order, state.channel_names) == (("only",), ())
-        result = self_timed_execution(lone, iterations=3, backend="arrays")
+        result = self_timed_execution(lone, iterations=3)
         assert result.firings == 3
         assert result.makespan == pytest.approx(6.0)

@@ -5,13 +5,13 @@ import pytest
 
 from repro.analysis import probe_capacities
 from repro.csdf import (
-    BACKENDS,
     CSDFGraph,
     capacity_floors,
     iteration_latency,
     max_cycle_ratio,
     min_buffers_for_full_throughput,
     self_timed_execution,
+    self_timed_execution_reference,
     throughput_vs_cores,
 )
 from repro.errors import DeadlockError
@@ -30,6 +30,10 @@ SHAPES = (
     (8, 4, 2),
 )
 SEEDS_PER_SHAPE = 25  # 8 shapes x 25 seeds = 200 random graphs
+
+#: The executor and its differential oracle, each called by name.
+EXECUTORS = {"arrays": self_timed_execution,
+             "reference": self_timed_execution_reference}
 
 
 def pipeline(times=(1.0, 2.0, 1.0)) -> CSDFGraph:
@@ -401,12 +405,12 @@ class TestCapacityNameValidation:
     channel the caller thought was bounded.  Every entry point now
     rejects unknown names with a ValueError naming the offenders."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_execution_cores(self, backend):
+    @pytest.mark.parametrize("execute", EXECUTORS.values(), ids=EXECUTORS)
+    def test_execution_cores(self, execute):
         with pytest.raises(ValueError, match="typo"):
-            self_timed_execution(
+            execute(
                 _two_actor_graph(), iterations=2,
-                capacities={"typo": 4, "e": 4}, backend=backend,
+                capacities={"typo": 4, "e": 4},
             )
 
     def test_probe_capacities(self):
@@ -444,11 +448,9 @@ class TestInitialTokensContract:
     def test_differential_across_backends(self):
         g = _two_actor_graph(initial=3)
         keys = set()
-        for backend in BACKENDS:
+        for execute in EXECUTORS.values():
             with pytest.raises(DeadlockError) as info:
-                self_timed_execution(
-                    g, iterations=2, capacities={"e": 2}, backend=backend
-                )
+                execute(g, iterations=2, capacities={"e": 2})
             keys.add(_deadlock_key(info.value))
         (outcome,) = probe_capacities(g, [{"e": 2}], iterations=2)
         assert isinstance(outcome, DeadlockError)
@@ -473,11 +475,10 @@ class TestInitialTokensContract:
                 ready_core=ready_core,
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_capacity_at_initial_tokens_is_admitted(self, backend):
+    @pytest.mark.parametrize("execute", EXECUTORS.values(), ids=EXECUTORS)
+    def test_capacity_at_initial_tokens_is_admitted(self, execute):
         g = _two_actor_graph(initial=3)
-        result = self_timed_execution(g, iterations=2, capacities={"e": 3},
-                                      backend=backend)
+        result = execute(g, iterations=2, capacities={"e": 3})
         assert result.peaks["e"] <= 3
 
 
@@ -521,10 +522,9 @@ class TestNegativeCapacity:
     def test_executor_cores_agree(self):
         g = _two_actor_graph(initial=0, production=2)
         keys = set()
-        for backend in BACKENDS:
+        for execute in EXECUTORS.values():
             with pytest.raises(DeadlockError) as info:
-                self_timed_execution(g, iterations=2, capacities={"e": -1},
-                                     backend=backend)
+                execute(g, iterations=2, capacities={"e": -1})
             keys.add(_deadlock_key(info.value))
         assert keys == {("channel capacity below initial tokens: e",
                          ("prod", "cons"))}
@@ -666,40 +666,11 @@ class TestCapacityFloorSoundness:
             graph = _random_csdf(n, extra, cycles, seed)
             for name, floor in capacity_floors(graph).items():
                 channels += 1
-                for backend in BACKENDS:
+                for execute in EXECUTORS.values():
                     with pytest.raises(DeadlockError):
-                        self_timed_execution(
-                            graph, iterations=2,
-                            capacities={name: floor - 1}, backend=backend,
-                        )
+                        execute(graph, iterations=2,
+                                capacities={name: floor - 1})
         assert channels >= SEEDS_PER_SHAPE * (n - 1)
-
-
-class TestAnalyzeBackendOption:
-    """Bugfix regression: ``analyze`` used to check ``backend`` only
-    when its throughput stage ran, so an unknown core name returned a
-    clean report whenever the stage was disabled or skipped."""
-
-    @pytest.mark.parametrize("backend", ("bogus", "wakeup"))
-    def test_rejected_when_throughput_disabled(self, fig1, backend):
-        from repro.analysis import analyze
-
-        with pytest.raises(ValueError, match="backend must be one of"):
-            analyze(fig1, backend=backend, with_throughput=False)
-
-    def test_rejected_when_throughput_skipped(self):
-        from repro.analysis import analyze
-        from repro.tpdf import fig2_graph
-
-        # ``p`` unbound: the throughput stage is skipped as parametric.
-        with pytest.raises(ValueError, match="backend must be one of"):
-            analyze(fig2_graph(), backend="bogus")
-
-    def test_oracle_core_gives_the_same_report(self, fig1):
-        from repro.analysis import analyze
-
-        assert (analyze(fig1, backend="reference").fingerprint()
-                == analyze(fig1).fingerprint())
 
 
 class TestAnalyzeIterationsOption:
@@ -707,9 +678,8 @@ class TestAnalyzeIterationsOption:
     and run every static stage before the executor rejected it, or
     return a clean report when the throughput stage did not run."""
 
-    @pytest.mark.parametrize("options", (
-        {}, {"with_throughput": False}, {"backend": "reference"}),
-        ids=("default", "no_throughput", "reference"))
+    @pytest.mark.parametrize("options", ({}, {"with_throughput": False}),
+                             ids=("default", "no_throughput"))
     @pytest.mark.parametrize("iterations", (0, -3))
     def test_rejected_before_any_stage(self, iterations, options):
         from repro.analysis import analyze

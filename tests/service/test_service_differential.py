@@ -67,7 +67,7 @@ class TestAnalyzeParity:
         for options in (
             {"with_throughput": False},
             {"with_buffers": False, "with_mcr": False},
-            {"iterations": 6, "backend": "reference"},
+            {"iterations": 6},
         ):
             got = client.analyze(graph, **options)
             want = analyze(graph, **options)
@@ -111,40 +111,37 @@ class TestErrorSurfaces:
         assert "p" in str(served.value)
         assert type(served.value) is type(direct.value)
 
-    @pytest.mark.parametrize("options", (
-        {"backend": "wakeup"},
-        {"backend": "wakeup", "with_throughput": False},
-    ))
-    def test_unknown_backend_is_valueerror_both_ways(self, client, options):
-        """``backend`` is validated before any stage runs, so a retired
-        core name is rejected even when the throughput stage would be
-        skipped."""
-        graph = small_csdf(seed=9)
-        with pytest.raises(ValueError, match="backend must be one of") \
-                as direct:
-            analyze(graph, **options)
-        with pytest.raises(ValueError) as served:
-            client.analyze(graph, **options)
-        assert str(served.value) == str(direct.value)
-
-    def test_unknown_backend_is_http_400(self, client):
+    @pytest.mark.parametrize("endpoint, unknown, options", (
+        ("analyze", "backend", {"backend": "reference"}),
+        ("simulate", "ready_core",
+         {"ready_core": "reference", "max_firings": 10}),
+        ("analyze", "iteration", {"iteration": 3}),
+    ), ids=("analyze-backend", "simulate-ready_core", "analyze-misspelled"))
+    def test_unknown_option_is_http_400(self, client, endpoint, unknown,
+                                        options):
+        """Each plane runs one core behind the service: a request naming
+        a retired core selector, like a misspelled option, gets the 400
+        ``BadRequest`` envelope naming the option."""
         import http.client
         import json
 
         from repro.io import graph_to_payload
+        from repro.tpdf import fig2_graph
 
-        body = {"graph": graph_to_payload(small_csdf(seed=9)),
-                "options": {"backend": "wakeup"}}
+        body = {"graph": graph_to_payload(fig2_graph()),
+                "bindings": {"p": 2}, "options": options}
         conn = http.client.HTTPConnection(client.host, client.port, timeout=30)
         try:
-            conn.request("POST", "/analyze", body=json.dumps(body),
+            conn.request("POST", f"/{endpoint}", body=json.dumps(body),
                          headers={"Content-Type": "application/json"})
             response = conn.getresponse()
             data = json.loads(response.read())
         finally:
             conn.close()
         assert response.status == 400
-        assert data["error"]["type"] == "ValueError"
+        assert data["error"]["type"] == "BadRequest"
+        assert data["error"]["message"] == (
+            f"unknown {endpoint} options: {[unknown]}")
 
     def test_malformed_payload_is_graph_construction_error(self, client):
         with pytest.raises(GraphConstructionError):

@@ -1,10 +1,11 @@
 """Differential harness for the event-loop cores.
 
-The timed CSDF executor ships **two** backends —
-``self_timed_execution(backend="arrays"|"reference")``: the
-struct-of-arrays core of :mod:`repro.csdf.statearrays` and the legacy
-full-rescan loop retained as the oracle (the ``mcr_reference``
-pattern).  The value-carrying TPDF simulator mirrors the selection as
+The timed CSDF executor is one core, ``self_timed_execution`` (an
+event loop over the struct-of-arrays template of
+:mod:`repro.csdf.statearrays`), and its oracle is the legacy
+full-rescan loop ``self_timed_execution_reference`` (the
+``mcr_reference`` pattern); both are called here by name.  The
+value-carrying TPDF simulator keeps both cores behind
 ``Simulator(..., ready_core=...)`` (its ``"arrays"`` core is the
 schedule-plane / value-plane split of :mod:`repro.sim.schedplane`).
 
@@ -22,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.csdf import (
-    BACKENDS,
     CSDFGraph,
     self_timed_execution,
     self_timed_execution_reference,
@@ -51,6 +51,10 @@ SHAPES = (
 )
 SEEDS_PER_SHAPE = 25  # 8 shapes x 25 seeds = 200 random graphs
 
+#: The executor and its differential oracle, each called by name.
+EXECUTORS = {"arrays": self_timed_execution,
+             "reference": self_timed_execution_reference}
+
 CORE_BUDGETS = (None, 1, 2, 8)
 
 
@@ -78,18 +82,10 @@ def _result_key(graph, **kwargs):
 
 
 def _assert_parity(graph, **kwargs):
-    """Both backends produce the identical result key."""
-    keys = {
-        backend: _result_key(
-            graph,
-            executor=lambda g, _b=backend, **kw: self_timed_execution(
-                g, backend=_b, **kw
-            ),
-            **kwargs,
-        )
-        for backend in BACKENDS
-    }
-    assert keys["arrays"] == keys["reference"]
+    """The executor and its oracle produce the identical result key."""
+    assert (_result_key(graph, executor=self_timed_execution, **kwargs)
+            == _result_key(graph, executor=self_timed_execution_reference,
+                           **kwargs))
 
 
 def _tight_capacities(graph, iterations):
@@ -125,7 +121,7 @@ class TestTimedExecutorParity:
                 )
 
     def test_deadlock_parity_includes_blocked_sets(self):
-        """All backends stall identically — same exception, same
+        """Both cores stall identically — same exception, same
         blocked actors — on a tokenless cycle and undersized buffers."""
         cycle = CSDFGraph("dead")
         cycle.add_actor("a")
@@ -133,19 +129,16 @@ class TestTimedExecutorParity:
         cycle.add_channel("ab", "a", "b")
         cycle.add_channel("ba", "b", "a")
         _assert_parity(cycle)
-        key = _result_key(
-            cycle, executor=lambda g, **kw: self_timed_execution(
-                g, backend="arrays", **kw))
+        key = _result_key(cycle, executor=self_timed_execution)
         assert key[0] == "deadlock" and set(key[1]) == {"a", "b"}
 
         undersized = CSDFGraph("small")
         undersized.add_actor("a")
         undersized.add_actor("b")
         undersized.add_channel("e", "a", "b", 3, 3)
-        for backend in BACKENDS:
+        for execute in EXECUTORS.values():
             with pytest.raises(DeadlockError) as exc:
-                self_timed_execution(
-                    undersized, capacities={"e": 2}, backend=backend)
+                execute(undersized, capacities={"e": 2})
             assert exc.value.blocked == ["a", "b"]
 
     def test_gallery_and_fig8_graphs(self, fig1):
@@ -191,16 +184,15 @@ class TestTimedExecutorParity:
         that *became* startable, so it examines far fewer actors than
         the full rescan (>= 2x on the corpus shapes), all while
         producing identical results."""
-        totals = {backend: 0 for backend in BACKENDS}
-        events = {backend: 0 for backend in BACKENDS}
+        totals = {core: 0 for core in EXECUTORS}
+        events = {core: 0 for core in EXECUTORS}
         for seed in range(10):
             graph = _random_csdf(8, 4, 2, seed)
-            for backend in BACKENDS:
+            for core, execute in EXECUTORS.items():
                 stats = {}
-                self_timed_execution(
-                    graph, iterations=4, stats=stats, backend=backend)
-                totals[backend] += stats["ready_visits"]
-                events[backend] += stats["events"]
+                execute(graph, iterations=4, stats=stats)
+                totals[core] += stats["ready_visits"]
+                events[core] += stats["events"]
         assert events["arrays"] == events["reference"]
         assert totals["arrays"] * 2 <= totals["reference"]
 

@@ -5,7 +5,11 @@ import json
 import pytest
 
 from repro.__main__ import main
-from repro.io import csdf_to_dict, tpdf_to_dict
+from repro.analysis import analyze
+from repro.csdf import CSDFGraph
+from repro.gallery import fig1_graph
+from repro.io import csdf_to_dict, graph_from_payload, tpdf_to_dict
+from repro.symbolic import Param
 from repro.tpdf import TPDFGraph, fig2_graph
 
 
@@ -23,6 +27,42 @@ def fig1_json(tmp_path, fig1):
     return str(path)
 
 
+def _fanout() -> CSDFGraph:
+    """The parametric 2-actor CSDF graph of ``repro.analysis``'s
+    docstring (production ``p``)."""
+    p = Param("p")
+    g = CSDFGraph("fanout")
+    g.add_actor("src", exec_time=3)
+    g.add_actor("snk", exec_time=2)
+    g.add_channel("c", "src", "snk", production=p, consumption=1)
+    return g
+
+
+def _pair() -> CSDFGraph:
+    """A producer writing 2 tokens per firing to a 1-token consumer."""
+    g = CSDFGraph("pair")
+    g.add_actor("a", exec_time=1)
+    g.add_actor("b", exec_time=1)
+    g.add_channel("e", "a", "b", 2, 1)
+    return g
+
+
+def _inconsistent() -> CSDFGraph:
+    """Two actors on a cycle whose rates admit no repetition vector."""
+    g = CSDFGraph("skewed")
+    g.add_actor("a")
+    g.add_actor("b")
+    g.add_channel("ab", "a", "b", 2, 1)
+    g.add_channel("ba", "b", "a", 1, 1, initial_tokens=1)
+    return g
+
+
+def _write(tmp_path, doc) -> str:
+    path = tmp_path / f"{doc['name']}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
 class TestAnalyze:
     def test_bounded_graph_exits_zero(self, fig2_json, capsys):
         assert main(["analyze", fig2_json]) == 0
@@ -30,10 +70,21 @@ class TestAnalyze:
         assert "bounded" in out
         assert "q[B] = 2*p" in out
 
-    def test_csdf_graph_wrapped(self, fig1_json, capsys):
-        assert main(["analyze", fig1_json]) == 0
-        out = capsys.readouterr().out
-        assert "q[a1] = 3" in out
+    @pytest.mark.parametrize("doc, bind", (
+        (csdf_to_dict(fig1_graph()), []),
+        (csdf_to_dict(_fanout()), []),
+        (csdf_to_dict(_fanout()), ["--bind", "p=4"]),
+        (tpdf_to_dict(fig2_graph()), []),
+    ), ids=("fig1", "fanout", "fanout-bound", "fig2"))
+    def test_prints_the_library_summary(self, tmp_path, capsys, doc, bind):
+        """The CLI analyzes each file as loaded — a CSDF graph as CSDF,
+        not wrapped into an undeclared-parameter TPDF graph — so its
+        output is exactly ``GraphReport.summary()``."""
+        bindings = {"p": 4} if bind else None
+        report = analyze(graph_from_payload(doc), bindings)
+        code = main(["analyze", _write(tmp_path, doc), *bind])
+        assert capsys.readouterr().out == report.summary() + "\n"
+        assert code == (0 if report.bounded else 1)
 
     def test_symbolic_parametric_mcr(self, fig2_json, capsys):
         assert main(["analyze", fig2_json, "--symbolic",
@@ -295,23 +346,44 @@ class TestThroughput:
         else:  # fig1 happens to run under unit capacities
             assert "steady period" in out
 
-    @pytest.mark.parametrize("backend", ("arrays", "reference"))
-    def test_negative_capacity_is_deadlock(self, tmp_path, capsys, backend):
+    def test_negative_capacity_is_deadlock(self, tmp_path, capsys):
         """Bugfix regression: ``--cap e=-1`` read as "unbounded" on the
         arrays core (it printed a period and exited 0)."""
-        from repro.csdf import CSDFGraph
-
-        g = CSDFGraph("pair")
-        g.add_actor("a", exec_time=1)
-        g.add_actor("b", exec_time=1)
-        g.add_channel("e", "a", "b", 2, 1)
-        path = tmp_path / "pair.json"
-        path.write_text(json.dumps(csdf_to_dict(g)))
-        code = main(["throughput", str(path), "--cap", "e=-1",
-                     "--backend", backend])
+        path = _write(tmp_path, csdf_to_dict(_pair()))
+        code = main(["throughput", path, "--cap", "e=-1"])
         out = capsys.readouterr().out
         assert code == 1
         assert "channel capacity below initial tokens: e" in out
+
+    @pytest.mark.parametrize("doc, caps", (
+        (csdf_to_dict(fig1_graph()), []),
+        # Bugfix regression: the oracle re-run ignored ``--cap`` and
+        # compared an unconstrained run against the bounded one.
+        (csdf_to_dict(_pair()), ["--cap", "e=2"]),
+    ), ids=("fig1", "pair-capped"))
+    def test_reference_loop_parity(self, tmp_path, capsys, doc, caps):
+        assert main(["throughput", _write(tmp_path, doc), "--reference-loop",
+                     *caps]) == 0
+        assert "reference loop parity:          identical" in (
+            capsys.readouterr().out)
+
+    def test_reference_loop_reports_divergence(self, fig1_json, capsys,
+                                               monkeypatch):
+        import dataclasses
+
+        from repro.csdf import throughput
+
+        oracle = throughput.self_timed_execution_reference
+
+        def shifted(*args, **kwargs):
+            result = oracle(*args, **kwargs)
+            return dataclasses.replace(result, makespan=result.makespan + 1)
+
+        monkeypatch.setattr(throughput, "self_timed_execution_reference",
+                            shifted)
+        assert main(["throughput", fig1_json, "--reference-loop"]) == 1
+        assert "reference loop parity:          DIVERGED" in (
+            capsys.readouterr().out)
 
     def test_probe_caps_batch(self, fig1_json, fig1, tmp_path, capsys):
         loose = {name: 64 for name in fig1.channels}
@@ -343,7 +415,6 @@ class TestSimulate:
         assert main(["simulate", fig2_json, "--bind", "p=2",
                      "--limit", "A=4"]) == 0
         out = capsys.readouterr().out
-        assert "ready core:   arrays" in out
         assert "firings:" in out
         assert "buffer peaks" in out
 
@@ -413,10 +484,34 @@ class TestErrors:
     ))
     def test_retired_core_name_rejected(self, fig2_json, command, flag,
                                         capsys):
-        """The core choices are ``BACKENDS``: ``wakeup`` is gone."""
-        with pytest.raises(SystemExit):
-            main([command, fig2_json, flag, "wakeup"])
-        assert "invalid choice: 'wakeup'" in capsys.readouterr().err
+        """Each plane runs one core: the selector flags are gone."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, fig2_json, flag, "arrays"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, argv, name", (
+        (tpdf_to_dict(fig2_graph()), ["throughput"], "p"),
+        (tpdf_to_dict(fig2_graph()), ["buffers", "--search"], "p"),
+        (tpdf_to_dict(fig2_graph()), ["schedule"], "p"),
+        (tpdf_to_dict(fig2_graph()), ["simulate", "--limit", "A=2"], "p"),
+        (tpdf_to_dict(fig2_graph()), ["throughput", "--bind", "p=0"], "B"),
+        (csdf_to_dict(_inconsistent()), ["throughput"], "a"),
+        (csdf_to_dict(_inconsistent()), ["buffers"], "a"),
+    ), ids=("throughput-unbound", "buffers-search-unbound",
+            "schedule-unbound", "simulate-unbound", "throughput-p0",
+            "throughput-inconsistent", "buffers-inconsistent"))
+    def test_library_errors_exit_with_one_line(self, tmp_path, doc, argv,
+                                               name):
+        """``main`` is the one error boundary: a missing binding, an
+        analysis error or inconsistent rates exit 1 with a message
+        naming the parameter or actor, not a traceback."""
+        command, *options = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, _write(tmp_path, doc), *options])
+        assert isinstance(exc.value.code, str)
+        assert f"'{name}'" in exc.value.code
+        assert "\n" not in exc.value.code
 
     def test_unknown_model(self, tmp_path):
         path = tmp_path / "junk.json"
