@@ -1,13 +1,14 @@
 """EXT8 — delta-aware incremental re-analysis: warm vs cold per edit
 class.
 
-PR 6 makes the analysis front door edit-aware: mutation records
-classify each bump (binding vs structural, touched names), carryable
-products (repetition vector, liveness, HSDF structure, buffer
-schedule) survive binding-only bumps, MCR is memoized per HSDF SCC in
-a cross-version content store (changed components warm-start Howard
-from the remembered cycle policy), and the struct-of-arrays executor
-template is patched in place after binding deltas.
+The analysis front door is edit-aware: each bump is binding or
+structural, and two per-graph counters (version, structure) let the
+carryable products (repetition vector, liveness, HSDF structure,
+buffer schedule, the executor template's rate fields) survive every
+binding-only bump.  MCR is memoized per HSDF SCC in a cross-version
+content store (changed components warm-start Howard from the
+remembered cycle policy), and each version's executor template
+re-reads only the execution-time tables.
 
 This bench replays the edit-loop workload those mechanisms target: one
 graph, repeated ``EditSession.analyze()`` calls after small edits.
@@ -53,11 +54,12 @@ TIMING_ROUNDS = 5
 #: Warm floor asserted for out-of-core binding edits at 80 actors.
 #: This is the acceptance bar of the incremental machinery: a weight
 #: edit outside the cyclic core leaves every carryable product valid,
-#: so the warm path pays only the tiny changed SCC, the template patch
-#: and the (necessarily re-run) timed stage, while cold repeats the
-#: balance solve, liveness probe, greedy buffer schedule and full-HSDF
-#: MCR.  The measured margin is wide (>10x locally); best-of-N timing
-#: damps runner noise.  If a future platform shifts constant factors
+#: so the warm path pays only the tiny changed SCC, the template's
+#: execution-time tables and the (necessarily re-run) timed stage,
+#: while cold repeats the balance solve, liveness probe, greedy buffer
+#: schedule and full-HSDF MCR.  The measured margin is wide (>10x
+#: locally); best-of-N timing damps runner noise.  If a future
+#: platform shifts constant factors
 #: below the bar, lower it consciously — never by weakening the parity
 #: asserts.
 ASSERTED_SPEEDUP = 5.0

@@ -15,87 +15,45 @@ frozen.  All in-tree analyses only read them.
 Negative results (inconsistent-rate errors) are cached too, so
 ``is_consistent`` probes on a bad graph stay cheap.
 
-Delta-aware invalidation
-------------------------
+Binding-only edits
+------------------
 Interactive and service traffic is dominated by "same graph, small
-delta" edits, so a bump is no longer an undifferentiated event:
-:func:`bump_version` records a **mutation record** — the edit's *kind*
-(``"binding"`` for weight-only edits such as an execution-time change
-that keeps the phase count, ``"structural"`` for everything that can
-move rates, tokens or topology) and its *scope* (the touched actor or
-channel names).  Three consumers build on the records:
+delta" edits, so a bump says what *kind* of edit it was:
+``"binding"`` for weight-only edits such as an execution-time change
+that keeps the phase count, ``"structural"`` (the default) for
+everything that can move rates, tokens or topology.  Each graph keeps
+two counters: every bump advances the *version*, and a structural bump
+also advances the *structure* counter.  Two consumers build on them:
 
 * :func:`analysis_cache` **carries forward** entries whose key tag was
-  registered via :func:`register_binding_insensitive` when every bump
-  since the entry was cached was binding-only — the repetition vector,
-  liveness verdict and HSDF structure survive an execution-time edit
-  instead of being recomputed.
-* :func:`delta_since` gives analysis code the precise delta between a
-  remembered version and now (``binding_only``, touched names), or a
-  conservative "unknown" when the log no longer covers the span.
+  registered via :func:`register_binding_insensitive` while the
+  structure counter has not moved — the repetition vector, liveness
+  verdict, HSDF structure and the executor template's rate fields
+  survive an execution-time edit instead of being recomputed.
 * :func:`content_store` holds **cross-version** memos keyed by content
   fingerprints (e.g. per-SCC MCR results): a stale entry is
   unreachable by construction because its key changed with the
   content, so the store never needs invalidating.
-
-The old one-argument ``bump_version(graph)`` keeps working and is
-recorded as a conservative structural bump with unknown scope.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterable, Mapping, NamedTuple
+from typing import Any, Callable, Hashable, Mapping
 
 from .errors import GraphConstructionError
 
 _CACHE_ATTR = "_analysis_cache"
 _VERSION_ATTR = "_analysis_version"
+_STRUCTURE_ATTR = "_analysis_structure"
 _FROZEN_ATTR = "_analysis_frozen"
-_MUTLOG_ATTR = "_analysis_mutations"
 _CONTENT_ATTR = "_analysis_content"
-
-#: Mutation records kept per graph; a delta spanning more than this
-#: many bumps degrades to the conservative "structural, unknown scope".
-_MUTATION_LOG_LIMIT = 256
 
 #: Key tags (first tuple element) whose cached values do not depend on
 #: execution times — safe to carry across binding-only version bumps.
 _BINDING_INSENSITIVE_TAGS: set[str] = set()
 
 _KINDS = ("binding", "structural")
-
-
-class MutationRecord(NamedTuple):
-    """One recorded ``bump_version``: the version *after* the bump, the
-    edit kind, and the touched actor/channel names (empty = unknown)."""
-
-    version: int
-    kind: str
-    touched: frozenset
-
-
-class MutationDelta(NamedTuple):
-    """Aggregate of every mutation between two versions.
-
-    ``known`` is False when the log no longer covers the span (treat as
-    an arbitrary structural rewrite).  ``touched`` is the union of the
-    recorded scopes, or ``None`` when any record in the span carried no
-    scope (meaning "anything may have been touched").
-    """
-
-    known: bool
-    binding_only: bool
-    touched: frozenset | None
-
-    @property
-    def conservative(self) -> bool:
-        """True when nothing may be reused (unknown or structural)."""
-        return not (self.known and self.binding_only)
-
-
-#: Delta used when the mutation log cannot answer.
-UNKNOWN_DELTA = MutationDelta(known=False, binding_only=False, touched=None)
 
 
 def version_of(graph: Any) -> int:
@@ -115,60 +73,24 @@ def register_binding_insensitive(tag: str) -> None:
     _BINDING_INSENSITIVE_TAGS.add(tag)
 
 
-def bump_version(graph: Any, kind: str = "structural",
-                 scope: Iterable[str] | None = None) -> None:
+def bump_version(graph: Any, kind: str = "structural") -> None:
     """Invalidate cached analyses of ``graph`` (called by the graph
     classes' construction methods and field setters).
 
-    Parameters
-    ----------
-    kind:
-        ``"binding"`` when the edit can only change execution-time
-        *values* (phase counts, rates, tokens and topology untouched);
-        ``"structural"`` (the default) for everything else.  Callers
-        unsure about an edit must use ``"structural"``.
-    scope:
-        Iterable of touched actor/channel names; ``None``/empty records
-        an unknown scope, which downstream consumers treat as "any".
+    ``kind`` is ``"binding"`` when the edit can only change
+    execution-time *values* (phase counts, rates, tokens and topology
+    untouched) and ``"structural"`` (the default) for everything else;
+    callers unsure about an edit must use ``"structural"``.  Every bump
+    advances the version; a structural bump also advances the structure
+    counter, which ends the carry-forward of binding-insensitive
+    entries.
     """
     ensure_mutable(graph)
     if kind not in _KINDS:
         raise ValueError(f"unknown mutation kind {kind!r}; pick one of {_KINDS}")
-    version = version_of(graph) + 1
-    setattr(graph, _VERSION_ATTR, version)
-    log = getattr(graph, _MUTLOG_ATTR, None)
-    if log is None:
-        log = []
-        setattr(graph, _MUTLOG_ATTR, log)
-    touched = frozenset(str(name) for name in scope) if scope else frozenset()
-    log.append(MutationRecord(version, kind, touched))
-    del log[:-_MUTATION_LOG_LIMIT]
-
-
-def delta_since(graph: Any, version: int) -> MutationDelta:
-    """The aggregate mutation delta between ``version`` and now.
-
-    Returns :data:`UNKNOWN_DELTA` when the span is not fully covered by
-    the mutation log (too old, trimmed, or ``version`` is from another
-    object's timeline).
-    """
-    current = version_of(graph)
-    if version == current:
-        return MutationDelta(known=True, binding_only=True, touched=frozenset())
-    if version > current:
-        return UNKNOWN_DELTA
-    log: list[MutationRecord] = getattr(graph, _MUTLOG_ATTR, None) or []
-    records = [r for r in log if r.version > version]
-    if len(records) != current - version:
-        return UNKNOWN_DELTA  # span not fully covered by the log
-    binding_only = all(r.kind == "binding" for r in records)
-    touched: frozenset | None = frozenset()
-    for record in records:
-        if not record.touched:
-            touched = None  # unscoped bump: anything may have changed
-            break
-        touched |= record.touched
-    return MutationDelta(known=True, binding_only=binding_only, touched=touched)
+    setattr(graph, _VERSION_ATTR, version_of(graph) + 1)
+    if kind == "structural":
+        setattr(graph, _STRUCTURE_ATTR, getattr(graph, _STRUCTURE_ATTR, 0) + 1)
 
 
 def freeze(graph: Any) -> Any:
@@ -206,24 +128,24 @@ def analysis_cache(graph: Any) -> dict:
     """The live cache dict of ``graph`` for its current version.
 
     On a version change, entries whose key tag was registered
-    binding-insensitive are carried forward when every bump since the
-    cache was (re)built was binding-only; everything else is dropped.
+    binding-insensitive are carried forward when the structure counter
+    still reads what it read when the cache was (re)built — every bump
+    since was binding-only; everything else is dropped.
     """
     version = version_of(graph)
     entry = getattr(graph, _CACHE_ATTR, None)
     if entry is not None and entry[0] == version:
         return entry[1]
+    structure = getattr(graph, _STRUCTURE_ATTR, 0)
     carried: dict = {}
-    if entry is not None and entry[1]:
-        delta = delta_since(graph, entry[0])
-        if not delta.conservative:
-            carried = {
-                key: value
-                for key, value in entry[1].items()
-                if isinstance(key, tuple) and key
-                and key[0] in _BINDING_INSENSITIVE_TAGS
-            }
-    setattr(graph, _CACHE_ATTR, (version, carried))
+    if entry is not None and entry[2] == structure:
+        carried = {
+            key: value
+            for key, value in entry[1].items()
+            if isinstance(key, tuple) and key
+            and key[0] in _BINDING_INSENSITIVE_TAGS
+        }
+    setattr(graph, _CACHE_ATTR, (version, carried, structure))
     return carried
 
 
@@ -233,8 +155,7 @@ class ContentStore:
     Unlike :func:`analysis_cache`, entries survive version bumps — so
     keys MUST be content fingerprints (stale content is unreachable
     because its key changed with it), or the caller must revalidate the
-    entry against the current version before trusting it (the pattern
-    used for "last known template" slots).  Eviction is LRU and
+    entry against the current version before trusting it.  Eviction is LRU and
     counted (:attr:`evictions`), so bounded consumers — the resident
     service's result cache and per-worker decode caches — can report
     cache pressure without wrapping the store.

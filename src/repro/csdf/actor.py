@@ -70,11 +70,11 @@ class Actor:
         analyses of the owning graph.
 
         When the number of phases is unchanged this is recorded as a
-        *binding-only* mutation scoped to this actor — timings feed the
-        timed analyses (MCR, throughput) but not the rate algebra, so
-        the repetition vector, liveness verdict and buffer bounds are
-        carried forward.  A phase-count change alters ``tau`` and hence
-        the repetition vector itself, so it is recorded structurally.
+        *binding-only* mutation — timings feed the timed analyses (MCR,
+        throughput) but not the rate algebra, so the repetition vector,
+        liveness verdict and buffer bounds are carried forward.  A
+        phase-count change alters ``tau`` and hence the repetition
+        vector itself, so it is recorded structurally.
         """
         times = _validate_exec_times(self.name, value)
         if self._owner is not None:
@@ -82,7 +82,7 @@ class Actor:
 
             kind = "binding" if len(times) == len(self._exec_times) else "structural"
             # Bump before assigning: frozen graphs raise, actor intact.
-            bump_version(self._owner, kind=kind, scope=(self.name,))
+            bump_version(self._owner, kind=kind)
         self._exec_times = times
 
     def __repr__(self) -> str:

@@ -172,9 +172,9 @@ def bounded_feasible(
     under every greedy choice is reported as infeasible (sufficient for
     the library's validation purposes).
 
-    Capacity names must name channels of the graph (``ValueError``
-    otherwise, as at every capacity-accepting entry point); a channel
-    without an entry is unbounded.
+    Capacity names must name channels of the graph and values must be
+    integers (``ValueError`` otherwise, as at every capacity-accepting
+    entry point); a channel without an entry is unbounded.
     """
     validate_capacities(graph, capacities)
     targets = dict(repetitions) if repetitions is not None else concrete_repetition_vector(graph, bindings)

@@ -48,13 +48,12 @@ class Channel:
         on frozen graphs this raises, leaving the channel intact.
 
         Rate and token edits move the balance equations and the HSDF
-        expansion shape, so they are structural — but scoped to this
-        channel, which lets delta-aware consumers localize the damage.
+        expansion shape, so they are structural.
         """
         if self._owner is not None:
             from ..cache import bump_version
 
-            bump_version(self._owner, kind="structural", scope=(self.name,))
+            bump_version(self._owner, kind="structural")
 
     @property
     def production(self) -> RateSequence:

@@ -47,7 +47,7 @@ class CSDFGraph:
         actor = Actor(name, exec_time=exec_time, function=function)
         actor._owner = self
         self._actors[name] = actor
-        bump_version(self, kind="structural", scope=(name,))
+        bump_version(self, kind="structural")
         return actor
 
     def add_channel(
@@ -79,7 +79,7 @@ class CSDFGraph:
         channel = Channel(name, src, dst, production, consumption, initial_tokens)
         channel._owner = self
         self._channels[name] = channel
-        bump_version(self, kind="structural", scope=(name, src, dst))
+        bump_version(self, kind="structural")
         return channel
 
     def remove_channel(self, name: str) -> Channel:
@@ -88,7 +88,7 @@ class CSDFGraph:
         if name not in self._channels:
             raise GraphConstructionError(f"unknown channel {name!r}")
         channel = self._channels[name]
-        bump_version(self, kind="structural", scope=(name, channel.src, channel.dst))
+        bump_version(self, kind="structural")
         del self._channels[name]
         channel._owner = None
         return channel
@@ -101,7 +101,7 @@ class CSDFGraph:
             raise GraphConstructionError(f"unknown actor {name!r}")
         attached = [c.name for c in self._channels.values()
                     if c.src == name or c.dst == name]
-        bump_version(self, kind="structural", scope=(name, *attached))
+        bump_version(self, kind="structural")
         for channel_name in attached:
             channel = self._channels.pop(channel_name)
             channel._owner = None

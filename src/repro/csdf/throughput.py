@@ -53,6 +53,7 @@ loops on the 200-graph corpus × core budgets × capacity constraints.
 
 from __future__ import annotations
 
+import operator
 from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -187,13 +188,18 @@ class _TimedState:
 def validate_capacities(
     graph: CSDFGraph, capacities: Mapping[str, int] | None
 ) -> None:
-    """Reject capacity vectors naming channels the graph doesn't have.
+    """Reject capacity vectors naming channels the graph doesn't have,
+    or holding a value that is neither an integer nor ``None``
+    (unbounded).
 
     Every capacity-accepting entry point calls this (both executor
     cores, the simulator, the buffer search, the CLI): a typo'd
     channel name used to be silently dropped by the slot-mapping
     loops — the execution then ran *unconstrained* on the channel the
-    caller thought was bounded.
+    caller thought was bounded.  Values pass ``operator.index`` (numpy
+    integers do); a ``bool`` is refused, as are floats and strings,
+    which used to run truncated (2.5 as capacity 2 in the simulator)
+    or fail deep inside a comparison.
     """
     if not capacities:
         return
@@ -204,6 +210,18 @@ def validate_capacities(
             "unknown channel name(s) in capacities: "
             f"{', '.join(unknown)}; graph channels are: {known}"
         )
+    for name, value in capacities.items():
+        if value is None:
+            continue
+        try:
+            if isinstance(value, bool):
+                raise TypeError
+            operator.index(value)
+        except TypeError:
+            raise ValueError(
+                f"capacity of channel {name!r} must be an integer, "
+                f"got {value!r}"
+            ) from None
 
 
 def _initial_fit_error(channels, actors) -> DeadlockError:
@@ -227,8 +245,9 @@ def _initial_fit_error(channels, actors) -> DeadlockError:
 def _check_capacity_contract(graph, capacities, order) -> None:
     """The capacity admission check of every capacity-accepting entry
     point (both executor cores, the simulator, the buffer-search pins):
-    unknown channel names raise ``ValueError``, and a capacity below a
-    channel's initial tokens raises the up-front
+    what :func:`validate_capacities` rejects raises ``ValueError``
+    (unknown channel names, values that are not integers), and a
+    capacity below a channel's initial tokens raises the up-front
     :class:`~repro.errors.DeadlockError` with ``order`` as the blocked
     set.  It runs on the caller's name-keyed mapping, before any slot
     mapping — so no capacity value can collide with a slot array's
@@ -327,7 +346,10 @@ def self_timed_execution(
     caps = [None] * nchan
     capped_out: list[tuple] = [()] * n
     if capacities:
+        # Plain ints (numpy integers pass the contract): the
+        # satisfaction bits below live in bytearrays.
         caps = [capacities.get(name) for name in state.channel_names]
+        caps = [None if cap is None else operator.index(cap) for cap in caps]
     has_caps = any(cap is not None for cap in caps)
     if has_caps:
         cap_need = list(state.prod0)
@@ -694,13 +716,21 @@ def min_buffers_for_full_throughput(
     Strategy: take the unconstrained steady-state period *analytically*
     from Howard's MCR (Reiter: the converged self-timed period equals
     the maximum cycle ratio, so no simulated warm-up estimate is
-    needed), start from the peaks of an unconstrained execution (which
-    by construction achieve it), then shrink each channel in turn by
-    binary search to the smallest capacity that keeps the period within
-    ``tolerance``.  Greedy per-channel shrinking is not globally
-    optimal (the joint problem is NP-hard) but matches the standard
-    practice the paper's tool ecosystem uses, and the result is
-    validated by re-execution.
+    needed), start from a vector that sustains it, then shrink each
+    channel in turn by binary search to the smallest capacity that
+    keeps the period within ``tolerance``.  Greedy per-channel
+    shrinking is not globally optimal (the joint problem is NP-hard)
+    but matches the standard practice the paper's tool ecosystem uses.
+
+    The start is the peaks of an unconstrained execution, probed like
+    every other vector.  The peaks alone often miss the target: space
+    is reserved when a firing *starts*, so a producer can block below
+    its unconstrained peak.  When the probe misses, every free channel
+    grows by its largest production phase.  Auto-concurrency is off, so
+    a producer has no firing in flight when it starts and the occupancy
+    it meets is at most the peak: no start blocks, and the run is the
+    unconstrained one at the search's horizon.  Every later shrink
+    keeps only vectors a probe has accepted.
 
     The measured probe periods are still finite-horizon (``iterations``
     long, floored at ``_MIN_PROBE_ITERATIONS`` so every estimate has a
@@ -851,6 +881,11 @@ def min_buffers_for_full_throughput(
         else:
             counters["probes_memoized"] += 1
         return verdict
+
+    if period_with(capacities) > target + slack:
+        production = rate_table(graph, bindings).production
+        for name in names:
+            capacities[name] += max(production[name])
 
     warm_bounds = _symbolic_warm_bounds(graph, bindings) if warm_start else {}
 

@@ -220,7 +220,7 @@ class Simulator:
         # names raise, and the initial marking must fit the buffer.
         _check_capacity_contract(graph, self._capacities, self._order)
         for name, cap in self._capacities.items():
-            self._channels[name].capacity = int(cap)
+            self._channels[name].capacity = cap
 
     # -- small helpers ------------------------------------------------------
     def _rate(self, node: str, port: str, firing: int) -> int:

@@ -158,7 +158,7 @@ class SimPlane:
         self.peaks = list(self.tokens)
         self.caps: list[int | None] = [None] * nchan
         for name, cap in sim._capacities.items():
-            self.caps[self.slot_of[name]] = int(cap)
+            self.caps[self.slot_of[name]] = cap
         self.any_capacity = sim._any_capacity
         self.chan_src_pos = [pos_of[c.src] for c in flows]
         self.chan_dst_pos = [pos_of[c.dst] for c in flows]

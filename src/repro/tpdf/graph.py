@@ -83,7 +83,7 @@ class TPDFChannel:
             )
         if self._owner is not None:
             # raises first on frozen graphs
-            bump_version(self._owner, kind="structural", scope=(self.name,))
+            bump_version(self._owner, kind="structural")
         self._initial_tokens = int(value)
 
     def __repr__(self) -> str:
@@ -128,7 +128,7 @@ class TPDFGraph:
         kernel = Kernel(name, exec_time=exec_time, function=function, modes=modes)
         kernel._graph = self
         self._kernels[name] = kernel
-        bump_version(self, kind="structural", scope=(name,))
+        bump_version(self, kind="structural")
         return kernel
 
     def add_control_actor(
@@ -141,7 +141,7 @@ class TPDFGraph:
         actor = ControlActor(name, exec_time=exec_time, decision=decision)
         actor._graph = self
         self._controls[name] = actor
-        bump_version(self, kind="structural", scope=(name,))
+        bump_version(self, kind="structural")
         return actor
 
     def register(self, node: Node) -> Node:
@@ -154,7 +154,7 @@ class TPDFGraph:
             self._controls[node.name] = node
         else:
             self._kernels[node.name] = node
-        bump_version(self, kind="structural", scope=(node.name,))
+        bump_version(self, kind="structural")
         return node
 
     def _check_fresh(self, name: str) -> None:
@@ -229,7 +229,7 @@ class TPDFGraph:
         )
         channel._owner = self
         self._channels[name] = channel
-        bump_version(self, kind="structural", scope=(name, src_node, dst_node))
+        bump_version(self, kind="structural")
         return channel
 
     # -- access -----------------------------------------------------------

@@ -70,7 +70,7 @@ class Node:
         if self._graph is not None:
             from ..cache import bump_version
 
-            bump_version(self._graph, kind="structural", scope=(self.name,))
+            bump_version(self._graph, kind="structural")
 
     @property
     def ports(self) -> dict[str, Port]:

@@ -1,10 +1,11 @@
 """Warm-vs-cold differential suite for delta-aware incremental
 re-analysis.
 
-The incremental machinery (mutation records, SCC-granular MCR cache
-keys, in-place SoA template patching, Howard warm-starts) exists to
-make ``analyze(reuse_from=...)`` cheap after small edits — but its
-acceptance criterion is stronger than "fast": a warm re-analysis must
+The incremental machinery (binding-only carry-forward, SCC-granular
+MCR cache keys, the carried executor template, Howard warm-starts)
+exists to make ``analyze(reuse_from=...)`` cheap after small edits —
+but its acceptance criterion is stronger than "fast": a warm
+re-analysis must
 be **bit-for-bit identical** (``GraphReport.fingerprint``) to a cold
 analysis of the same graph, for *every* edit class.  This suite
 asserts exactly that on the 200-graph random corpus under seeded
@@ -21,12 +22,10 @@ import pytest
 
 from repro.analysis import EditSession, analyze, warm_graph
 from repro.cache import (
-    UNKNOWN_DELTA,
     analysis_cache,
     bindings_key,
     bump_version,
     cached,
-    delta_since,
     version_of,
 )
 from repro.csdf import (ArrayState, CSDFGraph, array_state, max_cycle_ratio,
@@ -289,8 +288,9 @@ class TestSCCGranularity:
         assert warm.fingerprint() == _cold_report(graph).fingerprint()
 
 
-class TestMutationRecords:
-    """Unit semantics of bump_version / delta_since / carry-forward."""
+class TestVersionCounters:
+    """Unit semantics of bump_version's two counters and the
+    carry-forward of binding-insensitive cache entries."""
 
     @staticmethod
     def _graph() -> CSDFGraph:
@@ -300,22 +300,19 @@ class TestMutationRecords:
         graph.add_channel("ab", "a", "b", initial_tokens=1)
         return graph
 
-    def test_binding_delta_is_scoped(self):
-        graph = self._graph()
-        before = version_of(graph)
-        graph.actor("a").set_exec_time(7.0)  # same phase count
-        delta = delta_since(graph, before)
-        assert delta.known and delta.binding_only
-        assert delta.touched == {"a"}
-        assert not delta.conservative
+    @staticmethod
+    def _cache_rate_products(graph: CSDFGraph) -> object:
+        sentinel = object()
+        cached(graph, ("repetition_vector",), lambda: sentinel)
+        return sentinel
 
     def test_phase_count_change_is_structural(self):
         graph = self._graph()
+        self._cache_rate_products(graph)
         before = version_of(graph)
         graph.actor("a").set_exec_time((1.0, 2.0))  # 1 phase -> 2 phases
-        delta = delta_since(graph, before)
-        assert delta.known and not delta.binding_only
-        assert delta.conservative
+        assert version_of(graph) == before + 1
+        assert ("repetition_vector",) not in analysis_cache(graph)
 
     def test_channel_edits_are_structural(self):
         graph = self._graph()
@@ -324,36 +321,36 @@ class TestMutationRecords:
             lambda: setattr(graph.channel("ab"), "production", (2,)),
             lambda: setattr(graph.channel("ab"), "consumption", (2,)),
         ):
-            before = version_of(graph)
+            self._cache_rate_products(graph)
             mutate()
-            assert delta_since(graph, before).conservative
+            assert ("repetition_vector",) not in analysis_cache(graph)
 
-    def test_legacy_unscoped_bump_is_conservative(self):
+    def test_one_argument_bump_is_structural(self):
         graph = self._graph()
+        self._cache_rate_products(graph)
         before = version_of(graph)
-        bump_version(graph)  # old one-argument form
-        delta = delta_since(graph, before)
-        assert delta.known and not delta.binding_only
-        assert delta.touched is None
+        bump_version(graph)  # the one-argument form
+        assert version_of(graph) == before + 1
+        assert ("repetition_vector",) not in analysis_cache(graph)
 
     def test_unknown_kind_rejected(self):
         graph = self._graph()
         with pytest.raises(ValueError, match="unknown mutation kind"):
             bump_version(graph, kind="cosmetic")
 
-    def test_future_version_is_unknown(self):
-        graph = self._graph()
-        assert delta_since(graph, version_of(graph) + 5) == UNKNOWN_DELTA
+    def test_many_binding_bumps_keep_the_rate_products(self):
+        from repro.csdf.analysis import repetition_vector
+        from repro.csdf.simulation import rate_table
 
-    def test_log_trim_degrades_to_unknown(self):
         graph = self._graph()
-        before = version_of(graph)
-        for _ in range(300):  # beyond the 256-record log
-            bump_version(graph, kind="binding", scope=("a",))
-        assert delta_since(graph, before) == UNKNOWN_DELTA
-        # A span the log still covers stays precise.
-        recent = version_of(graph) - 10
-        assert delta_since(graph, recent).binding_only
+        q = repetition_vector(graph)
+        table = rate_table(graph)
+        template = array_state(graph, None)
+        for _ in range(300):  # between two analyses
+            bump_version(graph, kind="binding")
+        assert repetition_vector(graph) is q
+        assert rate_table(graph) is table
+        assert array_state(graph, None).in_edges is template.in_edges
 
     def test_carry_forward_keeps_binding_insensitive_entries(self):
         graph = self._graph()
@@ -390,14 +387,14 @@ class TestFrozenTemplate:
     def test_template_fields_reject_writes(self):
         _assert_read_only(array_state(_mutable_csdf(4, 2, 1, 0), None))
 
-    def test_binding_patched_template_is_also_frozen(self):
+    def test_template_after_binding_edit_is_also_frozen(self):
         graph = _mutable_csdf(4, 2, 1, 1)
         first = array_state(graph, None)
         name = next(iter(graph.actors))
-        graph.actor(name).set_exec_time(5.0)  # binding edit -> patch path
-        patched = array_state(graph, None)
-        assert patched is not first and patched.in_edges is first.in_edges
-        _assert_read_only(patched)
+        graph.actor(name).set_exec_time(5.0)  # binding edit: rates carried
+        carried = array_state(graph, None)
+        assert carried is not first and carried.in_edges is first.in_edges
+        _assert_read_only(carried)
 
     def test_writing_execution_times_cannot_change_a_later_run(self):
         from repro.gallery import fig1_graph

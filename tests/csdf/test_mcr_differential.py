@@ -174,3 +174,50 @@ class TestCaching:
         g.add_channel("ab", "a", "b")
         g.add_channel("ba", "b", "a", initial_tokens=1)
         assert max_cycle_ratio(g) == pytest.approx(7.0, abs=TOL)
+
+
+class TestHowardFallback:
+    """``_component_mcr`` falls back to the binary search of
+    ``_component_reference`` when Howard's iteration gives up within
+    its ``max(64, 4n)`` sweep budget.  The path stays because Howard
+    can need Omega(n^2) iterations (Hansen & Zwick, ISAAC 2010); here
+    the solve is forced to give up on every component."""
+
+    @pytest.fixture
+    def howard_gives_up(self, monkeypatch):
+        import repro.csdf.mcr as mcr_mod
+
+        calls = []
+
+        def give_up(nodes, edges, initial_policy=None):
+            calls.append(tuple(nodes))
+            return None
+
+        monkeypatch.setattr(mcr_mod, "_howard_solve", give_up)
+        return calls
+
+    def test_fallback_matches_reference(self, howard_gives_up):
+        from repro.gallery import fig1_graph
+
+        # Fresh graphs: no memoized ratio or content-store hit can
+        # answer before the component solve.
+        graphs = [fig1_graph()] + [
+            _random_csdf(n, extra, cycles, seed)
+            for (n, extra, cycles) in SHAPES[3:6]
+            for seed in range(3)
+        ]
+        for graph in graphs:
+            howard_gives_up.clear()
+            fallback = max_cycle_ratio(graph)
+            assert howard_gives_up, f"{graph.name}: Howard was not asked"
+            assert fallback == pytest.approx(mcr_reference(graph), abs=TOL)
+
+    def test_token_free_cycle_still_raises(self, howard_gives_up):
+        g = CSDFGraph("dead")
+        g.add_actor("a")
+        g.add_actor("b")
+        g.add_channel("ab", "a", "b")
+        g.add_channel("ba", "b", "a")
+        with pytest.raises(AnalysisError, match="zero tokens"):
+            max_cycle_ratio(g)
+        assert howard_gives_up

@@ -1,6 +1,8 @@
 """Tests for self-timed execution (latency & throughput), the capacity
 contract every execution entry point shares, and the buffer search."""
 
+import re
+
 import pytest
 
 from repro.analysis import probe_capacities
@@ -440,6 +442,70 @@ class TestCapacityNameValidation:
         assert "bad1" in str(info.value) and "bad2" in str(info.value)
 
 
+#: Capacity values that are not integers.  Before the type check, a
+#: string failed deep in the initial-token comparison with a
+#: ``TypeError``, 2.5 ran (as capacity 2 in the Simulator) and ``True``
+#: ran as capacity 1.
+BAD_CAPACITIES = ("2", 2.5, True)
+
+
+class TestCapacityValueValidation:
+    """Bugfix regression: every capacity-accepting entry point rejects
+    a non-integer capacity with a ValueError naming the channel and the
+    value."""
+
+    @staticmethod
+    def _message(name, value):
+        return f"channel {name!r} must be an integer, got {re.escape(repr(value))}"
+
+    @pytest.mark.parametrize("value", BAD_CAPACITIES, ids=repr)
+    @pytest.mark.parametrize("execute", EXECUTORS.values(), ids=EXECUTORS)
+    def test_execution_cores(self, execute, value):
+        with pytest.raises(ValueError, match=self._message("e", value)):
+            execute(_two_actor_graph(initial=0), iterations=2,
+                    capacities={"e": value})
+
+    @pytest.mark.parametrize("value", BAD_CAPACITIES, ids=repr)
+    def test_probe_capacities(self, value):
+        with pytest.raises(ValueError, match=self._message("e", value)):
+            probe_capacities(_two_actor_graph(initial=0),
+                             [{"e": 4}, {"e": value}], iterations=2)
+
+    @pytest.mark.parametrize("value", BAD_CAPACITIES, ids=repr)
+    def test_buffer_search_pins(self, value):
+        with pytest.raises(ValueError, match=self._message("e", value)):
+            min_buffers_for_full_throughput(
+                _two_actor_graph(initial=0), capacities={"e": value})
+
+    @pytest.mark.parametrize("value", BAD_CAPACITIES, ids=repr)
+    def test_bounded_feasible(self, value):
+        from repro.csdf import bounded_feasible
+
+        with pytest.raises(ValueError, match=self._message("e", value)):
+            bounded_feasible(_two_actor_graph(initial=0), {"e": value})
+
+    @pytest.mark.parametrize("value", BAD_CAPACITIES, ids=repr)
+    @pytest.mark.parametrize("ready_core", Simulator.READY_CORES)
+    def test_simulator(self, ready_core, value):
+        tpdf = random_consistent_graph(
+            4, extra_edges=1, n_cycles=0, seed=2, with_control=False
+        )
+        name = next(iter(tpdf.channels))
+        with pytest.raises(ValueError, match=self._message(name, value)):
+            Simulator(tpdf, capacities={name: value}, ready_core=ready_core)
+
+    def test_integer_types_and_unbounded_are_admitted(self):
+        np = pytest.importorskip("numpy")
+
+        g = _two_actor_graph(initial=0)
+        plain = self_timed_execution(g, iterations=2, capacities={"e": 2})
+        assert self_timed_execution(
+            g, iterations=2, capacities={"e": np.int64(2)}) == plain
+        assert self_timed_execution(
+            g, iterations=2, capacities={"e": None}
+        ) == self_timed_execution(g, iterations=2)
+
+
 class TestInitialTokensContract:
     """Satellite bugfix: a capacity below a channel's initial tokens is
     a documented up-front deadlock — never a silent over-capacity run —
@@ -549,8 +615,12 @@ class TestNegativeCapacity:
 def _plain_greedy_search(graph, iterations):
     """The greedy search with no capacity floors and no probe memo:
     every probe executes.  The oracle the shipped search (which skips
-    provably-infeasible and repeated probes) must match exactly.
-    Returns ``(capacities, executed probes)``."""
+    provably-infeasible and repeated probes) must match exactly.  It
+    starts from the same vector: the unconstrained peaks when a probe
+    accepts them, else the peaks plus each channel's largest production
+    phase.  Returns ``(capacities, executed probes)``, the start probe
+    included."""
+    from repro.csdf.simulation import rate_table
     from repro.csdf.throughput import (
         _MIN_PROBE_ITERATIONS,
         _steady_period,
@@ -567,16 +637,23 @@ def _plain_greedy_search(graph, iterations):
     capacities = dict(unconstrained.peaks)
     probes = 0
 
-    def feasible(name, value):
+    def sustains(caps):
         nonlocal probes
         probes += 1
         try:
             result = self_timed_execution(
-                graph, iterations=iterations,
-                capacities={**capacities, name: value})
+                graph, iterations=iterations, capacities=caps)
         except DeadlockError:
             return False
         return _steady_period(result) <= target + slack
+
+    def feasible(name, value):
+        return sustains({**capacities, name: value})
+
+    if not sustains(capacities):
+        production = rate_table(graph).production
+        for name in capacities:
+            capacities[name] += max(production[name])
 
     warm_bounds = _symbolic_warm_bounds(graph, None)
     for name in sorted(capacities):
@@ -648,6 +725,33 @@ class TestBufferSearch:
         g = _two_actor_graph(initial=3)
         with pytest.raises(DeadlockError, match="initial tokens"):
             min_buffers_for_full_throughput(g, capacities={"e": 2})
+
+
+class TestSearchSustainsThroughput:
+    """Bugfix regression: the search used to start from the
+    unconstrained peaks without probing them.  Space is reserved when a
+    firing starts, so those peaks often lose throughput: 58 of the 200
+    service-corpus graphs came back with capacities up to 1.75x slower
+    than the unconstrained graph over a 128-iteration window."""
+
+    WINDOW = 128
+
+    def test_corpus_results_sustain_the_unconstrained_period(self):
+        from repro.csdf.throughput import _steady_period
+
+        from ..service.conftest import corpus_items
+
+        slower = []
+        for index, (tpdf, bindings) in enumerate(corpus_items()):
+            graph = tpdf.as_csdf()
+            caps = min_buffers_for_full_throughput(graph, bindings)
+            free = _steady_period(self_timed_execution(
+                graph, bindings, iterations=self.WINDOW))
+            bounded = _steady_period(self_timed_execution(
+                graph, bindings, iterations=self.WINDOW, capacities=caps))
+            if bounded > free + 1e-6 * max(1.0, free):
+                slower.append((index, free, bounded))
+        assert slower == []
 
 
 class TestCapacityFloorSoundness:

@@ -381,7 +381,7 @@ class TestRateTable:
         template = array_state(graph, None)
         session.set_exec_time("a3", 7.0)
         assert rate_table(graph) is table
-        # The executor template is patched, its edge mirrors shared.
+        # The executor template is rebuilt, its edge mirrors carried.
         patched = array_state(graph, None)
         assert patched is not template
         assert patched.in_edges is template.in_edges

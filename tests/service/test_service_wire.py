@@ -178,7 +178,11 @@ class TestServiceSimulate:
     @pytest.mark.parametrize("options", (
         {"limits": {"typo": 4}, "max_firings": 1000},
         {"limits": {"k0": 4}, "cores": 0},
-    ), ids=("unknown-limit", "zero-cores"))
+        {"limits": {"k0": 4}, "capacities": {"e1": "2"}},
+        {"limits": {"k0": 4}, "capacities": {"e1": 2.5}},
+        {"limits": {"k0": 4}, "capacities": {"e1": True}},
+    ), ids=("unknown-limit", "zero-cores", "string-capacity",
+            "float-capacity", "bool-capacity"))
     def test_bad_arguments_are_400_value_errors(self, client, options):
         import http.client
         import json as _json
@@ -200,7 +204,8 @@ class TestServiceSimulate:
             conn.close()
         assert response.status == 400
         assert data["error"]["type"] == "ValueError"
-        with pytest.raises(ValueError, match="unknown nodes|cores must be"):
+        with pytest.raises(ValueError, match="unknown nodes|cores must be|"
+                                             "'e1' must be an integer"):
             client.simulate(graph, **options)
 
 

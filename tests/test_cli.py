@@ -403,6 +403,18 @@ class TestThroughput:
         with pytest.raises(SystemExit, match="typo"):
             main(["throughput", fig1_json, "--probe-caps", str(probe_file)])
 
+    @pytest.mark.parametrize("value", ("2", 2.5, True), ids=repr)
+    def test_probe_caps_non_integer_exits(self, fig1_json, tmp_path, value):
+        """Bugfix regression: a string capacity used to end in a
+        ``TypeError`` traceback, and 2.5 or ``true`` ran."""
+        probe_file = tmp_path / "caps.json"
+        probe_file.write_text(json.dumps([{"e1": value}]))
+        with pytest.raises(SystemExit) as exc:
+            main(["throughput", fig1_json, "--probe-caps", str(probe_file)])
+        assert isinstance(exc.value.code, str)
+        assert "'e1' must be an integer" in exc.value.code
+        assert "\n" not in exc.value.code
+
     def test_probe_caps_requires_array(self, fig1_json, tmp_path):
         probe_file = tmp_path / "caps.json"
         probe_file.write_text(json.dumps({"e1": 4}))
@@ -474,6 +486,31 @@ class TestBufferSearch:
             assert f"  {name}: {value}" in out
         assert f"total: {sum(caps.values())}" in out
         assert "probes executed:" in out
+
+    def test_search_result_sustains_the_period(self, tmp_path, capsys):
+        """Bugfix regression: on this graph the unconstrained peaks
+        (``e1=4, e2=1, e3=1``) equal the capacity floors, and the
+        search used to return them without a probe — period 7.0
+        against the unconstrained 4.0."""
+        from repro.csdf import min_buffers_for_full_throughput
+        from repro.csdf.throughput import self_timed_execution
+        from repro.tpdf import random_consistent_graph
+
+        graph = random_consistent_graph(
+            3, extra_edges=1, n_cycles=0, seed=10, with_control=False,
+        ).as_csdf()
+        path = tmp_path / "three.json"
+        path.write_text(json.dumps(csdf_to_dict(graph)))
+        assert main(["buffers", str(path), "--search"]) == 0
+        out = capsys.readouterr().out
+        caps = min_buffers_for_full_throughput(graph)
+        assert [line for line in out.splitlines()
+                if line.startswith("  ")] == [
+            f"  {name}: {caps[name]}" for name in sorted(caps)]
+        for iterations in (6, 128):
+            run = self_timed_execution(graph, iterations=iterations,
+                                       capacities=caps)
+            assert run.iteration_period == 4.0
 
 
 class TestErrors:

@@ -45,8 +45,9 @@ class TestM1BumpKind:
     def test_kind_keyword_passes(self):
         assert _rules("bump_version(g, kind='structural')\n") == []
 
-    def test_scope_keyword_passes(self):
-        assert _rules("bump_version(g, scope=('a',))\n") == []
+    def test_scope_keyword_flagged(self):
+        # ``scope=`` is not a kind (the keyword no longer exists).
+        assert _rules("bump_version(g, scope=('a',))\n") == ["M1"]
 
     def test_positional_kind_passes(self):
         assert _rules("bump_version(g, 'binding')\n") == []

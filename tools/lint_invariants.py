@@ -7,10 +7,10 @@ call site looks fine; the invariant is global):
 
 ``M1 bump-kind``
     Every ``bump_version(...)`` call must say *what kind* of mutation
-    it records (an explicit ``kind=``/``scope=`` argument or a
-    positional kind).  A bare ``bump_version(g)`` silently records an
-    unscoped structural edit, which defeats the delta-aware
-    incremental re-analysis introduced for edit traffic.
+    it records (an explicit ``kind=`` argument or a positional kind).
+    A bare ``bump_version(g)`` silently records a structural edit,
+    which drops every result the incremental re-analysis would carry
+    across an execution-time edit.
 
 ``M1 mutate-bump``
     Every mutating method of the graph-model classes (``CSDFGraph``,
@@ -93,7 +93,7 @@ M1_EXEMPT_METHODS = frozenset({
 #: rule mandates) and simulation run state.
 M1_EXEMPT_ATTRS = frozenset({
     "_analysis_cache", "_analysis_version", "_analysis_frozen",
-    "_analysis_mutations", "_analysis_content",
+    "_analysis_structure", "_analysis_content",
 })
 
 #: ``time.*`` attributes banned by M3 (wall clock); the monotonic
@@ -159,7 +159,7 @@ def _called_names(fn: ast.FunctionDef) -> set[str]:
 
 def _check_m1(tree: ast.Module, path: str) -> list[Violation]:
     violations: list[Violation] = []
-    # bump-kind: every bump_version call carries an explicit kind/scope.
+    # bump-kind: every bump_version call carries an explicit kind.
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -169,11 +169,11 @@ def _check_m1(tree: ast.Module, path: str) -> list[Violation]:
         if name != "bump_version":
             continue
         has_kind = (len(node.args) >= 2
-                    or any(kw.arg in ("kind", "scope") for kw in node.keywords))
+                    or any(kw.arg == "kind" for kw in node.keywords))
         if not has_kind:
             violations.append(Violation(
                 "M1", path, node.lineno,
-                "bump_version() without an explicit kind/scope — say what "
+                "bump_version() without an explicit kind — say what "
                 "this mutation is so incremental re-analysis can use it",
             ))
     # mutate-bump: mutating methods of graph classes hit the machinery.
