@@ -3,12 +3,13 @@ class.
 
 The analysis front door is edit-aware: each bump is binding or
 structural, and two per-graph counters (version, structure) let the
-carryable products (repetition vector, liveness, HSDF structure,
-buffer schedule, the executor template's rate fields) survive every
-binding-only bump.  MCR is memoized per HSDF SCC in a cross-version
-content store (changed components warm-start Howard from the
-remembered cycle policy), and each version's executor template
-re-reads only the execution-time tables.
+carryable products (repetition vector, liveness, the MCR's
+rings-and-cores decomposition, buffer schedule, the executor
+template's rate fields) survive every binding-only bump.  The rings
+of the actors outside the cyclic cores are closed-form, each core's
+MCR is memoized in a cross-version content store (changed cores
+warm-start Howard from the remembered cycle policy), and each
+version's executor template re-reads only the execution-time tables.
 
 This bench replays the edit-loop workload those mechanisms target: one
 graph, repeated ``EditSession.analyze()`` calls after small edits.
@@ -19,11 +20,12 @@ round — the speedup is only meaningful because the results are
 bit-for-bit identical.  Edit classes:
 
 * ``bind_out``  — execution-time edit on an actor *outside* the cyclic
-  core: every carryable survives, only a tiny singleton SCC re-solves;
+  core: every carryable survives and nothing re-solves (the edited
+  actor's ring is closed-form, the core a content-store hit);
 * ``bind_in``   — execution-time edit *inside* the cyclic core: the
-  core SCC re-solves, warm-started;
-* ``tokens``    — initial-token edit (structural: distances move, rate
-  products still carried per SCC key where unchanged);
+  core re-solves, warm-started;
+* ``tokens``    — initial-token edit (structural: distances move, core
+  ratios still reused per content key where unchanged);
 * ``rate``      — balanced rate scaling (structural: the repetition
   vector and expansion change, closest to a cold run).
 
@@ -54,10 +56,10 @@ TIMING_ROUNDS = 5
 #: Warm floor asserted for out-of-core binding edits at 80 actors.
 #: This is the acceptance bar of the incremental machinery: a weight
 #: edit outside the cyclic core leaves every carryable product valid,
-#: so the warm path pays only the tiny changed SCC, the template's
-#: execution-time tables and the (necessarily re-run) timed stage,
-#: while cold repeats the balance solve, liveness probe, greedy buffer
-#: schedule and full-HSDF MCR.  The measured margin is wide (>10x
+#: so the warm path pays only the edited ring's closed form, the
+#: template's execution-time tables and the (necessarily re-run) timed
+#: stage, while cold repeats the balance solve, liveness probe, greedy
+#: buffer schedule and the core's Howard solve.  The measured margin is wide (>10x
 #: locally); best-of-N timing damps runner noise.  If a future
 #: platform shifts constant factors
 #: below the bar, lower it consciously — never by weakening the parity

@@ -8,6 +8,8 @@ iteration period with back-pressure: tighter buffers serialize the
 pipeline, larger budgets saturate at the bottleneck actor.
 """
 
+from pathlib import Path
+
 from repro.apps.ofdm import bindings_for, build_ofdm_tpdf
 from repro.csdf import (
     buffer_throughput_tradeoff,
@@ -15,9 +17,10 @@ from repro.csdf import (
     self_timed_execution,
 )
 from repro.tpdf import fig2_graph
-from repro.util import ascii_table
+from repro.util import ascii_table, write_csv
 
 SCALES = (1.0, 1.5, 2.0, 4.0)
+RESULTS_DIR = Path(__file__).parent / "results"
 
 
 def sweep():
@@ -146,10 +149,8 @@ def test_ext3_warm_started_buffer_search(benchmark, report):
               "(capacities identical to the cold search; measured "
               "saving = cold - warm probes)",
     )
-    from repro.util import write_csv
-
     write_csv(
-        "benchmarks/results/ext3_warm_buffers.csv",
+        RESULTS_DIR / "ext3_warm_buffers.csv",
         ["graph", "min_total_buffer", "warm_probes", "cold_probes",
          "warm_failed", "est_steps_narrowed"],
         rows,

@@ -402,7 +402,7 @@ def analyze(
     copy of the previous report in O(1), and anything else falls
     through to the chain, which is itself delta-aware (the per-graph
     caches carry binding-insensitive products across execution-time
-    edits and re-solve only the SCCs an edit touched, see
+    edits and re-solve only the cyclic cores an edit touched, see
     :mod:`repro.cache` and :mod:`repro.csdf.mcr`).  Warm results are
     bit-for-bit identical to cold analysis (``fingerprint()``).  See
     :class:`EditSession` for the convenience wrapper.

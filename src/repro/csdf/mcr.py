@@ -8,57 +8,66 @@ processors equals the *maximum cycle ratio*
                                / ( sum of initial tokens on C )
 
 CSDF graphs are analyzed on the event graph of their exact HSDF
-expansion (:mod:`repro.csdf.sdf`), whose serialization rings
-contribute the per-actor "one firing at a time" cycles.  The event
-graph is emitted straight from the repetition vector and the rate
-tables (:func:`~repro.csdf.sdf.serialization_ring`,
-:func:`~repro.csdf.sdf.flow_edges`) — no HSDF ``CSDFGraph`` is built;
-:func:`~repro.csdf.sdf.expand_to_hsdf` stays the public expansion and
-the oracle the direct build is tested against
-(``tests/csdf/test_event_graph_oracle.py``).
+expansion (:mod:`repro.csdf.sdf`): one node per firing, whose
+serialization rings contribute the per-actor "one firing at a time"
+cycles.  The event graph is never built whole (see "Rings and cores"
+below); :func:`~repro.csdf.sdf.expand_to_hsdf` stays the public
+expansion, the one the oracle reads and the core builder is tested
+against (``tests/csdf/test_event_graph_oracle.py``).
 
 Two solvers are provided:
 
 * :func:`max_cycle_ratio` — **Howard's policy iteration** (the
   max-plus spectral method of Cochet-Terrasson et al., surveyed by
-  Dasdan as the fastest MCR algorithm in practice).  Each iteration
-  evaluates one successor policy in O(V + E) and improves it greedily;
-  convergence typically takes a handful of iterations instead of the
-  ~50 full relaxation sweeps of the parametric search.
+  Dasdan as the fastest MCR algorithm in practice) on every cyclic
+  core.  Each iteration evaluates one successor policy in O(V + E) and
+  improves it greedily; convergence typically takes a handful of
+  iterations instead of the ~50 full relaxation sweeps of the
+  parametric search.
 * :func:`mcr_reference` — the legacy parametric binary search with
-  Bellman-Ford feasibility checks, kept as the independent oracle for
-  the differential test suite (``tests/csdf/test_mcr_differential.py``).
+  Bellman-Ford feasibility checks on the whole expansion, kept as the
+  independent oracle for the differential test suite
+  (``tests/csdf/test_mcr_differential.py``).
 
 Tests cross-validate both against each other and against the converged
 ``self_timed_execution`` period.  For the throughput bound over a whole
 *parameter domain* (instead of one binding at a time) see
-:mod:`repro.csdf.parametric`, which reuses this module's Howard core
-via :func:`howard_critical_cycle` to certify its cyclic-core
-candidates.
+:mod:`repro.csdf.parametric`, which shares this module's core finder
+(:func:`_cyclic_cores`) and core builder (:func:`_core_edges`) and
+certifies each core with one :func:`howard` run.
 
-SCC granularity and warm starts
--------------------------------
-Every cycle lies inside one strongly connected component of the event
-graph, so ``MCR = max over SCCs of the per-SCC MCR``.
-:func:`max_cycle_ratio` exploits this for edit traffic: the weight-free
-*structure* of the expansion is memoized separately from the per-node
-execution times (and carried across binding-only version bumps, see
-:mod:`repro.cache`), the structure is partitioned into SCCs (by the
-Tarjan routine of :mod:`repro.csdf.digraph`, which every analysis
-shares), and each component's ratio is keyed in a cross-version
-content store by its fingerprint (nodes, edges, weights).
-Re-analysis after an edit recomputes only the components whose
-fingerprint changed — an edit outside the cyclic core re-solves a
-serialization ring, not the core.
-Re-solved components warm-start Howard's iteration from the previous
-converged policy for the same component shape
-(:func:`howard` ``initial_policy=``), falling back to the cold initial
-policy whenever the remembered policy is not feasible edge-for-edge.
+Rings and cores
+---------------
+Contract every actor's firings to one node and each event-graph cycle
+projects to a closed walk of the CSDF graph, whose edges all lie inside
+one strongly connected component (the per-cycle view of the paper's
+Sec. III-C).  So every cycle is one of two kinds:
 
-Per-component ratios are extracted from the critical cycle by *exact*
+* the serialization ring of an actor outside the **cyclic cores** (the
+  actor-level SCCs that lie on a cycle): its ``q_a`` firings in a ring
+  carrying one token.  Its ratio is closed-form — whole phase cycles
+  times the sum of the phase times, plus the leftover prefix, summed
+  exactly (:class:`fractions.Fraction`) — and needs no expansion;
+* a cycle inside one core's sub-expansion: the core's firings with
+  their rings and the flows of the channels inside the core, built
+  from the *global* repetition counts and solved by one Howard run.
+
+The weight-free part — the ``(actor, q_a)`` pairs outside the cores and
+each core's nodes and edges — is one cache entry, carried across
+execution-time edits (see :mod:`repro.cache`); execution times are
+read per query.  Each core's ratio is keyed in a cross-version content
+store by its fingerprint (nodes, edges, weights), so re-analysis after
+an edit re-solves only the cores whose fingerprint changed — an edit
+outside every core re-solves nothing, its ring being closed-form.
+Re-solved cores warm-start Howard's iteration from the previous
+converged policy for the same core shape (:func:`howard`
+``initial_policy=``), falling back to the cold initial policy whenever
+the remembered policy is not feasible edge-for-edge.
+
+A core's ratio is extracted from the critical cycle by *exact*
 rational summation (:class:`fractions.Fraction` over the cycle's float
 weights and distances), which makes the stored value a pure function of
-the component fingerprint — warm and cold re-analysis are bit-for-bit
+the core fingerprint — warm and cold re-analysis are bit-for-bit
 identical even when policy iteration converges to a different
 equally-critical cycle.
 
@@ -80,98 +89,119 @@ Examples
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import cycle, islice
 from typing import Mapping
 
 from ..cache import bindings_key, cached, content_store, register_binding_insensitive
 from ..errors import AnalysisError
 from .analysis import concrete_repetition_vector
-from .digraph import nontrivial_components, tarjan_components
+from .digraph import adjacency, nontrivial_components, tarjan_components
 from .graph import CSDFGraph
-from .sdf import check_firing_names, firing_name, flow_edges, serialization_ring
+from .sdf import (
+    check_firing_names, expand_to_hsdf, firing_name, flow_edges, serialization_ring,
+)
+from .simulation import rate_table
 
 #: Strict-improvement threshold of the policy iteration; values closer
 #: than this are considered equal, which keeps ties from cycling.
 _EPS = 1e-10
 
+#: Precision of the binary search standing in for Howard's iteration
+#: on a core it did not converge on.
+_FALLBACK_TOLERANCE = 1e-6
+
 #: Cross-version content stores (see :func:`repro.cache.content_store`).
-_SCC_STORE = "mcr_scc"          # component fingerprint -> exact ratio
-_POLICY_STORE = "mcr_scc_policy"  # component shape -> converged policy
+_SCC_STORE = "mcr_scc"          # core fingerprint -> exact ratio
+_POLICY_STORE = "mcr_scc_policy"  # core shape -> converged policy
 
 
-def _hsdf_structure(graph: CSDFGraph, bindings: Mapping | None):
-    """The weight-free shape of the event graph the MCR is computed on.
+def _cyclic_cores(csdf: CSDFGraph) -> list[frozenset[str]]:
+    """Nontrivial SCCs of the CSDF digraph: actor sets lying on directed
+    cycles (including single actors with a self-loop channel)."""
+    actors = list(csdf.actors)
+    adj = adjacency(actors, ((c.src, c.dst) for c in csdf.channels.values()))
+    cores = [frozenset(actors[u] for u in group)
+             for group in nontrivial_components(adj)]
+    return sorted(cores, key=lambda s: sorted(s))
 
-    Returns ``(nodes, struct_edges)`` with ``struct_edges`` as
-    ``(src, dst, t)`` tuples: ``t`` the *dependency distance* in
-    iterations.  An expansion channel moving ``c`` tokens per firing
-    with ``delta * c`` initial tokens means the consumer's firing of
-    iteration ``i`` waits for the producer's firing of iteration
-    ``i - delta`` — the distance is ``initial_tokens / c``, not the raw
-    token count (using the raw count under-constrains rate->1 channels
-    and yields an MCR below the true self-timed period).  Actors
-    without a serialization ring get the standard one-iteration
-    self-loop encoding "next iteration's firing waits for this one".
 
-    Execution times are deliberately absent: every edge's weight is the
-    producing firing's execution time, resolved per query by
-    :func:`_node_weights`.  That split lets the memoized structure
-    survive binding-only version bumps (execution-time edits) — it is
-    registered binding-insensitive with :mod:`repro.cache`.
+def _core_edges(actors: list[str], channels, q: Mapping[str, int],
+                bindings: Mapping | None = None):
+    """The weight-free event graph of one cyclic core, ``(nodes,
+    edges)`` with ``edges`` as ``(src, dst, distance)``.
+
+    It is the expansion (:func:`~repro.csdf.sdf.expand_to_hsdf` plus
+    the MCR's distance encoding) restricted to the core's ``actors``
+    and ``channels``, with the **global** repetition counts ``q``: the
+    core is analyzed in the whole graph's iteration, so its ratio
+    composes with the rings outside it.  Each actor's firings and ring
+    (a self-loop for a single firing) come in ``actors`` order, then
+    the channel flows.  A flow's distance is its iteration offset, the
+    expansion channel's initial tokens over its rate: the raw token
+    count under-constrains channels of rate above 1 and yields an MCR
+    below the true self-timed period.  Every edge weighs its source
+    firing's execution time (:func:`_firing_times`, :func:`_weighted`).
     """
-    return cached(
-        graph, ("hsdf_structure", bindings_key(bindings)),
-        lambda: _build_structure(graph, bindings),
-    )
-
-
-def _build_structure(graph: CSDFGraph, bindings: Mapping | None):
-    """The event graph of :func:`~repro.csdf.sdf.expand_to_hsdf`,
-    emitted straight from the repetition vector and the rate tables:
-    the nodes in ``q`` order, then the serialization rings of the
-    actors firing more than once (in ``q`` order), the channel flows
-    (in channel order), and the one-token self-loops of the actors
-    firing once — the nodes and edges the expansion's actors and
-    channels read back to, in the same order."""
-    check_firing_names(graph)
-    q = concrete_repetition_vector(graph, bindings)
     nodes = tuple(
-        firing_name(name, k) for name, count in q.items() for k in range(1, count + 1)
+        firing_name(name, k) for name in actors for k in range(1, q[name] + 1)
     )
-    edges = [
-        edge for name, count in q.items() if count > 1
-        for edge in serialization_ring(name, count)
-    ]
-    for channel in graph.channels.values():
+    edges = [edge for name in actors for edge in serialization_ring(name, q[name])]
+    for channel in channels:
         edges.extend(flow_edges(channel, q[channel.src], q[channel.dst], bindings))
-    edges.extend(
-        edge for name, count in q.items() if count == 1
-        for edge in serialization_ring(name, 1)
-    )
     return nodes, tuple(edges)
 
 
-register_binding_insensitive("hsdf_structure")
+def _firing_times(graph: CSDFGraph, firings) -> tuple[float, ...]:
+    """The execution time of every firing of the ``(actor, count)``
+    pairs, in node order (each actor's phases, cyclically)."""
+    return tuple(
+        time for name, count in firings
+        for time in islice(cycle(graph.actor(name).exec_times), count)
+    )
 
 
-def _node_weights(graph: CSDFGraph, nodes) -> dict[str, float]:
-    """Execution time of every expansion firing, read live from the
-    source graph (node ``a#k`` is the k-th firing of actor ``a``, so
-    its weight is phase ``k - 1`` of the actor's execution sequence).
+def _weighted(nodes, edges, times):
+    """``(src, dst, weight, distance)`` edges: each edge weighs its
+    source firing's execution time."""
+    weight = dict(zip(nodes, times))
+    return [(src, dst, weight[src], t) for src, dst, t in edges]
+
+
+def _decomposition(graph: CSDFGraph, bindings: Mapping | None):
+    """The weight-free split of the event graph, ``(rings, cores)``.
+
+    ``rings`` holds the ``(actor, q_a)`` pairs of the actors outside
+    every cyclic core, ``cores`` one ``(firings, nodes, edges)`` per
+    core (:func:`_core_edges`), ``firings`` its ``(actor, q_a)`` pairs
+    in node order.  Execution times are absent, so the entry survives
+    execution-time edits: it is registered binding-insensitive with
+    :mod:`repro.cache`.
     """
-    weights = {}
-    for name in nodes:
-        base, _, firing = name.rpartition("#")
-        weights[name] = graph.actor(base).exec_time(int(firing) - 1)
-    return weights
+    return cached(
+        graph, ("mcr_cores", bindings_key(bindings)),
+        lambda: _decompose(graph, bindings),
+    )
 
 
-def _hsdf_edges(graph: CSDFGraph, bindings: Mapping | None):
-    """The weighted event graph: ``(nodes, edges)`` with ``edges`` as
-    ``(src, dst, w, t)`` — structure from :func:`_hsdf_structure`,
-    weights resolved against the graph's current execution times."""
-    nodes, struct = _hsdf_structure(graph, bindings)
-    weights = _node_weights(graph, nodes)
-    return list(nodes), [(src, dst, weights[src], t) for src, dst, t in struct]
+def _decompose(graph: CSDFGraph, bindings: Mapping | None):
+    check_firing_names(graph)
+    q = concrete_repetition_vector(graph, bindings)
+    # Every channel's rates, in channel order: a parameter missing from
+    # ``bindings`` raises its KeyError even when no core reads it.
+    rate_table(graph, bindings)
+    cores = _cyclic_cores(graph)
+    in_cores = set().union(*cores)
+    rings = tuple((name, count) for name, count in q.items() if name not in in_cores)
+    built = []
+    for core in cores:
+        actors = sorted(core)
+        channels = [c for c in graph.channels.values() if c.src in core and c.dst in core]
+        nodes, edges = _core_edges(actors, channels, q, bindings)
+        built.append((tuple((name, q[name]) for name in actors), nodes, edges))
+    return rings, tuple(built)
+
+
+register_binding_insensitive("mcr_cores")
 
 
 def _check_deadlock_free(n_nodes: int, out_edges) -> None:
@@ -199,37 +229,6 @@ def _check_deadlock_free(n_nodes: int, out_edges) -> None:
                 "cycle with zero tokens and positive execution time: the "
                 "graph deadlocks, MCR undefined"
             )
-
-
-def _scc_components(nodes, struct_edges):
-    """Cycle-capable SCCs of the weight-free structure.
-
-    Returns ``[(comp_nodes, comp_edges), ...]`` with ``comp_nodes`` in
-    global node order and ``comp_edges`` the intra-component subset of
-    ``struct_edges`` in global edge order — a pure, deterministic
-    function of the inputs, so identical structures always yield
-    identical component fingerprints.  Singleton components without a
-    self-edge lie on no cycle and are dropped (they contribute ratio 0).
-    Components are ordered by their member names.
-    """
-    n = len(nodes)
-    idx = {name: i for i, name in enumerate(nodes)}
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for src, dst, _t in struct_edges:
-        adj[idx[src]].append(idx[dst])
-    comp = tarjan_components(n, adj)
-    # One pass buckets the intra-component edges, in global edge order.
-    inner: dict[int, list] = {}
-    for e in struct_edges:
-        c = comp[idx[e[0]]]
-        if c == comp[idx[e[1]]]:
-            inner.setdefault(c, []).append(e)
-    cyclic = [
-        (tuple(nodes[u] for u in group), tuple(inner.get(comp[group[0]], ())))
-        for group in nontrivial_components(adj, comp)
-    ]
-    cyclic.sort(key=lambda item: item[0])
-    return cyclic
 
 
 def _exact_cycle_ratio(cycle_edges) -> float:
@@ -289,22 +288,6 @@ def howard(nodes: list[str], edges, initial_policy: Mapping | None = None):
         names[u]: (names[policy[u][0]], policy[u][2]) for u in live_nodes
     }
     return _exact_cycle_ratio(cycle_edges), cycle_edges, policy_out
-
-
-def howard_critical_cycle(nodes: list[str], edges):
-    """Howard's iteration plus the critical cycle that attains the MCR.
-
-    Returns ``(mcr, cycle_edges)`` (see :func:`howard`), or ``None``
-    when the iteration did not converge.  Used by
-    :mod:`repro.csdf.parametric` to turn the float verdict into an
-    exact rational certificate (the cycle's weights and distances are
-    re-summed exactly).
-    """
-    solved = howard(nodes, edges)
-    if solved is None:
-        return None
-    mcr, cycle_edges, _policy = solved
-    return mcr, cycle_edges
 
 
 def _howard_solve(nodes: list[str], edges, initial_policy: Mapping | None = None):
@@ -461,15 +444,31 @@ def mcr_reference(
     ``exec(src) - lambda * tokens(e)`` admit no positive cycle (checked
     with Bellman-Ford longest-path relaxation).
 
-    Kept verbatim as the independent oracle the differential test
-    harness cross-validates Howard's iteration against.  The result is
-    within ``tolerance`` of the true MCR.
+    Kept as the independent oracle the differential test harness
+    cross-validates Howard's iteration against, on an event graph of
+    its own: read back from the public
+    :func:`~repro.csdf.sdf.expand_to_hsdf`, one edge per expansion
+    channel with distance initial tokens / rate, plus the one-token
+    self-loop of every actor firing once per iteration (told from the
+    repetition vector, not from channel names).  The result is within
+    ``tolerance`` of the true MCR.
     """
-    nodes, edges = _hsdf_edges(graph, bindings)
+    hsdf = expand_to_hsdf(graph, bindings)
+    q = concrete_repetition_vector(graph, bindings)
+    weights = {name: actor.exec_time() for name, actor in hsdf.actors.items()}
+    edges = [
+        (c.src, c.dst, weights[c.src], c.initial_tokens / c.consumption.as_ints(None)[0])
+        for c in hsdf.channels.values()
+    ]
+    for name, count in q.items():
+        if count == 1:
+            node = firing_name(name, 1)
+            edges.append((node, node, weights[node], 1.0))
     if not edges:
         return 0.0
+    nodes = list(weights)
     lo = 0.0
-    hi = sum(_node_weights(graph, nodes).values()) + 1.0
+    hi = sum(weights.values()) + 1.0
     if _has_positive_cycle(nodes, edges, hi):
         raise AnalysisError(
             "cycle with zero tokens and positive execution time: the "
@@ -507,65 +506,69 @@ def _has_positive_cycle(nodes, edges, lam: float) -> bool:
     return False
 
 
-def max_cycle_ratio(
-    graph: CSDFGraph,
-    bindings: Mapping | None = None,
-    tolerance: float = 1e-6,
-) -> float:
-    """The MCR of the graph's HSDF expansion (0.0 for acyclic graphs
-    whose expansion has no token-bearing cycle, i.e. unbounded
-    single-iteration throughput; with serialization rings there is
-    always at least the per-actor cycle, so the result is the
-    bottleneck-actor bound or worse).
+def max_cycle_ratio(graph: CSDFGraph, bindings: Mapping | None = None) -> float:
+    """The MCR of the graph's HSDF expansion (0.0 for a graph without
+    actors; every actor's serialization ring is a cycle, so the result
+    is the bottleneck-actor bound or worse).
 
-    Computed per strongly connected component with Howard's policy
-    iteration (exact up to float rounding); component results are
-    memoized across graph versions by content fingerprint, so
-    re-analysis after an edit re-solves only the components the edit
-    touched.  ``tolerance`` is kept for API compatibility and only
-    governs the binary-search fallback on the rare non-convergent
-    component.  Results are memoized per graph version.
+    The rings of the actors outside the cyclic cores are closed-form;
+    each core is solved with Howard's policy iteration (exact up to
+    float rounding), its result memoized across graph versions by
+    content fingerprint, so re-analysis after an edit re-solves only
+    the cores the edit touched.  Results are memoized per graph
+    version.
     """
     return cached(
         graph, ("mcr", bindings_key(bindings)),
-        lambda: _max_cycle_ratio(graph, bindings, tolerance),
+        lambda: _max_cycle_ratio(graph, bindings),
     )
 
 
-def _max_cycle_ratio(graph: CSDFGraph, bindings: Mapping | None, tolerance: float) -> float:
-    nodes, struct = _hsdf_structure(graph, bindings)
-    if not struct:
-        return 0.0
-    weights = _node_weights(graph, nodes)
+def _max_cycle_ratio(graph: CSDFGraph, bindings: Mapping | None) -> float:
+    rings, cores = _decomposition(graph, bindings)
     best = 0.0
-    for comp_nodes, comp_edges in _scc_components(nodes, struct):
-        ratio = _component_mcr(graph, comp_nodes, comp_edges, weights, tolerance)
+    for name, count in rings:
+        ratio = _ring_ratio(graph.actor(name).exec_times, count)
+        if ratio > best:
+            best = ratio
+    for firings, nodes, edges in cores:
+        ratio = _component_mcr(graph, firings, nodes, edges)
         if ratio > best:
             best = ratio
     return best
 
 
-def _component_mcr(graph, comp_nodes, comp_edges, weights, tolerance) -> float:
-    """One SCC's cycle ratio, memoized across versions by fingerprint.
+def _ring_ratio(times: tuple[float, ...], count: int) -> float:
+    """The ratio of a ring of ``count`` firings cycling through the
+    phase ``times`` and carrying one token: whole phase cycles times
+    the phases' sum plus the leftover prefix, in exact arithmetic — the
+    value :func:`_exact_cycle_ratio` gives the ring's edges, whatever
+    ``count`` is."""
+    whole, left = divmod(count, len(times))
+    return float(whole * sum(map(Fraction, times)) + sum(map(Fraction, times[:left])))
 
-    The fingerprint covers everything the ratio depends on — the
-    component's nodes, its weight-free edges, and its node weights — so
-    a store hit is exact by construction; deadlocked components are
-    never stored (the raise propagates to the per-version cache, which
+
+def _component_mcr(graph: CSDFGraph, firings, nodes, edges) -> float:
+    """One core's cycle ratio, memoized across versions by fingerprint.
+
+    The fingerprint covers everything the ratio depends on — the core's
+    nodes, its weight-free edges, and its firings' execution times — so
+    a store hit is exact by construction; deadlocked cores are never
+    stored (the raise propagates to the per-version cache, which
     memoizes exceptions itself).
     """
     store = content_store(graph, _SCC_STORE)
-    comp_weights = tuple(weights[name] for name in comp_nodes)
-    key = (comp_nodes, comp_edges, comp_weights)
+    times = _firing_times(graph, firings)
+    key = (nodes, edges, times)
     hit = store.get(key)
     if hit is not None:
         return hit
-    edges = [(src, dst, weights[src], t) for src, dst, t in comp_edges]
+    weighted = _weighted(nodes, edges, times)
     policies = content_store(graph, _POLICY_STORE)
-    shape = (comp_nodes, comp_edges)
-    solved = howard(list(comp_nodes), edges, initial_policy=policies.get(shape))
+    shape = (nodes, edges)
+    solved = howard(list(nodes), weighted, initial_policy=policies.get(shape))
     if solved is None:
-        ratio = _component_reference(comp_nodes, edges, comp_weights, tolerance)
+        ratio = _component_reference(nodes, weighted, times)
     else:
         ratio, _cycle, policy = solved
         policies.put(shape, policy)
@@ -573,19 +576,19 @@ def _component_mcr(graph, comp_nodes, comp_edges, weights, tolerance) -> float:
     return ratio
 
 
-def _component_reference(comp_nodes, edges, comp_weights, tolerance) -> float:
-    """Binary-search fallback for a non-convergent component (same
-    search as :func:`mcr_reference`, restricted to the component)."""
+def _component_reference(nodes, edges, times) -> float:
+    """Binary-search fallback for a non-convergent core (same search as
+    :func:`mcr_reference`, restricted to the core)."""
     lo = 0.0
-    hi = sum(comp_weights) + 1.0
-    if _has_positive_cycle(comp_nodes, edges, hi):
+    hi = sum(times) + 1.0
+    if _has_positive_cycle(nodes, edges, hi):
         raise AnalysisError(
             "cycle with zero tokens and positive execution time: the "
             "graph deadlocks, MCR undefined"
         )
-    while hi - lo > tolerance:
+    while hi - lo > _FALLBACK_TOLERANCE:
         mid = (lo + hi) / 2.0
-        if _has_positive_cycle(comp_nodes, edges, mid):
+        if _has_positive_cycle(nodes, edges, mid):
             lo = mid
         else:
             hi = mid

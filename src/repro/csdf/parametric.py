@@ -29,10 +29,12 @@ each HSDF cycle is one of exactly two kinds:
   directed cycles, including self-loop channels).  When that cyclic
   core has *binding-independent structure* — constant rates on its
   channels and constant repetition counts for its actors — the
-  sub-expansion is the same finite weighted graph at every valuation,
-  and one Howard run with exact critical-cycle extraction
-  (:func:`repro.csdf.mcr.howard_critical_cycle`) yields its maximum
-  cycle ratio as a single exact rational constant.
+  sub-expansion is the same finite weighted graph at every valuation.
+  It is built by the concrete solver's own core builder
+  (:func:`repro.csdf.mcr._core_edges`, on the cores its
+  ``_cyclic_cores`` finds), and one :func:`~repro.csdf.mcr.howard` run
+  with the critical cycle re-summed exactly yields its maximum cycle
+  ratio as a single exact rational constant.
 
 The parametric MCR is then the exact upper envelope of finitely many
 candidates.  Graphs whose cyclic core itself changes shape with the
@@ -81,10 +83,10 @@ from ..cache import cached, domain_key
 from ..errors import AnalysisError, ParametricMCRError
 from ..symbolic import Poly, Rat, normalize_bindings
 from .analysis import repetition_vector
-from .digraph import adjacency, nontrivial_components
 from .graph import CSDFGraph
-from .mcr import howard_critical_cycle, max_cycle_ratio
-from .sdf import firing_name, flow_edges, serialization_ring
+from .mcr import (
+    _core_edges, _cyclic_cores, _firing_times, _weighted, howard, max_cycle_ratio,
+)
 
 #: A box: tuple of (parameter name, inclusive lo, inclusive hi),
 #: sorted by name.
@@ -532,16 +534,6 @@ def _ring_candidate(csdf: CSDFGraph, name: str, q_sym: Mapping[str, Poly]) -> MC
     return MCRCandidate(f"ring:{name}", "ring", Rat(q_sym[name].scale(mean)))
 
 
-def _cyclic_cores(csdf: CSDFGraph) -> list[frozenset[str]]:
-    """Nontrivial SCCs of the CSDF digraph: actor sets lying on directed
-    cycles (including single actors with a self-loop channel)."""
-    actors = list(csdf.actors)
-    adj = adjacency(actors, ((c.src, c.dst) for c in csdf.channels.values()))
-    cores = [frozenset(actors[u] for u in group)
-             for group in nontrivial_components(adj)]
-    return sorted(cores, key=lambda s: sorted(s))
-
-
 def _core_candidate(
     csdf: CSDFGraph, scc: frozenset[str], q_sym: Mapping[str, Poly]
 ) -> MCRCandidate:
@@ -553,9 +545,10 @@ def _core_candidate(
     cycle from one Howard run, re-summing its weights and distances
     exactly.
     """
-    label = f"cycle:{'+'.join(sorted(scc))}"
+    actors = sorted(scc)
+    label = f"cycle:{'+'.join(actors)}"
     q_core: dict[str, int] = {}
-    for name in sorted(scc):
+    for name in actors:
         poly = q_sym[name]
         if not poly.is_const():
             raise ParametricMCRError(
@@ -582,13 +575,14 @@ def _core_candidate(
                 f"support (evaluate concretely per binding instead)"
             )
 
-    nodes, edges = _core_edges(csdf, sorted(scc), core_channels, q_core)
-    solved = howard_critical_cycle(nodes, edges)
+    nodes, edges = _core_edges(actors, core_channels, q_core)
+    times = _firing_times(csdf, q_core.items())
+    solved = howard(list(nodes), _weighted(nodes, edges, times))
     if solved is None:  # pragma: no cover - Howard converges on real cores
         raise ParametricMCRError(
             f"Howard's iteration did not converge on the cyclic core {label}"
         )
-    _, cycle_edges = solved
+    _, cycle_edges, _policy = solved
     weight = Fraction(0)
     tokens = Fraction(0)
     for _, _, w, t in cycle_edges:
@@ -601,30 +595,6 @@ def _core_candidate(
     else:
         ratio = Rat(Poly.const(weight), Poly.const(tokens))
     return MCRCandidate(label, "cycle", ratio)
-
-
-def _core_edges(csdf: CSDFGraph, actors: list[str], channels, q: Mapping[str, int]):
-    """The core's weighted event graph, mirroring the full expansion
-    (:func:`repro.csdf.sdf.expand_to_hsdf` + the MCR edge encoding)
-    restricted to the core's actors and channels, with the **global**
-    repetition counts — the core is analyzed in the whole graph's
-    iteration, so its ratio composes with the ring candidates.  Each
-    actor's ring (a self-loop for a single firing) follows its firings,
-    then the channel flows; every edge weighs its source firing's
-    execution time."""
-    nodes: list[str] = []
-    weights: dict[str, float] = {}
-    struct: list[tuple[str, str, float]] = []
-    for name in actors:
-        actor = csdf.actor(name)
-        for k in range(1, q[name] + 1):
-            node = firing_name(name, k)
-            nodes.append(node)
-            weights[node] = actor.exec_time(k - 1)
-        struct.extend(serialization_ring(name, q[name]))
-    for channel in channels:
-        struct.extend(flow_edges(channel, q[channel.src], q[channel.dst]))
-    return nodes, [(src, dst, weights[src], t) for src, dst, t in struct]
 
 
 # ----------------------------------------------------------------------

@@ -15,9 +15,10 @@ generalizes SDF while staying decidable.  This module provides:
 * :func:`serialization_ring` and :func:`flow_edges` — the weight-free
   edges ``(src, dst, distance)`` of the expansion's event graph,
   emitted straight from the repetition vector and the rate tables.
-  The MCR (:mod:`repro.csdf.mcr`) and the parametric engine's core
-  builder use them instead of building the HSDF graph;
-  :func:`expand_to_hsdf` stays the public expansion and their oracle.
+  The core builder that the MCR (:mod:`repro.csdf.mcr`) and the
+  parametric engine share uses them instead of building the HSDF
+  graph; :func:`expand_to_hsdf` stays the public expansion and its
+  oracle.
 
 Construction (Sriram & Bhattacharyya's standard formulation): for a
 channel ``a -> b`` with cumulative production ``X``, cumulative
@@ -71,9 +72,9 @@ def channel_firing_flows(channel, q_src: int, q_dst: int,
     hands ``count`` tokens to consumer firing ``m`` of ``delta``
     iterations later — the interval-overlap construction documented in
     the module header, parameterized by the repetition counts so both
-    the full HSDF expansion and the parametric engine's cyclic-core
-    builder (:mod:`repro.csdf.parametric`, which passes the *global*
-    counts restricted to the core) share one implementation.  The
+    the full HSDF expansion and the cyclic-core builder of
+    :mod:`repro.csdf.mcr` (which passes the *global* counts restricted
+    to the core) share one implementation.  The
     cumulative counts are prefix sums of the channel's integer phases
     under ``bindings``.
     """

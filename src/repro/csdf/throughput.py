@@ -734,7 +734,8 @@ def min_buffers_for_full_throughput(
 
     The measured probe periods are still finite-horizon (``iterations``
     long, floored at ``_MIN_PROBE_ITERATIONS`` so every estimate has a
-    steady window to average over), so the analytic target is only
+    steady window to average over; below one iteration it raises the
+    executor's ``ValueError``), so the analytic target is only
     adopted when the unconstrained execution confirms it (measured
     period within ``tolerance`` of the MCR, *relative* to the period
     scale so large-exec-time graphs converge too).  Otherwise — horizon too short to
@@ -796,10 +797,11 @@ def min_buffers_for_full_throughput(
     values are kept verbatim (validated against the graph's channel
     names — unknown names raise ``ValueError``; a pin below a
     channel's initial tokens raises the same up-front
-    :class:`~repro.errors.DeadlockError` as the executors) and only
-    the remaining channels are minimized subject to the pins.  Pins
-    below the analytic :func:`capacity_floors` are provably infeasible
-    and raise ``ValueError`` up front; above the floor the search has
+    :class:`~repro.errors.DeadlockError` as the executors; a ``None``
+    pin keeps the channel unbounded) and only the remaining channels
+    are minimized subject to the pins.  Pins below the analytic
+    :func:`capacity_floors` are provably infeasible and raise
+    ``ValueError`` up front; above the floor the search has
     the same best-effort semantics as the unpinned case (each free
     channel minimal against the observed probe verdicts).
     """
@@ -811,6 +813,8 @@ def min_buffers_for_full_throughput(
     # aliasing-prone estimator this search was explicitly cured of.
     # Short requests are executed at the minimum sound horizon instead
     # (more iterations never bias the estimate, they only steady it).
+    if iterations < 1:
+        raise ValueError("need at least one iteration")
     iterations = max(iterations, _MIN_PROBE_ITERATIONS)
 
     pins = dict(capacities) if capacities else {}
@@ -843,7 +847,8 @@ def min_buffers_for_full_throughput(
     floors = capacity_floors(graph, bindings)
     if pins:
         below = sorted(
-            name for name, value in pins.items() if value < floors[name]
+            name for name, value in pins.items()
+            if value is not None and value < floors[name]
         )
         if below:
             # Provably infeasible (the floor argument of
@@ -869,7 +874,8 @@ def min_buffers_for_full_throughput(
         return _steady_period(result)
 
     def period_with(caps: Mapping[str, int]) -> float:
-        if any(caps[name] < floor for name, floor in floors.items()):
+        if any(caps[name] is not None and caps[name] < floor
+               for name, floor in floors.items()):
             # Provably infeasible — the verdict an execution would
             # reach, without the execution.
             counters["probes_floored"] += 1

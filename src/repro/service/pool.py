@@ -6,7 +6,7 @@ process spin-up or graph decode: each worker holds a bounded decode
 cache of warm graphs keyed by payload content
 fingerprint (:class:`repro.cache.ContentStore`), so a graph that was
 ever analyzed stays decoded, its :mod:`repro.cache` state — balance
-solutions, HSDF structure, per-SCC MCR memos, SoA execution
+solutions, MCR core structure, per-core MCR memos, SoA execution
 templates — warm across requests, and a repeat request (different
 bindings, more iterations, a parametric domain) pays only the delta.
 

@@ -27,7 +27,7 @@ from repro.csdf.buffers import _sink_distance
 from repro.csdf.digraph import (adjacency, condensation_order,
                                 nontrivial_components, reachable,
                                 tarjan_components)
-from repro.csdf.parametric import _cyclic_cores
+from repro.csdf.mcr import _cyclic_cores
 from repro.csdf.symbuf import bound_is_tight_for_single_appearance
 from repro.tpdf import random_consistent_graph
 from repro.tpdf.areas import influenced, predecessors, successors

@@ -1,20 +1,30 @@
-"""Differential oracle for the MCR event graph.
+"""Differential oracle for the MCR's rings-and-cores decomposition.
 
-:func:`repro.csdf.mcr._build_structure` emits the weight-free event
-graph ``(nodes, (src, dst, distance) edges)`` straight from the
-repetition vector and the rate tables.  The reference reads the same
-structure back from the full HSDF expansion
-(:func:`repro.csdf.sdf.expand_to_hsdf`), the way the MCR did before
-the direct build; nodes, edges, distances and their order must match.
+:func:`repro.csdf.mcr.max_cycle_ratio` never builds the whole event
+graph.  Its weight-free decomposition
+(:func:`repro.csdf.mcr._decomposition`) keeps the ``(actor, q_a)``
+pairs of the actors outside the cyclic cores, whose serialization
+rings are closed-form, and builds each core's event graph
+``(nodes, (src, dst, distance) edges)`` straight from the repetition
+vector and the rate tables (:func:`repro.csdf.mcr._core_edges`).  The
+reference reads the whole event graph back from the HSDF expansion
+(:func:`repro.csdf.sdf.expand_to_hsdf`): each core's nodes, edges,
+distances and their order must equal the expansion restricted to the
+core's firings, and every other actor must have exactly its ring there,
+whose exact sum is the closed-form ratio.
 """
+
+from fractions import Fraction
 
 import pytest
 
+import repro.csdf.mcr as mcr_mod
 from repro import gallery
 from repro.analysis import analyze
 from repro.csdf import CSDFGraph, max_cycle_ratio, sdf
 from repro.csdf.analysis import concrete_repetition_vector
-from repro.csdf.mcr import _build_structure
+from repro.csdf.digraph import adjacency, nontrivial_components
+from repro.csdf.mcr import _decomposition, _ring_ratio, mcr_reference
 from repro.errors import GraphConstructionError
 from repro.tpdf import fig2_graph, random_consistent_graph
 
@@ -33,23 +43,32 @@ SHAPES = (
 SEEDS_PER_SHAPE = 25
 
 
-def reference_structure(graph: CSDFGraph, bindings=None):
-    """The event graph read back from the HSDF expansion: every
-    expansion channel is an edge whose distance is its initial tokens
-    over its rate, and every firing that no serialization ring leaves
-    gets the one-iteration self-loop."""
+def reference_event_graph(graph: CSDFGraph, bindings=None):
+    """The event graph read back from the HSDF expansion.
+
+    Returns ``(nodes, rings, flows)``: the expansion's actors, each
+    actor's serialization edges (the expansion lists the rings of the
+    actors firing more than once first, in ``q`` order; an actor firing
+    once gets the one-iteration self-loop, told from ``q``), and every
+    other expansion channel's edge in expansion order.  A channel's
+    distance is its initial tokens over its rate.
+    """
     hsdf = sdf.expand_to_hsdf(graph, bindings)
-    nodes = tuple(hsdf.actors)
-    edges = []
-    for channel in hsdf.channels.values():
-        rate = int(channel.consumption.as_ints(None)[0])
-        distance = channel.initial_tokens / rate if rate else 0.0
-        edges.append((channel.src, channel.dst, distance))
-    ringed = {c.src for c in hsdf.channels.values() if c.name.startswith("ring_")}
-    for name in nodes:
-        if name not in ringed:
-            edges.append((name, name, 1.0))
-    return nodes, tuple(edges)
+    q = concrete_repetition_vector(graph, bindings)
+    edges = [
+        (c.src, c.dst, c.initial_tokens / c.consumption.as_ints(None)[0])
+        for c in hsdf.channels.values()
+    ]
+    rings = {}
+    position = 0
+    for name, count in q.items():
+        if count > 1:
+            rings[name] = edges[position:position + count]
+            position += count
+        else:
+            node = sdf.firing_name(name, 1)
+            rings[name] = [(node, node, 1.0)]
+    return tuple(hsdf.actors), rings, edges[position:]
 
 
 def reference_flows(channel, q_src, q_dst, bindings=None):
@@ -76,26 +95,69 @@ def reference_flows(channel, q_src, q_dst, bindings=None):
     return flows
 
 
-def _outcome(build, graph, bindings):
+def _owner(node: str) -> str:
+    return node.rpartition("#")[0]
+
+
+def reference_core(graph: CSDFGraph, bindings, actors):
+    """One core's ``(nodes, edges)`` from the expansion, in the
+    builder's order: the core actors' firings and rings actor by actor,
+    then the flows between core firings in expansion order."""
+    nodes, rings, flows = reference_event_graph(graph, bindings)
+    members = set(actors)
+    core_nodes = tuple(n for a in actors for n in nodes if _owner(n) == a)
+    edges = [e for a in actors for e in rings[a]]
+    edges += [e for e in flows if _owner(e[0]) in members and _owner(e[1]) in members]
+    return core_nodes, tuple(edges)
+
+
+def _outcome(call, *args):
     try:
-        return build(graph, bindings)
+        return call(*args)
     except Exception as exc:  # compared by type and message
         return type(exc), str(exc)
 
 
-def assert_same_structure(graph: CSDFGraph, bindings=None):
-    """Both builds agree; returns the outcome (a structure, or the
-    ``(type, message)`` of the error both raised)."""
-    built = _outcome(_build_structure, graph, bindings)
-    assert built == _outcome(reference_structure, graph, bindings)
-    return built
+def assert_decomposition_matches(graph: CSDFGraph, bindings=None):
+    """Every core equals the expansion restricted to it, every other
+    actor has exactly its ring there with its closed-form ratio, and
+    every cycle of the expansion lies on such a ring or inside one
+    core.  Returns the decomposition ``(rings, cores)``."""
+    rings, cores = _decomposition(graph, bindings)
+    q = concrete_repetition_vector(graph, bindings)
+    in_cores = set()
+    for firings, nodes, edges in cores:
+        actors = [name for name, _count in firings]
+        assert firings == tuple((name, q[name]) for name in actors)
+        assert (nodes, edges) == reference_core(graph, bindings, actors)
+        in_cores.update(actors)
+    assert rings == tuple((n, c) for n, c in q.items() if n not in in_cores)
 
+    ref_nodes, ref_rings, flows = reference_event_graph(graph, bindings)
+    hsdf = sdf.expand_to_hsdf(graph, bindings)
+    for name, count in rings:
+        inside = [e for e in flows if _owner(e[0]) == name == _owner(e[1])]
+        assert inside == [], f"{name}: edges beside its ring {inside}"
+        ring = ref_rings[name]
+        weight = sum(Fraction(hsdf.actor(src).exec_time()) for src, _dst, _t in ring)
+        tokens = sum(Fraction(t) for _src, _dst, t in ring)
+        assert tokens == 1
+        exact = float(weight / tokens)
+        assert _ring_ratio(graph.actor(name).exec_times, count) == exact
 
-def same_structure(graph: CSDFGraph, bindings=None):
-    """Both builds agree on a structure; returns ``(nodes, edges)``."""
-    built = assert_same_structure(graph, bindings)
-    assert isinstance(built[0], tuple), built
-    return built
+    # Completeness: each cyclic SCC of the whole event graph is one
+    # outside actor's ring or lies inside one core.
+    edges = [e for ring in ref_rings.values() for e in ring] + flows
+    adj = adjacency(ref_nodes, ((src, dst) for src, dst, _t in edges))
+    core_of = {a: i for i, (firings, _n, _e) in enumerate(cores) for a, _c in firings}
+    ring_actors = {name for name, _count in rings}
+    for group in nontrivial_components(adj):
+        owners = {_owner(ref_nodes[u]) for u in group}
+        if owners <= ring_actors:
+            assert len(owners) == 1 and len(group) == q[next(iter(owners))]
+        else:
+            assert len({core_of.get(a) for a in owners}) == 1 and owners <= set(core_of)
+    return rings, cores
 
 
 def _corpus():
@@ -119,28 +181,31 @@ def _gallery():
     yield "radio_b2c3", gallery.parametric_radio_graph(), {"b": 2, "c": 3}
 
 
-class TestStructureMatchesExpansion:
+class TestDecompositionMatchesExpansion:
     def test_corpus(self):
-        count = 0
+        count = cored = 0
         for graph, bindings in _corpus():
-            _nodes, edges = same_structure(graph, bindings)
-            assert edges
+            _rings, cores = assert_decomposition_matches(graph, bindings)
+            cored += bool(cores)
             count += 1
         assert count == len(SHAPES) * SEEDS_PER_SHAPE
+        assert cored > 50  # the back-edge shapes exercise the cores
 
     @pytest.mark.parametrize("name", [label for label, _g, _b in _gallery()])
     def test_gallery(self, name):
         _label, graph, bindings = next(item for item in _gallery() if item[0] == name)
-        same_structure(graph, bindings)
+        assert_decomposition_matches(graph, bindings)
 
     def test_reserved_separator_rejected(self):
         g = CSDFGraph("bad")
         g.add_actor("a#1")
         g.add_actor("b")
         g.add_channel("e", "a#1", "b")
-        built = assert_same_structure(g)
+        built = _outcome(_decomposition, g, None)
+        assert built == _outcome(sdf.expand_to_hsdf, g)
         assert built[0] is GraphConstructionError
         assert "reserved separator" in built[1]
+        assert _outcome(max_cycle_ratio, g) == built
 
     def test_reserved_separator_wins_over_inconsistency(self):
         g = CSDFGraph("bad")
@@ -148,7 +213,10 @@ class TestStructureMatchesExpansion:
         g.add_actor("b")
         g.add_channel("e", "a#1", "b", production=2)
         g.add_channel("f", "b", "a#1", initial_tokens=1)
-        assert assert_same_structure(g)[0] is GraphConstructionError
+        built = _outcome(_decomposition, g, None)
+        assert built == _outcome(sdf.expand_to_hsdf, g)
+        assert built[0] is GraphConstructionError
+        assert _outcome(max_cycle_ratio, g) == built
 
     def test_zero_total_channels(self):
         g = CSDFGraph("zeros")
@@ -160,7 +228,9 @@ class TestStructureMatchesExpansion:
         g.add_channel("mute", "b", "c", production=0, consumption=[0, 0])
         g.add_channel("back", "c", "a", production=[0, 2], consumption=[1, 1],
                       initial_tokens=2)
-        nodes, edges = same_structure(g)
+        rings, cores = assert_decomposition_matches(g)
+        assert rings == ()
+        [(_firings, nodes, edges)] = cores
         assert len(nodes) == 5
         assert not [e for e in edges if e[0].startswith("b#") and e[1].startswith("c#")]
 
@@ -170,8 +240,15 @@ class TestStructureMatchesExpansion:
         g.add_actor("b")
         g.add_channel("e", "a", "b", production=2, consumption=1)
         g.add_channel("f", "b", "a", initial_tokens=1)
-        built = assert_same_structure(g)
+        built = _outcome(_decomposition, g, None)
+        assert built == _outcome(sdf.expand_to_hsdf, g)
         assert built[0].__name__ == "InconsistentRatesError"
+        assert _outcome(max_cycle_ratio, g) == built
+
+    def test_unbound_parameter_raises_key_error(self):
+        graph = gallery.fig7_graph().as_csdf()
+        assert _outcome(max_cycle_ratio, graph) == (KeyError, "'N'")
+        assert _outcome(sdf.expand_to_hsdf, graph) == (KeyError, "'N'")
 
     def test_multi_iteration_tokens(self):
         g = CSDFGraph("deep")
@@ -180,8 +257,55 @@ class TestStructureMatchesExpansion:
         g.add_channel("ab", "a", "b", production=3, consumption=[1, 0, 2])
         g.add_channel("ba", "b", "a", production=[2, 1, 0], consumption=3,
                       initial_tokens=7)
-        nodes, edges = same_structure(g)
+        _rings, [(_firings, _nodes, edges)] = assert_decomposition_matches(g)
         assert {t for _s, _d, t in edges} >= {0.0, 1.0, 2.0}
+        assert max_cycle_ratio(g) == pytest.approx(mcr_reference(g), abs=2e-6)
+
+
+class TestRingsAreClosedForm:
+    """An actor outside every cyclic core costs no expansion and no
+    Howard solve: its ring ratio is read off its phase times."""
+
+    @pytest.fixture
+    def solver_calls(self, monkeypatch):
+        calls = []
+
+        def spy(name, real):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(mcr_mod, name, wrapped)
+
+        spy("howard", mcr_mod.howard)
+        spy("serialization_ring", mcr_mod.serialization_ring)
+        return calls
+
+    @staticmethod
+    def _chain(r1, r2, r3, r4, exec_time=1):
+        g = CSDFGraph("coprime")
+        for name in "abc":
+            g.add_actor(name, exec_time=exec_time)
+        g.add_channel("ab", "a", "b", production=r1, consumption=r2)
+        g.add_channel("bc", "b", "c", production=r3, consumption=r4)
+        return g
+
+    def test_acyclic_chain_solves_nothing(self, solver_calls):
+        g = self._chain(13, 17, 19, 23)
+        assert concrete_repetition_vector(g) == {"a": 391, "b": 299, "c": 247}
+        assert max_cycle_ratio(g) == 391.0
+        assert solver_calls == []
+
+    def test_million_firing_chain(self):
+        # q is about 1.03M firings per actor: the whole expansion is out
+        # of reach, the rings' closed form is not.
+        g = self._chain(1009, 1013, 1019, 1021)
+        assert max_cycle_ratio(g) == 1034273.0
+
+    def test_phase_cycles_and_leftover_prefix(self):
+        times = (0.1, 0.2, 0.7)
+        for count in range(1, 8):
+            ring = [times[k % 3] for k in range(count)]
+            assert _ring_ratio(times, count) == float(sum(map(Fraction, ring)))
 
 
 class TestFlows:
@@ -207,8 +331,9 @@ class TestFlows:
 
 class TestRingNamedChannel:
     """A channel whose name starts with ``ring_`` is a flow, not a
-    serialization ring: its producer keeps its self-loop (the reader
-    of the expansion told rings apart by channel name)."""
+    serialization ring: its producer keeps its self-loop (a reader of
+    the expansion that told rings apart by channel name got this
+    wrong), in the decomposition and in the oracle alike."""
 
     def _graph(self, channel_name: str) -> CSDFGraph:
         g = CSDFGraph("named")
@@ -218,10 +343,12 @@ class TestRingNamedChannel:
         return g
 
     def test_self_loop_kept(self):
-        _nodes, edges = _build_structure(self._graph("ring_ab"), None)
-        assert ("a#1", "a#1", 1.0) in edges
-        assert max_cycle_ratio(self._graph("ring_ab")) == 5.0
+        graph = self._graph("ring_ab")
+        rings, cores = assert_decomposition_matches(graph)
+        assert (rings, cores) == ((("a", 1), ("b", 1)), ())
+        assert max_cycle_ratio(graph) == 5.0
         assert max_cycle_ratio(self._graph("ab")) == 5.0
+        assert mcr_reference(graph) == pytest.approx(5.0, abs=2e-6)
 
 
 class TestAnalyzeSkipsTheExpansion:

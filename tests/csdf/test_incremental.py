@@ -252,12 +252,10 @@ class TestSCCGranularity:
         howard_spy.clear()
 
         graph.actor("t").set_exec_time(9.0)  # binding edit, outside the cycle
-        assert max_cycle_ratio(graph) == pytest.approx(9.0)  # t's self-loop
-        assert howard_spy, "changed singleton SCC must be re-solved"
-        for nodes, _ in howard_spy:
-            assert set(nodes) == {"t#1"}, (
-                f"core SCC re-solved after out-of-core edit: {nodes}"
-            )
+        assert max_cycle_ratio(graph) == pytest.approx(9.0)  # t's ring
+        # t's ring ratio is closed-form and the core's fingerprint is
+        # unchanged: nothing is solved.
+        assert howard_spy == [], f"Howard ran after an out-of-core edit: {howard_spy}"
 
     def test_in_core_edit_warm_starts_howard(self, howard_spy):
         graph = self._core_and_tail()
@@ -266,7 +264,7 @@ class TestSCCGranularity:
 
         graph.actor("a").set_exec_time(5.0)  # in-core binding edit
         assert max_cycle_ratio(graph) == pytest.approx(9.0)  # (5+2+2)/1
-        core_calls = [p for nodes, p in howard_spy if set(nodes) != {"t#1"}]
+        core_calls = [p for _nodes, p in howard_spy]
         assert core_calls, "changed core SCC must be re-solved"
         # The SCC shape is unchanged, so the remembered cycle policy
         # seeds the solve instead of the cold heaviest-edge heuristic.

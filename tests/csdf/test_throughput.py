@@ -726,6 +726,27 @@ class TestBufferSearch:
         with pytest.raises(DeadlockError, match="initial tokens"):
             min_buffers_for_full_throughput(g, capacities={"e": 2})
 
+    def test_none_pin_keeps_the_channel_unbounded(self, fig1):
+        """Bugfix regression: the capacity contract admits ``None`` as
+        "unbounded", and the floor checks compared it with an int."""
+        caps = min_buffers_for_full_throughput(fig1, capacities={"e1": None})
+        assert caps["e1"] is None
+        assert set(caps) == set(fig1.channels)
+        run = self_timed_execution(fig1, iterations=64, capacities=caps)
+        assert run.iteration_period == max_cycle_ratio(fig1)
+
+    @pytest.mark.parametrize("iterations", (0, -3))
+    def test_fewer_than_one_iteration_rejected(self, fig1, iterations):
+        """Bugfix regression: the horizon floor turned any request
+        below four iterations, negative ones included, into four."""
+        with pytest.raises(ValueError, match="need at least one iteration"):
+            min_buffers_for_full_throughput(fig1, iterations=iterations)
+
+    def test_short_horizons_still_floored(self, fig1):
+        stats: dict = {}
+        min_buffers_for_full_throughput(fig1, iterations=1, stats=stats)
+        assert stats["iterations"] == 4
+
 
 class TestSearchSustainsThroughput:
     """Bugfix regression: the search used to start from the

@@ -512,6 +512,16 @@ class TestBufferSearch:
                                        capacities=caps)
             assert run.iteration_period == 4.0
 
+    @pytest.mark.parametrize("iterations", ("0", "-3"))
+    def test_search_rejects_fewer_than_one_iteration(self, fig1_json,
+                                                     iterations, capsys):
+        """Bugfix regression: the search floored any horizon to four
+        iterations, so ``--iterations -3`` printed capacities, exit 0."""
+        with pytest.raises(SystemExit) as exc:
+            main(["buffers", fig1_json, "--search", "--iterations", iterations])
+        assert exc.value.code == "need at least one iteration"
+        assert capsys.readouterr().out == ""
+
 
 class TestErrors:
     @pytest.mark.parametrize("command, flag", (
