@@ -9,7 +9,29 @@ the consumption sequence by consumer firings.
 
 from __future__ import annotations
 
+import operator
+
 from .rates import RateLike, RateSequence
+
+
+def token_count(channel: str, value, error: type[Exception] = ValueError) -> int:
+    """``value`` checked as the initial-token count of ``channel``.
+
+    It must pass ``operator.index`` (numpy integers do); a ``bool`` is
+    refused, as are floats, which used to be truncated (2.9 tokens
+    kept as 2).  Raises ``error`` naming the channel.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise error(
+            f"channel {channel!r}: initial tokens must be an integer, got {value!r}"
+        ) from None
+    if count < 0:
+        raise error(f"channel {channel!r}: negative initial tokens")
+    return count
 
 
 class Channel:
@@ -81,10 +103,9 @@ class Channel:
 
     @initial_tokens.setter
     def initial_tokens(self, value: int) -> None:
-        if value < 0:
-            raise ValueError(f"channel {self.name!r}: negative initial tokens")
+        tokens = token_count(self.name, value)
         self._touch()
-        self._initial_tokens = int(value)
+        self._initial_tokens = tokens
 
     def is_selfloop(self) -> bool:
         return self.src == self.dst

@@ -5,6 +5,16 @@ pattern attached to one end of a channel.  Entries are
 :class:`~repro.symbolic.poly.Poly`, so the same class serves plain CSDF
 (integer entries) and TPDF (parametric entries such as ``beta*(N+L)``).
 
+A sequence whose phases are all non-negative integer constants — every
+sequence of a parameter-free graph, and most of a TPDF graph's — is
+stored as a plain ``int`` tuple, whatever it was built from (``int``,
+integral :class:`~fractions.Fraction` or constant ``Poly``), so equal
+sequences compare and hash equal however they were built.  Its
+``Poly`` entries are built only when :attr:`~RateSequence.entries`,
+``rate()``, iteration or indexing asks for them; the quantities the
+analyses read (``as_ints``, ``cumulative``, ``cycle_total``...) come
+straight off the ints.
+
 The class knows how to compute the quantities the analyses need:
 
 ``rate(n)``
@@ -28,15 +38,42 @@ from ..symbolic import Poly
 RateLike = Union["RateSequence", Poly, int, Sequence]
 
 
+def _phase(entry) -> int | Poly:
+    """One phase in canonical form: an ``int`` for an integer constant,
+    its :class:`Poly` otherwise (``TypeError`` when it is neither)."""
+    if type(entry) is int:
+        return entry
+    poly = Poly.coerce(entry)
+    if poly.is_const():
+        value = poly.const_value()
+        if value.denominator == 1:
+            return value.numerator
+    return poly
+
+
 class RateSequence:
     """An immutable cyclic sequence of non-negative symbolic rates."""
 
-    __slots__ = ("_entries",)
+    #: ``_ints`` holds the phases when all are integer constants (else
+    #: None); ``_entries`` their Polys, built on first use in that form.
+    __slots__ = ("_ints", "_entries")
 
     def __init__(self, entries: Iterable):
-        coerced = tuple(Poly.coerce(entry) for entry in entries)
-        if not coerced:
+        phases = [_phase(entry) for entry in entries]
+        if not phases:
             raise ValueError("a rate sequence needs at least one phase")
+        ints = tuple(phase for phase in phases if isinstance(phase, int))
+        self._ints: tuple[int, ...] | None = None
+        self._entries: tuple[Poly, ...] | None = None
+        if len(ints) == len(phases):
+            for value in ints:
+                if value < 0:
+                    raise ValueError(
+                        f"rate {value} may become negative for some parameter values"
+                    )
+            self._ints = ints
+            return
+        coerced = tuple(Poly.coerce(phase) for phase in phases)
         for entry in coerced:
             if not entry.has_nonnegative_coefficients():
                 raise ValueError(
@@ -57,35 +94,49 @@ class RateSequence:
     # -- basic views -----------------------------------------------------
     @property
     def entries(self) -> tuple[Poly, ...]:
+        if self._entries is None:
+            self._entries = tuple(Poly.const(value) for value in self._ints or ())
         return self._entries
+
+    def _phases(self) -> tuple[int, ...] | tuple[Poly, ...]:
+        """The phases as stored: ints when all are integer constants,
+        Polys otherwise."""
+        return self._ints if self._ints is not None else self.entries
 
     def __len__(self) -> int:
         """The cycle length tau contributed by this sequence."""
-        return len(self._entries)
+        return len(self._phases())
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self.entries)
 
     def __getitem__(self, index: int) -> Poly:
-        return self._entries[index % len(self._entries)]
+        entries = self.entries
+        return entries[index % len(entries)]
 
     def rate(self, n: int) -> Poly:
         """Tokens moved by the n-th firing (0-based)."""
-        return self._entries[n % len(self._entries)]
+        entries = self.entries
+        return entries[n % len(entries)]
 
     def is_uniform(self) -> bool:
         """True when every phase moves the same token count."""
-        first = self._entries[0]
-        return all(entry == first for entry in self._entries[1:])
+        phases = self._phases()
+        first = phases[0]
+        return all(phase == first for phase in phases[1:])
 
     def is_constant(self) -> bool:
         """True when no phase depends on a parameter."""
-        return all(entry.is_const() for entry in self._entries)
+        if self._ints is not None:
+            return True
+        return all(entry.is_const() for entry in self.entries)
 
     def cycle_total(self) -> Poly:
         """``X(tau)``: tokens moved across one full cycle."""
+        if self._ints is not None:
+            return Poly.const(sum(self._ints))
         total = Poly()
-        for entry in self._entries:
+        for entry in self.entries:
             total = total + entry
         return total
 
@@ -94,18 +145,13 @@ class RateSequence:
         """``X(n)`` for a concrete firing count ``n >= 0``."""
         if n < 0:
             raise ValueError(f"firing count must be non-negative, got {n}")
-        tau = len(self._entries)
-        full_cycles, remainder = divmod(n, tau)
-        if self.is_constant():
-            # Integer phases are summed as ints: Fraction arithmetic
-            # would cost as much as building the resulting Poly.
-            values = [entry.const_value() for entry in self._entries]
-            if all(value.denominator == 1 for value in values):
-                values = [value.numerator for value in values]
-            return Poly.const(sum(values) * full_cycles + sum(values[:remainder]))
+        full_cycles, remainder = divmod(n, len(self))
+        ints = self._ints
+        if ints is not None:
+            return Poly.const(sum(ints) * full_cycles + sum(ints[:remainder]))
         total = self.cycle_total().scale(full_cycles) if full_cycles else Poly()
-        for i in range(remainder):
-            total = total + self._entries[i]
+        for entry in self.entries[:remainder]:
+            total = total + entry
         return total
 
     def cumulative_symbolic(self, n: Poly) -> Poly:
@@ -125,8 +171,8 @@ class RateSequence:
                 raise SymbolicRateError(f"invalid firing count {n}")
             return self.cumulative(int(value))
         if self.is_uniform():
-            return n * self._entries[0]
-        tau = len(self._entries)
+            return n * self._phases()[0]
+        tau = len(self)
         cycles = n.try_div(Poly.const(tau))
         if cycles is not None and cycles.coefficient_lcm_denominator() == 1:
             return cycles * self.cycle_total()
@@ -138,12 +184,16 @@ class RateSequence:
     def bind(self, bindings: Mapping) -> "RateSequence":
         """Substitute parameters, producing a (possibly still symbolic)
         sequence."""
-        return RateSequence([entry.subs(bindings) for entry in self._entries])
+        if self._ints is not None:
+            return self
+        return RateSequence([entry.subs(bindings) for entry in self.entries])
 
     def as_ints(self, bindings: Mapping | None = None) -> tuple[int, ...]:
         """Concrete integer phases; ``bindings`` required when symbolic."""
+        if self._ints is not None:
+            return self._ints
         out = []
-        for entry in self._entries:
+        for entry in self.entries:
             value = entry.evaluate(bindings or {})
             if value.denominator != 1 or value < 0:
                 raise ValueError(f"rate {entry} is not a non-negative integer: {value}")
@@ -152,24 +202,27 @@ class RateSequence:
 
     def variables(self) -> set[str]:
         names: set[str] = set()
-        for entry in self._entries:
-            names |= entry.variables()
+        if self._ints is None:
+            for entry in self.entries:
+                names |= entry.variables()
         return names
 
     # -- identity -----------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RateSequence):
-            return self._entries == other._entries
+            # an int-form sequence never equals a Poly-form one: the
+            # latter has a phase that is no integer constant
+            return self._phases() == other._phases()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("RateSequence", self._entries))
+        return hash(("RateSequence", self._phases()))
 
     def __repr__(self) -> str:
-        return f"RateSequence({list(map(str, self._entries))})"
+        return f"RateSequence({list(map(str, self._phases()))})"
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(entry) for entry in self._entries) + "]"
+        return "[" + ",".join(map(str, self._phases())) + "]"
 
 
 def lcm_int(a: int, b: int) -> int:

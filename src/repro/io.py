@@ -4,7 +4,10 @@ Lets adopters persist and exchange TPDF/CSDF graphs.  The format is a
 plain-JSON document; symbolic rates serialize as strings rendered by
 :class:`~repro.symbolic.poly.Poly` and are parsed back with a small
 arithmetic-expression parser (sums of products of parameters and
-integer constants — exactly the fragment rates use).
+integer constants — exactly the fragment rates use).  Integer phases
+decode straight to ints, which is the form
+:class:`~repro.csdf.rates.RateSequence` keeps them in, and each
+distinct symbolic rate string is parsed once per decoded document.
 
 Functions and decision callables are *not* serialized (they are code);
 deserialized graphs carry the structure and rates, ready for analysis
@@ -138,22 +141,34 @@ def _name(value):
 
 
 def _rates_to_json(rates: RateSequence) -> list[str]:
-    return [str(entry) for entry in rates.entries]
+    return [str(phase) for phase in rates._phases()]
 
 
-def _rates_from_json(data) -> RateSequence:
-    return RateSequence([_rate_from_json(entry) for entry in data])
+def _rates_from_json(data, parsed: dict[str, Poly]) -> RateSequence:
+    return RateSequence([_rate_from_json(entry, parsed) for entry in data])
 
 
-def _rate_from_json(entry) -> Poly:
-    """One rate phase: JSON integers and plain digit strings are
-    constants and skip the tokenizer; everything else (booleans
-    included) goes through :func:`parse_poly` on its ``str``."""
+def _rate_from_json(entry, parsed: dict[str, Poly]) -> int | Poly:
+    """One rate phase.
+
+    JSON integers and plain digit strings are integer phases and skip
+    the tokenizer.  Booleans and ``null`` are refused (their ``str``
+    would parse as a parameter named ``True``, ``False`` or ``None``).
+    Anything else goes through :func:`parse_poly` on its ``str``, once
+    per distinct text: ``parsed`` holds the document's parses so far
+    (a ``Poly`` is immutable, so phases may share one).
+    """
     if type(entry) is int:
-        return Poly.const(entry)
+        return entry
     if isinstance(entry, str) and entry.isascii() and entry.isdigit():
-        return Poly.const(int(entry))
-    return parse_poly(str(entry))
+        return int(entry)
+    if entry is None or isinstance(entry, bool):
+        raise ValueError(f"rate phase {entry!r} is not an integer or a rate expression")
+    text = str(entry)
+    poly = parsed.get(text)
+    if poly is None:
+        poly = parsed[text] = parse_poly(text)
+    return poly
 
 
 # -- TPDF ----------------------------------------------------------------
@@ -221,6 +236,7 @@ def tpdf_from_dict(data: Mapping) -> TPDFGraph:
         for p in data.get("parameters", [])
     ]
     graph = TPDFGraph(data.get("name", "tpdf"), parameters=params)
+    parsed: dict[str, Poly] = {}
     for entry in data["nodes"]:
         exec_times = tuple(entry.get("exec_times", (1.0,)))
         name = _name(entry["name"])
@@ -236,7 +252,7 @@ def tpdf_from_dict(data: Mapping) -> TPDFGraph:
         node.meta.update(entry.get("meta", {}))
         for port in entry["ports"]:
             kind = PortKind(port["kind"])
-            rates = _rates_from_json(port["rates"])
+            rates = _rates_from_json(port["rates"], parsed)
             if isinstance(node, Kernel):
                 if kind is PortKind.DATA_IN:
                     node.add_input(port["name"], rates, priority=port.get("priority", 0))
@@ -263,7 +279,8 @@ def tpdf_from_dict(data: Mapping) -> TPDFGraph:
             for mode_value, table in entry.get("mode_rates", {}).items():
                 node.set_mode_rates(
                     Mode(mode_value),
-                    {port: _rates_from_json(rates) for port, rates in table.items()},
+                    {port: _rates_from_json(rates, parsed)
+                     for port, rates in table.items()},
                 )
     for channel in data["channels"]:
         graph.connect(
@@ -312,6 +329,7 @@ def csdf_from_dict(data: Mapping) -> CSDFGraph:
     if data.get("model") != "csdf":
         raise GraphConstructionError(f"not a CSDF document: {data.get('model')!r}")
     graph = CSDFGraph(data.get("name", "csdf"))
+    parsed: dict[str, Poly] = {}
     for actor in data["actors"]:
         graph.add_actor(_name(actor["name"]), exec_time=tuple(actor.get("exec_times", (1.0,))))
     for channel in data["channels"]:
@@ -319,8 +337,8 @@ def csdf_from_dict(data: Mapping) -> CSDFGraph:
             _name(channel["name"]),
             _name(channel["src"]),
             _name(channel["dst"]),
-            production=_rates_from_json(channel["production"]),
-            consumption=_rates_from_json(channel["consumption"]),
+            production=_rates_from_json(channel["production"], parsed),
+            consumption=_rates_from_json(channel["consumption"], parsed),
             initial_tokens=channel.get("initial_tokens", 0),
         )
     return graph

@@ -51,11 +51,13 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Any, Mapping
 
 from ..csdf.simulation import rate_table
 from ..csdf.throughput import _check_capacity_contract
 from ..errors import SimulationError
+from ..symbolic import normalize_bindings
 from ..tpdf.builtins import ClockActor
 from ..tpdf.graph import TPDFChannel, TPDFGraph
 from ..tpdf.kernel import ControlActor, Kernel
@@ -190,6 +192,9 @@ class Simulator:
                     )
         else:
             rate_table(graph.as_csdf(), self.bindings or None)
+        # A value that is no rational is refused even when no rate
+        # reads it (integer rates never evaluate the bindings).
+        normalize_bindings(self.bindings)
 
         self._fired: dict[str, int] = {name: 0 for name in graph.node_names()}
         self._mode_rate_cache: dict[tuple, tuple[int, ...]] = {}
@@ -798,8 +803,7 @@ def _builtin_function(kernel: Kernel):
     builtin = kernel.meta.get("builtin")
     if builtin == "select_duplicate":
         def duplicate(_n: int, consumed: dict) -> Any:
-            values = [v for vs in consumed.values() for v in vs]
-            return values[0] if values else None
+            return next((vs[0] for vs in consumed.values() if vs), None)
         return duplicate
     if builtin == "transaction":
         action = kernel.meta.get("action", "select")
@@ -817,7 +821,13 @@ def _builtin_function(kernel: Kernel):
             return vote
 
         def forward(_n: int, consumed: dict) -> Any:
-            values = [v for vs in consumed.values() for v in vs]
+            filled = [vs for vs in consumed.values() if vs]
+            if len(filled) == 1:
+                # the usual transaction reads one port: pass its list on
+                # (the caller copies it)
+                values = filled[0]
+            else:
+                values = list(chain.from_iterable(filled))
             return values[0] if len(values) == 1 else values or None
         return forward
     return None

@@ -27,6 +27,7 @@ from typing import Callable, Iterable, Union
 
 from ..cache import bump_version, cached
 from ..csdf.actor import ExecTime
+from ..csdf.channel import token_count
 from ..csdf.graph import CSDFGraph
 from ..errors import GraphConstructionError
 from ..symbolic import Param
@@ -77,14 +78,11 @@ class TPDFChannel:
 
     @initial_tokens.setter
     def initial_tokens(self, value: int) -> None:
-        if value < 0:
-            raise GraphConstructionError(
-                f"channel {self.name!r}: negative initial tokens"
-            )
+        tokens = token_count(self.name, value, GraphConstructionError)
         if self._owner is not None:
             # raises first on frozen graphs
             bump_version(self._owner, kind="structural")
-        self._initial_tokens = int(value)
+        self._initial_tokens = tokens
 
     def __repr__(self) -> str:
         kind = "control" if self.is_control else "data"
@@ -102,6 +100,8 @@ class TPDFGraph:
         self._kernels: dict[str, Kernel] = {}
         self._controls: dict[str, ControlActor] = {}
         self._channels: dict[str, TPDFChannel] = {}
+        #: (node, port) -> name of the channel bound to that port
+        self._bound: dict[tuple[str, str], str] = {}
         self._params: dict[str, Param] = {}
         for param in parameters:
             self.declare_parameter(param)
@@ -176,7 +176,10 @@ class TPDFGraph:
         src_node, src_port = _parse_ref(src)
         dst_node, dst_port = _parse_ref(dst)
         if name is None:
-            name = f"e{len(self._channels) + 1}"
+            k = len(self._channels) + 1
+            while f"e{k}" in self._channels:  # explicit names leave gaps
+                k += 1
+            name = f"e{k}"
         if name in self._channels:
             raise GraphConstructionError(f"duplicate channel name {name!r}")
         producer = self.node(src_node)
@@ -212,23 +215,29 @@ class TPDFGraph:
                 f"channel {name!r}: {dst_node}.{dst_port} is not an input port"
             )
 
-        for channel in self._channels.values():
-            if (channel.src, channel.src_port) == (src_node, src_port):
-                raise GraphConstructionError(
-                    f"port {src_node}.{src_port} already feeds channel {channel.name!r}"
-                )
-            if (channel.dst, channel.dst_port) == (dst_node, dst_port):
-                raise GraphConstructionError(
-                    f"port {dst_node}.{dst_port} already fed by channel {channel.name!r}"
-                )
-        if initial_tokens < 0:
-            raise GraphConstructionError(f"channel {name!r}: negative initial tokens")
+        feeds = self._bound.get((src_node, src_port))
+        fed_by = self._bound.get((dst_node, dst_port))
+        if feeds is not None and fed_by is not None and feeds != fed_by:
+            # both ports taken: name the older channel first
+            order = list(self._channels)
+            if order.index(fed_by) < order.index(feeds):
+                feeds = None
+        if feeds is not None:
+            raise GraphConstructionError(
+                f"port {src_node}.{src_port} already feeds channel {feeds!r}"
+            )
+        if fed_by is not None:
+            raise GraphConstructionError(
+                f"port {dst_node}.{dst_port} already fed by channel {fed_by!r}"
+            )
 
         channel = TPDFChannel(
-            name, src_node, src_port, dst_node, dst_port, int(initial_tokens), is_control
+            name, src_node, src_port, dst_node, dst_port, initial_tokens, is_control
         )
         channel._owner = self
         self._channels[name] = channel
+        self._bound[(src_node, src_port)] = name
+        self._bound[(dst_node, dst_port)] = name
         bump_version(self, kind="structural")
         return channel
 

@@ -66,8 +66,8 @@ class Port:
             # Def. 2: Rk(m, c, n) in {0, 1} — a kernel reads at most one
             # control token per firing.  Control *outputs* are not
             # restricted (the Fig. 2 controller emits 2 tokens per firing).
-            for entry in rates:
-                if not entry.is_const() or entry.const_value() not in (0, 1):
+            for entry in rates._phases():
+                if entry not in (0, 1):
                     raise ValueError(
                         f"control port {self.name!r}: rates must be 0 or 1 per "
                         f"firing (Def. 2), got {entry}"

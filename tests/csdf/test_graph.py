@@ -32,6 +32,27 @@ class TestChannel:
         with pytest.raises(ValueError):
             Channel("e", "a", "b", 1, 1, initial_tokens=-1)
 
+    @pytest.mark.parametrize("tokens", [2.9, 1.0, True, False, "2", None])
+    def test_non_integer_initial_tokens_rejected(self, tokens):
+        """A float used to be truncated (2.9 tokens kept as 2) and a
+        bool counted as 0 or 1: like a capacity, the count must pass
+        ``operator.index``."""
+        g = CSDFGraph()
+        g.add_actor("a")
+        g.add_actor("b")
+        with pytest.raises(ValueError,
+                           match=f"channel 'e': initial tokens must be an integer, got {tokens!r}"):
+            g.add_channel("e", "a", "b", initial_tokens=tokens)
+        channel = g.add_channel("e", "a", "b", initial_tokens=1)
+        with pytest.raises(ValueError, match="must be an integer"):
+            channel.initial_tokens = tokens
+        assert channel.initial_tokens == 1
+
+    def test_numpy_integer_tokens_accepted(self):
+        np = pytest.importorskip("numpy")
+        channel = Channel("e", "a", "b", 1, 1, initial_tokens=np.int64(3))
+        assert channel.initial_tokens == 3 and type(channel.initial_tokens) is int
+
     def test_selfloop_detection(self):
         assert Channel("e", "a", "a", 1, 1).is_selfloop()
         assert not Channel("e", "a", "b", 1, 1).is_selfloop()

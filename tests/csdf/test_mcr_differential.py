@@ -130,6 +130,21 @@ class TestHandBuiltCorpus:
         g.add_channel("back", "b", "a", initial_tokens=2)
         assert max_cycle_ratio(g) == pytest.approx(1.0, abs=TOL)
 
+    def test_single_firing_self_loop_is_critical(self):
+        """A cyclic core whose critical cycle is the one-token self-loop
+        of an actor firing once per iteration: the loop a->b->a carries
+        two tokens (ratio (10 + 1) / 2 = 5.5), but ``a`` cannot overlap
+        its own firings, so the period is exec(a) = 10."""
+        g = CSDFGraph("selfloop")
+        g.add_actor("a", exec_time=10.0)
+        g.add_actor("b", exec_time=1.0)
+        g.add_channel("fwd", "a", "b")
+        g.add_channel("back", "b", "a", initial_tokens=2)
+        assert max_cycle_ratio(g) == pytest.approx(10.0, abs=TOL)
+        assert mcr_reference(g) == pytest.approx(10.0, abs=TOL)
+        period = self_timed_execution(g, iterations=12).iteration_period
+        assert period == pytest.approx(10.0, abs=1e-9)
+
     def test_deadlock_raises_in_both_solvers(self):
         g = CSDFGraph("dead")
         g.add_actor("a")
@@ -156,6 +171,48 @@ class TestHandBuiltCorpus:
         fast, oracle = max_cycle_ratio(g), mcr_reference(g)
         assert fast == pytest.approx(oracle, abs=TOL)
         period = self_timed_execution(g, iterations=15).iteration_period
+        assert period == pytest.approx(fast, abs=1e-9)
+
+
+def _self_loop_core(seed: int) -> tuple[CSDFGraph, float]:
+    """A seeded cyclic core whose critical cycle is the self-loop of its
+    one single-firing actor, with that actor's execution time.
+
+    ``hot`` fires once per iteration and produces ``m`` tokens per
+    firing into a chain of ``k`` actors firing ``m`` times each; the
+    back edge carries enough tokens for ``k + 1`` iterations, so every
+    cycle through the chain, and every chain actor's own ring
+    (``m`` firings of at most 3), stays below ``hot``'s time.
+    """
+    import random
+
+    rng = random.Random(f"selfloop:{seed}")
+    k, m = rng.randint(1, 4), rng.randint(1, 3)
+    hot = float(rng.randint(40, 60))
+    g = CSDFGraph(f"selfloop{seed}")
+    g.add_actor("hot", exec_time=hot)
+    chain = [f"b{i}" for i in range(k)]
+    for name in chain:
+        g.add_actor(name, exec_time=float(rng.randint(1, 3)))
+    g.add_channel("out", "hot", chain[0], production=m, consumption=1)
+    for i, (src, dst) in enumerate(zip(chain, chain[1:])):
+        g.add_channel(f"c{i}", src, dst)
+    g.add_channel("back", chain[-1], "hot", production=1, consumption=m,
+                  initial_tokens=m * (k + 1))
+    return g, hot
+
+
+class TestSingleFiringSelfLoops:
+    """Cores whose critical cycle is a q_a = 1 actor's self-loop: the
+    one cycle of the event graph that no channel contributes."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_three_legs_agree_on_the_self_loop(self, seed):
+        graph, hot = _self_loop_core(seed)
+        fast = max_cycle_ratio(graph)
+        assert fast == pytest.approx(hot, abs=TOL)
+        assert mcr_reference(graph) == pytest.approx(fast, abs=TOL)
+        period = self_timed_execution(graph, iterations=12).iteration_period
         assert period == pytest.approx(fast, abs=1e-9)
 
 

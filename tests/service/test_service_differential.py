@@ -143,6 +143,39 @@ class TestErrorSurfaces:
         assert data["error"]["message"] == (
             f"unknown {endpoint} options: {[unknown]}")
 
+    @pytest.mark.parametrize("tokens", [1.7, True], ids=("float", "bool"))
+    def test_non_integer_initial_tokens_is_http_400(self, client, tokens):
+        """A document's ``"initial_tokens": 1.7`` used to be analyzed
+        with 1 token: decoding now refuses it, naming the channel, and
+        the service answers 400 with the library's exception type."""
+        import http.client
+        import json
+
+        from repro.io import graph_to_payload
+        from repro.tpdf import fig2_graph
+
+        csdf = graph_to_payload(small_csdf(seed=9))
+        tpdf = graph_to_payload(fig2_graph())
+        for payload, error in ((csdf, "ValueError"),
+                               (tpdf, "GraphConstructionError")):
+            channel = payload["channels"][0]
+            channel["initial_tokens"] = tokens
+            body = {"graph": payload, "bindings": {"p": 2}}
+            conn = http.client.HTTPConnection(client.host, client.port,
+                                              timeout=30)
+            try:
+                conn.request("POST", "/analyze", body=json.dumps(body),
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                data = json.loads(response.read())
+            finally:
+                conn.close()
+            assert response.status == 400
+            assert data["error"]["type"] == error
+            assert data["error"]["message"] == (
+                f"channel {channel['name']!r}: initial tokens must be an "
+                f"integer, got {tokens!r}")
+
     def test_malformed_payload_is_graph_construction_error(self, client):
         with pytest.raises(GraphConstructionError):
             client.analyze({"model": "csdf", "name": "broken"})

@@ -1,11 +1,13 @@
 """Tests for graph serialization, the rate-expression parser and the
 worker hand-off codec."""
 
+import re
+
 import pytest
 
 from repro.analysis import analyze, warm_graph
 from repro.cache import analysis_cache
-from repro.csdf import CSDFGraph
+from repro.csdf import CSDFGraph, RateSequence
 from repro.errors import GraphConstructionError
 from repro.io import (
     csdf_from_dict,
@@ -135,23 +137,76 @@ class TestCSDFRoundTrip:
         with pytest.raises(GraphConstructionError):
             csdf_from_dict({"model": "tpdf", "actors": [], "channels": []})
 
+    @staticmethod
+    def _one_channel(*productions) -> dict:
+        """A CSDF document with one channel ``e<k>`` per production."""
+        return {"model": "csdf", "actors": [{"name": "a"}, {"name": "b"}],
+                "channels": [{"name": f"e{k}", "src": "a", "dst": "b",
+                              "production": production, "consumption": [1]}
+                             for k, production in enumerate(productions)]}
+
     @pytest.mark.parametrize("entry", [0, 3, 12, -2, "0", "7", "007", " 7", "7 ",
-                                       "2*p", "1/2", True, False, "٣"])
+                                       "2*p", "1/2", "٣"])
     def test_rate_decode_matches_the_parser(self, entry):
         """Integers and digit strings skip the tokenizer; the decoded
-        phase is the one parsing its ``str`` gives."""
-        from repro.io import _rate_from_json
-
+        sequence is the one parsing the phase's ``str`` gives, and a
+        refused phase is refused with the parser's error."""
+        doc = self._one_channel([entry])
         try:
-            expected = parse_poly(str(entry))
+            expected = RateSequence([parse_poly(str(entry))])
         except ValueError as exc:
-            with pytest.raises(type(exc)):
-                _rate_from_json(entry)
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                csdf_from_dict(doc)
             return
-        decoded = _rate_from_json(entry)
+        decoded = csdf_from_dict(doc).channel("e0").production
         assert decoded == expected
         assert repr(decoded) == repr(expected)
         assert hash(decoded) == hash(expected)
+        assert decoded.entries == expected.entries
+
+    @pytest.mark.parametrize("entry", [True, False, None])
+    def test_boolean_and_null_rates_are_refused(self, entry):
+        """``str(True)`` parses as a parameter named ``True``: a JSON
+        boolean or null is refused, naming the phase, not decoded as
+        a parameter."""
+        with pytest.raises(ValueError, match=f"rate phase {entry!r} "):
+            csdf_from_dict(self._one_channel([1, entry]))
+        with pytest.raises(ValueError, match=f"rate phase {entry!r} "):
+            graph_from_payload(self._one_channel([entry]))
+
+    @pytest.mark.parametrize("tokens", [1.7, True])
+    def test_non_integer_initial_tokens_refused(self, tokens):
+        """``"initial_tokens": 1.7`` (or ``true``) used to decode as 1."""
+        doc = self._one_channel([1])
+        doc["channels"][0]["initial_tokens"] = tokens
+        message = f"channel 'e0': initial tokens must be an integer, got {tokens!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            csdf_from_dict(doc)
+        tpdf = tpdf_to_dict(fig2_graph())
+        tpdf["channels"][0]["initial_tokens"] = tokens
+        with pytest.raises(GraphConstructionError, match="channel 'e1': initial tokens"):
+            tpdf_from_dict(tpdf)
+        with pytest.raises(GraphConstructionError, match="channel 'e1': initial tokens"):
+            graph_from_payload(tpdf)
+
+    def test_each_distinct_expression_is_parsed_once(self, monkeypatch):
+        import repro.io
+
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return parse_poly(text)
+
+        monkeypatch.setattr(repro.io, "parse_poly", counting)
+        doc = self._one_channel(["2*p", "p"], ["p", 3], ["2*p"])
+        graph = csdf_from_dict(doc)
+        assert sorted(calls) == ["2*p", "p"]
+        first, last = graph.channel("e0"), graph.channel("e2")
+        assert first.production.entries[0] is last.production.entries[0]
+        # a second document parses afresh
+        csdf_from_dict(doc)
+        assert len(calls) == 4
 
     def test_decoded_names_are_shared(self, fig1):
         text = csdf_to_json(fig1)

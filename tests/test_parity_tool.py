@@ -1,7 +1,8 @@
 """Tier-1 smoke run of the parity digests (tools/parity.py).
 
 The full sets compare two trees; here a trimmed call, made twice on
-freshly built inputs, must hash every set to the same digest.
+freshly built inputs, must hash every set to the same digest, and the
+``decode`` and ``simulate`` sets must hash results, not errors.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
-from parity import SETS, digests, main  # noqa: E402
+from parity import SETS, decode_set, digests, main, simulate_set  # noqa: E402
 
 
 def test_trimmed_digests_repeat():
@@ -22,6 +23,23 @@ def test_trimmed_digests_repeat():
     assert set(first) == set(SETS)
     assert all(count > 0 for _sha, count in first.values())
     assert digests(trim=2) == first
+
+
+def test_trimmed_decode_and_simulate_sets_hash_results():
+    """Every trimmed source yields a decoded graph or a trace, not an
+    error outcome: a decoded document re-encodes to its own
+    fingerprint, and the OFDM runs and random graphs leave traces."""
+    decoded = list(decode_set(trim=2))
+    assert len(decoded) == 6  # corpus, gallery, perfbench
+    for _label, outcome in decoded:
+        doc_fp, described, payload_fp, _view = outcome
+        assert doc_fp == payload_fp and described.startswith(("TPDF", "CSDF"))
+    labels = [label for label, _ in decoded]
+    assert labels[-1].startswith("perfbench1:")
+    simulated = list(simulate_set(trim=2))
+    assert [label for label, _ in simulated] == [
+        "ofdm_qam", "ofdm_qpsk", "perfbench1:sim40_0", "perfbench1:sim40_1"]
+    assert all(isinstance(fp, str) and len(fp) == 64 for _, fp in simulated)
 
 
 def test_unknown_set_is_a_usage_error(capsys):

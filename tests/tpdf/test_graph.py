@@ -72,6 +72,65 @@ class TestStructuralRules:
         with pytest.raises(GraphConstructionError):
             simple_pipeline.connect("mid.extra", "snk2.in", initial_tokens=-1)
 
+    @pytest.mark.parametrize("tokens", [1.5, 2.0, True, "1"])
+    def test_non_integer_initial_tokens(self, simple_pipeline, tokens):
+        """``connect(initial_tokens=1.5)`` used to keep 1 token."""
+        mid = simple_pipeline.node("mid")
+        mid.add_output("extra")
+        snk2 = simple_pipeline.add_kernel("snk2")
+        snk2.add_input("in")
+        with pytest.raises(GraphConstructionError,
+                           match=f"channel 'x': initial tokens must be an integer, got {tokens!r}"):
+            simple_pipeline.connect("mid.extra", "snk2.in", name="x",
+                                    initial_tokens=tokens)
+        assert "x" not in simple_pipeline.channels
+        channel = simple_pipeline.channel("c1")
+        with pytest.raises(GraphConstructionError, match="must be an integer"):
+            channel.initial_tokens = tokens
+        assert channel.initial_tokens == 0
+
+    def test_numpy_integer_tokens_accepted(self, simple_pipeline):
+        np = pytest.importorskip("numpy")
+        channel = simple_pipeline.channel("c2")
+        channel.initial_tokens = np.int64(4)
+        assert channel.initial_tokens == 4 and type(channel.initial_tokens) is int
+
+    def test_port_binding_errors_name_the_older_channel(self):
+        """Each port binds one channel; when both ends of a new channel
+        are taken, the error names the channel that was connected
+        first."""
+        g = TPDFGraph()
+        for name in ("a", "b", "c", "d"):
+            node = g.add_kernel(name)
+            node.add_input("in")
+            node.add_output("out")
+        g.connect("a.out", "b.in", name="first")
+        g.connect("c.out", "d.in", name="second")
+        cases = [
+            ("a.out", "c.in", "port a.out already feeds channel 'first'"),
+            ("b.out", "d.in", "port d.in already fed by channel 'second'"),
+            ("c.out", "b.in", "port b.in already fed by channel 'first'"),
+            ("a.out", "d.in", "port a.out already feeds channel 'first'"),
+            ("a.out", "b.in", "port a.out already feeds channel 'first'"),
+        ]
+        for src, dst, message in cases:
+            with pytest.raises(GraphConstructionError, match=f"^{message}$"):
+                g.connect(src, dst)
+        assert list(g.channels) == ["first", "second"]
+
+    def test_auto_names_skip_explicit_names(self):
+        """An unnamed channel takes the first free ``e<k>``: it used to
+        take ``e{len+1}`` and collide with an explicit ``e2``."""
+        g = TPDFGraph()
+        for name in ("a", "b", "c", "d"):
+            node = g.add_kernel(name)
+            node.add_input("in")
+            node.add_output("out")
+        g.connect("a.out", "b.in", name="e2")
+        assert g.connect("b.out", "c.in").name == "e3"
+        assert g.connect("c.out", "d.in").name == "e4"
+        assert list(g.channels) == ["e2", "e3", "e4"]
+
     def test_bad_port_ref(self, simple_pipeline):
         with pytest.raises(GraphConstructionError):
             simple_pipeline.connect("src", "mid.in")

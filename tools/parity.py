@@ -33,6 +33,16 @@ items' ``repr`` lines):
     600 perfbench-style ``EditSession`` edits (70% execution-time, 30%
     token, rate and topology edits) on three 80-actor graphs, one
     fingerprint after each.
+``decode``
+    Every corpus, gallery and perfbench (seeds 1-3) document through
+    the decoder: the document's ``payload_fingerprint``, the decoded
+    graph's ``describe()``, the fingerprint of its re-encoded payload
+    and, for TPDF, ``as_csdf().describe()``.
+``simulate``
+    ``simulate()`` trace fingerprints on perfbench's ``simulate``
+    inputs: the OFDM Fig. 7 graph steered to 16-QAM and to QPSK, and
+    seeds 1-3's random 40/60/80-actor TPDF graphs under their core
+    budgets and capacities.
 
 Usage::
 
@@ -47,6 +57,7 @@ import argparse
 import copy
 import hashlib
 import importlib.util
+import json
 import random
 import sys
 from pathlib import Path
@@ -73,6 +84,11 @@ PERFBENCH_SEEDS = (1, 2, 3)
 PERFBENCH_KINDS = ("csdf", "tpdf", "param")
 PERFBENCH_SIZES = (20, 40, 80)
 PERFBENCH_POOL = 3
+#: perfbench ``simulate``: random TPDF sizes, repetition-vector
+#: iterations each graph runs, and the OFDM runs (demapper, M).
+SIM_SIZES = (40, 60, 80)
+SIM_ITERATIONS = 4
+SIM_OFDM = (("qam", 4), ("qpsk", 2))
 WARM_EDITS = 600
 WARM_SESSIONS = 3
 WARM_ACTORS = 80
@@ -144,9 +160,7 @@ def _gallery(trim: int | None) -> list[tuple[str, Any, Any]]:
     return [(label, make(), bindings) for label, make, bindings in makers[:trim]]
 
 
-def _perfbench_docs(trim: int | None) -> list[tuple[str, Any, Any]]:
-    from repro.io import graph_from_payload
-
+def _perfbench_payloads(trim: int | None) -> list[tuple[str, dict, Any]]:
     graphs = _perfbench_graphs()
     items = []
     for seed in PERFBENCH_SEEDS:
@@ -155,8 +169,58 @@ def _perfbench_docs(trim: int | None) -> list[tuple[str, Any, Any]]:
                 for index in range(PERFBENCH_POOL):
                     gd = graphs.make_doc(kind, size, seed, index)
                     items.append((f"perfbench{seed}:{gd.doc['name']}",
-                                  graph_from_payload(gd.doc), gd.bindings))
+                                  gd.doc, gd.bindings))
     return items[:trim]
+
+
+def _perfbench_docs(trim: int | None) -> list[tuple[str, Any, Any]]:
+    from repro.io import graph_from_payload
+
+    return [(label, graph_from_payload(doc), bindings)
+            for label, doc, bindings in _perfbench_payloads(trim)]
+
+
+def _capacities(doc: dict, q: dict) -> dict:
+    """perfbench ``simulate``'s channel capacities: initial tokens plus
+    one iteration's production on every channel between kernels."""
+    rates = {(node["name"], port["name"]): int(port["rates"][0])
+             for node in doc["nodes"] for port in node["ports"]}
+    kernels = {node["name"] for node in doc["nodes"]
+               if node["kind"] == "kernel"}
+    return {c["name"]: c["initial_tokens"]
+            + q[c["src"]] * rates[(c["src"], c["src_port"])]
+            for c in doc["channels"]
+            if c["src"] in kernels and c["dst"] in kernels}
+
+
+def _sim_inputs(trim: int | None) -> list[tuple[str, str, Any, dict, Any]]:
+    """perfbench ``simulate``'s inputs as ``(label, document text,
+    bindings, simulate() options, steered demapper)``."""
+    from repro.apps.ofdm import bindings_for, build_ofdm_tpdf
+    from repro.io import graph_to_payload
+
+    graphs = _perfbench_graphs()
+    ofdm = json.dumps(graph_to_payload(build_ofdm_tpdf()))
+    runs = [(f"ofdm_{steer}", ofdm, bindings_for(4, 64, 4, m),
+             {"limits": {"SRC": 64}}, steer)
+            for steer, m in SIM_OFDM]
+    items: list[tuple[str, str, Any, dict, Any]] = []
+    for seed in PERFBENCH_SEEDS:
+        rng = random.Random(f"{seed}:simulate")
+        for size in SIM_SIZES:
+            for i, control in enumerate((True, False)):
+                doc, q = graphs.tpdf_doc(
+                    random.Random(f"{seed}:sim:{size}:{i}"), size,
+                    f"sim{size}_{i}", control=control)
+                options = {
+                    "limits": {node: SIM_ITERATIONS * count
+                               for node, count in q.items()},
+                    "cores": rng.choice((2, 4)),
+                    "capacities": _capacities(doc, q),
+                }
+                items.append((f"perfbench{seed}:{doc['name']}",
+                              json.dumps(doc), None, options, None))
+    return runs[:trim] + items[:trim]
 
 
 def analyze_set(trim: int | None = None) -> Iterator[Item]:
@@ -230,11 +294,45 @@ def warm_set(trim: int | None = None) -> Iterator[Item]:
         yield (index, cls, s), _outcome(lambda: sessions[s].analyze().fingerprint())
 
 
+def decode_set(trim: int | None = None) -> Iterator[Item]:
+    from repro.io import graph_from_payload, graph_to_payload, payload_fingerprint
+    from repro.tpdf import TPDFGraph
+
+    docs = [(label, graph_to_payload(graph))
+            for label, graph, _ in _corpus(trim) + _gallery(trim)]
+    docs += [(label, doc) for label, doc, _ in _perfbench_payloads(trim)]
+    for label, doc in docs:
+        def decoded() -> tuple:
+            graph = graph_from_payload(doc)
+            view = (graph.as_csdf().describe()
+                    if isinstance(graph, TPDFGraph) else None)
+            return (payload_fingerprint(doc), graph.describe(),
+                    payload_fingerprint(graph_to_payload(graph)), view)
+        yield label, _outcome(decoded)
+
+
+def simulate_set(trim: int | None = None) -> Iterator[Item]:
+    from repro.analysis import simulate
+    from repro.io import tpdf_from_json
+    from repro.tpdf.modes import ControlToken, Mode
+
+    for label, text, bindings, options, steer in _sim_inputs(trim):
+        def run() -> str:
+            graph = tpdf_from_json(text)
+            if steer is not None:
+                token = ControlToken(Mode.SELECT_ONE, (steer,))
+                graph.node("CON").decision = lambda _n, _inputs: token
+            return simulate(graph, bindings, **options).fingerprint()
+        yield label, _outcome(run)
+
+
 SETS: dict[str, Callable[[int | None], Iterator[Item]]] = {
     "analyze": analyze_set,
     "mcr": mcr_set,
     "parametric": parametric_set,
     "warm": warm_set,
+    "decode": decode_set,
+    "simulate": simulate_set,
 }
 
 
