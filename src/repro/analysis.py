@@ -1,33 +1,36 @@
 """``repro.analysis`` — the unified batch analysis front door.
 
-One call runs the whole static chain over a graph (or many graphs)
-with every intermediate shared through the per-graph caches of
-:mod:`repro.cache`:
+One call runs the whole chain over a graph (or many graphs), every
+intermediate shared through the per-graph caches of
+:mod:`repro.cache`.  The chain is one table, ``_STAGES``, run by one
+loop in :func:`analyze`; each stage has the ``analyze()`` switch that
+enables it and a requirement:
 
-* **consistency** and the (symbolic + concrete) repetition vector;
-* **liveness** (TPDF cycle analysis, or a sequential-schedule probe
-  for plain CSDF);
-* **MCR** — the throughput bound, by Howard's policy iteration;
-* **buffer sizing** — peaks of a buffer-minimizing iteration;
-* **self-timed throughput** — steady-state period of the timed
-  event-driven execution, :func:`repro.csdf.throughput.self_timed_execution`
-  (differentially pinned against the retained full-scan reference
-  loop, ``self_timed_execution_reference``).
+* **consistency** and the symbolic repetition vector — always; a
+  failure ends the chain (Theorem 2's first premise);
+* **repetition** — the concrete vector, when ``bindings`` bind every
+  parameter; a failure leaves the valuation non-concrete;
+* **liveness** (``with_liveness``) — TPDF rate safety and cycle
+  analysis, or a sequential-schedule probe for plain CSDF, which needs
+  a concrete valuation;
+* **mcr**, **buffers**, **throughput** (``with_mcr``,
+  ``with_buffers``, ``with_throughput``) — Howard's MCR, the peaks of
+  a buffer-minimizing iteration and the timed self-timed execution
+  (:func:`repro.csdf.throughput.self_timed_execution`); they need a
+  concrete valuation and a graph not found deadlocked;
+* **parametric** — the parametric (symbolic) MCR over
+  ``parametric_domain``, when one is given: instead of the throughput
+  bound at one ``bindings`` point, a :class:`ParametricReport` holding
+  it as a piecewise-symbolic function over a whole parameter box.
 
-The point of the batch shape: a sweep that used to re-derive the
-repetition vector and HSDF expansion for every query (one per beta
-point, one per analysis kind) now derives each once per graph.  Used
-by the ``analyze`` CLI subcommand and the scalability/Fig. 8 benches.
-A batch runs in-process; to spread independent graphs over worker
-processes, send them to the resident service (``repro serve``,
+A disabled stage records nothing; an unmet requirement records its
+reason in ``report.skipped``; a stage that raises records the message
+in ``report.errors``.  ``report.bounded`` is drawn once, after the
+loop, and only from a liveness stage that ran.  Used by the
+``analyze`` CLI subcommand, the service and the scalability/Fig. 8
+benches; to spread independent graphs over worker processes, send them
+to the resident service (``repro serve``,
 :meth:`repro.service.ServiceClient.batch`).
-
-With a ``parametric_domain`` the chain additionally runs the
-**parametric (symbolic) MCR** stage (:mod:`repro.csdf.parametric`):
-instead of the throughput bound at one ``bindings`` point, the report
-carries a :class:`ParametricReport` holding the bound as a
-piecewise-symbolic function over a whole parameter box — one
-computation replacing a per-binding sweep.
 
 Examples
 --------
@@ -64,16 +67,20 @@ import dataclasses
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Union
 
 from .cache import cached, register_binding_insensitive, version_of
+from .csdf.analysis import concrete_repetition_vector, repetition_vector
 from .csdf.buffers import minimal_buffer_schedule
 from .csdf.graph import CSDFGraph
 from .csdf.mcr import max_cycle_ratio
+from .csdf.parametric import ParamDomain, parametric_mcr
+from .csdf.schedule import is_live
 from .csdf.throughput import TimedResult, self_timed_execution
 from .errors import (DeadlockError, DiagnosticsError, GraphConstructionError,
-                     ReproError)
+                     ReproError, as_count)
 from .symbolic import InconsistentRatesError
+from .tpdf.boundedness import check_boundedness
 from .tpdf.graph import TPDFGraph
 
 #: What an analysis stage may legitimately raise.
@@ -157,6 +164,10 @@ class GraphReport:
             reasons.append("not live")
         if "liveness" in self.errors:
             reasons.append(f"liveness analysis failed: {self.errors['liveness']}")
+        elif self.live is None and self.consistent:
+            skipped = self.skipped.get("liveness")
+            reasons.append(f"liveness not checked: {skipped}" if skipped
+                           else "liveness not checked (disabled)")
         return reasons
 
     def fingerprint(self) -> tuple:
@@ -322,9 +333,8 @@ def analyze_parametric(
     in :attr:`ParametricReport.errors` instead of raising, mirroring
     how :func:`analyze` treats its stages.
     """
-    from .csdf.parametric import ParamDomain, parametric_mcr
-
     start = time.perf_counter()
+    max_boxes = as_count("max_boxes", max_boxes)
     dom = ParamDomain.of(domain)
     report = ParametricReport(name=graph.name, domain=dom.ranges)
     try:
@@ -341,32 +351,30 @@ def _csdf_view(graph: AnyGraph) -> CSDFGraph:
     return graph.as_csdf() if isinstance(graph, TPDFGraph) else graph
 
 
-def _is_concrete(csdf: CSDFGraph, bindings: Mapping | None) -> bool:
-    return not (csdf.parameters() - set(bindings or {}))
-
-
 def _lint_gate(graph: AnyGraph, bindings: Mapping | None,
                mode: str) -> list:
-    """Run the diagnostics engine for ``analyze(lint=...)``.
-
-    ``mode="error"`` raises :class:`~repro.errors.DiagnosticsError`
-    (carrying the full diagnostic list) when any ERROR-severity defect
-    is present; otherwise the list is returned for attachment to the
-    report.
-    """
-    from .diagnostics import Severity, run_diagnostics
+    """Run the diagnostics engine for ``analyze(lint=...)``: the
+    findings, refused with ``mode="error"`` when any is an ERROR."""
+    from .diagnostics import run_diagnostics
 
     findings = run_diagnostics(graph, bindings=bindings)
+    if mode == "error":
+        _refuse_errors(findings, f"graph {graph.name!r} fails static diagnostics")
+    return findings
+
+
+def _refuse_errors(findings: list, message: str) -> None:
+    """Raise :class:`~repro.errors.DiagnosticsError` (carrying the full
+    diagnostic list) when any finding has ERROR severity, naming the
+    first five after ``message``."""
+    from .diagnostics import Severity
+
     fatal = [d for d in findings if d.severity is Severity.ERROR]
-    if mode == "error" and fatal:
+    if fatal:
         summary = "; ".join(f"{d.code} {d.subject}" for d in fatal[:5])
         if len(fatal) > 5:
             summary += f" (+{len(fatal) - 5} more)"
-        raise DiagnosticsError(
-            f"graph {graph.name!r} fails static diagnostics: {summary}",
-            diagnostics=findings,
-        )
-    return findings
+        raise DiagnosticsError(f"{message}: {summary}", diagnostics=findings)
 
 
 def analyze(
@@ -387,7 +395,9 @@ def analyze(
     Accepts TPDF and plain CSDF graphs.  Performance stages (MCR,
     buffers, self-timed throughput) need a concrete valuation; on a
     parametric graph without (complete) ``bindings`` they are recorded
-    as skipped instead of raising.  All intermediates are memoized on
+    as skipped instead of raising.  ``bounded`` is None when the
+    liveness stage did not run (switched off, or a CSDF graph without
+    a concrete valuation).  All intermediates are memoized on
     the graph, so re-analyzing (or analyzing per-stage elsewhere) costs
     nothing extra.
 
@@ -420,8 +430,9 @@ def analyze(
         raise ValueError(
             f"lint must be 'off', 'warn' or 'error', got {lint!r}"
         )
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    iterations = as_count("iterations", iterations, minimum=1)
+    domain = (None if parametric_domain is None
+              else ParamDomain.of(parametric_domain))
     options_key = (
         iterations, with_liveness, with_mcr, with_buffers, with_throughput,
         None if parametric_domain is None else repr(parametric_domain), lint,
@@ -447,96 +458,114 @@ def analyze(
         diagnostics=lint_findings,
     )
     csdf = _csdf_view(graph)
-
-    # -- consistency + repetition vector -------------------------------
-    from .csdf.analysis import concrete_repetition_vector, repetition_vector
-
-    try:
-        q_sym = repetition_vector(csdf)
-        report.consistent = True
-        # Interned: the few distinct counts of a graph family are then
-        # shared by every report that keeps them.
-        report.repetition_symbolic = {
-            name: sys.intern(str(poly)) for name, poly in q_sym.items()
-        }
-    except _STAGE_ERRORS as exc:
-        report.errors["consistency"] = str(exc)
-        report.elapsed = time.perf_counter() - start
-        return report
-
-    concrete = _is_concrete(csdf, bindings)
-    if concrete:
-        try:
-            report.repetition = concrete_repetition_vector(csdf, bindings)
-        except _STAGE_ERRORS as exc:
-            # Consistent but not evaluable at this valuation (e.g. a
-            # fractional repetition count): report and stop the
-            # concrete stages.
-            report.errors["repetition"] = str(exc)
-            concrete = False
-
-    # -- rate safety + liveness ----------------------------------------
-    if with_liveness:
-        try:
-            if isinstance(graph, TPDFGraph):
-                # The full Theorem 2 chain (consistency is a cache hit).
-                from .tpdf.boundedness import check_boundedness
-
-                verdict = check_boundedness(graph)
-                report.safe = verdict.safety.safe
-                report.live = verdict.liveness.live
-                report.bounded = verdict.bounded
-            elif concrete:
-                from .csdf.schedule import is_live
-
-                report.live = is_live(csdf, bindings)
-            else:
-                report.skipped["liveness"] = "parametric CSDF graph: pass bindings"
-        except _STAGE_ERRORS as exc:
-            report.errors["liveness"] = str(exc)
-    if "liveness" in report.errors:
-        # Boundedness was never established — don't report it proven.
-        report.bounded = False
-    elif report.bounded is None:
-        report.bounded = report.consistent and (report.live is not False)
-
-    # -- performance stages (need a concrete valuation) -----------------
-    unbound = sorted(csdf.parameters() - set(bindings or {}))
-    reason = f"parametric (unbound: {', '.join(unbound)})" if unbound else None
-    for stage, enabled in (
-        ("mcr", with_mcr), ("buffers", with_buffers), ("throughput", with_throughput),
-    ):
-        if enabled and not concrete:
-            report.skipped[stage] = reason or "repetition vector not concrete"
-    if concrete and report.live is not False:
-        if with_mcr:
+    run = _Run(graph, csdf, bindings, iterations, domain, report,
+               sorted(csdf.parameters() - set(bindings or {})))
+    enabled = {"with_liveness": with_liveness, "with_mcr": with_mcr,
+               "with_buffers": with_buffers, "with_throughput": with_throughput}
+    for name, switch, requires, stage in _STAGES:
+        if switch is not None and not enabled[switch]:
+            continue  # a disabled stage records nothing
+        reason = requires(run)
+        if reason is None:
             try:
-                report.mcr = max_cycle_ratio(csdf, bindings)
+                for field_name, value in stage(run).items():
+                    setattr(report, field_name, value)
             except _STAGE_ERRORS as exc:
-                report.errors["mcr"] = str(exc)
-        if with_buffers:
-            try:
-                _, peaks = minimal_buffer_schedule(csdf, bindings)
-                report.buffers = dict(peaks)
-            except _STAGE_ERRORS as exc:
-                report.errors["buffers"] = str(exc)
-        if with_throughput:
-            try:
-                report.timed = self_timed_execution(
-                    csdf, bindings, iterations=iterations
-                )
-            except _STAGE_ERRORS as exc:
-                report.errors["throughput"] = str(exc)
-    elif concrete and report.live is False:
-        for stage in ("mcr", "buffers", "throughput"):
-            report.skipped.setdefault(stage, "graph deadlocks")
-
-    # -- parametric (symbolic) MCR over a requested domain ---------------
-    if parametric_domain is not None:
-        report.parametric = analyze_parametric(graph, parametric_domain)
-
+                report.errors[name] = str(exc)
+        elif reason:
+            report.skipped[name] = reason
+        if not report.consistent:
+            break  # Theorem 2's first premise failed: no later stage applies
+    report.bounded = _verdict(report)
     report.elapsed = time.perf_counter() - start
     return report
+
+
+class _Run(NamedTuple):
+    """What the stages of one :func:`analyze` call read."""
+
+    graph: AnyGraph
+    csdf: CSDFGraph
+    bindings: Mapping | None
+    iterations: int
+    domain: ParamDomain | None
+    report: GraphReport
+    unbound: list
+
+
+# A requirement returns None when its stage can run, else the reason it
+# is skipped ("" when there is nothing to do: not recorded).  A stage
+# returns the report fields it established, calling its analysis
+# through this module's globals (a tracer may have wrapped them).
+
+def _checkable(run: _Run) -> str | None:
+    """TPDF liveness needs consistency only; CSDF liveness probes a
+    concrete schedule."""
+    if isinstance(run.graph, TPDFGraph) or run.report.repetition is not None:
+        return None
+    return "parametric CSDF graph: pass bindings"
+
+
+def _concrete_and_live(run: _Run) -> str | None:
+    if run.report.repetition is None:
+        if run.unbound:
+            return f"parametric (unbound: {', '.join(run.unbound)})"
+        return "repetition vector not concrete"
+    return "graph deadlocks" if run.report.live is False else None
+
+
+def _consistency(run: _Run) -> dict:
+    # Interned: the few distinct counts of a graph family are then
+    # shared by every report that keeps them.
+    q_sym = repetition_vector(run.csdf)
+    return {"consistent": True, "repetition_symbolic": {
+        name: sys.intern(str(poly)) for name, poly in q_sym.items()}}
+
+
+def _liveness(run: _Run) -> dict:
+    if isinstance(run.graph, TPDFGraph):
+        # The full Theorem 2 chain (consistency is a cache hit).
+        verdict = check_boundedness(run.graph)
+        return {"safe": verdict.safety.safe, "live": verdict.liveness.live}
+    return {"live": is_live(run.csdf, run.bindings)}
+
+
+#: The analysis chain, in order: (stage, the analyze() switch that
+#: enables it, its requirement, its run function).  A failed repetition
+#: stage leaves the valuation non-concrete, which skips the stages after
+#: it.
+_STAGES: tuple = (
+    ("consistency", None, lambda run: None, _consistency),
+    ("repetition", None, lambda run: "" if run.unbound else None,
+     lambda run: {"repetition": concrete_repetition_vector(run.csdf,
+                                                           run.bindings)}),
+    ("liveness", "with_liveness", _checkable, _liveness),
+    ("mcr", "with_mcr", _concrete_and_live,
+     lambda run: {"mcr": max_cycle_ratio(run.csdf, run.bindings)}),
+    ("buffers", "with_buffers", _concrete_and_live,
+     lambda run: {"buffers": dict(minimal_buffer_schedule(run.csdf,
+                                                          run.bindings)[1])}),
+    ("throughput", "with_throughput", _concrete_and_live,
+     lambda run: {"timed": self_timed_execution(
+         run.csdf, run.bindings, iterations=run.iterations)}),
+    ("parametric", None, lambda run: None if run.domain is not None else "",
+     lambda run: {"parametric": analyze_parametric(run.graph, run.domain)}),
+)
+
+#: The analyze() keywords that switch stages on and off.
+STAGE_SWITCHES = tuple(switch for _, switch, _, _ in _STAGES if switch)
+
+
+def _verdict(report: GraphReport) -> bool | None:
+    """Theorem 2's conclusion, drawn only from a liveness stage that
+    ran: bounded when it found the graph live (and, for TPDF, rate
+    safe), not when it found a deadlock or a safety violation or
+    raised, undecided (None) when it did not run."""
+    if "liveness" in report.errors:
+        return False
+    if report.live is None:
+        return None
+    return report.live and report.safe is not False
 
 
 # Warm-up only touches the rate algebra, so the marker survives
@@ -595,6 +624,7 @@ def probe_capacities(
     through their CSDF abstraction (the same view the throughput stage
     of :func:`analyze` executes).
     """
+    iterations = as_count("iterations", iterations, minimum=1)
     csdf = _csdf_view(graph)
     outcomes: list = []
     for capacities in capacities_list:
@@ -744,7 +774,7 @@ class EditSession:
         through a replay.  Returns the full diagnostic list otherwise
         (warnings included, for display).
         """
-        from .diagnostics import Severity, run_diagnostics
+        from .diagnostics import run_diagnostics
 
         scratch = self.graph.bind({})  # mutable value-identical clone
         scratch.name = self.graph.name
@@ -760,14 +790,8 @@ class EditSession:
         findings = run_diagnostics(
             scratch, bindings=self.bindings if bindings is None else bindings
         )
-        fatal = [d for d in findings if d.severity is Severity.ERROR]
-        if fatal:
-            summary = "; ".join(f"{d.code} {d.subject}" for d in fatal[:5])
-            raise DiagnosticsError(
-                f"edit script would leave {self.graph.name!r} statically "
-                f"broken: {summary}",
-                diagnostics=findings,
-            )
+        _refuse_errors(findings, f"edit script would leave "
+                                 f"{self.graph.name!r} statically broken")
         return findings
 
     # -- edits -----------------------------------------------------------

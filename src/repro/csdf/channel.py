@@ -9,29 +9,16 @@ the consumption sequence by consumer firings.
 
 from __future__ import annotations
 
-import operator
-
+from ..errors import as_count
 from .rates import RateLike, RateSequence
 
 
 def token_count(channel: str, value, error: type[Exception] = ValueError) -> int:
-    """``value`` checked as the initial-token count of ``channel``.
-
-    It must pass ``operator.index`` (numpy integers do); a ``bool`` is
-    refused, as are floats, which used to be truncated (2.9 tokens
-    kept as 2).  Raises ``error`` naming the channel.
-    """
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        count = operator.index(value)
-    except TypeError:
-        raise error(
-            f"channel {channel!r}: initial tokens must be an integer, got {value!r}"
-        ) from None
-    if count < 0:
-        raise error(f"channel {channel!r}: negative initial tokens")
-    return count
+    """``value`` checked as the initial-token count of ``channel``: a
+    non-negative :func:`~repro.errors.as_count` (floats used to be
+    truncated, 2.9 tokens kept as 2).  Raises ``error`` naming the
+    channel."""
+    return as_count(f"channel {channel!r}: initial tokens", value, error=error)
 
 
 class Channel:

@@ -40,9 +40,12 @@ RateLike = Union["RateSequence", Poly, int, Sequence]
 
 def _phase(entry) -> int | Poly:
     """One phase in canonical form: an ``int`` for an integer constant,
-    its :class:`Poly` otherwise (``TypeError`` when it is neither)."""
+    its :class:`Poly` otherwise (``TypeError`` when it is neither).  A
+    ``bool`` is no rate: ``ValueError``."""
     if type(entry) is int:
         return entry
+    if isinstance(entry, bool):
+        raise ValueError(f"rate phase {entry!r} is a bool, not an integer")
     poly = Poly.coerce(entry)
     if poly.is_const():
         value = poly.const_value()

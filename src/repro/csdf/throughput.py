@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Mapping
 
-from ..errors import DeadlockError
+from ..errors import DeadlockError, as_count
 from .analysis import concrete_repetition_vector
 from .graph import CSDFGraph
 from .simulation import rate_table
@@ -185,6 +185,15 @@ class _TimedState:
         return dict(zip(self.channel_names, self._peaks))
 
 
+def _iteration_count(iterations) -> int:
+    """``iterations`` checked for the executors and the buffer search:
+    an integer (:func:`~repro.errors.as_count`) of at least one."""
+    count = as_count("iterations", iterations, minimum=None)
+    if count < 1:
+        raise ValueError("need at least one iteration")
+    return count
+
+
 def validate_capacities(
     graph: CSDFGraph, capacities: Mapping[str, int] | None
 ) -> None:
@@ -196,10 +205,8 @@ def validate_capacities(
     cores, the simulator, the buffer search, the CLI): a typo'd
     channel name used to be silently dropped by the slot-mapping
     loops — the execution then ran *unconstrained* on the channel the
-    caller thought was bounded.  Values pass ``operator.index`` (numpy
-    integers do); a ``bool`` is refused, as are floats and strings,
-    which used to run truncated (2.5 as capacity 2 in the simulator)
-    or fail deep inside a comparison.
+    caller thought was bounded.  Values are counts
+    (:func:`~repro.errors.as_count`; 2.5 used to run as capacity 2).
     """
     if not capacities:
         return
@@ -211,17 +218,8 @@ def validate_capacities(
             f"{', '.join(unknown)}; graph channels are: {known}"
         )
     for name, value in capacities.items():
-        if value is None:
-            continue
-        try:
-            if isinstance(value, bool):
-                raise TypeError
-            operator.index(value)
-        except TypeError:
-            raise ValueError(
-                f"capacity of channel {name!r} must be an integer, "
-                f"got {value!r}"
-            ) from None
+        if value is not None:
+            as_count(f"capacity of channel {name!r}", value, minimum=None)
 
 
 def _initial_fit_error(channels, actors) -> DeadlockError:
@@ -317,8 +315,8 @@ def self_timed_execution(
     Raises :class:`~repro.errors.DeadlockError` if the execution stalls
     before completing (e.g. a tokenless cycle or undersized buffers).
     """
-    if iterations < 1:
-        raise ValueError("need at least one iteration")
+    iterations = _iteration_count(iterations)
+    cores = None if cores is None else as_count("cores", cores, minimum=1)
     state = array_state(graph, bindings)
     _check_capacity_contract(graph, capacities, state.order)
     order = state.order
@@ -576,8 +574,8 @@ def self_timed_execution_reference(
     name only: the differential suites and CLI
     ``throughput --reference-loop``.
     """
-    if iterations < 1:
-        raise ValueError("need at least one iteration")
+    iterations = _iteration_count(iterations)
+    cores = None if cores is None else as_count("cores", cores, minimum=1)
     q = concrete_repetition_vector(graph, bindings)
     _check_capacity_contract(graph, capacities, list(q))
     targets = {name: count * iterations for name, count in q.items()}
@@ -700,12 +698,15 @@ def throughput_vs_cores(
 #: the estimator that used to accept undersized capacities.
 _MIN_PROBE_ITERATIONS = 4
 
+#: How far, relative to the period scale, a probe's steady period may
+#: sit above the target and still sustain it.
+_PERIOD_TOLERANCE = 1e-6
+
 
 def min_buffers_for_full_throughput(
     graph: CSDFGraph,
     bindings: Mapping | None = None,
     iterations: int = 6,
-    tolerance: float = 1e-6,
     warm_start: bool = True,
     stats: dict | None = None,
     capacities: Mapping[str, int] | None = None,
@@ -718,7 +719,7 @@ def min_buffers_for_full_throughput(
     the maximum cycle ratio, so no simulated warm-up estimate is
     needed), start from a vector that sustains it, then shrink each
     channel in turn by binary search to the smallest capacity that
-    keeps the period within ``tolerance``.  Greedy per-channel
+    keeps the period within ``_PERIOD_TOLERANCE``.  Greedy per-channel
     shrinking is not globally optimal (the joint problem is NP-hard)
     but matches the standard practice the paper's tool ecosystem uses.
 
@@ -737,7 +738,7 @@ def min_buffers_for_full_throughput(
     steady window to average over; below one iteration it raises the
     executor's ``ValueError``), so the analytic target is only
     adopted when the unconstrained execution confirms it (measured
-    period within ``tolerance`` of the MCR, *relative* to the period
+    period within ``_PERIOD_TOLERANCE`` of the MCR, *relative* to the period
     scale so large-exec-time graphs converge too).  Otherwise — horizon too short to
     converge, or a steady state whose per-iteration deltas oscillate
     around the MCR — the measured period stays the target, exactly the
@@ -813,9 +814,7 @@ def min_buffers_for_full_throughput(
     # aliasing-prone estimator this search was explicitly cured of.
     # Short requests are executed at the minimum sound horizon instead
     # (more iterations never bias the estimate, they only steady it).
-    if iterations < 1:
-        raise ValueError("need at least one iteration")
-    iterations = max(iterations, _MIN_PROBE_ITERATIONS)
+    iterations = max(_iteration_count(iterations), _MIN_PROBE_ITERATIONS)
 
     pins = dict(capacities) if capacities else {}
     if pins:
@@ -830,7 +829,8 @@ def min_buffers_for_full_throughput(
     # graphs with large exec times (scaled EXT2 rows) — which silently
     # left the noisy measured estimate as the search target instead of
     # the exact analytic MCR.
-    target_is_analytic = abs(target - mcr) <= tolerance * max(1.0, abs(mcr))
+    target_is_analytic = (abs(target - mcr)
+                          <= _PERIOD_TOLERANCE * max(1.0, abs(mcr)))
     if target_is_analytic:
         target = mcr  # confirmed converged: use the exact analytic value
     # Probe acceptance gets the same scale treatment: a probe whose
@@ -838,7 +838,7 @@ def min_buffers_for_full_throughput(
     # accumulation noise proportional to the period scale, and an
     # absolute slack would reject it — returning oversized (non-
     # minimal) capacities on large-exec-time graphs.
-    slack = tolerance * max(1.0, abs(target))
+    slack = _PERIOD_TOLERANCE * max(1.0, abs(target))
     capacities = dict(unconstrained.peaks)
     capacities.update(pins)
     names = sorted(set(capacities) - set(pins))

@@ -1,8 +1,10 @@
-"""Shared exception hierarchy for the repro library."""
+"""Shared exception hierarchy for the repro library, and the one check
+every count-valued input goes through (:func:`as_count`)."""
 
 from __future__ import annotations
 
-from typing import Iterable
+import operator
+from typing import Any, Iterable
 
 
 class ReproError(Exception):
@@ -79,3 +81,21 @@ class SchedulingError(ReproError):
 
 class SimulationError(ReproError):
     """The discrete-event execution reached an invalid state."""
+
+
+def as_count(name: str, value: Any, minimum: int | None = 0,
+             error: type[Exception] = ValueError) -> int:
+    """``value`` as a whole count named ``name`` (iterations, cores,
+    firings, boxes, tokens, a capacity): it must pass ``operator.index``
+    (numpy integers do), not be a ``bool`` and, unless ``minimum`` is
+    None, not be below it.  Floats are refused, not truncated.  Raises
+    ``error`` naming the count and the value."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and count < minimum:
+        raise error(f"{name} must be >= {minimum}, got {count}")
+    return count

@@ -47,8 +47,11 @@ import itertools
 import json
 import re
 import threading
+from typing import Callable, NamedTuple
 
+from ..analysis import STAGE_SWITCHES
 from ..cache import bindings_key, domain_key
+from ..errors import as_count
 from ..io import (parametric_report_to_dict, payload_fingerprint,
                   report_to_dict, trace_to_dict)
 from .pool import DEFAULT_DECODE_LIMIT, WorkerPool
@@ -56,13 +59,12 @@ from .rescache import ResultCache
 from .wire import (BadRequest, SessionNotFound, error_from_dict, error_status,
                    error_to_dict)
 
-#: ``analyze`` options accepted over the wire.  ``reuse_from`` is
-#: deliberately absent (it names a process-local object; the service's
-#: equivalent is a session), as is anything that is not a plain value.
-_ANALYZE_OPTIONS = frozenset({
-    "iterations", "with_liveness", "with_mcr", "with_buffers",
-    "with_throughput", "parametric_domain",
-})
+#: ``analyze`` options accepted over the wire: the stage switches and
+#: the stages' parameters.  ``reuse_from`` is deliberately absent (it
+#: names a process-local object; the service's equivalent is a
+#: session), as is anything that is not a plain value.
+_ANALYZE_OPTIONS = frozenset({*STAGE_SWITCHES, "iterations",
+                              "parametric_domain"})
 
 #: ``simulate`` options accepted over the wire.  ``record_values`` is
 #: deliberately absent: token payloads are arbitrary Python objects
@@ -73,44 +75,22 @@ _SIMULATE_OPTIONS = frozenset({
 })
 
 
-def _parse_simulate_options(data) -> dict:
+def _options(data, allowed: frozenset, op: str) -> dict:
+    """The wire ``options`` object of ``op``: an object naming only
+    ``allowed`` options (absent means none)."""
     if data is None:
         return {}
     if not isinstance(data, dict):
         raise BadRequest(f"options must be an object, got {type(data).__name__}")
-    unknown = set(data) - _SIMULATE_OPTIONS
+    unknown = set(data) - allowed
     if unknown:
-        raise BadRequest(f"unknown simulate options: {sorted(unknown)}")
-    options = dict(data)
-    if (options.get("until") is None and options.get("limits") is None
-            and options.get("max_firings") is None):
-        raise BadRequest(
-            "simulate needs a stop condition in options: "
-            "'until', 'limits' or 'max_firings'"
-        )
-    return options
-
-
-def _simulate_options_key(options: dict) -> tuple:
-    items = []
-    for name in sorted(options):
-        value = options[name]
-        if isinstance(value, dict):
-            value = tuple(sorted(value.items()))
-        items.append((name, value))
-    return tuple(items)
+        raise BadRequest(f"unknown {op} options: {sorted(unknown)}")
+    return dict(data)
 
 
 def _parse_options(data) -> dict:
     """Validate/normalize the wire ``options`` object for ``analyze``."""
-    if data is None:
-        return {}
-    if not isinstance(data, dict):
-        raise BadRequest(f"options must be an object, got {type(data).__name__}")
-    unknown = set(data) - _ANALYZE_OPTIONS
-    if unknown:
-        raise BadRequest(f"unknown analyze options: {sorted(unknown)}")
-    options = dict(data)
+    options = _options(data, _ANALYZE_OPTIONS, "analyze")
     domain = options.get("parametric_domain")
     if isinstance(domain, dict):
         # JSON has no tuples; bounds arrive as 2-lists.
@@ -120,15 +100,80 @@ def _parse_options(data) -> dict:
     return options
 
 
+def _parse_simulate_options(data) -> dict:
+    options = _options(data, _SIMULATE_OPTIONS, "simulate")
+    if data is not None and all(options.get(name) is None
+                                for name in ("until", "limits", "max_firings")):
+        raise BadRequest(
+            "simulate needs a stop condition in options: "
+            "'until', 'limits' or 'max_firings'"
+        )
+    return options
+
+
 def _options_key(options: dict) -> tuple:
-    """Hashable cache-key view of a normalized options dict."""
+    """Hashable cache-key view of a parsed options object."""
     items = []
     for name in sorted(options):
         value = options[name]
         if name == "parametric_domain":
             value = domain_key(value)
+        elif isinstance(value, dict):
+            value = tuple(sorted(value.items()))
         items.append((name, value))
     return tuple(items)
+
+
+def _parametric_args(data) -> dict:
+    domain = data.get("domain")
+    if not isinstance(domain, dict) or not domain:
+        raise BadRequest("analyze_parametric needs a non-empty "
+                         "'domain' object of name -> [lo, hi]")
+    return {"domain": {name: tuple(bounds) for name, bounds in domain.items()},
+            "max_boxes": as_count("max_boxes", data.get("max_boxes", 20_000))}
+
+
+class _Op(NamedTuple):
+    """One stateless endpoint: its worker op (also the cache-key tag),
+    the parser of its request into worker arguments, their cache-key
+    parts, and the encoder of the worker's reply into response fields."""
+
+    name: str
+    parse: Callable[[dict], dict]
+    key: Callable[[dict], tuple]
+    encode: Callable[[dict], dict]
+
+
+#: Endpoint path -> its op.  ``/batch`` items run the ``analyze`` op.
+_OPS = {
+    "analyze": _Op(
+        "analyze",
+        lambda data: {"bindings": data.get("bindings"),
+                      "options": _parse_options(data.get("options"))},
+        lambda args: (bindings_key(args["bindings"]),
+                      _options_key(args["options"])),
+        lambda reply: {"report": report_to_dict(reply["report"])},
+    ),
+    "analyze_parametric": _Op(
+        "parametric", _parametric_args,
+        lambda args: (domain_key(args["domain"]), args["max_boxes"]),
+        lambda reply: {"report": parametric_report_to_dict(reply["parametric"])},
+    ),
+    "simulate": _Op(
+        "simulate",
+        lambda data: {"bindings": data.get("bindings"),
+                      "options": _parse_simulate_options(data.get("options"))},
+        lambda args: (bindings_key(args["bindings"]),
+                      _options_key(args["options"])),
+        lambda reply: {"trace": trace_to_dict(reply["trace"])},
+    ),
+    "lint": _Op(
+        "lint",
+        lambda data: {"bindings": data.get("bindings")},
+        lambda args: (bindings_key(args["bindings"]),),
+        lambda reply: {"diagnostics": reply["diagnostics"]},
+    ),
+}
 
 
 class _Session:
@@ -278,11 +323,8 @@ class AnalysisService:
     _ROUTES = (
         (re.compile(r"^/health$"), {"GET": "_handle_health"}),
         (re.compile(r"^/stats$"), {"GET": "_handle_stats"}),
-        (re.compile(r"^/analyze$"), {"POST": "_handle_analyze"}),
-        (re.compile(r"^/analyze_parametric$"),
-         {"POST": "_handle_parametric"}),
-        (re.compile(r"^/simulate$"), {"POST": "_handle_simulate"}),
-        (re.compile(r"^/lint$"), {"POST": "_handle_lint"}),
+        (re.compile(r"^/(?P<endpoint>analyze|analyze_parametric|simulate"
+                    r"|lint)$"), {"POST": "_run_op"}),
         (re.compile(r"^/batch$"), {"POST": "_handle_batch"}),
         (re.compile(r"^/session$"), {"POST": "_handle_session_open"}),
         (re.compile(r"^/session/(?P<sid>[\w-]+)/edits$"),
@@ -379,97 +421,28 @@ class AnalysisService:
             *(one(handle) for handle in list(self.pool.workers))
         ))
 
-    async def _analyze_cached(self, data) -> dict:
+    async def _run_op(self, data, endpoint: str) -> dict:
+        """The one path of every stateless request: parse it, run it on
+        a worker through the result cache, encode the reply.  Analyses,
+        diagnostics and simulations are pure and deterministic in the
+        graph content and the arguments, so one computed response
+        serves every identical request."""
+        op = _OPS[endpoint]
         payload, graph_key = self._graph_payload(data)
-        bindings = data.get("bindings")
-        options = _parse_options(data.get("options"))
+        args = op.parse(data)
         hooks = self._hooks(data)
-        key = ("analyze", graph_key, bindings_key(bindings),
-               _options_key(options))
-        request = {"op": "analyze", "graph_key": graph_key,
-                   "payload": payload, "bindings": bindings,
-                   "options": options, "hooks": hooks}
+        key = (op.name, graph_key, *op.key(args))
+        request = {"op": op.name, "graph_key": graph_key, "payload": payload,
+                   **args, "hooks": hooks}
 
         async def compute() -> dict:
             reply = await self._call_worker(request)
-            return {"graph_key": graph_key,
-                    "report": report_to_dict(reply["report"])}
+            return {"graph_key": graph_key, **op.encode(reply)}
 
         if data.get("no_cache") or hooks:
             # Hooked requests must actually reach a worker (the fault
             # suite depends on it); no_cache measures resident-warm
             # latency without the front cache.
-            return await compute()
-        return await self.cache.get_or_compute(key, compute)
-
-    async def _handle_analyze(self, data) -> dict:
-        return await self._analyze_cached(data)
-
-    async def _handle_parametric(self, data) -> dict:
-        payload, graph_key = self._graph_payload(data)
-        domain = data.get("domain")
-        if not isinstance(domain, dict) or not domain:
-            raise BadRequest("analyze_parametric needs a non-empty "
-                             "'domain' object of name -> [lo, hi]")
-        domain = {name: tuple(bounds) for name, bounds in domain.items()}
-        max_boxes = int(data.get("max_boxes", 20_000))
-        hooks = self._hooks(data)
-        key = ("parametric", graph_key, domain_key(domain), max_boxes)
-        request = {"op": "parametric", "graph_key": graph_key,
-                   "payload": payload, "domain": domain,
-                   "max_boxes": max_boxes, "hooks": hooks}
-
-        async def compute() -> dict:
-            reply = await self._call_worker(request)
-            return {"graph_key": graph_key,
-                    "report": parametric_report_to_dict(reply["parametric"])}
-
-        if data.get("no_cache") or hooks:
-            return await compute()
-        return await self.cache.get_or_compute(key, compute)
-
-    async def _handle_simulate(self, data) -> dict:
-        """``POST /simulate``: timed TPDF simulation on a resident
-        worker, on the schedule-plane/value-plane core of
-        :func:`repro.analysis.simulate`."""
-        payload, graph_key = self._graph_payload(data)
-        bindings = data.get("bindings")
-        options = _parse_simulate_options(data.get("options"))
-        hooks = self._hooks(data)
-        key = ("simulate", graph_key, bindings_key(bindings),
-               _simulate_options_key(options))
-        request = {"op": "simulate", "graph_key": graph_key,
-                   "payload": payload, "bindings": bindings,
-                   "options": options, "hooks": hooks}
-
-        async def compute() -> dict:
-            reply = await self._call_worker(request)
-            return {"graph_key": graph_key,
-                    "trace": trace_to_dict(reply["trace"])}
-
-        if data.get("no_cache") or hooks:
-            return await compute()
-        return await self.cache.get_or_compute(key, compute)
-
-    async def _handle_lint(self, data) -> dict:
-        """``POST /lint``: static diagnostics on a resident worker.
-
-        Diagnostics are pure and deterministic in the graph content +
-        bindings, so the result rides the fingerprint-keyed cache like
-        any analysis."""
-        payload, graph_key = self._graph_payload(data)
-        bindings = data.get("bindings")
-        hooks = self._hooks(data)
-        key = ("lint", graph_key, bindings_key(bindings))
-        request = {"op": "lint", "graph_key": graph_key,
-                   "payload": payload, "bindings": bindings, "hooks": hooks}
-
-        async def compute() -> dict:
-            reply = await self._call_worker(request)
-            return {"graph_key": graph_key,
-                    "diagnostics": reply["diagnostics"]}
-
-        if data.get("no_cache") or hooks:
             return await compute()
         return await self.cache.get_or_compute(key, compute)
 
@@ -500,7 +473,7 @@ class AnalysisService:
 
         async def run_item(item) -> dict:
             try:
-                return await self._analyze_cached(item_request(item))
+                return await self._run_op(item_request(item), "analyze")
             except Exception as exc:
                 return {"error": error_to_dict(exc),
                         "status": error_status(exc)}

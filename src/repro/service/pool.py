@@ -36,6 +36,7 @@ thread executor so the asyncio front door never blocks.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import multiprocessing
 import os
@@ -43,7 +44,13 @@ import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from .wire import SessionLost, WorkerCrashError, error_to_dict
+from ..analysis import (EditSession, analyze, analyze_parametric, simulate,
+                        warm_graph)
+from ..cache import ContentStore
+from ..diagnostics import run_diagnostics
+from ..io import graph_from_payload, graph_to_payload, payload_fingerprint
+from .wire import (SessionLost, SessionNotFound, WorkerCrashError,
+                   error_to_dict)
 
 #: Decoded-graph LRU entries each worker keeps resident.
 DEFAULT_DECODE_LIMIT = 32
@@ -70,6 +77,27 @@ def _apply_test_hooks(request: dict) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _detached(report):
+    return dataclasses.replace(report, graph=None)
+
+
+#: Stateless worker ops: each runs on the shared, cache-warm resident
+#: graph of the request's payload and returns its reply fields.  None
+#: mutates the graph: diagnostics are pure, and the simulator keeps all
+#: run state private.
+_STATELESS_OPS = {
+    "analyze": lambda graph, request: {"report": _detached(analyze(
+        graph, request.get("bindings"), **request.get("options", {})))},
+    "parametric": lambda graph, request: {"parametric": analyze_parametric(
+        graph, request["domain"], max_boxes=request["max_boxes"])},
+    "lint": lambda graph, request: {"diagnostics": [
+        d.to_dict()
+        for d in run_diagnostics(graph, bindings=request.get("bindings"))]},
+    "simulate": lambda graph, request: {"trace": simulate(
+        graph, request.get("bindings"), **request.get("options", {}))},
+}
+
+
 def _worker_main(conn, decode_limit: int, test_hooks: bool) -> None:
     """Worker entry point: serve requests until shutdown or EOF.
 
@@ -77,14 +105,6 @@ def _worker_main(conn, decode_limit: int, test_hooks: bool) -> None:
     decoded, cache-warm graphs shared by all stateless requests) and
     ``sessions`` (edit sessions, each owning a *private* decoded graph
     because sessions mutate it)."""
-    import dataclasses
-
-    from ..analysis import (EditSession, analyze, analyze_parametric,
-                            simulate, warm_graph)
-    from ..cache import ContentStore
-    from ..io import graph_from_payload, graph_to_payload, payload_fingerprint
-    from .wire import SessionNotFound
-
     graphs = ContentStore(decode_limit)
     sessions: dict = {}
 
@@ -95,9 +115,6 @@ def _worker_main(conn, decode_limit: int, test_hooks: bool) -> None:
             graph = warm_graph(graph_from_payload(request["payload"]))
             graphs.put(key, graph)
         return graph
-
-    def detached(report):
-        return dataclasses.replace(report, graph=None)
 
     while True:
         try:
@@ -110,38 +127,13 @@ def _worker_main(conn, decode_limit: int, test_hooks: bool) -> None:
         try:
             if test_hooks:
                 _apply_test_hooks(request)
-            if op == "ping":
+            if op in _STATELESS_OPS:
+                reply = {"ok": True,
+                         **_STATELESS_OPS[op](resident_graph(request), request)}
+            elif op == "ping":
                 reply = {"ok": True, "pid": os.getpid(),
                          "resident_graphs": len(graphs),
                          "sessions": len(sessions)}
-            elif op == "analyze":
-                report = analyze(resident_graph(request),
-                                 request.get("bindings"),
-                                 **request.get("options", {}))
-                reply = {"ok": True, "report": detached(report)}
-            elif op == "parametric":
-                report = analyze_parametric(
-                    resident_graph(request), request["domain"],
-                    max_boxes=request.get("max_boxes", 20_000),
-                )
-                reply = {"ok": True, "parametric": report}
-            elif op == "lint":
-                # Static diagnostics are pure (no mutation, no cache
-                # population), so the shared resident graph is safe.
-                from ..diagnostics import run_diagnostics
-
-                findings = run_diagnostics(resident_graph(request),
-                                           bindings=request.get("bindings"))
-                reply = {"ok": True,
-                         "diagnostics": [d.to_dict() for d in findings]}
-            elif op == "simulate":
-                # Timed TPDF simulation over the resident (shared,
-                # cache-warm) graph: the Simulator keeps all run state
-                # private, so the decoded instance is never mutated.
-                trace = simulate(resident_graph(request),
-                                 request.get("bindings"),
-                                 **request.get("options", {}))
-                reply = {"ok": True, "trace": trace}
             elif op == "session_open":
                 # Sessions edit their graph in place: decode a private
                 # instance, never the shared resident one.
@@ -150,7 +142,7 @@ def _worker_main(conn, decode_limit: int, test_hooks: bool) -> None:
                                       **request.get("options", {}))
                 report = session.analyze()
                 sessions[request["session"]] = session
-                reply = {"ok": True, "report": detached(report),
+                reply = {"ok": True, "report": _detached(report),
                          "graph_key": request["graph_key"]}
             elif op == "session_edits":
                 session = sessions.get(request["session"])
@@ -166,7 +158,7 @@ def _worker_main(conn, decode_limit: int, test_hooks: bool) -> None:
                     session.apply(edit)
                 report = session.analyze()
                 new_key = payload_fingerprint(graph_to_payload(session.graph))
-                reply = {"ok": True, "report": detached(report),
+                reply = {"ok": True, "report": _detached(report),
                          "graph_key": new_key}
             elif op == "session_close":
                 sessions.pop(request.get("session"), None)

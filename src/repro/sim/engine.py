@@ -56,7 +56,7 @@ from typing import Any, Mapping
 
 from ..csdf.simulation import rate_table
 from ..csdf.throughput import _check_capacity_contract
-from ..errors import SimulationError
+from ..errors import SimulationError, as_count
 from ..symbolic import normalize_bindings
 from ..tpdf.builtins import ClockActor
 from ..tpdf.graph import TPDFChannel, TPDFGraph
@@ -149,10 +149,8 @@ class Simulator:
                 "ready_core must be one of "
                 f"{', '.join(map(repr, self.READY_CORES))}, got {ready_core!r}"
             )
-        if cores is not None and cores < 1:
-            raise ValueError(
-                f"cores must be >= 1 (or None for unlimited), got {cores}"
-            )
+        if cores is not None:
+            cores = as_count("cores", cores, minimum=1)
         self.graph = graph
         self.bindings = dict(bindings or {})
         self.cores = cores
@@ -744,7 +742,8 @@ class Simulator:
         ``limits`` caps firings per node (source kernels and clocks
         would otherwise run forever); ``until`` bounds model time —
         required when the graph contains clock actors and no limits.
-        A ``limits`` name that is no node of the graph raises
+        A ``limits`` name that is no node of the graph, or a limit or
+        ``max_firings`` that is not a non-negative integer, raises
         ``ValueError`` before any firing.
         """
         unknown = sorted(set(limits or ()) - set(self._pos))
@@ -753,13 +752,16 @@ class Simulator:
                 f"limits name unknown nodes: {', '.join(unknown)} "
                 f"(graph has: {', '.join(self.graph.node_names())})"
             )
+        limits = {name: as_count(f"limit of {name!r}", cap)
+                  for name, cap in (limits or {}).items()}
+        max_firings = as_count("max_firings", max_firings)
         if self.ready_core == "arrays":
             from .schedplane import SimPlane
 
             if self._plane is None:
                 self._plane = SimPlane(self)
-            return self._plane.run(until, dict(limits or {}), max_firings)
-        self._limits = dict(limits or {})
+            return self._plane.run(until, limits, max_firings)
+        self._limits = limits
         has_clock = any(
             isinstance(self.graph.node(n), ClockActor) for n in self.graph.controls
         )

@@ -129,13 +129,6 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
-def _frac_lcm(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0 or b == 0:
-        return Fraction(0)
-    g = _frac_gcd(a, b)
-    return abs(a * b) / g
-
-
 class Poly:
     """An immutable multivariate polynomial with rational coefficients."""
 

@@ -1,0 +1,316 @@
+"""``analyze()``'s stage bookkeeping: which stages ran, which were
+skipped and why, which raised, and the verdict drawn from them.
+
+Each case pins ``skipped`` and ``errors`` (keys, values and insertion
+order — ``summary()`` prints them in dict order), ``live``, ``safe``,
+``bounded`` and the full ``summary()`` text on a small hand-built
+graph.  The verdict rule: ``bounded`` is True only when the liveness
+stage ran and found the graph live (for TPDF also rate safe), False
+when it found a deadlock or a safety violation or raised, and None
+when it did not run.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+from fractions import Fraction
+
+import pytest
+
+from repro.__main__ import main
+from repro.analysis import analyze
+from repro.csdf import CSDFGraph
+from repro.errors import AnalysisError
+from repro.io import csdf_to_dict
+from repro.symbolic import Param
+from repro.tpdf import fig2_graph
+
+UNBOUND_P = "parametric (unbound: p)"
+DEADLOCKS = "graph deadlocks"
+NOT_CONCRETE = "repetition vector not concrete"
+PASS_BINDINGS = "parametric CSDF graph: pass bindings"
+
+MCR_ERROR = ("cycle with zero tokens and positive execution time: "
+             "the graph deadlocks, MCR undefined")
+BUFFERS_ERROR = "buffer-minimizing schedule stalled; blocked actors: ['a', 'b']"
+THROUGHPUT_ERROR = "self-timed execution stalled after 0 firings"
+
+
+def _fanout() -> CSDFGraph:
+    """Parametric CSDF: ``a`` writes ``p`` tokens, ``b`` reads one."""
+    g = CSDFGraph("fanout")
+    g.add_actor("a", exec_time=1)
+    g.add_actor("b", exec_time=2)
+    g.add_channel("ab", "a", "b", production=Param("p"), consumption=1)
+    return g
+
+
+def _tokenless_cycle() -> CSDFGraph:
+    """Two actors on a cycle with no initial token: consistent, dead."""
+    g = CSDFGraph("cycle")
+    g.add_actor("a", exec_time=1)
+    g.add_actor("b", exec_time=1)
+    g.add_channel("ab", "a", "b")
+    g.add_channel("ba", "b", "a")
+    return g
+
+
+def _inconsistent() -> CSDFGraph:
+    g = CSDFGraph("skewed")
+    g.add_actor("a")
+    g.add_actor("b")
+    g.add_channel("ab", "a", "b", production=2, consumption=1)
+    g.add_channel("ba", "b", "a", initial_tokens=3)
+    return g
+
+
+def _wrap_everywhere(monkeypatch, module: str, attr: str, wrap) -> None:
+    """Replace ``module.attr`` at every live alias, the way a tracer
+    wrapping public stage functions from outside does."""
+    original = getattr(importlib.import_module(module), attr)
+    wrapper = wrap(original)
+    for owner in list(sys.modules.values()):
+        try:
+            names = [k for k, v in vars(owner).items() if v is original]
+        except TypeError:
+            continue
+        for name in names:
+            monkeypatch.setattr(owner, name, wrapper)
+
+
+def _lines(*lines: str) -> str:
+    return "\n".join(lines)
+
+
+def _check(report, *, live, safe, bounded, skipped, errors, summary):
+    assert (report.live, report.safe, report.bounded) == (live, safe, bounded)
+    assert list(report.skipped.items()) == skipped
+    assert list(report.errors.items()) == errors
+    assert report.summary() == summary
+
+
+FANOUT_Q = ("repetition vector:", "  q[a] = 1", "  q[b] = p")
+CYCLE_Q = ("repetition vector:", "  q[a] = 1", "  q[b] = 1")
+
+
+class TestBookkeeping:
+    def test_parametric_csdf_without_bindings(self):
+        _check(
+            analyze(_fanout()), live=None, safe=None, bounded=None,
+            skipped=[("liveness", PASS_BINDINGS), ("mcr", UNBOUND_P),
+                     ("buffers", UNBOUND_P), ("throughput", UNBOUND_P)],
+            errors=[],
+            summary=_lines(
+                "graph: fanout",
+                "verdict: NOT provably bounded: liveness not checked: "
+                + PASS_BINDINGS,
+                *FANOUT_Q,
+                f"(liveness skipped: {PASS_BINDINGS})",
+                f"(mcr skipped: {UNBOUND_P})",
+                f"(buffers skipped: {UNBOUND_P})",
+                f"(throughput skipped: {UNBOUND_P})",
+            ),
+        )
+
+    def test_tpdf_fig2_without_bindings(self):
+        _check(
+            analyze(fig2_graph()), live=True, safe=True, bounded=True,
+            skipped=[("mcr", UNBOUND_P), ("buffers", UNBOUND_P),
+                     ("throughput", UNBOUND_P)],
+            errors=[],
+            summary=_lines(
+                "graph: fig2",
+                "verdict: bounded (consistent, rate safe, live)",
+                "repetition vector:",
+                "  q[A] = 2", "  q[B] = 2*p", "  q[C] = p",
+                "  q[D] = p", "  q[E] = 2*p", "  q[F] = 2*p",
+                "rate safety: safe",
+                "liveness: live",
+                f"(mcr skipped: {UNBOUND_P})",
+                f"(buffers skipped: {UNBOUND_P})",
+                f"(throughput skipped: {UNBOUND_P})",
+            ),
+        )
+
+    def test_tokenless_cycle_at_default_options(self):
+        _check(
+            analyze(_tokenless_cycle()), live=False, safe=None, bounded=False,
+            skipped=[("mcr", DEADLOCKS), ("buffers", DEADLOCKS),
+                     ("throughput", DEADLOCKS)],
+            errors=[],
+            summary=_lines(
+                "graph: cycle",
+                "verdict: NOT provably bounded: not live",
+                *CYCLE_Q,
+                "liveness: DEADLOCK",
+                f"(mcr skipped: {DEADLOCKS})",
+                f"(buffers skipped: {DEADLOCKS})",
+                f"(throughput skipped: {DEADLOCKS})",
+            ),
+        )
+
+    @pytest.mark.parametrize("switch, stage", (
+        ("with_mcr", "mcr"), ("with_buffers", "buffers"),
+        ("with_throughput", "throughput"),
+    ))
+    def test_tokenless_cycle_with_a_performance_stage_off(self, switch, stage):
+        """A disabled stage records nothing, not even ``graph deadlocks``."""
+        kept = [name for name in ("mcr", "buffers", "throughput")
+                if name != stage]
+        _check(
+            analyze(_tokenless_cycle(), **{switch: False}),
+            live=False, safe=None, bounded=False,
+            skipped=[(name, DEADLOCKS) for name in kept],
+            errors=[],
+            summary=_lines(
+                "graph: cycle",
+                "verdict: NOT provably bounded: not live",
+                *CYCLE_Q,
+                "liveness: DEADLOCK",
+                *(f"({name} skipped: {DEADLOCKS})" for name in kept),
+            ),
+        )
+
+    def test_tokenless_cycle_with_liveness_off(self):
+        """Liveness off: each performance stage raises its deadlock
+        (the MCR's zero-token cycle among them), and no verdict is
+        drawn."""
+        _check(
+            analyze(_tokenless_cycle(), with_liveness=False),
+            live=None, safe=None, bounded=None,
+            skipped=[],
+            errors=[("mcr", MCR_ERROR), ("buffers", BUFFERS_ERROR),
+                    ("throughput", THROUGHPUT_ERROR)],
+            summary=_lines(
+                "graph: cycle",
+                "verdict: NOT provably bounded: liveness not checked "
+                "(disabled)",
+                *CYCLE_Q,
+                f"(mcr FAILED: {MCR_ERROR})",
+                f"(buffers FAILED: {BUFFERS_ERROR})",
+                f"(throughput FAILED: {THROUGHPUT_ERROR})",
+            ),
+        )
+
+    def test_inconsistent_rates_end_the_chain(self):
+        """Consistency failure records one error; no later stage runs
+        or records anything, the parametric stage included."""
+        report = analyze(_inconsistent(), parametric_domain={"p": (1, 4)})
+        message = "balance violated on channel 'b' -> 'a': 1 * 2 != 1 * 1"
+        _check(
+            report, live=None, safe=None, bounded=None,
+            skipped=[], errors=[("consistency", message)],
+            summary=_lines(
+                "graph: skewed",
+                f"verdict: NOT provably bounded: rate inconsistent: {message}",
+                "liveness: skipped (inconsistent)",
+            ),
+        )
+        assert report.parametric is None and report.repetition is None
+
+    @pytest.mark.parametrize("p, message", (
+        (0, "repetition count of 'b' is non-positive: 0"),
+        (Fraction(3, 2),
+         "repetition count of 'b' is 3/2 under {'p': Fraction(3, 2)}: not "
+         "an integer (choose parameter values divisible by the "
+         "normalization factor)"),
+    ), ids=("zero", "fractional"))
+    def test_repetition_vector_not_concrete(self, p, message):
+        _check(
+            analyze(_fanout(), {"p": p}), live=None, safe=None, bounded=None,
+            skipped=[("liveness", PASS_BINDINGS), ("mcr", NOT_CONCRETE),
+                     ("buffers", NOT_CONCRETE), ("throughput", NOT_CONCRETE)],
+            errors=[("repetition", message)],
+            summary=_lines(
+                "graph: fanout",
+                "verdict: NOT provably bounded: liveness not checked: "
+                + PASS_BINDINGS,
+                *FANOUT_Q,
+                f"(liveness skipped: {PASS_BINDINGS})",
+                f"(mcr skipped: {NOT_CONCRETE})",
+                f"(buffers skipped: {NOT_CONCRETE})",
+                f"(throughput skipped: {NOT_CONCRETE})",
+                f"(repetition FAILED: {message})",
+            ),
+        )
+
+
+class TestVerdictRule:
+    """Regressions: the verdict used to be drawn whether or
+    not the liveness stage ran."""
+
+    def test_tokenless_cycle_with_every_performance_stage_off(self):
+        report = analyze(_tokenless_cycle(), with_mcr=False,
+                         with_buffers=False, with_throughput=False)
+        assert report.skipped == {} and report.errors == {}
+        assert report.bounded is False
+
+    def test_parametric_graph_with_every_performance_stage_off(self):
+        report = analyze(_fanout(), with_mcr=False, with_buffers=False,
+                         with_throughput=False)
+        assert list(report.skipped.items()) == [("liveness", PASS_BINDINGS)]
+        assert report.bounded is None
+
+    def test_tpdf_with_liveness_off_is_not_bounded(self):
+        report = analyze(fig2_graph(), with_liveness=False)
+        assert (report.safe, report.live, report.bounded) == (None, None, None)
+        assert report.verdict_reasons() == ["liveness not checked (disabled)"]
+        assert report.summary().splitlines()[1] == (
+            "verdict: NOT provably bounded: liveness not checked (disabled)")
+
+    def test_bound_tpdf_with_liveness_off_is_not_bounded(self):
+        report = analyze(fig2_graph(), {"p": 2}, with_liveness=False)
+        assert report.bounded is None and report.mcr == 4.0
+
+    def test_liveness_error_is_not_bounded(self, monkeypatch):
+        """A raising liveness stage makes the verdict False."""
+
+        def broken(_graph):
+            raise AnalysisError("liveness exploded")
+
+        _wrap_everywhere(monkeypatch, "repro.tpdf.boundedness",
+                         "check_boundedness", lambda _original: broken)
+        report = analyze(fig2_graph())
+        assert report.errors == {"liveness": "liveness exploded"}
+        assert report.bounded is False
+        assert report.verdict_reasons() == [
+            "liveness analysis failed: liveness exploded"]
+
+    def test_cli_exits_one_on_an_unchecked_graph(self, tmp_path, capsys):
+        import json
+
+        path = tmp_path / "fanout.json"
+        path.write_text(json.dumps(csdf_to_dict(_fanout())))
+        assert main(["analyze", str(path)]) == 1
+        assert "liveness not checked" in capsys.readouterr().out
+
+
+STAGE_FUNCTIONS = (
+    ("repro.tpdf.boundedness", "check_boundedness"),
+    ("repro.csdf.schedule", "is_live"),
+    ("repro.csdf.mcr", "max_cycle_ratio"),
+    ("repro.csdf.buffers", "minimal_buffer_schedule"),
+    ("repro.csdf.throughput", "self_timed_execution"),
+)
+
+
+def test_stage_functions_are_looked_up_at_call_time(monkeypatch):
+    """A wrapper installed on a stage function's public name sees every
+    call ``analyze()`` makes: the chain must not hold the function
+    objects themselves."""
+    calls: list[str] = []
+
+    def counting(name):
+        def wrap(original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+        return wrap
+
+    for module, attr in STAGE_FUNCTIONS:
+        _wrap_everywhere(monkeypatch, module, attr, counting(attr))
+    analyze(fig2_graph(), {"p": 2})
+    analyze(_fanout(), {"p": 2})
+    assert sorted(set(calls)) == sorted(attr for _, attr in STAGE_FUNCTIONS)

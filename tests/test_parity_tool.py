@@ -1,8 +1,10 @@
 """Tier-1 smoke run of the parity digests (tools/parity.py).
 
 The full sets compare two trees; here a trimmed call, made twice on
-freshly built inputs, must hash every set to the same digest, and the
-``decode`` and ``simulate`` sets must hash results, not errors.
+freshly built inputs, must hash every set to the same digest, the
+``decode``, ``simulate`` and ``summary`` sets must hash results, not
+errors, and the ``service`` set must find every served result equal
+to the direct one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
-from parity import SETS, decode_set, digests, main, simulate_set  # noqa: E402
+from parity import (SETS, SUMMARY_SWITCHES, decode_set, digests,  # noqa: E402
+                    main, service_set, simulate_set, summary_set)
 
 
 def test_trimmed_digests_repeat():
@@ -40,6 +43,21 @@ def test_trimmed_decode_and_simulate_sets_hash_results():
     assert [label for label, _ in simulated] == [
         "ofdm_qam", "ofdm_qpsk", "perfbench1:sim40_0", "perfbench1:sim40_1"]
     assert all(isinstance(fp, str) and len(fp) == 64 for _, fp in simulated)
+
+
+def test_trimmed_summary_and_service_sets_hash_results():
+    """Two corpus graphs at default options and with each switch off,
+    then the gallery's first TPDF graph, each a summary; and every
+    served result equal to its direct twin."""
+    summaries = list(summary_set(trim=2))
+    assert len(summaries) == 2 * (1 + len(SUMMARY_SWITCHES)) + 1
+    for _label, (text, skipped, errors) in summaries:
+        assert text.startswith("graph: ") and "liveness: live" in text
+        assert isinstance(skipped, tuple) and errors == ()
+    served = list(service_set(trim=2))
+    assert {op for (_label, op), _ in served} == {
+        "analyze", "lint", "simulate", "parametric"}
+    assert all(outcome == direct for _, (outcome, direct) in served)
 
 
 def test_unknown_set_is_a_usage_error(capsys):

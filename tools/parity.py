@@ -43,6 +43,19 @@ items' ``repr`` lines):
     inputs: the OFDM Fig. 7 graph steered to 16-QAM and to QPSK, and
     seeds 1-3's random 40/60/80-actor TPDF graphs under their core
     budgets and capacities.
+``summary``
+    ``analyze()``'s ``summary()`` text and the key order of its
+    ``skipped`` and ``errors``: the corpus at default options and with
+    each performance-stage switch off, and the gallery's TPDF graphs
+    without bindings.  Every input runs its liveness stage (each corpus
+    graph is live under its bindings), so the set is blind to the
+    verdict of a graph whose liveness was not checked.
+``service``
+    Served and direct results side by side, through a two-worker
+    service: ``analyze()`` fingerprints, ``simulate()`` traces (each
+    node limited to two iterations), ``run_diagnostics`` findings and,
+    on parametric graphs, ``analyze_parametric`` fingerprints.  Inputs:
+    the corpus's first three seeds per shape, and the gallery.
 
 Usage::
 
@@ -326,6 +339,76 @@ def simulate_set(trim: int | None = None) -> Iterator[Item]:
         yield label, _outcome(run)
 
 
+#: ``analyze()`` switches the ``summary`` set turns off one at a time
+#: (liveness stays on: see the set's description).
+SUMMARY_SWITCHES = ("with_mcr", "with_buffers", "with_throughput")
+#: Corpus seeds per shape the ``service`` set sends.
+SERVICE_SEEDS = 3
+#: Parameter boxes of the ``service`` set's parametric requests: every
+#: parametric corpus graph's, and two gallery graphs'.
+CORPUS_DOMAIN = {"p": (1, 4)}
+GALLERY_DOMAINS = {"fig2_p2": {"p": (1, 8)},
+                   "radio_b2c3": {"b": (1, 4), "c": (1, 4)}}
+
+
+def summary_set(trim: int | None = None) -> Iterator[Item]:
+    from repro.analysis import analyze
+    from repro.tpdf import TPDFGraph
+
+    def shown(graph, bindings, **options) -> tuple:
+        report = analyze(graph, bindings, **options)
+        return report.summary(), tuple(report.skipped), tuple(report.errors)
+
+    for label, graph, bindings in _corpus(trim):
+        yield label, _outcome(lambda: shown(graph, bindings))
+        for switch in SUMMARY_SWITCHES:
+            yield (label, switch), _outcome(
+                lambda: shown(graph, bindings, **{switch: False}))
+    for label, graph, _bindings in _gallery(trim):
+        if isinstance(graph, TPDFGraph):
+            yield label, _outcome(lambda: shown(graph, None))
+
+
+def service_set(trim: int | None = None) -> Iterator[Item]:
+    from repro.analysis import analyze, analyze_parametric, simulate
+    from repro.csdf.analysis import concrete_repetition_vector
+    from repro.diagnostics import run_diagnostics
+    from repro.service import ServiceClient, serve_in_thread
+    from repro.tpdf import TPDFGraph
+
+    inputs = [(label, graph, bindings, CORPUS_DOMAIN if bindings else None)
+              for index, (label, graph, bindings) in enumerate(_corpus(None))
+              if index % CORPUS_SEEDS < SERVICE_SEEDS][:trim]
+    inputs += [(label, graph, bindings, GALLERY_DOMAINS.get(label))
+               for label, graph, bindings in _gallery(trim)]
+
+    def both(served: Callable[[], Any], direct: Callable[[], Any]) -> tuple:
+        return _outcome(served), _outcome(direct)
+
+    with serve_in_thread(workers=2) as handle:
+        client = ServiceClient(handle.url)
+        for label, graph, bindings, domain in inputs:
+            yield (label, "analyze"), both(
+                lambda: client.analyze(graph, bindings).fingerprint(),
+                lambda: analyze(graph, bindings).fingerprint())
+            yield (label, "lint"), both(
+                lambda: [d.to_dict() for d in client.lint(graph, bindings)],
+                lambda: [d.to_dict()
+                         for d in run_diagnostics(graph, bindings=bindings)])
+            if isinstance(graph, TPDFGraph):
+                q = concrete_repetition_vector(graph.as_csdf(), bindings)
+                limits = {name: 2 * count for name, count in q.items()}
+                yield (label, "simulate"), both(
+                    lambda: client.simulate(graph, bindings,
+                                            limits=limits).fingerprint(),
+                    lambda: simulate(graph, bindings,
+                                     limits=limits).fingerprint())
+            if domain is not None:
+                yield (label, "parametric"), both(
+                    lambda: client.analyze_parametric(graph, domain).fingerprint(),
+                    lambda: analyze_parametric(graph, domain).fingerprint())
+
+
 SETS: dict[str, Callable[[int | None], Iterator[Item]]] = {
     "analyze": analyze_set,
     "mcr": mcr_set,
@@ -333,6 +416,8 @@ SETS: dict[str, Callable[[int | None], Iterator[Item]]] = {
     "warm": warm_set,
     "decode": decode_set,
     "simulate": simulate_set,
+    "summary": summary_set,
+    "service": service_set,
 }
 
 
