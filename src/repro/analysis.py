@@ -11,8 +11,9 @@ enables it and a requirement:
 * **repetition** — the concrete vector, when ``bindings`` bind every
   parameter; a failure leaves the valuation non-concrete;
 * **liveness** (``with_liveness``) — TPDF rate safety and cycle
-  analysis, or a sequential-schedule probe for plain CSDF, which needs
-  a concrete valuation;
+  analysis, or for plain CSDF the same cycle-by-cycle check on integer
+  local solutions (:func:`repro.csdf.schedule.is_live`), which needs a
+  concrete valuation;
 * **mcr**, **buffers**, **throughput** (``with_mcr``,
   ``with_buffers``, ``with_throughput``) — Howard's MCR, the peaks of
   a buffer-minimizing iteration and the timed self-timed execution
@@ -499,8 +500,8 @@ class _Run(NamedTuple):
 # through this module's globals (a tracer may have wrapped them).
 
 def _checkable(run: _Run) -> str | None:
-    """TPDF liveness needs consistency only; CSDF liveness probes a
-    concrete schedule."""
+    """TPDF liveness needs consistency only; CSDF liveness runs each
+    cycle at the concrete valuation."""
     if isinstance(run.graph, TPDFGraph) or run.report.repetition is not None:
         return None
     return "parametric CSDF graph: pass bindings"

@@ -22,6 +22,8 @@ from .analysis import (
 from .schedule import (
     POLICIES,
     SequentialSchedule,
+    cycle_subgraph,
+    cyclic_components,
     find_sequential_schedule,
     is_live,
     validate_schedule,
@@ -78,6 +80,8 @@ __all__ = [
     "find_sequential_schedule",
     "validate_schedule",
     "is_live",
+    "cyclic_components",
+    "cycle_subgraph",
     "POLICIES",
     "TokenState",
     "schedule_buffer_sizes",

@@ -32,9 +32,10 @@ Two solvers are provided:
 Tests cross-validate both against each other and against the converged
 ``self_timed_execution`` period.  For the throughput bound over a whole
 *parameter domain* (instead of one binding at a time) see
-:mod:`repro.csdf.parametric`, which shares this module's core finder
-(:func:`_cyclic_cores`) and core builder (:func:`_core_edges`) and
-certifies each core with one :func:`howard` run.
+:mod:`repro.csdf.parametric`, which shares this module's core builder
+(:func:`_core_edges`) and certifies each core with one :func:`howard`
+run.  Both find the cores with the liveness check's finder,
+:func:`~repro.csdf.schedule.cyclic_components`, sorted.
 
 Rings and cores
 ---------------
@@ -95,8 +96,9 @@ from typing import Mapping
 from ..cache import bindings_key, cached, content_store, register_binding_insensitive
 from ..errors import AnalysisError
 from .analysis import concrete_repetition_vector
-from .digraph import adjacency, nontrivial_components, tarjan_components
+from .digraph import tarjan_components
 from .graph import CSDFGraph
+from .schedule import cyclic_components
 from .sdf import (
     check_firing_names, expand_to_hsdf, firing_name, flow_edges, serialization_ring,
 )
@@ -115,17 +117,7 @@ _SCC_STORE = "mcr_scc"          # core fingerprint -> exact ratio
 _POLICY_STORE = "mcr_scc_policy"  # core shape -> converged policy
 
 
-def _cyclic_cores(csdf: CSDFGraph) -> list[frozenset[str]]:
-    """Nontrivial SCCs of the CSDF digraph: actor sets lying on directed
-    cycles (including single actors with a self-loop channel)."""
-    actors = list(csdf.actors)
-    adj = adjacency(actors, ((c.src, c.dst) for c in csdf.channels.values()))
-    cores = [frozenset(actors[u] for u in group)
-             for group in nontrivial_components(adj)]
-    return sorted(cores, key=lambda s: sorted(s))
-
-
-def _core_edges(actors: list[str], channels, q: Mapping[str, int],
+def _core_edges(actors: tuple[str, ...], channels, q: Mapping[str, int],
                 bindings: Mapping | None = None):
     """The weight-free event graph of one cyclic core, ``(nodes,
     edges)`` with ``edges`` as ``(src, dst, distance)``.
@@ -189,15 +181,16 @@ def _decompose(graph: CSDFGraph, bindings: Mapping | None):
     # Every channel's rates, in channel order: a parameter missing from
     # ``bindings`` raises its KeyError even when no core reads it.
     rate_table(graph, bindings)
-    cores = _cyclic_cores(graph)
+    cores = sorted(cyclic_components(graph))
     in_cores = set().union(*cores)
     rings = tuple((name, count) for name, count in q.items() if name not in in_cores)
     built = []
     for core in cores:
-        actors = sorted(core)
-        channels = [c for c in graph.channels.values() if c.src in core and c.dst in core]
-        nodes, edges = _core_edges(actors, channels, q, bindings)
-        built.append((tuple((name, q[name]) for name in actors), nodes, edges))
+        members = set(core)
+        channels = [c for c in graph.channels.values()
+                    if c.src in members and c.dst in members]
+        nodes, edges = _core_edges(core, channels, q, bindings)
+        built.append((tuple((name, q[name]) for name in core), nodes, edges))
     return rings, tuple(built)
 
 

@@ -31,8 +31,9 @@ each HSDF cycle is one of exactly two kinds:
   channels and constant repetition counts for its actors — the
   sub-expansion is the same finite weighted graph at every valuation.
   It is built by the concrete solver's own core builder
-  (:func:`repro.csdf.mcr._core_edges`, on the cores its
-  ``_cyclic_cores`` finds), and one :func:`~repro.csdf.mcr.howard` run
+  (:func:`repro.csdf.mcr._core_edges`, on the cores
+  :func:`~repro.csdf.schedule.cyclic_components` finds, sorted as the
+  concrete solver sorts them), and one :func:`~repro.csdf.mcr.howard` run
   with the critical cycle re-summed exactly yields its maximum cycle
   ratio as a single exact rational constant.
 
@@ -84,9 +85,8 @@ from ..errors import AnalysisError, ParametricMCRError
 from ..symbolic import Poly, Rat, normalize_bindings
 from .analysis import repetition_vector
 from .graph import CSDFGraph
-from .mcr import (
-    _core_edges, _cyclic_cores, _firing_times, _weighted, howard, max_cycle_ratio,
-)
+from .mcr import _core_edges, _firing_times, _weighted, howard, max_cycle_ratio
+from .schedule import cyclic_components
 
 #: A box: tuple of (parameter name, inclusive lo, inclusive hi),
 #: sorted by name.
@@ -506,7 +506,7 @@ def _parametric_mcr(csdf: CSDFGraph, domain: ParamDomain, max_boxes: int) -> Pie
     candidates: list[MCRCandidate] = [
         _ring_candidate(csdf, name, q_sym) for name in csdf.actors
     ]
-    for scc in _cyclic_cores(csdf):
+    for scc in sorted(cyclic_components(csdf)):
         candidates.append(_core_candidate(csdf, scc, q_sym))
 
     deduped: list[MCRCandidate] = []
@@ -535,7 +535,7 @@ def _ring_candidate(csdf: CSDFGraph, name: str, q_sym: Mapping[str, Poly]) -> MC
 
 
 def _core_candidate(
-    csdf: CSDFGraph, scc: frozenset[str], q_sym: Mapping[str, Poly]
+    csdf: CSDFGraph, scc: tuple[str, ...], q_sym: Mapping[str, Poly]
 ) -> MCRCandidate:
     """The maximum cycle ratio of one cyclic core, as an exact constant.
 
@@ -545,10 +545,9 @@ def _core_candidate(
     cycle from one Howard run, re-summing its weights and distances
     exactly.
     """
-    actors = sorted(scc)
-    label = f"cycle:{'+'.join(actors)}"
+    label = f"cycle:{'+'.join(scc)}"
     q_core: dict[str, int] = {}
-    for name in actors:
+    for name in scc:
         poly = q_sym[name]
         if not poly.is_const():
             raise ParametricMCRError(
@@ -563,8 +562,9 @@ def _core_candidate(
                 f"repetition count of {name!r} is {value}: not a positive integer"
             )
         q_core[name] = int(value)
+    members = set(scc)
     core_channels = [
-        c for c in csdf.channels.values() if c.src in scc and c.dst in scc
+        c for c in csdf.channels.values() if c.src in members and c.dst in members
     ]
     for channel in core_channels:
         if not (channel.production.is_constant() and channel.consumption.is_constant()):
@@ -575,7 +575,7 @@ def _core_candidate(
                 f"support (evaluate concretely per binding instead)"
             )
 
-    nodes, edges = _core_edges(actors, core_channels, q_core)
+    nodes, edges = _core_edges(scc, core_channels, q_core)
     times = _firing_times(csdf, q_core.items())
     solved = howard(list(nodes), _weighted(nodes, edges, times))
     if solved is None:  # pragma: no cover - Howard converges on real cores

@@ -1,11 +1,10 @@
-"""Sequential schedule construction for CSDF graphs.
+"""Sequential schedules and the liveness check of CSDF graphs.
 
 Builds Periodic Admissible Sequential Schedules (PASS): firing
 sequences realizing one graph iteration (each actor fires exactly its
 repetition count and every channel returns to its initial fill level —
 Definition 1 of the paper).  Construction is by symbolic execution of
-the firing rules, which doubles as the classic liveness check: a
-consistent graph is live iff the construction terminates.
+the firing rules.
 
 Two selection policies are provided:
 
@@ -28,24 +27,35 @@ actor itself, if it can fire again — joins the next pass.  The current
 pass is a heap of positions, so the firings, and a deadlock's blocked
 actors and partial schedule, are those of the full scan, at a cost of
 O(degree + log n) per firing instead of a scan of every actor per pass.
+
+Liveness is decided cycle by cycle (Sec. III-C): :func:`is_live` runs
+every cyclic component (:func:`cyclic_components`) alone
+(:func:`cycle_subgraph`), round robin, for one local iteration (Def. 4);
+acyclic parts are live by construction.  TPDF's check
+(:mod:`repro.tpdf.liveness`) runs the same three on its CSDF view.  The
+whole-graph round robin over one global iteration — a consistent graph
+is live iff it completes — is the differential oracle
+(``tests/csdf/test_liveness_differential.py``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from heapq import heapify, heappop, heappush
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from ..cache import bindings_key, cached, register_binding_insensitive
 from ..errors import DeadlockError, SimulationError
 from .analysis import concrete_repetition_vector
+from .digraph import adjacency, nontrivial_components
 from .graph import CSDFGraph
 from .simulation import TokenState, rate_table
 
 POLICIES = ("grouped", "round_robin")
 
 # Liveness is a token-counting property: execution times never enter
-# the schedule probe, so the verdict survives binding-only bumps.
+# the local iterations, so the verdict survives binding-only bumps.
 register_binding_insensitive("is_live")
 
 
@@ -240,20 +250,64 @@ def validate_schedule(
     return state
 
 
-def is_live(graph: CSDFGraph, bindings: Mapping | None = None) -> bool:
-    """Liveness via schedule construction (round-robin is complete:
-    if any PASS exists, interleaved execution finds one).
+def cyclic_components(graph: CSDFGraph) -> list[tuple[str, ...]]:
+    """The non-trivial strongly connected components — more than one
+    actor, or one actor with a self-loop channel — in Tarjan emission
+    order (:func:`~repro.csdf.digraph.nontrivial_components`), members
+    sorted by name."""
+    actors = list(graph.actors)
+    adj = adjacency(actors, ((c.src, c.dst) for c in graph.channels.values()))
+    return [tuple(sorted(actors[u] for u in group))
+            for group in nontrivial_components(adj)]
 
-    Memoized per graph version; the schedule probe is untimed (it only
-    counts tokens), so the verdict is carried across binding-only
-    version bumps (execution-time edits)."""
+
+def cycle_subgraph(graph: CSDFGraph, subset: Iterable[str],
+                   owner: str | None = None) -> CSDFGraph:
+    """The cycle ``subset`` in isolation: its actors and the channels
+    between them, named ``<owner>/cycle(a,b)`` (``owner`` defaults to
+    the graph's name).  External channels are removed: external inputs
+    are assumed always available during the local iteration — they
+    cannot cause the *cycle* to deadlock."""
+    members = set(subset)
+    name = graph.name if owner is None else owner
+    sub = CSDFGraph(f"{name}/cycle({','.join(sorted(members))})")
+    for actor in sorted(members):
+        sub.add_actor(actor, exec_time=graph.actor(actor).exec_times)
+    for channel in graph.channels.values():
+        if channel.src in members and channel.dst in members:
+            sub.add_channel(channel.name, channel.src, channel.dst,
+                            production=channel.production,
+                            consumption=channel.consumption,
+                            initial_tokens=channel.initial_tokens)
+    return sub
+
+
+def is_live(graph: CSDFGraph, bindings: Mapping | None = None) -> bool:
+    """Liveness via local iterations: every cyclic component completes
+    one iteration of its local solution alone, round robin (complete:
+    if any schedule exists, interleaved execution finds one).
+
+    Every channel's rates are read first: a parameter missing from
+    ``bindings`` raises ``KeyError`` even where no cycle reads it.
+    Memoized per graph version; the local iterations only count tokens,
+    so the verdict is carried across execution-time edits."""
     return cached(graph, ("is_live", bindings_key(bindings)),
                   lambda: _is_live(graph, bindings))
 
 
 def _is_live(graph: CSDFGraph, bindings: Mapping | None) -> bool:
-    try:
-        find_sequential_schedule(graph, bindings, policy="round_robin")
-    except DeadlockError:
-        return False
+    q = concrete_repetition_vector(graph, bindings)
+    rate_table(graph, bindings)  # an unbound parameter raises here
+    taus = graph.taus()
+    for subset in cyclic_components(graph):
+        # Def. 4 at the valuation: q = P.r (Theorem 1) makes every
+        # q_a / tau_a the integer r_a, and q^L_a = q_a / gcd(r).
+        factor = gcd(*(q[name] // taus[name] for name in subset))
+        try:
+            find_sequential_schedule(
+                cycle_subgraph(graph, subset), bindings, policy="round_robin",
+                repetitions={name: q[name] // factor for name in subset},
+            )
+        except DeadlockError:
+            return False
     return True

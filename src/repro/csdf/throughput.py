@@ -185,15 +185,6 @@ class _TimedState:
         return dict(zip(self.channel_names, self._peaks))
 
 
-def _iteration_count(iterations) -> int:
-    """``iterations`` checked for the executors and the buffer search:
-    an integer (:func:`~repro.errors.as_count`) of at least one."""
-    count = as_count("iterations", iterations, minimum=None)
-    if count < 1:
-        raise ValueError("need at least one iteration")
-    return count
-
-
 def validate_capacities(
     graph: CSDFGraph, capacities: Mapping[str, int] | None
 ) -> None:
@@ -315,7 +306,7 @@ def self_timed_execution(
     Raises :class:`~repro.errors.DeadlockError` if the execution stalls
     before completing (e.g. a tokenless cycle or undersized buffers).
     """
-    iterations = _iteration_count(iterations)
+    iterations = as_count("iterations", iterations, minimum=1)
     cores = None if cores is None else as_count("cores", cores, minimum=1)
     state = array_state(graph, bindings)
     _check_capacity_contract(graph, capacities, state.order)
@@ -574,7 +565,7 @@ def self_timed_execution_reference(
     name only: the differential suites and CLI
     ``throughput --reference-loop``.
     """
-    iterations = _iteration_count(iterations)
+    iterations = as_count("iterations", iterations, minimum=1)
     cores = None if cores is None else as_count("cores", cores, minimum=1)
     q = concrete_repetition_vector(graph, bindings)
     _check_capacity_contract(graph, capacities, list(q))
@@ -814,7 +805,8 @@ def min_buffers_for_full_throughput(
     # aliasing-prone estimator this search was explicitly cured of.
     # Short requests are executed at the minimum sound horizon instead
     # (more iterations never bias the estimate, they only steady it).
-    iterations = max(_iteration_count(iterations), _MIN_PROBE_ITERATIONS)
+    iterations = max(as_count("iterations", iterations, minimum=1),
+                     _MIN_PROBE_ITERATIONS)
 
     pins = dict(capacities) if capacities else {}
     if pins:

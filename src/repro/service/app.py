@@ -101,9 +101,11 @@ def _parse_options(data) -> dict:
 
 
 def _parse_simulate_options(data) -> dict:
+    """Validate the wire ``options`` object for ``simulate``: absent or
+    not, it must name a stop condition."""
     options = _options(data, _SIMULATE_OPTIONS, "simulate")
-    if data is not None and all(options.get(name) is None
-                                for name in ("until", "limits", "max_firings")):
+    if all(options.get(name) is None
+           for name in ("until", "limits", "max_firings")):
         raise BadRequest(
             "simulate needs a stop condition in options: "
             "'until', 'limits' or 'max_firings'"

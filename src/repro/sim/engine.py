@@ -116,9 +116,6 @@ class Simulator:
     record_values:
         Keep consumed/produced values in the trace (memory-heavy; used
         by functional tests).
-    control_priority:
-        Start ready control actors before ready kernels (the paper's
-        rule; disabled by the scheduler ablation).
     ready_core:
         ``"arrays"`` (default) runs the schedule-plane / value-plane
         split of :mod:`repro.sim.schedplane`: scheduling state lives in
@@ -140,7 +137,6 @@ class Simulator:
         bindings: Mapping | None = None,
         cores: int | None = None,
         record_values: bool = False,
-        control_priority: bool = True,
         ready_core: str = "arrays",
         capacities: Mapping[str, int] | None = None,
     ):
@@ -155,7 +151,6 @@ class Simulator:
         self.bindings = dict(bindings or {})
         self.cores = cores
         self.record_values = record_values
-        self.control_priority = control_priority
         self.ready_core = ready_core
         #: ready-check cost counters: ``visits`` = nodes examined by
         #: the ready scan (the number the ext6 bench compares across
@@ -207,10 +202,9 @@ class Simulator:
         #: ``function``/``meta`` hooks attached after construction are
         #: still honoured
         self._plane = None
-        if control_priority:
-            self._order = list(graph.controls) + list(graph.kernels)
-        else:
-            self._order = list(graph.kernels) + list(graph.controls)
+        # Ready control actors start before ready kernels (the paper's
+        # rule): the scan visits every control actor first.
+        self._order = list(graph.controls) + list(graph.kernels)
 
         # Scan positions and node objects by position, shared with the
         # schedule plane (which indexes instead of calling graph.node()).

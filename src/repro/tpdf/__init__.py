@@ -45,8 +45,6 @@ from .liveness import (
     check_liveness,
     cluster_cycle,
     clustered_graph,
-    cyclic_components,
-    cycle_subgraph,
 )
 from .boundedness import (
     BoundednessReport,
@@ -98,8 +96,6 @@ __all__ = [
     "LivenessReport",
     "check_liveness",
     "check_cycle",
-    "cyclic_components",
-    "cycle_subgraph",
     "cluster_cycle",
     "clustered_graph",
     "BoundednessReport",

@@ -4,17 +4,19 @@ A (C)SDF/TPDF graph can only deadlock through a directed cycle, and
 TPDF's topology changes never *add* firing constraints (rejected tokens
 merely go unused), so the analysis reduces to the cyclic parts:
 
-1. find the non-trivial strongly connected components (cycles);
+1. find the non-trivial strongly connected components (cycles) of the
+   CSDF view (:func:`repro.csdf.schedule.cyclic_components`);
 2. for each cycle ``Z``, compute the **local solution** ``q^L``
    (Def. 4) — for consistent graphs this is typically parameter-free
    even when the global repetition vector is parametric (Fig. 4(a):
    ``q^L_B = q^L_C = 2`` although ``q = [2, 2p, 2p]``);
 3. schedule the cycle *in isolation* (external inputs assumed
    plentiful) for one local iteration by exhaustive symbolic
-   execution.  Maximal execution strategies are complete for the
-   monotonic CSDF firing rule, so interleaved schedules such as the
-   paper's late schedule ``(B C C B)`` for Fig. 4(b) are found whenever
-   any schedule exists;
+   execution, round robin, as plain CSDF's
+   :func:`~repro.csdf.schedule.is_live` does.  Maximal execution
+   strategies are complete for the monotonic CSDF firing rule, so
+   interleaved schedules such as the paper's late schedule
+   ``(B C C B)`` for Fig. 4(b) are found whenever any schedule exists;
 4. **cluster** each live cycle into a single actor ``Omega`` whose
    external rates are the cycle's per-local-iteration totals (Fig. 4(c))
    — the clustered graph is acyclic and consistent, hence live, which
@@ -31,9 +33,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from ..csdf.digraph import adjacency, nontrivial_components
 from ..csdf.graph import CSDFGraph
-from ..csdf.schedule import SequentialSchedule, find_sequential_schedule
+from ..csdf.schedule import (
+    SequentialSchedule, cycle_subgraph, cyclic_components, find_sequential_schedule,
+)
 from ..errors import AnalysisError, DeadlockError
 from ..symbolic import Poly
 from .areas import LocalSolution, local_solution
@@ -74,38 +77,6 @@ class LivenessReport:
         return "\n".join([head] + [f"  {verdict}" for verdict in self.cycles])
 
 
-def cyclic_components(graph: TPDFGraph) -> list[tuple[str, ...]]:
-    """Non-trivial SCCs (size > 1, or a single node with a self-loop),
-    members sorted by name."""
-    nodes = graph.node_names()
-    adj = adjacency(nodes, ((c.src, c.dst) for c in graph.channels.values()))
-    return [tuple(sorted(nodes[u] for u in group))
-            for group in nontrivial_components(adj)]
-
-
-def cycle_subgraph(graph: TPDFGraph, subset: Iterable[str]) -> CSDFGraph:
-    """CSDF abstraction of the cycle with external channels removed
-    (external inputs are assumed always available during the local
-    iteration — they cannot cause the *cycle* to deadlock)."""
-    subset = set(subset)
-    full = graph.as_csdf()
-    sub = CSDFGraph(f"{graph.name}/cycle({','.join(sorted(subset))})")
-    for name in sorted(subset):
-        actor = full.actor(name)
-        sub.add_actor(name, exec_time=actor.exec_times)
-    for channel in full.channels.values():
-        if channel.src in subset and channel.dst in subset:
-            sub.add_channel(
-                channel.name,
-                channel.src,
-                channel.dst,
-                production=channel.production,
-                consumption=channel.consumption,
-                initial_tokens=channel.initial_tokens,
-            )
-    return sub
-
-
 def _sample_bindings(graph: TPDFGraph, names: set[str], limit: int = 8) -> list[dict[str, int]]:
     """Cartesian samples of the relevant parameter domains (capped)."""
     relevant = [graph.parameters[name] for name in sorted(names) if name in graph.parameters]
@@ -120,62 +91,31 @@ def _sample_bindings(graph: TPDFGraph, names: set[str], limit: int = 8) -> list[
     return combos
 
 
-def _schedule_cycle(
-    sub: CSDFGraph, counts: Mapping[str, int], bindings: Mapping | None
-) -> SequentialSchedule:
-    return find_sequential_schedule(
-        sub,
-        bindings=bindings,
-        policy="round_robin",
-        repetitions=dict(counts),
-    )
-
-
 def check_cycle(graph: TPDFGraph, subset: tuple[str, ...]) -> CycleVerdict:
-    """Decide liveness of one cycle via its local iteration."""
+    """Decide liveness of one cycle via its local iteration: once when
+    the local solution and the cycle's rates are parameter-free, else
+    once per sampled witness valuation."""
     local = local_solution(graph, subset)
-    sub = cycle_subgraph(graph, subset)
-    parametric = bool(sub.parameters()) or not local.is_concrete()
-    if not parametric:
-        counts = local.as_ints()
-        try:
-            schedule = _schedule_cycle(sub, counts, None)
-        except DeadlockError as exc:
-            return CycleVerdict(
-                actors=subset, local=local, live=False, reason=str(exc)
-            )
-        return CycleVerdict(actors=subset, local=local, live=True, schedule=schedule)
-
+    sub = cycle_subgraph(graph.as_csdf(), subset, owner=graph.name)
     names = sub.parameters() | {
         v for count in local.counts.values() for v in count.variables()
     }
-    witnesses = _sample_bindings(graph, names)
-    first_schedule: SequentialSchedule | None = None
-    for bindings in witnesses:
+    symbolic = not names
+    witnesses = [] if symbolic else _sample_bindings(graph, names)
+    schedules = []
+    for bindings in witnesses or [{}]:
         counts = {
             name: count.evaluate_int(bindings) for name, count in local.counts.items()
         }
         try:
-            schedule = _schedule_cycle(sub, counts, bindings)
+            schedules.append(find_sequential_schedule(
+                sub, bindings, policy="round_robin", repetitions=counts))
         except DeadlockError as exc:
-            return CycleVerdict(
-                actors=subset,
-                local=local,
-                live=False,
-                decided_symbolically=False,
-                witnesses=witnesses,
-                reason=f"deadlocks under {bindings}: {exc}",
-            )
-        if first_schedule is None:
-            first_schedule = schedule
-    return CycleVerdict(
-        actors=subset,
-        local=local,
-        live=True,
-        schedule=first_schedule,
-        decided_symbolically=False,
-        witnesses=witnesses,
-    )
+            reason = str(exc) if symbolic else f"deadlocks under {bindings}: {exc}"
+            return CycleVerdict(subset, local, False, decided_symbolically=symbolic,
+                                witnesses=witnesses, reason=reason)
+    return CycleVerdict(subset, local, True, schedule=schedules[0],
+                        decided_symbolically=symbolic, witnesses=witnesses)
 
 
 def check_liveness(graph: TPDFGraph) -> LivenessReport:
@@ -188,7 +128,8 @@ def check_liveness(graph: TPDFGraph) -> LivenessReport:
         repetition_vector(graph)
     except Exception as exc:  # InconsistentRatesError or AnalysisError
         return LivenessReport(live=False, reason=f"not consistent: {exc}")
-    verdicts = [check_cycle(graph, subset) for subset in cyclic_components(graph)]
+    verdicts = [check_cycle(graph, subset)
+                for subset in cyclic_components(graph.as_csdf())]
     dead = [v for v in verdicts if not v.live]
     if dead:
         return LivenessReport(
@@ -249,7 +190,7 @@ def clustered_graph(graph: TPDFGraph) -> CSDFGraph:
     """Cluster *every* cycle of the graph, yielding the acyclic
     CSDF abstraction used to lift local liveness to the whole graph."""
     csdf = graph.as_csdf()
-    for index, subset in enumerate(cyclic_components(graph)):
+    for index, subset in enumerate(cyclic_components(csdf)):
         local = local_solution(graph, subset)
         csdf = cluster_cycle(csdf, subset, local.counts, name=f"Omega{index or ''}")
     return csdf

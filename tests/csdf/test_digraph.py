@@ -10,9 +10,10 @@ networkx is the oracle, not a dependency of the analyses:
   walk against ``nx.descendants``/``nx.ancestors``;
 * the networkx renderings the analyses used before they moved onto
   the routine are kept below as oracles, and compared over the
-  200-graph corpus and the gallery: ``cyclic_components``,
-  ``symbolic_schedule_string``, ``influenced``, ``_sink_distance``,
-  ``_cyclic_cores`` and ``bound_is_tight_for_single_appearance``.
+  200-graph corpus and the gallery: ``cyclic_components`` (on TPDF
+  graphs' CSDF views, in Tarjan order, and sorted as the MCR reads
+  its cores), ``symbolic_schedule_string``, ``influenced``,
+  ``_sink_distance`` and ``bound_is_tight_for_single_appearance``.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from repro.csdf.buffers import _sink_distance
 from repro.csdf.digraph import (adjacency, condensation_order,
                                 nontrivial_components, reachable,
                                 tarjan_components)
-from repro.csdf.mcr import _cyclic_cores
+from repro.csdf.schedule import cyclic_components
 from repro.csdf.symbuf import bound_is_tight_for_single_appearance
 from repro.tpdf import random_consistent_graph
 from repro.tpdf.areas import influenced, predecessors, successors
 from repro.tpdf.consistency import symbolic_schedule_string
-from repro.tpdf.liveness import cyclic_components
 
 SHAPES = (
     (3, 1, 0, False, False),
@@ -158,9 +158,9 @@ def _nx_cyclic_cores(csdf):
             selfloop.add(channel.src)
         else:
             digraph.add_edge(channel.src, channel.dst)
-    cores = [frozenset(scc) for scc in nx.strongly_connected_components(digraph)
-             if len(scc) > 1 or next(iter(scc)) in selfloop]
-    return sorted(cores, key=lambda s: sorted(s))
+    return sorted(tuple(sorted(scc))
+                  for scc in nx.strongly_connected_components(digraph)
+                  if len(scc) > 1 or next(iter(scc)) in selfloop)
 
 
 def _nx_bound_is_tight(csdf):
@@ -186,7 +186,7 @@ def _gallery():
 
 def _assert_csdf_sites_agree(label, csdf):
     assert _sink_distance(csdf) == _nx_sink_distance(csdf), label
-    assert _cyclic_cores(csdf) == _nx_cyclic_cores(csdf), label
+    assert sorted(cyclic_components(csdf)) == _nx_cyclic_cores(csdf), label
     assert (bound_is_tight_for_single_appearance(csdf)
             == _nx_bound_is_tight(csdf)), label
 
@@ -196,7 +196,8 @@ class TestCallSitesAgainstNetworkx:
     def test_tpdf_sites(self, source):
         graphs = list(_corpus()) if source == "corpus" else _gallery()
         for label, graph in graphs:
-            assert cyclic_components(graph) == _nx_cyclic_components(graph), label
+            assert cyclic_components(graph.as_csdf()) == _nx_cyclic_components(
+                graph), label
             assert symbolic_schedule_string(graph) == symbolic_schedule_string(
                 graph, order=_nx_schedule_order(graph)), label
             for control in graph.controls:

@@ -739,7 +739,8 @@ class TestBufferSearch:
     def test_fewer_than_one_iteration_rejected(self, fig1, iterations):
         """Bugfix regression: the horizon floor turned any request
         below four iterations, negative ones included, into four."""
-        with pytest.raises(ValueError, match="need at least one iteration"):
+        with pytest.raises(ValueError,
+                           match=f"iterations must be >= 1, got {iterations}"):
             min_buffers_for_full_throughput(fig1, iterations=iterations)
 
     def test_short_horizons_still_floored(self, fig1):

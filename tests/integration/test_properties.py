@@ -121,11 +121,12 @@ def test_simulator_agrees_with_token_semantics(seed, n):
 @given(seed=seeds, n=st.integers(3, 7), cycles=st.integers(1, 2))
 @settings(max_examples=15)
 def test_clustering_preserves_external_repetition(seed, n, cycles):
-    from repro.tpdf import clustered_graph, cyclic_components
+    from repro.csdf import cyclic_components
+    from repro.tpdf import clustered_graph
 
     graph = random_consistent_graph(n, n_cycles=cycles, seed=seed,
                                     with_control=False)
-    members = {a for scc in cyclic_components(graph) for a in scc}
+    members = {a for scc in cyclic_components(graph.as_csdf()) for a in scc}
     if not members:
         return
     original = repetition_vector(graph)

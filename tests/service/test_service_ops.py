@@ -108,6 +108,26 @@ def test_fractional_counts_are_400(client, endpoint, field, value, message):
     assert data["error"] == {"type": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("options", (None, {}), ids=("absent", "empty"))
+def test_simulate_without_stop_condition_is_400(client, options):
+    """Bugfix regression: a ``/simulate`` request without an
+    ``options`` object skipped the front door's stop-condition check,
+    reached a worker and answered with the worker's ``ValueError``.
+    Absent or empty, the options are refused before any worker hop."""
+    body = _body("simulate", "no-stop")
+    del body["options"]
+    if options is not None:
+        body["options"] = options
+    before = _counters(client)
+    status, data = _post(client, "simulate", body)
+    assert status == 400
+    assert data["error"] == {
+        "type": "BadRequest",
+        "message": "simulate needs a stop condition in options: "
+                   "'until', 'limits' or 'max_firings'"}
+    assert _delta(client, before) == (0, 0, 0)
+
+
 def test_analyze_option_names():
     """The wire accepts the stage switches plus the stages' parameters,
     and nothing else."""

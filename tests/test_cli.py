@@ -519,7 +519,7 @@ class TestBufferSearch:
         iterations, so ``--iterations -3`` printed capacities, exit 0."""
         with pytest.raises(SystemExit) as exc:
             main(["buffers", fig1_json, "--search", "--iterations", iterations])
-        assert exc.value.code == "need at least one iteration"
+        assert exc.value.code == f"iterations must be >= 1, got {iterations}"
         assert capsys.readouterr().out == ""
 
 

@@ -3,8 +3,8 @@
 The full sets compare two trees; here a trimmed call, made twice on
 freshly built inputs, must hash every set to the same digest, the
 ``decode``, ``simulate`` and ``summary`` sets must hash results, not
-errors, and the ``service`` set must find every served result equal
-to the direct one.
+errors, the ``service`` set must find every served result equal
+to the direct one, and the ``liveness`` set must see deadlocks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
 from parity import (SETS, SUMMARY_SWITCHES, decode_set, digests,  # noqa: E402
-                    main, service_set, simulate_set, summary_set)
+                    liveness_set, main, service_set, simulate_set,
+                    summary_set)
 
 
 def test_trimmed_digests_repeat():
@@ -58,6 +59,22 @@ def test_trimmed_summary_and_service_sets_hash_results():
     assert {op for (_label, op), _ in served} == {
         "analyze", "lint", "simulate", "parametric"}
     assert all(outcome == direct for _, (outcome, direct) in served)
+
+
+def test_trimmed_liveness_set_sees_deadlocks():
+    """Two graphs per source and their token mutations: 10 of the 20
+    CSDF verdicts are deadlocks, and each of the 17 TPDF reports agrees
+    with the verdict on its CSDF view, a dead one naming its reason."""
+    items = dict(liveness_set(trim=2))
+    verdicts = {label: live for label, live in items.items() if len(label) == 2}
+    reports = {label[:2]: report for label, report in items.items()
+               if len(label) == 3}
+    assert (len(verdicts), len(reports)) == (20, 17)
+    assert sum(not live for live in verdicts.values()) == 10
+    for label, (live, reason, cycles) in reports.items():
+        cycle_reasons = [cycle[-1] for cycle in cycles]
+        assert live == verdicts[label] and bool(reason) != live, label
+        assert any(cycle_reasons) != live, label
 
 
 def test_unknown_set_is_a_usage_error(capsys):

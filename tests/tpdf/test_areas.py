@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.csdf import cyclic_components
 from repro.errors import AnalysisError
 from repro.symbolic import Param, Poly, poly_gcd_many
 from repro.tpdf import (
@@ -16,7 +17,6 @@ from repro.tpdf import (
     repetition_vector,
     successors,
 )
-from repro.tpdf.liveness import cyclic_components
 
 P = Poly.var("p")
 
@@ -118,7 +118,7 @@ def _plain_local_solution(graph, subset):
 
 def _subsets(graph):
     """The cycles, control areas and whole node set of a graph."""
-    yield from cyclic_components(graph)
+    yield from cyclic_components(graph.as_csdf())
     for name in graph.node_names():
         if graph.is_control_actor(name):
             yield tuple(sorted(control_area(graph, name)))

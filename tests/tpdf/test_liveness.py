@@ -3,15 +3,13 @@
 import pytest
 
 from repro.csdf import concrete_repetition_vector as csdf_q
-from repro.csdf import find_sequential_schedule
+from repro.csdf import cycle_subgraph, cyclic_components, find_sequential_schedule
 from repro.symbolic import Poly
 from repro.tpdf import (
     check_cycle,
     check_liveness,
     cluster_cycle,
     clustered_graph,
-    cycle_subgraph,
-    cyclic_components,
 )
 from tests.conftest import build_fig4
 
@@ -20,17 +18,17 @@ P = Poly.var("p")
 
 class TestCycleDetection:
     def test_fig2_acyclic(self, fig2):
-        assert cyclic_components(fig2) == []
+        assert cyclic_components(fig2.as_csdf()) == []
 
     def test_fig4_cycle_found(self, fig4a):
-        assert cyclic_components(fig4a) == [("B", "C")]
+        assert cyclic_components(fig4a.as_csdf()) == [("B", "C")]
 
     def test_selfloop_detected(self, simple_pipeline):
         mid = simple_pipeline.node("mid")
         mid.add_output("loop_out", 1)
         mid.add_input("loop_in", 1)
         simple_pipeline.connect("mid.loop_out", "mid.loop_in", initial_tokens=1)
-        assert ("mid",) in cyclic_components(simple_pipeline)
+        assert ("mid",) in cyclic_components(simple_pipeline.as_csdf())
 
 
 class TestFig4:
@@ -66,7 +64,8 @@ class TestFig4:
 
 class TestCycleSubgraph:
     def test_external_channels_removed(self, fig4a):
-        sub = cycle_subgraph(fig4a, ("B", "C"))
+        sub = cycle_subgraph(fig4a.as_csdf(), ("B", "C"), owner=fig4a.name)
+        assert sub.name == f"{fig4a.name}/cycle(B,C)"
         assert set(sub.actors) == {"B", "C"}
         assert set(sub.channels) == {"e2", "e3"}
         assert sub.channel("e3").initial_tokens == 2

@@ -56,6 +56,15 @@ items' ``repr`` lines):
     node limited to two iterations), ``run_diagnostics`` findings and,
     on parametric graphs, ``analyze_parametric`` fingerprints.  Inputs:
     the corpus's first three seeds per shape, and the gallery.
+``liveness``
+    ``is_live`` verdicts on CSDF views under their bindings and, for
+    TPDF graphs, ``check_liveness`` reports: ``live``, the reason and,
+    per cycle, its actors, local counts, schedule, witnesses and
+    reason.  Inputs: the corpus, the gallery and the EXT7 family
+    (``random_consistent_graph(n, n // 2, 2, seed)``, n = 20, 40, 80,
+    seeds 1-12), each graph followed by its token mutations — every
+    channel holding tokens set to none, half and one less — most of
+    which deadlock.
 
 Usage::
 
@@ -409,6 +418,55 @@ def service_set(trim: int | None = None) -> Iterator[Item]:
                     lambda: analyze_parametric(graph, domain).fingerprint())
 
 
+#: The EXT7 family of the ``liveness`` set: sizes and seeds.
+EXT7_SIZES = (20, 40, 80)
+EXT7_SEEDS = range(1, 13)
+
+
+def _ext7(trim: int | None) -> list[tuple[str, Any, Any]]:
+    from repro.tpdf import random_consistent_graph
+
+    sizes_seeds = [(n, seed) for n in EXT7_SIZES for seed in EXT7_SEEDS]
+    return [(f"ext7:{n}:{seed}", random_consistent_graph(n, n // 2, 2, seed), None)
+            for n, seed in sizes_seeds[:trim]]
+
+
+def _token_mutations(graph) -> Iterator[tuple[str, Any]]:
+    """``(label, copy)`` per token mutation of ``graph``: every channel
+    holding tokens set to none, half and one less."""
+    from repro.io import graph_from_payload, graph_to_payload
+
+    doc = graph_to_payload(graph)
+    for channel in graph.channels.values():
+        tokens = channel.initial_tokens
+        for value in sorted({0, tokens // 2, tokens - 1}) if tokens else ():
+            copy = graph_from_payload(doc)
+            copy.channel(channel.name).initial_tokens = value
+            yield f"{channel.name}={value}", copy
+
+
+def liveness_set(trim: int | None = None) -> Iterator[Item]:
+    from repro.csdf import is_live
+    from repro.tpdf import TPDFGraph, check_liveness
+
+    def report(graph) -> tuple:
+        result = check_liveness(graph)
+        return result.live, result.reason, tuple(
+            (cycle.actors,
+             tuple((name, str(count)) for name, count in cycle.local.counts.items()),
+             cycle.schedule.firings if cycle.schedule is not None else None,
+             tuple(tuple(sorted(w.items())) for w in cycle.witnesses),
+             cycle.reason)
+            for cycle in result.cycles)
+
+    for label, graph, bindings in _corpus(trim) + _gallery(trim) + _ext7(trim):
+        for mutation, case in [("", graph), *_token_mutations(graph)]:
+            if isinstance(case, TPDFGraph):
+                yield (label, mutation, "tpdf"), _outcome(lambda: report(case))
+                case = case.as_csdf()
+            yield (label, mutation), _outcome(lambda: is_live(case, bindings))
+
+
 SETS: dict[str, Callable[[int | None], Iterator[Item]]] = {
     "analyze": analyze_set,
     "mcr": mcr_set,
@@ -418,6 +476,7 @@ SETS: dict[str, Callable[[int | None], Iterator[Item]]] = {
     "simulate": simulate_set,
     "summary": summary_set,
     "service": service_set,
+    "liveness": liveness_set,
 }
 
 
