@@ -5,14 +5,19 @@ needs to know what those minimal buffers cost in throughput when
 iterations pipeline.  This bench scales the minimal capacities of the
 Fig. 2 graph and the OFDM demodulator and measures the steady-state
 iteration period with back-pressure: tighter buffers serialize the
-pipeline, larger budgets saturate at the bottleneck actor.
+pipeline, larger budgets saturate at the bottleneck actor.  It also
+records the smallest capacities that keep the unconstrained MCR
+(``min_buffers_for_full_throughput``) and checks each against a long
+executor run.
 """
 
+import time
 from pathlib import Path
 
 from repro.apps.ofdm import bindings_for, build_ofdm_tpdf
 from repro.csdf import (
     buffer_throughput_tradeoff,
+    max_cycle_ratio,
     min_buffers_for_full_throughput,
     self_timed_execution,
 )
@@ -20,6 +25,7 @@ from repro.tpdf import fig2_graph
 from repro.util import ascii_table, write_csv
 
 SCALES = (1.0, 1.5, 2.0, 4.0)
+SEARCH_ROUNDS = 3
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
@@ -57,22 +63,31 @@ def test_ext3_buffer_throughput_tradeoff(benchmark, report):
     report("ext3_tradeoff", table)
 
 
+#: The long run a search result is checked over: the mean period of
+#: its last ``LONG_WINDOW`` iterations must be the unconstrained MCR.
+LONG_ITERATIONS = 1024
+LONG_WINDOW = 256
+
+
+def _long_run_period(graph, bindings, capacities):
+    ends = self_timed_execution(graph, bindings, iterations=LONG_ITERATIONS,
+                                capacities=capacities).iteration_ends
+    return (ends[-1] - ends[-1 - LONG_WINDOW]) / LONG_WINDOW
+
+
 def test_ext3_min_buffers_for_full_throughput(benchmark, report):
     """DSE point: the smallest capacities that still sustain the
-    unconstrained steady-state period."""
+    unconstrained MCR, checked over a long run."""
     graph = fig2_graph().as_csdf()
     bindings = {"p": 4}
 
     caps = benchmark.pedantic(
         min_buffers_for_full_throughput, args=(graph, bindings),
-        kwargs={"iterations": 5}, rounds=1, iterations=1,
+        rounds=1, iterations=1,
     )
+    mcr = max_cycle_ratio(graph, bindings)
+    assert _long_run_period(graph, bindings, caps) == mcr
     unconstrained = self_timed_execution(graph, bindings, iterations=5)
-    constrained = self_timed_execution(
-        graph, bindings, iterations=5, capacities=caps
-    )
-    assert abs(constrained.iteration_period
-               - unconstrained.iteration_period) < 1e-6
 
     rows = [
         [name, unconstrained.peaks[name], caps[name]]
@@ -80,27 +95,21 @@ def test_ext3_min_buffers_for_full_throughput(benchmark, report):
     ]
     rows.append(["TOTAL", sum(unconstrained.peaks.values()), sum(caps.values())])
     table = ascii_table(
-        ["channel", "unconstrained peak", "min capacity @ full throughput"],
+        ["channel", "unconstrained peak (5 iterations)",
+         "min capacity @ full throughput"],
         rows,
-        title=f"EXT3b — Fig. 2 (p=4) buffer DSE; steady period "
-              f"{unconstrained.iteration_period:.2f} preserved",
+        title=f"EXT3b — Fig. 2 (p=4) buffer DSE; MCR {mcr:.2f} sustained "
+              f"over the last {LONG_WINDOW} of {LONG_ITERATIONS} iterations",
     )
     report("ext3_min_buffers", table)
 
 
-def test_ext3_warm_started_buffer_search(benchmark, report):
-    """EXT3c — the symbolic-bound warm start of the per-channel binary
-    search: identical capacities, fewer probe executions where the
-    bound undercuts the unconstrained peak (imbalanced pipelines whose
-    fast producers run iterations ahead).
-
-    The table also records *failing* warm probes: on the OFDM graphs
-    the one-iteration symbolic bound undercuts the pipelining slack
-    some channels need, so the probe at the bound fails — since the
-    warm-start narrowing fix, each failure raises the search floor to
-    ``bound + 1`` (monotone capacity/period curve) instead of being
-    discarded, and the saved binary-search steps show up in the
-    ``probes saved`` column."""
+def test_ext3_buffer_search(benchmark, report):
+    """EXT3c — the buffer search on the EXT3 graphs: the total of the
+    returned capacities, the verdicts it decided and its time (best of
+    ``SEARCH_ROUNDS`` on one graph object, so the repetition vector and
+    the MCR come from the cache).  Every result sustains the MCR over
+    a long run."""
     from repro.csdf import CSDFGraph
 
     imbalanced = CSDFGraph("imbalanced")
@@ -111,48 +120,40 @@ def test_ext3_warm_started_buffer_search(benchmark, report):
     imbalanced.add_channel("b", "mid", "snk", production=8, consumption=8)
 
     cases = [
-        ("Fig. 2 (p=4)", fig2_graph().as_csdf(), {"p": 4}, 5),
+        ("Fig. 2 (p=4)", fig2_graph().as_csdf(), {"p": 4}),
         ("OFDM (beta=2, N=16)", build_ofdm_tpdf().as_csdf(),
-         bindings_for(2, 16, 4, 4), 5),
+         bindings_for(2, 16, 4, 4)),
         ("OFDM (beta=2, N=32)", build_ofdm_tpdf().as_csdf(),
-         bindings_for(2, 32, 4, 4), 5),
-        ("imbalanced pipeline", imbalanced, None, 8),
+         bindings_for(2, 32, 4, 4)),
+        ("imbalanced pipeline", imbalanced, None),
     ]
 
     def sweep_all():
         rows = []
-        for name, graph, bindings, iterations in cases:
-            warm_stats, cold_stats = {}, {}
-            warm = min_buffers_for_full_throughput(
-                graph, bindings, iterations=iterations, stats=warm_stats)
-            cold = min_buffers_for_full_throughput(
-                graph, bindings, iterations=iterations, warm_start=False,
-                stats=cold_stats)
-            assert warm == cold, f"{name}: warm-started search diverged"
-            rows.append((name, sum(warm.values()),
-                         warm_stats["probes"], cold_stats["probes"],
-                         warm_stats["warm_failed"],
-                         warm_stats["probes_saved"]))
-        # The failed-probe narrowing must be exercised by the corpus
-        # (the OFDM rows) and must never make the warm search probe
-        # more than the cold one.
-        assert any(failed > 0 for *_, failed, _saved in rows)
-        assert all(wp <= cp for _, _, wp, cp, _, _ in rows)
+        for name, graph, bindings in cases:
+            best = float("inf")
+            for _ in range(SEARCH_ROUNDS):
+                stats = {}
+                start = time.perf_counter()
+                caps = min_buffers_for_full_throughput(graph, bindings,
+                                                       stats=stats)
+                best = min(best, time.perf_counter() - start)
+            assert _long_run_period(graph, bindings, caps) == stats["target"], name
+            rows.append((name, sum(caps.values()), stats["probes"],
+                         f"{best * 1000.0:.2f}"))
         return rows
 
     rows = benchmark.pedantic(sweep_all, rounds=1, iterations=1)
     table = ascii_table(
-        ["graph", "min total buffer", "warm probes", "cold probes",
-         "failed warm probes (floor-narrowed)", "est. steps narrowed"],
+        ["graph", "min total buffer", "verdicts", "ms"],
         [list(row) for row in rows],
-        title="EXT3c — symbolic-bound warm start of the buffer search "
-              "(capacities identical to the cold search; measured "
-              "saving = cold - warm probes)",
+        title="EXT3c — buffer search, one exact verdict per candidate "
+              f"(each result sustains the MCR over the last {LONG_WINDOW} "
+              f"of {LONG_ITERATIONS} iterations)",
     )
     write_csv(
-        RESULTS_DIR / "ext3_warm_buffers.csv",
-        ["graph", "min_total_buffer", "warm_probes", "cold_probes",
-         "warm_failed", "est_steps_narrowed"],
+        RESULTS_DIR / "ext3_buffer_search.csv",
+        ["graph", "min_total_buffer", "verdicts", "ms"],
         rows,
     )
-    report("ext3_warm_buffers", table)
+    report("ext3_buffer_search", table)

@@ -21,7 +21,9 @@ Commands operate on graphs serialized by :mod:`repro.io`:
     and list-schedule it onto ``--cores N`` processing elements;
 ``buffers``
     print per-channel buffer bounds (symbolic when possible, concrete
-    under ``--bind``);
+    under ``--bind``); ``--search`` instead prints the smallest
+    capacities that keep the unconstrained MCR, each candidate judged
+    exactly;
 ``simulate``
     run the discrete-event TPDF simulator (control tokens, clocks,
     data-dependent durations) on the schedule-plane / value-plane
@@ -289,14 +291,12 @@ def cmd_buffers(args) -> int:
 
         stats: dict = {}
         capacities = min_buffers_for_full_throughput(
-            csdf, bindings or None, iterations=args.iterations, stats=stats,
+            csdf, bindings or None, stats=stats,
         )
         for name in sorted(capacities):
             print(f"  {name}: {capacities[name]}")
         print(f"total: {sum(capacities.values())}")
-        print(f"probes executed: {stats['probes']} "
-              f"(floored: {stats['probes_floored']}, "
-              f"memoized: {stats['probes_memoized']})")
+        print(f"verdicts: {stats['probes']}")
         return 0
     if bindings:
         _, peaks = minimal_buffer_schedule(csdf, bindings)
@@ -592,10 +592,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="NAME=VALUE")
     p_buf.add_argument("--search", action="store_true",
                        help="search the minimal per-channel capacities "
-                            "preserving full throughput (executes probe "
-                            "runs instead of the analytic bounds)")
-    p_buf.add_argument("--iterations", type=int, default=6,
-                       help="self-timed iterations per probe (with --search)")
+                            "preserving full throughput (each candidate "
+                            "judged exactly on the capacity-bounded "
+                            "event graph)")
     p_buf.set_defaults(func=cmd_buffers)
 
     p_thr = sub.add_parser("throughput", help="MCR + self-timed period")

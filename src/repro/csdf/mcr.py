@@ -70,7 +70,21 @@ rational summation (:class:`fractions.Fraction` over the cycle's float
 weights and distances), which makes the stored value a pure function of
 the core fingerprint — warm and cold re-analysis are bit-for-bit
 identical even when policy iteration converges to a different
-equally-critical cycle.
+equally-critical cycle.  :func:`max_cycle_ratio` rounds the largest
+exact ratio to a float; the buffer search reads the exact one.
+
+Every solver shares one deadlock rule: a token-free cycle deadlocks
+whatever it weighs (execution times of 0 included), and raises
+:class:`~repro.errors.DeadlockError`.
+
+Capacities
+----------
+The buffer search
+(:func:`~repro.csdf.throughput.min_buffers_for_full_throughput`) asks
+one question of this module: does the event graph, bounded by a
+capacity vector, keep the exact MCR without deadlock?
+:class:`_BufferVerdict` answers it exactly, with integer longest-path
+potentials over the whole graph's event graph.
 
 Examples
 --------
@@ -89,18 +103,22 @@ Examples
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from itertools import cycle, islice
+from math import lcm
 from typing import Mapping
 
 from ..cache import bindings_key, cached, content_store, register_binding_insensitive
-from ..errors import AnalysisError
+from ..errors import AnalysisError, DeadlockError
 from .analysis import concrete_repetition_vector
+from .channel import Channel
 from .digraph import tarjan_components
 from .graph import CSDFGraph
 from .schedule import cyclic_components
 from .sdf import (
-    check_firing_names, expand_to_hsdf, firing_name, flow_edges, serialization_ring,
+    channel_firing_flows, check_firing_names, expand_to_hsdf, firing_name, flow_edges,
+    serialization_ring,
 )
 from .simulation import rate_table
 
@@ -111,6 +129,9 @@ _EPS = 1e-10
 #: Precision of the binary search standing in for Howard's iteration
 #: on a core it did not converge on.
 _FALLBACK_TOLERANCE = 1e-6
+
+#: The one deadlock message of every solver.
+_TOKEN_FREE_CYCLE = "cycle with zero tokens: the graph deadlocks, MCR undefined"
 
 #: Cross-version content stores (see :func:`repro.cache.content_store`).
 _SCC_STORE = "mcr_scc"          # core fingerprint -> exact ratio
@@ -197,50 +218,41 @@ def _decompose(graph: CSDFGraph, bindings: Mapping | None):
 register_binding_insensitive("mcr_cores")
 
 
-def _check_deadlock_free(n_nodes: int, out_edges) -> None:
-    """Reject graphs with a token-free cycle of positive execution time.
-
-    All edge weights are non-negative, so a strongly connected
-    component of the zero-token subgraph containing an edge of positive
-    weight necessarily contains a positive-weight token-free cycle —
-    the graph deadlocks and the MCR is undefined.  Runs the shared
-    :func:`~repro.csdf.digraph.tarjan_components` on the token-free
-    edges only.
+def _check_deadlock_free(nodes, edges) -> None:
+    """Refuse a graph with a token-free cycle: its firings wait on each
+    other within one iteration, so the graph deadlocks whatever the
+    cycle weighs (execution times of 0 included) and the MCR is
+    undefined.  ``edges`` are ``(src, dst, weight, distance)``; a cycle
+    of distance-0 edges is one strongly connected component of that
+    subgraph holding an edge, found by the shared
+    :func:`~repro.csdf.digraph.tarjan_components`.
     """
-    zero_adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    zero_weight: dict[tuple[int, int], float] = {}
-    for u in range(n_nodes):
-        for v, w, t in out_edges[u]:
-            if t == 0.0:
-                zero_adj[u].append(v)
-                key = (u, v)
-                zero_weight[key] = max(zero_weight.get(key, 0.0), w)
-    comp = tarjan_components(n_nodes, zero_adj)
-    for (u, v), w in zero_weight.items():
-        if comp[u] == comp[v] and w > _EPS:
-            raise AnalysisError(
-                "cycle with zero tokens and positive execution time: the "
-                "graph deadlocks, MCR undefined"
-            )
+    idx = {node: i for i, node in enumerate(nodes)}
+    zero_adj: list[list[int]] = [[] for _ in nodes]
+    for src, dst, _w, t in edges:
+        if t == 0:
+            zero_adj[idx[src]].append(idx[dst])
+    comp = tarjan_components(len(nodes), zero_adj)
+    if any(comp[u] == comp[v] for u, succs in enumerate(zero_adj) for v in succs):
+        raise DeadlockError(_TOKEN_FREE_CYCLE)
 
 
-def _exact_cycle_ratio(cycle_edges) -> float:
+def _exact_cycle_ratio(cycle_edges) -> Fraction:
     """The cycle's ratio by exact rational summation of its float
     weights and distances — independent of edge order and of which
-    equally-critical cycle policy iteration happened to converge to."""
-    if not cycle_edges:
-        return 0.0
+    equally-critical cycle policy iteration happened to converge to.
+    Every cycle carries a token: :func:`_check_deadlock_free` refused
+    the token-free ones."""
     weight = sum(Fraction(w) for _, _, w, _ in cycle_edges)
     tokens = sum(Fraction(t) for _, _, _, t in cycle_edges)
-    if tokens <= 0:
-        return 0.0  # zero-weight token-free cycle (deadlock already excluded)
-    return float(weight / tokens)
+    return weight / tokens
 
 
 def howard(nodes: list[str], edges, initial_policy: Mapping | None = None):
     """Howard's iteration: MCR, critical cycle, and converged policy.
 
-    Returns ``(mcr, cycle_edges, policy)``: ``cycle_edges`` the list of
+    Returns ``(mcr, cycle_edges, policy)``: ``mcr`` an exact
+    :class:`~fractions.Fraction`, ``cycle_edges`` the list of
     ``(src, dst, weight, distance)`` edges of one cycle attaining the
     MCR (empty for an acyclic graph), and ``policy`` a mapping
     ``node -> (successor, distance)`` describing the converged policy —
@@ -252,7 +264,8 @@ def howard(nodes: list[str], edges, initial_policy: Mapping | None = None):
     iteration did not converge (caller falls back to the binary
     search).  The MCR is extracted from the critical cycle by exact
     rational summation, so it is identical however the solve was
-    seeded.
+    seeded.  A token-free cycle raises
+    :class:`~repro.errors.DeadlockError`.
     """
     solved = _howard_solve(nodes, edges, initial_policy=initial_policy)
     if solved is None:
@@ -260,7 +273,7 @@ def howard(nodes: list[str], edges, initial_policy: Mapping | None = None):
     ratio, value, policy, live_nodes, idx = solved
     del value
     if not live_nodes:
-        return 0.0, [], {}
+        return Fraction(0), [], {}
     best = max(live_nodes, key=lambda u: ratio[u])
     # Walk the (converged) policy from the argmax node: the walk enters
     # a policy cycle whose ratio is exactly ratio[best] — the MCR.
@@ -299,7 +312,7 @@ def _howard_solve(nodes: list[str], edges, initial_policy: Mapping | None = None
     for src, dst, w, t in edges:
         out_edges[idx[src]].append((idx[dst], w, t))
 
-    _check_deadlock_free(n, out_edges)
+    _check_deadlock_free(nodes, edges)
 
     # Trim nodes with no outgoing edges (they are on no cycle); repeat
     # until every remaining node keeps at least one successor.
@@ -370,15 +383,7 @@ def _howard_solve(nodes: list[str], edges, initial_policy: Mapping | None = None
                 cycle = path[order_stamp[u]:]
                 w_sum = sum(policy[x][1] for x in cycle)
                 t_sum = sum(policy[x][2] for x in cycle)
-                if t_sum <= 0.0:
-                    if w_sum > _EPS:
-                        raise AnalysisError(
-                            "cycle with zero tokens and positive execution "
-                            "time: the graph deadlocks, MCR undefined"
-                        )
-                    lam = 0.0
-                else:
-                    lam = w_sum / t_sum
+                lam = w_sum / t_sum
                 # Values around the cycle: fix the entry node at 0 and
                 # walk backwards (value[x] = w - lam*t + value[succ]).
                 ratio[u] = lam
@@ -460,13 +465,9 @@ def mcr_reference(
     if not edges:
         return 0.0
     nodes = list(weights)
+    _check_deadlock_free(nodes, edges)
     lo = 0.0
     hi = sum(weights.values()) + 1.0
-    if _has_positive_cycle(nodes, edges, hi):
-        raise AnalysisError(
-            "cycle with zero tokens and positive execution time: the "
-            "graph deadlocks, MCR undefined"
-        )
     while hi - lo > tolerance:
         mid = (lo + hi) / 2.0
         if _has_positive_cycle(nodes, edges, mid):
@@ -525,24 +526,53 @@ def _max_cycle_ratio(graph: CSDFGraph, bindings: Mapping | None) -> float:
         if ratio > best:
             best = ratio
     for firings, nodes, edges in cores:
-        ratio = _component_mcr(graph, firings, nodes, edges)
+        ratio = float(_component_mcr(graph, firings, nodes, edges))
         if ratio > best:
             best = ratio
     return best
 
 
-def _ring_ratio(times: tuple[float, ...], count: int) -> float:
-    """The ratio of a ring of ``count`` firings cycling through the
-    phase ``times`` and carrying one token: whole phase cycles times
-    the phases' sum plus the leftover prefix, in exact arithmetic — the
-    value :func:`_exact_cycle_ratio` gives the ring's edges, whatever
+def _exact_max_cycle_ratio(graph: CSDFGraph, bindings: Mapping | None) -> Fraction:
+    """The exact MCR, which :func:`max_cycle_ratio` rounds to a float:
+    the largest of the rings' exact sums and the cores' exact critical
+    cycle ratios (content-store hits, like the float's).  A core the
+    binary-search fallback solved has no exact ratio, so it raises
+    :class:`~repro.errors.AnalysisError` naming the core."""
+    rings, cores = _decomposition(graph, bindings)
+    best = Fraction(0)
+    for name, count in rings:
+        best = max(best, _ring_sum(graph.actor(name).exec_times, count))
+    for firings, nodes, edges in cores:
+        ratio = _component_mcr(graph, firings, nodes, edges)
+        if not isinstance(ratio, Fraction):
+            names = ", ".join(name for name, _count in firings)
+            raise AnalysisError(
+                f"the cyclic core {{{names}}} was solved by the binary-search "
+                f"fallback: its ratio is not exact"
+            )
+        best = max(best, ratio)
+    return best
+
+
+def _ring_sum(times: tuple[float, ...], count: int) -> Fraction:
+    """The exact ratio of a ring of ``count`` firings cycling through
+    the phase ``times`` and carrying one token: whole phase cycles
+    times the phases' sum plus the leftover prefix — the value
+    :func:`_exact_cycle_ratio` gives the ring's edges, whatever
     ``count`` is."""
     whole, left = divmod(count, len(times))
-    return float(whole * sum(map(Fraction, times)) + sum(map(Fraction, times[:left])))
+    return whole * sum(map(Fraction, times)) + sum(map(Fraction, times[:left]))
 
 
-def _component_mcr(graph: CSDFGraph, firings, nodes, edges) -> float:
-    """One core's cycle ratio, memoized across versions by fingerprint.
+def _ring_ratio(times: tuple[float, ...], count: int) -> float:
+    """:func:`_ring_sum`, rounded to a float."""
+    return float(_ring_sum(times, count))
+
+
+def _component_mcr(graph: CSDFGraph, firings, nodes, edges) -> Fraction | float:
+    """One core's cycle ratio, memoized across versions by fingerprint:
+    Howard's exact :class:`~fractions.Fraction`, or the float of the
+    binary-search fallback.
 
     The fingerprint covers everything the ratio depends on — the core's
     nodes, its weight-free edges, and its firings' execution times — so
@@ -572,13 +602,9 @@ def _component_mcr(graph: CSDFGraph, firings, nodes, edges) -> float:
 def _component_reference(nodes, edges, times) -> float:
     """Binary-search fallback for a non-convergent core (same search as
     :func:`mcr_reference`, restricted to the core)."""
+    _check_deadlock_free(nodes, edges)
     lo = 0.0
     hi = sum(times) + 1.0
-    if _has_positive_cycle(nodes, edges, hi):
-        raise AnalysisError(
-            "cycle with zero tokens and positive execution time: the "
-            "graph deadlocks, MCR undefined"
-        )
     while hi - lo > _FALLBACK_TOLERANCE:
         mid = (lo + hi) / 2.0
         if _has_positive_cycle(nodes, edges, mid):
@@ -592,3 +618,190 @@ def throughput_bound(graph: CSDFGraph, bindings: Mapping | None = None) -> float
     """Iterations per unit time in steady state (1 / MCR)."""
     period = max_cycle_ratio(graph, bindings)
     return float("inf") if period <= 0 else 1.0 / period
+
+
+class _BufferVerdict:
+    """The buffer search's exact verdict: does a capacity vector keep
+    the unconstrained MCR?
+
+    Under a capacity ``c`` the executor reserves a firing's production
+    when the producer *starts* and frees a consumption when the
+    consumer starts, so the free space of a channel acts as a reverse
+    channel holding ``c - initial tokens`` tokens, produced by the
+    consumer's phases and consumed by the producer's.  Both ends happen
+    at firing starts, so its event-graph edges weigh 0, and the
+    self-timed period under the capacities is the MCR of the augmented
+    event graph (Reiter; Stuijk, Geilen & Basten, DAC 2006, size
+    bounded buffers the same way).  The one exception is a self-loop:
+    a firing frees its own consumption before it reserves its
+    production (``_TimedState.can_start`` in
+    :mod:`repro.csdf.throughput`), so the distance-0 edge from a firing
+    to itself is dropped.
+
+    With ``target = N / T`` the exact unconstrained MCR and ``D`` the
+    common denominator of the execution times, a vector *sustains* when
+    the augmented graph has
+
+    * no cycle of positive weight under the integer edge weights
+      ``T * D * w - N * D * d`` (``w`` the source firing's execution
+      time, 0 on a reverse edge, ``d`` the distance), and
+    * no token-free cycle, the MCR's deadlock rule: such a cycle
+      deadlocks whatever it weighs.
+
+    Both are one positive-cycle question on lexicographic weights:
+    ``(T * D * w - N * D * d, 1 if d == 0 else -n)`` over ``n`` nodes,
+    packed into one integer.  A simple cycle's second component is
+    positive exactly when it carries no token and lies within
+    ``[-n*n, n]``, so it only decides cycles whose first component is
+    0.
+
+    The event graph is built once, on integer node indices: the rings
+    of :func:`~repro.csdf.sdf.serialization_ring` and the flows of
+    :func:`~repro.csdf.sdf.channel_firing_flows` of every channel, with
+    longest-path potentials for it (it has no positive cycle: the
+    target is its MCR).  A probe adds the reverse edges of its capped
+    channels, memoized per ``(channel, capacity)``, and relaxes from
+    the tails of the reverse edges its start potentials violate.  It
+    starts from the potentials of the last vector that sustained (at
+    first, the unconstrained graph's): they satisfy every base edge,
+    and the edges of the channels already sized, which recur in every
+    later probe of the search.  Every ``n`` relaxations it checks
+    whether the parent pointers close a cycle, which is then positive.
+    Arithmetic is integer throughout.  ``probes`` counts the verdicts
+    decided.
+    """
+
+    def __init__(self, graph: CSDFGraph, bindings: Mapping | None):
+        self.target = _exact_max_cycle_ratio(graph, bindings)
+        self.probes = 0
+        q = concrete_repetition_vector(graph, bindings)
+        self._channels = graph.channels
+        self._bindings = bindings
+        self._q = q
+        self._offset: dict[str, int] = {}
+        n = 0
+        for name, count in q.items():
+            self._offset[name] = n
+            n += count
+        self._n = n
+        self._big = n * n + 1
+        times = [Fraction(t) for t in _firing_times(graph, q.items())]
+        scale = lcm(*(t.denominator for t in times))
+        self._token = self.target.numerator * scale
+        work = [int(t * scale) * self.target.denominator for t in times]
+
+        index = {firing_name(name, k): self._offset[name] + k - 1
+                 for name, count in q.items() for k in range(1, count + 1)}
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for name, count in q.items():
+            for src, dst, distance in serialization_ring(name, count):
+                u = index[src]
+                adj[u].append((index[dst], self._weight(work[u], int(distance))))
+        for channel in graph.channels.values():
+            src, dst = self._offset[channel.src] - 1, self._offset[channel.dst] - 1
+            for k, m, delta, _count in channel_firing_flows(
+                    channel, q[channel.src], q[channel.dst], bindings):
+                adj[src + k].append((dst + m, self._weight(work[src + k], delta)))
+        self._adj = adj
+        self._reverse: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
+        potentials = _longest_paths(adj, [0] * n, range(n))
+        assert potentials is not None, "the target is the graph's MCR"
+        self._potentials = potentials
+
+    def _weight(self, work: int, distance: int) -> int:
+        return (self._big * (work - self._token * distance)
+                + (1 if distance == 0 else -self._n))
+
+    def _reverse_edges(self, name: str, capacity: int) -> list[tuple[int, int, int]]:
+        """``(src, dst, weight)`` of the reverse channel of ``name`` at
+        ``capacity``: consumer firing ``m`` frees the space producer
+        firing ``k`` reserves ``delta`` iterations later."""
+        key = (name, capacity)
+        edges = self._reverse.get(key)
+        if edges is None:
+            channel = self._channels[name]
+            space = Channel(name, channel.dst, channel.src,
+                            production=channel.consumption,
+                            consumption=channel.production,
+                            initial_tokens=capacity - channel.initial_tokens)
+            src = self._offset[channel.dst] - 1
+            dst = self._offset[channel.src] - 1
+            edges = [
+                (src + m, dst + k, self._weight(0, delta))
+                for m, k, delta, _count in channel_firing_flows(
+                    space, self._q[channel.dst], self._q[channel.src], self._bindings)
+                if delta or src + m != dst + k
+            ]
+            self._reverse[key] = edges
+        return edges
+
+    def sustains(self, capacities: Mapping[str, int | None]) -> bool:
+        """True when the channels capped in ``capacities`` (``None``:
+        unbounded) keep the target period without deadlock."""
+        self.probes += 1
+        potentials = self._potentials
+        adj = list(self._adj)
+        seeds = []
+        for name, capacity in capacities.items():
+            if capacity is None:
+                continue
+            for u, v, w in self._reverse_edges(name, capacity):
+                adj[u] = [*adj[u], (v, w)]
+                if potentials[u] + w > potentials[v]:
+                    seeds.append(u)
+        if not seeds:
+            return True
+        settled = _longest_paths(adj, list(potentials), seeds)
+        if settled is None:
+            return False
+        self._potentials = settled
+        return True
+
+
+def _longest_paths(adj, potentials: list[int], seeds) -> list[int] | None:
+    """Longest-path relaxation over ``adj`` (``adj[u]`` the ``(v,
+    weight)`` successors of ``u``) from ``seeds``, first in first out:
+    the settled ``potentials``, raised in place, or ``None`` once the
+    parent pointers close a cycle, which is then positive.  The check
+    runs every ``n`` relaxations."""
+    n = len(adj)
+    parent = [-1] * n
+    queued = bytearray(n)
+    queue = deque()
+    for u in seeds:
+        if not queued[u]:
+            queued[u] = 1
+            queue.append(u)
+    budget = n
+    while queue:
+        u = queue.popleft()
+        queued[u] = 0
+        base = potentials[u]
+        for v, w in adj[u]:
+            value = base + w
+            if value > potentials[v]:
+                potentials[v] = value
+                parent[v] = u
+                budget -= 1
+                if not budget:
+                    if _parent_cycle(parent):
+                        return None
+                    budget = n
+                if not queued[v]:
+                    queued[v] = 1
+                    queue.append(v)
+    return potentials
+
+
+def _parent_cycle(parent: list[int]) -> bool:
+    """Do the parent pointers (``-1``: none) close a cycle?  After
+    strict relaxations such a cycle has positive weight."""
+    mark = [0] * len(parent)
+    for start in range(len(parent)):
+        u = start
+        while u >= 0 and not mark[u]:
+            mark[u] = start + 1
+            u = parent[u]
+        if u >= 0 and mark[u] == start + 1:
+            return True
+    return False

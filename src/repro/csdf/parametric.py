@@ -479,9 +479,9 @@ def parametric_mcr(
 
     Raises :class:`~repro.errors.ParametricMCRError` when the graph's
     cyclic core is not binding-independent (the supported-class
-    condition), and :class:`~repro.errors.AnalysisError` when the core
-    deadlocks (a token-free positive-time cycle — exactly when the
-    concrete solver would raise, at every valuation).
+    condition), and :class:`~repro.errors.DeadlockError` when the core
+    deadlocks (a token-free cycle — exactly when the concrete solver
+    would raise, at every valuation).
     """
     csdf: CSDFGraph = graph.as_csdf() if hasattr(graph, "as_csdf") else graph
     dom = ParamDomain.of(domain)
@@ -588,13 +588,8 @@ def _core_candidate(
     for _, _, w, t in cycle_edges:
         weight += Fraction(w)
         tokens += Fraction(t)
-    if not cycle_edges or tokens == 0:
-        # Zero-weight token-free cycles evaluate to ratio 0 (a positive
-        # weight would have tripped the deadlock check inside Howard).
-        ratio = Rat(Poly.const(0))
-    else:
-        ratio = Rat(Poly.const(weight), Poly.const(tokens))
-    return MCRCandidate(label, "cycle", ratio)
+    # Howard refused every token-free cycle, so ``tokens`` is positive.
+    return MCRCandidate(label, "cycle", Rat(Poly.const(weight), Poly.const(tokens)))
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,7 @@
 
 The legacy full-scan loop walks each actor's firing tables in Python
 and rebuilds those tables from the graph on every execution — which a
-``min_buffers_for_full_throughput`` search pays dozens of times over
-(one ``period_with`` probe per binary-search step).
+core-budget sweep or a ``probe_capacities`` call pays once per run.
 :class:`ArrayState` removes the rebuild: channel tokens, endpoints and
 first-firing rates, per-actor edge mirrors with their rate phases, and
 execution times, flattened into position-indexed tuples, built **once

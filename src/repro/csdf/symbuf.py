@@ -16,12 +16,11 @@ exactly.
 The result is a polynomial in the graph parameters, directly comparable
 to the paper's formulas (the EXT4 bench asserts polynomial equality).
 
-Beyond reporting, the bounds feed two consumers: the ``buffers`` CLI
-subcommand (symbolic mode), and the **warm start** of the per-channel
-binary search in
-:func:`repro.csdf.throughput.min_buffers_for_full_throughput` — the
-bound evaluated at a binding caps the search range far below the
-unconstrained execution peak on imbalanced pipelines.
+Beyond reporting, the bounds feed the ``buffers`` CLI subcommand
+(symbolic mode).  They are peak bounds of one schedule, not the
+capacities that keep full throughput: those come from the exact
+search of
+:func:`repro.csdf.throughput.min_buffers_for_full_throughput`.
 
 Examples
 --------

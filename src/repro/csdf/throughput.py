@@ -62,6 +62,7 @@ from typing import Mapping
 from ..errors import DeadlockError, as_count
 from .analysis import concrete_repetition_vector
 from .graph import CSDFGraph
+from .mcr import _BufferVerdict
 from .simulation import rate_table
 from .statearrays import array_state
 
@@ -266,8 +267,8 @@ def capacity_floors(
     capacity, so a larger consumption can never be covered), and the
     producer's largest production phase must fit into an empty buffer
     (a full repetition cycle visits every phase).  The buffer search
-    uses it to discard below-floor probes without executing them —
-    measured on the EXT7 search, over half of all probes.
+    starts each channel's search at its floor, and refuses pins below
+    it.
     """
     table = rate_table(graph, bindings)
     return {
@@ -683,341 +684,94 @@ def throughput_vs_cores(
     }
 
 
-#: Fewest executed iterations a buffer-search probe may use: below
-#: this, ``_steady_period`` has no steady window to average over and
-#: the estimate degenerates to the aliasing-prone last-delta — exactly
-#: the estimator that used to accept undersized capacities.
-_MIN_PROBE_ITERATIONS = 4
-
-#: How far, relative to the period scale, a probe's steady period may
-#: sit above the target and still sustain it.
-_PERIOD_TOLERANCE = 1e-6
-
-
 def min_buffers_for_full_throughput(
     graph: CSDFGraph,
     bindings: Mapping | None = None,
-    iterations: int = 6,
-    warm_start: bool = True,
     stats: dict | None = None,
     capacities: Mapping[str, int] | None = None,
 ) -> dict[str, int]:
     """Smallest per-channel capacities preserving unconstrained
     throughput (a classic buffer-sizing DSE point).
 
-    Strategy: take the unconstrained steady-state period *analytically*
-    from Howard's MCR (Reiter: the converged self-timed period equals
-    the maximum cycle ratio, so no simulated warm-up estimate is
-    needed), start from a vector that sustains it, then shrink each
-    channel in turn by binary search to the smallest capacity that
-    keeps the period within ``_PERIOD_TOLERANCE``.  Greedy per-channel
-    shrinking is not globally optimal (the joint problem is NP-hard)
-    but matches the standard practice the paper's tool ecosystem uses.
+    Every candidate vector is judged exactly, without executing it:
+    :class:`~repro.csdf.mcr._BufferVerdict` asks whether the event
+    graph bounded by the capacities keeps the unconstrained MCR (each
+    capacity acting as a reverse channel of ``capacity - initial
+    tokens`` tokens) and has no token-free cycle.  The target is the
+    exact MCR, so the result is a pure function of the graph and its
+    bindings.
 
-    The start is the peaks of an unconstrained execution, probed like
-    every other vector.  The peaks alone often miss the target: space
-    is reserved when a firing *starts*, so a producer can block below
-    its unconstrained peak.  When the probe misses, every free channel
-    grows by its largest production phase.  Auto-concurrency is off, so
-    a producer has no firing in flight when it starts and the occupancy
-    it meets is at most the peak: no start blocks, and the run is the
-    unconstrained one at the search's horizon.  Every later shrink
-    keeps only vectors a probe has accepted.
-
-    The measured probe periods are still finite-horizon (``iterations``
-    long, floored at ``_MIN_PROBE_ITERATIONS`` so every estimate has a
-    steady window to average over; below one iteration it raises the
-    executor's ``ValueError``), so the analytic target is only
-    adopted when the unconstrained execution confirms it (measured
-    period within ``_PERIOD_TOLERANCE`` of the MCR, *relative* to the period
-    scale so large-exec-time graphs converge too).  Otherwise — horizon too short to
-    converge, or a steady state whose per-iteration deltas oscillate
-    around the MCR — the measured period stays the target, exactly the
-    pre-analytic behaviour: the search is never asked for a period the
-    probe executions cannot exhibit, and never *loosened* against a
-    probe that measures below the true average.
-
-    Probe feasibility is judged by the **steady-window period** (mean
-    iteration delta over the last two thirds of the run, see
-    ``_steady_period``), not the single last delta: capacity-bounded
-    steady states often cycle through a short pattern of deltas
-    (e.g. ``1, 1, 3`` repeating — true period 5/3), and the last delta
-    alone aliases with the horizon, accepting capacities whose true
-    period is above the target and making the measured
-    capacity/period curve spuriously non-monotone.
-
-    With ``warm_start`` (the default) each channel's search range is
-    first narrowed from the **symbolic buffer bounds** of
-    :func:`repro.csdf.symbuf.symbolic_channel_bounds`: the bound —
-    initial tokens plus one iteration's traffic — is often far below
-    the unconstrained peak on imbalanced pipelines (where a fast
-    producer runs many iterations ahead), and one feasibility probe at
-    the bound then replaces ``log2(peak/bound)`` probe executions.
-    Because capacity/period is monotone along the probed curve, the
-    warm probe narrows the range in **both** directions: a sustaining
-    probe lowers the ceiling to the bound, and a failing probe raises
-    the floor to ``bound + 1`` (every smaller capacity fails a
-    fortiori) instead of discarding the observation.  Each probe is
-    observed before the range shrinks, so the warm and cold searches
-    return identical capacities
-    (``tests/csdf/test_throughput.py`` asserts equality, and the EXT3
-    bench records the probes saved).  ``stats``, when given a dict, is
-    filled with ``probes`` (actual probe executions) and
-    ``warm_failed`` counters plus ``probes_saved``, a ``bit_length``
-    *estimate* of the binary-search steps the narrowing removed (the
-    measured saving is ``cold probes - warm probes``, which the EXT3c
-    bench reports side by side) — plus ``target``,
-    ``target_is_analytic`` and the effective ``iterations``.
-
-    Two probe economies preserve the returned capacities exactly
-    (``tests/csdf/test_throughput.py`` pins the search against the
-    plain greedy search, and the floors' soundness over the
-    differential corpus):
-
-    * candidate vectors below the analytic :func:`capacity_floors` are
-      discarded without executing them (provably infeasible — on the
-      EXT7 search over half of all probes);
-    * each probe's verdict is memoized under its full capacity-vector
-      key for the duration of the search, so a vector is never
-      executed twice.
-
-    ``stats["probes"]`` counts *executed* probes only, with
-    ``probes_floored`` / ``probes_memoized`` recording the shortcuts
-    taken.
+    Channels are sized one at a time, in sorted name order: the
+    channels already sized keep their values, the rest stay unbounded.
+    Each search probes the channel's :func:`capacity_floors` value
+    first, then doubles, then bisects.  A timed event graph never slows
+    down when given more tokens, so the verdict is monotone in each
+    capacity and no vector is probed twice.  Every returned capacity is
+    1-minimal: one less loses throughput or deadlocks.  Greedy
+    per-channel sizing is not globally optimal (the joint problem is
+    NP-hard) but matches the standard practice of the paper's tool
+    ecosystem.  The mapping keeps the graph's channel order.
 
     ``capacities``, when given, **pins** those channels: the pinned
     values are kept verbatim (validated against the graph's channel
-    names — unknown names raise ``ValueError``; a pin below a
-    channel's initial tokens raises the same up-front
+    names — unknown names and non-integers raise ``ValueError``; a pin
+    below a channel's initial tokens raises the same up-front
     :class:`~repro.errors.DeadlockError` as the executors; a ``None``
     pin keeps the channel unbounded) and only the remaining channels
-    are minimized subject to the pins.  Pins below the analytic
-    :func:`capacity_floors` are provably infeasible and raise
-    ``ValueError`` up front; above the floor the search has
-    the same best-effort semantics as the unpinned case (each free
-    channel minimal against the observed probe verdicts).
+    are minimized subject to the pins.  Pins below
+    :func:`capacity_floors`, or pins that lose throughput with every
+    free channel unbounded, raise ``ValueError`` naming them.  A graph
+    that deadlocks without capacities raises ``DeadlockError``.
+
+    ``stats``, when given a dict, receives ``probes`` (verdicts
+    decided) and ``target`` (the unconstrained MCR).
     """
-    from .mcr import max_cycle_ratio
-
-    # Horizon guard: with fewer than three iteration ends the steady
-    # window of ``_steady_period`` is empty and both the target and the
-    # probe verdicts degenerate to the last-two-ends delta — the
-    # aliasing-prone estimator this search was explicitly cured of.
-    # Short requests are executed at the minimum sound horizon instead
-    # (more iterations never bias the estimate, they only steady it).
-    iterations = max(as_count("iterations", iterations, minimum=1),
-                     _MIN_PROBE_ITERATIONS)
-
     pins = dict(capacities) if capacities else {}
-    if pins:
-        _check_capacity_contract(graph, pins, list(graph.actors))
-
-    unconstrained = self_timed_execution(graph, bindings, iterations=iterations)
-    target = _steady_period(unconstrained)
-    mcr = max_cycle_ratio(graph, bindings)
-    # Convergence is judged *relative* to the period scale: an absolute
-    # 1e-6 is below float resolution once periods reach ~1e10 and, far
-    # earlier, is routinely missed from accumulation noise alone on
-    # graphs with large exec times (scaled EXT2 rows) — which silently
-    # left the noisy measured estimate as the search target instead of
-    # the exact analytic MCR.
-    target_is_analytic = (abs(target - mcr)
-                          <= _PERIOD_TOLERANCE * max(1.0, abs(mcr)))
-    if target_is_analytic:
-        target = mcr  # confirmed converged: use the exact analytic value
-    # Probe acceptance gets the same scale treatment: a probe whose
-    # true steady period *is* the target can measure away from it by
-    # accumulation noise proportional to the period scale, and an
-    # absolute slack would reject it — returning oversized (non-
-    # minimal) capacities on large-exec-time graphs.
-    slack = _PERIOD_TOLERANCE * max(1.0, abs(target))
-    capacities = dict(unconstrained.peaks)
-    capacities.update(pins)
-    names = sorted(set(capacities) - set(pins))
-    counters = {"probes": 0, "probes_saved": 0, "warm_failed": 0,
-                "probes_floored": 0, "probes_memoized": 0}
+    _check_capacity_contract(graph, pins, list(graph.actors))
     floors = capacity_floors(graph, bindings)
-    if pins:
-        below = sorted(
-            name for name, value in pins.items()
-            if value is not None and value < floors[name]
-        )
-        if below:
-            # Provably infeasible (the floor argument of
-            # ``capacity_floors``): no sizing of the free channels can
-            # recover full throughput under these pins.
-            raise ValueError(
-                "pinned capacity below the analytic floor: "
-                + ", ".join(
-                    f"{name}={pins[name]} (floor {floors[name]})"
-                    for name in below
-                )
-            )
-    memo: dict[tuple, float] = {}
-
-    def execute_probe(caps: Mapping[str, int]) -> float:
-        counters["probes"] += 1
-        try:
-            result = self_timed_execution(
-                graph, bindings, iterations=iterations, capacities=caps,
-            )
-        except DeadlockError:
-            return float("inf")
-        return _steady_period(result)
-
-    def period_with(caps: Mapping[str, int]) -> float:
-        if any(caps[name] is not None and caps[name] < floor
-               for name, floor in floors.items()):
-            # Provably infeasible — the verdict an execution would
-            # reach, without the execution.
-            counters["probes_floored"] += 1
-            return float("inf")
-        key = tuple(caps[name] for name in names)
-        verdict = memo.get(key)
-        if verdict is None:
-            memo[key] = verdict = execute_probe(caps)
-        else:
-            counters["probes_memoized"] += 1
-        return verdict
-
-    if period_with(capacities) > target + slack:
-        production = rate_table(graph, bindings).production
-        for name in names:
-            capacities[name] += max(production[name])
-
-    warm_bounds = _symbolic_warm_bounds(graph, bindings) if warm_start else {}
-
-    for name in names:
-        lo, hi = 0, capacities[name]
-        warm = warm_bounds.get(name)
-        if warm is not None and warm < hi:
-            probe = dict(capacities)
-            probe[name] = warm
-            if period_with(probe) <= target + slack:
-                # The bound sustains full throughput: search below it.
-                counters["probes_saved"] += max(
-                    0, hi.bit_length() - warm.bit_length() - 1
-                )
-                hi = warm
-            else:
-                # The bound fails (one iteration's traffic is not
-                # enough pipelining slack here).  Capacity/period is
-                # monotone along the probed curve, so every capacity
-                # <= warm fails a fortiori: raise the floor instead of
-                # discarding the probe.
-                counters["warm_failed"] += 1
-                counters["probes_saved"] += max(
-                    0, (hi + 1).bit_length() - (hi - warm).bit_length()
-                )
-                lo = warm + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            probe = dict(capacities)
-            probe[name] = mid
-            if period_with(probe) <= target + slack:
-                hi = mid
-            else:
-                lo = mid + 1
-        capacities[name] = hi
-    if stats is not None:
-        counters["target"] = target
-        counters["target_is_analytic"] = target_is_analytic
-        counters["iterations"] = iterations
-        stats.update(counters)
-    return capacities
-
-
-def _steady_period(result: TimedResult) -> float:
-    """Steady-state period estimate robust to transient alignment.
-
-    The single last-two-ends delta (``TimedResult.iteration_period``)
-    aliases when a capacity-bounded steady state cycles through a
-    pattern of deltas: ``1, 1, 3, 1, 1, 3, ...`` measures 1.0 or 3.0
-    depending on where the horizon lands, never the true 5/3.
-
-    The estimate here averages the deltas over the last two thirds of
-    the run (always discarding at least the first, fill-dominated
-    iteration).  A window mean is exact whenever the window length is
-    a multiple of the pattern length, and its worst-case aliasing
-    error shrinks as pattern/window — so the widest window that still
-    skips the transient is the right choice; the earlier "last half"
-    window was narrow enough to alias a 3-cycle pattern at the default
-    horizons.  No finite window is alias-proof, which is why the
-    search results are additionally pinned by re-execution
-    (``test_result_still_sustains_full_throughput``,
-    ``test_steady_window_period_rejects_aliasing_capacity``) and by
-    warm/cold search equality.
-
-    Horizons too short for a steady window (fewer than three iteration
-    ends) used to fall back to the aliasing-prone last delta silently.
-    They now return the **maximum** per-iteration delta instead — a
-    conservative over-estimate (a two-end run cannot distinguish
-    transient from steady state, so the safe reading for a
-    feasibility probe is the slowest observed iteration; an
-    over-estimated period can only reject a capacity, never falsely
-    accept one).  ``min_buffers_for_full_throughput`` additionally
-    floors its executed iterations so its probes never reach this
-    branch.
-    """
-    ends = result.iteration_ends
-    count = len(ends)
-    if count < 3:
-        if count == 2:
-            return max(ends[0], ends[1] - ends[0])
-        return result.iteration_period
-    start = max(1, (count - 1) // 3)
-    return (ends[-1] - ends[start]) / (count - 1 - start)
-
-
-def _symbolic_warm_bounds(
-    graph: CSDFGraph, bindings: Mapping | None
-) -> dict[str, int]:
-    """Per-channel warm-start capacities from the symbolic bounds,
-    evaluated at ``bindings``.  Best-effort: graphs the symbolic
-    analysis cannot cover (or valuations it cannot evaluate) simply
-    fall back to the cold search range.
-
-    Bounds are clamped to >= 1: a parametric bound can evaluate to 0
-    at a degenerate binding (no initial tokens and zero traffic), and
-    probing capacity 0 on a channel that carries any traffic is a
-    guaranteed-deadlock execution — a wasted probe.
-
-    The evaluated bounds are memoized per (graph version, bindings)
-    through :mod:`repro.cache`: the symbolic analysis plus Fraction
-    evaluation costs several milliseconds at bench sizes, a fixed tax
-    on every warm search that repeated searches of the same graph
-    (probe sweeps, benches, services) shouldn't pay twice.
-    """
-    from ..cache import bindings_key, cached
-
-    return cached(
-        graph, ("warm_buffer_bounds", bindings_key(bindings)),
-        lambda: _compute_warm_bounds(graph, bindings),
+    below = sorted(
+        name for name, value in pins.items()
+        if value is not None and value < floors[name]
     )
+    if below:
+        # Provably infeasible (the floor argument of ``capacity_floors``).
+        raise ValueError(
+            "pinned capacity below the analytic floor: "
+            + ", ".join(f"{name}={pins[name]} (floor {floors[name]})"
+                        for name in below)
+        )
+    verdict = _BufferVerdict(graph, bindings)
+    sized = {name: pins.get(name) for name in graph.channels}
+    if any(value is not None for value in pins.values()) and not verdict.sustains(sized):
+        raise ValueError(
+            "pinned capacities lose throughput: "
+            + ", ".join(f"{name}={value}" for name, value in sorted(pins.items())
+                        if value is not None)
+        )
 
+    def sustains(name: str, value: int) -> bool:
+        sized[name] = value
+        return verdict.sustains(sized)
 
-def _compute_warm_bounds(
-    graph: CSDFGraph, bindings: Mapping | None
-) -> dict[str, int]:
-    from ..errors import ReproError
-    from ..symbolic import InconsistentRatesError
-    from .symbuf import symbolic_channel_bounds
-
-    try:
-        bounds = symbolic_channel_bounds(graph)
-    except (ReproError, InconsistentRatesError):
-        return {}
-    warm: dict[str, int] = {}
-    for name, poly in bounds.items():
-        try:
-            value = poly.evaluate(bindings or {})
-        except (KeyError, ValueError, ZeroDivisionError):
+    for name in sorted(set(graph.channels) - set(pins)):
+        low = floors[name]
+        if sustains(name, low):
             continue
-        if value >= 0:
-            warm[name] = max(
-                1, int(value) + (0 if value.denominator == 1 else 1)
-            )
-    return warm
+        # ``low`` fails: double until a capacity sustains, then bisect
+        # between the last failing and the first sustaining one.
+        high = max(1, 2 * low)
+        while not sustains(name, high):
+            low, high = high, 2 * high
+        while high - low > 1:
+            mid = (low + high) // 2
+            if sustains(name, mid):
+                high = mid
+            else:
+                low = mid
+        sized[name] = high
+    if stats is not None:
+        stats.update(probes=verdict.probes, target=float(verdict.target))
+    return sized
 
 
 def buffer_throughput_tradeoff(

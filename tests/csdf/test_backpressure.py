@@ -64,7 +64,7 @@ class TestMinBuffersForFullThroughput:
     def test_result_achieves_unconstrained_period(self, fig1):
         from repro.csdf import min_buffers_for_full_throughput
 
-        caps = min_buffers_for_full_throughput(fig1, iterations=5)
+        caps = min_buffers_for_full_throughput(fig1)
         unconstrained = self_timed_execution(fig1, iterations=5)
         constrained = self_timed_execution(fig1, iterations=5, capacities=caps)
         assert constrained.iteration_period == pytest.approx(
@@ -74,7 +74,7 @@ class TestMinBuffersForFullThroughput:
     def test_result_not_larger_than_unconstrained_peaks(self, fig1):
         from repro.csdf import min_buffers_for_full_throughput
 
-        caps = min_buffers_for_full_throughput(fig1, iterations=5)
+        caps = min_buffers_for_full_throughput(fig1)
         peaks = self_timed_execution(fig1, iterations=5).peaks
         for name, cap in caps.items():
             assert cap <= peaks[name]
@@ -83,7 +83,7 @@ class TestMinBuffersForFullThroughput:
         from repro.csdf import min_buffers_for_full_throughput
 
         g = producer_consumer(prod_time=1.0, cons_time=4.0)
-        caps = min_buffers_for_full_throughput(g, iterations=6)
+        caps = min_buffers_for_full_throughput(g)
         # The consumer is the bottleneck: a couple of slots suffice even
         # though the unconstrained producer piles up many tokens.
         assert caps["e"] <= 3
@@ -92,9 +92,8 @@ class TestMinBuffersForFullThroughput:
 
 
 class TestAnalyticTargetPeriod:
-    """The sizing target now comes analytically from Howard's MCR; the
-    previous implementation re-measured it by simulation.  Equivalence
-    on the Fig. 8 graphs pins that the swap changes nothing."""
+    """The sizing target is Howard's MCR, which equals the converged
+    simulated period on the Fig. 8 graphs."""
 
     @staticmethod
     def fig8_graphs():
@@ -121,47 +120,6 @@ class TestAnalyticTargetPeriod:
             assert simulated == pytest.approx(max_cycle_ratio(graph, bindings),
                                               abs=1e-9)
 
-    def test_capacities_unchanged_by_analytic_target(self):
-        """Sizing against the MCR reproduces the capacities the
-        simulated target produced (reconstructed inline).
-
-        The reconstruction judges probes by the same steady-window
-        period estimate the real search uses: the single last-two-ends
-        delta aliases on capacity-bounded steady states whose deltas
-        cycle (e.g. ``1, 2, 1, 2`` measuring 1.0 at an even horizon —
-        a false acceptance the estimator fix closed)."""
-        from repro.csdf import min_buffers_for_full_throughput
-        from repro.csdf.throughput import _steady_period
-        from repro.errors import DeadlockError
-
-        for graph, bindings in self.fig8_graphs():
-            caps = min_buffers_for_full_throughput(graph, bindings, iterations=4)
-            unconstrained = self_timed_execution(graph, bindings, iterations=4)
-            legacy = dict(unconstrained.peaks)
-            # the old, simulated target (steady-window estimate)
-            target = _steady_period(unconstrained)
-
-            def period_with(c):
-                try:
-                    return _steady_period(self_timed_execution(
-                        graph, bindings, iterations=4, capacities=c
-                    ))
-                except DeadlockError:
-                    return float("inf")
-
-            for name in sorted(legacy):
-                lo, hi = 0, legacy[name]
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    probe = dict(legacy)
-                    probe[name] = mid
-                    if period_with(probe) <= target + 1e-6:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                legacy[name] = hi
-            assert caps == legacy
-
     def test_mcr_target_on_random_corpus(self):
         """Property sweep: on converging random graphs the analytic
         target yields capacities that achieve the MCR period."""
@@ -172,7 +130,7 @@ class TestAnalyticTargetPeriod:
             g = random_consistent_graph(
                 4, extra_edges=1, n_cycles=1, seed=seed, with_control=False
             ).as_csdf()
-            caps = min_buffers_for_full_throughput(g, iterations=8)
+            caps = min_buffers_for_full_throughput(g)
             constrained = self_timed_execution(g, iterations=8, capacities=caps)
             assert constrained.iteration_period == pytest.approx(
                 max_cycle_ratio(g), abs=1e-6

@@ -20,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import analysis_cache
-from repro.csdf import CSDFGraph, max_cycle_ratio, self_timed_execution
+from repro.csdf import (CSDFGraph, is_live, max_cycle_ratio,
+                        min_buffers_for_full_throughput, self_timed_execution)
 from repro.csdf.mcr import mcr_reference
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, DeadlockError
 from repro.tpdf import random_consistent_graph
 
 #: The reference search stops at 1e-6; allow both solvers that slack.
@@ -156,6 +157,22 @@ class TestHandBuiltCorpus:
         with pytest.raises(AnalysisError):
             mcr_reference(g)
 
+    def test_zero_time_token_free_cycle_deadlocks(self):
+        """Bugfix regression: only token-free cycles of positive weight
+        were refused, so this cycle of two zero-time actors had an MCR
+        of 0.0 while ``is_live`` said False and the executor stalled."""
+        g = CSDFGraph("dead0")
+        g.add_actor("a", exec_time=0)
+        g.add_actor("b", exec_time=0)
+        g.add_channel("ab", "a", "b")
+        g.add_channel("ba", "b", "a")
+        assert not is_live(g)
+        with pytest.raises(DeadlockError):
+            self_timed_execution(g)
+        for solve in (max_cycle_ratio, mcr_reference):
+            with pytest.raises(DeadlockError, match="zero tokens"):
+                solve(g)
+
     def test_empty_graph(self):
         assert max_cycle_ratio(CSDFGraph("empty")) == 0.0
 
@@ -269,12 +286,23 @@ class TestHowardFallback:
             assert howard_gives_up, f"{graph.name}: Howard was not asked"
             assert fallback == pytest.approx(mcr_reference(graph), abs=TOL)
 
-    def test_token_free_cycle_still_raises(self, howard_gives_up):
+    @pytest.mark.parametrize("exec_time", (1, 0))
+    def test_token_free_cycle_still_raises(self, howard_gives_up, exec_time):
         g = CSDFGraph("dead")
-        g.add_actor("a")
-        g.add_actor("b")
+        g.add_actor("a", exec_time=exec_time)
+        g.add_actor("b", exec_time=exec_time)
         g.add_channel("ab", "a", "b")
         g.add_channel("ba", "b", "a")
-        with pytest.raises(AnalysisError, match="zero tokens"):
+        with pytest.raises(DeadlockError, match="zero tokens"):
             max_cycle_ratio(g)
         assert howard_gives_up
+
+    def test_buffer_search_refuses_an_inexact_core(self, howard_gives_up):
+        """The fallback's ratio is a float within its tolerance, not
+        the exact target the buffer verdict needs."""
+        from repro.gallery import fig1_graph
+
+        with pytest.raises(AnalysisError,
+                           match=r"core \{a1, a2, a3\} was solved by the "
+                                 "binary-search fallback"):
+            min_buffers_for_full_throughput(fig1_graph())

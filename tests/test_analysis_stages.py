@@ -31,8 +31,7 @@ DEADLOCKS = "graph deadlocks"
 NOT_CONCRETE = "repetition vector not concrete"
 PASS_BINDINGS = "parametric CSDF graph: pass bindings"
 
-MCR_ERROR = ("cycle with zero tokens and positive execution time: "
-             "the graph deadlocks, MCR undefined")
+MCR_ERROR = "cycle with zero tokens: the graph deadlocks, MCR undefined"
 BUFFERS_ERROR = "buffer-minimizing schedule stalled; blocked actors: ['a', 'b']"
 THROUGHPUT_ERROR = "self-timed execution stalled after 0 firings"
 

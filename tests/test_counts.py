@@ -17,8 +17,7 @@ import pytest
 from repro.analysis import (analyze, analyze_parametric, probe_capacities,
                             simulate)
 from repro.csdf import CSDFGraph, RateSequence
-from repro.csdf.throughput import (min_buffers_for_full_throughput,
-                                   self_timed_execution,
+from repro.csdf.throughput import (self_timed_execution,
                                    self_timed_execution_reference)
 from repro.errors import as_count
 from repro.sim import Simulator
@@ -63,10 +62,6 @@ class TestIterations:
     def test_executors(self, fig1, execute, value):
         with _refused("iterations", value):
             execute(fig1, iterations=value)
-
-    def test_buffer_search(self, fig1):
-        with _refused("iterations", 4.5):
-            min_buffers_for_full_throughput(fig1, iterations=4.5)
 
     def test_probe_capacities(self, fig1):
         with _refused("iterations", 2.5):

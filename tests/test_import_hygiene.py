@@ -76,7 +76,7 @@ radio = analysis.analyze(parametric_radio_graph(),
                          parametric_domain={"b": (1, 4), "c": (1, 4)})
 assert radio.parametric is not None
 
-caps = min_buffers_for_full_throughput(fig1_graph(), iterations=3)
+caps = min_buffers_for_full_throughput(fig1_graph())
 assert set(caps) == {"e1", "e2", "e3"}
 
 trace = analysis.simulate(control_cycle(), limits={"A": 5}, cores=2,

@@ -2,9 +2,9 @@
 
 The full sets compare two trees; here a trimmed call, made twice on
 freshly built inputs, must hash every set to the same digest, the
-``decode``, ``simulate`` and ``summary`` sets must hash results, not
-errors, the ``service`` set must find every served result equal
-to the direct one, and the ``liveness`` set must see deadlocks.
+``decode``, ``simulate``, ``summary`` and ``buffers`` sets must hash
+results, not errors, the ``service`` set must find every served result
+equal to the direct one, and the ``liveness`` set must see deadlocks.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
-from parity import (SETS, SUMMARY_SWITCHES, decode_set, digests,  # noqa: E402
-                    liveness_set, main, service_set, simulate_set,
-                    summary_set)
+from parity import (SETS, SUMMARY_SWITCHES, buffers_set,  # noqa: E402
+                    decode_set, digests, liveness_set, main, service_set,
+                    simulate_set, summary_set)
 
 
 def test_trimmed_digests_repeat():
@@ -75,6 +75,17 @@ def test_trimmed_liveness_set_sees_deadlocks():
         cycle_reasons = [cycle[-1] for cycle in cycles]
         assert live == verdicts[label] and bool(reason) != live, label
         assert any(cycle_reasons) != live, label
+
+
+def test_trimmed_buffers_set_hashes_capacities():
+    """Two graphs per source (corpus, EXT7 family, EXT3), each a full
+    capacity mapping in its graph's channel order."""
+    items = list(buffers_set(trim=2))
+    assert [label.split(":")[0] for label, _ in items] == [
+        "corpus3", "corpus3", "ext7", "ext7", "ext3", "ext3"]
+    for _label, capacities in items:
+        assert isinstance(capacities, dict) and capacities
+        assert all(isinstance(value, int) for value in capacities.values())
 
 
 def test_unknown_set_is_a_usage_error(capsys):

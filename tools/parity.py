@@ -65,6 +65,11 @@ items' ``repr`` lines):
     seeds 1-12), each graph followed by its token mutations — every
     channel holding tokens set to none, half and one less — most of
     which deadlock.
+``buffers``
+    ``min_buffers_for_full_throughput(csdf, bindings)`` on the CSDF
+    views of the corpus (under its bindings), the EXT7 family above and
+    the four EXT3 graphs (Fig. 2 at p = 4, OFDM at N = 16 and 32, and
+    the imbalanced pipeline): the capacity mappings, in channel order.
 
 Usage::
 
@@ -467,6 +472,39 @@ def liveness_set(trim: int | None = None) -> Iterator[Item]:
             yield (label, mutation), _outcome(lambda: is_live(case, bindings))
 
 
+def _ext3(trim: int | None) -> list[tuple[str, Any, Any]]:
+    """The EXT3 bench's graphs: Fig. 2 at p = 4, the OFDM demodulator
+    at N = 16 and 32, and the imbalanced three-actor pipeline."""
+    from repro.apps.ofdm import bindings_for, build_ofdm_tpdf
+    from repro.csdf import CSDFGraph
+    from repro.tpdf import fig2_graph
+
+    imbalanced = CSDFGraph("imbalanced")
+    imbalanced.add_actor("src", exec_time=1)
+    imbalanced.add_actor("mid", exec_time=2)
+    imbalanced.add_actor("snk", exec_time=16)
+    imbalanced.add_channel("a", "src", "mid", production=8, consumption=8)
+    imbalanced.add_channel("b", "mid", "snk", production=8, consumption=8)
+    ofdm = build_ofdm_tpdf()
+    items = [
+        ("ext3:fig2_p4", fig2_graph(), {"p": 4}),
+        ("ext3:ofdm_n16", ofdm, bindings_for(2, 16, 4, 4)),
+        ("ext3:ofdm_n32", ofdm, bindings_for(2, 32, 4, 4)),
+        ("ext3:imbalanced", imbalanced, None),
+    ]
+    return items[:trim]
+
+
+def buffers_set(trim: int | None = None) -> Iterator[Item]:
+    from repro.csdf import min_buffers_for_full_throughput
+    from repro.tpdf import TPDFGraph
+
+    for label, graph, bindings in _corpus(trim) + _ext7(trim) + _ext3(trim):
+        csdf = graph.as_csdf() if isinstance(graph, TPDFGraph) else graph
+        yield label, _outcome(
+            lambda: min_buffers_for_full_throughput(csdf, bindings))
+
+
 SETS: dict[str, Callable[[int | None], Iterator[Item]]] = {
     "analyze": analyze_set,
     "mcr": mcr_set,
@@ -477,6 +515,7 @@ SETS: dict[str, Callable[[int | None], Iterator[Item]]] = {
     "summary": summary_set,
     "service": service_set,
     "liveness": liveness_set,
+    "buffers": buffers_set,
 }
 
 
