@@ -71,7 +71,8 @@ weights and distances), which makes the stored value a pure function of
 the core fingerprint — warm and cold re-analysis are bit-for-bit
 identical even when policy iteration converges to a different
 equally-critical cycle.  :func:`max_cycle_ratio` rounds the largest
-exact ratio to a float; the buffer search reads the exact one.
+ratio to a float; on a near-tie within ``_EPS`` Howard may settle just
+below the critical cycle, which :class:`_BufferVerdict` corrects.
 
 Every solver shares one deadlock rule: a token-free cycle deadlocks
 whatever it weighs (execution times of 0 included), and raises
@@ -103,7 +104,6 @@ Examples
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
 from itertools import cycle, islice
 from math import lcm
@@ -519,39 +519,21 @@ def max_cycle_ratio(graph: CSDFGraph, bindings: Mapping | None = None) -> float:
 
 
 def _max_cycle_ratio(graph: CSDFGraph, bindings: Mapping | None) -> float:
-    rings, cores = _decomposition(graph, bindings)
-    best = 0.0
-    for name, count in rings:
-        ratio = _ring_ratio(graph.actor(name).exec_times, count)
-        if ratio > best:
-            best = ratio
-    for firings, nodes, edges in cores:
-        ratio = float(_component_mcr(graph, firings, nodes, edges))
-        if ratio > best:
-            best = ratio
-    return best
+    # Rounding is monotone and comparisons between Fraction and float
+    # are exact, so this is the largest ratio's float.
+    return float(max((ratio for _core, ratio in _cycle_ratios(graph, bindings)),
+                     default=0))
 
 
-def _exact_max_cycle_ratio(graph: CSDFGraph, bindings: Mapping | None) -> Fraction:
-    """The exact MCR, which :func:`max_cycle_ratio` rounds to a float:
-    the largest of the rings' exact sums and the cores' exact critical
-    cycle ratios (content-store hits, like the float's).  A core the
-    binary-search fallback solved has no exact ratio, so it raises
-    :class:`~repro.errors.AnalysisError` naming the core."""
+def _cycle_ratios(graph: CSDFGraph, bindings: Mapping | None):
+    """Every ring's and core's ratio, as ``(core, ratio)``: each ring's
+    exact sum with ``core`` ``None``, then each core's ratio
+    (:func:`_component_mcr`) with ``core`` its ``(actor, q_a)`` pairs."""
     rings, cores = _decomposition(graph, bindings)
-    best = Fraction(0)
     for name, count in rings:
-        best = max(best, _ring_sum(graph.actor(name).exec_times, count))
+        yield None, _ring_sum(graph.actor(name).exec_times, count)
     for firings, nodes, edges in cores:
-        ratio = _component_mcr(graph, firings, nodes, edges)
-        if not isinstance(ratio, Fraction):
-            names = ", ".join(name for name, _count in firings)
-            raise AnalysisError(
-                f"the cyclic core {{{names}}} was solved by the binary-search "
-                f"fallback: its ratio is not exact"
-            )
-        best = max(best, ratio)
-    return best
+        yield firings, _component_mcr(graph, firings, nodes, edges)
 
 
 def _ring_sum(times: tuple[float, ...], count: int) -> Fraction:
@@ -562,11 +544,6 @@ def _ring_sum(times: tuple[float, ...], count: int) -> Fraction:
     ``count`` is."""
     whole, left = divmod(count, len(times))
     return whole * sum(map(Fraction, times)) + sum(map(Fraction, times[:left]))
-
-
-def _ring_ratio(times: tuple[float, ...], count: int) -> float:
-    """:func:`_ring_sum`, rounded to a float."""
-    return float(_ring_sum(times, count))
 
 
 def _component_mcr(graph: CSDFGraph, firings, nodes, edges) -> Fraction | float:
@@ -657,22 +634,35 @@ class _BufferVerdict:
 
     The event graph is built once, on integer node indices: the rings
     of :func:`~repro.csdf.sdf.serialization_ring` and the flows of
-    :func:`~repro.csdf.sdf.channel_firing_flows` of every channel, with
-    longest-path potentials for it (it has no positive cycle: the
-    target is its MCR).  A probe adds the reverse edges of its capped
-    channels, memoized per ``(channel, capacity)``, and relaxes from
-    the tails of the reverse edges its start potentials violate.  It
-    starts from the potentials of the last vector that sustained (at
-    first, the unconstrained graph's): they satisfy every base edge,
-    and the edges of the channels already sized, which recur in every
-    later probe of the search.  Every ``n`` relaxations it checks
-    whether the parent pointers close a cycle, which is then positive.
-    Arithmetic is integer throughout.  ``probes`` counts the verdicts
-    decided.
+    :func:`~repro.csdf.sdf.channel_firing_flows` of every channel.
+    The target starts at the largest ring and core ratio
+    (:func:`_cycle_ratios`); Howard ranks cycles by float ratios within
+    ``_EPS``, so that may be a cycle just below the critical one.  While
+    the graph's potentials find a positive cycle, the target rises,
+    strictly, to its exact ratio, and so ends at the exact MCR.  A core
+    the binary-search fallback solved has no exact ratio:
+    :class:`~repro.errors.AnalysisError` names it.
+
+    A probe adds the reverse edges of its capped channels, memoized per
+    ``(channel, capacity)``, and relaxes from the tails of the reverse
+    edges its start potentials violate.  It starts from the potentials
+    of the last vector that sustained (at first, the unconstrained
+    graph's): they satisfy every base edge, and the edges of the
+    channels already sized, which recur in every later probe of the
+    search.  Arithmetic is integer throughout.  ``probes`` counts the
+    verdicts decided.
     """
 
     def __init__(self, graph: CSDFGraph, bindings: Mapping | None):
-        self.target = _exact_max_cycle_ratio(graph, bindings)
+        target = Fraction(0)
+        for core, ratio in _cycle_ratios(graph, bindings):
+            if not isinstance(ratio, Fraction):
+                names = ", ".join(name for name, _count in core)
+                raise AnalysisError(
+                    f"the cyclic core {{{names}}} was solved by the binary-search "
+                    f"fallback: its ratio is not exact"
+                )
+            target = max(target, ratio)
         self.probes = 0
         q = concrete_repetition_vector(graph, bindings)
         self._channels = graph.channels
@@ -687,26 +677,34 @@ class _BufferVerdict:
         self._big = n * n + 1
         times = [Fraction(t) for t in _firing_times(graph, q.items())]
         scale = lcm(*(t.denominator for t in times))
-        self._token = self.target.numerator * scale
-        work = [int(t * scale) * self.target.denominator for t in times]
 
         index = {firing_name(name, k): self._offset[name] + k - 1
                  for name, count in q.items() for k in range(1, count + 1)}
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for name, count in q.items():
             for src, dst, distance in serialization_ring(name, count):
-                u = index[src]
-                adj[u].append((index[dst], self._weight(work[u], int(distance))))
+                edges[index[src]].append((index[dst], int(distance)))
         for channel in graph.channels.values():
             src, dst = self._offset[channel.src] - 1, self._offset[channel.dst] - 1
             for k, m, delta, _count in channel_firing_flows(
                     channel, q[channel.src], q[channel.dst], bindings):
-                adj[src + k].append((dst + m, self._weight(work[src + k], delta)))
+                edges[src + k].append((dst + m, delta))
+        while True:
+            self._token = target.numerator * scale
+            work = [int(t * scale) * target.denominator for t in times]
+            adj = [[(v, self._weight(work[u], distance)) for v, distance in out]
+                   for u, out in enumerate(edges)]
+            potentials, cycle = _longest_paths(adj, [0] * n, range(n))
+            if potentials is not None:
+                break
+            # The cores refused token-free cycles; the least-distance
+            # edges weigh the most, so the cycle stays positive.
+            tokens = sum(min(d for head, d in edges[u] if head == v) for u, v in cycle)
+            target = sum(times[u] for u, _v in cycle) / tokens
+        self.target = target
         self._adj = adj
-        self._reverse: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
-        potentials = _longest_paths(adj, [0] * n, range(n))
-        assert potentials is not None, "the target is the graph's MCR"
         self._potentials = potentials
+        self._reverse: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
 
     def _weight(self, work: int, distance: int) -> int:
         return (self._big * (work - self._token * distance)
@@ -751,51 +749,81 @@ class _BufferVerdict:
                     seeds.append(u)
         if not seeds:
             return True
-        settled = _longest_paths(adj, list(potentials), seeds)
+        settled, _cycle = _longest_paths(adj, list(potentials), seeds)
         if settled is None:
             return False
         self._potentials = settled
         return True
 
 
-def _longest_paths(adj, potentials: list[int], seeds) -> list[int] | None:
+def _longest_paths(adj, potentials: list[int], seeds):
     """Longest-path relaxation over ``adj`` (``adj[u]`` the ``(v,
-    weight)`` successors of ``u``) from ``seeds``, first in first out:
-    the settled ``potentials``, raised in place, or ``None`` once the
-    parent pointers close a cycle, which is then positive.  The check
-    runs every ``n`` relaxations."""
+    weight)`` successors of ``u``) from ``seeds``, in Goldberg and
+    Radzik's passes: each walks depth first from the nodes with an
+    improving edge (one that raises its head) along it and then the
+    admissible edges (raising or keeping their head), and relaxes the
+    nodes reached in topological order, so a chain of raises costs one
+    pass.  No cycle weighs 0 (the weights' tie-break), so a cycle of
+    admissible edges is positive, as is one the parent pointers close;
+    potentials that rise without bound make the latter appear.
+
+    Returns ``(potentials, None)``, the settled potentials raised in
+    place, or ``(None, cycle)`` with ``cycle`` the ``(u, v)`` edges of
+    a positive cycle."""
     n = len(adj)
     parent = [-1] * n
-    queued = bytearray(n)
-    queue = deque()
-    for u in seeds:
-        if not queued[u]:
-            queued[u] = 1
-            queue.append(u)
-    budget = n
-    while queue:
-        u = queue.popleft()
-        queued[u] = 0
-        base = potentials[u]
-        for v, w in adj[u]:
-            value = base + w
-            if value > potentials[v]:
-                potentials[v] = value
-                parent[v] = u
-                budget -= 1
-                if not budget:
-                    if _parent_cycle(parent):
-                        return None
-                    budget = n
-                if not queued[v]:
-                    queued[v] = 1
-                    queue.append(v)
-    return potentials
+    labeled = seeds
+    while labeled:
+        state = bytearray(n)  # 0 unseen, 1 on the walk's path, 2 done
+        order = []
+        for root in labeled:
+            if state[root]:
+                continue
+            base = potentials[root]
+            improving = [(v, w) for v, w in adj[root] if base + w > potentials[v]]
+            if not improving:
+                continue
+            state[root] = 1
+            path = [root]
+            successors = [iter(improving)]
+            while successors:
+                u = path[-1]
+                base = potentials[u]
+                for v, w in successors[-1]:
+                    if base + w >= potentials[v]:
+                        if not state[v]:
+                            state[v] = 1
+                            path.append(v)
+                            successors.append(iter(adj[v]))
+                            break
+                        if state[v] == 1:
+                            cycle = path[path.index(v):] + [v]
+                            return None, list(zip(cycle, cycle[1:]))
+                else:
+                    state[u] = 2
+                    order.append(u)
+                    path.pop()
+                    successors.pop()
+        labeled = []
+        for u in reversed(order):
+            base = potentials[u]
+            for v, w in adj[u]:
+                value = base + w
+                if value > potentials[v]:
+                    potentials[v] = value
+                    parent[v] = u
+                    labeled.append(v)
+        if labeled:
+            cycle = _parent_cycle(parent)
+            if cycle is not None:
+                return None, cycle
+    return potentials, None
 
 
-def _parent_cycle(parent: list[int]) -> bool:
-    """Do the parent pointers (``-1``: none) close a cycle?  After
-    strict relaxations such a cycle has positive weight."""
+def _parent_cycle(parent: list[int]) -> list[tuple[int, int]] | None:
+    """The ``(parent[v], v)`` edges of a cycle the parent pointers
+    (``-1``: none) close, or ``None``.  After strict relaxations such a
+    cycle has positive weight."""
     mark = [0] * len(parent)
     for start in range(len(parent)):
         u = start
@@ -803,5 +831,9 @@ def _parent_cycle(parent: list[int]) -> bool:
             mark[u] = start + 1
             u = parent[u]
         if u >= 0 and mark[u] == start + 1:
-            return True
-    return False
+            cycle = [(parent[u], u)]
+            while cycle[-1][0] != u:
+                v = cycle[-1][0]
+                cycle.append((parent[v], v))
+            return cycle
+    return None

@@ -541,9 +541,8 @@ def _core_candidate(
 
     Validates the supported-class condition (constant repetition counts
     and rates inside the core), builds the core's sub-expansion —
-    binding-independent by construction — and extracts the critical
-    cycle from one Howard run, re-summing its weights and distances
-    exactly.
+    binding-independent by construction — and takes the critical
+    cycle's exact ratio from one Howard run.
     """
     label = f"cycle:{'+'.join(scc)}"
     q_core: dict[str, int] = {}
@@ -582,14 +581,7 @@ def _core_candidate(
         raise ParametricMCRError(
             f"Howard's iteration did not converge on the cyclic core {label}"
         )
-    _, cycle_edges, _policy = solved
-    weight = Fraction(0)
-    tokens = Fraction(0)
-    for _, _, w, t in cycle_edges:
-        weight += Fraction(w)
-        tokens += Fraction(t)
-    # Howard refused every token-free cycle, so ``tokens`` is positive.
-    return MCRCandidate(label, "cycle", Rat(Poly.const(weight), Poly.const(tokens)))
+    return MCRCandidate(label, "cycle", Rat(Poly.const(solved[0])))
 
 
 # ----------------------------------------------------------------------

@@ -76,7 +76,9 @@ def channel_firing_flows(channel, q_src: int, q_dst: int,
     :mod:`repro.csdf.mcr` (which passes the *global* counts restricted
     to the core) share one implementation.  The
     cumulative counts are prefix sums of the channel's integer phases
-    under ``bindings``.
+    under ``bindings``.  Both sides' token intervals advance in yield
+    order, so one forward walk finds every overlap, in time linear in
+    ``q_src``, ``q_dst`` and the number of flows.
     """
     d = channel.initial_tokens
     produced_cum = _prefix_sums(channel.production.as_ints(bindings), q_src)
@@ -89,18 +91,24 @@ def channel_firing_flows(channel, q_src: int, q_dst: int,
         )
     if total == 0:
         return
-    max_delta = (d + total) // total + 1
+    # Consumer firing ``m`` of iteration ``delta`` absorbs tokens
+    # ``[base + Y(m-1), base + Y(m))``, ``base = delta * total - d``,
+    # from ``delta = d // total`` on; ``lo`` is firing ``k``'s next token.
+    delta, m = d // total, 1
+    base = delta * total - d
     for k in range(1, q_src + 1):
-        p_lo, p_hi = produced_cum[k - 1], produced_cum[k]
-        if p_lo == p_hi:
-            continue
-        for delta in range(0, max_delta + 1):
-            base = delta * total - d
-            for m in range(1, q_dst + 1):
-                c_lo, c_hi = base + consumed_cum[m - 1], base + consumed_cum[m]
-                count = min(p_hi, c_hi) - max(p_lo, c_lo)
-                if count > 0:
-                    yield k, m, delta, count
+        lo, p_hi = produced_cum[k - 1], produced_cum[k]
+        while lo < p_hi:
+            c_hi = base + consumed_cum[m]
+            if c_hi > lo:
+                count = min(p_hi, c_hi) - lo
+                yield k, m, delta, count
+                lo += count
+            if c_hi <= p_hi:
+                if m < q_dst:
+                    m += 1
+                else:
+                    delta, m, base = delta + 1, 1, base + total
 
 
 def _prefix_sums(phases: tuple[int, ...], firings: int) -> list[int]:

@@ -19,29 +19,39 @@ stalls.  This file pins
   (``random_consistent_graph(n, n // 2, 2, seed)``, n = 20, 40, 80,
   seeds 1-12) and the four EXT3 graphs: it sustains, both by the
   verdict and over the long run, and each of its channels is
-  1-minimal (one less loses throughput or deadlocks).
+  1-minimal (one less loses throughput or deadlocks);
+* the search's result on two pipelines of about a thousand firings per
+  iteration, and each channel one below it, against a shorter run;
+* the exact target on a core where Howard's float ranking settles on a
+  cycle just below the critical one.
 
 Tier-1 runs every ``TIER1_STRIDE``-th input of each set; the CI
 differential shard, which loads the derandomized ``repro-ci``
-hypothesis profile, runs all of them.
+hypothesis profile, runs all of them.  Tier-1 also holds all 200
+corpus search results to the verdict, to 1-minimality and to a shorter
+run, the last ``SHORT_WINDOW`` of ``SHORT_ITERATIONS`` iterations,
+which every one of them settles within.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
 from repro.csdf import (CSDFGraph, capacity_floors, max_cycle_ratio,
                         min_buffers_for_full_throughput, self_timed_execution)
-from repro.csdf.mcr import _BufferVerdict
+from repro.csdf.mcr import _BufferVerdict, _cycle_ratios
 from repro.errors import DeadlockError
 from repro.io import csdf_from_dict, csdf_to_dict
 from repro.tpdf import random_consistent_graph
 
 ITERATIONS = 1024
 WINDOW = 256
+SHORT_ITERATIONS = 64
+SHORT_WINDOW = 16
 TIER1_STRIDE = 1 if os.environ.get("HYPOTHESIS_PROFILE") == "repro-ci" else 10
 
 #: The 200-graph corpus of tests/service/conftest.py:
@@ -133,15 +143,16 @@ def _random_vector(rng: random.Random, floors: dict[str, int]) -> dict:
             for name, floor in floors.items()}
 
 
-def _long_run(graph, bindings, capacities) -> float | None:
-    """The oracle: the mean period of the last ``WINDOW`` iterations,
-    or ``None`` when the run deadlocks."""
+def _long_run(graph, bindings, capacities, iterations: int = ITERATIONS,
+              window: int = WINDOW) -> float | None:
+    """The oracle: the mean period of the last ``window`` of
+    ``iterations`` iterations, or ``None`` when the run deadlocks."""
     try:
-        ends = self_timed_execution(graph, bindings, iterations=ITERATIONS,
+        ends = self_timed_execution(graph, bindings, iterations=iterations,
                                     capacities=capacities).iteration_ends
     except DeadlockError:
         return None
-    return (ends[-1] - ends[-1 - WINDOW]) / WINDOW
+    return (ends[-1] - ends[-1 - window]) / window
 
 
 def _sustains(period: float | None, mcr: float) -> bool:
@@ -166,7 +177,8 @@ def _check_verdicts(cases) -> tuple[int, int]:
     return judged, deadlocks
 
 
-CORPUS = _trim(_corpus())
+FULL_CORPUS = _corpus()
+CORPUS = _trim(FULL_CORPUS)
 
 
 def _corpus_vectors():
@@ -231,13 +243,87 @@ def _search_inputs() -> list:
             for label, graph, bindings in CORPUS + _trim(ext7) + _ext3()]
 
 
-@pytest.mark.parametrize("graph, bindings", _search_inputs())
-def test_search_result_sustains_and_is_one_minimal(graph, bindings):
+def _checked_search(graph, bindings) -> dict:
+    """The search's result, after checking that it keeps the graph's
+    channel order, sustains by the verdict and is 1-minimal."""
     result = min_buffers_for_full_throughput(graph, bindings)
     assert list(result) == list(graph.channels)
     verdict = _BufferVerdict(graph, bindings)
     assert verdict.sustains(result)
-    assert _long_run(graph, bindings, result) == max_cycle_ratio(graph, bindings)
     for name, value in result.items():
         if value > graph.channel(name).initial_tokens:
             assert not verdict.sustains({**result, name: value - 1}), name
+    return result
+
+
+@pytest.mark.parametrize("graph, bindings", _search_inputs())
+def test_search_result_sustains_and_is_one_minimal(graph, bindings):
+    result = _checked_search(graph, bindings)
+    assert _long_run(graph, bindings, result) == max_cycle_ratio(graph, bindings)
+
+
+def test_every_corpus_search_result_sustains():
+    for label, graph, bindings in FULL_CORPUS:
+        result = _checked_search(graph, bindings)
+        period = _long_run(graph, bindings, result, SHORT_ITERATIONS, SHORT_WINDOW)
+        assert period == max_cycle_ratio(graph, bindings), label
+
+
+def _high_q_pipelines() -> list:
+    """Two pipelines of about a thousand firings per iteration: the
+    coprime chain 13/17, 19/23 (q = 391, 299, 247) and a fan of
+    q = 1, 512, 512, 1 whose slow source makes one capacity below the
+    result lose throughput instead of deadlocking."""
+    chain = CSDFGraph("coprime")
+    for name in "abc":
+        chain.add_actor(name, exec_time=1)
+    chain.add_channel("ab", "a", "b", production=13, consumption=17)
+    chain.add_channel("bc", "b", "c", production=19, consumption=23)
+    fan = CSDFGraph("fan")
+    for name, time in (("a", 600), ("b", 1), ("c", 2), ("d", 1)):
+        fan.add_actor(name, exec_time=time)
+    fan.add_channel("ab", "a", "b", production=512, consumption=1)
+    fan.add_channel("bc", "b", "c")
+    fan.add_channel("cd", "c", "d", production=1, consumption=512)
+    return [pytest.param(chain, id="coprime"), pytest.param(fan, id="fan")]
+
+
+@pytest.mark.parametrize("graph", _high_q_pipelines())
+def test_high_q_pipeline_verdicts(graph):
+    """The search's result and each channel one below it, judged by the
+    verdict and by the executor over the last ``SHORT_WINDOW`` of
+    ``SHORT_ITERATIONS`` iterations (each iteration walks about a
+    thousand firings): long chains of firings whose potentials rise
+    together."""
+    result = _checked_search(graph, None)
+    verdict = _BufferVerdict(graph, None)
+    mcr = max_cycle_ratio(graph)
+    vectors = [result] + [{**result, name: value - 1} for name, value in result.items()
+                          if value > graph.channel(name).initial_tokens]
+    for capacities in vectors:
+        period = _long_run(graph, None, capacities, SHORT_ITERATIONS, SHORT_WINDOW)
+        assert verdict.sustains(capacities) == _sustains(period, mcr), (capacities, period)
+
+
+def test_target_rises_past_a_float_tie():
+    """Howard ranks cycles by float ratios within ``_EPS``: on this core
+    it settles on ``c``'s ring, ``Fraction(0.3)``, just below the cycle
+    ``a -> b -> a``, ``Fraction(0.1) + Fraction(0.2)``.  The verdict's
+    potentials find the heavier cycle and raise the target to it (the
+    verdict used to fail an assertion here)."""
+    graph = CSDFGraph("tie")
+    for name, time in (("a", 0.1), ("b", 0.2), ("c", 0.3)):
+        graph.add_actor(name, exec_time=time)
+    graph.add_channel("ab", "a", "b")
+    graph.add_channel("ba", "b", "a", initial_tokens=1)
+    graph.add_channel("ac", "a", "c")
+    graph.add_channel("ca", "c", "a", initial_tokens=2)
+    exact = Fraction(0.1) + Fraction(0.2)
+    assert max(ratio for _core, ratio in _cycle_ratios(graph, None)) < exact
+    verdict = _BufferVerdict(graph, None)
+    assert verdict.target == exact
+    result = _checked_search(graph, None)
+    stats: dict = {}
+    assert min_buffers_for_full_throughput(graph, stats=stats) == result
+    assert stats["target"] == float(exact)
+    assert _sustains(_long_run(graph, None, result), float(exact))

@@ -14,7 +14,9 @@ core's firings, and every other actor must have exactly its ring there,
 whose exact sum is the closed-form ratio.
 """
 
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -24,7 +26,7 @@ from repro.analysis import analyze
 from repro.csdf import CSDFGraph, max_cycle_ratio, sdf
 from repro.csdf.analysis import concrete_repetition_vector
 from repro.csdf.digraph import adjacency, nontrivial_components
-from repro.csdf.mcr import _decomposition, _ring_ratio, mcr_reference
+from repro.csdf.mcr import _decomposition, _ring_sum, mcr_reference
 from repro.errors import GraphConstructionError
 from repro.tpdf import fig2_graph, random_consistent_graph
 
@@ -142,8 +144,7 @@ def assert_decomposition_matches(graph: CSDFGraph, bindings=None):
         weight = sum(Fraction(hsdf.actor(src).exec_time()) for src, _dst, _t in ring)
         tokens = sum(Fraction(t) for _src, _dst, t in ring)
         assert tokens == 1
-        exact = float(weight / tokens)
-        assert _ring_ratio(graph.actor(name).exec_times, count) == exact
+        assert _ring_sum(graph.actor(name).exec_times, count) == weight / tokens
 
     # Completeness: each cyclic SCC of the whole event graph is one
     # outside actor's ring or lies inside one core.
@@ -305,7 +306,7 @@ class TestRingsAreClosedForm:
         times = (0.1, 0.2, 0.7)
         for count in range(1, 8):
             ring = [times[k % 3] for k in range(count)]
-            assert _ring_ratio(times, count) == float(sum(map(Fraction, ring)))
+            assert _ring_sum(times, count) == sum(map(Fraction, ring))
 
 
 class TestFlows:
@@ -315,6 +316,28 @@ class TestFlows:
             for channel in graph.channels.values():
                 args = (channel, q[channel.src], q[channel.dst], bindings)
                 assert list(sdf.channel_firing_flows(*args)) == reference_flows(*args)
+
+    def test_random_channels_match_the_interval_overlaps(self):
+        """Multi-phase rates with zero phases, and initial tokens
+        reaching several iterations ahead."""
+        rng = random.Random("channel-firing-flows")
+        graph = CSDFGraph("flows")
+        graph.add_actor("a")
+        graph.add_actor("b")
+        for i in range(300):
+            production = [rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
+            consumption = [rng.randint(0, 4) for _ in range(rng.randint(1, 4))]
+            production[-1] += 1
+            consumption[0] += 1
+            made, taken = sum(production), sum(consumption)
+            per = made * taken // gcd(made, taken)
+            channel = graph.add_channel(
+                f"c{i}", "a", "b", production=production, consumption=consumption,
+                initial_tokens=rng.randint(0, 3 * per))
+            q_src = len(production) * per // made
+            q_dst = len(consumption) * per // taken
+            args = (channel, q_src, q_dst)
+            assert list(sdf.channel_firing_flows(*args)) == reference_flows(*args)
 
     def test_parametric_rates_need_bindings(self):
         graph = fig2_graph().as_csdf()
