@@ -10,10 +10,11 @@ reference tools we report the peak fill levels of concrete executions:
   that picks, among fireable actors, the firing that minimizes the
   resulting total fill (deterministic tie-breaking), which in practice
   finds the single-processor minimum for stream pipelines;
-* :func:`bounded_feasible` — validity check of a candidate capacity
-  vector by simulating with blocking writes (used by tests to confirm
-  reported sizes are actually sufficient, and that one token less
-  deadlocks when the heuristic is tight).
+* :func:`bounded_feasible` — exact validity check of a candidate
+  capacity vector under blocking writes: no deadlock in the event
+  graph bounded by the capacities (used by tests to confirm reported
+  sizes are actually sufficient, and that one token less deadlocks
+  when the heuristic is tight).
 
 The greedy schedule runs on a wake-up heap.  The fill after firing
 ``a`` is the current total plus ``a``'s net token change, which
@@ -37,9 +38,10 @@ from ..errors import DeadlockError
 from .analysis import concrete_repetition_vector
 from .digraph import adjacency, tarjan_components
 from .graph import CSDFGraph
+from .mcr import _CapacityEventGraph
 from .schedule import SequentialSchedule
 from .simulation import TokenState, rate_table
-from .throughput import validate_capacities
+from .throughput import _check_capacity_contract
 
 # The greedy buffer heuristic only counts tokens — execution times
 # never enter it — so its result survives binding-only version bumps.
@@ -159,49 +161,23 @@ def bounded_feasible(
     graph: CSDFGraph,
     capacities: Mapping[str, int],
     bindings: Mapping | None = None,
-    repetitions: Mapping[str, int] | None = None,
 ) -> bool:
-    """Can one iteration complete with blocking writes under
-    ``capacities``?
+    """Can iterations complete forever with blocking writes under
+    ``capacities``?  (One completed iteration restores the initial
+    marking, so this is whether one can.)
 
-    An actor may fire only when its inputs hold enough tokens *and*
-    every output channel has room for the produced tokens.  Uses
-    exhaustive maximal execution, which is conclusive for this
-    monotonic firing rule extended with back-pressure only as a
-    semi-decision: a completed iteration proves feasibility; a stall
-    under every greedy choice is reported as infeasible (sufficient for
-    the library's validation purposes).
-
+    False exactly when the event graph bounded by the capacities
+    deadlocks (:meth:`~repro.csdf.mcr._CapacityEventGraph.period`
+    raises :class:`~repro.errors.DeadlockError`): a graph that
+    deadlocks without capacities, and a capacity below a channel's
+    initial tokens, which the executors refuse up front, included.
     Capacity names must name channels of the graph and values must be
     integers (``ValueError`` otherwise, as at every capacity-accepting
     entry point); a channel without an entry is unbounded.
     """
-    validate_capacities(graph, capacities)
-    targets = dict(repetitions) if repetitions is not None else concrete_repetition_vector(graph, bindings)
-    state = TokenState(graph, bindings)
-    remaining = dict(targets)
-
-    def writable(actor: str) -> bool:
-        for channel in graph.out_channels(actor):
-            produced = state.supply(actor, channel.name)
-            cap = capacities.get(channel.name)
-            if cap is None:
-                continue
-            headroom = cap - state.tokens[channel.name]
-            if channel.src == channel.dst:
-                headroom += state.demand(actor, channel.name)
-            if produced > headroom:
-                return False
-        return True
-
-    while any(count > 0 for count in remaining.values()):
-        progressed = False
-        for actor, left in remaining.items():
-            if left <= 0 or not state.can_fire(actor) or not writable(actor):
-                continue
-            state.fire(actor)
-            remaining[actor] -= 1
-            progressed = True
-        if not progressed:
-            return False
+    try:
+        _check_capacity_contract(graph, capacities, list(graph.actors))
+        _CapacityEventGraph(graph, bindings).period(capacities)
+    except DeadlockError:
+        return False
     return True

@@ -67,12 +67,16 @@ the remembered policy is not feasible edge-for-edge.
 
 A core's ratio is extracted from the critical cycle by *exact*
 rational summation (:class:`fractions.Fraction` over the cycle's float
-weights and distances), which makes the stored value a pure function of
-the core fingerprint — warm and cold re-analysis are bit-for-bit
-identical even when policy iteration converges to a different
-equally-critical cycle.  :func:`max_cycle_ratio` rounds the largest
-ratio to a float; on a near-tie within ``_EPS`` Howard may settle just
-below the critical cycle, which :class:`_BufferVerdict` corrects.
+weights and distances), so it does not depend on the order of the
+cycle's edges, nor on which of several exactly equal cycles policy
+iteration converged to.  It is not always a pure function of the core
+fingerprint: Howard's improvement step treats ratios within ``_EPS``
+as equal, so on a near-tie it can settle on a cycle whose exact ratio
+is just below the critical one, and a warm start can settle on a
+different cycle than a cold one — warm and cold re-analysis then
+differ in the last bits.  :func:`max_cycle_ratio` rounds the largest
+ratio to a float; :class:`_CapacityEventGraph` raises its own target
+past such a tie.
 
 Every solver shares one deadlock rule: a token-free cycle deadlocks
 whatever it weighs (execution times of 0 included), and raises
@@ -80,12 +84,11 @@ whatever it weighs (execution times of 0 included), and raises
 
 Capacities
 ----------
-The buffer search
-(:func:`~repro.csdf.throughput.min_buffers_for_full_throughput`) asks
-one question of this module: does the event graph, bounded by a
-capacity vector, keep the exact MCR without deadlock?
-:class:`_BufferVerdict` answers it exactly, with integer longest-path
-potentials over the whole graph's event graph.
+Every capacity question, and every core Howard's iteration gives up
+on, goes through one exact cycle-ratio loop, :func:`_exact_mcr`.
+:class:`_CapacityEventGraph` builds the whole graph's event graph once
+and answers the buffer search's verdicts and the exact self-timed
+period under a capacity vector.
 
 Examples
 --------
@@ -110,7 +113,7 @@ from math import lcm
 from typing import Mapping
 
 from ..cache import bindings_key, cached, content_store, register_binding_insensitive
-from ..errors import AnalysisError, DeadlockError
+from ..errors import DeadlockError
 from .analysis import concrete_repetition_vector
 from .channel import Channel
 from .digraph import tarjan_components
@@ -125,10 +128,6 @@ from .simulation import rate_table
 #: Strict-improvement threshold of the policy iteration; values closer
 #: than this are considered equal, which keeps ties from cycling.
 _EPS = 1e-10
-
-#: Precision of the binary search standing in for Howard's iteration
-#: on a core it did not converge on.
-_FALLBACK_TOLERANCE = 1e-6
 
 #: The one deadlock message of every solver.
 _TOKEN_FREE_CYCLE = "cycle with zero tokens: the graph deadlocks, MCR undefined"
@@ -260,16 +259,18 @@ def howard(nodes: list[str], edges, initial_policy: Mapping | None = None):
     graph with the same shape (same nodes, edges and distances, e.g.
     after an execution-time edit).  An infeasible ``initial_policy``
     (any node whose remembered edge no longer exists) is ignored
-    entirely in favor of the cold start.  Returns ``None`` when the
-    iteration did not converge (caller falls back to the binary
-    search).  The MCR is extracted from the critical cycle by exact
-    rational summation, so it is identical however the solve was
-    seeded.  A token-free cycle raises
+    entirely in favor of the cold start.  The MCR is the critical
+    cycle's exact rational sum; ratios within ``_EPS`` rank as equal,
+    so on a near-tie the iteration can settle just below the critical
+    cycle, and warm and cold starts on different cycles.  When it does
+    not settle within ``max(64, 4n)`` sweeps, :func:`_exact_mcr`
+    finishes from ratio 0, returning the last cycle it rose to (none
+    when the MCR is 0) and an empty policy.  A token-free cycle raises
     :class:`~repro.errors.DeadlockError`.
     """
     solved = _howard_solve(nodes, edges, initial_policy=initial_policy)
     if solved is None:
-        return None
+        return _finish_with_loop(nodes, edges)
     ratio, value, policy, live_nodes, idx = solved
     del value
     if not live_nodes:
@@ -296,12 +297,31 @@ def howard(nodes: list[str], edges, initial_policy: Mapping | None = None):
     return _exact_cycle_ratio(cycle_edges), cycle_edges, policy_out
 
 
+def _finish_with_loop(nodes: list[str], edges):
+    """:func:`howard`'s result where its iteration did not settle:
+    :func:`_exact_mcr` from ratio 0 on the exact weights and distances,
+    scaled to integers."""
+    index = {name: i for i, name in enumerate(nodes)}
+    exact = [(Fraction(w), Fraction(t)) for _src, _dst, w, t in edges]
+    work_scale = lcm(*(w.denominator for w, _t in exact))
+    token_scale = lcm(*(t.denominator for _w, t in exact))
+    out: list[list[tuple[int, int, int]]] = [[] for _ in nodes]
+    named = {}
+    for (src, dst, w, t), (exact_w, exact_t) in zip(edges, exact):
+        edge = (index[dst], int(exact_w * work_scale), int(exact_t * token_scale))
+        out[index[src]].append(edge)
+        named[(index[src], *edge)] = (src, dst, w, t)
+    ratio, _adj, _potentials, cycle = _exact_mcr(out, (), Fraction(0))
+    return ratio * token_scale / work_scale, [named[edge] for edge in cycle or ()], {}
+
+
 def _howard_solve(nodes: list[str], edges, initial_policy: Mapping | None = None):
     """The shared Howard iteration.
 
     Returns ``(ratio, value, policy, live_nodes, idx)`` after
     convergence (``live_nodes`` empty for acyclic graphs) or ``None``
-    when the iteration hit its sweep budget without stabilizing.
+    when the iteration hit its sweep budget without stabilizing
+    (:func:`howard` then finishes with :func:`_exact_mcr`).
     ``initial_policy`` optionally seeds the iteration (all-or-nothing:
     every live node must map to an existing edge, else the default
     heaviest-edge start is used for all of them).
@@ -429,7 +449,7 @@ def _howard_solve(nodes: list[str], edges, initial_policy: Mapping | None = None
             policy[u] = best
         if not improved:
             return ratio, value, policy, live_nodes, idx
-    return None  # signal non-convergence; caller falls back
+    return None  # no convergence: howard() finishes with the exact loop
 
 
 def mcr_reference(
@@ -546,10 +566,9 @@ def _ring_sum(times: tuple[float, ...], count: int) -> Fraction:
     return whole * sum(map(Fraction, times)) + sum(map(Fraction, times[:left]))
 
 
-def _component_mcr(graph: CSDFGraph, firings, nodes, edges) -> Fraction | float:
-    """One core's cycle ratio, memoized across versions by fingerprint:
-    Howard's exact :class:`~fractions.Fraction`, or the float of the
-    binary-search fallback.
+def _component_mcr(graph: CSDFGraph, firings, nodes, edges) -> Fraction:
+    """One core's exact cycle ratio (:func:`howard`), memoized across
+    versions by fingerprint.
 
     The fingerprint covers everything the ratio depends on — the core's
     nodes, its weight-free edges, and its firings' execution times — so
@@ -563,32 +582,13 @@ def _component_mcr(graph: CSDFGraph, firings, nodes, edges) -> Fraction | float:
     hit = store.get(key)
     if hit is not None:
         return hit
-    weighted = _weighted(nodes, edges, times)
     policies = content_store(graph, _POLICY_STORE)
     shape = (nodes, edges)
-    solved = howard(list(nodes), weighted, initial_policy=policies.get(shape))
-    if solved is None:
-        ratio = _component_reference(nodes, weighted, times)
-    else:
-        ratio, _cycle, policy = solved
-        policies.put(shape, policy)
+    ratio, _cycle, policy = howard(list(nodes), _weighted(nodes, edges, times),
+                                   initial_policy=policies.get(shape))
+    policies.put(shape, policy)
     store.put(key, ratio)
     return ratio
-
-
-def _component_reference(nodes, edges, times) -> float:
-    """Binary-search fallback for a non-convergent core (same search as
-    :func:`mcr_reference`, restricted to the core)."""
-    _check_deadlock_free(nodes, edges)
-    lo = 0.0
-    hi = sum(times) + 1.0
-    while hi - lo > _FALLBACK_TOLERANCE:
-        mid = (lo + hi) / 2.0
-        if _has_positive_cycle(nodes, edges, mid):
-            lo = mid
-        else:
-            hi = mid
-    return hi
 
 
 def throughput_bound(graph: CSDFGraph, bindings: Mapping | None = None) -> float:
@@ -597,9 +597,11 @@ def throughput_bound(graph: CSDFGraph, bindings: Mapping | None = None) -> float
     return float("inf") if period <= 0 else 1.0 / period
 
 
-class _BufferVerdict:
-    """The buffer search's exact verdict: does a capacity vector keep
-    the unconstrained MCR?
+class _CapacityEventGraph:
+    """The whole graph's event graph, with the capacity questions asked
+    of it: the exact self-timed period under a capacity vector
+    (:meth:`period`), and whether a vector keeps the unconstrained MCR
+    (:meth:`sustains`, the buffer search's verdict).
 
     Under a capacity ``c`` the executor reserves a firing's production
     when the producer *starts* and frees a consumption when the
@@ -615,54 +617,29 @@ class _BufferVerdict:
     :mod:`repro.csdf.throughput`), so the distance-0 edge from a firing
     to itself is dropped.
 
-    With ``target = N / T`` the exact unconstrained MCR and ``D`` the
-    common denominator of the execution times, a vector *sustains* when
-    the augmented graph has
-
-    * no cycle of positive weight under the integer edge weights
-      ``T * D * w - N * D * d`` (``w`` the source firing's execution
-      time, 0 on a reverse edge, ``d`` the distance), and
-    * no token-free cycle, the MCR's deadlock rule: such a cycle
-      deadlocks whatever it weighs.
-
-    Both are one positive-cycle question on lexicographic weights:
-    ``(T * D * w - N * D * d, 1 if d == 0 else -n)`` over ``n`` nodes,
-    packed into one integer.  A simple cycle's second component is
-    positive exactly when it carries no token and lies within
-    ``[-n*n, n]``, so it only decides cycles whose first component is
-    0.
-
     The event graph is built once, on integer node indices: the rings
     of :func:`~repro.csdf.sdf.serialization_ring` and the flows of
-    :func:`~repro.csdf.sdf.channel_firing_flows` of every channel.
-    The target starts at the largest ring and core ratio
-    (:func:`_cycle_ratios`); Howard ranks cycles by float ratios within
-    ``_EPS``, so that may be a cycle just below the critical one.  While
-    the graph's potentials find a positive cycle, the target rises,
-    strictly, to its exact ratio, and so ends at the exact MCR.  A core
-    the binary-search fallback solved has no exact ratio:
-    :class:`~repro.errors.AnalysisError` names it.
+    :func:`~repro.csdf.sdf.channel_firing_flows` of every channel, each
+    edge doing its source firing's execution time as integer work (the
+    times over their common denominator).  The exact MCR, ``target``,
+    is :func:`_exact_mcr` started at the largest ring and core ratio
+    (:func:`_cycle_ratios`), which Howard's float ranking may leave
+    just below the critical cycle.  Capacities never lower the period,
+    so :meth:`period` starts the same loop at ``target``.
 
-    A probe adds the reverse edges of its capped channels, memoized per
-    ``(channel, capacity)``, and relaxes from the tails of the reverse
-    edges its start potentials violate.  It starts from the potentials
-    of the last vector that sustained (at first, the unconstrained
-    graph's): they satisfy every base edge, and the edges of the
-    channels already sized, which recur in every later probe of the
-    search.  Arithmetic is integer throughout.  ``probes`` counts the
+    A verdict adds the reverse edges of its capped channels, memoized
+    per ``(channel, capacity)``, and relaxes their packed weights at
+    the target (:func:`_weigher`) from the tails of the edges its start
+    potentials violate, which are those of the last vector that
+    sustained (at first, the unconstrained graph's): they satisfy every
+    base edge, and the edges of the channels already sized, which recur
+    in every later verdict of the search.  ``probes`` counts the
     verdicts decided.
     """
 
     def __init__(self, graph: CSDFGraph, bindings: Mapping | None):
-        target = Fraction(0)
-        for core, ratio in _cycle_ratios(graph, bindings):
-            if not isinstance(ratio, Fraction):
-                names = ", ".join(name for name, _count in core)
-                raise AnalysisError(
-                    f"the cyclic core {{{names}}} was solved by the binary-search "
-                    f"fallback: its ratio is not exact"
-                )
-            target = max(target, ratio)
+        start = max((ratio for _core, ratio in _cycle_ratios(graph, bindings)),
+                    default=Fraction(0))
         self.probes = 0
         q = concrete_repetition_vector(graph, bindings)
         self._channels = graph.channels
@@ -673,47 +650,33 @@ class _BufferVerdict:
         for name, count in q.items():
             self._offset[name] = n
             n += count
-        self._n = n
-        self._big = n * n + 1
         times = [Fraction(t) for t in _firing_times(graph, q.items())]
-        scale = lcm(*(t.denominator for t in times))
+        self._scale = lcm(*(t.denominator for t in times))
+        work = [int(t * self._scale) for t in times]
 
         index = {firing_name(name, k): self._offset[name] + k - 1
                  for name, count in q.items() for k in range(1, count + 1)}
-        edges: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        edges: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         for name, count in q.items():
             for src, dst, distance in serialization_ring(name, count):
-                edges[index[src]].append((index[dst], int(distance)))
+                edges[index[src]].append((index[dst], work[index[src]], int(distance)))
         for channel in graph.channels.values():
             src, dst = self._offset[channel.src] - 1, self._offset[channel.dst] - 1
             for k, m, delta, _count in channel_firing_flows(
                     channel, q[channel.src], q[channel.dst], bindings):
-                edges[src + k].append((dst + m, delta))
-        while True:
-            self._token = target.numerator * scale
-            work = [int(t * scale) * target.denominator for t in times]
-            adj = [[(v, self._weight(work[u], distance)) for v, distance in out]
-                   for u, out in enumerate(edges)]
-            potentials, cycle = _longest_paths(adj, [0] * n, range(n))
-            if potentials is not None:
-                break
-            # The cores refused token-free cycles; the least-distance
-            # edges weigh the most, so the cycle stays positive.
-            tokens = sum(min(d for head, d in edges[u] if head == v) for u, v in cycle)
-            target = sum(times[u] for u, _v in cycle) / tokens
-        self.target = target
-        self._adj = adj
-        self._potentials = potentials
-        self._reverse: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
+                edges[src + k].append((dst + m, work[src + k], delta))
+        self._edges = edges
+        ratio, self._adj, self._potentials, _cycle = _exact_mcr(
+            edges, (), start * self._scale)
+        self.target = ratio / self._scale
+        self._weight = _weigher(ratio, n)
+        self._reverse: dict[tuple[str, int], list[tuple[int, int, int, int]]] = {}
 
-    def _weight(self, work: int, distance: int) -> int:
-        return (self._big * (work - self._token * distance)
-                + (1 if distance == 0 else -self._n))
-
-    def _reverse_edges(self, name: str, capacity: int) -> list[tuple[int, int, int]]:
-        """``(src, dst, weight)`` of the reverse channel of ``name`` at
-        ``capacity``: consumer firing ``m`` frees the space producer
-        firing ``k`` reserves ``delta`` iterations later."""
+    def _reverse_edges(self, name: str, capacity: int) -> list[tuple[int, int, int, int]]:
+        """``(src, dst, distance, weight)`` of the reverse channel of
+        ``name`` at ``capacity``, ``weight`` packed at the target:
+        consumer firing ``m`` frees the space producer firing ``k``
+        reserves ``delta`` iterations later."""
         key = (name, capacity)
         edges = self._reverse.get(key)
         if edges is None:
@@ -725,13 +688,23 @@ class _BufferVerdict:
             src = self._offset[channel.dst] - 1
             dst = self._offset[channel.src] - 1
             edges = [
-                (src + m, dst + k, self._weight(0, delta))
+                (src + m, dst + k, delta, self._weight(0, delta))
                 for m, k, delta, _count in channel_firing_flows(
                     space, self._q[channel.dst], self._q[channel.src], self._bindings)
                 if delta or src + m != dst + k
             ]
             self._reverse[key] = edges
         return edges
+
+    def period(self, capacities: Mapping[str, int | None]) -> Fraction:
+        """The exact self-timed period under ``capacities`` (``None``:
+        unbounded), each at least its channel's initial tokens (the
+        executors refuse less up front);
+        :class:`~repro.errors.DeadlockError` when they deadlock."""
+        extra = [(u, v, 0, distance)
+                 for name, capacity in capacities.items() if capacity is not None
+                 for u, v, distance, _weight in self._reverse_edges(name, capacity)]
+        return _exact_mcr(self._edges, extra, self.target * self._scale)[0] / self._scale
 
     def sustains(self, capacities: Mapping[str, int | None]) -> bool:
         """True when the channels capped in ``capacities`` (``None``:
@@ -743,7 +716,7 @@ class _BufferVerdict:
         for name, capacity in capacities.items():
             if capacity is None:
                 continue
-            for u, v, w in self._reverse_edges(name, capacity):
+            for u, v, _distance, w in self._reverse_edges(name, capacity):
                 adj[u] = [*adj[u], (v, w)]
                 if potentials[u] + w > potentials[v]:
                     seeds.append(u)
@@ -754,6 +727,59 @@ class _BufferVerdict:
             return False
         self._potentials = settled
         return True
+
+
+def _weigher(ratio: Fraction, n: int):
+    """The packed integer weight of an edge at ``ratio`` (work per
+    token) in a graph of ``n`` nodes: ``(den * work - num * distance,
+    1 if distance == 0 else -n)``, lexicographically.  A simple cycle's
+    second component lies within ``[-n*n, n]`` and is positive exactly
+    when it carries no token, so a cycle weighs more than 0 when its
+    ratio exceeds ``ratio`` or it carries no token, and none weighs 0."""
+    big, num, den = n * n + 1, ratio.numerator, ratio.denominator
+
+    def weight(work: int, distance: int) -> int:
+        return big * (den * work - num * distance) + (1 if distance == 0 else -n)
+    return weight
+
+
+def _exact_mcr(edges, extra, ratio: Fraction):
+    """The exact maximum cycle ratio of an event graph on integer node
+    indices, raised from ``ratio``, which is at most the answer.
+
+    ``edges[u]`` holds the ``(v, work, distance)`` edges out of node
+    ``u`` and ``extra`` more as ``(u, v, work, distance)``, all
+    integers.  While the longest-path potentials under the packed
+    weights of :func:`_weigher` at the ratio find a positive cycle
+    (:func:`_longest_paths`), the ratio rises to that cycle's exact
+    ratio, each hop taking its heaviest edge at the current ratio (a
+    flow and a reverse edge can join the same two firings); a cycle
+    without a token raises :class:`~repro.errors.DeadlockError`.  Each
+    raise is strict over finitely many simple cycles, so the loop ends
+    at the exact MCR.  Returns ``(ratio, adj, potentials, cycle)``:
+    the ``(v, weight)`` successors at that ratio, the settled
+    potentials, and the ``(u, v, work, distance)`` edges of the last
+    cycle the ratio rose to (``None`` when it never rose).
+    """
+    out = [list(succ) for succ in edges]
+    for u, v, work, distance in extra:
+        out[u].append((v, work, distance))
+    n = len(out)
+    cycle = None
+    while True:
+        weight = _weigher(ratio, n)
+        adj = [[(v, weight(work, distance)) for v, work, distance in succ]
+               for succ in out]
+        potentials, found = _longest_paths(adj, [0] * n, range(n))
+        if potentials is not None:
+            return ratio, adj, potentials, cycle
+        cycle = [max(((u, v, work, distance) for (head, work, distance) in out[u]
+                      if head == v), key=lambda edge: weight(edge[2], edge[3]))
+                 for u, v in found]
+        tokens = sum(edge[3] for edge in cycle)
+        if not tokens:
+            raise DeadlockError(_TOKEN_FREE_CYCLE)
+        ratio = Fraction(sum(edge[2] for edge in cycle), tokens)
 
 
 def _longest_paths(adj, potentials: list[int], seeds):

@@ -576,12 +576,8 @@ def _core_candidate(
 
     nodes, edges = _core_edges(scc, core_channels, q_core)
     times = _firing_times(csdf, q_core.items())
-    solved = howard(list(nodes), _weighted(nodes, edges, times))
-    if solved is None:  # pragma: no cover - Howard converges on real cores
-        raise ParametricMCRError(
-            f"Howard's iteration did not converge on the cyclic core {label}"
-        )
-    return MCRCandidate(label, "cycle", Rat(Poly.const(solved[0])))
+    ratio, _cycle, _policy = howard(list(nodes), _weighted(nodes, edges, times))
+    return MCRCandidate(label, "cycle", Rat(Poly.const(ratio)))
 
 
 # ----------------------------------------------------------------------

@@ -62,7 +62,7 @@ from typing import Mapping
 from ..errors import DeadlockError, as_count
 from .analysis import concrete_repetition_vector
 from .graph import CSDFGraph
-from .mcr import _BufferVerdict
+from .mcr import _CapacityEventGraph
 from .simulation import rate_table
 from .statearrays import array_state
 
@@ -289,10 +289,10 @@ def self_timed_execution(
     """Fire actors as soon as tokens and cores allow, for ``iterations``
     full iterations of the repetition vector.
 
-    ``capacities`` bounds channel buffers with blocking writes — the
-    input to the buffer/throughput trade-off study (EXT3): tighter
+    ``capacities`` bounds channel buffers with blocking writes: tighter
     buffers serialize producers and consumers, stretching the
-    steady-state period.
+    steady-state period (this run is the oracle of the exact period
+    :func:`buffer_throughput_tradeoff` reports).
 
     Per-run state is copied from the memoized
     :func:`~repro.csdf.statearrays.array_state` template, readiness is
@@ -694,7 +694,7 @@ def min_buffers_for_full_throughput(
     throughput (a classic buffer-sizing DSE point).
 
     Every candidate vector is judged exactly, without executing it:
-    :class:`~repro.csdf.mcr._BufferVerdict` asks whether the event
+    :class:`~repro.csdf.mcr._CapacityEventGraph` asks whether the event
     graph bounded by the capacities keeps the unconstrained MCR (each
     capacity acting as a reverse channel of ``capacity - initial
     tokens`` tokens) and has no token-free cycle.  The target is the
@@ -740,7 +740,7 @@ def min_buffers_for_full_throughput(
             + ", ".join(f"{name}={pins[name]} (floor {floors[name]})"
                         for name in below)
         )
-    verdict = _BufferVerdict(graph, bindings)
+    verdict = _CapacityEventGraph(graph, bindings)
     sized = {name: pins.get(name) for name in graph.channels}
     if any(value is not None for value in pins.values()) and not verdict.sustains(sized):
         raise ValueError(
@@ -778,27 +778,29 @@ def buffer_throughput_tradeoff(
     graph: CSDFGraph,
     bindings: Mapping | None = None,
     scales: tuple[float, ...] = (1.0, 1.5, 2.0, 4.0),
-    iterations: int = 4,
-) -> list[tuple[int, TimedResult]]:
+) -> list[tuple[int, float]]:
     """The classic buffer-size / throughput trade-off (EXT3).
 
     Starting from the minimal single-processor capacities (buffer peaks
     of the buffer-minimizing schedule), scale every channel's capacity
-    by each factor and measure the steady-state period under blocking
-    writes.  Returns ``(total_buffer, TimedResult)`` pairs sorted by
+    by each factor and take the exact steady-state period under
+    blocking writes, the MCR of the event graph bounded by the
+    capacities (:meth:`~repro.csdf.mcr._CapacityEventGraph.period`; no
+    executor runs).  Returns ``(total_buffer, period)`` pairs sorted by
     buffer budget: larger budgets never slow the pipeline down, and
-    throughput saturates once the bottleneck actor dominates.
+    throughput saturates once the bottleneck actor dominates.  A scale
+    whose capacities deadlock raises :class:`~repro.errors.DeadlockError`
+    (below a channel's initial tokens, the executors' up-front one).
     """
     from .buffers import minimal_buffer_schedule
 
     _, minimal = minimal_buffer_schedule(graph, bindings)
-    out: list[tuple[int, TimedResult]] = []
+    event_graph = _CapacityEventGraph(graph, bindings)
+    out: list[tuple[int, float]] = []
     for scale in scales:
         capacities = {
             name: max(1, int(peak * scale)) for name, peak in minimal.items()
         }
-        result = self_timed_execution(
-            graph, bindings, iterations=iterations, capacities=capacities
-        )
-        out.append((sum(capacities.values()), result))
+        _check_capacity_contract(graph, capacities, list(graph.actors))
+        out.append((sum(capacities.values()), float(event_graph.period(capacities))))
     return out

@@ -308,38 +308,25 @@ class TPDFGraph:
             g.add_edge(channel.src, channel.dst, key=channel.name, channel=channel)
         return g
 
-    def as_csdf(self, include_control: bool = True) -> CSDFGraph:
+    def as_csdf(self) -> CSDFGraph:
         """Forget modes/dynamism: the CSDF abstraction of Sec. III-A.
 
         Every node becomes a CSDF actor; every channel a CSDF channel
         whose production/consumption sequences are the connected ports'
-        rate sequences.  ``include_control=False`` drops control actors
-        and control channels (used e.g. to compare against a pure-CSDF
-        restructuring of the same application).
+        rate sequences.
 
         The abstraction is memoized per graph version and shared across
         all analyses — the returned graph is *frozen*:
         ``add_actor``/``add_channel`` on it raise.
         """
-        return cached(
-            self, ("as_csdf", include_control),
-            lambda: self._build_csdf(include_control),
-        )
+        return cached(self, ("as_csdf",), self._build_csdf)
 
-    def _build_csdf(self, include_control: bool) -> CSDFGraph:
+    def _build_csdf(self) -> CSDFGraph:
         csdf = CSDFGraph(f"{self.name}/csdf")
         for name in self.node_names():
-            if not include_control and self.is_control_actor(name):
-                continue
             node = self.node(name)
             csdf.add_actor(name, exec_time=node.exec_times, function=node.function)
         for channel in self._channels.values():
-            if not include_control and (
-                channel.is_control
-                or self.is_control_actor(channel.src)
-                or self.is_control_actor(channel.dst)
-            ):
-                continue
             production = self.node(channel.src).port(channel.src_port).rates
             consumption = self.node(channel.dst).port(channel.dst_port).rates
             csdf.add_channel(

@@ -8,6 +8,7 @@ from repro.csdf import (
     self_timed_execution,
 )
 from repro.csdf.throughput import buffer_throughput_tradeoff
+from repro.errors import DeadlockError
 
 
 def producer_consumer(prod_time=1.0, cons_time=3.0) -> CSDFGraph:
@@ -139,10 +140,9 @@ class TestAnalyticTargetPeriod:
 
 class TestTradeoff:
     def test_monotone_throughput(self, fig1):
-        points = buffer_throughput_tradeoff(fig1, scales=(1.0, 2.0, 4.0),
-                                            iterations=4)
+        points = buffer_throughput_tradeoff(fig1, scales=(1.0, 2.0, 4.0))
         budgets = [budget for budget, _ in points]
-        periods = [result.iteration_period for _, result in points]
+        periods = [period for _, period in points]
         assert budgets == sorted(budgets)
         # Larger buffers never hurt throughput.
         assert all(a >= b - 1e-9 for a, b in zip(periods, periods[1:]))
@@ -152,12 +152,23 @@ class TestTradeoff:
         result = self_timed_execution(fig1, iterations=3, capacities=minimal)
         assert result.iterations == 3
 
-    def test_ofdm_tradeoff_shape(self):
+    def test_ofdm_tradeoff_periods(self):
+        """The exact steady periods, which a short run misreads (its last
+        two iterations read 2.0 and 1.0)."""
         from repro.apps.ofdm import bindings_for, build_ofdm_tpdf
 
         graph = build_ofdm_tpdf().as_csdf()
         points = buffer_throughput_tradeoff(
-            graph, bindings_for(2, 16, 2, 4), scales=(1.0, 2.0), iterations=3
+            graph, bindings_for(2, 16, 2, 4), scales=(1.0, 2.0)
         )
-        assert len(points) == 2
+        assert [period for _, period in points] == [2.5, 1.25]
         assert points[0][0] < points[1][0]
+
+    def test_deadlocking_scale_raises(self):
+        """Capacities scaled below a channel's initial tokens are refused
+        up front, as the executors do."""
+        g = producer_consumer()
+        g.channel("e").initial_tokens = 4
+        assert buffer_throughput_tradeoff(g, scales=(1.0,)) == [(4, 3.0)]
+        with pytest.raises(DeadlockError, match="capacity below initial tokens: e"):
+            buffer_throughput_tradeoff(g, scales=(0.5,))

@@ -94,6 +94,20 @@ class TestBoundedFeasible:
         with pytest.raises(ValueError, match="unknown channel name.*ee; graph channels are: e"):
             bounded_feasible(g, {"ee": 1})
 
+    def test_below_initial_tokens_and_unbounded_deadlock(self):
+        """A capacity below a channel's initial tokens is refused up
+        front, as the executors do, and a graph that deadlocks with no
+        capacity at all is infeasible under any."""
+        g = CSDFGraph()
+        g.add_actor("a")
+        g.add_actor("b")
+        g.add_channel("fwd", "a", "b", 1, 1, initial_tokens=2)
+        g.add_channel("back", "b", "a", 1, 1)
+        assert bounded_feasible(g, {"fwd": 2})
+        assert not bounded_feasible(g, {"fwd": 1})
+        g.channel("fwd").initial_tokens = 0
+        assert not bounded_feasible(g, {})
+
     def test_selfloop_headroom(self):
         g = CSDFGraph()
         g.add_actor("a")

@@ -251,14 +251,26 @@ class TestCaching:
 
 
 class TestHowardFallback:
-    """``_component_mcr`` falls back to the binary search of
-    ``_component_reference`` when Howard's iteration gives up within
-    its ``max(64, 4n)`` sweep budget.  The path stays because Howard
-    can need Omega(n^2) iterations (Hansen & Zwick, ISAAC 2010); here
-    the solve is forced to give up on every component."""
+    """When Howard's iteration gives up within its ``max(64, 4n)`` sweep
+    budget, ``howard`` finishes the core with the exact cycle-ratio
+    loop (``_exact_mcr``).  The path stays because Howard can need
+    Omega(n^2) iterations (Hansen & Zwick, ISAAC 2010); here the solve
+    is forced to give up on every component."""
 
-    @pytest.fixture
-    def howard_gives_up(self, monkeypatch):
+    @staticmethod
+    def _graphs() -> list[CSDFGraph]:
+        """Fresh graphs: no memoized ratio or content-store hit can
+        answer before the component solve."""
+        from repro.gallery import fig1_graph
+
+        return [fig1_graph()] + [
+            _random_csdf(n, extra, cycles, seed)
+            for (n, extra, cycles) in SHAPES[3:6]
+            for seed in range(3)
+        ]
+
+    @staticmethod
+    def _give_up(monkeypatch) -> list:
         import repro.csdf.mcr as mcr_mod
 
         calls = []
@@ -270,24 +282,31 @@ class TestHowardFallback:
         monkeypatch.setattr(mcr_mod, "_howard_solve", give_up)
         return calls
 
-    def test_fallback_matches_reference(self, howard_gives_up):
-        from repro.gallery import fig1_graph
+    def test_fallback_equals_howard(self, monkeypatch):
+        from fractions import Fraction
 
-        # Fresh graphs: no memoized ratio or content-store hit can
-        # answer before the component solve.
-        graphs = [fig1_graph()] + [
-            _random_csdf(n, extra, cycles, seed)
-            for (n, extra, cycles) in SHAPES[3:6]
-            for seed in range(3)
-        ]
-        for graph in graphs:
-            howard_gives_up.clear()
-            fallback = max_cycle_ratio(graph)
-            assert howard_gives_up, f"{graph.name}: Howard was not asked"
-            assert fallback == pytest.approx(mcr_reference(graph), abs=TOL)
+        from repro.csdf.mcr import _cycle_ratios, _decomposition, howard
+
+        converged = [[ratio for _core, ratio in _cycle_ratios(graph, None)]
+                     for graph in self._graphs()]
+        calls = self._give_up(monkeypatch)
+        for graph, expected in zip(self._graphs(), converged):
+            calls.clear()
+            ratios = [ratio for _core, ratio in _cycle_ratios(graph, None)]
+            assert calls, f"{graph.name}: Howard was not asked"
+            assert all(type(ratio) is Fraction for ratio in ratios)
+            assert ratios == expected, graph.name
+            assert max_cycle_ratio(graph) == pytest.approx(mcr_reference(graph), abs=TOL)
+            for _firings, nodes, edges in _decomposition(graph, None)[1]:
+                weighted = [(src, dst, 1.0, t) for src, dst, t in edges]
+                ratio, cycle, policy = howard(list(nodes), weighted)
+                assert policy == {}
+                assert ratio == sum(Fraction(w) for *_, w, _t in cycle) / sum(
+                    Fraction(t) for *_, t in cycle)
 
     @pytest.mark.parametrize("exec_time", (1, 0))
-    def test_token_free_cycle_still_raises(self, howard_gives_up, exec_time):
+    def test_token_free_cycle_still_raises(self, monkeypatch, exec_time):
+        calls = self._give_up(monkeypatch)
         g = CSDFGraph("dead")
         g.add_actor("a", exec_time=exec_time)
         g.add_actor("b", exec_time=exec_time)
@@ -295,14 +314,14 @@ class TestHowardFallback:
         g.add_channel("ba", "b", "a")
         with pytest.raises(DeadlockError, match="zero tokens"):
             max_cycle_ratio(g)
-        assert howard_gives_up
+        assert calls
 
-    def test_buffer_search_refuses_an_inexact_core(self, howard_gives_up):
-        """The fallback's ratio is a float within its tolerance, not
-        the exact target the buffer verdict needs."""
+    def test_buffer_search_on_a_fallback_core(self, monkeypatch):
+        """The fallback's ratio is exact, so the buffer search takes it
+        as its target and returns what it returns on Howard's."""
         from repro.gallery import fig1_graph
 
-        with pytest.raises(AnalysisError,
-                           match=r"core \{a1, a2, a3\} was solved by the "
-                                 "binary-search fallback"):
-            min_buffers_for_full_throughput(fig1_graph())
+        expected = min_buffers_for_full_throughput(fig1_graph())
+        calls = self._give_up(monkeypatch)
+        assert min_buffers_for_full_throughput(fig1_graph()) == expected
+        assert calls

@@ -2,9 +2,10 @@
 
 The full sets compare two trees; here a trimmed call, made twice on
 freshly built inputs, must hash every set to the same digest, the
-``decode``, ``simulate``, ``summary`` and ``buffers`` sets must hash
-results, not errors, the ``service`` set must find every served result
-equal to the direct one, and the ``liveness`` set must see deadlocks.
+``decode``, ``simulate``, ``summary``, ``buffers`` and ``executor``
+sets must hash results, not errors, the ``service`` set must find
+every served result equal to the direct one, and the ``liveness`` set
+must see deadlocks.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
-from parity import (SETS, SUMMARY_SWITCHES, buffers_set,  # noqa: E402
-                    decode_set, digests, liveness_set, main, service_set,
+from parity import (EXECUTOR_CORES, EXECUTOR_ITERATIONS, SETS,  # noqa: E402
+                    SUMMARY_SWITCHES, buffers_set, decode_set, digests,
+                    executor_set, liveness_set, main, service_set,
                     simulate_set, summary_set)
 
 
@@ -86,6 +88,21 @@ def test_trimmed_buffers_set_hashes_capacities():
     for _label, capacities in items:
         assert isinstance(capacities, dict) and capacities
         assert all(isinstance(value, int) for value in capacities.values())
+
+
+def test_trimmed_executor_set_hashes_runs():
+    """Two corpus graphs, each at every core budget under no
+    capacities, the capacity floors and the floors plus one: a run of
+    ``EXECUTOR_ITERATIONS`` iterations each."""
+    items = list(executor_set(trim=2))
+    assert [label[1:] for label, _ in items[:9]] == [
+        (cores, vector) for cores in EXECUTOR_CORES
+        for vector in ("none", "floors", "floors+1")]
+    assert len(items) == 18
+    for _label, (makespan, iterations, firings, ends, peaks) in items:
+        assert iterations == len(ends) == EXECUTOR_ITERATIONS
+        assert makespan == ends[-1] and firings > 0
+        assert peaks == tuple(sorted(peaks))
 
 
 def test_unknown_set_is_a_usage_error(capsys):

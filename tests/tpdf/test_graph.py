@@ -196,12 +196,6 @@ class TestAsCSDF:
         assert csdf.channel("e1").production.bind({"p": 3}).as_ints() == (3,)
         assert csdf.channel("e6").consumption.as_ints() == (0, 2)
 
-    def test_exclude_control(self, fig2):
-        csdf = fig2.as_csdf(include_control=False)
-        assert "C" not in csdf.actors
-        assert "e5" not in csdf.channels
-        assert "e2" not in csdf.channels  # touches the control actor
-
     def test_register_rejects_foreign(self):
         g = TPDFGraph()
         with pytest.raises(GraphConstructionError):

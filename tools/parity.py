@@ -70,6 +70,13 @@ items' ``repr`` lines):
     views of the corpus (under its bindings), the EXT7 family above and
     the four EXT3 graphs (Fig. 2 at p = 4, OFDM at N = 16 and 32, and
     the imbalanced pipeline): the capacity mappings, in channel order.
+``executor``
+    ``self_timed_execution`` on the CSDF views of the corpus (under its
+    bindings) for four iterations, at core budgets none, 1 and 2 and
+    capacities none, ``capacity_floors`` and the floors plus one: the
+    makespan, iteration and firing counts, iteration ends and sorted
+    peaks, or, for a deadlock, the ``DeadlockError`` message and
+    blocked set.
 
 Usage::
 
@@ -505,6 +512,35 @@ def buffers_set(trim: int | None = None) -> Iterator[Item]:
             lambda: min_buffers_for_full_throughput(csdf, bindings))
 
 
+#: The ``executor`` set's iterations per run and core budgets.
+EXECUTOR_ITERATIONS = 4
+EXECUTOR_CORES = (None, 1, 2)
+
+
+def executor_set(trim: int | None = None) -> Iterator[Item]:
+    from repro.csdf import capacity_floors, self_timed_execution
+    from repro.errors import DeadlockError
+
+    def run(csdf, bindings, cores, capacities) -> tuple:
+        try:
+            result = self_timed_execution(csdf, bindings, iterations=EXECUTOR_ITERATIONS,
+                                          cores=cores, capacities=capacities)
+        except DeadlockError as exc:
+            return "DeadlockError", str(exc), tuple(exc.blocked)
+        return (result.makespan, result.iterations, result.firings,
+                tuple(result.iteration_ends), tuple(sorted(result.peaks.items())))
+
+    for label, graph, bindings in _corpus(trim):
+        csdf = graph.as_csdf()
+        floors = capacity_floors(csdf, bindings)
+        vectors = {"none": None, "floors": floors,
+                   "floors+1": {name: value + 1 for name, value in floors.items()}}
+        for cores in EXECUTOR_CORES:
+            for name, capacities in vectors.items():
+                yield (label, cores, name), _outcome(
+                    lambda: run(csdf, bindings, cores, capacities))
+
+
 SETS: dict[str, Callable[[int | None], Iterator[Item]]] = {
     "analyze": analyze_set,
     "mcr": mcr_set,
@@ -516,6 +552,7 @@ SETS: dict[str, Callable[[int | None], Iterator[Item]]] = {
     "service": service_set,
     "liveness": liveness_set,
     "buffers": buffers_set,
+    "executor": executor_set,
 }
 
 
