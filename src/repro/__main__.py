@@ -313,7 +313,7 @@ def cmd_buffers(args) -> int:
 
 def cmd_throughput(args) -> int:
     from .csdf.graph import CSDFGraph
-    from .csdf.mcr import max_cycle_ratio
+    from .csdf.mcr import _CapacityEventGraph, max_cycle_ratio
     from .csdf.throughput import (
         self_timed_execution,
         self_timed_execution_reference,
@@ -338,9 +338,13 @@ def cmd_throughput(args) -> int:
         if exc.blocked:
             print(f"blocked actors: {', '.join(exc.blocked)}")
         return 1
+    # The exact period under the capacities: the last iterations of a
+    # finite run misread a steady state that repeats over several.
+    period = float(_CapacityEventGraph(csdf, bindings or None).period(capacities or {}))
+    throughput = 1.0 / period if period > 0 else float("inf")
     print(f"max cycle ratio (period bound): {mcr:.4f}")
-    print(f"self-timed steady period:       {result.iteration_period:.4f}")
-    print(f"throughput:                     {result.throughput:.4f} iterations/time")
+    print(f"self-timed steady period:       {period:.4f}")
+    print(f"throughput:                     {throughput:.4f} iterations/time")
     print(f"makespan ({args.iterations} iterations):      {result.makespan:.4f}")
     if args.reference_loop:
         # Cross-check the dependency-driven event core against the
@@ -369,9 +373,11 @@ def _run_probe_caps(args, csdf, bindings) -> int:
     """``throughput --probe-caps FILE``: evaluate many capacity vectors
     through :func:`repro.analysis.probe_capacities`.  The file is a
     JSON array of ``{channel: tokens}`` objects; one verdict line is
-    printed per vector (steady period, or the deadlock's blocked
-    set)."""
+    printed per vector: the exact steady period under it (one capacity
+    event graph per call) and the run's makespan, or the deadlock's
+    blocked set."""
     from .analysis import probe_capacities
+    from .csdf.mcr import _CapacityEventGraph
     from .errors import DeadlockError
 
     vectors = json.loads(Path(args.probe_caps).read_text())
@@ -386,13 +392,15 @@ def _run_probe_caps(args, csdf, bindings) -> int:
         csdf, vectors, bindings, iterations=args.iterations,
     )
     exit_code = 0
-    for index, outcome in enumerate(outcomes):
+    events = None
+    for index, (capacities, outcome) in enumerate(zip(vectors, outcomes)):
         if isinstance(outcome, DeadlockError):
             exit_code = 1
             blocked = ", ".join(outcome.blocked) or "-"
             print(f"[{index}] deadlock (blocked: {blocked})")
         else:
-            print(f"[{index}] period={outcome.iteration_period:.4f} "
+            events = events or _CapacityEventGraph(csdf, bindings)
+            print(f"[{index}] period={float(events.period(capacities)):.4f} "
                   f"makespan={outcome.makespan:.4f}")
     return exit_code
 

@@ -49,6 +49,9 @@ _STRUCTURE_ATTR = "_analysis_structure"
 _FROZEN_ATTR = "_analysis_frozen"
 _CONTENT_ATTR = "_analysis_content"
 
+#: Entries each :func:`content_store` keeps before evicting the oldest.
+_CONTENT_LIMIT = 1024
+
 #: Key tags (first tuple element) whose cached values do not depend on
 #: execution times — safe to carry across binding-only version bumps.
 _BINDING_INSENSITIVE_TAGS: set[str] = set()
@@ -201,16 +204,17 @@ class ContentStore:
         return len(self._data)
 
 
-def content_store(graph: Any, namespace: str, limit: int = 1024) -> ContentStore:
+def content_store(graph: Any, namespace: str) -> ContentStore:
     """The graph's cross-version :class:`ContentStore` for ``namespace``
-    (created on first use; the same store is returned thereafter)."""
+    (created on first use, holding up to ``_CONTENT_LIMIT`` entries;
+    the same store is returned thereafter)."""
     stores = getattr(graph, _CONTENT_ATTR, None)
     if stores is None:
         stores = {}
         setattr(graph, _CONTENT_ATTR, stores)
     store = stores.get(namespace)
     if store is None:
-        store = ContentStore(limit)
+        store = ContentStore(_CONTENT_LIMIT)
         stores[namespace] = store
     return store
 

@@ -62,7 +62,6 @@ def schedule_buffer_sizes(
 def minimal_buffer_schedule(
     graph: CSDFGraph,
     bindings: Mapping | None = None,
-    repetitions: Mapping[str, int] | None = None,
 ) -> tuple[SequentialSchedule, dict[str, int]]:
     """Greedy single-processor schedule minimizing buffer peaks.
 
@@ -74,25 +73,22 @@ def minimal_buffer_schedule(
     consumers), then to the smallest name.  Returns the schedule and
     its per-channel peaks.
 
-    The default-repetitions result is memoized per graph version and,
-    being untimed, carried across binding-only bumps; the peaks dict
-    is copied per call so callers may mutate it freely.
+    The result is memoized per graph version and, being untimed,
+    carried across binding-only bumps; the peaks dict is copied per
+    call so callers may mutate it freely.
     """
-    if repetitions is None:
-        schedule, peaks = cached(
-            graph, ("min_buffer_schedule", bindings_key(bindings)),
-            lambda: _minimal_buffer_schedule(graph, bindings, None),
-        )
-        return schedule, dict(peaks)
-    return _minimal_buffer_schedule(graph, bindings, repetitions)
+    schedule, peaks = cached(
+        graph, ("min_buffer_schedule", bindings_key(bindings)),
+        lambda: _minimal_buffer_schedule(graph, bindings),
+    )
+    return schedule, dict(peaks)
 
 
 def _minimal_buffer_schedule(
     graph: CSDFGraph,
     bindings: Mapping | None,
-    repetitions: Mapping[str, int] | None,
 ) -> tuple[SequentialSchedule, dict[str, int]]:
-    targets = dict(repetitions) if repetitions is not None else concrete_repetition_vector(graph, bindings)
+    targets = concrete_repetition_vector(graph, bindings)
     state = TokenState(graph, bindings)
     consumers = rate_table(graph, bindings).consumers
     remaining = dict(targets)

@@ -10,20 +10,23 @@ processors equals the *maximum cycle ratio*
 CSDF graphs are analyzed on the event graph of their exact HSDF
 expansion (:mod:`repro.csdf.sdf`): one node per firing, whose
 serialization rings contribute the per-actor "one firing at a time"
-cycles.  The event graph is never built whole (see "Rings and cores"
-below); :func:`~repro.csdf.sdf.expand_to_hsdf` stays the public
-expansion, the one the oracle reads and the core builder is tested
-against (``tests/csdf/test_event_graph_oracle.py``).
+cycles.  One builder, :func:`_event_graph`, emits it for any set of
+actors and channels on integer node indices, straight from the
+repetition vector and the rate tables.  The throughput bound never
+builds it whole (see "Rings and cores" below);
+:func:`~repro.csdf.sdf.expand_to_hsdf` stays the public expansion, the
+one the oracle reads and the builder is tested against
+(``tests/csdf/test_event_graph_oracle.py``).
 
 Two solvers are provided:
 
 * :func:`max_cycle_ratio` — **Howard's policy iteration** (the
   max-plus spectral method of Cochet-Terrasson et al., surveyed by
   Dasdan as the fastest MCR algorithm in practice) on every cyclic
-  core.  Each iteration evaluates one successor policy in O(V + E) and
-  improves it greedily; convergence typically takes a handful of
-  iterations instead of the ~50 full relaxation sweeps of the
-  parametric search.
+  core, in exact integer arithmetic.  Each iteration evaluates one
+  successor policy in O(V + E) and improves it greedily; convergence
+  typically takes a handful of iterations instead of the ~50 full
+  relaxation sweeps of the parametric search.
 * :func:`mcr_reference` — the legacy parametric binary search with
   Bellman-Ford feasibility checks on the whole expansion, kept as the
   independent oracle for the differential test suite
@@ -32,9 +35,9 @@ Two solvers are provided:
 Tests cross-validate both against each other and against the converged
 ``self_timed_execution`` period.  For the throughput bound over a whole
 *parameter domain* (instead of one binding at a time) see
-:mod:`repro.csdf.parametric`, which shares this module's core builder
-(:func:`_core_edges`) and certifies each core with one :func:`howard`
-run.  Both find the cores with the liveness check's finder,
+:mod:`repro.csdf.parametric`, which shares this module's builder and
+certifies each core with one :func:`howard` run.  Both find the cores
+with the liveness check's finder,
 :func:`~repro.csdf.schedule.cyclic_components`, sorted.
 
 Rings and cores
@@ -54,29 +57,23 @@ Sec. III-C).  So every cycle is one of two kinds:
   from the *global* repetition counts and solved by one Howard run.
 
 The weight-free part — the ``(actor, q_a)`` pairs outside the cores and
-each core's nodes and edges — is one cache entry, carried across
-execution-time edits (see :mod:`repro.cache`); execution times are
-read per query.  Each core's ratio is keyed in a cross-version content
-store by its fingerprint (nodes, edges, weights), so re-analysis after
-an edit re-solves only the cores whose fingerprint changed — an edit
-outside every core re-solves nothing, its ring being closed-form.
-Re-solved cores warm-start Howard's iteration from the previous
-converged policy for the same core shape (:func:`howard`
+each core's edges — is one cache entry, carried across execution-time
+edits (see :mod:`repro.cache`); execution times are read per query and
+attached as integer work over their common denominator.  Each core's
+ratio is keyed in a cross-version content store by its edges and
+firing times, so re-analysis after an edit re-solves only the cores
+whose key changed — an edit outside every core re-solves nothing, its
+ring being closed-form.  Re-solved cores warm-start Howard's iteration
+from the previous converged policy for the same edges (:func:`howard`
 ``initial_policy=``), falling back to the cold initial policy whenever
 the remembered policy is not feasible edge-for-edge.
 
-A core's ratio is extracted from the critical cycle by *exact*
-rational summation (:class:`fractions.Fraction` over the cycle's float
-weights and distances), so it does not depend on the order of the
-cycle's edges, nor on which of several exactly equal cycles policy
-iteration converged to.  It is not always a pure function of the core
-fingerprint: Howard's improvement step treats ratios within ``_EPS``
-as equal, so on a near-tie it can settle on a cycle whose exact ratio
-is just below the critical one, and a warm start can settle on a
-different cycle than a cold one — warm and cold re-analysis then
-differ in the last bits.  :func:`max_cycle_ratio` rounds the largest
-ratio to a float; :class:`_CapacityEventGraph` raises its own target
-past such a tie.
+Howard's iteration compares exact ratios: a policy cycle's ratio is
+its integer work and token sums reduced by their gcd, and two ratios
+compare by cross-multiplication.  So every core's ratio is the exact
+maximum, an exact :class:`fractions.Fraction`, and a pure function of
+the core's edges and times, warm start or cold.
+:func:`max_cycle_ratio` rounds the largest ratio to a float once.
 
 Every solver shares one deadlock rule: a token-free cycle deadlocks
 whatever it weighs (execution times of 0 included), and raises
@@ -109,7 +106,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import cycle, islice
-from math import lcm
+from math import gcd, lcm
 from typing import Mapping
 
 from ..cache import bindings_key, cached, content_store, register_binding_insensitive
@@ -119,48 +116,52 @@ from .channel import Channel
 from .digraph import tarjan_components
 from .graph import CSDFGraph
 from .schedule import cyclic_components
-from .sdf import (
-    channel_firing_flows, check_firing_names, expand_to_hsdf, firing_name, flow_edges,
-    serialization_ring,
-)
+from .sdf import channel_firing_flows, check_firing_names, expand_to_hsdf, firing_name
 from .simulation import rate_table
-
-#: Strict-improvement threshold of the policy iteration; values closer
-#: than this are considered equal, which keeps ties from cycling.
-_EPS = 1e-10
 
 #: The one deadlock message of every solver.
 _TOKEN_FREE_CYCLE = "cycle with zero tokens: the graph deadlocks, MCR undefined"
 
+#: Width of :func:`mcr_reference`'s final search interval.
+_REFERENCE_TOLERANCE = 1e-6
+
 #: Cross-version content stores (see :func:`repro.cache.content_store`).
-_SCC_STORE = "mcr_scc"          # core fingerprint -> exact ratio
-_POLICY_STORE = "mcr_scc_policy"  # core shape -> converged policy
+_SCC_STORE = "mcr_scc"          # core edges and firing times -> exact ratio
+_POLICY_STORE = "mcr_scc_policy"  # core edges -> converged policy
 
 
-def _core_edges(actors: tuple[str, ...], channels, q: Mapping[str, int],
-                bindings: Mapping | None = None):
-    """The weight-free event graph of one cyclic core, ``(nodes,
-    edges)`` with ``edges`` as ``(src, dst, distance)``.
+def _event_graph(q: Mapping[str, int], actors, channels, bindings: Mapping | None = None):
+    """The weight-free event graph of ``actors`` and ``channels``,
+    ``(offset, edges)``, on integer node indices.
 
-    It is the expansion (:func:`~repro.csdf.sdf.expand_to_hsdf` plus
-    the MCR's distance encoding) restricted to the core's ``actors``
-    and ``channels``, with the **global** repetition counts ``q``: the
-    core is analyzed in the whole graph's iteration, so its ratio
-    composes with the rings outside it.  Each actor's firings and ring
-    (a self-loop for a single firing) come in ``actors`` order, then
-    the channel flows.  A flow's distance is its iteration offset, the
-    expansion channel's initial tokens over its rate: the raw token
+    Firing ``k`` (1-based) of actor ``a`` is node ``offset[a] + k - 1``,
+    the actors numbered in ``actors`` order.  ``edges`` holds ``(src,
+    dst, distance)`` triples: each actor's serialization ring in
+    ``actors`` order — ``k -> k+1`` at distance 0 and the last firing
+    back to the first at distance 1, a self-loop for a single firing —
+    then each channel's flows (:func:`~repro.csdf.sdf.channel_firing_flows`)
+    in ``channels`` order.  A flow's distance is its iteration offset,
+    the expansion channel's initial tokens over its rate: the raw token
     count under-constrains channels of rate above 1 and yields an MCR
-    below the true self-timed period.  Every edge weighs its source
-    firing's execution time (:func:`_firing_times`, :func:`_weighted`).
+    below the true self-timed period.  ``q`` holds the **global**
+    repetition counts: a core is analyzed in the whole graph's
+    iteration, so its ratio composes with the rings outside it.
     """
-    nodes = tuple(
-        firing_name(name, k) for name in actors for k in range(1, q[name] + 1)
-    )
-    edges = [edge for name in actors for edge in serialization_ring(name, q[name])]
+    offset: dict[str, int] = {}
+    edges: list[tuple[int, int, int]] = []
+    n = 0
+    for name in actors:
+        count = q[name]
+        offset[name] = n
+        edges.extend((n + k, n + k + 1, 0) for k in range(count - 1))
+        edges.append((n + count - 1, n, 1))
+        n += count
     for channel in channels:
-        edges.extend(flow_edges(channel, q[channel.src], q[channel.dst], bindings))
-    return nodes, tuple(edges)
+        src, dst = offset[channel.src] - 1, offset[channel.dst] - 1
+        edges.extend(
+            (src + k, dst + m, delta) for k, m, delta, _count in channel_firing_flows(
+                channel, q[channel.src], q[channel.dst], bindings))
+    return offset, tuple(edges)
 
 
 def _firing_times(graph: CSDFGraph, firings) -> tuple[float, ...]:
@@ -172,22 +173,28 @@ def _firing_times(graph: CSDFGraph, firings) -> tuple[float, ...]:
     )
 
 
-def _weighted(nodes, edges, times):
-    """``(src, dst, weight, distance)`` edges: each edge weighs its
-    source firing's execution time."""
-    weight = dict(zip(nodes, times))
-    return [(src, dst, weight[src], t) for src, dst, t in edges]
+def _with_work(edges, times):
+    """``(scale, out)``: ``out[u]`` the ``(v, work, distance)`` edges
+    out of node ``u``, each doing its source firing's time as integer
+    ``work``, the ``times`` over their common denominator ``scale``."""
+    exact = [time.as_integer_ratio() for time in times]
+    scale = lcm(*(den for _num, den in exact))
+    work = [num * (scale // den) for num, den in exact]
+    out: list[list[tuple[int, int, int]]] = [[] for _ in work]
+    for u, v, distance in edges:
+        out[u].append((v, work[u], distance))
+    return scale, out
 
 
 def _decomposition(graph: CSDFGraph, bindings: Mapping | None):
     """The weight-free split of the event graph, ``(rings, cores)``.
 
     ``rings`` holds the ``(actor, q_a)`` pairs of the actors outside
-    every cyclic core, ``cores`` one ``(firings, nodes, edges)`` per
-    core (:func:`_core_edges`), ``firings`` its ``(actor, q_a)`` pairs
-    in node order.  Execution times are absent, so the entry survives
-    execution-time edits: it is registered binding-insensitive with
-    :mod:`repro.cache`.
+    every cyclic core, ``cores`` one ``(firings, edges)`` per core:
+    ``firings`` its ``(actor, q_a)`` pairs in node order, ``edges`` its
+    event graph (:func:`_event_graph`).  Execution times are absent, so
+    the entry survives execution-time edits: it is registered
+    binding-insensitive with :mod:`repro.cache`.
     """
     return cached(
         graph, ("mcr_cores", bindings_key(bindings)),
@@ -209,183 +216,106 @@ def _decompose(graph: CSDFGraph, bindings: Mapping | None):
         members = set(core)
         channels = [c for c in graph.channels.values()
                     if c.src in members and c.dst in members]
-        nodes, edges = _core_edges(core, channels, q, bindings)
-        built.append((tuple((name, q[name]) for name in core), nodes, edges))
+        _offset, edges = _event_graph(q, core, channels, bindings)
+        built.append((tuple((name, q[name]) for name in core), edges))
     return rings, tuple(built)
 
 
 register_binding_insensitive("mcr_cores")
 
 
-def _check_deadlock_free(nodes, edges) -> None:
+def _check_deadlock_free(zero_adj: list[list[int]]) -> None:
     """Refuse a graph with a token-free cycle: its firings wait on each
     other within one iteration, so the graph deadlocks whatever the
     cycle weighs (execution times of 0 included) and the MCR is
-    undefined.  ``edges`` are ``(src, dst, weight, distance)``; a cycle
-    of distance-0 edges is one strongly connected component of that
-    subgraph holding an edge, found by the shared
+    undefined.  ``zero_adj[u]`` lists the heads of the distance-0 edges
+    out of node ``u``; a cycle of them is one strongly connected
+    component of that subgraph holding an edge, found by the shared
     :func:`~repro.csdf.digraph.tarjan_components`.
     """
-    idx = {node: i for i, node in enumerate(nodes)}
-    zero_adj: list[list[int]] = [[] for _ in nodes]
-    for src, dst, _w, t in edges:
-        if t == 0:
-            zero_adj[idx[src]].append(idx[dst])
-    comp = tarjan_components(len(nodes), zero_adj)
+    comp = tarjan_components(len(zero_adj), zero_adj)
     if any(comp[u] == comp[v] for u, succs in enumerate(zero_adj) for v in succs):
         raise DeadlockError(_TOKEN_FREE_CYCLE)
 
 
-def _exact_cycle_ratio(cycle_edges) -> Fraction:
-    """The cycle's ratio by exact rational summation of its float
-    weights and distances — independent of edge order and of which
-    equally-critical cycle policy iteration happened to converge to.
-    Every cycle carries a token: :func:`_check_deadlock_free` refused
-    the token-free ones."""
-    weight = sum(Fraction(w) for _, _, w, _ in cycle_edges)
-    tokens = sum(Fraction(t) for _, _, _, t in cycle_edges)
-    return weight / tokens
+def howard(edges, initial_policy: Mapping | None = None):
+    """Howard's policy iteration in integers: ``(mcr, policy)``.
 
-
-def howard(nodes: list[str], edges, initial_policy: Mapping | None = None):
-    """Howard's iteration: MCR, critical cycle, and converged policy.
-
-    Returns ``(mcr, cycle_edges, policy)``: ``mcr`` an exact
-    :class:`~fractions.Fraction`, ``cycle_edges`` the list of
-    ``(src, dst, weight, distance)`` edges of one cycle attaining the
-    MCR (empty for an acyclic graph), and ``policy`` a mapping
-    ``node -> (successor, distance)`` describing the converged policy —
-    feed it back as ``initial_policy`` to warm-start a later solve of a
-    graph with the same shape (same nodes, edges and distances, e.g.
-    after an execution-time edit).  An infeasible ``initial_policy``
-    (any node whose remembered edge no longer exists) is ignored
-    entirely in favor of the cold start.  The MCR is the critical
-    cycle's exact rational sum; ratios within ``_EPS`` rank as equal,
-    so on a near-tie the iteration can settle just below the critical
-    cycle, and warm and cold starts on different cycles.  When it does
-    not settle within ``max(64, 4n)`` sweeps, :func:`_exact_mcr`
-    finishes from ratio 0, returning the last cycle it rose to (none
-    when the MCR is 0) and an empty policy.  A token-free cycle raises
-    :class:`~repro.errors.DeadlockError`.
+    ``edges[u]`` holds the ``(v, work, distance)`` edges out of node
+    ``u``, all integers (:func:`_with_work`).  ``mcr`` is the exact
+    maximum cycle ratio, work per token, as a
+    :class:`~fractions.Fraction` (0 for an acyclic graph).  ``policy``
+    maps every node on or leading to a cycle to its converged
+    ``(successor, distance)``: feed it back as ``initial_policy`` to
+    warm-start a later solve of the same edges under other work (an
+    execution-time edit).  An ``initial_policy`` missing an edge of
+    some node is ignored entirely in favor of the cold start, every
+    node's heaviest edge.  When the iteration does not settle within
+    ``max(64, 4n)`` sweeps (Howard can need Omega(n^2) iterations,
+    Hansen & Zwick, ISAAC 2010), :func:`_exact_mcr` finishes from ratio
+    0 on the same edges and the policy is empty.  A token-free cycle
+    raises :class:`~repro.errors.DeadlockError`.
     """
-    solved = _howard_solve(nodes, edges, initial_policy=initial_policy)
+    solved = _howard_solve(edges, initial_policy)
     if solved is None:
-        return _finish_with_loop(nodes, edges)
-    ratio, value, policy, live_nodes, idx = solved
-    del value
-    if not live_nodes:
-        return Fraction(0), [], {}
-    best = max(live_nodes, key=lambda u: ratio[u])
-    # Walk the (converged) policy from the argmax node: the walk enters
-    # a policy cycle whose ratio is exactly ratio[best] — the MCR.
-    seen: dict[int, int] = {}
-    path: list[int] = []
-    u = best
-    while u not in seen:
-        seen[u] = len(path)
-        path.append(u)
-        u = policy[u][0]
-    cycle = path[seen[u]:]
-    names = {i: name for name, i in idx.items()}
-    cycle_edges = []
-    for x in cycle:
-        succ, w, t = policy[x]
-        cycle_edges.append((names[x], names[succ], w, t))
-    policy_out = {
-        names[u]: (names[policy[u][0]], policy[u][2]) for u in live_nodes
-    }
-    return _exact_cycle_ratio(cycle_edges), cycle_edges, policy_out
+        return _exact_mcr(edges, (), Fraction(0))[0], {}
+    return solved
 
 
-def _finish_with_loop(nodes: list[str], edges):
-    """:func:`howard`'s result where its iteration did not settle:
-    :func:`_exact_mcr` from ratio 0 on the exact weights and distances,
-    scaled to integers."""
-    index = {name: i for i, name in enumerate(nodes)}
-    exact = [(Fraction(w), Fraction(t)) for _src, _dst, w, t in edges]
-    work_scale = lcm(*(w.denominator for w, _t in exact))
-    token_scale = lcm(*(t.denominator for _w, t in exact))
-    out: list[list[tuple[int, int, int]]] = [[] for _ in nodes]
-    named = {}
-    for (src, dst, w, t), (exact_w, exact_t) in zip(edges, exact):
-        edge = (index[dst], int(exact_w * work_scale), int(exact_t * token_scale))
-        out[index[src]].append(edge)
-        named[(index[src], *edge)] = (src, dst, w, t)
-    ratio, _adj, _potentials, cycle = _exact_mcr(out, (), Fraction(0))
-    return ratio * token_scale / work_scale, [named[edge] for edge in cycle or ()], {}
+def _howard_solve(edges, initial_policy: Mapping | None):
+    """:func:`howard`'s iteration: ``(mcr, policy)``, or ``None`` when
+    the sweep budget runs out.  A token-free cycle raises first.
 
-
-def _howard_solve(nodes: list[str], edges, initial_policy: Mapping | None = None):
-    """The shared Howard iteration.
-
-    Returns ``(ratio, value, policy, live_nodes, idx)`` after
-    convergence (``live_nodes`` empty for acyclic graphs) or ``None``
-    when the iteration hit its sweep budget without stabilizing
-    (:func:`howard` then finishes with :func:`_exact_mcr`).
-    ``initial_policy`` optionally seeds the iteration (all-or-nothing:
-    every live node must map to an existing edge, else the default
-    heaviest-edge start is used for all of them).
+    A policy takes one edge out of every node on or leading to a cycle.
+    Evaluating it, each policy cycle's ratio is its ``(work, tokens)``
+    sums reduced by their gcd, ``(num, den)``, and each node's value,
+    its policy path's work minus ``num / den`` times its tokens into the
+    cycle, is kept scaled by ``den``.  Ratios compare by
+    cross-multiplication; equal ratios reduce to the same pair, so
+    values compared at one ratio share a scale.  Improving it, every
+    node moves to a successor of strictly higher ratio or, at an equal
+    ratio, strictly higher value.
     """
-    n = len(nodes)
-    idx = {name: i for i, name in enumerate(nodes)}
-    out_edges: list[list[tuple[int, float, float]]] = [[] for _ in range(n)]
-    for src, dst, w, t in edges:
-        out_edges[idx[src]].append((idx[dst], w, t))
-
-    _check_deadlock_free(nodes, edges)
-
+    _check_deadlock_free([[v for v, _work, distance in succ if not distance]
+                          for succ in edges])
+    n = len(edges)
     # Trim nodes with no outgoing edges (they are on no cycle); repeat
     # until every remaining node keeps at least one successor.
-    alive = [bool(out_edges[u]) for u in range(n)]
+    alive = [bool(succ) for succ in edges]
     changed = True
     while changed:
         changed = False
         for u in range(n):
-            if not alive[u]:
-                continue
-            if not any(alive[v] for v, _, _ in out_edges[u]):
+            if alive[u] and not any(alive[v] for v, _w, _t in edges[u]):
                 alive[u] = False
                 changed = True
     live_nodes = [u for u in range(n) if alive[u]]
     if not live_nodes:
-        return [0.0] * n, [0.0] * n, [None] * n, [], idx
-    succs: list[list[tuple[int, float, float]]] = [
-        [(v, w, t) for v, w, t in out_edges[u] if alive[v]] if alive[u] else []
-        for u in range(n)
-    ]
+        return Fraction(0), {}
+    succs = [[edge for edge in edges[u] if alive[edge[0]]] if alive[u] else []
+             for u in range(n)]
 
-    policy: list[tuple[int, float, float] | None] = [None] * n
-    seeded = initial_policy is not None
-    if seeded:
-        # Warm start from a previous converged policy (same shape):
-        # match each remembered (successor, distance) against the live
-        # edges; any miss abandons the whole seed.
+    policy: list[tuple[int, int, int] | None] = [None] * n
+    if initial_policy is not None:
+        # Warm start from a previous converged policy (same edges): a
+        # remembered (successor, distance) missing at any node abandons
+        # the whole seed.
         for u in live_nodes:
-            remembered = initial_policy.get(nodes[u])
-            edge = None
-            if remembered is not None:
-                v_want = idx.get(remembered[0])
-                if v_want is not None:
-                    for candidate in succs[u]:
-                        if candidate[0] == v_want and candidate[2] == remembered[1]:
-                            edge = candidate
-                            break
-            if edge is None:
-                seeded = False
-                break
-            policy[u] = edge
-    if not seeded:
+            want = initial_policy.get(u)
+            policy[u] = next((e for e in succs[u] if (e[0], e[2]) == want), None)
+    if initial_policy is None or any(policy[u] is None for u in live_nodes):
         # Initial policy: the heaviest edge out of every live node.
         for u in live_nodes:
             policy[u] = max(succs[u], key=lambda e: e[1])
 
-    ratio = [0.0] * n
-    value = [0.0] * n
-    max_iters = max(64, 4 * n)
-    for _ in range(max_iters):
+    num = [0] * n
+    den = [1] * n
+    value = [0] * n
+    for _ in range(max(64, 4 * n)):
         # -- policy evaluation: every node follows its policy edge into
-        # exactly one cycle; compute cycle ratios and relative values.
-        visited = [0] * n  # 0 = new, 1 = in progress (this pass), 2 = done
+        # exactly one cycle; compute cycle ratios and scaled values.
+        ratios = []
+        visited = [0] * n  # 0 = new, 1 = on this walk, 2 = done
         order_stamp = [0] * n
         for start in live_nodes:
             if visited[start]:
@@ -398,65 +328,60 @@ def _howard_solve(nodes: list[str], edges, initial_policy: Mapping | None = None
                 order_stamp[u] = len(path)
                 path.append(u)
                 u = policy[u][0]
+            tree = path
             if visited[u] == 1:
                 # Found a new cycle: path[order_stamp[u]:] is the cycle.
-                cycle = path[order_stamp[u]:]
-                w_sum = sum(policy[x][1] for x in cycle)
-                t_sum = sum(policy[x][2] for x in cycle)
-                lam = w_sum / t_sum
+                cycle_nodes = path[order_stamp[u]:]
+                work = sum(policy[x][1] for x in cycle_nodes)
+                tokens = sum(policy[x][2] for x in cycle_nodes)
+                common = gcd(work, tokens)
+                p, r = work // common, tokens // common
+                ratios.append((p, r))
                 # Values around the cycle: fix the entry node at 0 and
-                # walk backwards (value[x] = w - lam*t + value[succ]).
-                ratio[u] = lam
-                value[u] = 0.0
-                for x in reversed(cycle[1:]):
+                # walk backwards.
+                num[u], den[u], value[u] = p, r, 0
+                for x in reversed(cycle_nodes[1:]):
                     succ, w, t = policy[x]
-                    ratio[x] = lam
-                    value[x] = w - lam * t + value[succ]
-                for x in cycle:
-                    visited[x] = 2
-                # Tree part of the walk (path before the cycle).
-                for x in reversed(path[: order_stamp[u]]):
-                    succ, w, t = policy[x]
-                    ratio[x] = ratio[succ]
-                    value[x] = w - ratio[x] * t + value[succ]
-                    visited[x] = 2
-            else:
-                # Ran into an already-evaluated region.
-                for x in reversed(path):
-                    succ, w, t = policy[x]
-                    ratio[x] = ratio[succ]
-                    value[x] = w - ratio[x] * t + value[succ]
-                    visited[x] = 2
+                    num[x], den[x] = p, r
+                    value[x] = r * w - p * t + value[succ]
+                tree = path[:order_stamp[u]]
+            # The walk's part before the cycle, or into an evaluated region.
+            for x in reversed(tree):
+                succ, w, t = policy[x]
+                p, r = num[succ], den[succ]
+                num[x], den[x] = p, r
+                value[x] = r * w - p * t + value[succ]
+            for x in path:
+                visited[x] = 2
 
         # -- policy improvement: prefer successors with a higher cycle
         # ratio; among equals, a strictly better value.
         improved = False
         for u in live_nodes:
             best = policy[u]
-            best_ratio = ratio[best[0]]
-            best_value = best[1] - best_ratio * best[2] + value[best[0]]
+            v = best[0]
+            best_p, best_r = num[v], den[v]
+            best_value = best_r * best[1] - best_p * best[2] + value[v]
             for edge in succs[u]:
                 v, w, t = edge
-                if ratio[v] > best_ratio + _EPS:
-                    best, best_ratio = edge, ratio[v]
-                    best_value = w - ratio[v] * t + value[v]
+                p, r = num[v], den[v]
+                if p * best_r > best_p * r:
+                    best, best_p, best_r = edge, p, r
+                    best_value = r * w - p * t + value[v]
                     improved = True
-                elif abs(ratio[v] - best_ratio) <= _EPS:
-                    candidate = w - best_ratio * t + value[v]
-                    if candidate > best_value + _EPS:
+                elif p == best_p and r == best_r:
+                    candidate = r * w - p * t + value[v]
+                    if candidate > best_value:
                         best, best_value = edge, candidate
                         improved = True
             policy[u] = best
         if not improved:
-            return ratio, value, policy, live_nodes, idx
+            mcr = max(Fraction(p, r) for p, r in ratios)
+            return mcr, {u: (policy[u][0], policy[u][2]) for u in live_nodes}
     return None  # no convergence: howard() finishes with the exact loop
 
 
-def mcr_reference(
-    graph: CSDFGraph,
-    bindings: Mapping | None = None,
-    tolerance: float = 1e-6,
-) -> float:
+def mcr_reference(graph: CSDFGraph, bindings: Mapping | None = None) -> float:
     """Legacy MCR solver: parametric binary search on the period
     candidate ``lambda``, feasible iff the edge weights
     ``exec(src) - lambda * tokens(e)`` admit no positive cycle (checked
@@ -469,7 +394,7 @@ def mcr_reference(
     channel with distance initial tokens / rate, plus the one-token
     self-loop of every actor firing once per iteration (told from the
     repetition vector, not from channel names).  The result is within
-    ``tolerance`` of the true MCR.
+    ``1e-6`` of the true MCR.
     """
     hsdf = expand_to_hsdf(graph, bindings)
     q = concrete_repetition_vector(graph, bindings)
@@ -485,10 +410,15 @@ def mcr_reference(
     if not edges:
         return 0.0
     nodes = list(weights)
-    _check_deadlock_free(nodes, edges)
+    index = {node: i for i, node in enumerate(nodes)}
+    zero_adj: list[list[int]] = [[] for _ in nodes]
+    for src, dst, _w, t in edges:
+        if not t:
+            zero_adj[index[src]].append(index[dst])
+    _check_deadlock_free(zero_adj)
     lo = 0.0
     hi = sum(weights.values()) + 1.0
-    while hi - lo > tolerance:
+    while hi - lo > _REFERENCE_TOLERANCE:
         mid = (lo + hi) / 2.0
         if _has_positive_cycle(nodes, edges, mid):
             lo = mid
@@ -526,11 +456,11 @@ def max_cycle_ratio(graph: CSDFGraph, bindings: Mapping | None = None) -> float:
     is the bottleneck-actor bound or worse).
 
     The rings of the actors outside the cyclic cores are closed-form;
-    each core is solved with Howard's policy iteration (exact up to
-    float rounding), its result memoized across graph versions by
-    content fingerprint, so re-analysis after an edit re-solves only
-    the cores the edit touched.  Results are memoized per graph
-    version.
+    each core is solved exactly with Howard's policy iteration in
+    integers, its result memoized across graph versions by its edges
+    and firing times, so re-analysis after an edit re-solves only the
+    cores the edit touched.  The largest ratio is rounded to a float
+    once.  Results are memoized per graph version.
     """
     return cached(
         graph, ("mcr", bindings_key(bindings)),
@@ -552,43 +482,49 @@ def _cycle_ratios(graph: CSDFGraph, bindings: Mapping | None):
     rings, cores = _decomposition(graph, bindings)
     for name, count in rings:
         yield None, _ring_sum(graph.actor(name).exec_times, count)
-    for firings, nodes, edges in cores:
-        yield firings, _component_mcr(graph, firings, nodes, edges)
+    for firings, edges in cores:
+        yield firings, _component_mcr(graph, firings, edges)
 
 
 def _ring_sum(times: tuple[float, ...], count: int) -> Fraction:
     """The exact ratio of a ring of ``count`` firings cycling through
     the phase ``times`` and carrying one token: whole phase cycles
-    times the phases' sum plus the leftover prefix — the value
-    :func:`_exact_cycle_ratio` gives the ring's edges, whatever
-    ``count`` is."""
+    times the phases' sum plus the leftover prefix, whatever ``count``
+    is."""
     whole, left = divmod(count, len(times))
     return whole * sum(map(Fraction, times)) + sum(map(Fraction, times[:left]))
 
 
-def _component_mcr(graph: CSDFGraph, firings, nodes, edges) -> Fraction:
-    """One core's exact cycle ratio (:func:`howard`), memoized across
-    versions by fingerprint.
+def _component_mcr(graph: CSDFGraph, firings, edges) -> Fraction:
+    """One core's exact cycle ratio (:func:`_solve_core`), memoized
+    across versions by its edges and firing times.
 
-    The fingerprint covers everything the ratio depends on — the core's
-    nodes, its weight-free edges, and its firings' execution times — so
-    a store hit is exact by construction; deadlocked cores are never
-    stored (the raise propagates to the per-version cache, which
-    memoizes exceptions itself).
+    The key covers everything the ratio depends on, so a store hit is
+    exact by construction; deadlocked cores are never stored (the raise
+    propagates to the per-version cache, which memoizes exceptions
+    itself).  The solve warm-starts from the policy last converged on
+    the same edges.
     """
     store = content_store(graph, _SCC_STORE)
     times = _firing_times(graph, firings)
-    key = (nodes, edges, times)
+    key = (edges, times)
     hit = store.get(key)
     if hit is not None:
         return hit
     policies = content_store(graph, _POLICY_STORE)
-    shape = (nodes, edges)
-    ratio, _cycle, policy = howard(list(nodes), _weighted(nodes, edges, times),
-                                   initial_policy=policies.get(shape))
-    policies.put(shape, policy)
+    ratio, policy = _solve_core(edges, times, policies.get(edges))
+    policies.put(edges, policy)
     store.put(key, ratio)
     return ratio
+
+
+def _solve_core(edges, times, initial_policy: Mapping | None = None):
+    """``(ratio, policy)`` of one :func:`howard` run on a core's
+    ``edges`` under its firing ``times``: the exact cycle ratio in
+    time units, and the converged policy."""
+    scale, out = _with_work(edges, times)
+    ratio, policy = howard(out, initial_policy)
+    return ratio / scale, policy
 
 
 def throughput_bound(graph: CSDFGraph, bindings: Mapping | None = None) -> float:
@@ -617,15 +553,14 @@ class _CapacityEventGraph:
     :mod:`repro.csdf.throughput`), so the distance-0 edge from a firing
     to itself is dropped.
 
-    The event graph is built once, on integer node indices: the rings
-    of :func:`~repro.csdf.sdf.serialization_ring` and the flows of
-    :func:`~repro.csdf.sdf.channel_firing_flows` of every channel, each
-    edge doing its source firing's execution time as integer work (the
-    times over their common denominator).  The exact MCR, ``target``,
-    is :func:`_exact_mcr` started at the largest ring and core ratio
-    (:func:`_cycle_ratios`), which Howard's float ranking may leave
-    just below the critical cycle.  Capacities never lower the period,
-    so :meth:`period` starts the same loop at ``target``.
+    The event graph is built once by :func:`_event_graph`, over every
+    actor in repetition-vector order and every channel, each edge doing
+    its source firing's execution time as integer work
+    (:func:`_with_work`).  The exact MCR, ``target``, is the largest
+    ring and core ratio (:func:`_cycle_ratios`); :func:`_exact_mcr` at
+    that ratio settles the potentials the verdicts start from.
+    Capacities never lower the period, so :meth:`period` starts the
+    same loop at ``target``.
 
     A verdict adds the reverse edges of its capped channels, memoized
     per ``(channel, capacity)``, and relaxes their packed weights at
@@ -645,31 +580,12 @@ class _CapacityEventGraph:
         self._channels = graph.channels
         self._bindings = bindings
         self._q = q
-        self._offset: dict[str, int] = {}
-        n = 0
-        for name, count in q.items():
-            self._offset[name] = n
-            n += count
-        times = [Fraction(t) for t in _firing_times(graph, q.items())]
-        self._scale = lcm(*(t.denominator for t in times))
-        work = [int(t * self._scale) for t in times]
-
-        index = {firing_name(name, k): self._offset[name] + k - 1
-                 for name, count in q.items() for k in range(1, count + 1)}
-        edges: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for name, count in q.items():
-            for src, dst, distance in serialization_ring(name, count):
-                edges[index[src]].append((index[dst], work[index[src]], int(distance)))
-        for channel in graph.channels.values():
-            src, dst = self._offset[channel.src] - 1, self._offset[channel.dst] - 1
-            for k, m, delta, _count in channel_firing_flows(
-                    channel, q[channel.src], q[channel.dst], bindings):
-                edges[src + k].append((dst + m, work[src + k], delta))
-        self._edges = edges
-        ratio, self._adj, self._potentials, _cycle = _exact_mcr(
-            edges, (), start * self._scale)
+        self._offset, edges = _event_graph(q, q, graph.channels.values(), bindings)
+        self._scale, self._edges = _with_work(edges, _firing_times(graph, q.items()))
+        ratio, self._adj, self._potentials = _exact_mcr(
+            self._edges, (), start * self._scale)
         self.target = ratio / self._scale
-        self._weight = _weigher(ratio, n)
+        self._weight = _weigher(ratio, len(self._edges))
         self._reverse: dict[tuple[str, int], list[tuple[int, int, int, int]]] = {}
 
     def _reverse_edges(self, name: str, capacity: int) -> list[tuple[int, int, int, int]]:
@@ -756,30 +672,28 @@ def _exact_mcr(edges, extra, ratio: Fraction):
     flow and a reverse edge can join the same two firings); a cycle
     without a token raises :class:`~repro.errors.DeadlockError`.  Each
     raise is strict over finitely many simple cycles, so the loop ends
-    at the exact MCR.  Returns ``(ratio, adj, potentials, cycle)``:
-    the ``(v, weight)`` successors at that ratio, the settled
-    potentials, and the ``(u, v, work, distance)`` edges of the last
-    cycle the ratio rose to (``None`` when it never rose).
+    at the exact MCR.  Returns ``(ratio, adj, potentials)``: the
+    ``(v, weight)`` successors at that ratio and the settled
+    potentials.
     """
     out = [list(succ) for succ in edges]
     for u, v, work, distance in extra:
         out[u].append((v, work, distance))
     n = len(out)
-    cycle = None
     while True:
         weight = _weigher(ratio, n)
         adj = [[(v, weight(work, distance)) for v, work, distance in succ]
                for succ in out]
         potentials, found = _longest_paths(adj, [0] * n, range(n))
         if potentials is not None:
-            return ratio, adj, potentials, cycle
-        cycle = [max(((u, v, work, distance) for (head, work, distance) in out[u]
-                      if head == v), key=lambda edge: weight(edge[2], edge[3]))
-                 for u, v in found]
-        tokens = sum(edge[3] for edge in cycle)
+            return ratio, adj, potentials
+        hops = [max(((work, distance) for head, work, distance in out[u] if head == v),
+                    key=lambda hop: weight(*hop))
+                for u, v in found]
+        tokens = sum(distance for _work, distance in hops)
         if not tokens:
             raise DeadlockError(_TOKEN_FREE_CYCLE)
-        ratio = Fraction(sum(edge[2] for edge in cycle), tokens)
+        ratio = Fraction(sum(work for work, _distance in hops), tokens)
 
 
 def _longest_paths(adj, potentials: list[int], seeds):

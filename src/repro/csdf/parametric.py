@@ -30,12 +30,12 @@ each HSDF cycle is one of exactly two kinds:
   core has *binding-independent structure* — constant rates on its
   channels and constant repetition counts for its actors — the
   sub-expansion is the same finite weighted graph at every valuation.
-  It is built by the concrete solver's own core builder
-  (:func:`repro.csdf.mcr._core_edges`, on the cores
+  It is built by the concrete solver's own event-graph builder
+  (:func:`repro.csdf.mcr._event_graph`, on the cores
   :func:`~repro.csdf.schedule.cyclic_components` finds, sorted as the
-  concrete solver sorts them), and one :func:`~repro.csdf.mcr.howard` run
-  with the critical cycle re-summed exactly yields its maximum cycle
-  ratio as a single exact rational constant.
+  concrete solver sorts them), and one :func:`~repro.csdf.mcr.howard`
+  run, exact in integers, yields its maximum cycle ratio as a single
+  exact rational constant.
 
 The parametric MCR is then the exact upper envelope of finitely many
 candidates.  Graphs whose cyclic core itself changes shape with the
@@ -47,12 +47,11 @@ pipeline application in the paper — are always supported.
 Exactness
 ---------
 All candidate algebra is exact (:class:`~fractions.Fraction`
-coefficients).  ``evaluate`` returns the exact rational MCR;
-``evaluate_float`` reproduces :func:`max_cycle_ratio` bit-for-bit
-whenever the float weight/distance sums inside Howard's iteration are
-exact — in particular for integer execution times (the differential
-suite ``tests/csdf/test_parametric_mcr.py`` asserts equality at
-hundreds of random bindings).
+coefficients), and so are the concrete solver's ratios.  ``evaluate``
+returns the exact rational MCR; ``evaluate_float`` is its float, which
+equals :func:`max_cycle_ratio` bit for bit (the differential suite
+``tests/csdf/test_parametric_mcr.py`` asserts equality at hundreds of
+random bindings).
 
 Example
 -------
@@ -85,7 +84,7 @@ from ..errors import AnalysisError, ParametricMCRError
 from ..symbolic import Poly, Rat, normalize_bindings
 from .analysis import repetition_vector
 from .graph import CSDFGraph
-from .mcr import _core_edges, _firing_times, _weighted, howard, max_cycle_ratio
+from .mcr import _event_graph, _firing_times, _solve_core, max_cycle_ratio
 from .schedule import cyclic_components
 
 #: A box: tuple of (parameter name, inclusive lo, inclusive hi),
@@ -394,8 +393,7 @@ class PiecewiseMCR:
 
     def evaluate_float(self, bindings: Mapping | None = None) -> float:
         """``float`` view of :meth:`evaluate` — bit-identical to
-        :func:`~repro.csdf.mcr.max_cycle_ratio` whenever Howard's float
-        weight sums are exact (e.g. integer execution times)."""
+        :func:`~repro.csdf.mcr.max_cycle_ratio`."""
         return float(self.evaluate(bindings))
 
     __call__ = evaluate_float
@@ -541,8 +539,8 @@ def _core_candidate(
 
     Validates the supported-class condition (constant repetition counts
     and rates inside the core), builds the core's sub-expansion —
-    binding-independent by construction — and takes the critical
-    cycle's exact ratio from one Howard run.
+    binding-independent by construction — and takes its exact ratio
+    from one Howard run.
     """
     label = f"cycle:{'+'.join(scc)}"
     q_core: dict[str, int] = {}
@@ -574,9 +572,8 @@ def _core_candidate(
                 f"support (evaluate concretely per binding instead)"
             )
 
-    nodes, edges = _core_edges(scc, core_channels, q_core)
-    times = _firing_times(csdf, q_core.items())
-    ratio, _cycle, _policy = howard(list(nodes), _weighted(nodes, edges, times))
+    _offset, edges = _event_graph(q_core, scc, core_channels)
+    ratio, _policy = _solve_core(edges, _firing_times(csdf, q_core.items()))
     return MCRCandidate(label, "cycle", Rat(Poly.const(ratio)))
 
 

@@ -12,13 +12,13 @@ generalizes SDF while staying decidable.  This module provides:
   initial tokens.  Every counting/ordering analysis (consistency,
   liveness, self-timed schedules) is preserved, which makes the
   expansion a powerful independent oracle for the rest of the library.
-* :func:`serialization_ring` and :func:`flow_edges` — the weight-free
-  edges ``(src, dst, distance)`` of the expansion's event graph,
-  emitted straight from the repetition vector and the rate tables.
-  The core builder that the MCR (:mod:`repro.csdf.mcr`) and the
-  parametric engine share uses them instead of building the HSDF
-  graph; :func:`expand_to_hsdf` stays the public expansion and its
-  oracle.
+* :func:`channel_firing_flows` — the flows between individual firings
+  of one channel, straight from the repetition counts and the rate
+  tables.  The expansion routes its channels by them, and so does the
+  event-graph builder of :mod:`repro.csdf.mcr`, which the MCR, the
+  parametric engine and the capacity questions share on integer node
+  indices instead of building the HSDF graph; :func:`expand_to_hsdf`
+  stays the public expansion and that builder's oracle.
 
 Construction (Sriram & Bhattacharyya's standard formulation): for a
 channel ``a -> b`` with cumulative production ``X``, cumulative
@@ -72,9 +72,9 @@ def channel_firing_flows(channel, q_src: int, q_dst: int,
     hands ``count`` tokens to consumer firing ``m`` of ``delta``
     iterations later — the interval-overlap construction documented in
     the module header, parameterized by the repetition counts so both
-    the full HSDF expansion and the cyclic-core builder of
-    :mod:`repro.csdf.mcr` (which passes the *global* counts restricted
-    to the core) share one implementation.  The
+    the full HSDF expansion and the event-graph builder of
+    :mod:`repro.csdf.mcr` (which passes the *global* counts, for a core
+    or the whole graph) share one implementation.  The
     cumulative counts are prefix sums of the channel's integer phases
     under ``bindings``.  Both sides' token intervals advance in yield
     order, so one forward walk finds every overlap, in time linear in
@@ -115,32 +115,6 @@ def _prefix_sums(phases: tuple[int, ...], firings: int) -> list[int]:
     """``[X(0), X(1), ..., X(firings)]`` of a cyclic integer phase
     sequence."""
     return list(accumulate(islice(cycle(phases), firings), initial=0))
-
-
-def serialization_ring(actor: str, count: int) -> list[tuple[str, str, float]]:
-    """Event-graph edges ``(src, dst, distance)`` serializing the
-    ``count`` firings of one actor (no auto-concurrency): the ring
-    ``a#1 -> a#2 -> ... -> a#count -> a#1`` whose closing edge is one
-    iteration long.  A single firing's ring is its self-loop with
-    distance 1: the next iteration's firing waits for this one.
-    """
-    return [
-        (firing_name(actor, k), firing_name(actor, k % count + 1),
-         1.0 if k == count else 0.0)
-        for k in range(1, count + 1)
-    ]
-
-
-def flow_edges(channel, q_src: int, q_dst: int,
-               bindings: Mapping | None = None) -> list[tuple[str, str, float]]:
-    """Event-graph edges ``(src, dst, distance)`` of one channel: one
-    per flow of :func:`channel_firing_flows`, its distance the flow's
-    iteration offset ``delta`` (the HSDF edge's initial tokens over
-    its rate)."""
-    return [
-        (firing_name(channel.src, k), firing_name(channel.dst, m), float(delta))
-        for k, m, delta, _count in channel_firing_flows(channel, q_src, q_dst, bindings)
-    ]
 
 
 def expand_to_hsdf(graph: CSDFGraph, bindings: Mapping | None = None) -> CSDFGraph:

@@ -82,7 +82,11 @@ class TimedResult:
     @property
     def iteration_period(self) -> float:
         """Steady-state period estimated from the last two iterations
-        (equals the makespan for a single iteration)."""
+        (equals the makespan for a single iteration).  It misreads a
+        steady state that repeats over several iterations, whatever the
+        horizon: one whose iterations alternate 3 and 2 time units reads
+        2 or 3, not 2.5.  The exact period under capacities is
+        :meth:`repro.csdf.mcr._CapacityEventGraph.period`."""
         if len(self.iteration_ends) >= 2:
             return self.iteration_ends[-1] - self.iteration_ends[-2]
         return self.iteration_ends[-1] if self.iteration_ends else 0.0

@@ -356,14 +356,15 @@ def _tie_graph(b_time: float = 0.2) -> CSDFGraph:
 
 
 def test_target_rises_past_a_float_tie():
-    """Howard ranks cycles by float ratios within ``_EPS``: on this core
-    it settles on ``c``'s ring, ``Fraction(0.3)``, just below the cycle
-    ``a -> b -> a``, ``Fraction(0.1) + Fraction(0.2)``.  The exact loop
-    finds the heavier cycle and raises the target to it (the verdict
-    used to fail an assertion here)."""
+    """On this core the cycle ``a -> b -> a``, ``Fraction(0.1) +
+    Fraction(0.2)``, lies just above ``c``'s ring, ``Fraction(0.3)``:
+    a Howard ranking cycles by float ratios within a tolerance settled
+    on the ring.  Howard in integers finds the heavier cycle, and the
+    verdict's target and period equal it (the verdict used to fail an
+    assertion here)."""
     graph = _tie_graph()
     exact = Fraction(0.1) + Fraction(0.2)
-    assert max(ratio for _core, ratio in _cycle_ratios(graph, None)) < exact
+    assert max(ratio for _core, ratio in _cycle_ratios(graph, None)) == exact
     verdict = _CapacityEventGraph(graph, None)
     assert verdict.target == verdict.period({}) == exact
     result = _checked_search(graph, None)
@@ -373,16 +374,14 @@ def test_target_rises_past_a_float_tie():
     assert _sustains(_long_run(graph, None, result), float(exact))
 
 
-@pytest.mark.xfail(strict=True, reason="Howard's float ranking settles on "
-                   "different cycles of a near-tie cold and warm")
 def test_near_tie_mcr_warm_equals_cold():
     """``max_cycle_ratio`` of the tie graph, solved cold and reached by
-    editing ``b`` from 0.25 to 0.2: the cold solve settles on ``c``'s
-    ring (0.3), the warm one, seeded with the policy of the 0.25 graph,
-    on ``a -> b -> a`` (0.30000000000000004).  Solving every core with
-    the exact loop would make them equal, at a cost measured at 6.7%
-    of a cold ``analyze()``."""
+    editing ``b`` from 0.25 to 0.2, warm-started from the policy of the
+    0.25 graph: both are the exact maximum, ``a -> b -> a``
+    (0.30000000000000004), where a float ranking within a tolerance
+    settled cold on ``c``'s ring (0.3)."""
     cold = max_cycle_ratio(_tie_graph())
+    assert cold == float(Fraction(0.1) + Fraction(0.2))
     graph = _tie_graph(0.25)
     max_cycle_ratio(graph)
     graph.actor("b").set_exec_time(0.2)

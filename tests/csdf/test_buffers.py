@@ -58,13 +58,6 @@ class TestMinimalBufferSchedule:
         with pytest.raises(DeadlockError):
             minimal_buffer_schedule(g)
 
-    def test_custom_repetitions(self, multirate):
-        schedule, peaks = minimal_buffer_schedule(
-            multirate, repetitions={"a": 2, "b": 4, "c": 2}
-        )
-        assert schedule.counts() == {"a": 2, "b": 4, "c": 2}
-        assert total_buffer_size(peaks) >= 2
-
 
 class TestBoundedFeasible:
     def test_reported_peaks_are_feasible(self, fig1):

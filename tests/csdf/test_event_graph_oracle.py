@@ -1,17 +1,22 @@
-"""Differential oracle for the MCR's rings-and-cores decomposition.
+"""Differential oracle for the one event-graph builder and the MCR's
+rings-and-cores decomposition.
 
+:func:`repro.csdf.mcr._event_graph` builds the event graph of a set of
+actors and channels on integer node indices, ``(src, dst, distance)``
+edges, straight from the repetition vector and the rate tables.
 :func:`repro.csdf.mcr.max_cycle_ratio` never builds the whole event
-graph.  Its weight-free decomposition
+graph: its weight-free decomposition
 (:func:`repro.csdf.mcr._decomposition`) keeps the ``(actor, q_a)``
 pairs of the actors outside the cyclic cores, whose serialization
-rings are closed-form, and builds each core's event graph
-``(nodes, (src, dst, distance) edges)`` straight from the repetition
-vector and the rate tables (:func:`repro.csdf.mcr._core_edges`).  The
-reference reads the whole event graph back from the HSDF expansion
-(:func:`repro.csdf.sdf.expand_to_hsdf`): each core's nodes, edges,
-distances and their order must equal the expansion restricted to the
-core's firings, and every other actor must have exactly its ring there,
-whose exact sum is the closed-form ratio.
+rings are closed-form, and builds each core's event graph.  The
+capacity questions (:class:`repro.csdf.mcr._CapacityEventGraph`) build
+the whole graph's.  The reference reads the whole event graph back
+from the HSDF expansion (:func:`repro.csdf.sdf.expand_to_hsdf`): with
+the builder's node indices mapped to firing names, each core's nodes,
+edges, distances and their order must equal the expansion restricted
+to the core's firings, the capacity event graph's edges the whole
+expansion, and every actor outside the cores must have exactly its
+ring there, whose exact sum is the closed-form ratio.
 """
 
 import random
@@ -26,7 +31,9 @@ from repro.analysis import analyze
 from repro.csdf import CSDFGraph, max_cycle_ratio, sdf
 from repro.csdf.analysis import concrete_repetition_vector
 from repro.csdf.digraph import adjacency, nontrivial_components
-from repro.csdf.mcr import _decomposition, _ring_sum, mcr_reference
+from repro.csdf.mcr import (
+    _CapacityEventGraph, _decomposition, _event_graph, _ring_sum, mcr_reference,
+)
 from repro.errors import GraphConstructionError
 from repro.tpdf import fig2_graph, random_consistent_graph
 
@@ -113,6 +120,15 @@ def reference_core(graph: CSDFGraph, bindings, actors):
     return core_nodes, tuple(edges)
 
 
+def _named(firings, edges):
+    """A builder's ``edges`` over the ``(actor, count)`` pairs
+    ``firings``, its node indices mapped to firing names: ``(nodes,
+    edges)``."""
+    nodes = tuple(sdf.firing_name(name, k)
+                  for name, count in firings for k in range(1, count + 1))
+    return nodes, tuple((nodes[u], nodes[v], distance) for u, v, distance in edges)
+
+
 def _outcome(call, *args):
     try:
         return call(*args)
@@ -128,10 +144,10 @@ def assert_decomposition_matches(graph: CSDFGraph, bindings=None):
     rings, cores = _decomposition(graph, bindings)
     q = concrete_repetition_vector(graph, bindings)
     in_cores = set()
-    for firings, nodes, edges in cores:
+    for firings, edges in cores:
         actors = [name for name, _count in firings]
         assert firings == tuple((name, q[name]) for name in actors)
-        assert (nodes, edges) == reference_core(graph, bindings, actors)
+        assert _named(firings, edges) == reference_core(graph, bindings, actors)
         in_cores.update(actors)
     assert rings == tuple((n, c) for n, c in q.items() if n not in in_cores)
 
@@ -150,7 +166,7 @@ def assert_decomposition_matches(graph: CSDFGraph, bindings=None):
     # outside actor's ring or lies inside one core.
     edges = [e for ring in ref_rings.values() for e in ring] + flows
     adj = adjacency(ref_nodes, ((src, dst) for src, dst, _t in edges))
-    core_of = {a: i for i, (firings, _n, _e) in enumerate(cores) for a, _c in firings}
+    core_of = {a: i for i, (firings, _e) in enumerate(cores) for a, _c in firings}
     ring_actors = {name for name, _count in rings}
     for group in nontrivial_components(adj):
         owners = {_owner(ref_nodes[u]) for u in group}
@@ -159,6 +175,25 @@ def assert_decomposition_matches(graph: CSDFGraph, bindings=None):
         else:
             assert len({core_of.get(a) for a in owners}) == 1 and owners <= set(core_of)
     return rings, cores
+
+
+def assert_capacity_event_graph_matches(graph: CSDFGraph, bindings=None):
+    """The capacity event graph's edges are the whole expansion's, node
+    by node in expansion order: every actor's ring in ``q`` order, then
+    every flow, each doing its source firing's execution time (integer
+    work over the graph's common denominator)."""
+    events = _CapacityEventGraph(graph, bindings)
+    q = concrete_repetition_vector(graph, bindings)
+    nodes, rings, flows = reference_event_graph(graph, bindings)
+    numbered, _no_edges = _named(q.items(), ())
+    assert numbered == nodes  # firings numbered in the expansion's order
+    index = {node: i for i, node in enumerate(nodes)}
+    hsdf = sdf.expand_to_hsdf(graph, bindings)
+    expected = [[] for _ in nodes]
+    for src, dst, distance in [e for name in q for e in rings[name]] + flows:
+        work = Fraction(hsdf.actor(src).exec_time()) * events._scale
+        expected[index[src]].append((index[dst], work, distance))
+    assert events._edges == expected
 
 
 def _corpus():
@@ -231,9 +266,10 @@ class TestDecompositionMatchesExpansion:
                       initial_tokens=2)
         rings, cores = assert_decomposition_matches(g)
         assert rings == ()
-        [(_firings, nodes, edges)] = cores
+        [(firings, edges)] = cores
+        nodes, named = _named(firings, edges)
         assert len(nodes) == 5
-        assert not [e for e in edges if e[0].startswith("b#") and e[1].startswith("c#")]
+        assert not [e for e in named if e[0].startswith("b#") and e[1].startswith("c#")]
 
     def test_inconsistent_graph(self):
         g = CSDFGraph("mismatch")
@@ -258,9 +294,20 @@ class TestDecompositionMatchesExpansion:
         g.add_channel("ab", "a", "b", production=3, consumption=[1, 0, 2])
         g.add_channel("ba", "b", "a", production=[2, 1, 0], consumption=3,
                       initial_tokens=7)
-        _rings, [(_firings, _nodes, edges)] = assert_decomposition_matches(g)
-        assert {t for _s, _d, t in edges} >= {0.0, 1.0, 2.0}
+        _rings, [(_firings, edges)] = assert_decomposition_matches(g)
+        assert {t for _s, _d, t in edges} >= {0, 1, 2}
         assert max_cycle_ratio(g) == pytest.approx(mcr_reference(g), abs=2e-6)
+
+
+class TestCapacityEventGraphMatchesExpansion:
+    def test_corpus(self):
+        for graph, bindings in _corpus():
+            assert_capacity_event_graph_matches(graph, bindings)
+
+    @pytest.mark.parametrize("name", [label for label, _g, _b in _gallery()])
+    def test_gallery(self, name):
+        _label, graph, bindings = next(item for item in _gallery() if item[0] == name)
+        assert_capacity_event_graph_matches(graph, bindings)
 
 
 class TestRingsAreClosedForm:
@@ -278,7 +325,7 @@ class TestRingsAreClosedForm:
             monkeypatch.setattr(mcr_mod, name, wrapped)
 
         spy("howard", mcr_mod.howard)
-        spy("serialization_ring", mcr_mod.serialization_ring)
+        spy("_event_graph", mcr_mod._event_graph)
         return calls
 
     @staticmethod
@@ -346,10 +393,10 @@ class TestFlows:
             list(sdf.channel_firing_flows(channel, 2, 2))
 
     def test_serialization_ring_of_one_firing_is_the_self_loop(self):
-        assert sdf.serialization_ring("a", 1) == [("a#1", "a#1", 1.0)]
-        assert sdf.serialization_ring("a", 3) == [
-            ("a#1", "a#2", 0.0), ("a#2", "a#3", 0.0), ("a#3", "a#1", 1.0),
-        ]
+        assert _event_graph({"a": 1}, ["a"], []) == ({"a": 0}, ((0, 0, 1),))
+        assert _event_graph({"z": 2, "a": 3}, ["z", "a"], []) == (
+            {"z": 0, "a": 2}, ((0, 1, 0), (1, 0, 1), (2, 3, 0), (3, 4, 0), (4, 2, 1)),
+        )
 
 
 class TestRingNamedChannel:

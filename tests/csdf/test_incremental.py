@@ -236,12 +236,12 @@ class TestSCCGranularity:
     def howard_spy(self, monkeypatch):
         import repro.csdf.mcr as mcr_mod
 
-        calls: list[tuple] = []
+        calls: list = []
         real = mcr_mod.howard
 
-        def spy(nodes, edges, initial_policy=None):
-            calls.append((tuple(nodes), initial_policy))
-            return real(nodes, edges, initial_policy)
+        def spy(edges, initial_policy=None):
+            calls.append(initial_policy)
+            return real(edges, initial_policy)
 
         monkeypatch.setattr(mcr_mod, "howard", spy)
         return calls
@@ -264,11 +264,10 @@ class TestSCCGranularity:
 
         graph.actor("a").set_exec_time(5.0)  # in-core binding edit
         assert max_cycle_ratio(graph) == pytest.approx(9.0)  # (5+2+2)/1
-        core_calls = [p for _nodes, p in howard_spy]
-        assert core_calls, "changed core SCC must be re-solved"
+        assert howard_spy, "changed core SCC must be re-solved"
         # The SCC shape is unchanged, so the remembered cycle policy
         # seeds the solve instead of the cold heaviest-edge heuristic.
-        assert all(policy is not None for policy in core_calls)
+        assert all(policy is not None for policy in howard_spy)
 
     def test_structural_edit_never_reuses_stale_scc(self):
         graph = self._core_and_tail()

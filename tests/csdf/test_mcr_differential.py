@@ -15,6 +15,8 @@ real modeling bug (iteration-crossing expansion channels with rate
 raw token count).
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +24,9 @@ from hypothesis import strategies as st
 from repro.cache import analysis_cache
 from repro.csdf import (CSDFGraph, is_live, max_cycle_ratio,
                         min_buffers_for_full_throughput, self_timed_execution)
-from repro.csdf.mcr import mcr_reference
+from repro.csdf.mcr import _cycle_ratios, _decomposition, _with_work, mcr_reference
 from repro.errors import AnalysisError, DeadlockError
+from repro.io import csdf_from_dict, csdf_to_dict
 from repro.tpdf import random_consistent_graph
 
 #: The reference search stops at 1e-6; allow both solvers that slack.
@@ -275,34 +278,39 @@ class TestHowardFallback:
 
         calls = []
 
-        def give_up(nodes, edges, initial_policy=None):
-            calls.append(tuple(nodes))
+        def give_up(edges, initial_policy=None):
+            calls.append(len(edges))
             return None
 
         monkeypatch.setattr(mcr_mod, "_howard_solve", give_up)
         return calls
 
+    @staticmethod
+    def _unit_work_cores(graph: CSDFGraph) -> list:
+        """Every core's integer event graph with work 1 on every edge."""
+        return [_with_work(edges, [1.0] * sum(count for _name, count in firings))[1]
+                for firings, edges in _decomposition(graph, None)[1]]
+
     def test_fallback_equals_howard(self, monkeypatch):
         from fractions import Fraction
 
-        from repro.csdf.mcr import _cycle_ratios, _decomposition, howard
+        from repro.csdf.mcr import howard
 
         converged = [[ratio for _core, ratio in _cycle_ratios(graph, None)]
                      for graph in self._graphs()]
+        unit = [[howard(core)[0] for core in self._unit_work_cores(graph)]
+                for graph in self._graphs()]
         calls = self._give_up(monkeypatch)
-        for graph, expected in zip(self._graphs(), converged):
+        for graph, expected, expected_unit in zip(self._graphs(), converged, unit):
             calls.clear()
             ratios = [ratio for _core, ratio in _cycle_ratios(graph, None)]
             assert calls, f"{graph.name}: Howard was not asked"
             assert all(type(ratio) is Fraction for ratio in ratios)
             assert ratios == expected, graph.name
             assert max_cycle_ratio(graph) == pytest.approx(mcr_reference(graph), abs=TOL)
-            for _firings, nodes, edges in _decomposition(graph, None)[1]:
-                weighted = [(src, dst, 1.0, t) for src, dst, t in edges]
-                ratio, cycle, policy = howard(list(nodes), weighted)
-                assert policy == {}
-                assert ratio == sum(Fraction(w) for *_, w, _t in cycle) / sum(
-                    Fraction(t) for *_, t in cycle)
+            solved = [howard(core) for core in self._unit_work_cores(graph)]
+            assert [policy for _ratio, policy in solved] == [{}] * len(solved)
+            assert [ratio for ratio, _policy in solved] == expected_unit, graph.name
 
     @pytest.mark.parametrize("exec_time", (1, 0))
     def test_token_free_cycle_still_raises(self, monkeypatch, exec_time):
@@ -325,3 +333,44 @@ class TestHowardFallback:
         calls = self._give_up(monkeypatch)
         assert min_buffers_for_full_throughput(fig1_graph()) == expected
         assert calls
+
+
+#: Phase times of the near-tie corpus: sums of a few of them collide,
+#: or miss each other by a float rounding.
+TIE_TIMES = (0.1, 0.2, 0.3, 0.7)
+
+
+def _tie_prone(seed: int) -> tuple[CSDFGraph, dict]:
+    """A fresh mutable random graph and phase times for it drawn from
+    ``TIE_TIMES``."""
+    rng = random.Random(seed)
+    graph = random_consistent_graph(
+        rng.randint(3, 8), rng.randint(1, 4), rng.randint(1, 3), seed=seed,
+        with_control=False,
+    ).as_csdf()
+    graph = csdf_from_dict(csdf_to_dict(graph))
+    times = {name: [rng.choice(TIE_TIMES) for _ in actor.exec_times]
+             for name, actor in graph.actors.items()}
+    return graph, times
+
+
+def _ratios_at(graph: CSDFGraph, times: dict, shift: float = 0.0) -> list:
+    for name, phases in times.items():
+        graph.actor(name).set_exec_time([time + shift for time in phases])
+    return [ratio for _core, ratio in _cycle_ratios(graph, None)]
+
+
+class TestNearTies:
+    """Every core ratio is the exact maximum, whatever policy Howard
+    starts from: solved cold, and reached by an execution-time edit
+    from other times (warm-started from the policy converged there),
+    the ratios are equal."""
+
+    @pytest.mark.parametrize("shift", (0.05, 0.15))
+    def test_warm_equals_cold(self, shift):
+        for seed in range(300):
+            graph, times = _tie_prone(seed)
+            cold = _ratios_at(graph, times)
+            graph, _times = _tie_prone(seed)
+            _ratios_at(graph, times, shift)
+            assert _ratios_at(graph, times) == cold, seed

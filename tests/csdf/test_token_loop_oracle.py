@@ -247,8 +247,8 @@ def _targets(graph, bindings):
     return concrete_repetition_vector(graph, bindings)
 
 
-def _greedy(graph, bindings, repetitions):
-    schedule, peaks = _minimal_buffer_schedule(graph, bindings, repetitions)
+def _greedy(graph, bindings):
+    schedule, peaks = _minimal_buffer_schedule(graph, bindings)
     return list(schedule), peaks
 
 
@@ -259,10 +259,9 @@ def _sequential(graph, bindings, policy, repetitions, actor_order=None):
     ))
 
 
-def _assert_greedy_agrees(graph, bindings, repetitions=None):
-    repetitions = repetitions if repetitions is not None else _targets(graph, bindings)
-    expected = _outcome(_plain_greedy_schedule, graph, bindings, repetitions)
-    assert _outcome(_greedy, graph, bindings, repetitions) == expected
+def _assert_greedy_agrees(graph, bindings):
+    expected = _outcome(_plain_greedy_schedule, graph, bindings, _targets(graph, bindings))
+    assert _outcome(_greedy, graph, bindings) == expected
     return expected
 
 
@@ -294,13 +293,6 @@ class TestGreedyBufferSchedule:
     def test_hand_cases(self, label):
         _, graph, bindings = next(case for case in HAND if case[0] == label)
         _assert_greedy_agrees(graph, bindings)
-
-    def test_custom_repetitions(self):
-        graph = _self_loop_graph()
-        for repetitions in ({"src": 2, "mid": 6, "snk": 3},
-                            {"src": 1, "mid": 0, "snk": 0},
-                            {"mid": 2}, {"snk": 1, "src": 4}):
-            _assert_greedy_agrees(graph, None, repetitions)
 
     def test_large_graphs_deadlock_when_starved(self):
         starved = [_assert_greedy_agrees(g, b) for label, g, b in LARGE

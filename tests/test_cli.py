@@ -385,6 +385,33 @@ class TestThroughput:
         assert "reference loop parity:          DIVERGED" in (
             capsys.readouterr().out)
 
+    @pytest.mark.parametrize("scale, period", ((1.0, "2.5000"), (2.0, "1.2500")))
+    def test_prints_the_exact_period(self, tmp_path, capsys, scale, period):
+        """Bugfix regression: on OFDM (beta=2, N=32) at the trade-off's
+        1.0x and 2.0x capacities the run's iterations alternate, and the
+        last two iteration ends read 3.0000 and 2.0000 where the exact
+        periods are 2.5 and 1.25; ``--probe-caps`` read the same."""
+        from repro.apps.ofdm import bindings_for, build_ofdm_tpdf
+        from repro.csdf import minimal_buffer_schedule
+
+        graph = build_ofdm_tpdf()
+        bindings = bindings_for(2, 32, 4, 4)
+        _, peaks = minimal_buffer_schedule(graph.as_csdf(), bindings)
+        capacities = {name: max(1, int(peak * scale)) for name, peak in peaks.items()}
+        args = ["throughput", _write(tmp_path, tpdf_to_dict(graph))]
+        for name, value in bindings.items():
+            args += ["--bind", f"{name}={value}"]
+        probe_file = tmp_path / "caps.json"
+        probe_file.write_text(json.dumps([capacities]))
+        assert main([*args, "--probe-caps", str(probe_file)]) == 0
+        assert f"[0] period={period} " in capsys.readouterr().out
+        for name, value in capacities.items():
+            args += ["--cap", f"{name}={value}"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert f"self-timed steady period:       {period}\n" in out
+        assert f"throughput:                     {1 / float(period):.4f} " in out
+
     def test_probe_caps_batch(self, fig1_json, fig1, tmp_path, capsys):
         loose = {name: 64 for name in fig1.channels}
         tight = {name: 1 for name in fig1.channels}
