@@ -100,8 +100,8 @@ def _concrete(rates):
 
 def _edit_classes(graph):
     """``name -> apply(session, round)``; every call is a *fresh* edit
-    (a version bump), otherwise the O(1) resubmission shortcut would
-    void the warm measurement."""
+    (a version bump), otherwise the per-graph cache would serve the
+    whole report and void the warm measurement."""
     inside, outside = _core_split(graph)
     tokened = next(c.name for c in graph.channels.values()
                    if c.initial_tokens > 0)

@@ -6,10 +6,11 @@ then reused across requests.  This bench measures what a client
 actually observes, per graph size, through real HTTP round trips:
 
 * ``cold``     — the first request a fresh service has ever seen for
-  the graph: worker decode + ``warm_graph`` + the full analysis chain;
+  the graph: worker decode + the full analysis chain;
 * ``warm``     — the same request resubmitted with ``no_cache`` (it
-  must reach a worker): the decode LRU and all binding-independent
-  analysis caches are hot, only the binding-dependent stages re-run;
+  must reach a worker): the decode LRU and the graph's per-graph
+  cache are hot, so every analysis is a cache hit and only the timed
+  run executes again;
 * ``cache-hit``— the same request served from the front result cache
   (single-flight store): no worker involved, pure wire cost.
 

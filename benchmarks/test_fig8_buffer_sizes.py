@@ -66,15 +66,17 @@ def test_fig8_single_point_cost(benchmark):
 
 
 def test_fig8_parametric_mcr_replaces_sweep(benchmark, report):
-    """One parametric evaluation replaces the per-binding MCR sweep
-    over the Fig. 8 grid.
+    """One piecewise build gives the throughput bound over the whole
+    Fig. 8 grid.
 
     Both Fig. 8 implementations (mode-restricted TPDF and the CSDF
     baseline) get their throughput bound as a piecewise-symbolic
     function over the full evaluation domain (beta = 10..100,
     N in 512..1024); every grid point must match the concrete Howard
-    solver bit-for-bit, and the wall-clock of sweep vs. single build is
-    recorded alongside the buffer numbers."""
+    solver bit-for-bit.  The wall-clock of the per-binding sweep and of
+    the single build are recorded alongside the buffer numbers; the
+    sweep re-expands nothing per binding (the rings outside the cyclic
+    cores are closed-form), so it costs milliseconds too."""
     import time
 
     from repro.apps.ofdm import build_ofdm_csdf, build_ofdm_tpdf

@@ -15,10 +15,13 @@ enables it and a requirement:
   local solutions (:func:`repro.csdf.schedule.is_live`), which needs a
   concrete valuation;
 * **mcr**, **buffers**, **throughput** (``with_mcr``,
-  ``with_buffers``, ``with_throughput``) — Howard's MCR, the peaks of
-  a buffer-minimizing iteration and the timed self-timed execution
-  (:func:`repro.csdf.throughput.self_timed_execution`); they need a
-  concrete valuation and a graph not found deadlocked;
+  ``with_buffers``, ``with_throughput``) — Howard's MCR, which is also
+  the exact self-timed period (``report.period``, its inverse
+  ``report.throughput``), the peaks of a buffer-minimizing iteration,
+  and a timed self-timed execution
+  (:func:`repro.csdf.throughput.self_timed_execution`) whose makespan,
+  iteration ends and channel peaks land in ``report.timed``; they need
+  a concrete valuation and a graph not found deadlocked;
 * **parametric** — the parametric (symbolic) MCR over
   ``parametric_domain``, when one is given: instead of the throughput
   bound at one ``bindings`` point, a :class:`ParametricReport` holding
@@ -64,13 +67,11 @@ Symbolic throughput over a parameter box instead of one binding:
 
 from __future__ import annotations
 
-import dataclasses
 import sys
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .cache import cached, register_binding_insensitive, version_of
 from .csdf.analysis import concrete_repetition_vector, repetition_vector
 from .csdf.buffers import minimal_buffer_schedule
 from .csdf.graph import CSDFGraph
@@ -117,7 +118,7 @@ class GraphReport:
     mcr: float | None = None
     #: per-channel buffer peaks of a buffer-minimizing iteration
     buffers: dict[str, int] | None = None
-    #: timed self-timed execution (period, throughput, peaks)
+    #: timed self-timed execution (makespan, iteration ends, peaks)
     timed: TimedResult | None = None
     #: parametric (symbolic) MCR stage, when a domain was requested
     parametric: "ParametricReport | None" = None
@@ -132,14 +133,6 @@ class GraphReport:
     diagnostics: tuple = ()
     #: wall-clock cost of this report, seconds
     elapsed: float = 0.0
-    #: mutation version of the analyzed graph object when the report
-    #: was produced — lets ``analyze(reuse_from=...)`` detect identical
-    #: resubmissions in O(1).  Not part of the fingerprint (it tracks
-    #: object history, not analysis values).
-    graph_version: int | None = None
-    #: normalized tuple of the analyze() options the report was
-    #: computed under (same role as :attr:`graph_version`).
-    analysis_options: tuple | None = None
 
     @property
     def total_buffer(self) -> int | None:
@@ -147,11 +140,19 @@ class GraphReport:
 
     @property
     def period(self) -> float | None:
-        return None if self.timed is None else self.timed.iteration_period
+        """The exact self-timed steady period: with unlimited cores and
+        unbounded channels, as :func:`analyze` runs a graph, it is the
+        MCR (Reiter).  The gap between a finite run's last two iteration
+        ends (``timed.iteration_period``) can misread it."""
+        return self.mcr
 
     @property
     def throughput(self) -> float | None:
-        return None if self.timed is None else self.timed.throughput
+        """Iterations per unit time in steady state (``inf`` at a zero
+        period)."""
+        if self.mcr is None:
+            return None
+        return 1.0 / self.mcr if self.mcr > 0 else float("inf")
 
     def verdict_reasons(self) -> list[str]:
         """Why the graph is not provably bounded (empty when it is)."""
@@ -176,9 +177,8 @@ class GraphReport:
 
         Covers every analysis-result field and excludes the
         process-dependent ones: the graph *object* (service workers
-        analyze a decoded copy), ``elapsed`` (wall clock), and the
-        ``graph_version``/``analysis_options`` provenance pair (object
-        history, not analysis values).  The service and incremental
+        analyze a decoded copy), ``elapsed`` (wall clock) and the
+        presentation-only ``diagnostics``.  The service and incremental
         differential suites assert service == direct and
         warm == cold on exactly this value — float fields included
         bit-for-bit, no tolerance.
@@ -234,7 +234,6 @@ class GraphReport:
             lines.append("liveness: skipped (inconsistent)")
         if self.mcr is not None:
             lines.append(f"max cycle ratio (period bound): {self.mcr:.4f}")
-        if self.timed is not None:
             lines.append(f"self-timed steady period:       {self.period:.4f}")
             lines.append(f"throughput:                     {self.throughput:.4f} iterations/time")
         if self.buffers is not None:
@@ -389,34 +388,34 @@ def analyze(
     with_throughput: bool = True,
     parametric_domain=None,
     lint: str = "off",
-    reuse_from: "GraphReport | None" = None,
 ) -> GraphReport:
     """Run the full analysis chain over one graph.
 
     Accepts TPDF and plain CSDF graphs.  Performance stages (MCR,
-    buffers, self-timed throughput) need a concrete valuation; on a
-    parametric graph without (complete) ``bindings`` they are recorded
-    as skipped instead of raising.  ``bounded`` is None when the
-    liveness stage did not run (switched off, or a CSDF graph without
-    a concrete valuation).  All intermediates are memoized on
-    the graph, so re-analyzing (or analyzing per-stage elsewhere) costs
-    nothing extra.
+    buffers, the timed run) need a concrete valuation; on a parametric
+    graph without (complete) ``bindings`` they are recorded as skipped
+    instead of raising.  ``bounded`` is None when the liveness stage did
+    not run (switched off, or a CSDF graph without a concrete
+    valuation).  ``report.period`` and ``report.throughput`` read the
+    MCR, so ``with_mcr`` controls them; ``with_throughput`` controls
+    only ``report.timed``.
+
+    The analyses behind the stages are memoized on the graph
+    (:mod:`repro.cache`), so re-analyzing an unchanged graph (or
+    analyzing per-stage elsewhere) solves nothing again; only the timed
+    run executes anew, from the graph's cached execution template.  The
+    caches are delta-aware: they carry binding-insensitive products
+    across execution-time edits and re-solve only the cyclic cores an
+    edit touched (see :mod:`repro.cache` and :mod:`repro.csdf.mcr`).
+    Warm results are bit-for-bit identical to cold analysis
+    (``fingerprint()``), and the report holds copies, never the
+    memoized values themselves.  See :class:`EditSession` for edit
+    traffic.
 
     With ``parametric_domain`` (a parameter box, see
     :func:`analyze_parametric`) the report additionally carries the
     **parametric MCR** — the throughput bound as a piecewise-symbolic
     function over the whole domain, replacing a per-binding sweep.
-
-    ``reuse_from`` accepts the previous report of the **same graph
-    object** (edit traffic: analyze, edit, re-analyze): an identical
-    resubmission — same graph version, bindings and options — returns a
-    copy of the previous report in O(1), and anything else falls
-    through to the chain, which is itself delta-aware (the per-graph
-    caches carry binding-insensitive products across execution-time
-    edits and re-solve only the cyclic cores an edit touched, see
-    :mod:`repro.cache` and :mod:`repro.csdf.mcr`).  Warm results are
-    bit-for-bit identical to cold analysis (``fingerprint()``).  See
-    :class:`EditSession` for the convenience wrapper.
 
     ``lint`` runs the static diagnostics engine
     (:func:`repro.diagnostics.run_diagnostics`) before the stages:
@@ -434,28 +433,11 @@ def analyze(
     iterations = as_count("iterations", iterations, minimum=1)
     domain = (None if parametric_domain is None
               else ParamDomain.of(parametric_domain))
-    options_key = (
-        iterations, with_liveness, with_mcr, with_buffers, with_throughput,
-        None if parametric_domain is None else repr(parametric_domain), lint,
-    )
-    if reuse_from is not None:
-        if reuse_from.graph is not graph:
-            raise ValueError(
-                "reuse_from must be a report of the same graph object "
-                f"(got a report of {reuse_from.name!r})"
-            )
-        if (reuse_from.graph_version == version_of(graph)
-                and reuse_from.analysis_options == options_key
-                and reuse_from.bindings == dict(bindings or {})):
-            return dataclasses.replace(
-                reuse_from, elapsed=time.perf_counter() - start
-            )
     lint_findings: tuple = ()
     if lint != "off":
         lint_findings = tuple(_lint_gate(graph, bindings, lint))
     report = GraphReport(
         graph=graph, name=graph.name, bindings=dict(bindings or {}),
-        graph_version=version_of(graph), analysis_options=options_key,
         diagnostics=lint_findings,
     )
     csdf = _csdf_view(graph)
@@ -497,7 +479,10 @@ class _Run(NamedTuple):
 # A requirement returns None when its stage can run, else the reason it
 # is skipped ("" when there is nothing to do: not recorded).  A stage
 # returns the report fields it established, calling its analysis
-# through this module's globals (a tracer may have wrapped them).
+# through this module's globals (a tracer may have wrapped them).  The
+# analyses memoize per graph version, so a stage hands the report a
+# copy of any mutable value: a caller that edits its report cannot
+# reach the cache.
 
 def _checkable(run: _Run) -> str | None:
     """TPDF liveness needs consistency only; CSDF liveness runs each
@@ -538,8 +523,8 @@ def _liveness(run: _Run) -> dict:
 _STAGES: tuple = (
     ("consistency", None, lambda run: None, _consistency),
     ("repetition", None, lambda run: "" if run.unbound else None,
-     lambda run: {"repetition": concrete_repetition_vector(run.csdf,
-                                                           run.bindings)}),
+     lambda run: {"repetition": dict(concrete_repetition_vector(
+         run.csdf, run.bindings))}),
     ("liveness", "with_liveness", _checkable, _liveness),
     ("mcr", "with_mcr", _concrete_and_live,
      lambda run: {"mcr": max_cycle_ratio(run.csdf, run.bindings)}),
@@ -567,42 +552,6 @@ def _verdict(report: GraphReport) -> bool | None:
     if report.live is None:
         return None
     return report.live and report.safe is not False
-
-
-# Warm-up only touches the rate algebra, so the marker survives
-# binding-only bumps along with the products it certifies.
-register_binding_insensitive("warm_graph")
-
-
-def warm_graph(graph: AnyGraph) -> AnyGraph:
-    """Pre-populate the binding-independent caches of ``graph``.
-
-    Runs the CSDF abstraction and the symbolic balance solve (the two
-    intermediates every later stage keys off), caching negative
-    verdicts too.  Service workers call this once per decoded graph so
-    every request that shares the graph starts from warm caches,
-    mirroring what a batch gets from analyzing the same live object
-    repeatedly.
-
-    Idempotent per (graph, version): a completed warm-up leaves a
-    marker in the graph's cache, and later calls return without
-    re-entering the solver stages at all (they used to re-walk the
-    whole warm-up chain on every call, betting on the per-stage caches
-    — which re-derived everything whenever an earlier stage had been
-    evicted or the call raced a fresh decode).
-    """
-
-    def _warm() -> bool:
-        from .csdf.analysis import repetition_vector
-
-        try:
-            repetition_vector(_csdf_view(graph))
-        except _STAGE_ERRORS:
-            pass  # the negative result is memoized as well
-        return True
-
-    cached(graph, ("warm_graph",), _warm)
-    return graph
 
 
 def probe_capacities(
@@ -711,12 +660,12 @@ def simulate_reference(graph: TPDFGraph, bindings: Mapping | None = None,
 class EditSession:
     """Edit/re-analyze helper for interactive and service traffic.
 
-    Wraps one mutable :class:`~repro.csdf.graph.CSDFGraph` and chains
-    every :meth:`analyze` call through ``analyze(reuse_from=...)``, so
-    repeated analysis across small edits pays only for what each edit
-    invalidated (and an unchanged resubmission is O(1)).  The edit
-    helpers delegate to the graph's own mutators — the session adds no
-    private state beyond the last report, so mixing direct graph edits
+    Wraps one mutable :class:`~repro.csdf.graph.CSDFGraph`; every
+    :meth:`analyze` call is one :func:`analyze` of it, which through the
+    per-graph caches pays only for what each edit invalidated (and, for
+    an unchanged resubmission, only the timed run).  The edit helpers
+    delegate to the graph's own mutators — the session keeps no private
+    state beyond its bindings and options, so mixing direct graph edits
     with session edits is fine.
 
     Example::
@@ -741,24 +690,17 @@ class EditSession:
         self.graph = graph
         self.bindings = dict(bindings) if bindings else None
         self.options = dict(options)
-        self.report: GraphReport | None = None
 
     # -- analysis --------------------------------------------------------
     def analyze(self, bindings: Mapping | None = None, **overrides) -> GraphReport:
-        """Re-analyze the graph, reusing the previous report's warmth.
+        """Re-analyze the graph from its warm caches.
 
         ``bindings``/keyword overrides replace the session defaults for
-        this call only; the resulting report becomes the new
-        ``reuse_from`` anchor.
+        this call only.
         """
-        options = {**self.options, **overrides}
-        self.report = analyze(
-            self.graph,
-            self.bindings if bindings is None else bindings,
-            reuse_from=self.report,
-            **options,
-        )
-        return self.report
+        return analyze(self.graph,
+                       self.bindings if bindings is None else bindings,
+                       **{**self.options, **overrides})
 
     # -- pre-flight ------------------------------------------------------
     def preflight(self, edits: Iterable[Mapping],
@@ -885,21 +827,12 @@ def analyze_batch(items: Iterable[BatchItem], **options) -> list[GraphReport]:
     all binding-keyed caches (HSDF expansion, MCR, the SoA execution
     template the throughput stage and :func:`probe_capacities` clone
     their runs from) via the per-graph cache, which is what makes
-    parameter sweeps cheap.  Consecutive items of the same graph object
-    also pass the previous report as ``reuse_from``.  Reports come back
-    in input order; a stage failure lands in that item's
-    ``report.errors`` like it does for a direct :func:`analyze`.
+    parameter sweeps cheap.  Reports come back in input order; a stage
+    failure lands in that item's ``report.errors`` like it does for a
+    direct :func:`analyze`.
     """
     reports = []
-    prev_graph = None
-    prev_report = None
     for item in items:
-        if isinstance(item, tuple):
-            graph, bindings = item
-        else:
-            graph, bindings = item, None
-        reuse = prev_report if graph is prev_graph else None
-        report = analyze(graph, bindings, reuse_from=reuse, **options)
-        reports.append(report)
-        prev_graph, prev_report = graph, report
+        graph, bindings = item if isinstance(item, tuple) else (item, None)
+        reports.append(analyze(graph, bindings, **options))
     return reports

@@ -6,9 +6,9 @@ for a whole **domain** of valuations at once.  The result is a
 :class:`PiecewiseMCR`: a finite set of symbolic candidate ratios
 (:class:`~repro.symbolic.rational.Rat` in the graph parameters) together
 with an exact partition of the domain into box regions on which one
-candidate attains the maximum.  One build replaces an N-binding Howard
-sweep; evaluating a binding afterwards is a handful of exact polynomial
-evaluations.
+candidate attains the maximum.  One build gives the exact MCR over the
+whole domain, equal to Howard at every point; evaluating a binding
+afterwards is a handful of exact polynomial evaluations.
 
 How it works
 ------------

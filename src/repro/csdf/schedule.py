@@ -112,9 +112,9 @@ def find_sequential_schedule(
     bindings: Mapping | None = None,
     policy: str = "grouped",
     repetitions: Mapping[str, int] | None = None,
-    actor_order: Sequence[str] | None = None,
 ) -> SequentialSchedule:
-    """Construct a PASS by symbolic execution.
+    """Construct a PASS by symbolic execution, scanning the actors in
+    insertion order.
 
     Parameters
     ----------
@@ -126,8 +126,6 @@ def find_sequential_schedule(
         Target firing counts; defaults to the repetition vector.  The
         TPDF liveness analysis passes *local solutions* here to schedule
         a clustered subgraph.
-    actor_order:
-        Deterministic candidate order; defaults to insertion order.
 
     Raises
     ------
@@ -138,20 +136,17 @@ def find_sequential_schedule(
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; pick one of {POLICIES}")
     targets = dict(repetitions) if repetitions is not None else concrete_repetition_vector(graph, bindings)
-    order = list(actor_order) if actor_order is not None else [
-        name for name in graph.actor_names() if name in targets
-    ]
+    order = [name for name in graph.actor_names() if name in targets]
     state = TokenState(graph, bindings)
     consumers = rate_table(graph, bindings).consumers
     remaining = dict(targets)
     outstanding = sum(count for count in remaining.values() if count > 0)
     firings: list[str] = []
-    positions: dict[str, list[int]] = {}
-    for pos, actor in enumerate(order):
-        positions.setdefault(actor, []).append(pos)
+    positions = {actor: pos for pos, actor in enumerate(order)}
     # `current` is the heap of scan positions the pass still has to
     # visit, `upcoming` the positions of the next pass; the flags keep
-    # each position in each at most once.
+    # each position in each at most once.  A queued actor stays ready
+    # until it fires: only its own firing can disable it.
     in_current = bytearray(len(order))
     in_upcoming = bytearray(len(order))
     upcoming: list[int] = []
@@ -167,16 +162,16 @@ def find_sequential_schedule(
         firings.append(actor)
 
     def wake(actor: str, cursor: int) -> None:
-        if actor not in positions or not ready(actor):
+        pos = positions.get(actor)
+        if pos is None or not ready(actor):
             return
-        for pos in positions[actor]:
-            if pos > cursor:
-                if not in_current[pos]:
-                    in_current[pos] = 1
-                    heappush(current, pos)
-            elif not in_upcoming[pos]:
-                in_upcoming[pos] = 1
-                upcoming.append(pos)
+        if pos > cursor:
+            if not in_current[pos]:
+                in_current[pos] = 1
+                heappush(current, pos)
+        elif not in_upcoming[pos]:
+            in_upcoming[pos] = 1
+            upcoming.append(pos)
 
     current = [pos for pos, actor in enumerate(order) if ready(actor)] if outstanding else []
     for pos in current:
@@ -187,8 +182,6 @@ def find_sequential_schedule(
             pos = heappop(current)
             in_current[pos] = 0
             actor = order[pos]
-            if not ready(actor):
-                continue  # a duplicate position whose actor fired since
             fire(actor)
             progressed = True
             if policy == "grouped":

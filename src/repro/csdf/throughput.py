@@ -86,16 +86,12 @@ class TimedResult:
         steady state that repeats over several iterations, whatever the
         horizon: one whose iterations alternate 3 and 2 time units reads
         2 or 3, not 2.5.  The exact period under capacities is
-        :meth:`repro.csdf.mcr._CapacityEventGraph.period`."""
+        :meth:`repro.csdf.mcr._CapacityEventGraph.period`, and without
+        cores or capacities it is the MCR (``GraphReport.period``);
+        core-budget runs have no exact period to read instead."""
         if len(self.iteration_ends) >= 2:
             return self.iteration_ends[-1] - self.iteration_ends[-2]
         return self.iteration_ends[-1] if self.iteration_ends else 0.0
-
-    @property
-    def throughput(self) -> float:
-        """Iterations per unit time in steady state."""
-        period = self.iteration_period
-        return 1.0 / period if period > 0 else float("inf")
 
 
 class _TimedState:

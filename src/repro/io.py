@@ -401,9 +401,8 @@ def payload_fingerprint(payload: Mapping) -> str:
 def graph_from_payload(payload: Mapping) -> AnyGraph:
     """Rebuild a worker-side graph from :func:`graph_to_payload`.
 
-    The result is a fresh, mutable graph with empty analysis caches —
-    the worker warms them itself (see
-    :func:`repro.analysis.warm_graph`)."""
+    The result is a fresh, mutable graph with empty analysis caches:
+    the first analysis of it fills them."""
     model = payload.get("model")
     try:
         if model == "tpdf":
@@ -635,12 +634,11 @@ def report_to_dict(report) -> dict:
     """JSON-ready view of a :class:`~repro.analysis.GraphReport`.
 
     Carries every analysis-result field of the report and drops the
-    same things the fingerprint excludes: the live graph object (the
-    wire identifies graphs by :func:`payload_fingerprint` instead) and
-    the ``graph_version``/``analysis_options`` provenance pair, which
-    track caller-side object history that has no meaning across a
-    service boundary.  ``elapsed`` is kept (it reports the serving
-    cost) but is likewise outside the fingerprint.
+    live graph object, which the fingerprint excludes too (the wire
+    identifies graphs by :func:`payload_fingerprint` instead).
+    ``elapsed`` and ``diagnostics`` are kept (they report the serving
+    cost and the lint findings) but are likewise outside the
+    fingerprint.
     """
     return {
         "kind": "graph_report",
@@ -685,9 +683,9 @@ def report_from_dict(data: Mapping):
     :func:`report_to_dict` output.
 
     The decoded report carries no graph object (``report.graph is
-    None``) and no provenance, exactly like a report that crossed the
-    service's worker process boundary; its ``fingerprint()``
-    equals the original's bit-for-bit.
+    None``), exactly like a report that crossed the service's worker
+    process boundary; its ``fingerprint()`` equals the original's
+    bit-for-bit.
     """
     if data.get("kind") != "graph_report":
         raise GraphConstructionError(

@@ -54,15 +54,13 @@ from ..cache import bindings_key, domain_key
 from ..errors import as_count
 from ..io import (parametric_report_to_dict, payload_fingerprint,
                   report_to_dict, trace_to_dict)
-from .pool import DEFAULT_DECODE_LIMIT, WorkerPool
+from .pool import WorkerPool
 from .rescache import ResultCache
 from .wire import (BadRequest, SessionNotFound, error_from_dict, error_status,
                    error_to_dict)
 
-#: ``analyze`` options accepted over the wire: the stage switches and
-#: the stages' parameters.  ``reuse_from`` is deliberately absent (it
-#: names a process-local object; the service's equivalent is a
-#: session), as is anything that is not a plain value.
+#: ``analyze`` options accepted over the wire, all plain values: the
+#: stage switches and the stages' parameters.
 _ANALYZE_OPTIONS = frozenset({*STAGE_SWITCHES, "iterations",
                               "parametric_domain"})
 
@@ -196,12 +194,10 @@ class AnalysisService:
     """A resident analysis service instance (see module docs)."""
 
     def __init__(self, *, workers: int = 2, cache_limit: int = 256,
-                 decode_limit: int = DEFAULT_DECODE_LIMIT,
                  max_attempts: int = 3, test_hooks: bool = False,
                  health_interval: float = 2.0,
                  start_method: str | None = None):
-        self.pool = WorkerPool(workers, decode_limit=decode_limit,
-                               max_attempts=max_attempts,
+        self.pool = WorkerPool(workers, max_attempts=max_attempts,
                                test_hooks=test_hooks,
                                start_method=start_method)
         self.cache = ResultCache(cache_limit)

@@ -44,8 +44,7 @@ import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 
-from ..analysis import (EditSession, analyze, analyze_parametric, simulate,
-                        warm_graph)
+from ..analysis import EditSession, analyze, analyze_parametric, simulate
 from ..cache import ContentStore
 from ..diagnostics import run_diagnostics
 from ..io import graph_from_payload, graph_to_payload, payload_fingerprint
@@ -53,7 +52,7 @@ from .wire import (SessionLost, SessionNotFound, WorkerCrashError,
                    error_to_dict)
 
 #: Decoded-graph LRU entries each worker keeps resident.
-DEFAULT_DECODE_LIMIT = 32
+_DECODE_LIMIT = 32
 
 
 class _WorkerDied(Exception):
@@ -98,21 +97,23 @@ _STATELESS_OPS = {
 }
 
 
-def _worker_main(conn, decode_limit: int, test_hooks: bool) -> None:
+def _worker_main(conn, test_hooks: bool) -> None:
     """Worker entry point: serve requests until shutdown or EOF.
 
     Resident state: ``graphs`` (content-fingerprint-keyed LRU of
     decoded, cache-warm graphs shared by all stateless requests) and
     ``sessions`` (edit sessions, each owning a *private* decoded graph
     because sessions mutate it)."""
-    graphs = ContentStore(decode_limit)
+    graphs = ContentStore(_DECODE_LIMIT)
     sessions: dict = {}
 
     def resident_graph(request):
+        # A fresh decode has cold caches: its first op computes what it
+        # needs, and every later op on the graph shares that.
         key = request["graph_key"]
         graph = graphs.get(key)
         if graph is None:
-            graph = warm_graph(graph_from_payload(request["payload"]))
+            graph = graph_from_payload(request["payload"])
             graphs.put(key, graph)
         return graph
 
@@ -218,7 +219,6 @@ class WorkerPool:
     """Managed persistent pool of analysis workers (see module docs)."""
 
     def __init__(self, size: int = 2, *,
-                 decode_limit: int = DEFAULT_DECODE_LIMIT,
                  max_attempts: int = 3,
                  test_hooks: bool = False,
                  start_method: str | None = None):
@@ -227,7 +227,6 @@ class WorkerPool:
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.size = size
-        self.decode_limit = decode_limit
         self.max_attempts = max_attempts
         self.test_hooks = test_hooks
         if start_method is None:
@@ -257,7 +256,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.decode_limit, self.test_hooks),
+            args=(child_conn, self.test_hooks),
             name=f"repro-analysis-worker-{slot}",
             daemon=True,
         )

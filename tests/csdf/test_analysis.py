@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cache import analysis_cache
 from repro.csdf import (
     CSDFGraph,
     base_solution,
@@ -67,6 +68,7 @@ class TestConsistency:
         assert not is_consistent(g)
         with pytest.raises(InconsistentRatesError):
             repetition_vector(g)
+        assert ("base_solution",) in analysis_cache(g)  # the failure is memoized
 
     def test_multirate_pipeline(self):
         g = CSDFGraph()

@@ -135,11 +135,9 @@ def _spy(monkeypatch):
     """Record the targets of every schedule ``is_live`` builds."""
     calls = []
 
-    def spy(graph, bindings=None, policy="grouped", repetitions=None,
-            actor_order=None):
+    def spy(graph, bindings=None, policy="grouped", repetitions=None):
         calls.append((graph.name, policy, dict(repetitions)))
-        return find_sequential_schedule(graph, bindings, policy, repetitions,
-                                        actor_order)
+        return find_sequential_schedule(graph, bindings, policy, repetitions)
 
     monkeypatch.setattr(schedule_module, "find_sequential_schedule", spy)
     return calls

@@ -120,7 +120,3 @@ class TestCustomRepetitions:
         g.add_channel("e", "a", "b", Poly.var("p"), 1)
         s = find_sequential_schedule(g, bindings={"p": 3})
         assert s.counts() == {"a": 1, "b": 3}
-
-    def test_actor_order_respected(self, fig1):
-        s = find_sequential_schedule(fig1, actor_order=["a3", "a2", "a1"])
-        validate_schedule(fig1, s)

@@ -92,8 +92,12 @@ class TestPipelining:
         assert all(a < b for a, b in zip(ends, ends[1:]))
 
     def test_throughput_property(self):
-        result = self_timed_execution(pipeline((1.0, 4.0, 1.0)), iterations=5)
-        assert result.throughput == pytest.approx(1.0 / result.iteration_period)
+        from repro.analysis import analyze
+
+        report = analyze(pipeline((1.0, 4.0, 1.0)), iterations=5)
+        assert report.period == report.mcr == 4.0
+        assert report.throughput == 1.0 / report.period
+        assert report.timed.iteration_period == report.period  # converged
 
 
 class TestCoreBudgets:

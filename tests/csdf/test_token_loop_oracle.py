@@ -9,7 +9,7 @@ message, blocked actors and partial schedule.  Inputs: the 200-graph
 corpus, 20-80-actor graphs with cyclo-static phases, control actors or
 a parameter, a token-starved variant of each (every initial token
 count halved, so many of them deadlock), and hand cases with
-self-loops, cyclo-static phases, custom repetitions and scan orders.
+self-loops, cyclo-static phases and custom repetitions.
 
 Both loops read their rates from :func:`repro.csdf.simulation.rate_table`;
 the last class pins that table against a direct ``as_ints`` and
@@ -81,13 +81,11 @@ def _plain_greedy_schedule(graph, bindings, repetitions):
     return firings, dict(state.peak)
 
 
-def _plain_sequential_schedule(graph, bindings, policy, repetitions, actor_order=None):
+def _plain_sequential_schedule(graph, bindings, policy, repetitions):
     """The pass loop: scan every actor in order each pass, firing the
     fireable ones (repeatedly under ``"grouped"``)."""
     targets = dict(repetitions)
-    order = list(actor_order) if actor_order is not None else [
-        name for name in graph.actor_names() if name in targets
-    ]
+    order = [name for name in graph.actor_names() if name in targets]
     state = TokenState(graph, bindings)
     remaining = dict(targets)
     firings = []
@@ -252,10 +250,9 @@ def _greedy(graph, bindings):
     return list(schedule), peaks
 
 
-def _sequential(graph, bindings, policy, repetitions, actor_order=None):
+def _sequential(graph, bindings, policy, repetitions):
     return list(find_sequential_schedule(
         graph, bindings, policy=policy, repetitions=repetitions,
-        actor_order=actor_order,
     ))
 
 
@@ -265,12 +262,12 @@ def _assert_greedy_agrees(graph, bindings):
     return expected
 
 
-def _assert_sequential_agrees(graph, bindings, policy, repetitions=None, actor_order=None):
+def _assert_sequential_agrees(graph, bindings, policy, repetitions=None):
     repetitions = repetitions if repetitions is not None else _targets(graph, bindings)
     expected = _outcome(_plain_sequential_schedule, graph, bindings, policy,
-                        repetitions, actor_order)
-    assert _outcome(_sequential, graph, bindings, policy, repetitions,
-                    actor_order) == expected
+                        repetitions)
+    assert _outcome(_sequential, graph, bindings, policy,
+                    repetitions) == expected
     return expected
 
 
@@ -319,18 +316,12 @@ class TestSequentialSchedule:
         _assert_sequential_agrees(graph, bindings, policy)
 
     @pytest.mark.parametrize("policy", ["grouped", "round_robin"])
-    def test_scan_orders_and_repetitions(self, policy):
+    def test_target_repetitions(self, policy):
         graph = _self_loop_graph()
-        q = _targets(graph, None)
-        for order in (["snk", "mid", "src"], ["mid", "src", "mid", "snk", "src"],
-                      ["src", "mid"], ["snk", "snk", "mid", "src", "mid"]):
-            _assert_sequential_agrees(graph, None, policy, q, order)
         for repetitions in ({"src": 2, "mid": 6, "snk": 3}, {"mid": 2},
                             {"src": 0, "mid": 0, "snk": 0}):
             _assert_sequential_agrees(graph, None, policy, repetitions)
-        cycle = fig4_graph("b").as_csdf()
-        order = list(reversed(cycle.actor_names()))
-        _assert_sequential_agrees(cycle, {"p": 2}, policy, None, order)
+        _assert_sequential_agrees(fig4_graph("b").as_csdf(), {"p": 2}, policy)
 
 
 def _mirror_phases(template, slot, side):

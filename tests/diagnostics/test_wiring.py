@@ -38,6 +38,16 @@ def _pair_csdf(name: str = "pair") -> CSDFGraph:
     return g
 
 
+def _seeded_cycle() -> CSDFGraph:
+    """A source-less seeded cycle: STRUCT002 warnings, no errors."""
+    g = CSDFGraph("cycle")
+    g.add_actor("a", exec_time=1)
+    g.add_actor("b", exec_time=1)
+    g.add_channel("ab", "a", "b")
+    g.add_channel("ba", "b", "a", initial_tokens=1)
+    return g
+
+
 class TestAnalyzeLintGate:
     def test_off_is_the_default_and_attaches_nothing(self):
         report = analyze(fig2_graph())
@@ -63,13 +73,7 @@ class TestAnalyzeLintGate:
         assert report.consistent is True
 
     def test_error_mode_tolerates_warnings(self):
-        # a source-less seeded cycle: STRUCT002 warnings, no errors
-        g = CSDFGraph("cycle")
-        g.add_actor("a", exec_time=1)
-        g.add_actor("b", exec_time=1)
-        g.add_channel("ab", "a", "b")
-        g.add_channel("ba", "b", "a", initial_tokens=1)
-        report = analyze(g, lint="error")
+        report = analyze(_seeded_cycle(), lint="error")
         assert any(d.code == "STRUCT002" for d in report.diagnostics)
 
     def test_invalid_mode_rejected(self):
@@ -77,10 +81,14 @@ class TestAnalyzeLintGate:
             analyze(fig2_graph(), lint="loud")
 
     def test_lint_mode_keys_the_memo_separately(self):
-        graph = fig2_graph()
+        """The per-graph cache serves the analysis, never the lint
+        verdict: a ``lint="warn"`` call after a plain one still carries
+        its findings."""
+        graph = _seeded_cycle()
         plain = analyze(graph)
         warned = analyze(graph, lint="warn")
-        assert plain.analysis_options != warned.analysis_options
+        assert plain.diagnostics == ()
+        assert any(d.code == "STRUCT002" for d in warned.diagnostics)
         assert plain.fingerprint() == warned.fingerprint()
 
 

@@ -64,6 +64,18 @@ def _inconsistent() -> CSDFGraph:
     return g
 
 
+def _ring() -> CSDFGraph:
+    """``a -> b -> c -> a``, unit times, two tokens on ``c -> a``: the
+    run's iterations alternate 1 and 2 time units, period 3/2."""
+    g = CSDFGraph("ring")
+    for name in "abc":
+        g.add_actor(name, exec_time=1)
+    g.add_channel("ab", "a", "b")
+    g.add_channel("bc", "b", "c")
+    g.add_channel("ca", "c", "a", initial_tokens=2)
+    return g
+
+
 def _wrap_everywhere(monkeypatch, module: str, attr: str, wrap) -> None:
     """Replace ``module.attr`` at every live alias, the way a tracer
     wrapping public stage functions from outside does."""
@@ -233,6 +245,41 @@ class TestBookkeeping:
                 f"(repetition FAILED: {message})",
             ),
         )
+
+
+class TestPeriod:
+    """Regression: ``report.period`` read the last two iteration ends
+    of the timed run, which misread the ring as 1.0, below its own
+    bound.  The period and throughput lines read the exact period, the
+    MCR, and follow the ``mcr`` stage."""
+
+    RING_Q = ("repetition vector:", "  q[a] = 1", "  q[b] = 1", "  q[c] = 1")
+    PERIOD = ("max cycle ratio (period bound): 1.5000",
+              "self-timed steady period:       1.5000",
+              "throughput:                     0.6667 iterations/time")
+
+    def test_ring_whose_iterations_alternate(self):
+        report = analyze(_ring())
+        assert report.timed.iteration_ends == [3.0, 4.0, 6.0, 7.0]
+        assert report.period == report.mcr == 1.5
+        assert report.throughput == 1 / 1.5
+        _check(report, live=True, safe=None, bounded=True, skipped=[],
+               errors=[], summary=_lines(
+                   "graph: ring",
+                   "verdict: bounded (consistent, rate safe, live)",
+                   *self.RING_Q, "liveness: live", *self.PERIOD,
+                   "min single-core buffer total:   4"))
+
+    @pytest.mark.parametrize("switch, period_lines", (
+        ("with_throughput", PERIOD), ("with_mcr", ()),
+    ))
+    def test_period_lines_follow_the_mcr_stage(self, switch, period_lines):
+        report = analyze(_ring(), **{switch: False})
+        assert report.summary() == _lines(
+            "graph: ring", "verdict: bounded (consistent, rate safe, live)",
+            *self.RING_Q, "liveness: live", *period_lines,
+            "min single-core buffer total:   4")
+        assert report.period == (1.5 if period_lines else None)
 
 
 class TestVerdictRule:

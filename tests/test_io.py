@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from repro.analysis import analyze, warm_graph
+from repro.analysis import analyze
 from repro.cache import analysis_cache
 from repro.csdf import CSDFGraph, RateSequence
 from repro.errors import GraphConstructionError
@@ -271,24 +271,3 @@ class TestCodec:
             graph_from_payload({"model": "hsdf?"})
         with pytest.raises(GraphConstructionError):
             graph_to_payload(object())  # type: ignore[arg-type]
-
-
-class TestWarmGraph:
-    """``warm_graph`` primes a decoded graph's caches in a service
-    worker."""
-
-    def test_warm_graph_populates_shared_caches(self):
-        graph = random_consistent_graph(4, seed=8)
-        assert not analysis_cache(graph.as_csdf())
-        warm_graph(graph)
-        cache = analysis_cache(graph.as_csdf())
-        assert ("repetition_vector",) in cache
-
-    def test_warm_graph_caches_negative_verdicts(self):
-        bad = CSDFGraph("bad")
-        bad.add_actor("a")
-        bad.add_actor("b")
-        bad.add_channel("ab", "a", "b", production=2, consumption=3)
-        bad.add_channel("ab2", "a", "b", production=1, consumption=1)
-        warm_graph(bad)  # must not raise
-        assert ("base_solution",) in analysis_cache(bad)
