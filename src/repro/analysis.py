@@ -72,7 +72,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple, Union
 
-from .csdf.analysis import concrete_repetition_vector, repetition_vector
+from .csdf.analysis import (concrete_repetition_vector, constant_repetition_vector,
+                            repetition_vector)
 from .csdf.buffers import minimal_buffer_schedule
 from .csdf.graph import CSDFGraph
 from .csdf.mcr import max_cycle_ratio
@@ -501,11 +502,14 @@ def _concrete_and_live(run: _Run) -> str | None:
 
 
 def _consistency(run: _Run) -> dict:
-    # Interned: the few distinct counts of a graph family are then
+    # A constant-rate graph's q stays an int vector (its str is its
+    # Poly's); interned, the few distinct counts of a graph family are
     # shared by every report that keeps them.
-    q_sym = repetition_vector(run.csdf)
+    q = constant_repetition_vector(run.csdf)
+    if q is None:
+        q = repetition_vector(run.csdf)
     return {"consistent": True, "repetition_symbolic": {
-        name: sys.intern(str(poly)) for name, poly in q_sym.items()}}
+        name: sys.intern(str(count)) for name, count in q.items()}}
 
 
 def _liveness(run: _Run) -> dict:

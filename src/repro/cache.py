@@ -239,7 +239,9 @@ def cached(graph: Any, key: Hashable, factory: Callable[[], Any]) -> Any:
     if key in cache:
         value = cache[key]
         if isinstance(value, _Raised):
-            raise value.error
+            # Dropped first, or every re-raise would prepend its frames
+            # to the memoized error's traceback and keep them alive.
+            raise value.error.with_traceback(None)
         return value
     try:
         value = factory()

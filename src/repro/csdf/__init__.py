@@ -14,6 +14,7 @@ from .rates import RateSequence
 from .analysis import (
     base_solution,
     concrete_repetition_vector,
+    constant_repetition_vector,
     is_consistent,
     iteration_token_totals,
     repetition_vector,
@@ -74,6 +75,7 @@ __all__ = [
     "base_solution",
     "repetition_vector",
     "concrete_repetition_vector",
+    "constant_repetition_vector",
     "is_consistent",
     "iteration_token_totals",
     "SequentialSchedule",

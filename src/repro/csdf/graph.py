@@ -9,13 +9,20 @@ parametric analyses live in
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping
 
-from ..cache import bump_version, ensure_mutable, freeze, is_frozen
+from ..cache import (bump_version, cached, ensure_mutable, freeze, is_frozen,
+                     register_binding_insensitive)
 from ..errors import GraphConstructionError
 from .actor import Actor, ExecTime
 from .channel import Channel
-from .rates import RateLike, lcm_int
+from .rates import RateLike
+
+# Cycle lengths and parameter names follow from phase counts, rates and
+# topology, which only structural edits move (see repro.cache).
+register_binding_insensitive("taus")
+register_binding_insensitive("parameters")
 
 
 class CSDFGraph:
@@ -148,31 +155,37 @@ class CSDFGraph:
         """Cycle length ``tau_j``: lcm of the lengths of all rate
         sequences attached to the actor, and of its execution-time
         sequence."""
-        if actor not in self._actors:
-            raise KeyError(actor)
-        length = len(self._actors[actor].exec_times)
-        for channel in self._channels.values():
-            if channel.src == actor:
-                length = lcm_int(length, len(channel.production))
-            if channel.dst == actor:
-                length = lcm_int(length, len(channel.consumption))
-        return length
+        return self._taus()[actor]
 
     def taus(self) -> dict[str, int]:
-        """Every actor's cycle length (see :meth:`tau`) from one pass
-        over the channels."""
+        """Every actor's cycle length (see :meth:`tau`), computed once
+        per structure version; the caller gets a copy."""
+        return dict(self._taus())
+
+    def _taus(self) -> dict[str, int]:
+        return cached(self, ("taus",), self._compute_taus)
+
+    def _compute_taus(self) -> dict[str, int]:
         lengths = {name: len(actor.exec_times) for name, actor in self._actors.items()}
+        lcm = math.lcm
         for channel in self._channels.values():
-            lengths[channel.src] = lcm_int(lengths[channel.src], len(channel.production))
-            lengths[channel.dst] = lcm_int(lengths[channel.dst], len(channel.consumption))
+            src, dst = channel.src, channel.dst
+            lengths[src] = lcm(lengths[src], len(channel.production))
+            lengths[dst] = lcm(lengths[dst], len(channel.consumption))
         return lengths
 
-    def parameters(self) -> set[str]:
-        """All parameter names occurring in any rate."""
+    def parameters(self) -> frozenset[str]:
+        """All parameter names occurring in any rate, computed once per
+        structure version."""
+        return cached(self, ("parameters",), self._compute_parameters)
+
+    def _compute_parameters(self) -> frozenset[str]:
         names: set[str] = set()
         for channel in self._channels.values():
-            names |= channel.variables()
-        return names
+            for rates in (channel.production, channel.consumption):
+                if rates._ints is None:  # an int-backed sequence names none
+                    names |= rates.variables()
+        return frozenset(names)
 
     def is_parametric(self) -> bool:
         return bool(self.parameters())

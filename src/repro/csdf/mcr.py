@@ -61,9 +61,10 @@ each core's edges — is one cache entry, carried across execution-time
 edits (see :mod:`repro.cache`); execution times are read per query and
 attached as integer work over their common denominator.  Each core's
 ratio is keyed in a cross-version content store by its edges and
-firing times, so re-analysis after an edit re-solves only the cores
-whose key changed — an edit outside every core re-solves nothing, its
-ring being closed-form.  Re-solved cores warm-start Howard's iteration
+firing times, and each ring's sum by its phase times and firing
+count, so re-analysis after an edit re-solves only the cores whose key
+changed — an edit outside every core re-solves nothing and sums only
+its own ring.  Re-solved cores warm-start Howard's iteration
 from the previous converged policy for the same edges (:func:`howard`
 ``initial_policy=``), falling back to the cold initial policy whenever
 the remembered policy is not feasible edge-for-edge.
@@ -128,6 +129,7 @@ _REFERENCE_TOLERANCE = 1e-6
 #: Cross-version content stores (see :func:`repro.cache.content_store`).
 _SCC_STORE = "mcr_scc"          # core edges and firing times -> exact ratio
 _POLICY_STORE = "mcr_scc_policy"  # core edges -> converged policy
+_RING_STORE = "mcr_ring"        # ring phase times and firing count -> exact ratio
 
 
 def _event_graph(q: Mapping[str, int], actors, channels, bindings: Mapping | None = None):
@@ -480,8 +482,15 @@ def _cycle_ratios(graph: CSDFGraph, bindings: Mapping | None):
     exact sum with ``core`` ``None``, then each core's ratio
     (:func:`_component_mcr`) with ``core`` its ``(actor, q_a)`` pairs."""
     rings, cores = _decomposition(graph, bindings)
+    store = content_store(graph, _RING_STORE)
     for name, count in rings:
-        yield None, _ring_sum(graph.actor(name).exec_times, count)
+        # an execution-time edit moves one ring: the others are store hits
+        key = (graph.actor(name).exec_times, count)
+        ratio = store.get(key)
+        if ratio is None:
+            ratio = _ring_sum(*key)
+            store.put(key, ratio)
+        yield None, ratio
     for firings, edges in cores:
         yield firings, _component_mcr(graph, firings, edges)
 

@@ -100,8 +100,8 @@ def _strangled_channels(view: GraphView) -> list[Diagnostic]:
 
 def _balance_edges(view: GraphView) -> tuple[list[str], list[tuple], list[Diagnostic]]:
     """(nodes, edges, selfloop_diags): the balance system of the view,
-    mirroring the memoized ``_base_solution`` construction without
-    touching any cache."""
+    mirroring the memoized ``_solve`` construction of
+    :mod:`repro.csdf.analysis` without touching any cache."""
     edges = []
     selfloops: list[Diagnostic] = []
     for channel in view.channels:

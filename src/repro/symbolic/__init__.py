@@ -16,7 +16,8 @@ Public API
 :func:`poly_gcd`, :func:`poly_lcm`, :func:`poly_gcd_many`, :func:`poly_lcm_many`
     (Limited, sound) gcd/lcm used to normalize repetition vectors.
 :func:`monomial_gcd`
-    The exact gcd of monomials given as coefficient/exponent pairs.
+    The exact gcd of monomials given as integer coefficient pairs and
+    exponent vectors.
 :func:`solve_balance`
     Symbolic balance-equation solver (Theorem 1 of the paper).
 """

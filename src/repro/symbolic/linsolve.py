@@ -15,26 +15,37 @@ exactly the procedure sketched in Sec. III-A ("arbitrarily set one of
 the solutions to 1 and recursively find other solutions ... finally, we
 normalize the solutions to integers").
 
-Monomial and symbolic paths
----------------------------
+Integer, monomial and symbolic paths
+------------------------------------
 :func:`solve_balance` picks its arithmetic from the input.  When every
 per-cycle rate is a monomial ``c * prod(p_i ** e_i)`` — every
 parameter-free graph, and parametric graphs whose rates are products
 of parameters such as Fig. 2 — each solution component is one monomial
-too.  The propagation then carries ``(Fraction, exponent vector)``
-pairs, checks every edge by multiplying pairs, and normalizes each
+too.  The propagation then carries each coefficient as an integer
+``(numerator, denominator)`` pair beside its exponent vector, checks
+every edge by cross-multiplying the pairs, and normalizes each
 component in two steps: subtract each parameter's minimum exponent,
 then apply the integer lcm/gcd, the classic method of Lee &
 Messerschmitt (1987).  A constant system is the zero-exponent case and
-never touches an exponent.  Any other system (a sum such as the OFDM
-source's ``L*beta + N*beta``) runs on
-:class:`~repro.symbolic.rational.Rat` rational functions and
-normalizes with the polynomial gcd/lcm.  Both paths visit components
+never touches an exponent.  When every rate is a Python ``int`` — the
+per-cycle totals :func:`repro.csdf.analysis.cycle_totals` hands over
+for a graph whose rates are all integer constants — the solution
+components are ``int`` as well, and no ``Fraction``, ``Poly`` or
+``Rat`` is built on the way.  Fig. 1's per-cycle totals, say, give the
+base solution ``r = [1, 1, 1]`` (``q = P . r = [3, 2, 2]``):
+
+>>> solve_balance(["a1", "a2", "a3"],
+...               [("a1", "a2", 2, 2), ("a2", "a3", 2, 2), ("a3", "a1", 4, 4)])
+{'a1': 1, 'a2': 1, 'a3': 1}
+
+Any other system (a sum such as the OFDM source's ``L*beta + N*beta``)
+runs on :class:`~repro.symbolic.rational.Rat` rational functions and
+normalizes with the polynomial gcd/lcm.  All paths visit components
 and nodes in the same order, apply the same vacuous-edge rule and
 raise the same errors with the same messages — a monomial solution
 prints the way its ``Rat`` prints — so the choice never shows in a
 result; the symbolic path, which accepts every system, is the oracle
-the monomial path is tested against.
+the monomial and integer paths are tested against.
 """
 
 from __future__ import annotations
@@ -58,15 +69,17 @@ class InconsistentRatesError(Exception):
 BalanceEdge = tuple[Hashable, Hashable, Poly, Poly]
 
 #: A monomial ``c * prod(p_i ** e_i)`` of the monomial path: its
-#: coefficient and its exponent vector over the system's sorted
-#: parameter names (``()`` for a system without parameters).
-Monomial = tuple[Fraction, tuple[int, ...]]
+#: coefficient ``c`` as a reduced ``(numerator, denominator)`` integer
+#: pair, denominator positive, and its exponent vector over the
+#: system's sorted parameter names (``()`` for a system without
+#: parameters).
+Monomial = tuple[int, int, tuple[int, ...]]
 
 
 def solve_balance(
     nodes: Sequence[Hashable],
     edges: Iterable[BalanceEdge],
-) -> dict[Hashable, Poly]:
+) -> dict[Hashable, Poly] | dict[Hashable, int]:
     """Solve the balance equations and normalize to integer polynomials.
 
     Parameters
@@ -83,7 +96,8 @@ def solve_balance(
         Node -> minimal positive integer-polynomial solution component,
         in component order (breadth-first within a component).  A
         system of monomial rates is solved on monomials (see the module
-        docstring); its components are monomials.
+        docstring); its components are monomials.  When every rate is
+        a Python ``int`` the components are ``int`` too.
 
     Raises
     ------
@@ -139,48 +153,57 @@ def consistency_conditions(
     return conditions
 
 
-def _monomial_edges(edge_list: list) -> tuple[tuple[str, ...], list] | None:
-    """``(params, edges)``: the sorted parameter names of the system
-    and its edges with every rate as a :data:`Monomial` over them — or
-    ``None`` when some rate is not a monomial (the symbolic path
-    handles it, including the coercion errors of unsupported rate
-    types)."""
+def _monomial_edges(edge_list: list) -> tuple[tuple[str, ...], list, bool] | None:
+    """``(params, edges, integral)``: the sorted parameter names of the
+    system, its edges with every rate as a :data:`Monomial` over them,
+    and whether every rate was a Python ``int`` — or ``None`` when some
+    rate is not a monomial (the symbolic path handles it, including
+    the coercion errors of unsupported rate types)."""
     keyed = []
     names: set[str] = set()
+    integral = True
     for src, dst, produced, consumed in edge_list:
+        if type(produced) is int and type(consumed) is int:
+            keyed.append((src, dst, (produced, 1, ()), (consumed, 1, ())))
+            continue
+        integral = False
         out_rate = _monomial_rate(produced)
         in_rate = _monomial_rate(consumed)
         if out_rate is None or in_rate is None:
             return None
-        if out_rate[1] or in_rate[1]:
-            names.update(name for _, key in (out_rate, in_rate) for name, _ in key)
+        if out_rate[2] or in_rate[2]:
+            names.update(name for *_, key in (out_rate, in_rate) for name, _ in key)
         keyed.append((src, dst, out_rate, in_rate))
     params = tuple(sorted(names))
     if not params:
         # Every key is the empty monomial, which is already the
         # zero-length exponent vector.
-        return params, keyed
+        return params, keyed, integral
     index = {name: i for i, name in enumerate(params)}
 
-    def vector(rate: tuple[Fraction, MonomialKey]) -> Monomial:
+    def vector(rate: tuple[int, int, MonomialKey]) -> Monomial:
         exps = [0] * len(params)
-        for name, exp in rate[1]:
+        for name, exp in rate[2]:
             exps[index[name]] = exp
-        return rate[0], tuple(exps)
+        return rate[0], rate[1], tuple(exps)
 
     return params, [
         (src, dst, vector(out_rate), vector(in_rate))
         for src, dst, out_rate, in_rate in keyed
-    ]
+    ], False
 
 
-def _monomial_rate(rate) -> tuple[Fraction, MonomialKey] | None:
+def _monomial_rate(rate) -> tuple[int, int, MonomialKey] | None:
     if isinstance(rate, Poly):
-        return rate.monomial()
+        monomial = rate.monomial()
+        if monomial is None:
+            return None
+        coeff, key = monomial
+        return coeff.numerator, coeff.denominator, key
     if isinstance(rate, (int, Fraction)):
-        return Fraction(rate), ()
+        return rate.numerator, rate.denominator, ()
     if isinstance(rate, Param):
-        return Fraction(1), ((rate.name, 1),)
+        return 1, 1, ((rate.name, 1),)
     return None
 
 
@@ -188,12 +211,13 @@ def _monomial_text(monomial: Monomial, params: Sequence[str]) -> str:
     """A monomial printed the way its :class:`Poly` (a rate) or its
     :class:`Rat` (a solution) prints: positive powers over negative
     ones, e.g. ``2*r**2/p``."""
-    coeff, exps = monomial
-    if not coeff:
+    num, den, exps = monomial
+    if not num:
         return "0"
-    num = Poly({tuple((n, e) for n, e in zip(params, exps) if e > 0): coeff})
-    den = tuple((n, -e) for n, e in zip(params, exps) if e < 0)
-    return f"{num}/{Poly({den: Fraction(1)})}" if den else str(num)
+    coeff = Fraction(num, den)
+    top = Poly({tuple((n, e) for n, e in zip(params, exps) if e > 0): coeff})
+    bottom = tuple((n, -e) for n, e in zip(params, exps) if e < 0)
+    return f"{top}/{Poly({bottom: Fraction(1)})}" if bottom else str(top)
 
 
 def _check_nonnegative(edge_list: list, nonnegative, text=str) -> None:
@@ -227,11 +251,14 @@ def _adjacency(nodes: Sequence[Hashable], edge_list: list) -> dict:
 
 def _solve_monomial(
     nodes: Sequence[Hashable], params: tuple[str, ...], edge_list: list,
-) -> dict[Hashable, Poly]:
-    """The monomial path: propagation on ``(Fraction, exponent
-    vector)`` pairs, per-component normalization by the minimum
-    exponents and ``math.lcm``/``math.gcd``.  Without parameters every
-    exponent vector is ``()`` and only the coefficients move."""
+    integral: bool,
+) -> dict[Hashable, Poly] | dict[Hashable, int]:
+    """The monomial path: propagation on :data:`Monomial` values, edge
+    checks by cross-multiplication, per-component normalization by the
+    minimum exponents and ``math.lcm``/``math.gcd``.  Without
+    parameters every exponent vector is ``()`` and only the integer
+    pairs move; with ``integral`` the components are returned as
+    ``int``."""
 
     def text(monomial: Monomial) -> str:
         return _monomial_text(monomial, params)
@@ -240,55 +267,57 @@ def _solve_monomial(
         _check_nonnegative(edge_list, lambda rate: rate[0] >= 0, text)
     adjacency = _adjacency(nodes, edge_list)
     components = _components(list(nodes), adjacency)
-    one = Fraction(1)
     unit = (0,) * len(params)
-    coeffs: dict[Hashable, Fraction] = {}
+    gcd = math.gcd
+    # r[node] = nums[node] / dens[node] * p^exps[node], kept reduced
+    nums: dict[Hashable, int] = {}
+    dens: dict[Hashable, int] = {}
     exps: dict[Hashable, tuple[int, ...]] = {}
     for component in components:
         root = component[0]
-        coeffs[root] = one
-        exps[root] = unit
+        nums[root], dens[root], exps[root] = 1, 1, unit
         queue = deque([root])
         while queue:
             node = queue.popleft()
-            c_node, e_node = coeffs[node], exps[node]
-            for neighbour, (out_c, out_e), (in_c, in_e) in adjacency[node]:
-                # out_c * p^out_e * r[node] == in_c * p^in_e * r[neighbour]
-                if neighbour in coeffs:
+            n_node, d_node, e_node = nums[node], dens[node], exps[node]
+            for neighbour, (out_n, out_d, out_e), (in_n, in_d, in_e) in adjacency[node]:
+                # out * p^out_e * r[node] == in * p^in_e * r[neighbour]
+                if neighbour in nums:
                     continue
-                if not in_c:
-                    if not out_c:
+                if not in_n:
+                    if not out_n:
                         continue  # vacuous edge; neighbour reached some other way
-                    _raise_unconsumed(node, neighbour, text((out_c, out_e)))
-                coeffs[neighbour] = c_node * out_c / in_c
+                    _raise_unconsumed(node, neighbour, text((out_n, out_d, out_e)))
+                num = n_node * out_n * in_d
+                den = d_node * out_d * in_n
+                common = gcd(num, den)
+                nums[neighbour], dens[neighbour] = num // common, den // common
                 exps[neighbour] = (
                     tuple(e + o - i for e, o, i in zip(e_node, out_e, in_e))
                     if params else unit
                 )
                 queue.append(neighbour)
         for node in component:
-            if node not in coeffs:
+            if node not in nums:
                 # Reachable only through vacuous (0,0) edges: unconstrained.
-                coeffs[node] = one
-                exps[node] = unit
+                nums[node], dens[node], exps[node] = 1, 1, unit
     for src, dst, produced, consumed in edge_list:
-        lhs = produced[0] * coeffs[src]
-        rhs = consumed[0] * coeffs[dst]
+        lhs = produced[0] * nums[src] * consumed[1] * dens[dst]
+        rhs = consumed[0] * nums[dst] * produced[1] * dens[src]
         if lhs != rhs or (params and lhs and (
-            tuple(map(add, produced[1], exps[src]))
-            != tuple(map(add, consumed[1], exps[dst]))
+            tuple(map(add, produced[2], exps[src]))
+            != tuple(map(add, consumed[2], exps[dst]))
         )):
             _raise_violated(
-                src, dst, text(produced), text((coeffs[src], exps[src])),
-                text(consumed), text((coeffs[dst], exps[dst])),
+                src, dst, text(produced), text((nums[src], dens[src], exps[src])),
+                text(consumed), text((nums[dst], dens[dst], exps[dst])),
             )
-    normalized: dict[Hashable, Poly] = {}
+    normalized: dict = {}
     for component in components:
-        common, low = monomial_gcd([(coeffs[node], exps[node]) for node in component])
-        scale, divisor = common.denominator, common.numerator
+        numerator, denominator, low = monomial_gcd(
+            (nums[node], dens[node], exps[node]) for node in component)
         for node in component:
-            coeff = coeffs[node]
-            value = coeff.numerator * (scale // coeff.denominator) // divisor
+            value = nums[node] * (denominator // dens[node]) // numerator
             if value <= 0:
                 raise InconsistentRatesError(
                     f"normalized solution for {node!r} is {value}, which is "
@@ -302,7 +331,7 @@ def _solve_monomial(
                 )
                 normalized[node] = Poly.term(Fraction(value), key)
             else:
-                normalized[node] = Poly.const(value)
+                normalized[node] = value if integral else Poly.const(value)
     return normalized
 
 

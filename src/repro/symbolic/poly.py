@@ -508,25 +508,30 @@ def poly_lcm_many(values: Iterable[PolyLike]) -> Poly:
 
 
 def monomial_gcd(
-    monomials: Iterable[tuple[Fraction, tuple[int, ...]]],
-) -> tuple[Fraction, tuple[int, ...]]:
+    monomials: Iterable[tuple[int, int, tuple[int, ...]]],
+) -> tuple[int, int, tuple[int, ...]]:
     """gcd of monomials ``c * prod(p_i ** e_i)`` with non-negative
-    coefficients, each given as ``(c, e)`` with ``e`` an exponent
-    vector over one fixed parameter order (exponents may be negative).
+    coefficients, each given as ``(n, d, e)``: the coefficient
+    ``c = n / d`` as a reduced integer pair (``d > 0``) and ``e`` an
+    exponent vector over one fixed parameter order (exponents may be
+    negative).
 
-    Returns ``(g, low)``: ``g`` is the gcd of the coefficients — gcd of
-    the numerators over lcm of the denominators, the rational gcd of
-    :meth:`Poly.content` — and ``low`` holds each parameter's minimum
-    exponent.  Zero monomials are skipped, as :func:`poly_gcd_many`
-    skips zero polynomials; ``(0, ())`` when every monomial is zero.
-    Dividing each monomial by ``c = g, e = low`` leaves the primitive
-    integer solution that :func:`poly_gcd_many` normalization reaches
-    on monomials.
+    Returns ``(n, d, low)``: ``n / d`` is the gcd of the coefficients —
+    gcd of the numerators over lcm of the denominators, the rational
+    gcd of :meth:`Poly.content`, already reduced — and ``low`` holds
+    each parameter's minimum exponent.  Zero monomials are skipped, as
+    :func:`poly_gcd_many` skips zero polynomials; ``(0, 1, ())`` when
+    every monomial is zero.  Dividing each monomial by ``n / d`` and
+    ``low`` leaves the primitive integer solution that
+    :func:`poly_gcd_many` normalization reaches on monomials.
+
+    >>> monomial_gcd([(6, 1, (1,)), (4, 3, (2,)), (0, 1, (0,))])
+    (2, 3, (1,))
     """
-    nonzero = [(coeff, exps) for coeff, exps in monomials if coeff]
+    nonzero = [(num, den, exps) for num, den, exps in monomials if num]
     if not nonzero:
-        return Fraction(0), ()
-    numerator = math.gcd(*(coeff.numerator for coeff, _ in nonzero))
-    denominator = math.lcm(*(coeff.denominator for coeff, _ in nonzero))
-    low = tuple(map(min, zip(*(exps for _, exps in nonzero))))
-    return Fraction(numerator, denominator), low
+        return 0, 1, ()
+    numerator = math.gcd(*(num for num, _, _ in nonzero))
+    denominator = math.lcm(*(den for _, den, _ in nonzero))
+    low = tuple(map(min, zip(*(exps for _, _, exps in nonzero))))
+    return numerator, denominator, low

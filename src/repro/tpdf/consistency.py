@@ -15,25 +15,62 @@ benches to print the paper's schedules verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..cache import cached
 from ..csdf import analysis as csdf_analysis
 from ..csdf.digraph import adjacency, condensation_order
+from ..csdf.graph import CSDFGraph
 from ..errors import AnalysisError
 from ..symbolic import InconsistentRatesError, Poly
 from .graph import TPDFGraph
 
 
-@dataclass
 class ConsistencyReport:
-    """Outcome of the rate-consistency analysis."""
+    """Outcome of the rate-consistency analysis.
 
-    consistent: bool
-    base: dict[str, Poly] = field(default_factory=dict)
-    repetition: dict[str, Poly] = field(default_factory=dict)
-    reason: str = ""
+    ``base`` and ``repetition`` hold the symbolic ``r`` and ``q``.  A
+    report of :func:`check_consistency` reads them on first access
+    from the memoized solve of the graph's frozen CSDF ``view``, so a
+    constant-rate graph, whose solve holds Python ints, builds its
+    :class:`Poly` values only when a caller asks for them.
+    """
+
+    __slots__ = ("consistent", "reason", "_view", "_base", "_repetition")
+
+    def __init__(self, consistent: bool, base: dict[str, Poly] | None = None,
+                 repetition: dict[str, Poly] | None = None, reason: str = "",
+                 view: CSDFGraph | None = None):
+        self.consistent = consistent
+        self.reason = reason
+        self._view = view
+        self._base = base
+        self._repetition = repetition
+
+    @property
+    def base(self) -> dict[str, Poly]:
+        if self._base is None:
+            self._base = ({} if self._view is None
+                          else csdf_analysis.base_solution(self._view))
+        return self._base
+
+    @property
+    def repetition(self) -> dict[str, Poly]:
+        if self._repetition is None:
+            self._repetition = ({} if self._view is None
+                                else dict(csdf_analysis.repetition_vector(self._view)))
+        return self._repetition
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ConsistencyReport):
+            return NotImplemented
+        return ((self.consistent, self.base, self.repetition, self.reason)
+                == (other.consistent, other.base, other.repetition, other.reason))
+
+    def __repr__(self) -> str:
+        return (f"ConsistencyReport(consistent={self.consistent!r}, "
+                f"base={self.base!r}, repetition={self.repetition!r}, "
+                f"reason={self.reason!r})")
 
     def __str__(self) -> str:
         if not self.consistent:
@@ -61,11 +98,21 @@ def _check_consistency(graph: TPDFGraph) -> ConsistencyReport:
         )
     csdf = graph.as_csdf()
     try:
-        base = csdf_analysis.base_solution(csdf)
+        csdf_analysis.constant_repetition_vector(csdf)  # the memoized solve
     except InconsistentRatesError as exc:
         return ConsistencyReport(consistent=False, reason=str(exc))
-    repetition = dict(csdf_analysis.repetition_vector(csdf))
-    return ConsistencyReport(consistent=True, base=base, repetition=repetition)
+    return ConsistencyReport(consistent=True, view=csdf)
+
+
+def require_consistent(graph: TPDFGraph) -> ConsistencyReport:
+    """The graph's consistency report; raises
+    :class:`~repro.symbolic.InconsistentRatesError` with its reason
+    when the graph is inconsistent (and :class:`AnalysisError` for
+    undeclared parameters, as :func:`check_consistency` does)."""
+    report = check_consistency(graph)
+    if not report.consistent:
+        raise InconsistentRatesError(report.reason)
+    return report
 
 
 def consistency_conditions(graph: TPDFGraph) -> list[Poly]:
@@ -90,10 +137,7 @@ def consistency_conditions(graph: TPDFGraph) -> list[Poly]:
 
 def repetition_vector(graph: TPDFGraph) -> dict[str, Poly]:
     """Symbolic repetition vector; raises when inconsistent."""
-    report = check_consistency(graph)
-    if not report.consistent:
-        raise InconsistentRatesError(report.reason)
-    return report.repetition
+    return require_consistent(graph).repetition
 
 
 def concrete_repetition_vector(graph: TPDFGraph, bindings: Mapping) -> dict[str, int]:

@@ -291,9 +291,10 @@ class TPDFGraph:
     def undeclared_parameters(self) -> set[str]:
         """Parameter names used in rates but never declared on the graph."""
         used: set[str] = set()
-        for node_name in self.node_names():
-            for port in self.node(node_name).ports.values():
-                used |= port.rates.variables()
+        for node in (*self._kernels.values(), *self._controls.values()):
+            for port in node.ports.values():
+                if port.rates._ints is None:  # an int-backed sequence names none
+                    used |= port.rates.variables()
         return used - set(self._params)
 
     def to_networkx(self):

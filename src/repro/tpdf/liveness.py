@@ -40,7 +40,7 @@ from ..csdf.schedule import (
 from ..errors import AnalysisError, DeadlockError
 from ..symbolic import Poly
 from .areas import LocalSolution, local_solution
-from .consistency import repetition_vector
+from .consistency import require_consistent
 from .graph import TPDFGraph
 
 
@@ -97,14 +97,15 @@ def check_cycle(graph: TPDFGraph, subset: tuple[str, ...]) -> CycleVerdict:
     once per sampled witness valuation."""
     local = local_solution(graph, subset)
     sub = cycle_subgraph(graph.as_csdf(), subset, owner=graph.name)
-    names = sub.parameters() | {
-        v for count in local.counts.values() for v in count.variables()
-    }
+    concrete = local.as_ints() if local.is_concrete() else None
+    names = sub.parameters()
+    if concrete is None:
+        names = names | {v for count in local.counts.values() for v in count.variables()}
     symbolic = not names
     witnesses = [] if symbolic else _sample_bindings(graph, names)
     schedules = []
     for bindings in witnesses or [{}]:
-        counts = {
+        counts = concrete if concrete is not None else {
             name: count.evaluate_int(bindings) for name, count in local.counts.items()
         }
         try:
@@ -125,7 +126,7 @@ def check_liveness(graph: TPDFGraph) -> LivenessReport:
     relative to a repetition vector.
     """
     try:
-        repetition_vector(graph)
+        require_consistent(graph)
     except Exception as exc:  # InconsistentRatesError or AnalysisError
         return LivenessReport(live=False, reason=f"not consistent: {exc}")
     verdicts = [check_cycle(graph, subset)

@@ -68,7 +68,38 @@ class TestConsistency:
         assert not is_consistent(g)
         with pytest.raises(InconsistentRatesError):
             repetition_vector(g)
-        assert ("base_solution",) in analysis_cache(g)  # the failure is memoized
+        assert ("balance",) in analysis_cache(g)  # the failed solve is memoized
+
+    def test_memoized_failure_keeps_a_constant_traceback(self):
+        """Each lookup of the memoized error raises it with a fresh
+        traceback: re-analyzing an inconsistent graph 1,000 times
+        leaves the error's traceback as deep as after one analysis."""
+        from repro.analysis import analyze
+
+        g = CSDFGraph("bad")
+        g.add_actor("a")
+        g.add_actor("b")
+        g.add_channel("e1", "a", "b", 1, 1)
+        g.add_channel("e2", "a", "b", 2, 1)
+
+        def depth_and_message():
+            try:
+                base_solution(g)
+            except InconsistentRatesError as error:
+                depth, tb = 0, error.__traceback__
+                while tb is not None:
+                    depth, tb = depth + 1, tb.tb_next
+                return depth, str(error)
+            raise AssertionError("the solve did not fail")
+
+        first = analyze(g).errors["consistency"]
+        depth_and_message()  # memoizes the error under base_solution too
+        once = depth_and_message()
+        for _ in range(1000):
+            assert analyze(g).errors["consistency"] == first
+        assert depth_and_message() == once
+        assert once[1] == first == (
+            "balance violated on channel 'a' -> 'b': 2 * 1 != 1 * 1")
 
     def test_multirate_pipeline(self):
         g = CSDFGraph()

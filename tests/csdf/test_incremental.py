@@ -179,6 +179,33 @@ class TestWarmColdDifferential:
         assert solves == []
         assert second.fingerprint() == first.fingerprint()
 
+    def test_execution_time_edit_recomputes_one_ring(self, monkeypatch):
+        """After an execution-time edit of an actor outside the cyclic
+        cores, the MCR sums that actor's ring alone: every other ring
+        is a content-store hit, and the result equals a cold clone's."""
+        import repro.csdf.mcr as mcr_mod
+
+        sums = []
+        ring_sum = mcr_mod._ring_sum
+
+        def spy(times, count):
+            sums.append(times)
+            return ring_sum(times, count)
+
+        monkeypatch.setattr(mcr_mod, "_ring_sum", spy)
+        graph = _mutable_csdf(8, 2, 1, 3)
+        session = EditSession(graph, **ANALYZE_OPTIONS)
+        session.analyze()
+        rings, _cores = mcr_mod._decomposition(graph, None)
+        assert len(sums) == len(rings) > 1
+        name = rings[0][0]
+        sums.clear()
+        session.set_exec_time(name, [7.5] * len(graph.actor(name).exec_times))
+        warm = session.analyze()
+        assert sums == [graph.actor(name).exec_times]
+        cold = analyze(csdf_from_dict(csdf_to_dict(graph)), **ANALYZE_OPTIONS)
+        assert warm.fingerprint() == cold.fingerprint()
+
     def test_overrides_hold_for_one_call(self):
         """``EditSession.analyze``'s keyword overrides replace the
         session's options for that call only."""

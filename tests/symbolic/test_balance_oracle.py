@@ -1,26 +1,46 @@
-"""Differential oracle for the monomial balance solve.
+"""Differential oracle for the integer and monomial balance solves.
 
-:func:`repro.symbolic.solve_balance` runs systems whose rates are all
-monomials on ``(Fraction, exponent vector)`` pairs — constant systems
-are the zero-exponent case — and everything else on rational
-functions.  The symbolic path accepts every system, so it is the
-oracle: every system here goes through both paths, called directly,
-and must yield the same ``list(items())`` — same components, same
-breadth-first node order, same values and reprs — or the same
-exception type and message.
+:func:`repro.symbolic.solve_balance` runs a system whose rates are all
+Python ints on integer pairs and answers with ints, a system whose
+rates are all monomials on ``(integer pair, exponent vector)``
+monomials — constant ``Poly`` systems are the zero-exponent case — and
+everything else on rational functions.  The symbolic path accepts
+every system, so it is the oracle: every system here goes through the
+paths, called directly, and must yield the same solution — same
+components, same breadth-first node order, same values, printed the
+same — or the same exception type and message.
+
+At the graph level the int pipeline of :mod:`repro.csdf.analysis`
+(int per-cycle totals, the int solve, ``q = tau * r`` in ints) is
+checked the same way against that pipeline fed ``Poly`` totals and
+solved on ``Rat`` values, and a spy shows that ``analyze()`` of a
+constant-rate graph builds no ``Fraction``, ``Poly`` or ``Rat`` in its
+consistency, repetition and liveness stages.
 """
 
+import fractions
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro import gallery
+from repro.analysis import analyze
 from repro.csdf import CSDFGraph
-from repro.csdf.analysis import cycle_totals, repetition_vector
+from repro.csdf import analysis
+from repro.csdf.analysis import (base_solution, constant_repetition_vector,
+                                 cycle_totals, repetition_vector)
+from repro.io import graph_from_payload
 from repro.symbolic import Poly, Rat, linsolve, solve_balance
 from repro.gallery import fig7_graph
 from repro.tpdf import TPDFGraph, fig2_graph, random_consistent_graph
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+
+from parity import _perfbench_graphs  # noqa: E402
 
 #: The parameter-free shapes of the 200-graph corpus
 #: (tests/service/conftest.py): (actors, extra, back, control).
@@ -72,6 +92,21 @@ HAND_CASES = {
         ["d", "c", "b", "a"],
         [("a", "b", 1, 2), ("c", "d", 3, 1), ("b", "c", 2, 5)],
     ),
+    # coprime rates: q reaches 1013 * 1021 before the gcd has anything
+    # to divide, and the closing edge is exact or off by one
+    "big_coprime_chain": (
+        ["a", "b", "c"], [("a", "b", 1009, 1013), ("b", "c", 1019, 1021)],
+    ),
+    "big_coprime_cycle": (
+        ["a", "b", "c"],
+        [("a", "b", 1009, 1013), ("b", "c", 1019, 1021),
+         ("c", "a", 1013 * 1021, 1009 * 1019)],
+    ),
+    "big_coprime_cycle_off_by_one": (
+        ["a", "b", "c"],
+        [("a", "b", 1009, 1013), ("b", "c", 1019, 1021),
+         ("c", "a", 1013 * 1021, 1009 * 1019 + 1)],
+    ),
 }
 
 
@@ -90,14 +125,24 @@ def _outcome(solve, nodes, edges):
         result = solve(nodes, edges)
     except Exception as exc:  # compared by type and message
         return type(exc), str(exc)
-    return [(node, value, repr(value)) for node, value in result.items()]
+    return [(node, Poly.coerce(value), str(value)) for node, value in result.items()]
+
+
+def _integral(edges) -> bool:
+    return all(type(rate) is int for *_, produced, consumed in edges
+               for rate in (produced, consumed))
 
 
 def assert_paths_agree(nodes, edges):
     monomial = _outcome(_monomial, nodes, edges)
     assert monomial == _outcome(_symbolic, nodes, edges)
-    # ... and solve_balance dispatches monomial systems to the monomial path
+    # ... and solve_balance dispatches monomial systems to the monomial
+    # path, which answers int rates with int components
     assert _outcome(solve_balance, nodes, edges) == monomial
+    if isinstance(monomial, list):
+        kind = int if _integral(edges) else Poly
+        assert all(type(value) is kind
+                   for value in solve_balance(nodes, edges).values())
     return monomial
 
 
@@ -133,16 +178,155 @@ def _gallery():
 
 GALLERY = [label for label, _ in _gallery()]
 
+#: perfbench's 80-actor ``cold_analyze`` documents: (seed, kind, index).
+PERFBENCH_DOCS = [(seed, kind, index) for seed in (1, 2, 3)
+                  for kind in ("csdf", "tpdf", "param") for index in range(3)]
+
+
+@pytest.fixture(scope="module")
+def perfbench_graphs():
+    """The CSDF views of perfbench's 80-actor documents, decoded once."""
+    graphs = _perfbench_graphs()
+    out = {}
+    for seed, kind, index in PERFBENCH_DOCS:
+        graph = graph_from_payload(graphs.make_doc(kind, 80, seed, index).doc)
+        out[(seed, kind, index)] = (
+            graph.as_csdf() if isinstance(graph, TPDFGraph) else graph)
+    return out
+
+
+def _poly_totals(graph):
+    """:func:`cycle_totals` with every total as a ``Poly``."""
+    return [(channel, Poly.coerce(produced), Poly.coerce(consumed))
+            for channel, produced, consumed in cycle_totals(graph)]
+
+
+def _rat_pipeline(csdf):
+    """``(r, q)`` of the graph-level pipeline fed ``Poly`` totals and
+    solved on ``Rat`` values: the oracle of the int pipeline."""
+    with mock.patch.object(analysis, "cycle_totals", _poly_totals), \
+            mock.patch.object(analysis, "solve_balance", _symbolic):
+        q, r = analysis._solve(csdf)
+    if q is not None:  # no actors: nothing was solved
+        return {}, {}
+    taus = csdf.taus()
+    return r, {name: Poly.const(taus[name]) * value for name, value in r.items()}
+
+
+def _graph_outcome(compute):
+    try:
+        result = compute()
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return [(name, Poly.coerce(value), str(value)) for name, value in result.items()]
+
+
+def assert_graph_paths_agree(csdf):
+    """The int ``q`` of a constant-rate graph, and the ``r`` and ``q``
+    Polys built from it, against the ``Rat`` pipeline."""
+    counts = _graph_outcome(lambda: constant_repetition_vector(csdf))
+    assert counts == _graph_outcome(lambda: _rat_pipeline(csdf)[1])
+    if isinstance(counts, list):
+        assert all(type(value) is int
+                   for value in constant_repetition_vector(csdf).values())
+        assert _graph_outcome(lambda: repetition_vector(csdf)) == counts
+        assert (_graph_outcome(lambda: base_solution(csdf))
+                == _graph_outcome(lambda: _rat_pipeline(csdf)[0]))
+    return counts
+
+
+def _csdf(*channels, actors=()):
+    """A CSDF graph of ``(name, src, dst, production, consumption)``
+    channels; ``actors`` adds actors no channel names."""
+    graph = CSDFGraph("case")
+    for actor in dict.fromkeys([*actors, *(a for c in channels for a in c[1:3])]):
+        graph.add_actor(actor)
+    for name, src, dst, production, consumption in channels:
+        graph.add_channel(name, src, dst, production, consumption)
+    return graph
+
+
+#: Constant-rate graphs reaching every error path of the graph-level
+#: solve, and the shapes around them.
+GRAPH_CASES = {
+    "unbalanced_cycle": lambda: _csdf(("e1", "a", "b", 1, 1), ("e2", "b", "a", 2, 1)),
+    "production_into_zero": lambda: _csdf(("e1", "a", "b", [1, 2], [0])),
+    "unbalanced_self_loop": lambda: _csdf(
+        ("e1", "a", "b", 1, 2), ("loop", "b", "b", [2, 1], [1])),
+    "balanced_self_loop": lambda: _csdf(
+        ("e1", "a", "b", 1, 2), ("loop", "b", "b", [2, 1], [3])),
+    "vacuous_edge": lambda: _csdf(("e1", "a", "b", 0, 0), ("e2", "a", "b", 3, 1)),
+    "vacuous_edge_only": lambda: _csdf(("e1", "a", "b", 0, 0)),
+    "vacuous_edge_then_constraint": lambda: _csdf(
+        ("e1", "a", "b", 0, 0), ("e2", "b", "c", 1, 2)),
+    "isolated_actors": lambda: _csdf(("e1", "a", "b", 1, 2), actors=("lonely", "z")),
+    "components": lambda: _csdf(("e1", "a", "b", 2, 1), ("e2", "x", "y", 3, [1, 2])),
+    "big_coprime_cycle": lambda: _csdf(
+        ("e1", "a", "b", 1009, 1013), ("e2", "b", "c", [1019, 0], [1021]),
+        ("e3", "c", "a", 1013 * 1021, [1009 * 1019, 0])),
+    "big_coprime_cycle_off_by_one": lambda: _csdf(
+        ("e1", "a", "b", 1009, 1013), ("e2", "b", "c", [1019, 0], [1021]),
+        ("e3", "c", "a", 1013 * 1021, [1009 * 1019 + 1, 0])),
+    "no_actors": lambda: CSDFGraph("empty"),
+}
+
 
 class TestIntegerPathMatchesSymbolic:
     def test_corpus(self):
         count = 0
         for label, csdf in _corpus():
             nodes, edges = _balance_system(csdf)
+            assert _integral(edges)
             outcome = assert_paths_agree(nodes, edges)
             assert isinstance(outcome, list), (label, outcome)
+            assert isinstance(assert_graph_paths_agree(csdf), list), label
             count += 1
         assert count == len(CONSTANT_SHAPES) * SEEDS_PER_SHAPE
+
+    @pytest.mark.parametrize("key", PERFBENCH_DOCS,
+                             ids=lambda k: f"seed{k[0]}-{k[1]}{k[2]}")
+    def test_perfbench_documents(self, perfbench_graphs, key):
+        """80 actors: the constant-rate kinds on the int path, the
+        parametric kind (rates in ``p``) on the monomial path."""
+        csdf = perfbench_graphs[key]
+        nodes, edges = _balance_system(csdf)
+        assert _integral(edges) == (key[1] != "param")
+        assert isinstance(assert_paths_agree(nodes, edges), list)
+        if key[1] != "param":
+            assert isinstance(assert_graph_paths_agree(csdf), list)
+        else:
+            assert constant_repetition_vector(csdf) is None
+
+    def test_perfbench_documents_with_a_doubled_production(self, perfbench_graphs):
+        """Doubling one channel's production breaks the balance on
+        every undirected cycle through it: the int path raises what the
+        ``Rat`` path raises, message for message."""
+        errors = 0
+        for (seed, kind, index), csdf in perfbench_graphs.items():
+            if kind == "param" or index:
+                continue
+            channels = [c for c in csdf.channels.values() if not c.is_selfloop()]
+            for channel in random.Random(seed).sample(channels, 8):
+                mutant = csdf.bind({})
+                mutant.channel(channel.name).production = [
+                    2 * phase for phase in channel.production.as_ints()]
+                errors += not isinstance(assert_graph_paths_agree(mutant), list)
+        assert errors > 10
+
+    @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+    def test_graph_cases(self, case):
+        assert_graph_paths_agree(GRAPH_CASES[case]())
+
+    def test_graph_error_cases_raise(self):
+        for case in ("unbalanced_cycle", "production_into_zero",
+                     "unbalanced_self_loop", "vacuous_edge_then_constraint",
+                     "big_coprime_cycle_off_by_one"):
+            outcome = assert_graph_paths_agree(GRAPH_CASES[case]())
+            assert not isinstance(outcome, list), case
+        # tau = 2, 2, 1 and r = 1013 * 1021, 1009 * 1021, 1009 * 1019
+        q = {"a": 2 * 1013 * 1021, "b": 2 * 1009 * 1021, "c": 1009 * 1019}
+        assert assert_graph_paths_agree(GRAPH_CASES["big_coprime_cycle"]()) == [
+            (name, Poly.const(count), str(count)) for name, count in q.items()]
 
     def test_corpus_with_a_perturbed_rate(self):
         """Scaling one production to ``2x + 1`` reaches the
@@ -270,7 +454,81 @@ class TestMonomialPathMatchesSymbolic:
 
 
 class TestNoRationalFunctions:
-    """The monomial path never builds a :class:`Rat`."""
+    """The monomial path never builds a :class:`Rat`, and the int path
+    builds no ``Fraction`` or ``Poly`` either."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """One entry per ``Fraction``, ``Poly`` or ``Rat`` built while
+        the fixture is active: the names of the functions on the stack."""
+        made = []
+
+        def record():
+            frame, names = sys._getframe(2), []
+            while frame is not None:
+                names.append(frame.f_code.co_name)
+                frame = frame.f_back
+            made.append(names)
+
+        def spy(owner, name, static=False):
+            original = owner.__dict__[name]
+            function = original.__func__ if static else original
+
+            def wrapper(*args, **kwargs):
+                record()
+                return function(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, staticmethod(wrapper) if static else wrapper)
+
+        spy(fractions.Fraction, "__new__", static=True)
+        spy(Poly, "__init__")
+        spy(Poly, "term", static=True)
+        spy(Rat, "__init__")
+        return made
+
+    @staticmethod
+    def _stages(graph):
+        """``analyze()`` running only its consistency, repetition and
+        liveness stages."""
+        report = analyze(graph, with_mcr=False, with_buffers=False,
+                         with_throughput=False)
+        assert report.consistent and report.live and report.repetition
+        return report
+
+    def test_analyze_of_constant_csdf_graphs(self, built):
+        graphs = _perfbench_graphs()
+        cases = [gallery.fig1_graph(), *(csdf for _, csdf in list(_corpus())[::10])]
+        cases += [graph_from_payload(graphs.make_doc("csdf", n, 1, 0).doc)
+                  for n in (20, 80)]
+        del built[:]
+        for graph in cases:
+            self._stages(graph)
+        assert built == []
+
+    def test_analyze_of_constant_tpdf_graphs(self, built):
+        """Cyclic TPDF graphs without control actors build nothing; with
+        one, the only values built are rate safety's Def. 5 equations
+        (:class:`~repro.tpdf.safety.SafetyCheck` holds Polys)."""
+        graphs = _perfbench_graphs()
+        plain = [random_consistent_graph(n, extra_edges=n // 2, n_cycles=2, seed=seed,
+                                         with_control=False)
+                 for n, seed in ((8, 1), (20, 2), (40, 3))]
+        plain += [graph_from_payload(graphs.tpdf_doc(
+            random.Random(f"spy:{n}"), n, f"plain{n}", control=False)[0])
+            for n in (20, 80)]
+        controlled = [graph_from_payload(graphs.make_doc("tpdf", n, 1, 0).doc)
+                      for n in (20, 80)]
+        controlled.append(random_consistent_graph(
+            8, extra_edges=4, n_cycles=2, seed=1, with_control=True))
+        del built[:]
+        for graph in plain:
+            report = self._stages(graph)
+            assert report.safe is True
+        assert built == []
+        for graph in controlled:
+            assert graph.controls
+            self._stages(graph)
+        assert built and all("check_rate_safety" in names for names in built)
 
     @pytest.fixture
     def rat_calls(self, monkeypatch):

@@ -4,8 +4,9 @@ The full sets compare two trees; here a trimmed call, made twice on
 freshly built inputs, must hash every set to the same digest, the
 ``decode``, ``simulate``, ``summary``, ``buffers`` and ``executor``
 sets must hash results, not errors, the ``service`` set must find
-every served result equal to the direct one, and the ``liveness`` set
-must see deadlocks.
+every served result equal to the direct one, the ``liveness`` set
+must see deadlocks, and the ``balance`` set must see consistent and
+inconsistent rates.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
 from parity import (EXECUTOR_CORES, EXECUTOR_ITERATIONS, SETS,  # noqa: E402
-                    SUMMARY_SWITCHES, buffers_set, decode_set, digests,
-                    executor_set, liveness_set, main, service_set,
-                    simulate_set, summary_set)
+                    SUMMARY_SWITCHES, balance_set, buffers_set, decode_set,
+                    digest, digests, executor_set, liveness_set, main,
+                    service_set, simulate_set, summary_set)
 
 
 def test_trimmed_digests_repeat():
@@ -103,6 +104,29 @@ def test_trimmed_executor_set_hashes_runs():
         assert iterations == len(ends) == EXECUTOR_ITERATIONS
         assert makespan == ends[-1] and firings > 0
         assert peaks == tuple(sorted(peaks))
+
+
+def test_trimmed_balance_set_sees_both_verdicts():
+    """Two graphs per source (corpus, gallery, perfbench) and their rate
+    mutations: the unmutated inputs all solve, a doubled production
+    mostly breaks the balance, and a TPDF input with a control actor
+    (Fig. 2) hashes its local solutions.  A second pass over freshly
+    built inputs hashes the same."""
+    items = list(balance_set(trim=2))
+    assert digest(iter(items)) == digest(balance_set(trim=2))
+    originals = {label: outcome for label, outcome in items
+                 if isinstance(label, str)}
+    assert len(originals) == 6
+    mutants = [outcome for label, outcome in items if not isinstance(label, str)]
+    failed = [outcome for outcome in mutants
+              if outcome[0][0] == "InconsistentRatesError"]
+    assert all(isinstance(outcome[0][0], tuple) for outcome in originals.values())
+    assert 0 < len(failed) < len(mutants)
+    q, concrete, cycles, areas = originals["fig2_p2"]
+    assert dict(q)["B"] == "2*p" and dict(concrete)["B"] == 4
+    ((control, (text, rendered)),) = areas
+    assert (control, text) == ("C", "[B^2 D E^2 F^2] x p")
+    assert rendered.startswith("LocalSolution(subset=('B', 'D', 'E', 'F'), factor=Poly(p)")
 
 
 def test_unknown_set_is_a_usage_error(capsys):

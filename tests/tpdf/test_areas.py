@@ -1,11 +1,17 @@
 """Tests for control areas and local solutions (Defs. 3 & 4, Example 3)."""
 
+import sys
+from pathlib import Path
+from unittest import mock
+
 import pytest
 
 from repro.csdf import cyclic_components
 from repro.errors import AnalysisError
+from repro.io import graph_from_payload
 from repro.symbolic import Param, Poly, poly_gcd_many
 from repro.tpdf import (
+    LocalSolution,
     TPDFGraph,
     area_local_solution,
     control_area,
@@ -17,6 +23,11 @@ from repro.tpdf import (
     repetition_vector,
     successors,
 )
+from repro.tpdf import areas
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+
+from parity import _perfbench_graphs  # noqa: E402
 
 P = Poly.var("p")
 
@@ -179,3 +190,70 @@ class TestLocalSolutionOracle:
             local = local_solution(graph, subset)
             assert (local.factor, local.counts) == (factor, counts)
         assert local_solution(graph, ("B", "C")).factor == P + 1
+
+
+def _constant_graphs():
+    """The parameter-free oracle graphs and perfbench's TPDF documents
+    (20 and 80 actors, a control actor each)."""
+    for label, graph in _oracle_graphs():
+        if not graph.parameters:
+            yield label, graph
+    graphs = _perfbench_graphs()
+    for seed in (1, 2, 3):
+        for n in (20, 80):
+            yield f"perfbench{seed}:{n}", graph_from_payload(
+                graphs.make_doc("tpdf", n, seed, 0).doc)
+
+
+class TestIntegerLocalSolution:
+    """Def. 4 of a constant-rate graph runs on the int ``q``: gcd(r)
+    and ``q^L`` in ints, never the polynomial gcd."""
+
+    def test_matches_polynomial_gcd(self):
+        subsets = 0
+        for label, graph in _constant_graphs():
+            oracle = {subset: _plain_local_solution(graph, subset)
+                      for subset in _subsets(graph)}
+            with mock.patch.object(areas, "poly_gcd_many", side_effect=AssertionError), \
+                    mock.patch.object(areas, "_monomial_gcd", side_effect=AssertionError), \
+                    mock.patch.object(areas, "repetition_vector", side_effect=AssertionError):
+                locals_ = {subset: local_solution(graph, subset) for subset in oracle}
+            for subset, (factor, counts) in oracle.items():
+                local = locals_[subset]
+                expected = LocalSolution(subset, factor, counts)
+                assert local.is_concrete(), (label, subset)
+                assert local.as_ints() == {n: int(c.const_value()) for n, c in counts.items()}
+                assert (str(local), repr(local)) == (str(expected), repr(expected))
+                assert local == expected
+                assert (local.factor, str(local.factor)) == (factor, str(factor))
+                assert {n: str(c) for n, c in local.counts.items()} == {
+                    n: str(c) for n, c in counts.items()}
+                subsets += 1
+        assert subsets > 100
+
+    def test_counts_are_polys_on_request(self):
+        local = local_solution(random_consistent_graph(6, 3, 1, seed=2), ("k0", "k1"))
+        assert type(local.factor) is Poly
+        assert all(type(count) is Poly for count in local.counts.values())
+        assert all(type(count) is int for count in local.as_ints().values())
+
+    def test_big_coprime_rates(self):
+        """A cycle through rates 1009/1013 and 1019/1021: q is past a
+        million, and the cycle's local solution is q itself."""
+        g = TPDFGraph("coprime")
+        for name in ("a", "b", "c"):
+            g.add_kernel(name)
+        g.node("a").add_output("o", 1009)
+        g.node("b").add_input("i", 1013)
+        g.node("b").add_output("o", 1019)
+        g.node("c").add_input("i", 1021)
+        g.node("c").add_output("o", 1013 * 1021)
+        g.node("a").add_input("i", 1009 * 1019)
+        g.connect("a.o", "b.i")
+        g.connect("b.o", "c.i")
+        g.connect("c.o", "a.i", initial_tokens=1009 * 1019)
+        local = local_solution(g, ("a", "b", "c"))
+        assert local.as_ints() == {"a": 1013 * 1021, "b": 1009 * 1021, "c": 1009 * 1019}
+        assert str(local) == f"[a^{1013 * 1021} b^{1009 * 1021} c^{1009 * 1019}] x 1"
+        factor, counts = _plain_local_solution(g, ("a", "b", "c"))
+        assert local == LocalSolution(("a", "b", "c"), factor, counts)

@@ -77,6 +77,17 @@ items' ``repr`` lines):
     makespan, iteration and firing counts, iteration ends and sorted
     peaks, or, for a deadlock, the ``DeadlockError`` message and
     blocked set.
+``balance``
+    The balance-equation products of the CSDF view: the rendered
+    ``repetition_vector``, ``concrete_repetition_vector`` under the
+    input's bindings and, for TPDF, the ``local_solution`` of every
+    cyclic component and the ``area_local_solution`` of every control
+    actor (``str`` and ``repr``), each outcome or its error's type and
+    message.  Inputs: the corpus, the gallery and perfbench's
+    ``cold_analyze`` documents (seeds 1-3), each followed by its rate
+    mutations — every data channel that is no self-loop with its
+    production doubled, which breaks the balance on any undirected
+    cycle through it.
 
 Usage::
 
@@ -541,6 +552,57 @@ def executor_set(trim: int | None = None) -> Iterator[Item]:
                     lambda: run(csdf, bindings, cores, capacities))
 
 
+def _rate_mutations(graph) -> Iterator[tuple[str, Any]]:
+    """``(label, graph)`` per rate mutation of ``graph``, made in place
+    and undone when the next one is asked for: every data channel that
+    is no self-loop with its production doubled (a TPDF channel through
+    its source port)."""
+    from repro.tpdf import TPDFGraph
+
+    tpdf = isinstance(graph, TPDFGraph)
+    for channel in list(graph.channels.values()):
+        if channel.src == channel.dst or getattr(channel, "is_control", False):
+            continue
+        owner = (graph.node(channel.src).port(channel.src_port) if tpdf
+                 else graph.channel(channel.name))
+        attribute = "rates" if tpdf else "production"
+        original = getattr(owner, attribute)
+        setattr(owner, attribute, [2 * phase for phase in original])
+        try:
+            yield f"{channel.name}*2", graph
+        finally:
+            setattr(owner, attribute, original)
+
+
+def balance_set(trim: int | None = None) -> Iterator[Item]:
+    from repro.csdf import cyclic_components
+    from repro.csdf.analysis import concrete_repetition_vector, repetition_vector
+    from repro.tpdf import TPDFGraph, area_local_solution, local_solution
+
+    def local(solve: Callable[[], Any]) -> Any:
+        return _outcome(lambda: (lambda found: (str(found), repr(found)))(solve()))
+
+    def products(graph, bindings) -> tuple:
+        csdf = graph.as_csdf() if isinstance(graph, TPDFGraph) else graph
+        q = _outcome(lambda: tuple((name, str(count))
+                                   for name, count in repetition_vector(csdf).items()))
+        concrete = _outcome(lambda: tuple(
+            concrete_repetition_vector(csdf, bindings).items()))
+        if not isinstance(graph, TPDFGraph):
+            return q, concrete
+        cycles = tuple((subset, local(lambda: local_solution(graph, subset)))
+                       for subset in cyclic_components(csdf))
+        areas = tuple((control, local(lambda: area_local_solution(graph, control)))
+                      for control in graph.controls)
+        return q, concrete, cycles, areas
+
+    for label, graph, bindings in (_corpus(trim) + _gallery(trim)
+                                   + _perfbench_docs(trim)):
+        yield label, _outcome(lambda: products(graph, bindings))
+        for mutation, mutant in _rate_mutations(graph):
+            yield (label, mutation), _outcome(lambda: products(mutant, bindings))
+
+
 SETS: dict[str, Callable[[int | None], Iterator[Item]]] = {
     "analyze": analyze_set,
     "mcr": mcr_set,
@@ -553,6 +615,7 @@ SETS: dict[str, Callable[[int | None], Iterator[Item]]] = {
     "liveness": liveness_set,
     "buffers": buffers_set,
     "executor": executor_set,
+    "balance": balance_set,
 }
 
 
