@@ -3,13 +3,13 @@ class.
 
 The analysis front door is edit-aware: each bump is binding or
 structural, and two per-graph counters (version, structure) let the
-carryable products (repetition vector, liveness, the MCR's
-rings-and-cores decomposition, buffer schedule, the executor
-template's rate fields) survive every binding-only bump.  The rings
-of the actors outside the cyclic cores are closed-form, each core's
-MCR is memoized in a cross-version content store (changed cores
-warm-start Howard from the remembered cycle policy), and each
-version's executor template re-reads only the execution-time tables.
+carryable products (repetition vector, cyclic components, liveness,
+the MCR's rings-and-cores decomposition, buffer schedule) survive
+every binding-only bump.  The rings of the actors outside the cyclic
+cores are closed-form, and each core's MCR is memoized in a
+cross-version content store (changed cores warm-start Howard from the
+remembered cycle policy).  ``analyze()`` runs no executor at default
+options, so neither leg below runs one.
 
 This bench replays the edit-loop workload those mechanisms target: one
 graph, repeated ``EditSession.analyze()`` calls after small edits.
@@ -51,16 +51,14 @@ SIZES = (20, 40, 80)
 #: Sizes of the cold-only rows, timed best of COLD_ROUNDS.
 COLD_SIZES = (160, 320)
 COLD_ROUNDS = 3
-ITERATIONS = 3
 TIMING_ROUNDS = 5
 #: Warm floor asserted for out-of-core binding edits at 80 actors.
 #: This is the acceptance bar of the incremental machinery: a weight
 #: edit outside the cyclic core leaves every carryable product valid,
-#: so the warm path pays only the edited ring's closed form, the
-#: template's execution-time tables and the (necessarily re-run) timed
-#: stage, while cold repeats the balance solve, liveness probe, greedy
-#: buffer schedule and the core's Howard solve.  The measured margin is wide (>10x
-#: locally); best-of-N timing damps runner noise.  If a future
+#: so the warm path pays only the edited ring's closed form and the
+#: memo lookups, while cold repeats the balance solve, liveness probe,
+#: greedy buffer schedule and the core's Howard solve.  Best-of-N
+#: timing damps runner noise.  If a future
 #: platform shifts constant factors
 #: below the bar, lower it consciously — never by weakening the parity
 #: asserts.
@@ -139,7 +137,7 @@ def test_ext8_incremental_reanalysis(report, record_bench):
     for n_actors in SIZES:
         for edit_class, apply_edit in _edit_classes(_edit_graph(n_actors)):
             graph = _edit_graph(n_actors)
-            session = EditSession(graph, iterations=ITERATIONS)
+            session = EditSession(graph)
             session.analyze()  # the warm anchor every edit loop starts from
             warm_best = cold_best = float("inf")
             for rnd in range(TIMING_ROUNDS):
@@ -150,7 +148,7 @@ def test_ext8_incremental_reanalysis(report, record_bench):
 
                 clone = csdf_from_dict(csdf_to_dict(graph))
                 start = time.perf_counter()
-                cold = analyze(clone, None, iterations=ITERATIONS)
+                cold = analyze(clone)
                 cold_best = min(cold_best, time.perf_counter() - start)
                 assert warm.fingerprint() == cold.fingerprint(), (
                     f"warm/cold divergence: {n_actors} actors, "
@@ -187,7 +185,7 @@ def test_ext8_incremental_reanalysis(report, record_bench):
         for _ in range(COLD_ROUNDS):
             clone = csdf_from_dict(csdf_to_dict(graph))
             start = time.perf_counter()
-            cold = analyze(clone, None, iterations=ITERATIONS)
+            cold = analyze(clone)
             cold_best = min(cold_best, time.perf_counter() - start)
             fingerprints.add(cold.fingerprint())
         assert len(fingerprints) == 1, f"cold runs diverge at {n_actors} actors"

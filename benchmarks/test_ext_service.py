@@ -9,8 +9,8 @@ actually observes, per graph size, through real HTTP round trips:
   the graph: worker decode + the full analysis chain;
 * ``warm``     — the same request resubmitted with ``no_cache`` (it
   must reach a worker): the decode LRU and the graph's per-graph
-  cache are hot, so every analysis is a cache hit and only the timed
-  run executes again;
+  cache are hot, so every analysis is a cache hit and, at default
+  options, nothing executes again;
 * ``cache-hit``— the same request served from the front result cache
   (single-flight store): no worker involved, pure wire cost.
 

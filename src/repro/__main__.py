@@ -122,7 +122,7 @@ def _run_edit_replay(args, bindings, domain) -> int:
         raise SystemExit(
             f"edit script {args.edits} must be a JSON array of edit objects"
         )
-    options = dict(iterations=args.iterations, parametric_domain=domain)
+    options = dict(parametric_domain=domain)
     session = EditSession(graph, bindings, **options)
     if args.preflight:
         # Fatal scripts fail fast on a scratch copy, before the replay
@@ -178,16 +178,15 @@ def _run_edit_replay(args, bindings, domain) -> int:
 def cmd_analyze(args) -> int:
     """Full batch analysis chain over one or more graphs.
 
-    Static verdicts always run; the performance stages (MCR, buffer
-    sizing, self-timed throughput) run whenever the graph is concrete
-    under ``--bind``.  Exit status 1 if any graph is not provably
+    Static verdicts always run; the performance stages (the MCR, which
+    is the exact self-timed period, and buffer sizing) run whenever the
+    graph is concrete under ``--bind``.  No executor runs: ``throughput``
+    prints timed runs.  Exit status 1 if any graph is not provably
     bounded.
     """
     from .analysis import analyze_batch
 
     bindings = _parse_bindings(args.bind) or None
-    if args.iterations < 1:
-        raise SystemExit(f"--iterations must be >= 1, got {args.iterations}")
     domain = None
     if args.symbolic or args.param:
         from .csdf.parametric import ParamDomain
@@ -203,7 +202,6 @@ def cmd_analyze(args) -> int:
     exit_code = 0
     reports = analyze_batch(
         ((g, bindings) for g in graphs),
-        iterations=args.iterations,
         parametric_domain=domain,
     )
     for index, report in enumerate(reports):
@@ -533,8 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("graphs", nargs="+", metavar="graph")
     p_analyze.add_argument("--bind", action="append", default=[],
                            metavar="NAME=VALUE")
-    p_analyze.add_argument("--iterations", type=int, default=4,
-                           help="self-timed iterations for the throughput stage")
     p_analyze.add_argument("--symbolic", action="store_true",
                            help="compute the parametric (symbolic) MCR: the "
                                 "throughput bound as a piecewise function over "

@@ -14,14 +14,16 @@ enables it and a requirement:
   analysis, or for plain CSDF the same cycle-by-cycle check on integer
   local solutions (:func:`repro.csdf.schedule.is_live`), which needs a
   concrete valuation;
-* **mcr**, **buffers**, **throughput** (``with_mcr``,
-  ``with_buffers``, ``with_throughput``) — Howard's MCR, which is also
-  the exact self-timed period (``report.period``, its inverse
-  ``report.throughput``), the peaks of a buffer-minimizing iteration,
-  and a timed self-timed execution
-  (:func:`repro.csdf.throughput.self_timed_execution`) whose makespan,
-  iteration ends and channel peaks land in ``report.timed``; they need
-  a concrete valuation and a graph not found deadlocked;
+* **mcr**, **buffers** (``with_mcr``, ``with_buffers``) — Howard's
+  MCR, which is also the exact self-timed period (``report.period``,
+  its inverse ``report.throughput``), and the peaks of a
+  buffer-minimizing iteration; they need a concrete valuation and a
+  graph not found deadlocked;
+* **throughput** (``with_throughput``, off by default) — under the
+  same requirement, a timed self-timed execution of ``iterations``
+  iterations (:func:`repro.csdf.throughput.self_timed_execution`)
+  whose makespan, iteration ends and channel peaks land in
+  ``report.timed``; no period or throughput reading depends on it;
 * **parametric** — the parametric (symbolic) MCR over
   ``parametric_domain``, when one is given: instead of the throughput
   bound at one ``bindings`` point, a :class:`ParametricReport` holding
@@ -47,6 +49,14 @@ Examples
 >>> report = analyze(g)
 >>> report.bounded, report.repetition, report.mcr
 (True, {'a': 1, 'b': 1}, 2.0)
+
+No executor runs unless the timed run is asked for:
+
+>>> report.timed is None
+True
+>>> timed = analyze(g, with_throughput=True, iterations=3).timed
+>>> timed.makespan, timed.iteration_ends
+(7.0, [3.0, 5.0, 7.0])
 
 Symbolic throughput over a parameter box instead of one binding:
 
@@ -115,11 +125,12 @@ class GraphReport:
     #: rate safety (TPDF graphs only; None for plain CSDF)
     safe: bool | None = None
     bounded: bool | None = None
-    #: maximum cycle ratio — the steady-state period bound
+    #: maximum cycle ratio — the exact self-timed steady period
     mcr: float | None = None
     #: per-channel buffer peaks of a buffer-minimizing iteration
     buffers: dict[str, int] | None = None
-    #: timed self-timed execution (makespan, iteration ends, peaks)
+    #: timed self-timed execution (makespan, iteration ends, peaks);
+    #: None unless ``analyze(with_throughput=True)`` ran it
     timed: TimedResult | None = None
     #: parametric (symbolic) MCR stage, when a domain was requested
     parametric: "ParametricReport | None" = None
@@ -234,8 +245,7 @@ class GraphReport:
         elif not self.consistent:
             lines.append("liveness: skipped (inconsistent)")
         if self.mcr is not None:
-            lines.append(f"max cycle ratio (period bound): {self.mcr:.4f}")
-            lines.append(f"self-timed steady period:       {self.period:.4f}")
+            lines.append(f"max cycle ratio (exact period): {self.mcr:.4f}")
             lines.append(f"throughput:                     {self.throughput:.4f} iterations/time")
         if self.buffers is not None:
             lines.append(f"min single-core buffer total:   {self.total_buffer}")
@@ -386,7 +396,7 @@ def analyze(
     with_liveness: bool = True,
     with_mcr: bool = True,
     with_buffers: bool = True,
-    with_throughput: bool = True,
+    with_throughput: bool = False,
     parametric_domain=None,
     lint: str = "off",
 ) -> GraphReport:
@@ -398,16 +408,19 @@ def analyze(
     instead of raising.  ``bounded`` is None when the liveness stage did
     not run (switched off, or a CSDF graph without a concrete
     valuation).  ``report.period`` and ``report.throughput`` read the
-    MCR, so ``with_mcr`` controls them; ``with_throughput`` controls
-    only ``report.timed``.
+    MCR, so ``with_mcr`` controls them.  ``with_throughput`` (off by
+    default) runs the timed self-timed execution behind
+    ``report.timed``; ``iterations`` sizes that run and is validated
+    (an int of at least 1) whether it runs or not.
 
     The analyses behind the stages are memoized on the graph
     (:mod:`repro.cache`), so re-analyzing an unchanged graph (or
-    analyzing per-stage elsewhere) solves nothing again; only the timed
-    run executes anew, from the graph's cached execution template.  The
-    caches are delta-aware: they carry binding-insensitive products
-    across execution-time edits and re-solve only the cyclic cores an
-    edit touched (see :mod:`repro.cache` and :mod:`repro.csdf.mcr`).
+    analyzing per-stage elsewhere) solves nothing again; only a
+    requested timed run executes anew, from the graph's cached
+    execution template.  The caches are delta-aware: they carry
+    binding-insensitive products across execution-time edits and
+    re-solve only the cyclic cores an edit touched (see
+    :mod:`repro.cache` and :mod:`repro.csdf.mcr`).
     Warm results are bit-for-bit identical to cold analysis
     (``fingerprint()``), and the report holds copies, never the
     memoized values themselves.  See :class:`EditSession` for edit
@@ -575,8 +588,9 @@ def probe_capacities(
     the :class:`~repro.errors.DeadlockError` per deadlocking one
     (returned in place, not raised, so one deadlock does not hide the
     other verdicts), blocked sets included.  TPDF graphs are probed
-    through their CSDF abstraction (the same view the throughput stage
-    of :func:`analyze` executes).
+    through their CSDF abstraction, the view :func:`analyze` reads its
+    period from and runs when ``with_throughput=True`` asks for the
+    timed run.
     """
     iterations = as_count("iterations", iterations, minimum=1)
     csdf = _csdf_view(graph)
@@ -611,8 +625,9 @@ def simulate(
     kernels carry ``function``/``meta["time_fn"]`` hooks, control
     actors, clocks, or whose behaviour under a ``cores`` budget or
     channel ``capacities`` matters.  (For pure rate/timing questions
-    :func:`analyze` is cheaper — its throughput stage runs the CSDF
-    abstraction without the TPDF machinery.)
+    :func:`analyze` is cheaper — it reads the exact period off the CSDF
+    abstraction's MCR and runs no executor unless
+    ``with_throughput=True`` asks for the timed run.)
 
     ``ready_core`` defaults to ``"arrays"``, the schedule-plane /
     value-plane split: scheduling runs on flat counters over the
@@ -666,8 +681,9 @@ class EditSession:
 
     Wraps one mutable :class:`~repro.csdf.graph.CSDFGraph`; every
     :meth:`analyze` call is one :func:`analyze` of it, which through the
-    per-graph caches pays only for what each edit invalidated (and, for
-    an unchanged resubmission, only the timed run).  The edit helpers
+    per-graph caches pays only for what each edit invalidated (for an
+    unchanged resubmission nothing, or only the timed run when the
+    options ask for it with ``with_throughput=True``).  The edit helpers
     delegate to the graph's own mutators — the session keeps no private
     state beyond its bindings and options, so mixing direct graph edits
     with session edits is fine.
@@ -828,12 +844,13 @@ def analyze_batch(items: Iterable[BatchItem], **options) -> list[GraphReport]:
     Options are forwarded to :func:`analyze`.  Analyses of the same
     graph object under different bindings share every binding-independent
     intermediate (symbolic repetition vector, consistency verdict) and
-    all binding-keyed caches (HSDF expansion, MCR, the SoA execution
-    template the throughput stage and :func:`probe_capacities` clone
-    their runs from) via the per-graph cache, which is what makes
-    parameter sweeps cheap.  Reports come back in input order; a stage
-    failure lands in that item's ``report.errors`` like it does for a
-    direct :func:`analyze`.
+    all binding-keyed caches (HSDF expansion, MCR, and the SoA execution
+    template that a requested timed run, ``with_throughput=True``, and
+    :func:`probe_capacities` clone their runs from) via the per-graph
+    cache, which is what makes parameter sweeps cheap.  ``iterations``
+    is validated on every item and read only by the timed run.  Reports
+    come back in input order; a stage failure lands in that item's
+    ``report.errors`` like it does for a direct :func:`analyze`.
     """
     reports = []
     for item in items:

@@ -115,7 +115,7 @@ def fig8_series(
     csdf = build_ofdm_csdf()
 
     grid = [(beta, n) for n in ns for beta in betas]
-    options = dict(with_liveness=False, with_mcr=False, with_throughput=False)
+    options = dict(with_liveness=False, with_mcr=False)
     reports = analyze_batch(
         itertools.chain(
             ((tpdf_csdf, bindings_for(beta, n, l, m)) for beta, n in grid),

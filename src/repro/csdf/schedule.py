@@ -57,6 +57,8 @@ POLICIES = ("grouped", "round_robin")
 # Liveness is a token-counting property: execution times never enter
 # the local iterations, so the verdict survives binding-only bumps.
 register_binding_insensitive("is_live")
+# The cyclic components follow from the topology alone.
+register_binding_insensitive("cyclic_components")
 
 
 class SequentialSchedule:
@@ -243,15 +245,21 @@ def validate_schedule(
     return state
 
 
-def cyclic_components(graph: CSDFGraph) -> list[tuple[str, ...]]:
+def cyclic_components(graph: CSDFGraph) -> tuple[tuple[str, ...], ...]:
     """The non-trivial strongly connected components — more than one
     actor, or one actor with a self-loop channel — in Tarjan emission
     order (:func:`~repro.csdf.digraph.nontrivial_components`), members
-    sorted by name."""
+    sorted by name.  Computed once per structure version and shared by
+    liveness and the MCR; the tuples keep callers off the memo."""
+    return cached(graph, ("cyclic_components",),
+                  lambda: _cyclic_components(graph))
+
+
+def _cyclic_components(graph: CSDFGraph) -> tuple[tuple[str, ...], ...]:
     actors = list(graph.actors)
     adj = adjacency(actors, ((c.src, c.dst) for c in graph.channels.values()))
-    return [tuple(sorted(actors[u] for u in group))
-            for group in nontrivial_components(adj)]
+    return tuple(tuple(sorted(actors[u] for u in group))
+                 for group in nontrivial_components(adj))
 
 
 def cycle_subgraph(graph: CSDFGraph, subset: Iterable[str],

@@ -19,8 +19,8 @@ analysis service's worker hand-off (:func:`graph_to_payload` /
 port->node->graph back-references and arbitrary callables, none of
 which belong on a process-pool wire.  The payload strips all of that
 and the worker-side decode rebuilds a fresh graph whose *static
-analyses* (consistency, rate safety, liveness, MCR, buffers,
-self-timed throughput) are bit-identical to the original's.
+analyses* (consistency, rate safety, liveness, MCR, buffers, a
+requested timed run) are bit-identical to the original's.
 
 Parametric-MCR artefacts have their own JSON view
 (:func:`domain_to_dict`, :func:`piecewise_to_dict` and inverses):

@@ -87,8 +87,15 @@ def _options(data, allowed: frozenset, op: str) -> dict:
 
 
 def _parse_options(data) -> dict:
-    """Validate/normalize the wire ``options`` object for ``analyze``."""
+    """Validate/normalize the wire ``options`` object for ``analyze``.
+
+    ``iterations`` is checked here, before any result-cache key is
+    built: single-flight coalescing must never hand a valid request the
+    error of a concurrent invalid one that shares its key."""
     options = _options(data, _ANALYZE_OPTIONS, "analyze")
+    if "iterations" in options:
+        options["iterations"] = as_count("iterations", options["iterations"],
+                                         minimum=1)
     domain = options.get("parametric_domain")
     if isinstance(domain, dict):
         # JSON has no tuples; bounds arrive as 2-lists.
@@ -109,6 +116,16 @@ def _parse_simulate_options(data) -> dict:
             "'until', 'limits' or 'max_firings'"
         )
     return options
+
+
+def _analyze_key(options: dict) -> tuple:
+    """Cache-key view of parsed ``analyze`` options: ``iterations``
+    sizes only the timed run, so it keys the result only when
+    ``with_throughput`` asks for that run."""
+    if not options.get("with_throughput"):
+        options = {name: value for name, value in options.items()
+                   if name != "iterations"}
+    return _options_key(options)
 
 
 def _options_key(options: dict) -> tuple:
@@ -151,7 +168,7 @@ _OPS = {
         lambda data: {"bindings": data.get("bindings"),
                       "options": _parse_options(data.get("options"))},
         lambda args: (bindings_key(args["bindings"]),
-                      _options_key(args["options"])),
+                      _analyze_key(args["options"])),
         lambda reply: {"report": report_to_dict(reply["report"])},
     ),
     "analyze_parametric": _Op(

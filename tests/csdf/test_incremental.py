@@ -8,15 +8,19 @@ acceptance criterion is stronger than "fast": a warm re-analysis must
 be **bit-for-bit identical** (``GraphReport.fingerprint``) to a cold
 analysis of the same graph, for *every* edit class.  This suite
 asserts exactly that on the 200-graph random corpus under seeded
-random edit scripts, plus targeted checks that the reuse actually
-happens (out-of-core edits never re-solve the cyclic core, an
-unchanged graph re-solves nothing) and never goes stale (structural edits always recompute, and a report's values
-are copies the caller cannot write back into the cache).
+random edit scripts, at default options and with the timed run asked
+for, plus targeted checks that the reuse actually happens (out-of-core
+edits never re-solve the cyclic core, an unchanged graph re-solves
+nothing, one cyclic-component pass serves liveness and the MCR) and
+never goes stale (structural edits always recompute, and a report's
+values are copies the caller cannot write back into the cache).
 """
 
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,8 +35,12 @@ from repro.cache import (
 from repro.csdf import (ArrayState, CSDFGraph, array_state, max_cycle_ratio,
                         self_timed_execution)
 from repro.errors import GraphConstructionError
-from repro.io import csdf_from_dict, csdf_to_dict
+from repro.io import csdf_from_dict, csdf_to_dict, graph_from_payload
 from repro.tpdf import random_consistent_graph
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "tools"))
+
+from parity import _perfbench_graphs  # noqa: E402
 
 #: (actors, extra_edges, back_edges) shapes; 8 shapes x 25 seeds = 200
 #: random graphs (the same corpus family as the MCR differential).
@@ -50,6 +58,8 @@ SEEDS_PER_SHAPE = 25
 EDITS_PER_GRAPH = 4
 
 ANALYZE_OPTIONS = dict(iterations=2)
+#: The same options with the timed self-timed run asked for.
+TIMED_OPTIONS = dict(ANALYZE_OPTIONS, with_throughput=True)
 
 
 def _mutable_csdf(n: int, extra: int, cycles: int, seed: int) -> CSDFGraph:
@@ -129,10 +139,30 @@ def _apply_random_edit(session: EditSession, rng: random.Random) -> str:
     return kind
 
 
-def _cold_report(graph: CSDFGraph):
+def _cold_report(graph: CSDFGraph, options: dict = ANALYZE_OPTIONS):
     """Cold oracle: analyze a fresh serialization round-trip clone
     (no caches, no shared version state, nothing to reuse)."""
-    return analyze(csdf_from_dict(csdf_to_dict(graph)), None, **ANALYZE_OPTIONS)
+    return analyze(csdf_from_dict(csdf_to_dict(graph)), None, **options)
+
+
+def _replay_random_edits(shape: tuple, options: dict) -> None:
+    """Seeded random edit scripts on every seed of ``shape``: after
+    each edit the warm report equals a cold clone's, bit for bit."""
+    n, extra, cycles = shape
+    for seed in range(SEEDS_PER_SHAPE):
+        graph = _mutable_csdf(n, extra, cycles, seed)
+        rng = random.Random((n, extra, cycles, seed).__hash__())
+        session = EditSession(graph, **options)
+        warm = session.analyze()
+        assert warm.fingerprint() == _cold_report(graph, options).fingerprint()
+        for step in range(EDITS_PER_GRAPH):
+            kind = _apply_random_edit(session, rng)
+            warm = session.analyze()
+            cold = _cold_report(graph, options)
+            assert warm.fingerprint() == cold.fingerprint(), (
+                f"warm/cold divergence: shape={shape} seed={seed} "
+                f"step={step} edit={kind} options={options}"
+            )
 
 
 class TestWarmColdDifferential:
@@ -141,21 +171,12 @@ class TestWarmColdDifferential:
 
     @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"n{s[0]}e{s[1]}c{s[2]}")
     def test_random_edit_scripts(self, shape):
-        n, extra, cycles = shape
-        for seed in range(SEEDS_PER_SHAPE):
-            graph = _mutable_csdf(n, extra, cycles, seed)
-            rng = random.Random((n, extra, cycles, seed).__hash__())
-            session = EditSession(graph, **ANALYZE_OPTIONS)
-            warm = session.analyze()
-            assert warm.fingerprint() == _cold_report(graph).fingerprint()
-            for step in range(EDITS_PER_GRAPH):
-                kind = _apply_random_edit(session, rng)
-                warm = session.analyze()
-                cold = _cold_report(graph)
-                assert warm.fingerprint() == cold.fingerprint(), (
-                    f"warm/cold divergence: shape={shape} seed={seed} "
-                    f"step={step} edit={kind}"
-                )
+        _replay_random_edits(shape, ANALYZE_OPTIONS)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"n{s[0]}e{s[1]}c{s[2]}")
+    def test_random_edit_scripts_with_the_timed_run(self, shape):
+        """The timed run clones the carried executor template."""
+        _replay_random_edits(shape, TIMED_OPTIONS)
 
     def test_unchanged_resubmission_is_reused(self, monkeypatch):
         """A second ``analyze()`` of an unchanged graph solves no cycle
@@ -210,12 +231,14 @@ class TestWarmColdDifferential:
         """``EditSession.analyze``'s keyword overrides replace the
         session's options for that call only."""
         graph = _mutable_csdf(4, 2, 1, 0)
-        session = EditSession(graph, **ANALYZE_OPTIONS)
+        session = EditSession(graph, **TIMED_OPTIONS)
         lean = session.analyze(with_buffers=False, iterations=3)
         full = session.analyze()
+        bare = session.analyze(with_throughput=False)
         assert lean.buffers is None and len(lean.timed.iteration_ends) == 3
         assert full.buffers is not None and len(full.timed.iteration_ends) == 2
-        assert full.fingerprint() == _cold_report(graph).fingerprint()
+        assert bare.timed is None
+        assert full.fingerprint() == _cold_report(graph, TIMED_OPTIONS).fingerprint()
 
     def test_report_never_aliases_the_cache(self):
         """Writing into a report reaches neither a re-analysis of the
@@ -225,18 +248,18 @@ class TestWarmColdDifferential:
         graph.add_actor("a", exec_time=3)
         graph.add_actor("b", exec_time=1)
         graph.add_channel("ab", "a", "b", production=2)
-        report = analyze(graph, None, **ANALYZE_OPTIONS)
+        report = analyze(graph, None, **TIMED_OPTIONS)
         report.repetition["b"] = 7
         report.buffers["ab"] = 99
         report.timed.peaks["ab"] = 99
         report.timed.iteration_ends.append(1e9)
 
         def cold():
-            return _cold_report(graph).fingerprint()
+            return _cold_report(graph, TIMED_OPTIONS).fingerprint()
 
-        assert analyze(graph, None, **ANALYZE_OPTIONS).fingerprint() == cold()
+        assert analyze(graph, None, **TIMED_OPTIONS).fingerprint() == cold()
         graph.actor("b").set_exec_time(2)  # binding-only edit
-        assert analyze(graph, None, **ANALYZE_OPTIONS).fingerprint() == cold()
+        assert analyze(graph, None, **TIMED_OPTIONS).fingerprint() == cold()
 
 
 class TestAnalyzeBatch:
@@ -292,6 +315,52 @@ class TestAnalyzeBatch:
         # The inconsistent item's failure stays on its own report.
         assert not reports[4].consistent and "consistency" in reports[4].errors
         assert all(r.consistent for i, r in enumerate(reports) if i != 4)
+
+
+class TestCyclicComponentsMemo:
+    """One cyclic-component pass per structure version serves liveness
+    and the MCR."""
+
+    #: perfbench's 80-actor ``cold_analyze`` documents at seed 3.
+    PERFBENCH = [(kind, index) for kind in ("csdf", "tpdf", "param")
+                 for index in range(3)]
+
+    @pytest.mark.parametrize("kind, index", PERFBENCH,
+                             ids=[f"{k}{i}" for k, i in PERFBENCH])
+    def test_one_cyclic_component_pass(self, monkeypatch, kind, index):
+        """A cold ``analyze()`` finds the cyclic components once; an
+        execution-time edit finds them not at all, a token edit once."""
+        import repro.csdf.schedule as schedule_mod
+
+        passes: list = []
+        compute = schedule_mod._cyclic_components
+
+        def spy(graph):
+            passes.append(graph.name)
+            return compute(graph)
+
+        monkeypatch.setattr(schedule_mod, "_cyclic_components", spy)
+        doc = _perfbench_graphs().make_doc(kind, 80, 3, index)
+        graph = graph_from_payload(doc.doc)
+        report = analyze(graph, doc.bindings)
+        assert report.live and report.mcr is not None
+        assert schedule_mod.cyclic_components(_csdf_of(graph))
+        assert len(passes) == 1
+        if not isinstance(graph, CSDFGraph):
+            return
+        name = next(iter(graph.actors))
+        graph.actor(name).set_exec_time(
+            [7.5] * len(graph.actor(name).exec_times))
+        analyze(graph, doc.bindings)
+        assert len(passes) == 1
+        channel = next(iter(graph.channels.values()))
+        channel.initial_tokens += 1
+        analyze(graph, doc.bindings)
+        assert len(passes) == 2
+
+
+def _csdf_of(graph):
+    return graph if isinstance(graph, CSDFGraph) else graph.as_csdf()
 
 
 class TestSCCGranularity:

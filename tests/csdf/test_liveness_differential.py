@@ -191,7 +191,7 @@ def test_unbound_parameter_on_an_acyclic_channel_raises():
     graph.add_actor("a")
     graph.add_actor("b")
     graph.add_channel("ab", "a", "b", production=p, consumption=p)
-    assert cyclic_components(graph) == []
+    assert cyclic_components(graph) == ()
     with pytest.raises(KeyError, match="'p'"):
         is_live(graph)
     assert is_live(graph, {"p": 3})

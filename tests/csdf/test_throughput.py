@@ -94,7 +94,8 @@ class TestPipelining:
     def test_throughput_property(self):
         from repro.analysis import analyze
 
-        report = analyze(pipeline((1.0, 4.0, 1.0)), iterations=5)
+        report = analyze(pipeline((1.0, 4.0, 1.0)), iterations=5,
+                         with_throughput=True)
         assert report.period == report.mcr == 4.0
         assert report.throughput == 1.0 / report.period
         assert report.timed.iteration_period == report.period  # converged

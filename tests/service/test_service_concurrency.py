@@ -93,14 +93,28 @@ class TestCacheKeying:
         assert len({report.fingerprint() for report in reports[:3]}) == 3
 
     def test_distinct_options_get_distinct_entries(self):
+        """With the timed run asked for, ``iterations`` sizes it."""
+        graph = small_csdf(seed=34)
+        with serve_in_thread(workers=1) as handle:
+            client = ServiceClient(handle.url)
+            lo = client.analyze(graph, iterations=3, with_throughput=True)
+            hi = client.analyze(graph, iterations=6, with_throughput=True)
+            stats = client.stats()["cache"]
+        assert stats["computed"] == 2
+        assert lo.fingerprint() != hi.fingerprint()
+
+    def test_iterations_share_an_entry_without_the_timed_run(self):
+        """At default options no run reads ``iterations``: requests that
+        differ only in it get one report, computed once."""
         graph = small_csdf(seed=34)
         with serve_in_thread(workers=1) as handle:
             client = ServiceClient(handle.url)
             lo = client.analyze(graph, iterations=3)
             hi = client.analyze(graph, iterations=6)
             stats = client.stats()["cache"]
-        assert stats["computed"] == 2
-        assert lo.fingerprint() != hi.fingerprint()
+        assert (stats["computed"], stats["hits"]) == (1, 1)
+        assert lo.fingerprint() == hi.fingerprint()
+        assert lo.timed is None
 
     def test_eviction_respects_configured_bound(self):
         graphs = [small_csdf(seed=40 + seed) for seed in range(6)]

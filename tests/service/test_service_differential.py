@@ -65,9 +65,10 @@ class TestAnalyzeParity:
     def test_option_variants_round_trip(self, client):
         graph = small_csdf(seed=8)
         for options in (
-            {"with_throughput": False},
+            {"with_throughput": True},
             {"with_buffers": False, "with_mcr": False},
             {"iterations": 6},
+            {"iterations": 6, "with_throughput": True},
         ):
             got = client.analyze(graph, **options)
             want = analyze(graph, **options)

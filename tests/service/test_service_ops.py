@@ -108,6 +108,28 @@ def test_fractional_counts_are_400(client, endpoint, field, value, message):
     assert data["error"] == {"type": "ValueError", "message": message}
 
 
+@pytest.mark.parametrize("value", (0, -2))
+def test_iterations_below_one_is_400_before_any_worker(client, value):
+    """``iterations`` is checked before the result-cache key is built,
+    which leaves it out at default options: a refused request shares no
+    single-flight entry with a valid one, alone or in one batch."""
+    body = {**_body("analyze", "iterations"), "options": {"iterations": value}}
+    before = _counters(client)
+    status, data = _post(client, "analyze", body)
+    assert status == 400
+    assert data["error"] == {"type": "ValueError",
+                             "message": f"iterations must be >= 1, got {value}"}
+    assert _delta(client, before) == (0, 0, 0)
+    graph = _body("analyze", "iterations-batch")["graph"]
+    status, data = _post(client, "batch", {"graphs": [graph], "items": [
+        {"graph": 0, "bindings": {"p": 2}, "options": {"iterations": value}},
+        {"graph": 0, "bindings": {"p": 2}, "options": {"iterations": 4}},
+    ]})
+    refused, served = data["results"]
+    assert status == 200 and refused["status"] == 400
+    assert "report" in served and served["report"]["timed"] is None
+
+
 @pytest.mark.parametrize("options", (None, {}), ids=("absent", "empty"))
 def test_simulate_without_stop_condition_is_400(client, options):
     """Bugfix regression: a ``/simulate`` request without an

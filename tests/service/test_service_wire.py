@@ -77,7 +77,7 @@ class TestReportRoundTrip:
         assert got.fingerprint() == want.fingerprint()
 
     def test_timed_result_floats_are_bit_exact(self):
-        want = analyze(small_csdf(seed=90), iterations=5)
+        want = analyze(small_csdf(seed=90), iterations=5, with_throughput=True)
         assert want.timed is not None
         got = timed_result_from_dict(
             json_round_trip(timed_result_to_dict(want.timed))

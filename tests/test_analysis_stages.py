@@ -7,11 +7,14 @@ order — ``summary()`` prints them in dict order), ``live``, ``safe``,
 graph.  The verdict rule: ``bounded`` is True only when the liveness
 stage ran and found the graph live (for TPDF also rate safe), False
 when it found a deadlock or a safety violation or raised, and None
-when it did not run.
+when it did not run.  The timed run (``with_throughput``) is off by
+default: a default report records nothing for it, and the cases that
+pin its bookkeeping ask for it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import sys
 from fractions import Fraction
@@ -19,12 +22,12 @@ from fractions import Fraction
 import pytest
 
 from repro.__main__ import main
-from repro.analysis import analyze
-from repro.csdf import CSDFGraph
+from repro.analysis import EditSession, analyze, analyze_batch
+from repro.csdf import CSDFGraph, self_timed_execution
 from repro.errors import AnalysisError
 from repro.io import csdf_to_dict
 from repro.symbolic import Param
-from repro.tpdf import fig2_graph
+from repro.tpdf import TPDFGraph, fig2_graph, random_consistent_graph
 
 UNBOUND_P = "parametric (unbound: p)"
 DEADLOCKS = "graph deadlocks"
@@ -90,6 +93,16 @@ def _wrap_everywhere(monkeypatch, module: str, attr: str, wrap) -> None:
             monkeypatch.setattr(owner, name, wrapper)
 
 
+def _counting(calls: list, name: str):
+    """A ``_wrap_everywhere`` wrap that records ``name`` at each call."""
+    def wrap(original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+    return wrap
+
+
 def _lines(*lines: str) -> str:
     return "\n".join(lines)
 
@@ -107,8 +120,10 @@ CYCLE_Q = ("repetition vector:", "  q[a] = 1", "  q[b] = 1")
 
 class TestBookkeeping:
     def test_parametric_csdf_without_bindings(self):
+        """With the timed run asked for, it skips like the MCR."""
         _check(
-            analyze(_fanout()), live=None, safe=None, bounded=None,
+            analyze(_fanout(), with_throughput=True),
+            live=None, safe=None, bounded=None,
             skipped=[("liveness", PASS_BINDINGS), ("mcr", UNBOUND_P),
                      ("buffers", UNBOUND_P), ("throughput", UNBOUND_P)],
             errors=[],
@@ -127,8 +142,7 @@ class TestBookkeeping:
     def test_tpdf_fig2_without_bindings(self):
         _check(
             analyze(fig2_graph()), live=True, safe=True, bounded=True,
-            skipped=[("mcr", UNBOUND_P), ("buffers", UNBOUND_P),
-                     ("throughput", UNBOUND_P)],
+            skipped=[("mcr", UNBOUND_P), ("buffers", UNBOUND_P)],
             errors=[],
             summary=_lines(
                 "graph: fig2",
@@ -140,15 +154,13 @@ class TestBookkeeping:
                 "liveness: live",
                 f"(mcr skipped: {UNBOUND_P})",
                 f"(buffers skipped: {UNBOUND_P})",
-                f"(throughput skipped: {UNBOUND_P})",
             ),
         )
 
     def test_tokenless_cycle_at_default_options(self):
         _check(
             analyze(_tokenless_cycle()), live=False, safe=None, bounded=False,
-            skipped=[("mcr", DEADLOCKS), ("buffers", DEADLOCKS),
-                     ("throughput", DEADLOCKS)],
+            skipped=[("mcr", DEADLOCKS), ("buffers", DEADLOCKS)],
             errors=[],
             summary=_lines(
                 "graph: cycle",
@@ -157,7 +169,6 @@ class TestBookkeeping:
                 "liveness: DEADLOCK",
                 f"(mcr skipped: {DEADLOCKS})",
                 f"(buffers skipped: {DEADLOCKS})",
-                f"(throughput skipped: {DEADLOCKS})",
             ),
         )
 
@@ -166,11 +177,13 @@ class TestBookkeeping:
         ("with_throughput", "throughput"),
     ))
     def test_tokenless_cycle_with_a_performance_stage_off(self, switch, stage):
-        """A disabled stage records nothing, not even ``graph deadlocks``."""
+        """Every performance stage on, then one off: a disabled stage
+        records nothing, not even ``graph deadlocks``."""
         kept = [name for name in ("mcr", "buffers", "throughput")
                 if name != stage]
         _check(
-            analyze(_tokenless_cycle(), **{switch: False}),
+            analyze(_tokenless_cycle(), **{"with_throughput": True,
+                                           switch: False}),
             live=False, safe=None, bounded=False,
             skipped=[(name, DEADLOCKS) for name in kept],
             errors=[],
@@ -185,10 +198,11 @@ class TestBookkeeping:
 
     def test_tokenless_cycle_with_liveness_off(self):
         """Liveness off: each performance stage raises its deadlock
-        (the MCR's zero-token cycle among them), and no verdict is
-        drawn."""
+        (the MCR's zero-token cycle and the timed run's stall among
+        them), and no verdict is drawn."""
         _check(
-            analyze(_tokenless_cycle(), with_liveness=False),
+            analyze(_tokenless_cycle(), with_liveness=False,
+                    with_throughput=True),
             live=None, safe=None, bounded=None,
             skipped=[],
             errors=[("mcr", MCR_ERROR), ("buffers", BUFFERS_ERROR),
@@ -231,7 +245,7 @@ class TestBookkeeping:
         _check(
             analyze(_fanout(), {"p": p}), live=None, safe=None, bounded=None,
             skipped=[("liveness", PASS_BINDINGS), ("mcr", NOT_CONCRETE),
-                     ("buffers", NOT_CONCRETE), ("throughput", NOT_CONCRETE)],
+                     ("buffers", NOT_CONCRETE)],
             errors=[("repetition", message)],
             summary=_lines(
                 "graph: fanout",
@@ -241,7 +255,6 @@ class TestBookkeeping:
                 f"(liveness skipped: {PASS_BINDINGS})",
                 f"(mcr skipped: {NOT_CONCRETE})",
                 f"(buffers skipped: {NOT_CONCRETE})",
-                f"(throughput skipped: {NOT_CONCRETE})",
                 f"(repetition FAILED: {message})",
             ),
         )
@@ -251,15 +264,14 @@ class TestPeriod:
     """Regression: ``report.period`` read the last two iteration ends
     of the timed run, which misread the ring as 1.0, below its own
     bound.  The period and throughput lines read the exact period, the
-    MCR, and follow the ``mcr`` stage."""
+    MCR, print it once, and follow the ``mcr`` stage."""
 
     RING_Q = ("repetition vector:", "  q[a] = 1", "  q[b] = 1", "  q[c] = 1")
-    PERIOD = ("max cycle ratio (period bound): 1.5000",
-              "self-timed steady period:       1.5000",
+    PERIOD = ("max cycle ratio (exact period): 1.5000",
               "throughput:                     0.6667 iterations/time")
 
     def test_ring_whose_iterations_alternate(self):
-        report = analyze(_ring())
+        report = analyze(_ring(), with_throughput=True)
         assert report.timed.iteration_ends == [3.0, 4.0, 6.0, 7.0]
         assert report.period == report.mcr == 1.5
         assert report.throughput == 1 / 1.5
@@ -280,6 +292,88 @@ class TestPeriod:
             *self.RING_Q, "liveness: live", *period_lines,
             "min single-core buffer total:   4")
         assert report.period == (1.5 if period_lines else None)
+
+
+def _corpus_graph(seed: int) -> TPDFGraph:
+    return random_consistent_graph(6, extra_edges=3, n_cycles=1, seed=seed)
+
+
+#: (label, graph factory, bindings): every bookkeeping outcome above,
+#: and corpus graphs with a cyclic core.
+CASES = (
+    ("fanout", _fanout, None), ("fanout-p2", _fanout, {"p": 2}),
+    ("cycle", _tokenless_cycle, None), ("skewed", _inconsistent, None),
+    ("ring", _ring, None), ("fig2", fig2_graph, None),
+    ("fig2-p2", fig2_graph, {"p": 2}),
+    *((f"corpus{seed}", lambda seed=seed: _corpus_graph(seed), None)
+      for seed in range(4)),
+)
+#: The cases whose timed run completes.
+RUNNING = ("fanout-p2", "ring", "fig2-p2", "corpus0", "corpus1",
+           "corpus2", "corpus3")
+
+
+def _csdf(graph):
+    return graph.as_csdf() if isinstance(graph, TPDFGraph) else graph
+
+
+class TestTimedRunOnRequest:
+    """The timed self-timed run is off by default: a default report
+    carries no ``timed`` and records nothing for the stage.  Asked for,
+    it is exactly the executor's run, and ``iterations`` sizes it."""
+
+    @pytest.mark.parametrize("make, bindings",
+                             [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_default_report(self, make, bindings):
+        report = analyze(make(), bindings)
+        assert report.timed is None
+        assert "throughput" not in report.skipped
+        assert "throughput" not in report.errors
+        off = analyze(make(), bindings, with_throughput=False)
+        assert report.fingerprint() == off.fingerprint()
+
+    @pytest.mark.parametrize("iterations", (1, 3, 4))
+    @pytest.mark.parametrize("label", RUNNING)
+    def test_requested_run_is_the_executors(self, label, iterations):
+        _, make, bindings = next(case for case in CASES if case[0] == label)
+        report = analyze(make(), bindings, with_throughput=True,
+                         iterations=iterations)
+        want = self_timed_execution(_csdf(make()), bindings,
+                                    iterations=iterations)
+        assert report.timed is not None
+        assert dataclasses.asdict(report.timed) == dataclasses.asdict(want)
+        assert len(report.timed.iteration_ends) == iterations
+
+    def test_edit_session_runs_no_executor(self, monkeypatch):
+        """Across a binding and a structural edit, a default
+        ``EditSession.analyze()`` builds no execution template and runs
+        nothing; asked for, the timed run does both once."""
+        calls: list[str] = []
+        for module, attr in (("repro.csdf.throughput", "self_timed_execution"),
+                             ("repro.csdf.statearrays", "array_state")):
+            _wrap_everywhere(monkeypatch, module, attr, _counting(calls, attr))
+        graph = _csdf(_corpus_graph(2)).bind({})  # a mutable copy
+        session = EditSession(graph)
+        first = session.analyze()
+        name = next(iter(graph.actors))
+        session.set_exec_time(name, [7.5] * len(graph.actor(name).exec_times))
+        session.analyze()  # a binding edit
+        channel = next(iter(graph.channels.values()))
+        session.set_initial_tokens(channel.name, channel.initial_tokens + 1)
+        last = session.analyze()  # a structural edit
+        assert calls == []
+        assert first.mcr is not None and last.mcr is not None
+        session.analyze(with_throughput=True)
+        assert calls == ["self_timed_execution", "array_state"]
+
+    def test_iterations_is_validated_when_no_run_reads_it(self):
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            analyze(_ring(), iterations=0)
+        with pytest.raises(ValueError, match="iterations must be >= 1"):
+            EditSession(_ring(), iterations=0).analyze()
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            analyze_batch([_ring()], iterations=2.5)
 
 
 class TestVerdictRule:
@@ -346,17 +440,8 @@ def test_stage_functions_are_looked_up_at_call_time(monkeypatch):
     call ``analyze()`` makes: the chain must not hold the function
     objects themselves."""
     calls: list[str] = []
-
-    def counting(name):
-        def wrap(original):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return original(*args, **kwargs)
-            return wrapper
-        return wrap
-
     for module, attr in STAGE_FUNCTIONS:
-        _wrap_everywhere(monkeypatch, module, attr, counting(attr))
-    analyze(fig2_graph(), {"p": 2})
-    analyze(_fanout(), {"p": 2})
+        _wrap_everywhere(monkeypatch, module, attr, _counting(calls, attr))
+    analyze(fig2_graph(), {"p": 2}, with_throughput=True)
+    analyze(_fanout(), {"p": 2}, with_throughput=True)
     assert sorted(set(calls)) == sorted(attr for _, attr in STAGE_FUNCTIONS)

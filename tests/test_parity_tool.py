@@ -6,11 +6,14 @@ freshly built inputs, must hash every set to the same digest, the
 sets must hash results, not errors, the ``service`` set must find
 every served result equal to the direct one, the ``liveness`` set
 must see deadlocks, and the ``balance`` set must see consistent and
-inconsistent rates.
+inconsistent rates.  ``--against`` compares this checkout with a
+scratch repository whose one commit perturbs the summary text.
 """
 
 from __future__ import annotations
 
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,9 +23,9 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tools"))
 
 from parity import (EXECUTOR_CORES, EXECUTOR_ITERATIONS, SETS,  # noqa: E402
-                    SUMMARY_SWITCHES, balance_set, buffers_set, decode_set,
-                    digest, digests, executor_set, liveness_set, main,
-                    service_set, simulate_set, summary_set)
+                    SUMMARY_SWITCHES, against, balance_set, buffers_set,
+                    decode_set, digest, digests, executor_set, liveness_set,
+                    main, service_set, simulate_set, summary_set)
 
 
 def test_trimmed_digests_repeat():
@@ -134,3 +137,29 @@ def test_unknown_set_is_a_usage_error(capsys):
         main(["nope"])
     assert exc.value.code == 2
     assert "unknown set(s): nope" in capsys.readouterr().err
+
+
+def test_against_reports_a_perturbed_tree(tmp_path):
+    """A scratch repository holds this checkout's ``src`` with the
+    summary's period line reworded.  A trimmed ``--against`` finds the
+    ``mcr`` set equal, and the ``summary`` set different on exactly the
+    six items that print the period, the first corpus graph first."""
+    repo = tmp_path / "repo"
+    shutil.copytree(REPO / "src", repo / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    module = repo / "src" / "repro" / "analysis.py"
+    text = module.read_text()
+    assert text.count("max cycle ratio (exact period)") == 1
+    module.write_text(text.replace("max cycle ratio (exact period)",
+                                   "max cycle ratio, perturbed    "))
+    git = ["git", "-C", str(repo), "-c", "user.name=parity",
+           "-c", "user.email=parity@localhost", "-c", "commit.gpgsign=false"]
+    for command in (["init", "-q"], ["add", "src"],
+                    ["commit", "-q", "-m", "perturbed summary"]):
+        subprocess.run([*git, *command], check=True)
+    compared = against("HEAD", ["mcr", "summary"], trim=2, repo=repo)
+    old, new, count, differ, first = compared["mcr"]
+    assert old == new and differ == 0 and first is None
+    old, new, count, differ, first = compared["summary"]
+    assert old != new and (count, differ) == (9, 6)
+    assert first == repr("corpus3:1:0:0")

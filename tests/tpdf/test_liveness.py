@@ -18,10 +18,10 @@ P = Poly.var("p")
 
 class TestCycleDetection:
     def test_fig2_acyclic(self, fig2):
-        assert cyclic_components(fig2.as_csdf()) == []
+        assert cyclic_components(fig2.as_csdf()) == ()
 
     def test_fig4_cycle_found(self, fig4a):
-        assert cyclic_components(fig4a.as_csdf()) == [("B", "C")]
+        assert cyclic_components(fig4a.as_csdf()) == (("B", "C"),)
 
     def test_selfloop_detected(self, simple_pipeline):
         mid = simple_pipeline.node("mid")

@@ -8,6 +8,16 @@ the digests::
     PYTHONPATH=src python tools/parity.py
     PYTHONPATH=/path/to/other/checkout/src python tools/parity.py
 
+or in one command, against any revision of this repository::
+
+    python tools/parity.py --against REV [set ...]
+
+which extracts ``REV``'s ``src`` with ``git archive`` into a temporary
+directory (no worktree is left behind), hashes the named sets on that
+tree and on this checkout, each in its own process, and prints per
+set whether the two agree and, where they do not, how many items
+differ and the label of the first.
+
 ``repro`` is whatever ``PYTHONPATH`` resolves (this checkout's ``src``
 when it resolves none); the script prints the path it hashed.  The
 perfbench inputs are built by ``perfbench/graphs.py`` of *this*
@@ -21,9 +31,10 @@ or the error's type name and message; the digest is a sha256 over the
 items' ``repr`` lines):
 
 ``analyze``
-    ``analyze()`` fingerprints: the 200-graph corpus at 3 and 4
-    iterations, eight gallery graphs, and perfbench's ``cold_analyze``
-    inputs of seeds 1-3.
+    ``analyze()`` fingerprints: the 200-graph corpus with the timed run
+    at 3 and 4 iterations, and eight gallery graphs and perfbench's
+    ``cold_analyze`` inputs of seeds 1-3 at default options (no timed
+    run).
 ``mcr``
     ``max_cycle_ratio`` over the corpus, with its bindings and without.
 ``parametric``
@@ -46,8 +57,9 @@ items' ``repr`` lines):
 ``summary``
     ``analyze()``'s ``summary()`` text and the key order of its
     ``skipped`` and ``errors``: the corpus at default options and with
-    each performance-stage switch off, and the gallery's TPDF graphs
-    without bindings.  Every input runs its liveness stage (each corpus
+    each performance-stage switch flipped (the MCR and buffer stages
+    off, the timed run on), and the gallery's TPDF graphs without
+    bindings.  Every input runs its liveness stage (each corpus
     graph is live under its bindings), so the set is blind to the
     verdict of a graph whose liveness was not checked.
 ``service``
@@ -91,9 +103,11 @@ items' ``repr`` lines):
 
 Usage::
 
-    python tools/parity.py [set ...]     # default: every set
+    python tools/parity.py [set ...]                 # default: every set
+    python tools/parity.py --against REV [set ...]
 
-Exit status 0; the digests are for comparing, not for judging.
+Exit status 0; the digests are for comparing, not for judging.  With
+``--against``, 1 when any set differs.
 """
 
 from __future__ import annotations
@@ -102,9 +116,14 @@ import argparse
 import copy
 import hashlib
 import importlib.util
+import io
 import json
+import os
 import random
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 from types import ModuleType
 from typing import Any, Callable, Iterator
@@ -273,8 +292,9 @@ def analyze_set(trim: int | None = None) -> Iterator[Item]:
 
     for label, graph, bindings in _corpus(trim):
         for iterations in (3, 4):
-            yield (label, iterations), _outcome(
-                lambda: analyze(graph, bindings, iterations=iterations).fingerprint())
+            yield (label, iterations), _outcome(lambda: analyze(
+                graph, bindings, iterations=iterations,
+                with_throughput=True).fingerprint())
     for label, graph, bindings in _gallery(trim):
         yield label, _outcome(lambda: analyze(graph, bindings).fingerprint())
     for label, graph, bindings in _perfbench_docs(trim):
@@ -371,9 +391,11 @@ def simulate_set(trim: int | None = None) -> Iterator[Item]:
         yield label, _outcome(run)
 
 
-#: ``analyze()`` switches the ``summary`` set turns off one at a time
+#: ``analyze()`` switches the ``summary`` set flips one at a time from
+#: their defaults: the MCR and buffer stages off, the timed run on
 #: (liveness stays on: see the set's description).
-SUMMARY_SWITCHES = ("with_mcr", "with_buffers", "with_throughput")
+SUMMARY_SWITCHES = (("with_mcr", False), ("with_buffers", False),
+                    ("with_throughput", True))
 #: Corpus seeds per shape the ``service`` set sends.
 SERVICE_SEEDS = 3
 #: Parameter boxes of the ``service`` set's parametric requests: every
@@ -393,9 +415,9 @@ def summary_set(trim: int | None = None) -> Iterator[Item]:
 
     for label, graph, bindings in _corpus(trim):
         yield label, _outcome(lambda: shown(graph, bindings))
-        for switch in SUMMARY_SWITCHES:
+        for switch, value in SUMMARY_SWITCHES:
             yield (label, switch), _outcome(
-                lambda: shown(graph, bindings, **{switch: False}))
+                lambda: shown(graph, bindings, **{switch: value}))
     for label, graph, _bindings in _gallery(trim):
         if isinstance(graph, TPDFGraph):
             yield label, _outcome(lambda: shown(graph, None))
@@ -638,14 +660,82 @@ def digests(names: list[str] | None = None,
     return {name: digest(SETS[name](trim)) for name in names or SETS}
 
 
+def _item_lines(names: list[str], trim: int | None) -> None:
+    """Print, per named set, one JSON line: the set, its digest and,
+    per item, the ``repr`` of its label and the sha256 of its line."""
+    _import_repro()
+    for name in names:
+        items = list(SETS[name](trim))
+        lines = [(repr(item[0]), hashlib.sha256(repr(item).encode()).hexdigest())
+                 for item in items]
+        print(json.dumps([name, digest(iter(items))[0], lines]), flush=True)
+
+
+def _hash_tree(src: Path, names: list[str], trim: int | None) -> dict:
+    """``{set: (digest, [(label, item sha), ...])}`` with ``repro``
+    imported from ``src``, in a process of its own."""
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'tools')!r}); "
+            f"import parity; parity._item_lines({names!r}, {trim!r})")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                         capture_output=True, text=True)
+    if run.returncode:
+        raise RuntimeError(f"hashing {src} failed:\n{run.stderr}")
+    return {name: (sha, items) for name, sha, items
+            in map(json.loads, run.stdout.splitlines())}
+
+
+def _archive_src(rev: str, repo: Path, into: Path) -> Path:
+    """``rev``'s ``src`` directory, extracted under ``into``."""
+    tar = subprocess.run(["git", "-C", str(repo), "archive", "--format=tar",
+                          rev, "src"], capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(into, filter="data")
+    return into / "src"
+
+
+def against(rev: str, names: list[str] | None = None, trim: int | None = None,
+            repo: Path = ROOT) -> dict[str, tuple]:
+    """Hash the named sets (default: all) on ``rev``'s ``src`` and on
+    this checkout's: ``{set: (digest at rev, digest here, items,
+    differing items, label of the first differing item or None)}``."""
+    names = list(names or SETS)
+    with tempfile.TemporaryDirectory(prefix="parity-") as scratch:
+        theirs = _hash_tree(_archive_src(rev, repo, Path(scratch)), names, trim)
+    ours = _hash_tree(ROOT / "src", names, trim)
+    result = {}
+    for name in names:
+        (old, old_items), (new, new_items) = theirs[name], ours[name]
+        pairs = list(zip(old_items, new_items))
+        differing = [new_label for (_, a), (new_label, b) in pairs if a != b]
+        longer = old_items if len(old_items) > len(new_items) else new_items
+        differing += [label for label, _ in longer[len(pairs):]]
+        result[name] = (old, new, len(new_items), len(differing),
+                        differing[0] if differing else None)
+    return result
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("sets", nargs="*", help=f"any of {', '.join(SETS)} "
                         "(default: all)")
+    parser.add_argument("--against", metavar="REV",
+                        help="compare with REV's src (a git revision of "
+                             "this repository) instead of printing digests")
     args = parser.parse_args(argv)
     unknown = sorted(set(args.sets) - set(SETS))
     if unknown:
         parser.error(f"unknown set(s): {', '.join(unknown)}")
+    if args.against:
+        compared = against(args.against, args.sets)
+        print(f"repro: {ROOT / 'src'} against {args.against}")
+        for name, (old, new, count, differ, first) in compared.items():
+            if not differ:
+                print(f"{name:<11} equal      {new[:12]}  ({count} items)")
+            else:
+                print(f"{name:<11} different  {old[:12]} -> {new[:12]}  "
+                      f"({differ} of {count} items; first: {first})")
+        return 1 if any(entry[3] for entry in compared.values()) else 0
     repro = _import_repro()
     print(f"repro: {Path(repro.__file__).parent}")
     for name, (sha, count) in digests(args.sets).items():
