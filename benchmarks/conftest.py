@@ -12,8 +12,11 @@ through the ``record_bench`` fixture.  The terminal-summary hook folds
 them into ``benchmarks/results/BENCH_eventloop.json`` (schema:
 ``bench id -> {actors, backend, wall_ms, ready_visits}``), merging
 with rows already on disk so partial bench runs never erase the other
-benches' numbers.  CI uploads the file every run, giving the perf
-trajectory a PR-over-PR record instead of prose-only tables.
+benches' numbers.  Each row is tied to the test that recorded it and
+written only when that test passed, as its ``.txt``/``.csv`` tables
+are, so a failed bench leaves the file as it was.  CI uploads the file
+every run, giving the perf trajectory a PR-over-PR record instead of
+prose-only tables.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ RESULTS_DIR = Path(__file__).parent / "results"
 BENCH_JSON = RESULTS_DIR / "BENCH_eventloop.json"
 
 _sections: list[tuple[str, str]] = []
-_bench_rows: dict[str, dict] = {}
+#: bench id -> (node id of the test that recorded it, row)
+_bench_rows: dict[str, tuple[str, dict]] = {}
+#: node ids of the tests that passed (setup, call and teardown)
+_passed: set[str] = set()
 
 
 @pytest.fixture
@@ -45,25 +51,38 @@ def report():
 
 
 @pytest.fixture
-def record_bench():
+def record_bench(request):
     """``record_bench(bench_id, actors=, backend=, wall_ms=,
     ready_visits=)``: queue one machine-readable event-loop bench row
-    for ``BENCH_eventloop.json``."""
+    for ``BENCH_eventloop.json``, written only if the requesting test
+    passes."""
 
     def _record(bench_id: str, *, actors: int, backend: str,
                 wall_ms: float, ready_visits: int) -> None:
-        _bench_rows[bench_id] = {
+        _bench_rows[bench_id] = (request.node.nodeid, {
             "actors": int(actors),
             "backend": str(backend),
             "wall_ms": round(float(wall_ms), 3),
             "ready_visits": int(ready_visits),
-        }
+        })
 
     return _record
 
 
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_makereport(item, call):
+    outcome = yield
+    report = outcome.get_result()
+    if report.when == "call" and report.passed:
+        _passed.add(item.nodeid)
+    elif report.failed:
+        _passed.discard(item.nodeid)
+
+
 def _write_bench_json() -> None:
-    if not _bench_rows:
+    rows = {bench_id: row for bench_id, (nodeid, row) in _bench_rows.items()
+            if nodeid in _passed}
+    if not rows:
         return
     RESULTS_DIR.mkdir(exist_ok=True)
     merged: dict[str, dict] = {}
@@ -72,7 +91,7 @@ def _write_bench_json() -> None:
             merged = json.loads(BENCH_JSON.read_text())
         except (ValueError, OSError):
             merged = {}
-    merged.update(_bench_rows)
+    merged.update(rows)
     BENCH_JSON.write_text(
         json.dumps(dict(sorted(merged.items())), indent=2) + "\n"
     )

@@ -8,8 +8,14 @@ the MCR's rings-and-cores decomposition, buffer schedule) survive
 every binding-only bump.  The rings of the actors outside the cyclic
 cores are closed-form, and each core's MCR is memoized in a
 cross-version content store (changed cores warm-start Howard from the
-remembered cycle policy).  ``analyze()`` runs no executor at default
-options, so neither leg below runs one.
+remembered cycle policy).  A structural edit drops every per-version
+product, but each core's liveness verdict and weight-free event graph
+are kept across versions under the core's content key, so it re-runs
+the local iteration and rebuilds the event graph of the one core it
+touches only, and of none when it touches no core; the untimed token
+loops (the local iterations and the greedy buffer schedule) step flat
+integer lists.  ``analyze()`` runs no executor at default options, so
+neither leg below runs one.
 
 This bench replays the edit-loop workload those mechanisms target: one
 graph, repeated ``EditSession.analyze()`` calls after small edits.
@@ -24,10 +30,13 @@ bit-for-bit identical.  Edit classes:
   actor's ring is closed-form, the core a content-store hit);
 * ``bind_in``   — execution-time edit *inside* the cyclic core: the
   core re-solves, warm-started;
-* ``tokens``    — initial-token edit (structural: distances move, core
-  ratios still reused per content key where unchanged);
-* ``rate``      — balanced rate scaling (structural: the repetition
-  vector and expansion change, closest to a cold run).
+* ``tokens``    — initial-token edit on a channel inside the cyclic
+  core, toggled between two fills (structural: the balance solve and
+  the greedy buffer schedule re-run; the core's verdict, event graph
+  and ratio are store hits once both fills have been seen);
+* ``rate``      — balanced rate scaling and back (structural: the same
+  re-runs; the cores keep their keys unless the scaled channel is
+  inside one).
 
 Cold-only rows at 160 and 320 actors time a plain ``analyze()`` of a
 fresh clone (best of 3, every clone's fingerprint equal): the scale

@@ -27,6 +27,7 @@ from .schedule import (
     cyclic_components,
     find_sequential_schedule,
     is_live,
+    local_iteration,
     validate_schedule,
 )
 from .simulation import TokenState
@@ -84,6 +85,7 @@ __all__ = [
     "is_live",
     "cyclic_components",
     "cycle_subgraph",
+    "local_iteration",
     "POLICIES",
     "TokenState",
     "schedule_buffer_sizes",

@@ -16,16 +16,37 @@ reference tools we report the peak fill levels of concrete executions:
   sizes are actually sufficient, and that one token less deadlocks
   when the heuristic is tight).
 
-The greedy schedule runs on a wake-up heap.  The fill after firing
-``a`` is the current total plus ``a``'s net token change, which
-depends only on ``a``'s phase, so the heap keyed ``(net change, sink
-distance, name)`` picks the same firing as comparing every candidate's
-resulting total.  Under the CSDF firing rule only an actor's own firing
-can disable it, so after ``b`` fires only ``b`` and the consumers of
-its output channels need re-checking; each actor waits in the heap at
-most once, under a key that cannot change while it waits.  A step
-costs O(degree + log n) instead of a token-state copy per fireable
-actor.
+The greedy schedule runs on a wake-up heap, over the flat token-loop
+tables of :mod:`repro.csdf.schedule` (integer lists of fill levels,
+peaks and phase counters, stepped through each actor's ``(slot,
+phases)`` pairs).  The fill after firing ``a`` is the current total
+plus ``a``'s net token change, which depends only on ``a``'s phase, so
+the heap keyed ``(net change, sink distance, rank)`` — ``rank`` the
+actor's position among the names sorted — picks the same firing as
+comparing every candidate's resulting total.  Under the CSDF firing
+rule only an actor's own firing can disable it, so after ``b`` fires
+only ``b`` and the consumers of its output channels need re-checking;
+each actor waits in the heap at most once, under a key that cannot
+change while it waits.  A step costs O(degree + log n) instead of a
+token-state copy per fireable actor.  The sink distances come from
+the actor graph's component labels, computed once per structure
+version (:func:`~repro.csdf.schedule.actor_graph`).
+
+Examples
+--------
+Fig. 1's buffer-minimizing iteration interleaves the actors and needs
+six tokens of memory, against eight for the grouped PASS:
+
+>>> from repro.gallery import fig1_graph
+>>> from repro.csdf.schedule import find_sequential_schedule
+>>> fig1 = fig1_graph()
+>>> schedule, peaks = minimal_buffer_schedule(fig1)
+>>> str(schedule), peaks
+('a3 (a1)^2 a2 a3 a1 a2', {'e1': 1, 'e2': 3, 'e3': 2})
+>>> total_buffer_size(peaks)
+6
+>>> total_buffer_size(schedule_buffer_sizes(fig1, find_sequential_schedule(fig1)))
+8
 """
 
 from __future__ import annotations
@@ -36,11 +57,10 @@ from typing import Iterable, Mapping
 from ..cache import bindings_key, cached, register_binding_insensitive
 from ..errors import DeadlockError
 from .analysis import concrete_repetition_vector
-from .digraph import adjacency, tarjan_components
 from .graph import CSDFGraph
 from .mcr import _CapacityEventGraph
-from .schedule import SequentialSchedule
-from .simulation import TokenState, rate_table
+from .schedule import SequentialSchedule, _token_tables, actor_graph
+from .simulation import TokenState
 from .throughput import _check_capacity_contract
 
 # The greedy buffer heuristic only counts tokens — execution times
@@ -89,40 +109,68 @@ def _minimal_buffer_schedule(
     bindings: Mapping | None,
 ) -> tuple[SequentialSchedule, dict[str, int]]:
     targets = concrete_repetition_vector(graph, bindings)
-    state = TokenState(graph, bindings)
-    consumers = rate_table(graph, bindings).consumers
-    remaining = dict(targets)
-    outstanding = sum(left for left in remaining.values() if left > 0)
+    actors, position, tokens0, ins, outs, consumers = _token_tables(graph, bindings)
+    n = len(actors)
+    tokens = list(tokens0)
+    peaks = list(tokens0)
+    fired = [0] * n
+    remaining = [targets[actor] for actor in actors]
+    outstanding = sum(left for left in targets.values() if left > 0)
     firings: list[str] = []
     depth = _sink_distance(graph)
-    heap: list[tuple[int, int, str]] = []
-    waiting: set[str] = set()
-
-    def offer(actor: str) -> None:
-        if actor not in waiting and remaining.get(actor, 0) > 0 and state.can_fire(actor):
-            waiting.add(actor)
-            heappush(heap, (state.net_change(actor), depth.get(actor, 0), actor))
-
-    for actor in remaining:
-        offer(actor)
-    while outstanding:
+    by_rank = sorted(range(n), key=actors.__getitem__)
+    # Every actor's constant key tail: its sink distance and its rank,
+    # which orders as its name does.
+    tail = [(0, 0)] * n
+    for rank, pos in enumerate(by_rank):
+        tail[pos] = (depth[actors[pos]], rank)
+    heap: list[tuple[int, int, int]] = []
+    waiting = bytearray(n)
+    # Offer every actor first, then after each firing the fired actor
+    # and its consumers: each enters the heap when it has firings left
+    # and its firing rule holds.
+    offers: Iterable[int] = range(n)
+    while True:
+        for pos in offers:
+            if waiting[pos] or remaining[pos] <= 0:
+                continue
+            k = fired[pos]
+            change = 0
+            for slot, phases in ins[pos]:
+                need = phases[k % len(phases)]
+                if tokens[slot] < need:
+                    break
+                change -= need
+            else:
+                for slot, phases in outs[pos]:
+                    change += phases[k % len(phases)]
+                waiting[pos] = 1
+                heappush(heap, (change, *tail[pos]))
+        if not outstanding:
+            break
         if not heap:
-            blocked = [a for a, left in remaining.items() if left > 0]
+            blocked = [actor for actor in targets if remaining[position[actor]] > 0]
             raise DeadlockError(
                 f"buffer-minimizing schedule stalled; blocked actors: {blocked}",
                 blocked=blocked,
                 partial_schedule=firings,
             )
-        best = heappop(heap)[2]
-        waiting.discard(best)
-        state.fire(best)
+        best = by_rank[heappop(heap)[2]]
+        waiting[best] = 0
+        k = fired[best]
+        for slot, phases in ins[best]:
+            tokens[slot] -= phases[k % len(phases)]
+        for slot, phases in outs[best]:
+            level = tokens[slot] + phases[k % len(phases)]
+            tokens[slot] = level
+            if level > peaks[slot]:
+                peaks[slot] = level
+        fired[best] = k + 1
         remaining[best] -= 1
         outstanding -= 1
-        firings.append(best)
-        offer(best)
-        for consumer in consumers[best]:
-            offer(consumer)
-    return SequentialSchedule(firings), dict(state.peak)
+        firings.append(actors[best])
+        offers = (best, *consumers[best])
+    return SequentialSchedule(firings), dict(zip(graph.channels, peaks))
 
 
 def _sink_distance(graph: CSDFGraph) -> dict[str, int]:
@@ -132,11 +180,10 @@ def _sink_distance(graph: CSDFGraph) -> dict[str, int]:
     0, their producers 1, and so on.  The greedy scheduler sorts this
     ascending after the fill, so on a tie it fires the actor closest to
     a sink and drains tokens towards consumers instead of piling them
-    up at producers.
+    up at producers.  Read off the memoized
+    :func:`~repro.csdf.schedule.actor_graph`: no second Tarjan pass.
     """
-    actors = list(graph.actors)
-    adj = adjacency(actors, ((c.src, c.dst) for c in graph.channels.values()))
-    comp = tarjan_components(len(actors), adj)
+    actors, adj, comp = actor_graph(graph)
     # Component ids count up in reverse topological order, so visiting
     # actors by id settles every successor component first.
     scc_depth = [0] * len(actors)

@@ -59,7 +59,15 @@ Sec. III-C).  So every cycle is one of two kinds:
 The weight-free part — the ``(actor, q_a)`` pairs outside the cores and
 each core's edges — is one cache entry, carried across execution-time
 edits (see :mod:`repro.cache`); execution times are read per query and
-attached as integer work over their common denominator.  Each core's
+attached as integer work over their common denominator.  A token, rate
+or topology edit drops that entry, but each core's edges are also kept
+in a cross-version content store under the core's content key
+(:func:`~repro.csdf.schedule.core_keys`: its actors with their phase
+and global repetition counts, its inner channels with their integer
+phases and initial tokens), the key liveness stores its verdicts
+under.  So such an edit builds the event graph of the one core it
+touches, or of none, and an unchanged core hands the ratio store below
+the same ``edges`` object.  Each core's
 ratio is keyed in a cross-version content store by its edges and
 firing times, and each ring's sum by its phase times and firing
 count, so re-analysis after an edit re-solves only the cores whose key
@@ -116,7 +124,7 @@ from .analysis import concrete_repetition_vector
 from .channel import Channel
 from .digraph import tarjan_components
 from .graph import CSDFGraph
-from .schedule import cyclic_components
+from .schedule import core_keys, cyclic_components
 from .sdf import channel_firing_flows, check_firing_names, expand_to_hsdf, firing_name
 from .simulation import rate_table
 
@@ -127,6 +135,7 @@ _TOKEN_FREE_CYCLE = "cycle with zero tokens: the graph deadlocks, MCR undefined"
 _REFERENCE_TOLERANCE = 1e-6
 
 #: Cross-version content stores (see :func:`repro.cache.content_store`).
+_CORE_STORE = "mcr_core"        # core content key -> (firings, edges)
 _SCC_STORE = "mcr_scc"          # core edges and firing times -> exact ratio
 _POLICY_STORE = "mcr_scc_policy"  # core edges -> converged policy
 _RING_STORE = "mcr_ring"        # ring phase times and firing count -> exact ratio
@@ -192,11 +201,15 @@ def _decomposition(graph: CSDFGraph, bindings: Mapping | None):
     """The weight-free split of the event graph, ``(rings, cores)``.
 
     ``rings`` holds the ``(actor, q_a)`` pairs of the actors outside
-    every cyclic core, ``cores`` one ``(firings, edges)`` per core:
-    ``firings`` its ``(actor, q_a)`` pairs in node order, ``edges`` its
-    event graph (:func:`_event_graph`).  Execution times are absent, so
-    the entry survives execution-time edits: it is registered
-    binding-insensitive with :mod:`repro.cache`.
+    every cyclic core, ``cores`` one ``(firings, edges)`` per core,
+    sorted: ``firings`` its ``(actor, q_a)`` pairs in node order,
+    ``edges`` its event graph (:func:`_event_graph`).  Execution times
+    are absent, so the entry survives execution-time edits: it is
+    registered binding-insensitive with :mod:`repro.cache`.  Each
+    core's pair is kept across versions under the core's content key
+    (:func:`~repro.csdf.schedule.core_keys`), so a structural edit
+    builds the event graph of the cores whose content changed only,
+    and an unchanged core hands the ratio store the same ``edges``.
     """
     return cached(
         graph, ("mcr_cores", bindings_key(bindings)),
@@ -210,16 +223,23 @@ def _decompose(graph: CSDFGraph, bindings: Mapping | None):
     # Every channel's rates, in channel order: a parameter missing from
     # ``bindings`` raises its KeyError even when no core reads it.
     rate_table(graph, bindings)
-    cores = sorted(cyclic_components(graph))
+    cores = cyclic_components(graph)
+    keys = core_keys(graph, bindings)
     in_cores = set().union(*cores)
     rings = tuple((name, count) for name, count in q.items() if name not in in_cores)
+    store = content_store(graph, _CORE_STORE)
     built = []
-    for core in cores:
-        members = set(core)
-        channels = [c for c in graph.channels.values()
-                    if c.src in members and c.dst in members]
-        _offset, edges = _event_graph(q, core, channels, bindings)
-        built.append((tuple((name, q[name]) for name in core), edges))
+    for index in sorted(range(len(cores)), key=cores.__getitem__):
+        core, key = cores[index], keys[index]
+        entry = store.get(key)
+        if entry is None:
+            members = set(core)
+            channels = [c for c in graph.channels.values()
+                        if c.src in members and c.dst in members]
+            _offset, edges = _event_graph(q, core, channels, bindings)
+            entry = (tuple((name, q[name]) for name in core), edges)
+            store.put(key, entry)
+        built.append(entry)
     return rings, tuple(built)
 
 

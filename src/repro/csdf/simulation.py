@@ -1,16 +1,20 @@
 """Token-count simulation of CSDF graphs.
 
 This is the *untimed* operational semantics: channel fill levels and
-firing counters, no data values and no clock.  It underpins schedule
-construction (:mod:`repro.csdf.schedule`), buffer sizing
-(:mod:`repro.csdf.buffers`) and the liveness analysis of TPDF
-(:mod:`repro.tpdf.liveness`).  Timed, data-carrying execution lives in
+firing counters, no data values and no clock.  :class:`TokenState`
+replays given schedules (``validate_schedule``,
+``schedule_buffer_sizes``) and is the state the differential oracles of
+the flat token loops step; those loops — schedule construction and
+the liveness check (:mod:`repro.csdf.schedule`), the greedy buffer
+schedule (:mod:`repro.csdf.buffers`) — run the same firing rule on
+integer lists.  Timed, data-carrying execution lives in
 :mod:`repro.sim`.
 
 The integer rates come from :func:`rate_table`: every channel's phase
 tuples evaluated once per (graph version, bindings) and memoized, so a
 :class:`TokenState` build only copies the initial tokens.  The array
-templates of :mod:`repro.csdf.statearrays` read the same table.  It
+templates of :mod:`repro.csdf.statearrays` and the token loops' tables
+read the same table.  It
 needs no repetition vector (``validate_schedule`` replays schedules on
 graphs of any consistency), and it is carried across execution-time
 edits, which cannot move a rate.
@@ -43,30 +47,22 @@ class RateTable:
     inputs, outputs:
         Actor name -> the channel names it consumes from / produces on,
         in channel order.
-    consumers:
-        Actor name -> the distinct other actors its output channels
-        feed, in channel order: the actors one of its firings can make
-        fireable.
     """
 
-    __slots__ = ("production", "consumption", "inputs", "outputs", "consumers")
+    __slots__ = ("production", "consumption", "inputs", "outputs")
 
     def __init__(self, graph: CSDFGraph, bindings: Mapping | None):
         self.production: dict[str, tuple[int, ...]] = {}
         self.consumption: dict[str, tuple[int, ...]] = {}
         inputs: dict[str, list[str]] = {name: [] for name in graph.actors}
         outputs: dict[str, list[str]] = {name: [] for name in graph.actors}
-        consumers: dict[str, dict[str, None]] = {name: {} for name in graph.actors}
         for channel in graph.channels.values():
             self.production[channel.name] = channel.production.as_ints(bindings)
             self.consumption[channel.name] = channel.consumption.as_ints(bindings)
             outputs[channel.src].append(channel.name)
             inputs[channel.dst].append(channel.name)
-            if channel.dst != channel.src:
-                consumers[channel.src][channel.dst] = None
         self.inputs = {name: tuple(names) for name, names in inputs.items()}
         self.outputs = {name: tuple(names) for name, names in outputs.items()}
-        self.consumers = {name: tuple(names) for name, names in consumers.items()}
 
 
 def rate_table(graph: CSDFGraph, bindings: Mapping | None = None) -> RateTable:
@@ -117,19 +113,6 @@ class TokenState:
         """Tokens the next firing of ``actor`` produces on ``channel``."""
         phases = self._prod[channel]
         return phases[self.fired[actor] % len(phases)]
-
-    def net_change(self, actor: str) -> int:
-        """Tokens the next firing of ``actor`` adds to the total fill:
-        its production minus its consumption, self-loops netted."""
-        fired = self.fired[actor]
-        change = 0
-        for channel in self._out[actor]:
-            phases = self._prod[channel]
-            change += phases[fired % len(phases)]
-        for channel in self._in[actor]:
-            phases = self._cons[channel]
-            change -= phases[fired % len(phases)]
-        return change
 
     def can_fire(self, actor: str) -> bool:
         """CSDF firing rule: every input channel holds enough tokens."""

@@ -49,7 +49,7 @@ import re
 import threading
 from typing import Callable, NamedTuple
 
-from ..analysis import STAGE_SWITCHES
+from ..analysis import STAGE_SWITCHES, analyze
 from ..cache import bindings_key, domain_key
 from ..errors import as_count
 from ..io import (parametric_report_to_dict, payload_fingerprint,
@@ -63,6 +63,9 @@ from .wire import (BadRequest, SessionNotFound, error_from_dict, error_status,
 #: stage switches and the stages' parameters.
 _ANALYZE_OPTIONS = frozenset({*STAGE_SWITCHES, "iterations",
                               "parametric_domain"})
+#: :func:`~repro.analysis.analyze`'s keyword defaults, every wire option
+#: among them.
+_ANALYZE_DEFAULTS = analyze.__kwdefaults__
 
 #: ``simulate`` options accepted over the wire.  ``record_values`` is
 #: deliberately absent: token payloads are arbitrary Python objects
@@ -119,13 +122,16 @@ def _parse_simulate_options(data) -> dict:
 
 
 def _analyze_key(options: dict) -> tuple:
-    """Cache-key view of parsed ``analyze`` options: ``iterations``
-    sizes only the timed run, so it keys the result only when
-    ``with_throughput`` asks for that run."""
-    if not options.get("with_throughput"):
+    """Cache-key view of parsed ``analyze`` options, so that every
+    spelling of one report shares one key: an option equal to
+    :func:`~repro.analysis.analyze`'s default keys as if absent, and
+    ``iterations``, which sizes only the timed run, keys the result
+    only when ``with_throughput`` asks for that run."""
+    if not options.get("with_throughput", _ANALYZE_DEFAULTS["with_throughput"]):
         options = {name: value for name, value in options.items()
                    if name != "iterations"}
-    return _options_key(options)
+    return _options_key({name: value for name, value in options.items()
+                         if value != _ANALYZE_DEFAULTS[name]})
 
 
 def _options_key(options: dict) -> tuple:

@@ -12,8 +12,9 @@ merely go unused), so the analysis reduces to the cyclic parts:
    ``q^L_B = q^L_C = 2`` although ``q = [2, 2p, 2p]``);
 3. schedule the cycle *in isolation* (external inputs assumed
    plentiful) for one local iteration by exhaustive symbolic
-   execution, round robin, as plain CSDF's
-   :func:`~repro.csdf.schedule.is_live` does.  Maximal execution
+   execution, round robin, in place on the CSDF view
+   (:func:`~repro.csdf.schedule.local_iteration`, the loop plain
+   CSDF's :func:`~repro.csdf.schedule.is_live` runs).  Maximal execution
    strategies are complete for the monotonic CSDF firing rule, so
    interleaved schedules such as the paper's late schedule
    ``(B C C B)`` for Fig. 4(b) are found whenever any schedule exists;
@@ -34,9 +35,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from ..csdf.graph import CSDFGraph
-from ..csdf.schedule import (
-    SequentialSchedule, cycle_subgraph, cyclic_components, find_sequential_schedule,
-)
+from ..csdf.schedule import SequentialSchedule, cyclic_components, local_iteration
 from ..errors import AnalysisError, DeadlockError
 from ..symbolic import Poly
 from .areas import LocalSolution, local_solution
@@ -92,15 +91,20 @@ def _sample_bindings(graph: TPDFGraph, names: set[str], limit: int = 8) -> list[
 
 
 def check_cycle(graph: TPDFGraph, subset: tuple[str, ...]) -> CycleVerdict:
-    """Decide liveness of one cycle via its local iteration: once when
-    the local solution and the cycle's rates are parameter-free, else
-    once per sampled witness valuation."""
+    """Decide liveness of one cycle via its local iteration, run in
+    place on the CSDF view (:func:`~repro.csdf.schedule.local_iteration`):
+    once when the local solution and the cycle's rates are
+    parameter-free, else once per sampled witness valuation."""
     local = local_solution(graph, subset)
-    sub = cycle_subgraph(graph.as_csdf(), subset, owner=graph.name)
+    csdf = graph.as_csdf()
+    inside = set(subset)
+    names = {name for channel in csdf.channels.values()
+             if channel.src in inside and channel.dst in inside
+             for rates in (channel.production, channel.consumption)
+             for name in rates.variables()}
     concrete = local.as_ints() if local.is_concrete() else None
-    names = sub.parameters()
     if concrete is None:
-        names = names | {v for count in local.counts.values() for v in count.variables()}
+        names |= {v for count in local.counts.values() for v in count.variables()}
     symbolic = not names
     witnesses = [] if symbolic else _sample_bindings(graph, names)
     schedules = []
@@ -109,8 +113,8 @@ def check_cycle(graph: TPDFGraph, subset: tuple[str, ...]) -> CycleVerdict:
             name: count.evaluate_int(bindings) for name, count in local.counts.items()
         }
         try:
-            schedules.append(find_sequential_schedule(
-                sub, bindings, policy="round_robin", repetitions=counts))
+            schedules.append(local_iteration(csdf, subset, counts, bindings,
+                                             owner=graph.name))
         except DeadlockError as exc:
             reason = str(exc) if symbolic else f"deadlocks under {bindings}: {exc}"
             return CycleVerdict(subset, local, False, decided_symbolically=symbolic,

@@ -32,8 +32,8 @@ from repro.cache import (
     cached,
     version_of,
 )
-from repro.csdf import (ArrayState, CSDFGraph, array_state, max_cycle_ratio,
-                        self_timed_execution)
+from repro.csdf import (ArrayState, CSDFGraph, array_state, cyclic_components,
+                        max_cycle_ratio, self_timed_execution)
 from repro.errors import GraphConstructionError
 from repro.io import csdf_from_dict, csdf_to_dict, graph_from_payload
 from repro.tpdf import random_consistent_graph
@@ -359,8 +359,210 @@ class TestCyclicComponentsMemo:
         assert len(passes) == 2
 
 
+    @pytest.mark.parametrize("kind, index", PERFBENCH,
+                             ids=[f"{k}{i}" for k, i in PERFBENCH])
+    def test_one_actor_graph_pass(self, monkeypatch, kind, index):
+        """The cyclic components and the buffer schedule's sink
+        distances come from one Tarjan pass over the actor graph per
+        cold ``analyze()``, and an execution-time edit runs none."""
+        import repro.csdf.digraph as digraph
+
+        doc = _perfbench_graphs().make_doc(kind, 80, 3, index)
+        graph = graph_from_payload(doc.doc)
+        csdf = _csdf_of(graph)
+        actor_adj = digraph.adjacency(
+            list(csdf.actors), ((c.src, c.dst) for c in csdf.channels.values()))
+        passes: list = []
+        tarjan = digraph.tarjan_components
+
+        def spy(n_nodes, adj):
+            passes.append(adj == actor_adj)
+            return tarjan(n_nodes, adj)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "tarjan_components", None) is tarjan:
+                monkeypatch.setattr(module, "tarjan_components", spy)
+        report = analyze(graph, doc.bindings)
+        assert report.buffers and cyclic_components(csdf)
+        assert passes.count(True) == 1
+        if csdf is not graph:
+            return
+        name = next(iter(graph.actors))
+        graph.actor(name).set_exec_time(
+            [7.5] * len(graph.actor(name).exec_times))
+        assert analyze(graph, doc.bindings).buffers == report.buffers
+        assert passes.count(True) == 1
+
+
 def _csdf_of(graph):
     return graph if isinstance(graph, CSDFGraph) else graph.as_csdf()
+
+
+def _core_of(graph: CSDFGraph, channel) -> tuple | None:
+    """The cyclic component holding ``channel``, or None."""
+    return next((core for core in cyclic_components(graph)
+                 if channel.src in core and channel.dst in core), None)
+
+
+def _structural_script(session: EditSession, rng: random.Random,
+                       steps: int) -> int:
+    """``steps`` seeded edits, each followed by a warm ``analyze()``
+    checked against a cold clone: token edits inside a core (driving it
+    to deadlock with none and back to its tokens) and outside every
+    core, balanced rate scalings and back, a sink added and removed,
+    and execution-time edits.  Returns how many of the warm reports
+    found a deadlock."""
+    graph = session.graph
+    undo: list = []
+    dead = 0
+    for step in range(steps):
+        channels = list(graph.channels.values())
+        inside = [c for c in channels if _core_of(graph, c)]
+        outside = [c for c in channels if not _core_of(graph, c)]
+        kind = rng.choice(("core_tokens", "tokens", "rate", "sink", "exec"))
+        if undo and rng.random() < 0.4:
+            kind, edit = "undo", undo.pop()
+            edit()
+        elif kind == "core_tokens" and inside:
+            channel = rng.choice(inside)
+            tokens = channel.initial_tokens
+            session.set_initial_tokens(channel.name, rng.choice((0, tokens + 1)))
+            undo.append(lambda c=channel.name, t=tokens: session.set_initial_tokens(c, t))
+        elif kind == "tokens" and outside:
+            channel = rng.choice(outside)
+            session.set_initial_tokens(channel.name, rng.randint(0, 3))
+        elif kind == "rate":
+            channel = rng.choice(channels)
+            production = _concrete(channel.production)
+            consumption = _concrete(channel.consumption)
+            tokens = channel.initial_tokens
+            m = rng.choice((2, 3))
+            session.set_production(channel.name, [m * r for r in production])
+            session.set_consumption(channel.name, [m * r for r in consumption])
+            session.set_initial_tokens(channel.name, m * tokens)
+
+            def restore(c=channel.name, p=production, k=consumption, t=tokens):
+                session.set_production(c, p)
+                session.set_consumption(c, k)
+                session.set_initial_tokens(c, t)
+            undo.append(restore)
+        elif kind == "sink":
+            sink = f"sink{step}"
+            session.add_actor(sink, exec_time=2.0)
+            session.add_channel(f"to_{sink}", rng.choice(list(graph.actors)), sink)
+            undo.append(lambda a=sink: session.remove_actor(a))
+        else:
+            name = rng.choice(list(graph.actors))
+            times = graph.actor(name).exec_times
+            session.set_exec_time(name, [float(rng.randint(1, 6)) for _ in times])
+        warm = session.analyze()
+        assert warm.fingerprint() == _cold_report(graph).fingerprint(), (
+            f"warm/cold divergence: {graph.name} step={step} edit={kind}")
+        dead += warm.live is False
+    return dead
+
+
+class TestStructuralEdits:
+    """Token, rate and topology edits re-run only the cyclic cores
+    whose content changed, and stay bit-for-bit a cold analysis."""
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"n{s[0]}e{s[1]}c{s[2]}")
+    def test_random_structural_scripts(self, shape):
+        n, extra, cycles = shape
+        dead = 0
+        for seed in range(SEEDS_PER_SHAPE):
+            session = EditSession(_mutable_csdf(n, extra, cycles, seed),
+                                  **ANALYZE_OPTIONS)
+            session.analyze()
+            dead += _structural_script(session, random.Random(f"{shape}:{seed}"), 8)
+        assert dead or not cycles  # shapes with back edges reach deadlocks
+
+    def test_scripts_on_perfbench_edit_documents(self):
+        graphs = _perfbench_graphs()
+        for index in range(3):
+            model = graphs.csdf_model(random.Random(f"3:edit:{index}"), 80,
+                                      f"edit{index}")
+            session = EditSession(graphs.build_csdf(model))
+            session.analyze()
+            _structural_script(session, random.Random(index), 12)
+
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        """The cores each ``analyze()`` runs a local iteration of and
+        builds an event graph for."""
+        import repro.csdf.mcr as mcr_mod
+        import repro.csdf.schedule as schedule_mod
+
+        runs: list = []
+        builds: list = []
+        run, build = schedule_mod._run_passes, mcr_mod._event_graph
+
+        def run_spy(name, tables, targets, policy):
+            runs.append(tables[0])  # the actors run
+            return run(name, tables, targets, policy)
+
+        def build_spy(q, actors, channels, bindings=None):
+            builds.append(tuple(actors))
+            return build(q, actors, channels, bindings)
+
+        monkeypatch.setattr(schedule_mod, "_run_passes", run_spy)
+        monkeypatch.setattr(mcr_mod, "_event_graph", build_spy)
+        return runs, builds
+
+    @staticmethod
+    def _session(index: int) -> EditSession:
+        graphs = _perfbench_graphs()
+        model = graphs.csdf_model(random.Random(f"3:edit:{index}"), 80,
+                                  f"edit{index}")
+        session = EditSession(graphs.build_csdf(model))
+        session.analyze()
+        return session
+
+    @staticmethod
+    def _warm(session: EditSession, spies) -> tuple:
+        """``(report, cores run, cores built)`` of one warm analysis,
+        checked against a cold clone (outside the spies' record)."""
+        runs, builds = spies
+        runs.clear()
+        builds.clear()
+        warm = session.analyze()
+        seen = (list(runs), list(builds))
+        assert warm.fingerprint() == _cold_report(session.graph).fingerprint()
+        return warm, *seen
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_edits_outside_every_core_run_no_core(self, spies, index):
+        session = self._session(index)
+        graph = session.graph
+        source = next(iter(graph.actors))
+        session.add_actor("sink0", exec_time=2.0)
+        session.add_channel("to_sink0", source, "sink0")
+        assert self._warm(session, spies)[1:] == ([], [])
+        session.remove_actor("sink0")
+        assert self._warm(session, spies)[1:] == ([], [])
+        channel = next(c for c in graph.channels.values() if not _core_of(graph, c))
+        session.set_initial_tokens(channel.name, channel.initial_tokens + 2)
+        assert self._warm(session, spies)[1:] == ([], [])
+
+    @pytest.mark.parametrize("index", range(3))
+    def test_an_edit_inside_one_core_runs_that_core(self, spies, index):
+        session = self._session(index)
+        graph = session.graph
+        assert len(cyclic_components(graph)) > 1
+        channel = next(c for c in graph.channels.values()
+                       if _core_of(graph, c) and c.initial_tokens)
+        core = _core_of(graph, channel)
+        tokens = channel.initial_tokens
+        session.set_initial_tokens(channel.name, tokens + 1)
+        assert self._warm(session, spies)[1:] == ([core], [core])
+        session.set_initial_tokens(channel.name, 0)  # deadlocks the core
+        warm, runs, builds = self._warm(session, spies)
+        assert not warm.live and (runs, builds) == ([core], [])
+        # Back to earlier states: the core is a store hit.
+        for value in (tokens + 1, tokens):
+            session.set_initial_tokens(channel.name, value)
+            warm, runs, builds = self._warm(session, spies)
+            assert warm.live and (runs, builds) == ([], [])
 
 
 class TestSCCGranularity:

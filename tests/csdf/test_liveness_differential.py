@@ -16,20 +16,29 @@ Both must give the same verdict on
   tokens, self-loops included, set to none, half and one less, which
   makes more than half of all inputs deadlock.
 
+A local iteration runs in place (:func:`repro.csdf.local_iteration`),
+and on the same inputs it must give what the component built as a
+graph of its own gives: ``find_sequential_schedule(cycle_subgraph(...),
+policy="round_robin", repetitions=q^L)``, firings, or deadlock message,
+blocked actors and partial schedule alike.
+
 The last tests pin what the cycle-local check does: its counts are the
 symbolic local solution evaluated at the valuation, an acyclic graph
-builds no schedule at all (the coprime chain's global iteration is
-about 3.1M firings), and its errors are the whole-graph ones.
+runs no local iteration at all (the coprime chain's global iteration
+is about 3.1M firings), and its errors are the whole-graph ones.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 import pytest
 
 import repro.csdf.schedule as schedule_module
 from repro import gallery
-from repro.csdf import (CSDFGraph, cyclic_components, expand_to_hsdf,
-                        find_sequential_schedule, is_live)
+from repro.csdf import (CSDFGraph, concrete_repetition_vector, cycle_subgraph,
+                        cyclic_components, expand_to_hsdf,
+                        find_sequential_schedule, is_live, local_iteration)
 from repro.errors import DeadlockError
 from repro.io import csdf_from_dict, csdf_to_dict
 from repro.symbolic import InconsistentRatesError, Param
@@ -131,15 +140,48 @@ def test_verdicts_match_the_whole_graph_oracle(source):
         assert selfloops  # the radio's agc_state and its expansion
 
 
+def _outcome(run):
+    try:
+        return list(run())
+    except DeadlockError as exc:
+        return "deadlock", str(exc), exc.blocked, exc.partial_schedule
+
+
+@pytest.mark.parametrize("source", ("corpus", "gallery", "hsdf", "ext7"))
+def test_in_place_local_iterations_match_the_isolated_subgraph(source):
+    """Every cyclic component of every input and token mutation, run in
+    place and as its own graph, for q^L."""
+    runs = dead = 0
+    for label, graph, bindings in _sources(source):
+        q = concrete_repetition_vector(graph, bindings)
+        taus = graph.taus()
+        for mutation, case in [("", graph)] + list(_mutations(graph)):
+            for subset in cyclic_components(case):
+                factor = gcd(*(q[name] // taus[name] for name in subset))
+                counts = {name: q[name] // factor for name in subset}
+                want = _outcome(lambda: find_sequential_schedule(
+                    cycle_subgraph(case, subset), bindings,
+                    policy="round_robin", repetitions=counts))
+                got = _outcome(lambda: local_iteration(case, subset, counts, bindings))
+                assert got == want, (label, mutation, subset)
+                runs += 1
+                dead += want[0] == "deadlock"
+    expected = {"corpus": (531, 292), "gallery": (11, 6), "hsdf": (90, 27),
+                "ext7": (280, 174)}
+    assert (runs, dead) == expected[source]
+
+
 def _spy(monkeypatch):
-    """Record the targets of every schedule ``is_live`` builds."""
+    """Record the graph name, policy and targets of every run of the
+    token loop."""
     calls = []
+    run = schedule_module._run_passes
 
-    def spy(graph, bindings=None, policy="grouped", repetitions=None):
-        calls.append((graph.name, policy, dict(repetitions)))
-        return find_sequential_schedule(graph, bindings, policy, repetitions)
+    def spy(name, tables, targets, policy):
+        calls.append((name, policy, dict(targets)))
+        return run(name, tables, targets, policy)
 
-    monkeypatch.setattr(schedule_module, "find_sequential_schedule", spy)
+    monkeypatch.setattr(schedule_module, "_run_passes", spy)
     return calls
 
 

@@ -116,6 +116,23 @@ class TestCacheKeying:
         assert lo.fingerprint() == hi.fingerprint()
         assert lo.timed is None
 
+    def test_options_at_their_defaults_share_an_entry(self):
+        """An option spelled at ``analyze()``'s default keys as if left
+        out: the timed run with and without ``iterations=4``, and no
+        options against ``with_throughput=False``, compute two reports."""
+        graph = small_csdf(seed=35)
+        with serve_in_thread(workers=1) as handle:
+            client = ServiceClient(handle.url)
+            timed = client.analyze(graph, with_throughput=True)
+            timed4 = client.analyze(graph, with_throughput=True, iterations=4)
+            plain = client.analyze(graph)
+            untimed = client.analyze(graph, with_throughput=False)
+            stats = client.stats()["cache"]
+        assert (stats["computed"], stats["hits"]) == (2, 2)
+        assert timed.fingerprint() == timed4.fingerprint()
+        assert plain.fingerprint() == untimed.fingerprint()
+        assert timed.timed is not None and plain.timed is None
+
     def test_eviction_respects_configured_bound(self):
         graphs = [small_csdf(seed=40 + seed) for seed in range(6)]
         with serve_in_thread(workers=1, cache_limit=4) as handle:

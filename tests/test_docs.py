@@ -28,6 +28,8 @@ PAGES = DOCS + [REPO / "README.md"]
 DOCTEST_MODULES = [
     "repro.analysis",
     "repro.cache",
+    "repro.csdf.schedule",
+    "repro.csdf.buffers",
     "repro.csdf.mcr",
     "repro.csdf.symbuf",
     "repro.csdf.parametric",
