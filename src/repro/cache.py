@@ -27,13 +27,14 @@ also advances the *structure* counter.  Two consumers build on them:
 
 * :func:`analysis_cache` **carries forward** entries whose key tag was
   registered via :func:`register_binding_insensitive` while the
-  structure counter has not moved — the repetition vector, liveness
-  verdict, the MCR's core structure and the executor template's rate
-  fields survive an execution-time edit instead of being recomputed.
+  structure counter has not moved — the repetition vector, the rate
+  table, the cyclic components and their core layer, and the greedy
+  buffer schedule survive an execution-time edit instead of being
+  recomputed.
 * :func:`content_store` holds **cross-version** memos keyed by content
-  fingerprints (e.g. per-core MCR results): a stale entry is
-  unreachable by construction because its key changed with the
-  content, so the store never needs invalidating.
+  fingerprints (each cyclic core's record, each ring's ratio): a stale
+  entry is unreachable by construction because its key changed with
+  the content, so the store never needs invalidating.
 """
 
 from __future__ import annotations

@@ -59,7 +59,7 @@ from ..errors import DeadlockError
 from .analysis import concrete_repetition_vector
 from .graph import CSDFGraph
 from .mcr import _CapacityEventGraph
-from .schedule import SequentialSchedule, _token_tables, actor_graph
+from .schedule import SequentialSchedule, _loop_tables, actor_graph, channel_rows
 from .simulation import TokenState
 from .throughput import _check_capacity_contract
 
@@ -109,7 +109,8 @@ def _minimal_buffer_schedule(
     bindings: Mapping | None,
 ) -> tuple[SequentialSchedule, dict[str, int]]:
     targets = concrete_repetition_vector(graph, bindings)
-    actors, position, tokens0, ins, outs, consumers = _token_tables(graph, bindings)
+    actors, position, tokens0, ins, outs, consumers = _loop_tables(
+        graph.actor_names(), channel_rows(graph, bindings))
     n = len(actors)
     tokens = list(tokens0)
     peaks = list(tokens0)

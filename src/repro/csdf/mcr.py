@@ -57,25 +57,23 @@ Sec. III-C).  So every cycle is one of two kinds:
   from the *global* repetition counts and solved by one Howard run.
 
 The weight-free part — the ``(actor, q_a)`` pairs outside the cores and
-each core's edges — is one cache entry, carried across execution-time
-edits (see :mod:`repro.cache`); execution times are read per query and
-attached as integer work over their common denominator.  A token, rate
-or topology edit drops that entry, but each core's edges are also kept
-in a cross-version content store under the core's content key
-(:func:`~repro.csdf.schedule.core_keys`: its actors with their phase
-and global repetition counts, its inner channels with their integer
-phases and initial tokens), the key liveness stores its verdicts
-under.  So such an edit builds the event graph of the one core it
-touches, or of none, and an unchanged core hands the ratio store below
-the same ``edges`` object.  Each core's
-ratio is keyed in a cross-version content store by its edges and
-firing times, and each ring's sum by its phase times and firing
-count, so re-analysis after an edit re-solves only the cores whose key
-changed — an edit outside every core re-solves nothing and sums only
-its own ring.  Re-solved cores warm-start Howard's iteration
-from the previous converged policy for the same edges (:func:`howard`
-``initial_policy=``), falling back to the cold initial policy whenever
-the remembered policy is not feasible edge-for-edge.
+each core's record — is one cache entry shared with the liveness check
+(:func:`~repro.csdf.schedule.core_layer`), carried across
+execution-time edits (see :mod:`repro.cache`); execution times are read
+per query and attached as integer work over their common denominator.
+Each core's :class:`~repro.csdf.schedule.CoreRecord` is kept across
+versions under the core's content key and filled on first need: its
+event graph, built from the key alone (:func:`_core_graph`), the
+policy Howard's iteration last converged to on it, and its exact ratio
+per firing-time tuple.  Each ring's sum is kept in a second content
+store by its phase times and firing count.  So a token, rate or
+topology edit builds the event graph of the one core it touches, or of
+none; an execution-time edit re-solves only the cores whose firing
+times changed, and an edit outside every core re-solves nothing and
+sums only its own ring.  Re-solved cores warm-start Howard's iteration
+from the record's policy (:func:`howard` ``initial_policy=``), falling
+back to the cold initial policy whenever the remembered policy is not
+feasible edge-for-edge.
 
 Howard's iteration compares exact ratios: a policy cycle's ratio is
 its integer work and token sums reduced by their gcd, and two ratios
@@ -118,15 +116,13 @@ from itertools import cycle, islice
 from math import gcd, lcm
 from typing import Mapping
 
-from ..cache import bindings_key, cached, content_store, register_binding_insensitive
+from ..cache import ContentStore, bindings_key, cached, content_store
 from ..errors import DeadlockError
 from .analysis import concrete_repetition_vector
-from .channel import Channel
 from .digraph import tarjan_components
 from .graph import CSDFGraph
-from .schedule import core_keys, cyclic_components
-from .sdf import channel_firing_flows, check_firing_names, expand_to_hsdf, firing_name
-from .simulation import rate_table
+from .schedule import channel_rows, core_layer
+from .sdf import check_firing_names, expand_to_hsdf, firing_flows, firing_name
 
 #: The one deadlock message of every solver.
 _TOKEN_FREE_CYCLE = "cycle with zero tokens: the graph deadlocks, MCR undefined"
@@ -134,29 +130,35 @@ _TOKEN_FREE_CYCLE = "cycle with zero tokens: the graph deadlocks, MCR undefined"
 #: Width of :func:`mcr_reference`'s final search interval.
 _REFERENCE_TOLERANCE = 1e-6
 
-#: Cross-version content stores (see :func:`repro.cache.content_store`).
-_CORE_STORE = "mcr_core"        # core content key -> (firings, edges)
-_SCC_STORE = "mcr_scc"          # core edges and firing times -> exact ratio
-_POLICY_STORE = "mcr_scc_policy"  # core edges -> converged policy
-_RING_STORE = "mcr_ring"        # ring phase times and firing count -> exact ratio
+#: Cross-version content store (see :func:`repro.cache.content_store`):
+#: ring phase times and firing count -> exact ratio.
+_RING_STORE = "mcr_ring"
+
+#: Exact ratios a core's record keeps, one per firing-time tuple, least
+#: recently read evicted first: on perfbench's ``edit_loop`` nearly
+#: every hit is on the tuple read last, and none reached past the sixth.
+_CORE_RATIOS = 8
 
 
-def _event_graph(q: Mapping[str, int], actors, channels, bindings: Mapping | None = None):
+def _event_graph(q: Mapping[str, int], actors, channels):
     """The weight-free event graph of ``actors`` and ``channels``,
     ``(offset, edges)``, on integer node indices.
 
-    Firing ``k`` (1-based) of actor ``a`` is node ``offset[a] + k - 1``,
-    the actors numbered in ``actors`` order.  ``edges`` holds ``(src,
-    dst, distance)`` triples: each actor's serialization ring in
-    ``actors`` order — ``k -> k+1`` at distance 0 and the last firing
-    back to the first at distance 1, a self-loop for a single firing —
-    then each channel's flows (:func:`~repro.csdf.sdf.channel_firing_flows`)
-    in ``channels`` order.  A flow's distance is its iteration offset,
-    the expansion channel's initial tokens over its rate: the raw token
-    count under-constrains channels of rate above 1 and yields an MCR
-    below the true self-timed period.  ``q`` holds the **global**
-    repetition counts: a core is analyzed in the whole graph's
-    iteration, so its ratio composes with the rings outside it.
+    ``channels`` holds ``(src, dst, production, consumption, initial
+    tokens)`` rows with integer phase tuples
+    (:func:`~repro.csdf.schedule.channel_rows`).  Firing ``k`` (1-based)
+    of actor ``a`` is node ``offset[a] + k - 1``, the actors numbered
+    in ``actors`` order.  ``edges`` holds ``(src, dst, distance)``
+    triples: each actor's serialization ring in ``actors`` order —
+    ``k -> k+1`` at distance 0 and the last firing back to the first at
+    distance 1, a self-loop for a single firing — then each channel's
+    flows (:func:`~repro.csdf.sdf.firing_flows`) in ``channels`` order.
+    A flow's distance is its iteration offset, the expansion channel's
+    initial tokens over its rate: the raw token count under-constrains
+    channels of rate above 1 and yields an MCR below the true
+    self-timed period.  ``q`` holds the **global** repetition counts: a
+    core is analyzed in the whole graph's iteration, so its ratio
+    composes with the rings outside it.
     """
     offset: dict[str, int] = {}
     edges: list[tuple[int, int, int]] = []
@@ -167,11 +169,11 @@ def _event_graph(q: Mapping[str, int], actors, channels, bindings: Mapping | Non
         edges.extend((n + k, n + k + 1, 0) for k in range(count - 1))
         edges.append((n + count - 1, n, 1))
         n += count
-    for channel in channels:
-        src, dst = offset[channel.src] - 1, offset[channel.dst] - 1
+    for src, dst, production, consumption, tokens in channels:
+        u, v = offset[src] - 1, offset[dst] - 1
         edges.extend(
-            (src + k, dst + m, delta) for k, m, delta, _count in channel_firing_flows(
-                channel, q[channel.src], q[channel.dst], bindings))
+            (u + k, v + m, delta) for k, m, delta, _count in firing_flows(
+                production, consumption, tokens, q[src], q[dst]))
     return offset, tuple(edges)
 
 
@@ -198,52 +200,27 @@ def _with_work(edges, times):
 
 
 def _decomposition(graph: CSDFGraph, bindings: Mapping | None):
-    """The weight-free split of the event graph, ``(rings, cores)``.
-
-    ``rings`` holds the ``(actor, q_a)`` pairs of the actors outside
-    every cyclic core, ``cores`` one ``(firings, edges)`` per core,
-    sorted: ``firings`` its ``(actor, q_a)`` pairs in node order,
-    ``edges`` its event graph (:func:`_event_graph`).  Execution times
-    are absent, so the entry survives execution-time edits: it is
-    registered binding-insensitive with :mod:`repro.cache`.  Each
-    core's pair is kept across versions under the core's content key
-    (:func:`~repro.csdf.schedule.core_keys`), so a structural edit
-    builds the event graph of the cores whose content changed only,
-    and an unchanged core hands the ratio store the same ``edges``.
-    """
-    return cached(
-        graph, ("mcr_cores", bindings_key(bindings)),
-        lambda: _decompose(graph, bindings),
-    )
-
-
-def _decompose(graph: CSDFGraph, bindings: Mapping | None):
+    """The weight-free split of the event graph, ``(rings, cores)``:
+    ``rings`` the ``(actor, q_a)`` pairs of the actors outside every
+    cyclic core (:func:`~repro.csdf.schedule.core_layer`), ``cores``
+    each core's ``(firings, edges)`` (:func:`_core_graph`), sorted."""
     check_firing_names(graph)
-    q = concrete_repetition_vector(graph, bindings)
-    # Every channel's rates, in channel order: a parameter missing from
-    # ``bindings`` raises its KeyError even when no core reads it.
-    rate_table(graph, bindings)
-    cores = cyclic_components(graph)
-    keys = core_keys(graph, bindings)
-    in_cores = set().union(*cores)
-    rings = tuple((name, count) for name, count in q.items() if name not in in_cores)
-    store = content_store(graph, _CORE_STORE)
-    built = []
-    for index in sorted(range(len(cores)), key=cores.__getitem__):
-        core, key = cores[index], keys[index]
-        entry = store.get(key)
-        if entry is None:
-            members = set(core)
-            channels = [c for c in graph.channels.values()
-                        if c.src in members and c.dst in members]
-            _offset, edges = _event_graph(q, core, channels, bindings)
-            entry = (tuple((name, q[name]) for name in core), edges)
-            store.put(key, entry)
-        built.append(entry)
-    return rings, tuple(built)
+    rings, records = core_layer(graph, bindings)
+    # Cores are disjoint, so their first actors tell them apart.
+    return rings, tuple(sorted(map(_core_graph, records)))
 
 
-register_binding_insensitive("mcr_cores")
+def _core_graph(record) -> tuple:
+    """``(firings, edges)`` of a core's record, built from its key
+    alone on first need (:func:`_event_graph` over its actors and
+    inner channels)."""
+    if record.edges is None:
+        actors, channels = record.key
+        q = {name: count for name, _tau, count in actors}
+        _offset, record.edges = _event_graph(q, q, channels)
+        record.firings = tuple(q.items())
+        record.ratios = ContentStore(_CORE_RATIOS)
+    return record.firings, record.edges
 
 
 def _check_deadlock_free(zero_adj: list[list[int]]) -> None:
@@ -479,10 +456,11 @@ def max_cycle_ratio(graph: CSDFGraph, bindings: Mapping | None = None) -> float:
 
     The rings of the actors outside the cyclic cores are closed-form;
     each core is solved exactly with Howard's policy iteration in
-    integers, its result memoized across graph versions by its edges
-    and firing times, so re-analysis after an edit re-solves only the
-    cores the edit touched.  The largest ratio is rounded to a float
-    once.  Results are memoized per graph version.
+    integers, its ratio kept in the core's record
+    (:class:`~repro.csdf.schedule.CoreRecord`), one per firing-time
+    tuple, so re-analysis after an edit re-solves only the cores the
+    edit touched.  The largest ratio is rounded to a float once.
+    Results are memoized per graph version.
     """
     return cached(
         graph, ("mcr", bindings_key(bindings)),
@@ -501,7 +479,8 @@ def _cycle_ratios(graph: CSDFGraph, bindings: Mapping | None):
     """Every ring's and core's ratio, as ``(core, ratio)``: each ring's
     exact sum with ``core`` ``None``, then each core's ratio
     (:func:`_component_mcr`) with ``core`` its ``(actor, q_a)`` pairs."""
-    rings, cores = _decomposition(graph, bindings)
+    check_firing_names(graph)
+    rings, records = core_layer(graph, bindings)
     store = content_store(graph, _RING_STORE)
     for name, count in rings:
         # an execution-time edit moves one ring: the others are store hits
@@ -511,8 +490,9 @@ def _cycle_ratios(graph: CSDFGraph, bindings: Mapping | None):
             ratio = _ring_sum(*key)
             store.put(key, ratio)
         yield None, ratio
-    for firings, edges in cores:
-        yield firings, _component_mcr(graph, firings, edges)
+    for record in records:
+        ratio = _component_mcr(graph, record)
+        yield record.firings, ratio
 
 
 def _ring_sum(times: tuple[float, ...], count: int) -> Fraction:
@@ -524,26 +504,23 @@ def _ring_sum(times: tuple[float, ...], count: int) -> Fraction:
     return whole * sum(map(Fraction, times)) + sum(map(Fraction, times[:left]))
 
 
-def _component_mcr(graph: CSDFGraph, firings, edges) -> Fraction:
-    """One core's exact cycle ratio (:func:`_solve_core`), memoized
-    across versions by its edges and firing times.
+def _component_mcr(graph: CSDFGraph, record) -> Fraction:
+    """One core's exact cycle ratio (:func:`_solve_core`), kept in its
+    record per firing-time tuple.
 
-    The key covers everything the ratio depends on, so a store hit is
-    exact by construction; deadlocked cores are never stored (the raise
-    propagates to the per-version cache, which memoizes exceptions
-    itself).  The solve warm-starts from the policy last converged on
-    the same edges.
+    The record's key and the times cover everything the ratio depends
+    on, so a hit is exact by construction; deadlocked cores are never
+    stored (the raise propagates to the per-version cache, which
+    memoizes exceptions itself).  The solve warm-starts from the
+    policy last converged on the record's edges.
     """
-    store = content_store(graph, _SCC_STORE)
+    firings, edges = _core_graph(record)
     times = _firing_times(graph, firings)
-    key = (edges, times)
-    hit = store.get(key)
+    hit = record.ratios.get(times)
     if hit is not None:
         return hit
-    policies = content_store(graph, _POLICY_STORE)
-    ratio, policy = _solve_core(edges, times, policies.get(edges))
-    policies.put(edges, policy)
-    store.put(key, ratio)
+    ratio, record.policy = _solve_core(edges, times, record.policy)
+    record.ratios.put(times, ratio)
     return ratio
 
 
@@ -606,10 +583,9 @@ class _CapacityEventGraph:
                     default=Fraction(0))
         self.probes = 0
         q = concrete_repetition_vector(graph, bindings)
-        self._channels = graph.channels
-        self._bindings = bindings
+        self._channels = dict(zip(graph.channels, channel_rows(graph, bindings)))
         self._q = q
-        self._offset, edges = _event_graph(q, q, graph.channels.values(), bindings)
+        self._offset, edges = _event_graph(q, q, self._channels.values())
         self._scale, self._edges = _with_work(edges, _firing_times(graph, q.items()))
         ratio, self._adj, self._potentials = _exact_mcr(
             self._edges, (), start * self._scale)
@@ -625,17 +601,14 @@ class _CapacityEventGraph:
         key = (name, capacity)
         edges = self._reverse.get(key)
         if edges is None:
-            channel = self._channels[name]
-            space = Channel(name, channel.dst, channel.src,
-                            production=channel.consumption,
-                            consumption=channel.production,
-                            initial_tokens=capacity - channel.initial_tokens)
-            src = self._offset[channel.dst] - 1
-            dst = self._offset[channel.src] - 1
+            producer, consumer, production, consumption, tokens = self._channels[name]
+            src = self._offset[consumer] - 1
+            dst = self._offset[producer] - 1
             edges = [
                 (src + m, dst + k, delta, self._weight(0, delta))
-                for m, k, delta, _count in channel_firing_flows(
-                    space, self._q[channel.dst], self._q[channel.src], self._bindings)
+                for m, k, delta, _count in firing_flows(
+                    consumption, production, capacity - tokens,
+                    self._q[consumer], self._q[producer])
                 if delta or src + m != dst + k
             ]
             self._reverse[key] = edges

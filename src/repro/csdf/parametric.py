@@ -572,7 +572,9 @@ def _core_candidate(
                 f"support (evaluate concretely per binding instead)"
             )
 
-    _offset, edges = _event_graph(q_core, scc, core_channels)
+    rows = [(c.src, c.dst, c.production.as_ints(None), c.consumption.as_ints(None),
+             c.initial_tokens) for c in core_channels]
+    _offset, edges = _event_graph(q_core, scc, rows)
     ratio, _policy = _solve_core(edges, _firing_times(csdf, q_core.items()))
     return MCRCandidate(label, "cycle", Rat(Poly.const(ratio)))
 

@@ -20,34 +20,35 @@ Two selection policies are provided:
 Both policies run on one token loop, :func:`_run_passes`, over flat
 integer lists: a fill level per channel slot, a phase counter per
 actor, and per actor the ``(slot, phases)`` pairs of its input and
-output channels (:func:`_loop_tables`).  The whole graph is the case
-where every actor and channel takes part; its tables are memoized per
-graph version and valuation (:func:`_token_tables`), and only the
-token loops read them.  The loop scans the actors in passes, and visits
-only the ones a pass would fire.  Under the CSDF firing rule only an
-actor's own firing can disable it, so after a firing at scan position
-``i`` only the fired actor and the consumers of its output channels can
-have changed: a consumer that has become fireable at a position after
-``i`` joins the current pass, and one at or before ``i`` — or the fired
-actor itself, if it can fire again — joins the next pass.  The current
-pass is a heap of positions, so the firings, and a deadlock's blocked
-actors and partial schedule, are those of the full scan, at a cost of
-O(degree + log n) per firing instead of a scan of every actor per pass.
+output channels (:func:`_loop_tables`), built from the channels'
+integer rows (:func:`channel_rows`).  The loop scans the actors in
+passes, and visits only the ones a pass would fire.  Under the CSDF
+firing rule only an actor's own firing can disable it, so after a
+firing at scan position ``i`` only the fired actor and the consumers of
+its output channels can have changed: a consumer that has become
+fireable at a position after ``i`` joins the current pass, and one at
+or before ``i`` — or the fired actor itself, if it can fire again —
+joins the next pass.  The current pass is a heap of positions, so the
+firings, and a deadlock's blocked actors and partial schedule, are
+those of the full scan, at a cost of O(degree + log n) per firing
+instead of a scan of every actor per pass.
 
 Liveness is decided cycle by cycle (Sec. III-C): :func:`is_live` runs
 every cyclic component (:func:`cyclic_components`) for one local
 iteration (Def. 4), round robin, in place: the same loop steps the
 component's actors over the channels between them, external inputs
 ignored, and no subgraph is built.  Acyclic parts are live by
-construction.  Each component's verdict is stored across graph
-versions under its content (:func:`core_keys`), so after an edit only
-a component whose content changed runs again, and an edit outside
-every cycle runs none.  TPDF's check (:mod:`repro.tpdf.liveness`) runs
-the same loop on its CSDF view (:func:`local_iteration`).
-:func:`cycle_subgraph` builds a component as a graph of its own: the
-oracle's path.  The whole-graph round robin over one global iteration
-— a consistent graph is live iff it completes — is the differential
-oracle (``tests/csdf/test_liveness_differential.py``).
+construction.  Each component's verdict lives in its one
+:class:`CoreRecord`, which the MCR (:mod:`repro.csdf.mcr`) shares, kept
+across graph versions under the component's content
+(:func:`core_layer`): after an edit only a component whose content
+changed runs again, and an edit outside every cycle runs none.  TPDF's check
+(:mod:`repro.tpdf.liveness`) runs the same loop on its CSDF view
+(:func:`local_iteration`).  :func:`cycle_subgraph` builds a component
+as a graph of its own: the oracle's path.  The whole-graph round robin
+over one global iteration — a consistent graph is live iff it
+completes — is the differential oracle
+(``tests/csdf/test_liveness_differential.py``).
 
 Examples
 --------
@@ -78,19 +79,16 @@ from .simulation import TokenState, rate_table
 
 POLICIES = ("grouped", "round_robin")
 
-# Liveness is a token-counting property: execution times never enter
-# the local iterations, so the verdict survives binding-only bumps.
-register_binding_insensitive("is_live")
 # The actor graph and its cyclic components follow from the topology
-# alone; the core keys and the loop tables from rates and tokens.
+# alone, the core layer from rates and tokens too: execution times
+# never enter them.
 register_binding_insensitive("actor_graph")
 register_binding_insensitive("cyclic_components")
-register_binding_insensitive("core_keys")
-register_binding_insensitive("token_tables")
+register_binding_insensitive("cores")
 
 #: Cross-version content store (see :func:`repro.cache.content_store`):
-#: core key -> local-iteration verdict.
-_LIVE_STORE = "live_core"
+#: core content key -> its :class:`CoreRecord`.
+_CORE_STORE = "core"
 
 
 class SequentialSchedule:
@@ -171,22 +169,17 @@ def _loop_tables(actors: Sequence[str], channels) -> tuple:
             tuple(map(tuple, outs)), tuple(map(tuple, consumers)))
 
 
-def _token_tables(graph: CSDFGraph, bindings: Mapping | None) -> tuple:
-    """The whole graph's :func:`_loop_tables` under ``bindings``, actors
-    and channels in graph order, memoized per graph version (carried
-    across execution-time edits).  Read by the token loops only; the
-    rates come from :func:`~repro.csdf.simulation.rate_table`, so an
-    unbound parameter raises its ``KeyError`` here."""
-    return cached(graph, ("token_tables", bindings_key(bindings)),
-                  lambda: _build_token_tables(graph, bindings))
-
-
-def _build_token_tables(graph: CSDFGraph, bindings: Mapping | None) -> tuple:
+def channel_rows(graph: CSDFGraph, bindings: Mapping | None) -> list[tuple]:
+    """Every channel as ``(src, dst, production, consumption, initial
+    tokens)``, in channel order, the phases the integer tuples of
+    :func:`~repro.csdf.simulation.rate_table` (so a parameter missing
+    from ``bindings`` raises its ``KeyError`` here): the form the token
+    loops (:func:`_loop_tables`) and the capacity event graph of
+    :mod:`repro.csdf.mcr` read."""
     table = rate_table(graph, bindings)
-    return _loop_tables(graph.actor_names(), [
-        (channel.src, channel.dst, table.production[name],
-         table.consumption[name], channel.initial_tokens)
-        for name, channel in graph.channels.items()])
+    return [(channel.src, channel.dst, table.production[name],
+             table.consumption[name], channel.initial_tokens)
+            for name, channel in graph.channels.items()]
 
 
 def _run_passes(name: str, tables: tuple, targets: Mapping[str, int],
@@ -314,8 +307,8 @@ def find_sequential_schedule(
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; pick one of {POLICIES}")
     targets = dict(repetitions) if repetitions is not None else concrete_repetition_vector(graph, bindings)
-    return SequentialSchedule(_run_passes(
-        graph.name, _token_tables(graph, bindings), targets, policy))
+    tables = _loop_tables(graph.actor_names(), channel_rows(graph, bindings))
+    return SequentialSchedule(_run_passes(graph.name, tables, targets, policy))
 
 
 def validate_schedule(
@@ -389,41 +382,75 @@ def _cyclic_components(graph: CSDFGraph) -> tuple[tuple[str, ...], ...]:
                  for group in nontrivial_components(adj, comp))
 
 
-def core_keys(graph: CSDFGraph, bindings: Mapping | None = None) -> tuple:
-    """One content key per cyclic component, in
-    :func:`cyclic_components` order: ``(actors, channels)``, ``actors``
-    the component's ``(name, tau, q)`` triples (phase count and
-    *global* repetition count, members sorted) and ``channels`` the
-    ``(src, dst, production, consumption, initial tokens)`` of the
-    channels inside it, in channel order, with integer phases
-    (:func:`~repro.csdf.simulation.rate_table`).
+class CoreRecord:
+    """Everything kept of one cyclic component across graph versions,
+    each field ``None`` until first needed: ``live``, its
+    local-iteration verdict (:func:`is_live`); ``firings`` and
+    ``edges``, its ``(actor, q_a)`` pairs and weight-free event graph,
+    built with an empty ``ratios`` (:func:`repro.csdf.mcr._core_graph`);
+    ``policy``, the policy Howard's iteration last converged to on
+    ``edges``; and ``ratios``, an LRU of its exact cycle ratio for the
+    firing-time tuples read last (:func:`repro.csdf.mcr._component_mcr`).
 
-    A key holds everything a component's local iteration and its event
-    graph depend on, so cross-version stores keyed by it never go
-    stale.  Memoized per graph version and valuation and carried
-    across execution-time edits.  The repetition vector and every
-    channel's rates are read first: an inconsistent graph or a
-    parameter missing from ``bindings`` raises even without a cycle."""
-    return cached(graph, ("core_keys", bindings_key(bindings)),
-                  lambda: _core_keys(graph, bindings))
+    ``key`` is ``(actors, channels)``: ``actors`` the component's
+    ``(name, tau, q)`` triples (phase count and *global* repetition
+    count, members sorted) and ``channels`` the :func:`channel_rows` of
+    the channels inside it, in channel order, each row's phases and
+    tokens divided by their gcd.  It holds everything the local
+    iteration and the event graph depend on, so a record never goes
+    stale, and scaling a channel's phases and tokens alike keeps it."""
+
+    __slots__ = ("key", "live", "firings", "edges", "policy", "ratios")
+
+    def __init__(self, key: tuple):
+        self.key = key
+        self.live = self.firings = self.edges = self.policy = self.ratios = None
 
 
-def _core_keys(graph: CSDFGraph, bindings: Mapping | None) -> tuple:
+def core_layer(graph: CSDFGraph, bindings: Mapping | None = None) -> tuple:
+    """``(rings, records)``: the ``(actor, q_a)`` pairs of the actors
+    outside every cyclic component, in repetition-vector order, and the
+    graph's stored :class:`CoreRecord` of each component, in
+    :func:`cyclic_components` order.  Memoized per graph version and
+    valuation and carried across execution-time edits.  The repetition
+    vector and every channel's rates are read first: an inconsistent
+    graph or a parameter missing from ``bindings`` raises even without
+    a cycle."""
+    return cached(graph, ("cores", bindings_key(bindings)),
+                  lambda: _core_layer(graph, bindings))
+
+
+def _core_layer(graph: CSDFGraph, bindings: Mapping | None) -> tuple:
     q = concrete_repetition_vector(graph, bindings)
     table = rate_table(graph, bindings)
     cores = cyclic_components(graph)
-    if not cores:
-        return ()
-    taus = graph.taus()
     owner = {name: index for index, core in enumerate(cores) for name in core}
     inner: list[list[tuple]] = [[] for _ in cores]
     for name, channel in graph.channels.items():
         index = owner.get(channel.src)
         if index is not None and owner.get(channel.dst) == index:
-            inner[index].append((channel.src, channel.dst, table.production[name],
-                                 table.consumption[name], channel.initial_tokens))
-    return tuple((tuple((name, taus[name], q[name]) for name in core), tuple(channels))
-                 for core, channels in zip(cores, inner))
+            production, consumption = table.production[name], table.consumption[name]
+            tokens = channel.initial_tokens
+            # A factor common to a channel's phases and tokens changes
+            # neither the firings nor the flows between them.
+            common = gcd(*production, *consumption, tokens)
+            if common > 1:
+                production = tuple(rate // common for rate in production)
+                consumption = tuple(rate // common for rate in consumption)
+                tokens //= common
+            inner[index].append((channel.src, channel.dst, production, consumption, tokens))
+    taus = graph.taus()
+    store = content_store(graph, _CORE_STORE)
+    records = []
+    for core, channels in zip(cores, inner):
+        key = (tuple((name, taus[name], q[name]) for name in core), tuple(channels))
+        record = store.get(key)
+        if record is None:
+            record = CoreRecord(key)
+            store.put(key, record)
+        records.append(record)
+    rings = tuple((name, count) for name, count in q.items() if name not in owner)
+    return rings, tuple(records)
 
 
 def _cycle_name(owner: str, members: Iterable[str]) -> str:
@@ -479,23 +506,13 @@ def is_live(graph: CSDFGraph, bindings: Mapping | None = None) -> bool:
 
     Every channel's rates are read first: a parameter missing from
     ``bindings`` raises ``KeyError`` even where no cycle reads it.
-    Memoized per graph version; the local iterations only count tokens,
-    so the verdict is carried across execution-time edits.  Each
-    component's verdict is kept across versions under its
-    :func:`core_keys` key: after an edit, only the components whose key
-    changed run."""
-    return cached(graph, ("is_live", bindings_key(bindings)),
-                  lambda: _is_live(graph, bindings))
-
-
-def _is_live(graph: CSDFGraph, bindings: Mapping | None) -> bool:
-    store = content_store(graph, _LIVE_STORE)
-    for key in core_keys(graph, bindings):
-        live = store.get(key)
-        if live is None:
-            live = _core_is_live(graph.name, key)
-            store.put(key, live)
-        if not live:
+    Each component's verdict is kept in its :class:`CoreRecord`
+    (:func:`core_layer`), so a component runs once per content: after
+    an edit, only the components whose content changed run."""
+    for record in core_layer(graph, bindings)[1]:
+        if record.live is None:
+            record.live = _core_is_live(graph.name, record.key)
+        if not record.live:
             return False
     return True
 

@@ -14,11 +14,13 @@ generalizes SDF while staying decidable.  This module provides:
   expansion a powerful independent oracle for the rest of the library.
 * :func:`channel_firing_flows` — the flows between individual firings
   of one channel, straight from the repetition counts and the rate
-  tables.  The expansion routes its channels by them, and so does the
-  event-graph builder of :mod:`repro.csdf.mcr`, which the MCR, the
-  parametric engine and the capacity questions share on integer node
-  indices instead of building the HSDF graph; :func:`expand_to_hsdf`
-  stays the public expansion and that builder's oracle.
+  tables; :func:`firing_flows` is its integer form, on phase tuples
+  and a token count.  The expansion routes its channels by them, and
+  so does the event-graph builder of :mod:`repro.csdf.mcr`, which the
+  MCR, the parametric engine and the capacity questions share on
+  integer node indices instead of building the HSDF graph;
+  :func:`expand_to_hsdf` stays the public expansion and that builder's
+  oracle.
 
 Construction (Sriram & Bhattacharyya's standard formulation): for a
 channel ``a -> b`` with cumulative production ``X``, cumulative
@@ -66,36 +68,51 @@ def check_firing_names(graph: CSDFGraph) -> None:
 
 def channel_firing_flows(channel, q_src: int, q_dst: int,
                          bindings: Mapping | None = None):
-    """Exact token flows of one channel between individual firings.
+    """Exact token flows of one channel between individual firings:
+    :func:`firing_flows` over the channel's integer phases under
+    ``bindings`` and its initial tokens.  A channel whose two ends move
+    different token totals over ``q_src`` and ``q_dst`` firings raises
+    :class:`~repro.errors.GraphConstructionError`."""
+    production = channel.production.as_ints(bindings)
+    consumption = channel.consumption.as_ints(bindings)
+    made = sum(islice(cycle(production), q_src))
+    taken = sum(islice(cycle(consumption), q_dst))
+    if made != taken:
+        raise GraphConstructionError(
+            f"channel {channel.name!r} moves {made} vs {taken} tokens per "
+            f"iteration: not consistent"
+        )
+    return firing_flows(production, consumption, channel.initial_tokens,
+                        q_src, q_dst)
+
+
+def firing_flows(production: tuple[int, ...], consumption: tuple[int, ...],
+                 tokens: int, q_src: int, q_dst: int):
+    """Exact token flows between individual firings of a channel with
+    integer ``production`` and ``consumption`` phases and ``tokens``
+    initial tokens, whose ends move equal totals over ``q_src`` and
+    ``q_dst`` firings.
 
     Yields ``(k, m, delta, count)``: producer firing ``k`` (1-based)
     hands ``count`` tokens to consumer firing ``m`` of ``delta``
     iterations later — the interval-overlap construction documented in
-    the module header, parameterized by the repetition counts so both
-    the full HSDF expansion and the event-graph builder of
-    :mod:`repro.csdf.mcr` (which passes the *global* counts, for a core
-    or the whole graph) share one implementation.  The
-    cumulative counts are prefix sums of the channel's integer phases
-    under ``bindings``.  Both sides' token intervals advance in yield
-    order, so one forward walk finds every overlap, in time linear in
-    ``q_src``, ``q_dst`` and the number of flows.
+    the module header, on the prefix sums of the phases.  The HSDF
+    expansion and the event-graph builder of :mod:`repro.csdf.mcr`
+    (which passes the *global* counts, for a core or the whole graph)
+    share it.  Both sides' token intervals advance in yield order, so
+    one forward walk finds every overlap, in time linear in ``q_src``,
+    ``q_dst`` and the number of flows.
     """
-    d = channel.initial_tokens
-    produced_cum = _prefix_sums(channel.production.as_ints(bindings), q_src)
-    consumed_cum = _prefix_sums(channel.consumption.as_ints(bindings), q_dst)
+    produced_cum = _prefix_sums(production, q_src)
+    consumed_cum = _prefix_sums(consumption, q_dst)
     total = produced_cum[-1]
-    if total != consumed_cum[-1]:
-        raise GraphConstructionError(
-            f"channel {channel.name!r} moves {produced_cum[-1]} vs "
-            f"{consumed_cum[-1]} tokens per iteration: not consistent"
-        )
     if total == 0:
         return
     # Consumer firing ``m`` of iteration ``delta`` absorbs tokens
-    # ``[base + Y(m-1), base + Y(m))``, ``base = delta * total - d``,
-    # from ``delta = d // total`` on; ``lo`` is firing ``k``'s next token.
-    delta, m = d // total, 1
-    base = delta * total - d
+    # ``[base + Y(m-1), base + Y(m))``, ``base = delta * total - tokens``,
+    # from ``delta = tokens // total`` on; ``lo`` is firing ``k``'s next token.
+    delta, m = tokens // total, 1
+    base = delta * total - tokens
     for k in range(1, q_src + 1):
         lo, p_hi = produced_cum[k - 1], produced_cum[k]
         while lo < p_hi:

@@ -67,6 +67,12 @@ _ANALYZE_OPTIONS = frozenset({*STAGE_SWITCHES, "iterations",
 #: among them.
 _ANALYZE_DEFAULTS = analyze.__kwdefaults__
 
+#: Largest request body the front door reads, in bytes.  A request
+#: declaring more gets a 413 envelope before any body byte is read,
+#: and its connection closes: a client still sending the body meets a
+#: reset, and reads the envelope after it (``ServiceClient`` does).
+_MAX_BODY = 16 * 1024 * 1024
+
 #: ``simulate`` options accepted over the wire.  ``record_values`` is
 #: deliberately absent: token payloads are arbitrary Python objects
 #: with no JSON form (the timing view ships; see
@@ -311,6 +317,14 @@ class AnalysisService:
                         keep_alive=False)
                     break
                 length = int(raw_length)
+                if length > _MAX_BODY:
+                    await self._respond(writer, 413, {
+                        "error": {"type": "BadRequest",
+                                  "message": f"request body of {length} bytes "
+                                             f"exceeds the {_MAX_BODY}-byte "
+                                             f"limit"}},
+                        keep_alive=False)
+                    break
                 body = await reader.readexactly(length) if length else b""
                 status, payload = await self._dispatch(method, path, body)
                 keep_alive = headers.get("connection", "").lower() != "close"
@@ -331,7 +345,7 @@ class AnalysisService:
         body = json.dumps(payload).encode("utf-8")
         reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
                   405: "Method Not Allowed", 410: "Gone",
-                  422: "Unprocessable Entity",
+                  413: "Content Too Large", 422: "Unprocessable Entity",
                   503: "Service Unavailable"}.get(status, "Error")
         head = (f"HTTP/1.1 {status} {reason}\r\n"
                 f"Content-Type: application/json\r\n"

@@ -20,6 +20,7 @@ True
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 from typing import Mapping
@@ -100,8 +101,11 @@ class ServiceClient:
         try:
             payload = json.dumps(body).encode("utf-8") if body is not None \
                 else b""
-            conn.request(method, path, body=payload,
-                         headers={"Content-Type": "application/json"})
+            # A body the server refuses (413) before reading it meets a
+            # reset here; the reply is still to be read.
+            with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+                conn.request(method, path, body=payload,
+                             headers={"Content-Type": "application/json"})
             response = conn.getresponse()
             data = json.loads(response.read().decode("utf-8"))
         finally:

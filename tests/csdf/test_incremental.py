@@ -30,6 +30,7 @@ from repro.cache import (
     bindings_key,
     bump_version,
     cached,
+    content_store,
     version_of,
 )
 from repro.csdf import (ArrayState, CSDFGraph, array_state, cyclic_components,
@@ -501,9 +502,9 @@ class TestStructuralEdits:
             runs.append(tables[0])  # the actors run
             return run(name, tables, targets, policy)
 
-        def build_spy(q, actors, channels, bindings=None):
+        def build_spy(q, actors, channels):
             builds.append(tuple(actors))
-            return build(q, actors, channels, bindings)
+            return build(q, actors, channels)
 
         monkeypatch.setattr(schedule_mod, "_run_passes", run_spy)
         monkeypatch.setattr(mcr_mod, "_event_graph", build_spy)
@@ -633,6 +634,54 @@ class TestSCCGranularity:
         assert warm.fingerprint() == _cold_report(graph).fingerprint()
 
 
+class TestOneRecordPerCore:
+    """Liveness and the MCR share one record per cyclic core, kept in
+    one content store under the core's content key beside the ring
+    store."""
+
+    @pytest.mark.parametrize("kind", ("csdf", "param", "tpdf"))
+    def test_cold_analyze_keeps_two_namespaces(self, kind):
+        doc = _perfbench_graphs().make_doc(kind, 80, 3, 0)
+        graph = graph_from_payload(doc.doc)
+        report = analyze(graph, doc.bindings)
+        assert report.live and report.mcr is not None
+        csdf = _csdf_of(graph)
+        assert cyclic_components(csdf)
+        assert set(csdf._analysis_content) == {"core", "mcr_ring"}
+
+    def test_a_token_edit_inside_one_core_adds_one_record(self):
+        session = TestStructuralEdits._session(0)
+        graph = session.graph
+        store = content_store(graph, "core")
+        before = len(store)
+        channel = next(c for c in graph.channels.values()
+                       if _core_of(graph, c) and c.initial_tokens)
+        tokens = channel.initial_tokens
+        session.set_initial_tokens(channel.name, tokens + 1)
+        session.analyze()
+        assert len(store) == before + 1
+        session.set_initial_tokens(channel.name, tokens)
+        session.analyze()
+        assert len(store) == before + 1
+
+    def test_a_balanced_rate_scaling_keeps_the_record(self):
+        """A core channel's phases and tokens scaled alike move neither
+        its firings nor its flows: the core keeps its record."""
+        from repro.csdf.schedule import core_layer
+
+        session = TestStructuralEdits._session(0)
+        graph = session.graph
+        records = core_layer(graph)[1]
+        channel = next(c for c in graph.channels.values()
+                       if _core_of(graph, c) and c.initial_tokens)
+        session.set_production(channel.name, [2 * r for r in _concrete(channel.production)])
+        session.set_consumption(channel.name, [2 * r for r in _concrete(channel.consumption)])
+        session.set_initial_tokens(channel.name, 2 * channel.initial_tokens)
+        warm = session.analyze()
+        assert core_layer(graph)[1] == records
+        assert warm.fingerprint() == _cold_report(graph).fingerprint()
+
+
 class TestVersionCounters:
     """Unit semantics of bump_version's two counters and the
     carry-forward of binding-insensitive cache entries."""
@@ -695,7 +744,7 @@ class TestVersionCounters:
             bump_version(graph, kind="binding")
         assert repetition_vector(graph) is q
         assert rate_table(graph) is table
-        assert array_state(graph, None).in_edges is template.in_edges
+        assert array_state(graph, None).in_edges == template.in_edges
 
     def test_carry_forward_keeps_binding_insensitive_entries(self):
         graph = self._graph()
@@ -736,9 +785,9 @@ class TestFrozenTemplate:
         graph = _mutable_csdf(4, 2, 1, 1)
         first = array_state(graph, None)
         name = next(iter(graph.actors))
-        graph.actor(name).set_exec_time(5.0)  # binding edit: rates carried
+        graph.actor(name).set_exec_time(5.0)  # binding edit
         carried = array_state(graph, None)
-        assert carried is not first and carried.in_edges is first.in_edges
+        assert carried is not first and carried.in_edges == first.in_edges
         _assert_read_only(carried)
 
     def test_writing_execution_times_cannot_change_a_later_run(self):

@@ -364,11 +364,11 @@ class TestRateTable:
         template = array_state(graph, None)
         session.set_exec_time("a3", 7.0)
         assert rate_table(graph) is table
-        # The executor template is rebuilt, its edge mirrors carried.
+        # The executor template is rebuilt, its edge mirrors as they were.
         patched = array_state(graph, None)
         assert patched is not template
-        assert patched.in_edges is template.in_edges
-        assert patched.out_edges is template.out_edges
+        assert patched.in_edges == template.in_edges
+        assert patched.out_edges == template.out_edges
 
     def test_rebuilt_after_a_rate_edit(self):
         graph = csdf_from_dict(csdf_to_dict(_cyclo_static_graph(20, 1)))

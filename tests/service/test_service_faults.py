@@ -10,7 +10,9 @@ The contract under crashes (SIGKILL — no chance to clean up):
 * a session whose worker died is gone for good: 410
   (:class:`SessionLost`) on the in-flight call, 404 afterwards;
 * a request head with a malformed ``Content-Length`` is a clean 400
-  (:class:`BadRequest`) on a closed connection;
+  (:class:`BadRequest`) on a closed connection, and one declaring a
+  body above the front door's cap a clean 413, before any body byte
+  is read;
 * the service keeps serving correct results after any of the above.
 
 Crashes are induced two ways: the ``crash`` test hook (the worker
@@ -31,6 +33,7 @@ from urllib.parse import urlsplit
 
 import pytest
 
+import repro.service.app as app
 from repro.analysis import analyze
 from repro.service import (BadRequest, ServiceClient, SessionLost,
                            SessionNotFound, WorkerCrashError, error_from_dict,
@@ -206,3 +209,37 @@ class TestMalformedContentLength:
             assert "Content-Length" in str(error)
             # the listener is unharmed
             assert ServiceClient(handle.url).health()["status"] == "ok"
+
+
+class TestBodyCap:
+
+    def test_oversized_body_is_refused_before_it_is_read(self):
+        with serve_in_thread(workers=1, health_interval=0) as handle:
+            # The head declares one byte too many and no body follows:
+            # the reply cannot wait for it.
+            reply = TestMalformedContentLength._exchange(
+                handle.url,
+                f"POST /analyze HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {app._MAX_BODY + 1}\r\n\r\n".encode("latin-1"))
+            head, _, body = reply.partition(b"\r\n\r\n")
+            lines = head.decode("latin-1").split("\r\n")
+            assert lines[0] == "HTTP/1.1 413 Content Too Large"
+            assert "Connection: close" in lines
+            error = error_from_dict(json.loads(body)["error"], 413)
+            assert isinstance(error, BadRequest)
+            assert str(app._MAX_BODY) in str(error)
+            # the next connection is served normally
+            client = ServiceClient(handle.url)
+            graph = small_csdf(seed=90)
+            assert client.analyze(graph).fingerprint() == analyze(graph).fingerprint()
+
+    @pytest.mark.parametrize("pad", [0, 4 << 20])
+    def test_client_sees_bad_request(self, monkeypatch, pad):
+        """A body larger than the socket buffers (``pad``) is still
+        being sent when the server replies and closes: the client reads
+        the 413 instead of surfacing the reset."""
+        monkeypatch.setattr(app, "_MAX_BODY", 64)
+        bindings = {"pad": "x" * pad} if pad else None
+        with serve_in_thread(workers=1, health_interval=0) as handle:
+            with pytest.raises(BadRequest, match="64-byte limit"):
+                ServiceClient(handle.url).analyze(small_csdf(seed=91), bindings)
