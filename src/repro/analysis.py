@@ -415,12 +415,13 @@ def analyze(
 
     The analyses behind the stages are memoized on the graph
     (:mod:`repro.cache`), so re-analyzing an unchanged graph (or
-    analyzing per-stage elsewhere) solves nothing again; only a
-    requested timed run executes anew, from the graph's cached
-    execution template.  The caches are delta-aware: they carry
-    binding-insensitive products across execution-time edits and
-    re-solve only the cyclic cores an edit touched (see
-    :mod:`repro.cache` and :mod:`repro.csdf.mcr`).
+    analyzing per-stage elsewhere) solves nothing again: the MCR sums
+    the rings outside the cyclic cores in integers and reads every
+    core's ratio from its record.  Only a requested timed run executes
+    anew, from the graph's cached execution template.  The caches are
+    delta-aware: they carry binding-insensitive products across
+    execution-time edits and re-solve only the cyclic cores an edit
+    touched (see :mod:`repro.cache` and :mod:`repro.csdf.mcr`).
     Warm results are bit-for-bit identical to cold analysis
     (``fingerprint()``), and the report holds copies, never the
     memoized values themselves.  See :class:`EditSession` for edit

@@ -31,10 +31,10 @@ also advances the *structure* counter.  Two consumers build on them:
   table, the cyclic components and their core layer, and the greedy
   buffer schedule survive an execution-time edit instead of being
   recomputed.
-* :func:`content_store` holds **cross-version** memos keyed by content
-  fingerprints (each cyclic core's record, each ring's ratio): a stale
-  entry is unreachable by construction because its key changed with
-  the content, so the store never needs invalidating.
+* :func:`content_store` holds the graph's **cross-version** memos keyed
+  by content fingerprints (each cyclic core's record): a stale entry is
+  unreachable by construction because its key changed with the
+  content, so the store never needs invalidating.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _STRUCTURE_ATTR = "_analysis_structure"
 _FROZEN_ATTR = "_analysis_frozen"
 _CONTENT_ATTR = "_analysis_content"
 
-#: Entries each :func:`content_store` keeps before evicting the oldest.
+#: Entries a graph's :func:`content_store` keeps before evicting the oldest.
 _CONTENT_LIMIT = 1024
 
 #: Key tags (first tuple element) whose cached values do not depend on
@@ -205,18 +205,14 @@ class ContentStore:
         return len(self._data)
 
 
-def content_store(graph: Any, namespace: str) -> ContentStore:
-    """The graph's cross-version :class:`ContentStore` for ``namespace``
-    (created on first use, holding up to ``_CONTENT_LIMIT`` entries;
-    the same store is returned thereafter)."""
-    stores = getattr(graph, _CONTENT_ATTR, None)
-    if stores is None:
-        stores = {}
-        setattr(graph, _CONTENT_ATTR, stores)
-    store = stores.get(namespace)
+def content_store(graph: Any) -> ContentStore:
+    """The graph's one cross-version :class:`ContentStore` (created on
+    first use, holding up to ``_CONTENT_LIMIT`` entries; the same store
+    is returned thereafter)."""
+    store: ContentStore | None = getattr(graph, _CONTENT_ATTR, None)
     if store is None:
         store = ContentStore(_CONTENT_LIMIT)
-        stores[namespace] = store
+        setattr(graph, _CONTENT_ATTR, store)
     return store
 
 

@@ -50,8 +50,9 @@ Sec. III-C).  So every cycle is one of two kinds:
 * the serialization ring of an actor outside the **cyclic cores** (the
   actor-level SCCs that lie on a cycle): its ``q_a`` firings in a ring
   carrying one token.  Its ratio is closed-form — whole phase cycles
-  times the sum of the phase times, plus the leftover prefix, summed
-  exactly (:class:`fractions.Fraction`) — and needs no expansion;
+  times the sum of the phase times, plus the leftover prefix — summed
+  exactly in integers over the phases' common denominator
+  (:func:`_ring_sum`), and needs no expansion;
 * a cycle inside one core's sub-expansion: the core's firings with
   their rings and the flows of the channels inside the core, built
   from the *global* repetition counts and solved by one Howard run.
@@ -65,22 +66,23 @@ Each core's :class:`~repro.csdf.schedule.CoreRecord` is kept across
 versions under the core's content key and filled on first need: its
 event graph, built from the key alone (:func:`_core_graph`), the
 policy Howard's iteration last converged to on it, and its exact ratio
-per firing-time tuple.  Each ring's sum is kept in a second content
-store by its phase times and firing count.  So a token, rate or
+per tuple of its actors' phase times.  Rings are summed anew on every
+query, which costs less than a memo lookup would.  So a token, rate or
 topology edit builds the event graph of the one core it touches, or of
-none; an execution-time edit re-solves only the cores whose firing
-times changed, and an edit outside every core re-solves nothing and
-sums only its own ring.  Re-solved cores warm-start Howard's iteration
-from the record's policy (:func:`howard` ``initial_policy=``), falling
-back to the cold initial policy whenever the remembered policy is not
-feasible edge-for-edge.
+none, and an execution-time edit re-solves only the cores whose phase
+times changed: an edit outside every core re-solves nothing.
+Re-solved cores warm-start Howard's iteration from the record's policy
+(:func:`howard` ``initial_policy=``), falling back to the cold initial
+policy whenever the remembered policy is not feasible edge-for-edge.
 
 Howard's iteration compares exact ratios: a policy cycle's ratio is
 its integer work and token sums reduced by their gcd, and two ratios
 compare by cross-multiplication.  So every core's ratio is the exact
 maximum, an exact :class:`fractions.Fraction`, and a pure function of
-the core's edges and times, warm start or cold.
-:func:`max_cycle_ratio` rounds the largest ratio to a float once.
+the core's edges and times, warm start or cold.  Ring and core ratios
+meet as integer ``(num, den)`` pairs, compared by cross-multiplication
+(:func:`_largest`), and :func:`max_cycle_ratio` rounds the largest to
+a float once, by Python's correctly rounded integer division.
 
 Every solver shares one deadlock rule: a token-free cycle deadlocks
 whatever it weighs (execution times of 0 included), and raises
@@ -116,7 +118,9 @@ from itertools import cycle, islice
 from math import gcd, lcm
 from typing import Mapping
 
-from ..cache import ContentStore, bindings_key, cached, content_store
+# ``cached`` has no caller here: perfbench's wrapper test reads it as
+# ``repro.csdf.mcr.cached``.
+from ..cache import ContentStore, cached  # noqa: F401
 from ..errors import DeadlockError
 from .analysis import concrete_repetition_vector
 from .digraph import tarjan_components
@@ -130,13 +134,10 @@ _TOKEN_FREE_CYCLE = "cycle with zero tokens: the graph deadlocks, MCR undefined"
 #: Width of :func:`mcr_reference`'s final search interval.
 _REFERENCE_TOLERANCE = 1e-6
 
-#: Cross-version content store (see :func:`repro.cache.content_store`):
-#: ring phase times and firing count -> exact ratio.
-_RING_STORE = "mcr_ring"
-
-#: Exact ratios a core's record keeps, one per firing-time tuple, least
-#: recently read evicted first: on perfbench's ``edit_loop`` nearly
-#: every hit is on the tuple read last, and none reached past the sixth.
+#: Exact ratios a core's record keeps, one per tuple of its actors'
+#: phase times, least recently read evicted first: on perfbench's
+#: ``edit_loop`` nearly every hit is on the tuple read last, and none
+#: reached past the sixth.
 _CORE_RATIOS = 8
 
 
@@ -186,13 +187,21 @@ def _firing_times(graph: CSDFGraph, firings) -> tuple[float, ...]:
     )
 
 
+def _integer_times(times) -> tuple[int, list[int]]:
+    """``(scale, work)``: the float ``times`` as integers ``work`` over
+    their common denominator ``scale``, exactly (execution times are
+    floats, and :meth:`float.as_integer_ratio` is exact)."""
+    exact = [time.as_integer_ratio() for time in times]
+    scale = lcm(*(den for _num, den in exact))
+    return scale, [num * (scale // den) for num, den in exact]
+
+
 def _with_work(edges, times):
     """``(scale, out)``: ``out[u]`` the ``(v, work, distance)`` edges
     out of node ``u``, each doing its source firing's time as integer
-    ``work``, the ``times`` over their common denominator ``scale``."""
-    exact = [time.as_integer_ratio() for time in times]
-    scale = lcm(*(den for _num, den in exact))
-    work = [num * (scale // den) for num, den in exact]
+    ``work``, the ``times`` over their common denominator ``scale``
+    (:func:`_integer_times`)."""
+    scale, work = _integer_times(times)
     out: list[list[tuple[int, int, int]]] = [[] for _ in work]
     for u, v, distance in edges:
         out[u].append((v, work[u], distance))
@@ -454,73 +463,70 @@ def max_cycle_ratio(graph: CSDFGraph, bindings: Mapping | None = None) -> float:
     actors; every actor's serialization ring is a cycle, so the result
     is the bottleneck-actor bound or worse).
 
-    The rings of the actors outside the cyclic cores are closed-form;
-    each core is solved exactly with Howard's policy iteration in
-    integers, its ratio kept in the core's record
-    (:class:`~repro.csdf.schedule.CoreRecord`), one per firing-time
-    tuple, so re-analysis after an edit re-solves only the cores the
-    edit touched.  The largest ratio is rounded to a float once.
-    Results are memoized per graph version.
+    The rings of the actors outside the cyclic cores are closed-form,
+    summed in integers on every call; each core is solved exactly with
+    Howard's policy iteration in integers, its ratio kept in the core's
+    record (:class:`~repro.csdf.schedule.CoreRecord`) per tuple of its
+    actors' phase times, so re-analysis after an edit re-solves only
+    the cores the edit touched.  The largest ratio is rounded to a
+    float once, by Python's correctly rounded integer division.
     """
-    return cached(
-        graph, ("mcr", bindings_key(bindings)),
-        lambda: _max_cycle_ratio(graph, bindings),
-    )
-
-
-def _max_cycle_ratio(graph: CSDFGraph, bindings: Mapping | None) -> float:
-    # Rounding is monotone and comparisons between Fraction and float
-    # are exact, so this is the largest ratio's float.
-    return float(max((ratio for _core, ratio in _cycle_ratios(graph, bindings)),
-                     default=0))
+    num, den = _largest(_cycle_ratios(graph, bindings))
+    return num / den
 
 
 def _cycle_ratios(graph: CSDFGraph, bindings: Mapping | None):
-    """Every ring's and core's ratio, as ``(core, ratio)``: each ring's
-    exact sum with ``core`` ``None``, then each core's ratio
-    (:func:`_component_mcr`) with ``core`` its ``(actor, q_a)`` pairs."""
+    """Every ring's and core's exact ratio as an integer ``(num, den)``
+    pair: each ring's sum (:func:`_ring_sum`), then each core's ratio
+    (:func:`_component_mcr`)."""
     check_firing_names(graph)
     rings, records = core_layer(graph, bindings)
-    store = content_store(graph, _RING_STORE)
     for name, count in rings:
-        # an execution-time edit moves one ring: the others are store hits
-        key = (graph.actor(name).exec_times, count)
-        ratio = store.get(key)
-        if ratio is None:
-            ratio = _ring_sum(*key)
-            store.put(key, ratio)
-        yield None, ratio
+        yield _ring_sum(graph.actor(name).exec_times, count)
     for record in records:
         ratio = _component_mcr(graph, record)
-        yield record.firings, ratio
+        yield ratio.numerator, ratio.denominator
 
 
-def _ring_sum(times: tuple[float, ...], count: int) -> Fraction:
-    """The exact ratio of a ring of ``count`` firings cycling through
-    the phase ``times`` and carrying one token: whole phase cycles
-    times the phases' sum plus the leftover prefix, whatever ``count``
-    is."""
+def _largest(ratios) -> tuple[int, int]:
+    """The largest of the ``(num, den)`` ratios (all at least 0), by
+    cross-multiplication; ``(0, 1)`` when there is none."""
+    best_num, best_den = 0, 1
+    for num, den in ratios:
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    return best_num, best_den
+
+
+def _ring_sum(times: tuple[float, ...], count: int) -> tuple[int, int]:
+    """The exact ratio ``(num, den)``, in integers, of a ring of ``count``
+    firings cycling through the phase ``times`` and carrying one token:
+    whole phase cycles times the phases' sum plus the leftover prefix,
+    over the phases' common denominator (:func:`_integer_times`)."""
+    if len(times) == 1:
+        num, den = times[0].as_integer_ratio()
+        return num * count, den
+    den, work = _integer_times(times)
     whole, left = divmod(count, len(times))
-    return whole * sum(map(Fraction, times)) + sum(map(Fraction, times[:left]))
+    return whole * sum(work) + sum(work[:left]), den
 
 
 def _component_mcr(graph: CSDFGraph, record) -> Fraction:
     """One core's exact cycle ratio (:func:`_solve_core`), kept in its
-    record per firing-time tuple.
-
-    The record's key and the times cover everything the ratio depends
-    on, so a hit is exact by construction; deadlocked cores are never
-    stored (the raise propagates to the per-version cache, which
-    memoizes exceptions itself).  The solve warm-starts from the
-    policy last converged on the record's edges.
+    record per tuple of its actors' phase times: the record's key fixes
+    each actor's firing count, so they fix the firing times, which are
+    built only for a solve.  Deadlocked cores are never stored: the
+    raise propagates.  The solve warm-starts from the policy last
+    converged on the record's edges.
     """
     firings, edges = _core_graph(record)
-    times = _firing_times(graph, firings)
-    hit = record.ratios.get(times)
+    phases = tuple(graph.actor(name).exec_times for name, _count in firings)
+    hit = record.ratios.get(phases)
     if hit is not None:
         return hit
-    ratio, record.policy = _solve_core(edges, times, record.policy)
-    record.ratios.put(times, ratio)
+    ratio, record.policy = _solve_core(edges, _firing_times(graph, firings),
+                                       record.policy)
+    record.ratios.put(phases, ratio)
     return ratio
 
 
@@ -563,8 +569,9 @@ class _CapacityEventGraph:
     actor in repetition-vector order and every channel, each edge doing
     its source firing's execution time as integer work
     (:func:`_with_work`).  The exact MCR, ``target``, is the largest
-    ring and core ratio (:func:`_cycle_ratios`); :func:`_exact_mcr` at
-    that ratio settles the potentials the verdicts start from.
+    ring and core ratio (:func:`_cycle_ratios`, :func:`_largest`), as a
+    :class:`~fractions.Fraction`; :func:`_exact_mcr` at that ratio
+    settles the potentials the verdicts start from.
     Capacities never lower the period, so :meth:`period` starts the
     same loop at ``target``.
 
@@ -579,8 +586,7 @@ class _CapacityEventGraph:
     """
 
     def __init__(self, graph: CSDFGraph, bindings: Mapping | None):
-        start = max((ratio for _core, ratio in _cycle_ratios(graph, bindings)),
-                    default=Fraction(0))
+        start = Fraction(*_largest(_cycle_ratios(graph, bindings)))
         self.probes = 0
         q = concrete_repetition_vector(graph, bindings)
         self._channels = dict(zip(graph.channels, channel_rows(graph, bindings)))

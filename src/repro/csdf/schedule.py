@@ -86,11 +86,6 @@ register_binding_insensitive("actor_graph")
 register_binding_insensitive("cyclic_components")
 register_binding_insensitive("cores")
 
-#: Cross-version content store (see :func:`repro.cache.content_store`):
-#: core content key -> its :class:`CoreRecord`.
-_CORE_STORE = "core"
-
-
 class SequentialSchedule:
     """An ordered firing sequence for one iteration of a graph."""
 
@@ -390,7 +385,8 @@ class CoreRecord:
     built with an empty ``ratios`` (:func:`repro.csdf.mcr._core_graph`);
     ``policy``, the policy Howard's iteration last converged to on
     ``edges``; and ``ratios``, an LRU of its exact cycle ratio for the
-    firing-time tuples read last (:func:`repro.csdf.mcr._component_mcr`).
+    tuples of its actors' phase times read last
+    (:func:`repro.csdf.mcr._component_mcr`).
 
     ``key`` is ``(actors, channels)``: ``actors`` the component's
     ``(name, tau, q)`` triples (phase count and *global* repetition
@@ -440,7 +436,7 @@ def _core_layer(graph: CSDFGraph, bindings: Mapping | None) -> tuple:
                 tokens //= common
             inner[index].append((channel.src, channel.dst, production, consumption, tokens))
     taus = graph.taus()
-    store = content_store(graph, _CORE_STORE)
+    store = content_store(graph)
     records = []
     for core, channels in zip(cores, inner):
         key = (tuple((name, taus[name], q[name]) for name in core), tuple(channels))

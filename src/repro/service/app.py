@@ -69,9 +69,14 @@ _ANALYZE_DEFAULTS = analyze.__kwdefaults__
 
 #: Largest request body the front door reads, in bytes.  A request
 #: declaring more gets a 413 envelope before any body byte is read,
-#: and its connection closes: a client still sending the body meets a
-#: reset, and reads the envelope after it (``ServiceClient`` does).
+#: then a bounded drain (``_DRAIN_SECONDS``), then a closed connection.
 _MAX_BODY = 16 * 1024 * 1024
+
+#: Longest the front door discards a refused body, at most its declared
+#: length, before it closes: a client that sends its whole body before
+#: it reads gets the 413 instead of a reset, unless the body takes
+#: longer to arrive (``ServiceClient`` reads the reply after a reset).
+_DRAIN_SECONDS = 2.0
 
 #: ``simulate`` options accepted over the wire.  ``record_values`` is
 #: deliberately absent: token payloads are arbitrary Python objects
@@ -160,6 +165,15 @@ def _parametric_args(data) -> dict:
                          "'domain' object of name -> [lo, hi]")
     return {"domain": {name: tuple(bounds) for name, bounds in domain.items()},
             "max_boxes": as_count("max_boxes", data.get("max_boxes", 20_000))}
+
+
+async def _discard(reader: asyncio.StreamReader, length: int) -> None:
+    """Read and drop up to ``length`` bytes, until the peer stops."""
+    while length > 0:
+        chunk = await reader.read(min(length, 1 << 16))
+        if not chunk:
+            return
+        length -= len(chunk)
 
 
 class _Op(NamedTuple):
@@ -324,6 +338,9 @@ class AnalysisService:
                                              f"exceeds the {_MAX_BODY}-byte "
                                              f"limit"}},
                         keep_alive=False)
+                    with contextlib.suppress(asyncio.TimeoutError):
+                        await asyncio.wait_for(_discard(reader, length),
+                                               _DRAIN_SECONDS)
                     break
                 body = await reader.readexactly(length) if length else b""
                 status, payload = await self._dispatch(method, path, body)
@@ -600,11 +617,13 @@ class ServiceThread:
         return asyncio.run_coroutine_threadsafe(coro, self.loop).result(30)
 
     def stop(self) -> None:
+        if self.thread.is_alive():
+            self.call(self.service.stop())
+            self.loop.call_soon_threadsafe(self.loop.stop)
+            self.thread.join(timeout=10)
         if not self.thread.is_alive():
-            return
-        self.call(self.service.stop())
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=10)
+            # releases the loop's selector and self-pipe
+            self.loop.close()
 
 
 @contextlib.contextmanager
@@ -628,8 +647,8 @@ def serve_in_thread(host: str = "127.0.0.1", port: int = 0, **kwargs):
     thread.start()
     started.wait(10)
     handle = ServiceThread(service, loop, thread)
-    handle.call(service.start(host, port))
     try:
+        handle.call(service.start(host, port))
         yield handle
     finally:
         handle.stop()

@@ -101,8 +101,9 @@ class ServiceClient:
         try:
             payload = json.dumps(body).encode("utf-8") if body is not None \
                 else b""
-            # A body the server refuses (413) before reading it meets a
-            # reset here; the reply is still to be read.
+            # A body the server refuses (413) and stops discarding after
+            # its drain time meets a reset here; the reply is still to
+            # be read.
             with contextlib.suppress(BrokenPipeError, ConnectionResetError):
                 conn.request(method, path, body=payload,
                              headers={"Content-Type": "application/json"})

@@ -364,7 +364,7 @@ def test_target_rises_past_a_float_tie():
     assertion here)."""
     graph = _tie_graph()
     exact = Fraction(0.1) + Fraction(0.2)
-    assert max(ratio for _core, ratio in _cycle_ratios(graph, None)) == exact
+    assert max(Fraction(num, den) for num, den in _cycle_ratios(graph, None)) == exact
     verdict = _CapacityEventGraph(graph, None)
     assert verdict.target == verdict.period({}) == exact
     result = _checked_search(graph, None)

@@ -19,6 +19,7 @@ expansion, and every actor outside the cores must have exactly its
 ring there, whose exact sum is the closed-form ratio.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -50,6 +51,10 @@ SHAPES = (
     (8, 4, 2, False, False),
 )
 SEEDS_PER_SHAPE = 25
+
+#: Phase times of the ring-sum checks: tenths that miss each other by a
+#: float rounding, a small and a large time.
+RING_PHASES = (0.1, 0.2, 0.3, 0.7, 1e-3, 2.5, 1e6)
 
 
 def reference_event_graph(graph: CSDFGraph, bindings=None):
@@ -160,7 +165,7 @@ def assert_decomposition_matches(graph: CSDFGraph, bindings=None):
         weight = sum(Fraction(hsdf.actor(src).exec_time()) for src, _dst, _t in ring)
         tokens = sum(Fraction(t) for _src, _dst, t in ring)
         assert tokens == 1
-        assert _ring_sum(graph.actor(name).exec_times, count) == weight / tokens
+        assert Fraction(*_ring_sum(graph.actor(name).exec_times, count)) == weight / tokens
 
     # Completeness: each cyclic SCC of the whole event graph is one
     # outside actor's ring or lies inside one core.
@@ -353,7 +358,19 @@ class TestRingsAreClosedForm:
         times = (0.1, 0.2, 0.7)
         for count in range(1, 8):
             ring = [times[k % 3] for k in range(count)]
-            assert _ring_sum(times, count) == sum(map(Fraction, ring))
+            assert Fraction(*_ring_sum(times, count)) == sum(map(Fraction, ring))
+        # Every tuple of one to four phases, against the closed form in
+        # Fractions, and rounded to the same float.
+        for size in range(1, 5):
+            for times in itertools.product(RING_PHASES, repeat=size):
+                for count in (1, 2, 3, 5, 1_000_003, 2_718_282):
+                    whole, left = divmod(count, size)
+                    exact = (whole * sum(map(Fraction, times))
+                             + sum(map(Fraction, times[:left])))
+                    num, den = _ring_sum(times, count)
+                    assert type(num) is int and type(den) is int and den > 0
+                    assert Fraction(num, den) == exact, (times, count)
+                    assert num / den == float(exact), (times, count)
 
 
 class TestFlows:

@@ -80,7 +80,7 @@ class TestMemoizedProductsAreFrozen:
 
         view = tpdf.as_csdf()
         value = max_cycle_ratio(view)
-        assert ("mcr", ()) in analysis_cache(view)
+        assert ("cores", ()) in analysis_cache(view)
         assert max_cycle_ratio(view) == value
 
     def test_parent_graph_stays_mutable(self, tpdf):

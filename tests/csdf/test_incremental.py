@@ -181,7 +181,7 @@ class TestWarmColdDifferential:
 
     def test_unchanged_resubmission_is_reused(self, monkeypatch):
         """A second ``analyze()`` of an unchanged graph solves no cycle
-        ratio again: its MCR is a per-graph cache hit."""
+        ratio again: every core's ratio is a hit in its record."""
         import repro.csdf.mcr as mcr_mod
 
         solves = []
@@ -201,30 +201,32 @@ class TestWarmColdDifferential:
         assert solves == []
         assert second.fingerprint() == first.fingerprint()
 
-    def test_execution_time_edit_recomputes_one_ring(self, monkeypatch):
-        """After an execution-time edit of an actor outside the cyclic
-        cores, the MCR sums that actor's ring alone: every other ring
-        is a content-store hit, and the result equals a cold clone's."""
+    def test_execution_time_edit_outside_the_cores_solves_nothing(self, monkeypatch):
+        """An execution-time edit of an actor outside the cyclic cores
+        drops no entry of a default ``analyze()`` and solves no core
+        again, and the result equals a cold clone's."""
         import repro.csdf.mcr as mcr_mod
 
-        sums = []
-        ring_sum = mcr_mod._ring_sum
+        solves = []
+        howard = mcr_mod.howard
 
-        def spy(times, count):
-            sums.append(times)
-            return ring_sum(times, count)
+        def spy(*args, **kwargs):
+            solves.append(None)
+            return howard(*args, **kwargs)
 
-        monkeypatch.setattr(mcr_mod, "_ring_sum", spy)
+        monkeypatch.setattr(mcr_mod, "howard", spy)
         graph = _mutable_csdf(8, 2, 1, 3)
         session = EditSession(graph, **ANALYZE_OPTIONS)
         session.analyze()
-        rings, _cores = mcr_mod._decomposition(graph, None)
-        assert len(sums) == len(rings) > 1
+        rings, cores = mcr_mod._decomposition(graph, None)
+        assert rings and cores and solves
+        entries = set(analysis_cache(graph))
         name = rings[0][0]
-        sums.clear()
+        solves.clear()
         session.set_exec_time(name, [7.5] * len(graph.actor(name).exec_times))
+        assert set(analysis_cache(graph)) == entries
         warm = session.analyze()
-        assert sums == [graph.actor(name).exec_times]
+        assert solves == []
         cold = analyze(csdf_from_dict(csdf_to_dict(graph)), **ANALYZE_OPTIONS)
         assert warm.fingerprint() == cold.fingerprint()
 
@@ -636,23 +638,53 @@ class TestSCCGranularity:
 
 class TestOneRecordPerCore:
     """Liveness and the MCR share one record per cyclic core, kept in
-    one content store under the core's content key beside the ring
-    store."""
+    the graph's one content store under the core's content key."""
 
     @pytest.mark.parametrize("kind", ("csdf", "param", "tpdf"))
-    def test_cold_analyze_keeps_two_namespaces(self, kind):
+    def test_cold_analyze_stores_exactly_the_core_records(self, kind):
+        from repro.cache import ContentStore
+        from repro.csdf.schedule import core_layer
+
         doc = _perfbench_graphs().make_doc(kind, 80, 3, 0)
         graph = graph_from_payload(doc.doc)
         report = analyze(graph, doc.bindings)
         assert report.live and report.mcr is not None
         csdf = _csdf_of(graph)
-        assert cyclic_components(csdf)
-        assert set(csdf._analysis_content) == {"core", "mcr_ring"}
+        records = core_layer(csdf, doc.bindings)[1]
+        assert records and len(records) == len(cyclic_components(csdf))
+        store = csdf._analysis_content
+        assert isinstance(store, ContentStore) and content_store(csdf) is store
+        assert len(store) == len(records)
+        assert all(store.get(record.key) is record for record in records)
+
+    def test_all_hit_mcr_builds_no_firing_times(self, monkeypatch):
+        """A repeat ``max_cycle_ratio`` reads every core's ratio from
+        its record by its actors' phase times: on an unchanged graph,
+        and after an execution-time edit outside every core, neither
+        Howard nor a per-firing time tuple runs."""
+        import repro.csdf.mcr as mcr_mod
+
+        graph = _mutable_csdf(8, 2, 1, 3)
+        first = max_cycle_ratio(graph)
+        rings, cores = mcr_mod._decomposition(graph, None)
+        assert rings and cores
+        calls = []
+        for name in ("howard", "_firing_times"):
+            def spy(*args, _name=name, _real=getattr(mcr_mod, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(mcr_mod, name, spy)
+        assert max_cycle_ratio(graph) == first
+        name = rings[0][0]
+        graph.actor(name).set_exec_time([9.5] * len(graph.actor(name).exec_times))
+        warm = max_cycle_ratio(graph)
+        assert calls == []
+        assert warm == max_cycle_ratio(csdf_from_dict(csdf_to_dict(graph)))
 
     def test_a_token_edit_inside_one_core_adds_one_record(self):
         session = TestStructuralEdits._session(0)
         graph = session.graph
-        store = content_store(graph, "core")
+        store = content_store(graph)
         before = len(store)
         channel = next(c for c in graph.channels.values()
                        if _core_of(graph, c) and c.initial_tokens)

@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import analysis_cache
 from repro.csdf import (CSDFGraph, is_live, max_cycle_ratio,
                         min_buffers_for_full_throughput, self_timed_execution)
 from repro.csdf.mcr import _cycle_ratios, _decomposition, _with_work, mcr_reference
@@ -237,9 +236,8 @@ class TestSingleFiringSelfLoops:
 
 
 class TestCaching:
-    def test_mcr_is_memoized_per_version(self, fig1):
+    def test_repeat_call_equals_the_first(self, fig1):
         first = max_cycle_ratio(fig1)
-        assert ("mcr", ()) in analysis_cache(fig1)
         assert max_cycle_ratio(fig1) == first
 
     def test_mutation_invalidates(self):
@@ -294,18 +292,19 @@ class TestHowardFallback:
     def test_fallback_equals_howard(self, monkeypatch):
         from fractions import Fraction
 
-        from repro.csdf.mcr import howard
+        from repro.csdf.mcr import _component_mcr, howard
+        from repro.csdf.schedule import core_layer
 
-        converged = [[ratio for _core, ratio in _cycle_ratios(graph, None)]
-                     for graph in self._graphs()]
+        converged = [list(_cycle_ratios(graph, None)) for graph in self._graphs()]
         unit = [[howard(core)[0] for core in self._unit_work_cores(graph)]
                 for graph in self._graphs()]
         calls = self._give_up(monkeypatch)
         for graph, expected, expected_unit in zip(self._graphs(), converged, unit):
             calls.clear()
-            ratios = [ratio for _core, ratio in _cycle_ratios(graph, None)]
+            ratios = list(_cycle_ratios(graph, None))
             assert calls, f"{graph.name}: Howard was not asked"
-            assert all(type(ratio) is Fraction for ratio in ratios)
+            cores = [_component_mcr(graph, record) for record in core_layer(graph)[1]]
+            assert cores and all(type(ratio) is Fraction for ratio in cores)
             assert ratios == expected, graph.name
             assert max_cycle_ratio(graph) == pytest.approx(mcr_reference(graph), abs=TOL)
             solved = [howard(core) for core in self._unit_work_cores(graph)]
@@ -357,7 +356,7 @@ def _tie_prone(seed: int) -> tuple[CSDFGraph, dict]:
 def _ratios_at(graph: CSDFGraph, times: dict, shift: float = 0.0) -> list:
     for name, phases in times.items():
         graph.actor(name).set_exec_time([time + shift for time in phases])
-    return [ratio for _core, ratio in _cycle_ratios(graph, None)]
+    return list(_cycle_ratios(graph, None))
 
 
 class TestNearTies:

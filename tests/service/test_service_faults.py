@@ -23,7 +23,9 @@ exhaustion) and an external ``os.kill`` mid-request (the
 
 from __future__ import annotations
 
+import http.client
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -236,10 +238,59 @@ class TestBodyCap:
     @pytest.mark.parametrize("pad", [0, 4 << 20])
     def test_client_sees_bad_request(self, monkeypatch, pad):
         """A body larger than the socket buffers (``pad``) is still
-        being sent when the server replies and closes: the client reads
-        the 413 instead of surfacing the reset."""
+        being sent when the server replies: the client reads the 413."""
         monkeypatch.setattr(app, "_MAX_BODY", 64)
         bindings = {"pad": "x" * pad} if pad else None
         with serve_in_thread(workers=1, health_interval=0) as handle:
             with pytest.raises(BadRequest, match="64-byte limit"):
                 ServiceClient(handle.url).analyze(small_csdf(seed=91), bindings)
+
+    def test_plain_client_reads_the_refusal(self, monkeypatch):
+        """A client that sends its whole body before it reads, and does
+        not read after a failed send (plain ``http.client``), gets the
+        413 envelope: the front door discards the refused body before
+        it closes instead of resetting the connection under it."""
+        monkeypatch.setattr(app, "_MAX_BODY", 64)
+        body = b"x" * (4 << 20)
+        with serve_in_thread(workers=1, health_interval=0) as handle:
+            parts = urlsplit(handle.url)
+            for _ in range(3):
+                conn = http.client.HTTPConnection(parts.hostname, parts.port,
+                                                  timeout=10)
+                try:
+                    conn.request("POST", "/analyze", body=body,
+                                 headers={"Content-Type": "application/json"})
+                    response = conn.getresponse()
+                    payload = json.loads(response.read())
+                finally:
+                    conn.close()
+                assert response.status == 413
+                error = error_from_dict(payload["error"], 413)
+                assert isinstance(error, BadRequest)
+                assert "64-byte limit" in str(error)
+
+
+class TestServeInThread:
+
+    def test_loop_closed_after_the_block(self):
+        with serve_in_thread(workers=1, health_interval=0) as handle:
+            assert ServiceClient(handle.url).health()["status"] == "ok"
+        assert not handle.thread.is_alive()
+        assert handle.loop.is_closed()
+
+    def test_failed_start_leaves_no_thread_or_worker(self):
+        """A start that fails (the port is taken) raises, and stops the
+        workers it started and the loop's thread."""
+        def running():
+            return (sum(t.name == "repro-service" for t in threading.enumerate()),
+                    len(multiprocessing.active_children()))
+
+        before = running()
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            with pytest.raises(OSError):
+                with serve_in_thread(port=taken.getsockname()[1], workers=1,
+                                     health_interval=0):
+                    pass
+        assert running() == before
